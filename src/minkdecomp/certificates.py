@@ -38,7 +38,7 @@ from .graphs import (
     skeleton,
     touches_every_facet,
 )
-from .linalg import Vec, affinely_independent
+from .linalg import Vec, affinely_independent, hyperplane_through
 from .polytope import FVector, Polytope, facet_as_polytope
 
 INDECOMPOSABLE = "Indecomposable"
@@ -547,8 +547,25 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     which u's neighbor set is a facet, and u lies strictly beyond that
     facet and strictly beneath every other facet of the reduced polytope.
     The beneath conditions are essential; without them the status
-    equivalence fails (the apex would absorb other facets)."""
+    equivalence fails (the apex would absorb other facets).
+
+    The reduced hull is built only for a vertex that passes a cheaper
+    necessary test first: u's neighbors span a unique hyperplane, u lies
+    strictly off it, and every other vertex lies strictly on the far
+    side.  A facet of the reduced polytope holds exactly the vertices on
+    its hyperplane with the rest strictly beneath, and u must lie
+    strictly beyond it, so the test rejects only what the full check
+    would reject."""
     n = len(p.vertices)
+    nbrs = p.neighbors(u)
+    plane = hyperplane_through([p.vertices[x] for x in nbrs])
+    if plane is None:
+        return None
+    a, b = plane
+    apex_side = a.dot(p.vertices[u]) - b
+    others = (a.dot(p.vertices[x]) - b for x in range(n) if x != u and x not in nbrs)
+    if apex_side == 0 or any(side * apex_side >= 0 for side in others):
+        return None
     kept = [x for x in range(n) if x != u]
     try:
         reduced = Polytope.from_vertices(
@@ -558,7 +575,7 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
         )
     except DegenerateInputError:
         return None
-    fmem = tuple(x - (x > u) for x in p.neighbors(u))
+    fmem = tuple(x - (x > u) for x in nbrs)
     if fmem not in set(reduced.facets):
         return None
     apex = p.vertices[u]
@@ -745,8 +762,11 @@ def _lift_witness(
 
 
 def _certificate_pipeline(
-    p: Polytope,
+    p: Polytope, search: bool
 ) -> Optional[Tuple[CertificateTrace, str, Optional[DecomposingFunction]]]:
+    """Direct stages and pyramid reductions, then the graph search if
+    `search` is set.  The search can only prove indecomposability, so
+    the caller clears `search` once the oracle has said Decomposable."""
     reductions: List[PyramidReductionData] = []
     current = p
     closed = None
@@ -759,7 +779,7 @@ def _certificate_pipeline(
             break
         reductions.append(red)
         current = red.reduced
-    if closed is None:
+    if closed is None and search:
         closed = _stages_search(current)
     if closed is None:
         return None
@@ -789,18 +809,20 @@ def _certificate_pipeline(
 
 
 def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
-    """Decide decomposability.  In certificates-first mode the rule
-    pipeline runs first and the oracle both backstops it and cross-checks
-    every certificate verdict; oracle-only skips the rules entirely."""
+    """Decide decomposability.  In certificates-first mode the rank oracle
+    runs first, then the rule pipeline: the direct stages and pyramid
+    reductions always, the graph search only when the oracle said
+    Indecomposable, since the search can prove nothing else.  The oracle
+    backstops the pipeline and cross-checks every certificate verdict;
+    oracle-only skips the rules entirely."""
     if mode not in ("certificates-first", "oracle-only"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     fv = p.f_vector()
     notes = tuple(c.render() for c in count_rules(p.dim, fv.v, fv.e, fv.f))
-    if mode == "oracle-only":
-        o = oracle_verdict(p)
-        return AnalysisReport(o.verdict, "oracle", None, o.dimension, fv, notes, o.witness)
-    closed = _certificate_pipeline(p)
     o = oracle_verdict(p)
+    if mode == "oracle-only":
+        return AnalysisReport(o.verdict, "oracle", None, o.dimension, fv, notes, o.witness)
+    closed = _certificate_pipeline(p, search=o.verdict == INDECOMPOSABLE)
     if closed is None:
         return AnalysisReport(o.verdict, "oracle", None, o.dimension, fv, notes, o.witness)
     trace, method, witness = closed

@@ -161,7 +161,10 @@ def cmd_analyze(args) -> int:
 def cmd_counts(args) -> int:
     from .counts import count_rules
 
-    conclusions = count_rules(args.d, args.v, args.e, args.f)
+    try:
+        conclusions = count_rules(args.d, args.v, args.e, args.f)
+    except ValueError as exc:
+        raise InvalidInputError(str(exc)) from exc
     if not conclusions:
         print("no applicable count rules")
     for c in conclusions:
@@ -179,7 +182,10 @@ def cmd_catalogue(args) -> int:
     if args.sub == "verify":
         dims = None
         if args.dims:
-            dims = {int(x) for x in args.dims.split(",")}
+            try:
+                dims = {int(x) for x in args.dims.split(",")}
+            except ValueError as exc:
+                raise InvalidInputError(f"--dims must list integers: {exc}") from exc
         report = catalogue_verify(dims=dims)
         print(report.render())
         return 0 if report.ok else 1
@@ -252,7 +258,7 @@ def main(argv=None) -> int:
     except EngineInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 4
-    except (InvalidInputError, MinkdecompError, ValueError) as exc:
+    except MinkdecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -303,7 +303,9 @@ def oracle_verdict(p: Polytope) -> OracleResult:
     if dim == p.dim + 1:
         return OracleResult("Indecomposable", dim, None)
     witness = None
-    for f in basis:
+    # The first d basis elements are the translations of the one
+    # component a polytope skeleton has: homotheties, never a witness.
+    for f in basis[p.dim:]:
         residue = homothety_residue(g, f)
         if not all(img.is_zero() for img in residue.images.values()):
             witness = residue

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from minkdecomp.catalogue import sum_of_point_sets
+from minkdecomp import certificates
+from minkdecomp.catalogue import catalogue_entry, catalogue_list, sum_of_point_sets
 from minkdecomp.certificates import (
     AnalysisReport,
     CertificateStep,
@@ -38,10 +39,10 @@ from minkdecomp.constructors import (
     octahedron,
     simplex,
 )
-from minkdecomp.errors import InvalidInputError, RuleNotApplicableError
+from minkdecomp.errors import DegenerateInputError, InvalidInputError, RuleNotApplicableError
 from minkdecomp.graphs import is_homothety, skeleton, touches_every_facet
 from minkdecomp.linalg import Vec
-from minkdecomp.polytope import pyramid_over
+from minkdecomp.polytope import Polytope, minkowski_sum, pyramid_over, stack_pyramid
 
 
 OCTA = octahedron()
@@ -440,3 +441,133 @@ def test_replay_rejects_shephard_on_wrong_facet():
 def test_replay_rejects_trace_on_wrong_polytope():
     trace = analyze(capped_prism()).trace
     assert not replay(trace, cube(3))
+
+
+# ---------------------------------------------------------------------------
+# Oracle-gated search
+
+
+SEGMENT = [[0, 0, 0, 0], [1, 3, 2, 5]]
+
+# The search runs only where the oracle said Indecomposable, so on a
+# decomposable input analyze never exercises its soundness: these tests
+# do, directly.  Catalogue entries of dimension 6 and 7 are left out: a
+# facet slide closes each before the search would run, and the search
+# alone takes 5 to 170 s on each of them on the pure-Python path.
+DECOMPOSABLE_CASES = {
+    e.name: e.build
+    for e in catalogue_list()
+    if e.expected_status == "Decomposable" and e.dim <= 5
+}
+for _n in (6, 7):
+    DECOMPOSABLE_CASES[f"cyclic-{_n}-4-plus-segment"] = (
+        lambda n=_n: minkowski_sum(cyclic(n, 4), SEGMENT)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSABLE_CASES))
+def test_search_finds_nothing_on_decomposable_input(name):
+    # The search can only prove indecomposability; anything it returned
+    # here would contradict the oracle (exit 4).
+    assert certificates._stages_search(DECOMPOSABLE_CASES[name]()) is None
+
+
+def _report_key(r):
+    witness = None
+    if r.witness is not None:
+        witness = sorted(r.witness.images.items())
+    trace = None if r.trace is None else (r.trace.verdict, r.trace.coverage_note, r.trace.render())
+    return (r.verdict, r.method, r.oracle_dimension, r.fvector, r.rule_notes, trace, witness)
+
+
+class _SearchCalled(Exception):
+    pass
+
+
+def _refuse_search(p):
+    raise _SearchCalled(p.name)
+
+
+@pytest.mark.parametrize("build", [lambda: delta(2, 2), catalogue_entry("sum-25-edges").build])
+def test_analyze_decides_decomposable_input_without_search(monkeypatch, build):
+    p = build()
+    want = _report_key(analyze(p))
+    assert want[0] == "Decomposable"
+    monkeypatch.setattr(certificates, "_stages_search", _refuse_search)
+    assert _report_key(analyze(p)) == want
+
+
+def test_analyze_needs_search_on_indecomposable_input(monkeypatch):
+    monkeypatch.setattr(certificates, "_stages_search", _refuse_search)
+    with pytest.raises(_SearchCalled):
+        analyze(cyclic(8, 4))
+
+
+# ---------------------------------------------------------------------------
+# Stacked-apex test
+
+
+def _stack_structure_reference(p, u):
+    """The stacked-apex check without the hyperplane pretest: it always
+    builds the hull of the other vertices."""
+    n = len(p.vertices)
+    kept = [x for x in range(n) if x != u]
+    try:
+        reduced = Polytope.from_vertices(p.dim, [p.vertices[x] for x in kept])
+    except DegenerateInputError:
+        return None
+    fmem = tuple(x - (x > u) for x in p.neighbors(u))
+    if fmem not in set(reduced.facets):
+        return None
+    apex = p.vertices[u]
+    for fi, members in enumerate(reduced.facets):
+        a, b = reduced.facet_plane(fi)
+        side = a.dot(apex)
+        if members == fmem:
+            if side <= b:
+                return None
+        elif side >= b:
+            return None
+    return reduced, fmem
+
+
+# Every catalogue entry but delta-3-4, whose twenty reference hulls take
+# over a minute on the pure-Python path.
+STACK_CASES = {e.name: e.build for e in catalogue_list() if e.name != "delta-3-4"}
+for _n in (6, 7, 8, 9):
+    STACK_CASES[f"cyclic-{_n}-4"] = lambda n=_n: cyclic(n, 4)
+for _n in (6, 7, 8):
+    STACK_CASES[f"cyclic-{_n}-4-stacked"] = lambda n=_n: stack_pyramid(cyclic(n, 4), 0)
+for _f in range(len(capped_prism().facets)):
+    STACK_CASES[f"capped-prism-stacked-{_f}"] = lambda f=_f: stack_pyramid(capped_prism(), f)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CASES))
+def test_stack_structure_matches_reduced_hull_reference(name):
+    p = STACK_CASES[name]()
+    for u in range(len(p.vertices)):
+        got = certificates._stack_structure(p, u)
+        want = _stack_structure_reference(p, u)
+        if want is None:
+            assert got is None, u
+        else:
+            assert got is not None, u
+            assert got[1] == want[1]
+            assert got[0].vertices == want[0].vertices
+            assert got[0].facets == want[0].facets
+
+
+@pytest.mark.parametrize("build", [bd198, lambda: stack_pyramid(cyclic(8, 4), 0)])
+def test_replay_rejects_every_non_apex_in_reduction(build):
+    p = build()
+    trace = analyze(p).trace
+    first = trace.steps[0]
+    assert first.rule == "PyramidReduction"
+    apex, fmem, sub = first.inputs
+    others = [u for u in range(len(p.vertices)) if _stack_structure_reference(p, u) is None]
+    assert others
+    for u in others:
+        bad = dataclasses.replace(first, inputs=(u, fmem, sub))
+        tampered = CertificateTrace((bad,) + trace.steps[1:], trace.verdict, "")
+        ok, why = replay_report(tampered, p)
+        assert not ok and "vertex is not a stacked pyramid apex" in why, (u, why)

@@ -205,6 +205,24 @@ def test_catalogue_verify_dims(capsys):
     assert "PASS  triangle" in out and "PASS  square" in out
 
 
+def test_catalogue_verify_bad_dims_exit_code(capsys):
+    code, _, err = run(capsys, "catalogue", "verify", "--dims", "x")
+    assert code == 2 and "error:" in err
+
+
+def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, octa_file):
+    # Exit 2 means invalid input; a ValueError from inside the library is
+    # a bug and must surface as one.
+    import minkdecomp.cli as cli
+
+    def broken(p, mode):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["analyze", octa_file])
+
+
 def test_catalogue_export_roundtrip(tmp_path, capsys):
     path = tmp_path / "w.json"
     code, _, _ = run(capsys, "catalogue", "export", "wedge-4", "-o", str(path))

@@ -113,6 +113,34 @@ def test_pure_env_forces_fallback():
     assert out.stdout.strip() == "False"
 
 
+def test_pure_env_switch_with_stub_extension():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    # A stub stands in for the compiled module, so the switch is observable
+    # whether or not the extension is built.
+    src = str(pathlib.Path(kernels.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, types; "
+        "sys.modules['minkdecomp._kernels'] = types.ModuleType('minkdecomp._kernels'); "
+        "import minkdecomp.kernels as k; print(k.HAVE_COMPILED)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "MINKDECOMP_PURE"}
+    env["PYTHONPATH"] = path
+    for extra, want in (({}, "True"), ({"MINKDECOMP_PURE": "1"}, "False")):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**env, **extra},
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == want, extra
+
+
 @needs_compiled
 def test_compiled_facet_scan_vertex_cap():
     with pytest.raises(ValueError):
