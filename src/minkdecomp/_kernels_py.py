@@ -1,13 +1,15 @@
-"""Pure-Python reference implementation of the two hot kernels.
+"""Pure-Python integer row reduction, the twin of the compiled kernel.
 
-Both kernels work over arbitrary-precision integers: callers clear the
+`rref_int` works over arbitrary-precision integers: callers clear the
 denominators first, which keeps elimination fraction-free.  The compiled
-module _kernels mirrors these functions; kernels.py selects one per call.
-Keep the two implementations behaviourally identical, including pivot
-choices and output ordering, so results are bit-for-bit comparable.
+module _kernels mirrors it, and kernels.py picks one per call (the
+MINKDECOMP_PURE variable forces this one).  Keep the two behaviourally
+identical, including pivot choices and output ordering, so results are
+bit-for-bit comparable.  The compiled module also carries a brute-force
+facet scan that nothing calls any more; facet enumeration is
+`kernels.facet_scan` on both paths.
 """
 
-from itertools import combinations
 from math import gcd
 
 
@@ -67,99 +69,3 @@ def rref_int(rows, ncols):
         rank += 1
     return pivot_cols, mat[:rank]
 
-
-def _det(m):
-    """Determinant of a small square integer matrix (Bareiss, exact)."""
-    k = len(m)
-    if k == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for i in range(k - 1):
-        if a[i][i] == 0:
-            swap = next((r for r in range(i + 1, k) if a[r][i] != 0), -1)
-            if swap < 0:
-                return 0
-            a[i], a[swap] = a[swap], a[i]
-            sign = -sign
-        for r in range(i + 1, k):
-            for c in range(i + 1, k):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[k - 1][k - 1]
-
-
-def _cross(diffs, d):
-    """Nonzero vector orthogonal to d-1 difference vectors, or all zeros.
-
-    Cofactor expansion along a symbolic first row: component j is
-    (-1)^j times the minor that drops column j.
-    """
-    normal = []
-    for j in range(d):
-        minor = [[row[c] for c in range(d) if c != j] for row in diffs]
-        x = _det(minor)
-        normal.append(x if j % 2 == 0 else -x)
-    return normal
-
-
-def facet_scan(coords, d):
-    """Brute-force facet enumeration over integer vertex coordinates.
-
-    coords: list of n integer coordinate tuples of an affinely spanning
-    vertex set.  Scans d-subsets in lexicographic order, skipping subsets
-    of already-found facets, and classifies each spanning hyperplane by
-    the one-sided test.  Returns a list of (mask, normal, offset) with
-    mask the facet's vertex bitmask and (normal, offset) the primitive
-    outward integer hyperplane.
-    """
-    n = len(coords)
-    found = []
-    found_masks = []
-    for combo in combinations(range(n), d):
-        smask = 0
-        for i in combo:
-            smask |= 1 << i
-        if any(smask & ~m == 0 for m in found_masks):
-            continue
-        base = coords[combo[0]]
-        diffs = [
-            [coords[i][c] - base[c] for c in range(d)] for i in combo[1:]
-        ]
-        normal = _cross(diffs, d)
-        if not any(normal):
-            continue
-        offset = sum(normal[c] * base[c] for c in range(d))
-        pos = neg = False
-        mask = 0
-        for i in range(n):
-            p = coords[i]
-            s = sum(normal[c] * p[c] for c in range(d)) - offset
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-            else:
-                mask |= 1 << i
-            if pos and neg:
-                break
-        if pos and neg:
-            continue
-        if not pos and not neg:
-            raise ValueError("all vertices on one hyperplane; input not full-dimensional")
-        if pos:
-            normal = [-x for x in normal]
-            offset = -offset
-        # gcd-reduce without flipping sign: orientation must stay outward
-        g = 0
-        for x in normal:
-            g = gcd(g, x)
-        g = gcd(g, offset)
-        if g > 1:
-            normal = [x // g for x in normal]
-            offset //= g
-        found_masks.append(mask)
-        found.append((mask, tuple(normal), offset))
-    return found

@@ -1,16 +1,17 @@
-"""Micro-benchmark comparing the pure and compiled kernels.
+"""Micro-benchmark comparing the pure and compiled row reduction.
 
 Run as `python -m minkdecomp.bench`.  Both implementations are invoked
 directly (bypassing the dispatcher) on identical inputs, results are
 checked for equality, and per-call timings are reported side by side.
-Compiled rows are skipped when the extension is not built.
+Compiled rows are skipped when the extension is not built.  Facet
+enumeration has one implementation on both paths and is not compared.
 """
 
 import time
 from typing import Callable, List, Optional, Tuple
 
 from . import _kernels_py
-from .constructors import bd198, cyclic, delta
+from .constructors import bd198, delta
 from .graphs import decomposing_system_matrix, skeleton
 from .linalg import clear_denominators
 
@@ -34,14 +35,6 @@ def _time_best(fn: Callable[[], object], repeat: int = REPEAT) -> Tuple[float, o
     return best or 0.0, result
 
 
-def _facet_cases() -> List[Tuple[str, List[Tuple[int, ...]], int]]:
-    cases = []
-    for p in (delta(2, 2), delta(1, 3), cyclic(6, 4), bd198(), delta(3, 3)):
-        coords = [tuple(int(c) for c in v) for v in p.vertices]
-        cases.append((f"facet_scan {p.name}", coords, p.dim))
-    return cases
-
-
 def _rref_cases() -> List[Tuple[str, List[List[int]], int]]:
     cases = []
     for p in (delta(2, 2), bd198(), delta(3, 3)):
@@ -52,15 +45,6 @@ def _rref_cases() -> List[Tuple[str, List[List[int]], int]]:
 
 def main() -> int:
     rows_out: List[Tuple[str, float, Optional[float]]] = []
-    for label, coords, d in _facet_cases():
-        t_pure, r_pure = _time_best(lambda: _kernels_py.facet_scan(coords, d))
-        if _compiled is not None:
-            t_comp, r_comp = _time_best(lambda: _compiled.facet_scan(coords, d))
-            if r_comp != r_pure:
-                raise AssertionError(f"kernel mismatch on {label}")
-            rows_out.append((label, t_pure, t_comp))
-        else:
-            rows_out.append((label, t_pure, None))
     for label, mat, ncols in _rref_cases():
         t_pure, r_pure = _time_best(lambda: _kernels_py.rref_int([list(r) for r in mat], ncols))
         if _compiled is not None:

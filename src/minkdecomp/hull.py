@@ -1,11 +1,18 @@
-"""Brute-force facet enumeration for desk-scale vertex sets.
+"""Exact facet enumeration for desk-scale vertex sets.
 
-Every d-subset of the input is tested for spanning a supporting
-hyperplane; the maximal coplanar vertex set of each such hyperplane is a
-facet.  Exponential, but exact, and entirely adequate below the guard of
-C(n, d) <= 10^7 subsets.  Input coordinates are rational; a common
-denominator is cleared so the kernels run over integers (uniform scaling
-does not change the face structure).
+`kernels.facet_scan` builds the hull by incremental double description
+(Fukuda & Prodon 1996): it starts from a simplex on the first d+1
+affinely independent points, inserts the rest one at a time, and forms
+each new facet from an adjacent pair of facets on either side of the new
+point.  Its cost follows the facets it builds, not the C(n, d) vertex
+subsets, and it handles non-simplicial facets natively.  Every facet
+lists all input points on its hyperplane, non-extreme ones included.
+
+Input coordinates are rational; a common denominator is cleared so the
+kernel runs over integers (uniform scaling does not change the face
+structure).  `SUBSET_GUARD` refuses inputs with more than 10^7 d-subsets
+(GuardExceededError): it is an admission bound on the input size only,
+not a measure of the hull's work.
 """
 
 from fractions import Fraction
@@ -58,7 +65,3 @@ def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
     out.sort(key=lambda t: t[0])
     return out
 
-
-def enumerate_facets(dim: int, vertices: Sequence[Sequence[Rational]]) -> List[Tuple[int, ...]]:
-    """Facet vertex-index sets, each sorted, list sorted lexicographically."""
-    return [members for members, _, _ in facet_data(dim, vertices)]

@@ -1,13 +1,17 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The two integer kernels: row reduction and facet enumeration.
 
-The compiled module accelerates the two inner loops that dominate the
-profile: integer row reduction and the brute-force facet scan.  Setting
-the environment variable MINKDECOMP_PURE to any nonempty value forces the
-pure-Python path; `python -m minkdecomp.bench` compares the two.
+`rref_int` runs the compiled extension when it is built and the
+pure-Python twin in `_kernels_py` otherwise; the two give identical
+results.  Setting the environment variable MINKDECOMP_PURE to any
+nonempty value forces the pure-Python row reduction, and
+`python -m minkdecomp.bench` compares the two.  `facet_scan` is pure
+Python on both paths: an exact double-description hull whose cost
+follows the facets it builds rather than the C(n, d) vertex subsets.
 """
 
 import os
-from math import isqrt
+from math import gcd, lcm
+from operator import mul
 
 from . import _kernels_py
 
@@ -28,28 +32,83 @@ def rref_int(rows, ncols):
     return _kernels_py.rref_int(rows, ncols)
 
 
-def _scan_fits_int64(coords, d):
-    """Conservative overflow bound for the int64 facet-scan path.
-
-    The cofactor determinants are bounded by Hadamard's inequality:
-    B^2 <= (d-1)^(d-1) * (2A)^(2(d-1)) with A the coordinate bound.
-    Bareiss intermediates stay within 2B^2 and the side tests within
-    2dBA, so both must fit comfortably under 2^63.
-    """
-    n = len(coords)
-    if n > 63:
-        return False
-    amax = max((abs(c) for p in coords for c in p), default=0)
-    if amax == 0:
-        return True
-    b_sq = (d - 1) ** (d - 1) * (2 * amax) ** (2 * (d - 1)) if d > 1 else 1
-    if 2 * b_sq >= 2**62:
-        return False
-    b = isqrt(b_sq) + 1
-    return 2 * d * b * amax < 2**62
+def _divide_gcd(h):
+    g = gcd(*h)
+    return tuple(x // g for x in h)
 
 
 def facet_scan(coords, d):
-    if _compiled is not None and _scan_fits_int64(coords, d):
-        return _compiled.facet_scan(coords, d)
-    return _kernels_py.facet_scan(coords, d)
+    """Exact facet enumeration over integer coordinates by incremental
+    double description (Fukuda & Prodon 1996).
+
+    coords: n integer coordinate tuples that affinely span R^d.  A facet
+    is kept as h = (a, b) with a.x <= b on every inserted point, so each
+    point x is the constraint (x, -1).h <= 0 on the cone of valid
+    inequalities, whose extreme rays are the facets.  The start is the
+    simplex on the first d+1 affinely independent points; the others are
+    inserted in index order.  Inserting p evaluates s = a.p - b on every
+    facet.  A facet with s = 0 adds p to its mask.  Each adjacent pair of
+    a facet with s+ > 0 and one with s- < 0 yields the new facet
+    s+ h- - s- h+ through p, and then the facets with s > 0 are dropped.
+    Two facets are adjacent when their common mask has at least d-1
+    points and lies in no third facet's mask (the combinatorial test).
+    A new facet's mask is that common mask plus p, since a positive
+    combination is tight exactly where both parts are; so masks hold
+    every tight input point, coplanar and non-extreme ones included.
+
+    Returns a list of (mask, normal, offset): the facet's bitmask over the
+    input indices and its outward hyperplane normal . x <= offset, with
+    (normal, offset) a primitive integer vector.  Raises ValueError when
+    the points do not affinely span R^d.
+    """
+    rows = [tuple(x) + (-1,) for x in coords]
+    # The pivot columns of the transpose are the first linearly
+    # independent rows, in index order.
+    start, _ = _kernels_py.rref_int([list(col) for col in zip(*rows)], len(rows))
+    if len(start) <= d:
+        raise ValueError("input not full-dimensional")
+    # Column k of the inverse of the start matrix is, up to a positive
+    # factor, minus the facet opposite start[k]: tight on the other
+    # start points, strictly negative on start[k].
+    aug = [list(rows[i]) + [int(j == r) for j in range(d + 1)] for r, i in enumerate(start)]
+    _, red = _kernels_py.rref_int(aug, 2 * (d + 1))
+    scale = lcm(*(red[r][r] for r in range(d + 1)))
+    full = sum(1 << i for i in start)
+    facets = []
+    for k, i in enumerate(start):
+        h = [-red[r][d + 1 + k] * (scale // red[r][r]) for r in range(d + 1)]
+        facets.append((_divide_gcd(h), full & ~(1 << i)))
+    for k in sorted(set(range(len(rows))) - set(start)):
+        q = rows[k]
+        bit = 1 << k
+        pos = []
+        neg = []
+        kept = []
+        for f in facets:
+            s = sum(map(mul, f[0], q))
+            if s > 0:
+                pos.append((f, s))
+            elif s < 0:
+                neg.append((f, s))
+                kept.append(f)
+            else:
+                kept.append((f[0], f[1] | bit))
+        if pos:
+            masks = [f[1] for f in facets]
+            for (hp, mp), sp in pos:
+                for (hn, mn), sn in neg:
+                    common = mp & mn
+                    if common.bit_count() < d - 1:
+                        continue
+                    # Adjacent iff only the pair itself contains common.
+                    seen = 0
+                    for m in masks:
+                        if m & common == common:
+                            seen += 1
+                            if seen > 2:
+                                break
+                    else:
+                        h = [sp * y - sn * x for x, y in zip(hp, hn)]
+                        kept.append((_divide_gcd(h), common | bit))
+        facets = kept
+    return [(m, h[:d], h[d]) for h, m in facets]

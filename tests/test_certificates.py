@@ -531,9 +531,7 @@ def _stack_structure_reference(p, u):
     return reduced, fmem
 
 
-# Every catalogue entry but delta-3-4, whose twenty reference hulls take
-# over a minute on the pure-Python path.
-STACK_CASES = {e.name: e.build for e in catalogue_list() if e.name != "delta-3-4"}
+STACK_CASES = {e.name: e.build for e in catalogue_list()}
 for _n in (6, 7, 8, 9):
     STACK_CASES[f"cyclic-{_n}-4"] = lambda n=_n: cyclic(n, 4)
 for _n in (6, 7, 8):

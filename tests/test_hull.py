@@ -1,15 +1,21 @@
-"""Facet enumeration, checked against the Gale evenness oracle.
+"""Facet enumeration, checked against two independent references.
 
 Facets of a cyclic polytope on the moment curve have a purely
-combinatorial description (Gale's evenness condition), giving an
-independent reference the brute-force scan must reproduce exactly.
+combinatorial description (Gale's evenness condition).  The brute-force
+scan below tests every d-subset of the input for spanning a supporting
+hyperplane; the double-description hull must reproduce its facets,
+normals and offsets exactly, coplanar and non-extreme points included.
 """
 
+import random
+from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
 from minkdecomp import hull
+from minkdecomp.catalogue import catalogue_entry, catalogue_list
 from minkdecomp.constructors import cyclic, moment_point
 from minkdecomp.errors import (
     DegenerateInputError,
@@ -17,6 +23,119 @@ from minkdecomp.errors import (
     InvalidInputError,
 )
 from minkdecomp.linalg import Vec
+from minkdecomp.polytope import minkowski_sum, stack_pyramid
+
+
+def enumerate_facets(dim, vertices):
+    """Facet vertex-index sets, each sorted, list sorted lexicographically."""
+    return [members for members, _, _ in hull.facet_data(dim, vertices)]
+
+
+def _det(m):
+    """Determinant of a small square integer matrix (Bareiss, exact)."""
+    k = len(m)
+    if k == 0:
+        return 1
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for i in range(k - 1):
+        if a[i][i] == 0:
+            swap = next((r for r in range(i + 1, k) if a[r][i] != 0), -1)
+            if swap < 0:
+                return 0
+            a[i], a[swap] = a[swap], a[i]
+            sign = -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+            a[r][i] = 0
+        prev = a[i][i]
+    return sign * a[k - 1][k - 1]
+
+
+def _cross(diffs, d):
+    """Nonzero vector orthogonal to d-1 difference vectors, or all zeros.
+
+    Cofactor expansion along a symbolic first row: component j is
+    (-1)^j times the minor that drops column j.
+    """
+    normal = []
+    for j in range(d):
+        minor = [[row[c] for c in range(d) if c != j] for row in diffs]
+        x = _det(minor)
+        normal.append(x if j % 2 == 0 else -x)
+    return normal
+
+
+def brute_force_facet_scan(coords, d):
+    """Brute-force facet enumeration over integer coordinates.
+
+    Scans d-subsets in lexicographic order, skipping subsets of
+    already-found facets, and classifies each spanning hyperplane by the
+    one-sided test.  Returns (mask, normal, offset) triples with the
+    primitive outward integer hyperplane normal . x <= offset.
+    """
+    n = len(coords)
+    found = []
+    found_masks = []
+    for combo in combinations(range(n), d):
+        smask = 0
+        for i in combo:
+            smask |= 1 << i
+        if any(smask & ~m == 0 for m in found_masks):
+            continue
+        base = coords[combo[0]]
+        diffs = [[coords[i][c] - base[c] for c in range(d)] for i in combo[1:]]
+        normal = _cross(diffs, d)
+        if not any(normal):
+            continue
+        offset = sum(normal[c] * base[c] for c in range(d))
+        pos = neg = False
+        mask = 0
+        for i in range(n):
+            p = coords[i]
+            s = sum(normal[c] * p[c] for c in range(d)) - offset
+            if s > 0:
+                pos = True
+            elif s < 0:
+                neg = True
+            else:
+                mask |= 1 << i
+            if pos and neg:
+                break
+        if pos and neg:
+            continue
+        if not pos and not neg:
+            raise ValueError("all vertices on one hyperplane; input not full-dimensional")
+        if pos:
+            normal = [-x for x in normal]
+            offset = -offset
+        g = gcd(*normal, offset)
+        if g > 1:
+            normal = [x // g for x in normal]
+            offset //= g
+        found_masks.append(mask)
+        found.append((mask, tuple(normal), offset))
+    return found
+
+
+def reference_facet_data(dim, vertices):
+    """facet_data's output, computed by the brute-force scan."""
+    pts = [[Fraction(c) for c in v] for v in vertices]
+    mult = lcm(*(c.denominator for v in pts for c in v))
+    ints = [tuple(int(c * mult) for c in v) for v in pts]
+    out = []
+    for mask, normal, offset in brute_force_facet_scan(ints, dim):
+        members = tuple(i for i in range(len(ints)) if mask >> i & 1)
+        out.append((members, Vec(normal), Fraction(offset, mult)))
+    return sorted(out, key=lambda t: t[0])
+
+
+def assert_matches_reference(dim, vertices):
+    got = hull.facet_data(dim, vertices)
+    assert got == reference_facet_data(dim, vertices)
+    return got
 
 
 def gale_evenness_facets(n, d):
@@ -50,7 +169,7 @@ def test_cyclic_6_4_has_nine_facets():
 
 
 def test_enumerate_facets_unit_square():
-    facets = hull.enumerate_facets(2, [Vec((0, 0)), Vec((0, 1)), Vec((1, 0)), Vec((1, 1))])
+    facets = enumerate_facets(2, [Vec((0, 0)), Vec((0, 1)), Vec((1, 0)), Vec((1, 1))])
     assert sorted(facets) == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
@@ -69,22 +188,22 @@ def test_facet_planes_are_outward_and_tight():
 
 def test_degenerate_input_rejected():
     with pytest.raises(DegenerateInputError):
-        hull.enumerate_facets(2, [Vec((0, 0)), Vec((1, 1)), Vec((2, 2))])
+        enumerate_facets(2, [Vec((0, 0)), Vec((1, 1)), Vec((2, 2))])
 
 
 def test_bad_inputs_rejected():
     with pytest.raises(InvalidInputError):
-        hull.enumerate_facets(2, [])
+        enumerate_facets(2, [])
     with pytest.raises(InvalidInputError):
-        hull.enumerate_facets(2, [Vec((0, 0)), Vec((0, 0)), Vec((1, 0))])
+        enumerate_facets(2, [Vec((0, 0)), Vec((0, 0)), Vec((1, 0))])
     with pytest.raises(InvalidInputError):
-        hull.enumerate_facets(2, [Vec((0, 0, 0))])
+        enumerate_facets(2, [Vec((0, 0, 0))])
 
 
 def test_guard_trips_on_huge_subset_counts():
     pts = [moment_point(t, 12) for t in range(1, 41)]
     with pytest.raises(GuardExceededError):
-        hull.enumerate_facets(12, pts)
+        enumerate_facets(12, pts)
 
 
 def test_fractional_coordinates_supported():
@@ -95,5 +214,99 @@ def test_fractional_coordinates_supported():
         Vec((Fraction(7, 2), Fraction(1, 5))),
         Vec((1, 1)),
     ]
-    facets = hull.enumerate_facets(2, verts)
+    facets = enumerate_facets(2, verts)
     assert len(facets) == 3
+
+
+# ---------------------------------------------------------------------------
+# Exact agreement with the brute-force scan
+
+
+# delta-3-4 is checked against its known facets below: the reference scan
+# takes about 3 s on its 77,520 subsets.
+REFERENCE_CATALOGUE = [e.name for e in catalogue_list() if e.name != "delta-3-4"]
+
+
+@pytest.mark.parametrize("name", REFERENCE_CATALOGUE)
+def test_facet_data_matches_reference_on_catalogue(name):
+    p = catalogue_entry(name).build()
+    assert_matches_reference(p.dim, p.vertices)
+
+
+@pytest.mark.parametrize("n", range(6, 15))
+def test_facet_data_matches_reference_on_cyclic_families(n):
+    base = cyclic(n, 4)
+    assert_matches_reference(4, base.vertices)
+    assert_matches_reference(4, stack_pyramid(base, 0).vertices)
+    summed = minkowski_sum(base, [[0, 0, 0, 0], [1, 3, 2, 5]])
+    assert_matches_reference(4, summed.vertices)
+
+
+def test_facet_data_matches_reference_on_cyclic_13_6():
+    data = assert_matches_reference(6, cyclic(13, 6).vertices)
+    assert [m for m, _, _ in data] == gale_evenness_facets(13, 6)
+
+
+def test_facet_data_matches_reference_on_random_point_sets():
+    # Coordinates in [-3, 3] force coplanar and non-extreme input points,
+    # which every facet must list when they lie on its hyperplane.
+    rng = random.Random(20161)
+    compared = 0
+    coplanar = 0
+    while compared < 320:
+        d = rng.randint(2, 5)
+        n = rng.randint(d + 1, d + 7)
+        pts = sorted({tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)})
+        try:
+            data = assert_matches_reference(d, pts)
+        except DegenerateInputError:
+            continue
+        compared += 1
+        coplanar += any(len(m) > d for m, _, _ in data)
+    assert coplanar > 50
+
+
+def test_facet_data_matches_reference_on_fractional_coordinates():
+    rng = random.Random(5)
+    for _ in range(30):
+        d = rng.randint(2, 4)
+        pts = {
+            tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(d))
+            for _ in range(d + 5)
+        }
+        assert_matches_reference(d, sorted(pts))
+
+
+def test_facet_data_matches_reference_on_large_coordinates():
+    # The cofactor determinants of 10^12-scale points overflow int64; the
+    # hull must stay exact on Python integers.
+    big = 10**12
+    square = [(0, 0), (big, 0), (0, big), (big, big)]
+    assert len(assert_matches_reference(2, square)) == 4
+    rng = random.Random(12)
+    for _ in range(20):
+        d = rng.randint(2, 4)
+        pts = {
+            tuple(rng.randint(-3, 3) * big + rng.randint(-5, 5) for _ in range(d))
+            for _ in range(d + 5)
+        }
+        assert_matches_reference(d, sorted(pts))
+
+
+def test_delta_3_4_has_its_nine_product_facets():
+    # delta(3,4) is combinatorially the product of a 3- and a 4-simplex:
+    # each facet drops one vertex of one factor.
+    p = catalogue_entry("delta-3-4").build()
+    verts = p.vertices
+    parts = [(tuple(v[:3]), tuple(v[3:])) for v in verts]
+    expected = []
+    for side in (0, 1):
+        for left_out in sorted({part[side] for part in parts}):
+            expected.append(tuple(i for i, part in enumerate(parts) if part[side] != left_out))
+    data = hull.facet_data(7, verts)
+    assert [m for m, _, _ in data] == sorted(expected)
+    assert len(data) == 9
+    for members, normal, offset in data:
+        for i, v in enumerate(verts):
+            assert (normal.dot(v) == offset) == (i in members)
+            assert normal.dot(v) <= offset

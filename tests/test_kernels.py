@@ -1,11 +1,14 @@
-"""The pure and compiled kernels must be behaviourally identical."""
+"""The pure and compiled row reductions must be behaviourally identical.
+
+Facet enumeration has one implementation on both paths; tests/test_hull.py
+checks it against a brute-force reference scan.
+"""
 
 import random
 
 import pytest
 
 from minkdecomp import _kernels_py, kernels
-from minkdecomp.constructors import bd198, cyclic, delta
 
 try:
     from minkdecomp import _kernels as compiled
@@ -15,36 +18,6 @@ except ImportError:
 needs_compiled = pytest.mark.skipif(
     compiled is None, reason="compiled extension not built"
 )
-
-
-def _int_coords(p):
-    return [tuple(int(c) for c in v) for v in p.vertices]
-
-
-@needs_compiled
-@pytest.mark.parametrize("build", [lambda: delta(2, 2), lambda: cyclic(6, 4), bd198, lambda: delta(1, 3)])
-def test_facet_scan_identical(build):
-    p = build()
-    coords = _int_coords(p)
-    assert compiled.facet_scan(coords, p.dim) == _kernels_py.facet_scan(coords, p.dim)
-
-
-@needs_compiled
-def test_facet_scan_identical_on_random_point_sets():
-    rng = random.Random(7)
-    for _ in range(25):
-        d = rng.choice([2, 3])
-        n = rng.randint(d + 1, d + 5)
-        pts = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(n)]
-        if len(set(pts)) < len(pts):
-            continue
-        try:
-            want = _kernels_py.facet_scan(pts, d)
-        except ValueError:
-            with pytest.raises(ValueError):
-                compiled.facet_scan(pts, d)
-            continue
-        assert compiled.facet_scan(pts, d) == want
 
 
 @needs_compiled
@@ -65,28 +38,6 @@ def test_rref_identical_with_huge_entries():
     want = _kernels_py.rref_int([list(r) for r in rows], 3)
     got = compiled.rref_int([list(r) for r in rows], 3)
     assert got == want
-
-
-def test_dispatcher_overflow_gate():
-    # Small coordinates pass the int64 gate, huge ones must not.
-    small = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert kernels._scan_fits_int64(small, 3)
-    huge = [tuple(10**12 * c for c in v) for v in small]
-    assert not kernels._scan_fits_int64(huge, 3)
-    assert not kernels._scan_fits_int64([(0,)] * 64, 1)
-
-
-def test_dispatcher_falls_back_beyond_gate():
-    # Beyond the gate the dispatcher must still answer, via pure Python.
-    verts = [
-        (0, 0),
-        (10**12, 0),
-        (0, 10**12),
-        (10**12, 10**12),
-    ]
-    got = kernels.facet_scan(verts, 2)
-    assert got == _kernels_py.facet_scan(verts, 2)
-    assert len(got) == 4
 
 
 def test_pure_env_forces_fallback():
