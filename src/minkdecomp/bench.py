@@ -1,8 +1,10 @@
 """Micro-benchmark comparing the pure and compiled row reduction.
 
-Run as `python -m minkdecomp.bench`.  Both implementations are invoked
-directly (bypassing the dispatcher) on identical inputs, results are
-checked for equality, and per-call timings are reported side by side.
+Run as `python -m minkdecomp.bench`.  The inputs are the integer cycle
+systems the rank oracle reduces, built by `graphs.cycle_rows` on a few
+polytope skeleta.  Both implementations are invoked directly (bypassing
+the dispatcher) on identical inputs, results are checked for equality,
+and per-call timings are reported side by side.
 Compiled rows are skipped when the extension is not built.  Facet
 enumeration has one implementation on both paths and is not compared.
 """
@@ -12,8 +14,8 @@ from typing import Callable, List, Optional, Tuple
 
 from . import _kernels_py
 from .constructors import bd198, delta
-from .graphs import decomposing_system_matrix, skeleton
-from .linalg import clear_denominators
+from .graphs import _bfs_tree, cycle_rows, skeleton
+from .linalg import as_int_coords
 
 try:
     from . import _kernels as _compiled  # type: ignore[attr-defined]
@@ -38,8 +40,11 @@ def _time_best(fn: Callable[[], object], repeat: int = REPEAT) -> Tuple[float, o
 def _rref_cases() -> List[Tuple[str, List[List[int]], int]]:
     cases = []
     for p in (delta(2, 2), bd198(), delta(3, 3)):
-        rows, ncols = decomposing_system_matrix(skeleton(p))
-        cases.append((f"rref_int {p.name} system", clear_denominators(rows), ncols))
+        g = skeleton(p)
+        ints, _ = as_int_coords(g.vertices.values())
+        tree = _bfs_tree(g, sorted(g.vertices))
+        rows = cycle_rows(dict(zip(g.vertices, ints)), tree)
+        cases.append((f"rref_int {p.name} cycle system", rows, len(g.edges)))
     return cases
 
 

@@ -7,13 +7,21 @@ decomposing functions always contains the homotheties x -> a*x + b; a
 connected, affinely spanning graph is indecomposable exactly when there
 is nothing else, i.e. when the space has dimension d + 1.
 
-The space is computed per connected component through the cycle space:
-an edge-scalar assignment extends to a decomposing function iff it sums
-to zero (weighted by edge directions) around every fundamental cycle,
-and the extension is then unique up to translation.  This solves a
-system over the edge scalars only, much smaller than the naive system
-over all vertex images, with an identical kernel dimension; the naive
-system is kept alongside for cross-checking.
+The space is computed per connected component through the cycle space
+(Kallay 1982): an edge-scalar assignment extends to a decomposing
+function iff it sums to zero (weighted by edge directions) around every
+fundamental cycle, and the extension is then unique up to translation.
+This solves a system over the edge scalars only, much smaller than the
+naive system over all vertex images, with an identical kernel dimension.
+
+The whole computation runs over integers: the vertex coordinates are
+cleared to a common denominator once (`linalg.as_int_coords`), which
+scales every cycle equation by the same factor and so keeps its kernel.
+The cycle rows are built as integer lists and reduced without fractions;
+`Fraction` appears only where the edge scalars are read off the reduced
+rows and where images become a `DecomposingFunction`.  The homothety fit
+of a witness is solved in closed form from integer sums, and every
+function handed out has its edge scalars verified edge by edge.
 """
 
 from __future__ import annotations
@@ -24,7 +32,15 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
-from .linalg import Rational, Vec, matrix_rank, rank_and_kernel, solve_exact, zero_vec
+from .linalg import (
+    Rational,
+    Vec,
+    affine_rank,
+    as_int_coords,
+    fraction_vec,
+    int_kernel,
+    zero_vec,
+)
 from .polytope import Polytope
 
 
@@ -85,10 +101,10 @@ class GeometricGraph:
         return len(self.components()) == 1
 
     def spans_ambient(self) -> bool:
-        pts = [self.vertices[v] for v in sorted(self.vertices)]
-        if not pts:
+        if not self.vertices:
             return False
-        return matrix_rank([p - pts[0] for p in pts[1:]] or [], ncols=self.dim) == self.dim
+        ints, _ = as_int_coords(self.vertices[v] for v in sorted(self.vertices))
+        return affine_rank(ints, self.dim) == self.dim
 
 
 @dataclass(frozen=True)
@@ -99,17 +115,10 @@ class DecomposingFunction:
     @staticmethod
     def from_images(g: GeometricGraph, images: Dict[int, Vec]) -> "DecomposingFunction":
         """Derive the per-edge scalars, verifying the defining identity."""
-        scalars = {}
-        for u, v in g.edges:
-            diff_f = images[u] - images[v]
-            diff_x = g.vertices[u] - g.vertices[v]
-            j = next(i for i, c in enumerate(diff_x) if c)
-            lam = diff_f[j] / diff_x[j]
-            if diff_f != diff_x * lam:
-                raise InvalidInputError(
-                    f"images do not decompose along edge ({u},{v})"
-                )
-            scalars[(u, v)] = lam
+        vids = list(g.vertices)
+        xs, mult = as_int_coords(g.vertices[v] for v in vids)
+        fs, den = as_int_coords(images[v] for v in vids)
+        scalars = _edge_scalars(g, dict(zip(vids, xs)), mult, dict(zip(vids, fs)), den)
         return DecomposingFunction(images, scalars)
 
     def check(self, g: GeometricGraph) -> bool:
@@ -122,6 +131,25 @@ class DecomposingFunction:
     def is_constant(self) -> bool:
         values = set(self.images.values())
         return len(values) <= 1
+
+
+def _edge_scalars(
+    g: GeometricGraph, xs: Dict[int, Sequence[int]], mult: int,
+    fs: Dict[int, Sequence[int]], den: int,
+) -> Dict[Tuple[int, int], Rational]:
+    """Edge scalars of the images fs/den over the vertices xs/mult, each
+    edge verified in integers: the image difference must be a multiple
+    of the vertex difference."""
+    scalars = {}
+    for u, v in g.edges:
+        diff_f = [a - b for a, b in zip(fs[u], fs[v])]
+        diff_x = [a - b for a, b in zip(xs[u], xs[v])]
+        j = next(i for i, c in enumerate(diff_x) if c)
+        fj, xj = diff_f[j], diff_x[j]
+        if any(a * xj != b * fj for a, b in zip(diff_f, diff_x, strict=True)):
+            raise InvalidInputError(f"images do not decompose along edge ({u},{v})")
+        scalars[(u, v)] = Fraction(fj * mult, xj * den)
+    return scalars
 
 
 def skeleton(p: Polytope) -> GeometricGraph:
@@ -175,17 +203,55 @@ def _path_steps(parent, depth, u, v):
     return up_from_u + [(b, a) for a, b in reversed(up_from_v)]
 
 
+def cycle_rows(xs: Dict[int, Sequence[int]], tree) -> List[List[int]]:
+    """The cycle system of one component over integer coordinates xs.
+
+    One block of d rows per non-tree edge, one column per component edge:
+    the scalar-weighted edge directions must cancel around the edge's
+    fundamental cycle.  Each row is accumulated per coordinate; all-zero
+    rows are dropped.
+    """
+    parent, depth, _, comp_edges, tree_edges = tree
+    col_of = {e: i for i, e in enumerate(comp_edges)}
+    d = len(next(iter(xs.values())))
+    rows = []
+    for e in comp_edges:
+        if e in tree_edges:
+            continue
+        u, v = e
+        block = [[0] * len(comp_edges) for _ in range(d)]
+        # Walk the tree from v back to u, then close the cycle along e.
+        for a, b in _path_steps(parent, depth, v, u) + [(u, v)]:
+            k = col_of[edge_key(a, b)]
+            for row, xa, xb in zip(block, xs[a], xs[b]):
+                row[k] += xb - xa
+        rows.extend(row for row in block if any(row))
+    return rows
+
+
 def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]]:
-    """Dimension and a basis of the space of decomposing functions on g."""
+    """Dimension and a basis of the space of decomposing functions on g.
+
+    Per connected component: d translations, then one function per
+    kernel vector of the component's integer cycle system (`cycle_rows`),
+    read off its primitive reduced row echelon form.  That form does not
+    depend on how the rows were scaled, so the basis is the same exact
+    rational basis whatever the common denominator of the coordinates.
+    A kernel vector's images are summed in integers along a BFS tree
+    from the component's first vertex, which maps to the origin.
+    """
     if not g.edges:
         raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
     d = g.dim
+    ints, mult = as_int_coords(g.vertices.values())
+    xs = dict(zip(g.vertices, ints))
     total = 0
     basis: List[DecomposingFunction] = []
     zero_images = {v: zero_vec(d) for v in g.vertices}
     zero_scalars = {e: Fraction(0) for e in g.edges}
     for comp in g.components():
-        parent, depth, order, comp_edges, tree_edges = _bfs_tree(g, comp)
+        tree = _bfs_tree(g, comp)
+        parent, _, order, comp_edges, _ = tree
         # Translations: d dimensions per component.
         for j in range(d):
             images = dict(zero_images)
@@ -196,59 +262,24 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
         total += d
         if not comp_edges:
             continue
-        col_of = {e: i for i, e in enumerate(comp_edges)}
-        # One block of d equations per fundamental cycle: the scalar-weighted
-        # edge directions must cancel around the cycle.
-        rows = []
-        for e in comp_edges:
-            if e in tree_edges:
-                continue
-            u, v = e
-            coeffs = [zero_vec(d)] * len(comp_edges)
-            coeffs = list(coeffs)
-            steps = _path_steps(parent, depth, v, u)
-            for a, b in steps:
-                k = col_of[edge_key(a, b)]
-                coeffs[k] = coeffs[k] + (g.vertices[b] - g.vertices[a])
-            k = col_of[e]
-            coeffs[k] = coeffs[k] + (g.vertices[v] - g.vertices[u])
-            for j in range(d):
-                rows.append([c[j] for c in coeffs])
-        _, lam_basis = rank_and_kernel(rows, ncols=len(comp_edges))
+        _, lam_basis = int_kernel(cycle_rows(xs, tree), len(comp_edges))
         total += len(lam_basis)
         for lam in lam_basis:
             scalars = dict(zero_scalars)
-            for e, value in zip(comp_edges, lam):
-                scalars[e] = value
-            images = dict(zero_images)
-            images[comp[0]] = zero_vec(d)
+            scalars.update(zip(comp_edges, lam))
+            # lam = lam_ints / den, so the images are sums / (den * mult).
+            (lam_ints,), den = as_int_coords([lam])
+            lam_of = dict(zip(comp_edges, lam_ints))
+            sums = {comp[0]: (0,) * d}
             for v in order[1:]:
                 u = parent[v]
-                images[v] = images[u] + (g.vertices[v] - g.vertices[u]) * scalars[edge_key(u, v)]
+                s = lam_of[edge_key(u, v)]
+                sums[v] = tuple(a + (xv - xu) * s for a, xv, xu in zip(sums[u], xs[v], xs[u]))
+            images = dict(zero_images)
+            for v, coords in sums.items():
+                images[v] = fraction_vec(coords, den * mult)
             basis.append(DecomposingFunction(images, scalars))
     return total, basis
-
-
-def decomposing_system_matrix(g: GeometricGraph):
-    """The naive linear system: unknowns are all vertex images plus one
-    scalar per edge, d equations per edge.  Used to cross-check the
-    cycle-space computation; exponentially slower to eliminate."""
-    d = g.dim
-    vids = sorted(g.vertices)
-    vcol = {v: i * d for i, v in enumerate(vids)}
-    ecol_base = len(vids) * d
-    ecol = {e: ecol_base + i for i, e in enumerate(g.edges)}
-    ncols = ecol_base + len(g.edges)
-    rows = []
-    for u, v in g.edges:
-        direction = g.vertices[u] - g.vertices[v]
-        for j in range(d):
-            row = [Fraction(0)] * ncols
-            row[vcol[u] + j] = Fraction(1)
-            row[vcol[v] + j] = Fraction(-1)
-            row[ecol[(u, v)]] = -direction[j]
-            rows.append(row)
-    return rows, ncols
 
 
 def is_indecomposable_graph(g: GeometricGraph) -> bool:
@@ -261,27 +292,37 @@ def is_indecomposable_graph(g: GeometricGraph) -> bool:
 
 
 def homothety_residue(g: GeometricGraph, f: DecomposingFunction) -> DecomposingFunction:
-    """Subtract the least-squares homothety fit; zero residue iff f is one."""
-    d = g.dim
+    """Subtract the least-squares homothety fit; zero residue iff f is one.
+
+    The fit minimises sum ||alpha*x + c - f(x)||^2 over (alpha, c).  With
+    the vertices cleared to X = mult*x and the images to F = den*f, its
+    normal equations solve in closed form: alpha' = num / q with
+    num = n<X,F> - <sum X, sum F> and q = n<X,X> - |sum X|^2, and
+    c' = (sum F - alpha' sum X) / n, so n*q times every residue
+    F - alpha' X - c' is an integer.
+    """
     vids = sorted(g.vertices)
     n = len(vids)
-    pts = [g.vertices[v] for v in vids]
-    # Normal equations for min sum ||alpha*x + c - f(x)||^2 over (alpha, c).
-    rows = []
-    rhs = []
-    rows.append(
-        [sum(p.dot(p) for p in pts)] + [sum(p[j] for p in pts) for j in range(d)]
+    xs, mult = as_int_coords(g.vertices[v] for v in vids)
+    fs, den = as_int_coords(f.images[v] for v in vids)
+    sum_x = [sum(col) for col in zip(*xs)]
+    sum_f = [sum(col) for col in zip(*fs)]
+    num = n * sum(a * b for x, y in zip(xs, fs) for a, b in zip(x, y)) - sum(
+        a * b for a, b in zip(sum_x, sum_f)
     )
-    rhs.append(sum(p.dot(f.images[v]) for p, v in zip(pts, vids)))
-    for j in range(d):
-        row = [sum(p[j] for p in pts)] + [Fraction(0)] * d
-        row[1 + j] = Fraction(n)
-        rows.append(row)
-        rhs.append(sum(f.images[v][j] for v in vids))
-    fit = solve_exact(rows, rhs)
-    alpha, shift = fit[0], Vec(fit[1:])
-    images = {v: f.images[v] - (g.vertices[v] * alpha + shift) for v in vids}
-    return DecomposingFunction.from_images(g, images)
+    q = n * sum(a * a for x in xs for a in x) - sum(a * a for a in sum_x)
+    if q == 0:
+        raise ValueError("matrix is singular")
+    offset = [num * a - q * b for a, b in zip(sum_x, sum_f)]
+    res = [
+        tuple(n * q * b - n * num * a + c for a, b, c in zip(x, y, offset))
+        for x, y in zip(xs, fs)
+    ]
+    res_den = n * q * den
+    scalars = _edge_scalars(g, dict(zip(vids, xs)), mult, dict(zip(vids, res)), res_den)
+    return DecomposingFunction(
+        {v: fraction_vec(r, res_den) for v, r in zip(vids, res)}, scalars
+    )
 
 
 def is_homothety(g: GeometricGraph, f: DecomposingFunction) -> bool:
@@ -297,24 +338,25 @@ class OracleResult:
 
 
 def oracle_verdict(p: Polytope) -> OracleResult:
-    """Kallay's criterion on the whole skeleton, decided by exact rank."""
+    """Kallay's criterion on the whole skeleton, decided by exact rank.
+
+    Indecomposable exactly when the decomposing space has dimension d+1.
+    Otherwise the witness is the homothety residue of the first basis
+    element that is not a homothety.  A polytope skeleton is connected,
+    and on a connected graph a decomposing function is a homothety iff
+    all its edge scalars are equal, so the translations and any other
+    homothety are skipped without a fit.
+    """
     g = skeleton(p)
     dim, basis = decomposing_space(g)
     if dim == p.dim + 1:
         return OracleResult("Indecomposable", dim, None)
-    witness = None
-    # The first d basis elements are the translations of the one
-    # component a polytope skeleton has: homotheties, never a witness.
-    for f in basis[p.dim:]:
-        residue = homothety_residue(g, f)
-        if not all(img.is_zero() for img in residue.images.values()):
-            witness = residue
-            break
-    if witness is None:
+    f = next((f for f in basis if len(set(f.edge_scalars.values())) > 1), None)
+    if f is None:
         raise InvalidInputError(
             "oracle dimension exceeds d+1 but every basis element is a homothety"
         )
-    return OracleResult("Decomposable", dim, witness)
+    return OracleResult("Decomposable", dim, homothety_residue(g, f))
 
 
 def touches_every_facet(s, p: Polytope) -> bool:

@@ -8,27 +8,23 @@ point.  Its cost follows the facets it builds, not the C(n, d) vertex
 subsets, and it handles non-simplicial facets natively.  Every facet
 lists all input points on its hyperplane, non-extreme ones included.
 
-Input coordinates are rational; a common denominator is cleared so the
-kernel runs over integers (uniform scaling does not change the face
-structure).  `SUBSET_GUARD` refuses inputs with more than 10^7 d-subsets
+Input coordinates are rational; `linalg.as_int_coords` clears their
+common denominator, so the affine-rank check and the kernel run over
+integers (uniform scaling does not change the face structure).
+`SUBSET_GUARD` refuses inputs with more than 10^7 d-subsets
 (GuardExceededError): it is an admission bound on the input size only,
 not a measure of the hull's work.
 """
 
 from fractions import Fraction
-from math import comb, lcm
-from typing import List, Sequence, Tuple
+from math import comb
+from typing import Sequence
 
 from . import kernels
 from .errors import DegenerateInputError, GuardExceededError, InvalidInputError
-from .linalg import Rational, Vec, matrix_rank
+from .linalg import Rational, Vec, affine_rank, as_int_coords
 
 SUBSET_GUARD = 10**7
-
-
-def _as_int_coords(vertices: Sequence[Vec]) -> Tuple[List[Tuple[int, ...]], int]:
-    mult = lcm(*(c.denominator for v in vertices for c in v))
-    return [tuple(int(c * mult) for c in v) for v in vertices], mult
 
 
 def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
@@ -53,9 +49,9 @@ def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
         raise GuardExceededError(
             f"C({n},{d}) = {comb(n, d)} d-subsets exceeds the guard of {SUBSET_GUARD}"
         )
-    if matrix_rank([p - pts[0] for p in pts[1:]] or [], ncols=d) != d:
+    ints, mult = as_int_coords(pts)
+    if affine_rank(ints, d) != d:
         raise DegenerateInputError("vertex set does not affinely span the ambient dimension")
-    ints, mult = _as_int_coords(pts)
     raw = kernels.facet_scan(ints, d)
     out = []
     for mask, normal, offset in raw:

@@ -1,18 +1,23 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra over one integer boundary.
 
 Everything verdict-relevant in this package reduces to questions about
-ranks, kernels and linear feasibility, and rank is discontinuous, so no
-floating point is allowed anywhere near a verdict.  Scalars are
-fractions.Fraction (canonical form maintained by the stdlib), vectors are
-immutable tuples of them, and matrices are plain lists of rows.
-Elimination itself runs over cleared-denominator integers in the kernels
-module; this module owns the rational boundary.
+ranks, kernels, hyperplanes and sign tests, and rank is discontinuous,
+so no floating point is allowed anywhere near a verdict.  Input
+coordinates are fractions.Fraction (vectors are immutable tuples of
+them, matrices plain lists of rows); `as_int_coords` clears the common
+denominator of a point set once, and the geometry then runs over Python
+integers.  Uniform scaling keeps every face, every rank and kernel of a
+system built from the points, and every sign test, so integer results
+convert back to the rational answer by one division at the end.
+Elimination is fraction-free integer row reduction in the kernels
+module.  `Fraction` values are made only at the edges: reading off a
+kernel basis, the normalised hyperplanes callers keep, and witnesses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import kernels
@@ -70,6 +75,24 @@ def unit_vec(d: int, i: int) -> Vec:
     return Vec(int(j == i) for j in range(d))
 
 
+def fraction_vec(numerators: Iterable[int], denominator: int) -> Vec:
+    """The Vec numerators / denominator, for a nonzero integer denominator."""
+    return tuple.__new__(Vec, (Fraction(x, denominator) for x in numerators))
+
+
+def as_int_coords(points: Iterable[Sequence[Rational]]) -> Tuple[List[Tuple[int, ...]], int]:
+    """Clear the common denominator of a point set: (mult * p for each p), mult.
+
+    mult is the least positive integer making every coordinate integral.
+    Every point is scaled by the same factor, so faces, affine ranks,
+    hyperplanes through the points and the kernels of systems built from
+    them are those of the original set.
+    """
+    pts = [[c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p] for p in points]
+    mult = lcm(*(c.denominator for p in pts for c in p))
+    return [tuple(c.numerator * (mult // c.denominator) for c in p) for p in pts], mult
+
+
 def clear_denominators(rows: Sequence[Sequence[Rational]]) -> List[List[int]]:
     """Scale each row by the lcm of its denominators; kernel unchanged."""
     out = []
@@ -78,6 +101,66 @@ def clear_denominators(rows: Sequence[Sequence[Rational]]) -> List[List[int]]:
         mult = lcm(*(x.denominator for x in fr)) if fr else 1
         out.append([int(x * mult) for x in fr])
     return out
+
+
+def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int, List[Vec]]:
+    """Rank and kernel basis of an integer matrix (all-zero rows allowed).
+
+    Each basis vector has 1 in one non-pivot column, 0 in the others,
+    and is read off the primitive reduced row echelon form.  That form is
+    unique, so the basis does not depend on how the rows were scaled.
+    """
+    pivot_cols, reduced = kernels.rref_int([r for r in rows if any(r)], ncols)
+    pivot_set = set(pivot_cols)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        coords = [Fraction(0)] * ncols
+        coords[f] = Fraction(1)
+        for row, c in zip(reduced, pivot_cols):
+            coords[c] = Fraction(-row[f], row[c])
+        basis.append(tuple.__new__(Vec, coords))
+    return len(pivot_cols), basis
+
+
+def affine_rank(points: Sequence[Sequence[int]], d: int) -> int:
+    """Dimension of the affine hull of integer points in R^d (0 if empty)."""
+    if not points:
+        return 0
+    base = points[0]
+    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    return len(kernels.rref_int([r for r in diffs if any(r)], d)[0])
+
+
+def int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[List[int], int]]:
+    """The hyperplane a.x = b through integer points, if it is unique.
+
+    Returns (a, b) as a primitive integer vector whose first nonzero
+    entry of a is positive, or None when the points do not affinely span
+    exactly a hyperplane: uniqueness holds for any number of points
+    precisely when the incidence system p.a - b = 0 has a one-dimensional
+    kernel.
+    """
+    if not points:
+        return None
+    d = len(points[0])
+    pivot_cols, reduced = kernels.rref_int([list(p) + [-1] for p in points], d + 1)
+    if len(pivot_cols) != d:
+        return None
+    free = next(c for c in range(d + 1) if c not in pivot_cols)
+    # The kernel vector with L at the free column, L the lcm of the pivots.
+    scale = lcm(*(row[c] for row, c in zip(reduced, pivot_cols)))
+    h = [0] * (d + 1)
+    h[free] = scale
+    for row, c in zip(reduced, pivot_cols):
+        h[c] = -row[free] * (scale // row[c])
+    lead = next((x for x in h[:d] if x), None)
+    if lead is None:
+        # a = 0 forces b = 0, the zero vector; cannot occur in a kernel basis.
+        return None
+    g = gcd(*h) if lead > 0 else -gcd(*h)
+    return [x // g for x in h[:d]], h[d] // g
 
 
 def rank_and_kernel(
@@ -95,19 +178,7 @@ def rank_and_kernel(
         ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-    int_rows = [r for r in clear_denominators(rows) if any(r)]
-    pivot_cols, reduced = kernels.rref_int(int_rows, ncols)
-    rank = len(pivot_cols)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        coords = [Fraction(0)] * ncols
-        coords[f] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            coords[c] = Fraction(-reduced[i][f], reduced[i][c])
-        basis.append(Vec(coords))
-    return rank, basis
+    return int_kernel(clear_denominators(rows), ncols)
 
 
 def matrix_rank(rows: Sequence[Sequence[Rational]], ncols: Optional[int] = None) -> int:
@@ -133,17 +204,15 @@ def solve_exact(
 
 def affinely_independent(points: Sequence[Sequence[Rational]]) -> bool:
     """True iff the differences p_i - p_1 (i >= 2) are linearly independent."""
-    pts = [Vec(p) for p in points]
-    if len({len(p) for p in pts}) > 1:
+    if len({len(p) for p in points}) > 1:
         raise ValueError("points of mixed dimension")
-    k = len(pts)
+    k = len(points)
     if k <= 1:
         return True
-    d = len(pts[0])
+    d = len(points[0])
     if k > d + 1:
         return False
-    diffs = [p - pts[0] for p in pts[1:]]
-    return matrix_rank(diffs) == k - 1
+    return affine_rank(as_int_coords(points)[0], d) == k - 1
 
 
 def _phase1_feasible(rows: List[List[Fraction]], rhs: List[Fraction]) -> bool:
@@ -268,21 +337,22 @@ def hyperplane_through(points: Sequence[Sequence[Rational]]) -> Optional[Tuple[V
     for any number of points precisely when the incidence system below
     has a one-dimensional kernel.
     """
-    pts = [Vec(p) for p in points]
-    if not pts:
+    if not points:
         return None
-    d = len(pts[0])
-    if any(len(p) != d for p in pts):
+    d = len(points[0])
+    if any(len(p) != d for p in points):
         raise ValueError("points of mixed dimension")
-    # (a, b) is in the kernel of the d x (d+1) system  p.a - b = 0.
-    rows = [list(p) + [Fraction(-1)] for p in pts]
-    rank, basis = rank_and_kernel(rows, d + 1)
-    if len(basis) != 1:
+    ints, mult = as_int_coords(points)
+    return normalised_plane(int_hyperplane(ints), mult)
+
+
+def normalised_plane(
+    plane: Optional[Tuple[Sequence[int], int]], mult: int
+) -> Optional[Tuple[Vec, Rational]]:
+    """The rational plane a.x = b / mult, scaled so that the first nonzero
+    entry of a is +1 (None passes through)."""
+    if plane is None:
         return None
-    vec = basis[0]
-    normal, offset = Vec(vec[:d]), vec[d]
-    lead = next((x for x in normal if x), None)
-    if lead is None:
-        # a = 0 forces b = 0, the zero vector; cannot occur in a basis.
-        return None
-    return normal / lead, offset / lead
+    a, b = plane
+    lead = next(x for x in a if x)
+    return fraction_vec(a, lead), Fraction(b, lead * mult)

@@ -21,10 +21,12 @@ from .errors import InvalidInputError
 from .linalg import (
     Rational,
     Vec,
+    affine_rank,
+    as_int_coords,
+    int_hyperplane,
     linear_feasible,
-    matrix_rank,
+    normalised_plane,
     point_in_hull,
-    rank_and_kernel,
 )
 
 
@@ -68,16 +70,26 @@ class Polytope:
             planes[index] = self._fit_plane(self.facets[index])
         return planes[index]
 
+    def int_coords(self) -> Tuple[List[Tuple[int, ...]], int]:
+        """The vertices cleared to a common denominator, and that
+        denominator (`linalg.as_int_coords`); computed once."""
+        cached = self._cache.get("ints")
+        if cached is None:
+            cached = as_int_coords(self.vertices)
+            self._cache["ints"] = cached
+        return cached
+
     def _fit_plane(self, members: Sequence[int]) -> Tuple[Vec, Rational]:
-        pts = [self.vertices[i] for i in members]
-        fitted = _common_hyperplane(pts)
+        ints, mult = self.int_coords()
+        fitted = int_hyperplane([ints[i] for i in members])
         if fitted is None:
             raise InvalidInputError(f"facet {tuple(members)} is not coplanar-spanning")
-        normal, offset = fitted
+        a, b = fitted
+        normal, offset = normalised_plane(fitted, mult)
         outside = next(
             (i for i in range(len(self.vertices)) if i not in set(members)), None
         )
-        if outside is not None and normal.dot(self.vertices[outside]) > offset:
+        if outside is not None and _side(a, b, ints[outside]) > 0:
             normal, offset = -normal, -offset
         return normal, offset
 
@@ -116,21 +128,9 @@ class Polytope:
         )
 
 
-def _common_hyperplane(pts: Sequence[Vec]) -> Optional[Tuple[Vec, Rational]]:
-    """The unique hyperplane through all the points, if there is one."""
-    if not pts:
-        return None
-    d = len(pts[0])
-    rows = [list(p) + [Fraction(-1)] for p in pts]
-    _, basis = rank_and_kernel(rows, d + 1)
-    if len(basis) != 1:
-        return None
-    vec = basis[0]
-    normal, offset = Vec(vec[:d]), vec[d]
-    lead = next((x for x in normal if x), None)
-    if lead is None:
-        return None
-    return normal / lead, offset / lead
+def _side(a: Sequence[int], b: int, x: Sequence[int]) -> int:
+    """a.x - b over integers: its sign tells the side of the plane."""
+    return sum(u * v for u, v in zip(a, x)) - b
 
 
 def _edges_combinatorial(p: Polytope) -> Tuple[Tuple[int, int], ...]:
@@ -158,10 +158,6 @@ def _edges_combinatorial(p: Polytope) -> Tuple[Tuple[int, int], ...]:
             if meet == (1 << u) | (1 << v):
                 out.append((u, v))
     return tuple(out)
-
-
-def edges(p: Polytope) -> Tuple[Tuple[int, int], ...]:
-    return p.edges()
 
 
 def is_simple(p: Polytope) -> bool:
@@ -209,7 +205,8 @@ def validate(p: Polytope, check_edges: bool = False) -> ValidationReport:
         return ValidationReport(out)
     if len(set(p.vertices)) != n:
         out.append("duplicate vertex coordinates")
-    if n < d + 1 or matrix_rank([v - p.vertices[0] for v in p.vertices[1:]] or [], ncols=d) != d:
+    ints, _ = p.int_coords()
+    if n < d + 1 or affine_rank(ints, d) != d:
         out.append("vertex set does not affinely span the ambient dimension")
         return ValidationReport(out)
     member_sets = [set(f) for f in p.facets]
@@ -220,12 +217,12 @@ def validate(p: Polytope, check_edges: bool = False) -> ValidationReport:
         if not all(0 <= v < n for v in f):
             out.append(f"facet {fi} has an out-of-range vertex index")
             continue
-        fitted = _common_hyperplane([p.vertices[i] for i in f])
+        fitted = int_hyperplane([ints[i] for i in f])
         if fitted is None:
             out.append(f"facet {fi} vertices do not lie on a unique common hyperplane")
             continue
-        normal, offset = fitted
-        sides = [normal.dot(p.vertices[i]) - offset for i in range(n) if i not in member_sets[fi]]
+        a, b = fitted
+        sides = [_side(a, b, ints[i]) for i in range(n) if i not in member_sets[fi]]
         if any(s == 0 for s in sides):
             out.append(f"facet {fi} hyperplane contains a vertex outside the facet")
         elif any(s > 0 for s in sides) and any(s < 0 for s in sides):

@@ -13,9 +13,13 @@ import pytest
 from minkdecomp.errors import InvalidInputError
 from minkdecomp.linalg import (
     Vec,
+    affine_rank,
     affinely_independent,
+    as_int_coords,
     clear_denominators,
     hyperplane_through,
+    int_hyperplane,
+    int_kernel,
     linear_feasible,
     matrix_rank,
     point_in_hull,
@@ -187,3 +191,35 @@ def test_vec_arithmetic():
     assert unit_vec(3, 1) == Vec((0, 1, 0))
     with pytest.raises(ValueError):
         Vec((1, 2)) + Vec((1, 2, 3))
+
+
+def test_as_int_coords_clears_one_common_denominator():
+    ints, mult = as_int_coords([(Fraction(1, 2), 3), (Fraction(-5, 3), Fraction(1, 4))])
+    assert mult == 12
+    assert ints == [(6, 36), (-20, 3)]
+    assert as_int_coords([(1, 2), (3, 4)]) == ([(1, 2), (3, 4)], 1)
+    assert as_int_coords([]) == ([], 1)
+
+
+def test_int_kernel_matches_rank_and_kernel_on_scaled_rows():
+    rows = [[Fraction(1, 2), 1, 0, Fraction(-3, 4)], [0, 0, 0, 0], [2, 4, 1, 1]]
+    ints = [[2 * 4 * x for x in r] for r in rows]
+    assert int_kernel([[int(x) for x in r] for r in ints], 4) == rank_and_kernel(rows, 4)
+
+
+def test_affine_rank():
+    assert affine_rank([], 2) == 0
+    assert affine_rank([(3, 4)], 2) == 0
+    assert affine_rank([(0, 0), (2, 2), (5, 5)], 2) == 1
+    assert affine_rank([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3) == 2
+
+
+def test_int_hyperplane_is_primitive_with_positive_lead():
+    # 2x - 4y = 6 through (3, 0) and (1, -1): primitive (1, -2), 3.
+    assert int_hyperplane([(3, 0), (1, -1)]) == ([1, -2], 3)
+    assert int_hyperplane([(0, 0, 0), (1, 0, 0)]) is None
+    assert int_hyperplane([(0, 0), (1, 0), (0, 1)]) is None
+    # Scaling the points scales only the offset.
+    assert hyperplane_through([(Fraction(3, 5), 0), (Fraction(1, 5), Fraction(-1, 5))]) == (
+        Vec((1, -2)), Fraction(3, 5)
+    )

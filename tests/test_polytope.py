@@ -1,5 +1,13 @@
-"""Polytope representation, derived operations, and validation."""
+"""Polytope representation, derived operations, and validation.
 
+Facet-plane fits and `validate` run over cleared integer coordinates.
+The rational fit they replaced (`reference_common_hyperplane`) and the
+rational facet checks of `validate` (`reference_validate`) are kept
+below as references, on catalogue images and on broken inputs with
+fractional coordinates.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +24,9 @@ from minkdecomp.constructors import (
     simplex,
     wedge,
 )
+from minkdecomp.catalogue import catalogue_list
 from minkdecomp.errors import InvalidInputError
+from minkdecomp.linalg import Vec, matrix_rank, rank_and_kernel
 from minkdecomp.polytope import (
     FVector,
     Polytope,
@@ -31,6 +41,75 @@ from minkdecomp.polytope import (
     truncate_vertex,
     validate,
 )
+
+
+def reference_common_hyperplane(pts):
+    """The unique hyperplane through all the points, by a rational kernel."""
+    if not pts:
+        return None
+    d = len(pts[0])
+    rows = [list(p) + [Fraction(-1)] for p in pts]
+    _, basis = rank_and_kernel(rows, d + 1)
+    if len(basis) != 1:
+        return None
+    vec = basis[0]
+    normal, offset = Vec(vec[:d]), vec[d]
+    lead = next((x for x in normal if x), None)
+    if lead is None:
+        return None
+    return normal / lead, offset / lead
+
+
+def reference_facet_plane(p, members):
+    normal, offset = reference_common_hyperplane([p.vertices[i] for i in members])
+    outside = next((i for i in range(len(p.vertices)) if i not in set(members)), None)
+    if outside is not None and normal.dot(p.vertices[outside]) > offset:
+        normal, offset = -normal, -offset
+    return normal, offset
+
+
+def reference_validate(p):
+    """The rational `validate` (without the edge check)."""
+    out = []
+    n = len(p.vertices)
+    d = p.dim
+    if any(len(v) != d for v in p.vertices):
+        return ["vertex coordinate length differs from dim"]
+    if len(set(p.vertices)) != n:
+        out.append("duplicate vertex coordinates")
+    if n < d + 1 or matrix_rank([v - p.vertices[0] for v in p.vertices[1:]] or [], ncols=d) != d:
+        out.append("vertex set does not affinely span the ambient dimension")
+        return out
+    member_sets = [set(f) for f in p.facets]
+    for fi, f in enumerate(p.facets):
+        if len(f) < d:
+            out.append(f"facet {fi} has fewer than {d} vertices")
+            continue
+        if not all(0 <= v < n for v in f):
+            out.append(f"facet {fi} has an out-of-range vertex index")
+            continue
+        fitted = reference_common_hyperplane([p.vertices[i] for i in f])
+        if fitted is None:
+            out.append(f"facet {fi} vertices do not lie on a unique common hyperplane")
+            continue
+        normal, offset = fitted
+        sides = [normal.dot(p.vertices[i]) - offset for i in range(n) if i not in member_sets[fi]]
+        if any(s == 0 for s in sides):
+            out.append(f"facet {fi} hyperplane contains a vertex outside the facet")
+        elif any(s > 0 for s in sides) and any(s < 0 for s in sides):
+            out.append(f"facet {fi} does not have all other vertices on one side")
+    for v in range(n):
+        if sum(1 for f in member_sets if v in f) < d:
+            out.append(f"vertex {v} lies in fewer than {d} facets")
+    for i, a in enumerate(member_sets):
+        for j, b in enumerate(member_sets):
+            if i != j and a <= b:
+                out.append(f"facet {i} is contained in facet {j}")
+    return out
+
+
+def _scaled(p, scale, shift):
+    return Polytope(p.dim, tuple(v * scale + Vec(shift) for v in p.vertices), p.facets)
 
 
 def test_from_vertices_roundtrips_facets():
@@ -187,3 +266,39 @@ def test_incidence_isomorphic_positive_and_negative():
 def test_polytope_requires_consistent_dimension():
     with pytest.raises(InvalidInputError):
         Polytope.from_vertices(2, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+
+
+def test_facet_planes_and_validate_match_rational_reference_on_catalogue():
+    rng = random.Random(3)
+    for e in catalogue_list():
+        p = e.build()
+        for scale in (1, Fraction(1, 2), Fraction(5, 3), Fraction(7, 4), 10**12):
+            shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(p.dim)]
+            q = _scaled(p, scale, shift)
+            for i, members in enumerate(q.facets):
+                assert q.facet_plane(i) == reference_facet_plane(q, members), (e.name, scale, i)
+            assert validate(q).violations == reference_validate(q) == [], e.name
+
+
+# Broken cube images with fractional coordinates; vertex k of cube(3) is
+# the 0/1 point with coordinate bits k.  Square facet {0, 1, 2, 3} is
+# z = 0 and {4, 5, 6, 7} is z = 1.
+BROKEN_FACETS = {
+    # 0, 1, 2 lie on z = 0, vertex 7 does not.
+    "not coplanar": ((0, 1, 2, 7), "vertices do not lie on a unique common hyperplane"),
+    # The plane z = 0 through 0, 1, 2 also holds vertex 3.
+    "vertex on plane": ((0, 1, 2), "hyperplane contains a vertex outside the facet"),
+    # The diagonal plane x = y splits the other vertices.
+    "both sides": ((0, 3, 4, 7), "does not have all other vertices on one side"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FACETS))
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(5, 3), Fraction(7, 4)])
+def test_validate_matches_reference_on_broken_fractional_polytopes(case, scale):
+    facet, message = BROKEN_FACETS[case]
+    p = _scaled(cube(3), scale, (Fraction(1, 3), Fraction(-2, 7), 5))
+    bad = Polytope(3, p.vertices, p.facets + (facet,))
+    violations = validate(bad).violations
+    assert violations == reference_validate(bad)
+    assert f"facet {len(p.facets)} {message}" in violations
