@@ -14,6 +14,16 @@ fundamental cycle, and the extension is then unique up to translation.
 This solves a system over the edge scalars only, much smaller than the
 naive system over all vertex images, with an identical kernel dimension.
 
+The system is then contracted over triangles (McMullen 1987; the
+"triangular faces" method): every 3-cycle whose points are not collinear
+forces equal scalars on its three edges, so the edges fall into classes,
+the union-find closure of those 3-cycles, and the elimination runs over
+one column per class (`triangle_classes`) instead of one per edge.  A
+complete skeleton is one class.  The kernel vectors are expanded back
+to the edges and brought to the basis the uncontracted system's reduced
+echelon form gives (`_edge_basis`), so the basis does not depend on the
+contraction.
+
 The whole computation runs over integers: the vertex coordinates are
 cleared to a common denominator once (`linalg.as_int_coords`), which
 scales every cycle equation by the same factor and so keeps its kernel.
@@ -31,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import kernels
 from .errors import InvalidInputError
 from .linalg import (
     Rational,
@@ -203,23 +214,78 @@ def _path_steps(parent, depth, u, v):
     return up_from_u + [(b, a) for a, b in reversed(up_from_v)]
 
 
-def cycle_rows(xs: Dict[int, Sequence[int]], tree) -> List[List[int]]:
+def _collinear(p: Sequence[int], q: Sequence[int], r: Sequence[int]) -> bool:
+    """Do three integer points (p != q) lie on one line?"""
+    a = [x - y for x, y in zip(q, p)]
+    b = [x - y for x, y in zip(r, p)]
+    j = next(i for i, c in enumerate(a) if c)
+    return all(a[j] * y == b[j] * x for x, y in zip(a, b))
+
+
+def triangle_classes(
+    xs: Dict[int, Sequence[int]], comp_edges: Sequence[Tuple[int, int]]
+) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Column of each edge in the contracted cycle system, and the number
+    of columns.
+
+    A 3-cycle u, v, w whose points are not collinear forces one scalar on
+    its three edges: its cycle equation reads
+    (l_uv - l_uw) a + (l_vw - l_uw) b = 0 with a = x_v - x_u and
+    b = x_w - x_v independent.  That equation lies in the span of the
+    fundamental cycles, so every kernel vector is constant on the classes
+    of the union-find closure of these 3-cycles, whether or not they are
+    2-faces.  Collinear 3-cycles (possible in a graph, never in a
+    skeleton) give one equation and join nothing.  Classes are numbered
+    by their first edge in comp_edges order.
+    """
+    index = {e: i for i, e in enumerate(comp_edges)}
+    root = list(range(len(comp_edges)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    adjacency: Dict[int, set] = {}
+    for u, v in comp_edges:
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+    for (u, v), i in index.items():
+        for w in adjacency[u] & adjacency[v]:
+            # Each triangle once, as u < v < w.
+            if w < v:
+                continue
+            ri, rj, rk = find(i), find(index[(u, w)]), find(index[(v, w)])
+            if ri == rj == rk or _collinear(xs[u], xs[v], xs[w]):
+                continue
+            root[rj] = ri
+            root[find(rk)] = ri
+    number: Dict[int, int] = {}
+    col_of = {e: number.setdefault(find(i), len(number)) for e, i in index.items()}
+    return col_of, len(number)
+
+
+def cycle_rows(
+    xs: Dict[int, Sequence[int]], tree, col_of: Dict[Tuple[int, int], int], ncols: int
+) -> List[List[int]]:
     """The cycle system of one component over integer coordinates xs.
 
-    One block of d rows per non-tree edge, one column per component edge:
-    the scalar-weighted edge directions must cancel around the edge's
-    fundamental cycle.  Each row is accumulated per coordinate; all-zero
-    rows are dropped.
+    One block of d rows per non-tree edge: the scalar-weighted edge
+    directions must cancel around the edge's fundamental cycle.  Edge e's
+    term is accumulated into column col_of[e] of ncols, so edges that
+    share a column share one unknown: the identity map gives Kallay's
+    system over the edges, `triangle_classes` its contraction.  Each row
+    is accumulated per coordinate; all-zero rows are dropped.
     """
     parent, depth, _, comp_edges, tree_edges = tree
-    col_of = {e: i for i, e in enumerate(comp_edges)}
     d = len(next(iter(xs.values())))
     rows = []
     for e in comp_edges:
         if e in tree_edges:
             continue
         u, v = e
-        block = [[0] * len(comp_edges) for _ in range(d)]
+        block = [[0] * ncols for _ in range(d)]
         # Walk the tree from v back to u, then close the cycle along e.
         for a, b in _path_steps(parent, depth, v, u) + [(u, v)]:
             k = col_of[edge_key(a, b)]
@@ -229,16 +295,47 @@ def cycle_rows(xs: Dict[int, Sequence[int]], tree) -> List[List[int]]:
     return rows
 
 
+def _edge_basis(class_basis: Sequence[Vec], cols: Sequence[int]) -> List[Vec]:
+    """Kernel vectors over classes, expanded to the edges (edge i takes
+    the value of class cols[i]) and brought to the kernel basis that the
+    uncontracted system's reduced row echelon form gives.
+
+    That basis has one vector per free column f, with 1 at f and 0 at the
+    other free columns.  Column f is free exactly when some kernel vector
+    has its last nonzero entry at f, so the free columns are the pivots of
+    the expanded vectors reduced with the columns reversed, and each
+    reduced row, divided by its pivot, is the vector of its free column.
+    """
+    if not class_basis:
+        return []
+    n = len(cols)
+    rows = []
+    for mu in class_basis:
+        (ints,), _ = as_int_coords([mu])
+        rows.append([ints[c] for c in reversed(cols)])
+    pivots, reduced = kernels.rref_int(rows, n)
+    # Reversed pivots ascend, so free columns descend: read them backwards.
+    return [
+        tuple.__new__(Vec, (Fraction(x, row[p]) for x in reversed(row)))
+        for p, row in reversed(list(zip(pivots, reduced)))
+    ]
+
+
 def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]]:
     """Dimension and a basis of the space of decomposing functions on g.
 
     Per connected component: d translations, then one function per
-    kernel vector of the component's integer cycle system (`cycle_rows`),
-    read off its primitive reduced row echelon form.  That form does not
-    depend on how the rows were scaled, so the basis is the same exact
-    rational basis whatever the common denominator of the coordinates.
-    A kernel vector's images are summed in integers along a BFS tree
-    from the component's first vertex, which maps to the origin.
+    kernel vector of the component's integer cycle system (`cycle_rows`).
+    The system is built over the component's triangle classes
+    (`triangle_classes`), its kernel read off by `int_kernel`, and each
+    kernel vector expanded to the edges; `_edge_basis` then gives the
+    kernel basis of the uncontracted system's primitive reduced row
+    echelon form, in free-column order.  That form does not depend on
+    how the rows were scaled or contracted, so the basis is the same
+    exact rational basis whatever the common denominator of the
+    coordinates.  A kernel vector's images are summed in integers along
+    a BFS tree from the component's first vertex, which maps to the
+    origin.
     """
     if not g.edges:
         raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
@@ -262,7 +359,9 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
         total += d
         if not comp_edges:
             continue
-        _, lam_basis = int_kernel(cycle_rows(xs, tree), len(comp_edges))
+        col_of, k = triangle_classes(xs, comp_edges)
+        _, class_basis = int_kernel(cycle_rows(xs, tree, col_of, k), k)
+        lam_basis = _edge_basis(class_basis, [col_of[e] for e in comp_edges])
         total += len(lam_basis)
         for lam in lam_basis:
             scalars = dict(zero_scalars)

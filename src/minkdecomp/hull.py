@@ -32,9 +32,10 @@ def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
 
     Returns a list of (vertex_index_tuple, normal, offset) sorted by the
     vertex tuple, with normal . x <= offset over the whole vertex set and
-    equality exactly on the facet.  Callers must pass the extreme points
-    of the intended polytope; non-extreme input surfaces later as a
-    validation failure (some vertex in fewer than d facets).
+    equality on every input point of the facet's hyperplane.  Points that
+    are not extreme are kept and listed in every facet whose hyperplane
+    holds them, so the facet lists tell them apart from the vertices;
+    `Polytope.from_vertices` rejects them by that test.
     """
     pts = [Vec(v) for v in vertices]
     n = len(pts)

@@ -181,27 +181,6 @@ def rank_and_kernel(
     return int_kernel(clear_denominators(rows), ncols)
 
 
-def matrix_rank(rows: Sequence[Sequence[Rational]], ncols: Optional[int] = None) -> int:
-    if ncols is None and not rows:
-        return 0
-    return rank_and_kernel(rows, ncols)[0]
-
-
-def solve_exact(
-    rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
-) -> List[Rational]:
-    """Unique solution of a square nonsingular system; ValueError otherwise."""
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ValueError("system is not square")
-    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
-    int_rows = [r for r in clear_denominators(aug) if any(r)]
-    pivot_cols, reduced = kernels.rref_int(int_rows, n + 1)
-    if tuple(pivot_cols) != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return [Fraction(reduced[i][n], reduced[i][i]) for i in range(n)]
-
-
 def affinely_independent(points: Sequence[Sequence[Rational]]) -> bool:
     """True iff the differences p_i - p_1 (i >= 2) are linearly independent."""
     if len({len(p) for p in points}) > 1:

@@ -48,15 +48,21 @@ class Polytope:
     def from_vertices(
         dim: int, vertices: Sequence[Sequence[Rational]], name: Optional[str] = None
     ) -> "Polytope":
-        """Build with facets enumerated from scratch (under the guard)."""
+        """Build with facets enumerated from scratch (under the guard).
+
+        Every point must be a vertex of the hull; InvalidInputError
+        names the points that are not (`_non_vertices`).
+        """
         verts = tuple(Vec(v) for v in vertices)
         data = hull.facet_data(dim, verts)
-        poly = Polytope(
-            dim=dim,
-            vertices=verts,
-            facets=tuple(members for members, _, _ in data),
-            name=name,
-        )
+        facets = tuple(members for members, _, _ in data)
+        stray = _non_vertices(len(verts), facets)
+        if stray:
+            raise InvalidInputError(
+                "not vertices of the convex hull of the input: "
+                + ", ".join(f"point {i} ({', '.join(map(str, verts[i]))})" for i in stray)
+            )
+        poly = Polytope(dim=dim, vertices=verts, facets=facets, name=name)
         poly._cache["planes"] = [(normal, offset) for _, normal, offset in data]
         return poly
 
@@ -131,6 +137,24 @@ class Polytope:
 def _side(a: Sequence[int], b: int, x: Sequence[int]) -> int:
     """a.x - b over integers: its sign tells the side of the plane."""
     return sum(u * v for u, v in zip(a, x)) - b
+
+
+def _non_vertices(n: int, facets: Sequence[Sequence[int]]) -> List[int]:
+    """Indices of the input points that are not vertices, read off facet
+    lists that name every input point on each facet's hyperplane.
+
+    The smallest face holding a point is the intersection of the facets
+    through it (the whole set for a point in no facet), so a point is a
+    vertex exactly when it is the only input point in that intersection.
+    A vertex lies in at least d facets; fewer facets meet in a face of
+    dimension at least 1, which holds two vertices.
+    """
+    meet = [-1] * n
+    for members in facets:
+        mask = sum(1 << i for i in members)
+        for i in members:
+            meet[i] &= mask
+    return [i for i in range(n) if meet[i] != 1 << i]
 
 
 def _edges_combinatorial(p: Polytope) -> Tuple[Tuple[int, int], ...]:

@@ -157,6 +157,20 @@ def test_analyze_bad_file(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_analyze_rejects_non_extreme_point_without_facets(tmp_path, capsys):
+    doc = {
+        "format_version": "1",
+        "dimension": 3,
+        "vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 0, 0]],
+    }
+    path = tmp_path / "edge-point.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert "not vertices" in err and "point 4 (1, 0, 0)" in err
+    assert "homothety" not in err
+
+
 def test_analyze_guard_exit_code(tmp_path, capsys):
     import random
 

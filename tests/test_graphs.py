@@ -11,6 +11,12 @@ below as the reference (`reference_decomposing_space`,
 `reference_homothety_residue`, `reference_oracle_witness`): dimensions,
 bases and witnesses must match it exactly, also on scaled, shifted and
 relabelled images.
+
+The library eliminates over triangle classes (`triangle_classes`), not
+edges.  The uncontracted integer system, `cycle_rows` under the identity
+edge-to-column map, is the second reference (`identity_decomposing_space`,
+`identity_oracle_verdict`); the contracted space must equal it exactly,
+also on graphs with collinear 3-cycles, which must not be contracted.
 """
 
 import random
@@ -19,13 +25,15 @@ from fractions import Fraction
 import pytest
 
 from minkdecomp.catalogue import catalogue_list
-from minkdecomp.constructors import cube, octahedron, simplex
+from minkdecomp.constructors import cube, cyclic, octahedron, simplex
 from minkdecomp.errors import InvalidInputError
 from minkdecomp.graphs import (
     DecomposingFunction,
     GeometricGraph,
+    OracleResult,
     _bfs_tree,
     _path_steps,
+    cycle_rows,
     decomposing_space,
     edge_key,
     homothety_residue,
@@ -34,9 +42,19 @@ from minkdecomp.graphs import (
     oracle_verdict,
     skeleton,
     touches_every_facet,
+    triangle_classes,
 )
-from minkdecomp.linalg import Vec, rank_and_kernel, solve_exact, zero_vec
+from minkdecomp.linalg import (
+    Vec,
+    as_int_coords,
+    fraction_vec,
+    int_kernel,
+    rank_and_kernel,
+    zero_vec,
+)
 from minkdecomp.polytope import Polytope
+
+from reference_linalg import solve_exact
 
 
 def decomposing_system_matrix(g):
@@ -141,6 +159,83 @@ def reference_oracle_witness(g, basis):
         if not all(img.is_zero() for img in residue.images.values()):
             return residue
     return None
+
+
+def identity_decomposing_space(g):
+    """The uncontracted integer system: one column per edge
+    (`cycle_rows` under the identity map), kernel read off by `int_kernel`
+    and images summed along the BFS tree."""
+    d = g.dim
+    ints, mult = as_int_coords(g.vertices.values())
+    xs = dict(zip(g.vertices, ints))
+    total = 0
+    basis = []
+    zero_images = {v: zero_vec(d) for v in g.vertices}
+    zero_scalars = {e: Fraction(0) for e in g.edges}
+    for comp in g.components():
+        tree = _bfs_tree(g, comp)
+        parent, _, order, comp_edges, _ = tree
+        for j in range(d):
+            images = dict(zero_images)
+            for v in comp:
+                images[v] = Vec(int(k == j) for k in range(d))
+            basis.append(DecomposingFunction(images, dict(zero_scalars)))
+        total += d
+        if not comp_edges:
+            continue
+        identity = {e: i for i, e in enumerate(comp_edges)}
+        ncols = len(comp_edges)
+        _, lam_basis = int_kernel(cycle_rows(xs, tree, identity, ncols), ncols)
+        total += len(lam_basis)
+        for lam in lam_basis:
+            scalars = dict(zero_scalars)
+            scalars.update(zip(comp_edges, lam))
+            (lam_ints,), den = as_int_coords([lam])
+            lam_of = dict(zip(comp_edges, lam_ints))
+            sums = {comp[0]: (0,) * d}
+            for v in order[1:]:
+                u = parent[v]
+                s = lam_of[edge_key(u, v)]
+                sums[v] = tuple(a + (xv - xu) * s for a, xv, xu in zip(sums[u], xs[v], xs[u]))
+            images = dict(zero_images)
+            for v, coords in sums.items():
+                images[v] = fraction_vec(coords, den * mult)
+            basis.append(DecomposingFunction(images, scalars))
+    return total, basis
+
+
+def identity_oracle_verdict(p):
+    """`oracle_verdict` over the uncontracted system."""
+    g = skeleton(p)
+    dim, basis = identity_decomposing_space(g)
+    if dim == p.dim + 1:
+        return OracleResult("Indecomposable", dim, None)
+    f = next(f for f in basis if len(set(f.edge_scalars.values())) > 1)
+    return OracleResult("Decomposable", dim, homothety_residue(g, f))
+
+
+def assert_same_space(g):
+    dim, basis = decomposing_space(g)
+    ref_dim, ref_basis = identity_decomposing_space(g)
+    assert dim == ref_dim
+    assert [f.edge_scalars for f in basis] == [f.edge_scalars for f in ref_basis]
+    assert [f.images for f in basis] == [f.images for f in ref_basis]
+    return dim
+
+
+def assert_same_oracle(p):
+    res, ref = oracle_verdict(p), identity_oracle_verdict(p)
+    assert (res.verdict, res.dimension) == (ref.verdict, ref.dimension)
+    if ref.witness is None:
+        assert res.witness is None
+    else:
+        assert res.witness.images == ref.witness.images
+        assert res.witness.edge_scalars == ref.witness.edge_scalars
+
+
+def class_count(g):
+    ints, _ = as_int_coords(g.vertices.values())
+    return triangle_classes(dict(zip(g.vertices, ints)), g.edges)[1]
 
 
 def graph(points, edges):
@@ -340,6 +435,8 @@ def test_integer_space_and_witness_match_rational_reference(name, p):
         assert res.witness.images == ref_witness.images
         assert res.witness.edge_scalars == ref_witness.edge_scalars
         assert res.witness.check(g)
+    assert_same_space(g)
+    assert_same_oracle(p)
 
 
 @pytest.mark.parametrize("name,p", CATALOGUE_IMAGES[::5], ids=[n for n, _ in CATALOGUE_IMAGES[::5]])
@@ -369,3 +466,79 @@ def test_homothety_residue_of_single_vertex_is_singular():
     f = DecomposingFunction({0: Vec((0, 0))}, {})
     with pytest.raises(ValueError):
         homothety_residue(g, f)
+
+
+# ---------------------------------------------------------------------------
+# Triangle contraction
+
+
+@pytest.mark.parametrize("n,d", [(n, 4) for n in range(5, 15)] + [(n, 6) for n in range(7, 13)])
+def test_contracted_space_matches_identity_map_on_cyclic_polytopes(n, d):
+    p = cyclic(n, d)
+    assert assert_same_space(skeleton(p)) == d + 1
+    assert_same_oracle(p)
+
+
+@pytest.mark.parametrize(
+    "name,edges,classes",
+    [("delta-3-4", 70, 9), ("sum-25-edges", 25, 7), ("wedge-6", 51, 14)],
+)
+def test_class_counts_on_catalogue_skeleta(name, edges, classes):
+    g = skeleton(next(e for e in catalogue_list() if e.name == name).build())
+    assert (len(g.edges), class_count(g)) == (edges, classes)
+
+
+def test_complete_skeleton_of_cyclic_24_6_is_one_class():
+    g = skeleton(cyclic(24, 6))
+    assert (len(g.edges), class_count(g)) == (276, 1)
+    assert decomposing_space(g)[0] == 7
+
+
+def test_collinear_triangle_is_not_contracted():
+    # 0, 1, 2 lie on a line: their 3-cycle gives one equation,
+    # l01 + l12 = 2 l02, which leaves a free scalar that the square
+    # 0-2-3-4 alone would not have.
+    g = graph(
+        [(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)],
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 4)],
+    )
+    assert class_count(g) == 6
+    assert assert_same_space(g) == naive_dimension(g) == 5
+
+
+def _graph_with_collinear_triangles(rng, d):
+    """Random integer points in R^d, some placed on lines through earlier
+    pairs, and random edges plus the three edges of every such triple."""
+    pts = []
+    edges = set()
+    n = rng.randint(d + 3, 9)
+    while len(pts) < n:
+        if len(pts) >= 2 and rng.random() < 0.4:
+            i, j = rng.sample(range(len(pts)), 2)
+            t = rng.choice([-1, 2, 3])
+            x = tuple(a + t * (b - a) for a, b in zip(pts[i], pts[j]))
+            if x in pts:
+                continue
+            pts.append(x)
+            k = len(pts) - 1
+            edges |= {edge_key(i, j), edge_key(i, k), edge_key(j, k)}
+        else:
+            x = tuple(rng.randint(-3, 3) for _ in range(d))
+            if x not in pts:
+                pts.append(x)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.45:
+                edges.add((u, v))
+    return graph(pts, sorted(edges))
+
+
+def test_contracted_space_matches_identity_map_on_random_graphs_with_collinear_triangles():
+    rng = random.Random(23)
+    contracted = 0
+    for trial in range(150):
+        g = _graph_with_collinear_triangles(rng, 2 + trial % 3)
+        dim = assert_same_space(g)
+        assert dim == naive_dimension(g)
+        contracted += class_count(g) < len(g.edges)
+    assert contracted > 100

@@ -96,3 +96,13 @@ def test_pure_env_switch_with_stub_extension():
 def test_compiled_facet_scan_vertex_cap():
     with pytest.raises(ValueError):
         compiled.facet_scan([(i,) for i in range(64)], 1)
+
+
+def test_bench_reports_class_and_edge_counts(capsys):
+    from minkdecomp import bench
+
+    assert bench.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:3] == ["case", "classes", "edges"]
+    counts = {line.split()[1]: line.split()[4:6] for line in lines[1:4]}
+    assert counts == {"delta(2,2)": ["6", "18"], "bd198": ["5", "15"], "delta(3,3)": ["8", "48"]}

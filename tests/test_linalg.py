@@ -21,13 +21,13 @@ from minkdecomp.linalg import (
     int_hyperplane,
     int_kernel,
     linear_feasible,
-    matrix_rank,
     point_in_hull,
     rank_and_kernel,
-    solve_exact,
     unit_vec,
     zero_vec,
 )
+
+from reference_linalg import matrix_rank, solve_exact
 
 
 def reference_rank(rows, ncols):

@@ -8,6 +8,7 @@ fractional coordinates.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from minkdecomp.constructors import (
 )
 from minkdecomp.catalogue import catalogue_list
 from minkdecomp.errors import InvalidInputError
-from minkdecomp.linalg import Vec, matrix_rank, rank_and_kernel
+from minkdecomp.linalg import Vec, point_in_hull, rank_and_kernel
 from minkdecomp.polytope import (
     FVector,
     Polytope,
@@ -41,6 +42,8 @@ from minkdecomp.polytope import (
     truncate_vertex,
     validate,
 )
+
+from reference_linalg import matrix_rank
 
 
 def reference_common_hyperplane(pts):
@@ -116,6 +119,42 @@ def test_from_vertices_roundtrips_facets():
     p = cube(3)
     rebuilt = Polytope.from_vertices(3, p.vertices)
     assert rebuilt.facets == p.facets
+
+
+def test_from_vertices_names_a_point_on_an_edge():
+    with pytest.raises(InvalidInputError, match=r"point 4 \(1, 0, 0\)"):
+        Polytope.from_vertices(3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 0)])
+
+
+def test_from_vertices_names_an_edge_point_lying_in_d_facets():
+    # Edge (0, 1) of cyclic(8, 4) lies in six facets, so its midpoint
+    # passes the facet count and only the intersection test catches it.
+    p = cyclic(8, 4)
+    assert sum(1 for f in p.facets if {0, 1} <= set(f)) >= 4
+    mid = (p.vertices[0] + p.vertices[1]) / 2
+    with pytest.raises(InvalidInputError, match=r"point 8 \(3/2, 5/2, 9/2, 17/2\)$"):
+        Polytope.from_vertices(4, list(p.vertices) + [mid])
+
+
+def test_from_vertices_rejects_exactly_the_non_extreme_points():
+    # The facet-list rule against an exact LP membership test per point.
+    rng = random.Random(31)
+    rejected = accepted = 0
+    for trial in range(150):
+        d = 2 + trial % 3
+        pts = sorted({tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 2 + trial % 5)})
+        if matrix_rank([[a - b for a, b in zip(x, pts[0])] for x in pts[1:]], d) < d:
+            continue
+        stray = [i for i, x in enumerate(pts) if point_in_hull(x, pts[:i] + pts[i + 1:])]
+        if stray:
+            with pytest.raises(InvalidInputError) as exc:
+                Polytope.from_vertices(d, pts)
+            assert [int(i) for i in re.findall(r"point (\d+)", str(exc.value))] == stray
+            rejected += 1
+        else:
+            assert len(Polytope.from_vertices(d, pts).vertices) == len(pts)
+            accepted += 1
+    assert rejected > 40 and accepted > 40
 
 
 def test_f_vector_and_euler_for_3d():
