@@ -38,7 +38,7 @@ from .graphs import (
     skeleton,
     touches_every_facet,
 )
-from .linalg import Vec, affinely_independent, hyperplane_through
+from .linalg import Vec, affinely_independent, int_hyperplane, int_side
 from .polytope import FVector, Polytope, facet_as_polytope
 
 INDECOMPOSABLE = "Indecomposable"
@@ -558,12 +558,13 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     would reject."""
     n = len(p.vertices)
     nbrs = p.neighbors(u)
-    plane = hyperplane_through([p.vertices[x] for x in nbrs])
+    ints, _ = p.int_coords()
+    plane = int_hyperplane([ints[x] for x in nbrs])
     if plane is None:
         return None
     a, b = plane
-    apex_side = a.dot(p.vertices[u]) - b
-    others = (a.dot(p.vertices[x]) - b for x in range(n) if x != u and x not in nbrs)
+    apex_side = int_side(a, b, ints[u])
+    others = (int_side(a, b, ints[x]) for x in range(n) if x != u and x not in nbrs)
     if apex_side == 0 or any(side * apex_side >= 0 for side in others):
         return None
     kept = [x for x in range(n) if x != u]

@@ -19,19 +19,26 @@ The system is then contracted over triangles (McMullen 1987; the
 forces equal scalars on its three edges, so the edges fall into classes,
 the union-find closure of those 3-cycles, and the elimination runs over
 one column per class (`triangle_classes`) instead of one per edge.  A
-complete skeleton is one class.  The kernel vectors are expanded back
-to the edges and brought to the basis the uncontracted system's reduced
-echelon form gives (`_edge_basis`), so the basis does not depend on the
-contraction.
+complete skeleton is one class.  The dimension of the space is read off
+that elimination alone (`_component_kernels`).  The kernel vectors are
+expanded back to the edges and brought to the basis the uncontracted
+system's reduced echelon form gives (`_edge_rows`), so the basis does not
+depend on the contraction.
 
 The whole computation runs over integers: the vertex coordinates are
 cleared to a common denominator once (`linalg.as_int_coords`), which
 scales every cycle equation by the same factor and so keeps its kernel.
-The cycle rows are built as integer lists and reduced without fractions;
-`Fraction` appears only where the edge scalars are read off the reduced
-rows and where images become a `DecomposingFunction`.  The homothety fit
-of a witness is solved in closed form from integer sums, and every
-function handed out has its edge scalars verified edge by edge.
+The cycle rows are built as integer lists and reduced without fractions,
+the kernel vectors and edge rows stay integer, and so do the images
+summed along a spanning tree and the homothety fit (`_residue`), solved
+in closed form from integer sums.  `Fraction` appears only where a
+function is handed out: the basis of `decomposing_space` and the witness
+of `oracle_verdict`, whose edge scalars are verified edge by edge.
+
+`oracle_verdict` builds no basis.  It stops at the dimension when that
+is d + 1, and otherwise expands the edge rows only until the first one
+whose scalars differ, the first element of the basis that is not a
+homothety, and fits that one.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .linalg import (
     affine_rank,
     as_int_coords,
     fraction_vec,
-    int_kernel,
+    int_kernel_basis,
     zero_vec,
 )
 from .polytope import Polytope
@@ -295,30 +302,66 @@ def cycle_rows(
     return rows
 
 
-def _edge_basis(class_basis: Sequence[Vec], cols: Sequence[int]) -> List[Vec]:
+def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
+    """The integer core of the decomposing space: per connected component,
+    its BFS tree, the column of each of its edges in the contracted cycle
+    system (`triangle_classes`) and that system's integer kernel basis
+    (`linalg.int_kernel_basis`).  The space has dimension d per component
+    plus the total number of kernel vectors."""
+    if not g.edges:
+        raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
+    out = []
+    for comp in g.components():
+        tree = _bfs_tree(g, comp)
+        comp_edges = tree[3]
+        cols: List[int] = []
+        kernel: List[List[int]] = []
+        if comp_edges:
+            col_of, k = triangle_classes(xs, comp_edges)
+            _, kernel = int_kernel_basis(cycle_rows(xs, tree, col_of, k), k)
+            cols = [col_of[e] for e in comp_edges]
+        out.append((comp, tree, cols, kernel))
+    return out
+
+
+def _edge_rows(
+    cols: Sequence[int], kernel: Sequence[Sequence[int]]
+) -> List[Tuple[List[int], int]]:
     """Kernel vectors over classes, expanded to the edges (edge i takes
     the value of class cols[i]) and brought to the kernel basis that the
-    uncontracted system's reduced row echelon form gives.
+    uncontracted system's reduced row echelon form gives, as integer
+    pairs (lam, den): edge i's scalar is lam[i] / den.
 
     That basis has one vector per free column f, with 1 at f and 0 at the
     other free columns.  Column f is free exactly when some kernel vector
     has its last nonzero entry at f, so the free columns are the pivots of
     the expanded vectors reduced with the columns reversed, and each
     reduced row, divided by its pivot, is the vector of its free column.
+    The reduced rows are primitive, so lam / den is in lowest terms as a
+    vector: den is the least common denominator of the scalars.
     """
-    if not class_basis:
+    if not kernel:
         return []
-    n = len(cols)
-    rows = []
-    for mu in class_basis:
-        (ints,), _ = as_int_coords([mu])
-        rows.append([ints[c] for c in reversed(cols)])
-    pivots, reduced = kernels.rref_int(rows, n)
+    rows = [[mu[c] for c in reversed(cols)] for mu in kernel]
+    pivots, reduced = kernels.rref_int(rows, len(cols))
     # Reversed pivots ascend, so free columns descend: read them backwards.
-    return [
-        tuple.__new__(Vec, (Fraction(x, row[p]) for x in reversed(row)))
-        for p, row in reversed(list(zip(pivots, reduced)))
-    ]
+    return [(row[::-1], row[p]) for p, row in reversed(list(zip(pivots, reduced)))]
+
+
+def _tree_sums(
+    xs: Dict[int, Sequence[int]], tree, lam: Sequence[int]
+) -> Dict[int, Tuple[int, ...]]:
+    """Images of one component under the edge scalars lam (in the
+    component's edge order), times their common denominator, summed in
+    integers along the BFS tree from the root, which maps to the origin."""
+    parent, _, order, comp_edges, _ = tree
+    lam_of = dict(zip(comp_edges, lam))
+    sums = {order[0]: (0,) * len(xs[order[0]])}
+    for v in order[1:]:
+        u = parent[v]
+        s = lam_of[edge_key(u, v)]
+        sums[v] = tuple(a + (xv - xu) * s for a, xv, xu in zip(sums[u], xs[v], xs[u]))
+    return sums
 
 
 def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]]:
@@ -327,18 +370,16 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
     Per connected component: d translations, then one function per
     kernel vector of the component's integer cycle system (`cycle_rows`).
     The system is built over the component's triangle classes
-    (`triangle_classes`), its kernel read off by `int_kernel`, and each
-    kernel vector expanded to the edges; `_edge_basis` then gives the
-    kernel basis of the uncontracted system's primitive reduced row
-    echelon form, in free-column order.  That form does not depend on
-    how the rows were scaled or contracted, so the basis is the same
-    exact rational basis whatever the common denominator of the
-    coordinates.  A kernel vector's images are summed in integers along
-    a BFS tree from the component's first vertex, which maps to the
-    origin.
+    (`triangle_classes`) and its integer kernel read off
+    (`_component_kernels`); `_edge_rows` expands each kernel vector to
+    the edges and gives the kernel basis of the uncontracted system's
+    primitive reduced row echelon form, in free-column order.  That form
+    does not depend on how the rows were scaled or contracted, so the
+    basis is the same exact rational basis whatever the common
+    denominator of the coordinates.  A kernel vector's images are summed
+    in integers along a BFS tree from the component's first vertex, which
+    maps to the origin.
     """
-    if not g.edges:
-        raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
     d = g.dim
     ints, mult = as_int_coords(g.vertices.values())
     xs = dict(zip(g.vertices, ints))
@@ -346,9 +387,7 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
     basis: List[DecomposingFunction] = []
     zero_images = {v: zero_vec(d) for v in g.vertices}
     zero_scalars = {e: Fraction(0) for e in g.edges}
-    for comp in g.components():
-        tree = _bfs_tree(g, comp)
-        parent, _, order, comp_edges, _ = tree
+    for comp, tree, cols, kernel in _component_kernels(g, xs):
         # Translations: d dimensions per component.
         for j in range(d):
             images = dict(zero_images)
@@ -356,26 +395,13 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
             for v in comp:
                 images[v] = shift
             basis.append(DecomposingFunction(images, dict(zero_scalars)))
-        total += d
-        if not comp_edges:
-            continue
-        col_of, k = triangle_classes(xs, comp_edges)
-        _, class_basis = int_kernel(cycle_rows(xs, tree, col_of, k), k)
-        lam_basis = _edge_basis(class_basis, [col_of[e] for e in comp_edges])
-        total += len(lam_basis)
-        for lam in lam_basis:
+        total += d + len(kernel)
+        for lam, den in _edge_rows(cols, kernel):
             scalars = dict(zero_scalars)
-            scalars.update(zip(comp_edges, lam))
-            # lam = lam_ints / den, so the images are sums / (den * mult).
-            (lam_ints,), den = as_int_coords([lam])
-            lam_of = dict(zip(comp_edges, lam_ints))
-            sums = {comp[0]: (0,) * d}
-            for v in order[1:]:
-                u = parent[v]
-                s = lam_of[edge_key(u, v)]
-                sums[v] = tuple(a + (xv - xu) * s for a, xv, xu in zip(sums[u], xs[v], xs[u]))
+            scalars.update(zip(tree[3], (Fraction(x, den) for x in lam)))
+            # The scalars are lam / den, so the images are sums / (den * mult).
             images = dict(zero_images)
-            for v, coords in sums.items():
+            for v, coords in _tree_sums(xs, tree, lam).items():
                 images[v] = fraction_vec(coords, den * mult)
             basis.append(DecomposingFunction(images, scalars))
     return total, basis
@@ -391,36 +417,48 @@ def is_indecomposable_graph(g: GeometricGraph) -> bool:
 
 
 def homothety_residue(g: GeometricGraph, f: DecomposingFunction) -> DecomposingFunction:
-    """Subtract the least-squares homothety fit; zero residue iff f is one.
+    """Subtract the least-squares homothety fit; zero residue iff f is one
+    (`_residue` over the cleared vertices and images)."""
+    vids = sorted(g.vertices)
+    xs, mult = as_int_coords(g.vertices[v] for v in vids)
+    fs, den = as_int_coords(f.images[v] for v in vids)
+    return _residue(g, dict(zip(vids, xs)), mult, fs, den)
+
+
+def _residue(
+    g: GeometricGraph, xs: Dict[int, Sequence[int]], mult: int,
+    fs: Sequence[Sequence[int]], den: int,
+) -> DecomposingFunction:
+    """The homothety residue of the images fs/den (listed in the order of
+    xs) over the vertices xs/mult, with xs in vertex-id order.
 
     The fit minimises sum ||alpha*x + c - f(x)||^2 over (alpha, c).  With
     the vertices cleared to X = mult*x and the images to F = den*f, its
     normal equations solve in closed form: alpha' = num / q with
     num = n<X,F> - <sum X, sum F> and q = n<X,X> - |sum X|^2, and
     c' = (sum F - alpha' sum X) / n, so n*q times every residue
-    F - alpha' X - c' is an integer.
+    F - alpha' X - c' is an integer.  The residue is linear in F, so any
+    common scaling of fs and den gives the same rationals.
     """
-    vids = sorted(g.vertices)
-    n = len(vids)
-    xs, mult = as_int_coords(g.vertices[v] for v in vids)
-    fs, den = as_int_coords(f.images[v] for v in vids)
-    sum_x = [sum(col) for col in zip(*xs)]
+    n = len(xs)
+    points = list(xs.values())
+    sum_x = [sum(col) for col in zip(*points)]
     sum_f = [sum(col) for col in zip(*fs)]
-    num = n * sum(a * b for x, y in zip(xs, fs) for a, b in zip(x, y)) - sum(
+    num = n * sum(a * b for x, y in zip(points, fs) for a, b in zip(x, y)) - sum(
         a * b for a, b in zip(sum_x, sum_f)
     )
-    q = n * sum(a * a for x in xs for a in x) - sum(a * a for a in sum_x)
+    q = n * sum(a * a for x in points for a in x) - sum(a * a for a in sum_x)
     if q == 0:
         raise ValueError("matrix is singular")
     offset = [num * a - q * b for a, b in zip(sum_x, sum_f)]
     res = [
         tuple(n * q * b - n * num * a + c for a, b, c in zip(x, y, offset))
-        for x, y in zip(xs, fs)
+        for x, y in zip(points, fs)
     ]
     res_den = n * q * den
-    scalars = _edge_scalars(g, dict(zip(vids, xs)), mult, dict(zip(vids, res)), res_den)
+    scalars = _edge_scalars(g, xs, mult, dict(zip(xs, res)), res_den)
     return DecomposingFunction(
-        {v: fraction_vec(r, res_den) for v, r in zip(vids, res)}, scalars
+        {v: fraction_vec(r, res_den) for v, r in zip(xs, res)}, scalars
     )
 
 
@@ -439,23 +477,38 @@ class OracleResult:
 def oracle_verdict(p: Polytope) -> OracleResult:
     """Kallay's criterion on the whole skeleton, decided by exact rank.
 
-    Indecomposable exactly when the decomposing space has dimension d+1.
+    Indecomposable exactly when the decomposing space has dimension d+1,
+    which the integer kernels of `_component_kernels` give over the
+    polytope's cached integer coordinates, with no basis built.
     Otherwise the witness is the homothety residue of the first basis
-    element that is not a homothety.  A polytope skeleton is connected,
-    and on a connected graph a decomposing function is a homothety iff
-    all its edge scalars are equal, so the translations and any other
-    homothety are skipped without a fit.
+    element of `decomposing_space` that is not a homothety.  A polytope
+    skeleton is connected, and on a connected graph a decomposing
+    function is a homothety iff all its edge scalars are equal, so the
+    translations (all scalars 0) and any other homothety are skipped
+    without a fit: the witness comes from the first edge row (`_edge_rows`)
+    whose scalars differ, its images summed in integers.  On a graph
+    with several components every edge row counts, as its scalars are 0
+    on the other components' edges.
     """
     g = skeleton(p)
-    dim, basis = decomposing_space(g)
+    ints, mult = p.int_coords()
+    xs = dict(enumerate(ints))
+    comps = _component_kernels(g, xs)
+    dim = sum(p.dim + len(kernel) for _, _, _, kernel in comps)
     if dim == p.dim + 1:
         return OracleResult("Indecomposable", dim, None)
-    f = next((f for f in basis if len(set(f.edge_scalars.values())) > 1), None)
-    if f is None:
-        raise InvalidInputError(
-            "oracle dimension exceeds d+1 but every basis element is a homothety"
-        )
-    return OracleResult("Decomposable", dim, homothety_residue(g, f))
+    zero = (0,) * p.dim
+    for _, tree, cols, kernel in comps:
+        whole = len(tree[3]) == len(g.edges)
+        for lam, den in _edge_rows(cols, kernel):
+            if whole and len(set(lam)) == 1:
+                continue
+            sums = _tree_sums(xs, tree, lam)
+            fs = [sums.get(v, zero) for v in xs]
+            return OracleResult("Decomposable", dim, _residue(g, xs, mult, fs, den * mult))
+    raise InvalidInputError(
+        "oracle dimension exceeds d+1 but every basis element is a homothety"
+    )
 
 
 def touches_every_facet(s, p: Polytope) -> bool:

@@ -1,8 +1,10 @@
 """The two integer kernels: row reduction and facet enumeration.
 
 `rref_int` runs the compiled extension when it is built and the
-pure-Python twin in `_kernels_py` otherwise; the two give identical
-results.  Setting the environment variable MINKDECOMP_PURE to any
+pure-Python twin in `_kernels_py` otherwise.  The two give identical
+results because both return the primitive reduced row echelon form with
+positive pivots, which is unique, not because they pick the same pivot
+rows (they do not).  Setting the environment variable MINKDECOMP_PURE to any
 nonempty value forces the pure-Python row reduction, and
 `python -m minkdecomp.bench` compares the two.  `facet_scan` is pure
 Python on both paths: an exact double-description hull whose cost

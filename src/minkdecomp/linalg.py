@@ -103,12 +103,17 @@ def clear_denominators(rows: Sequence[Sequence[Rational]]) -> List[List[int]]:
     return out
 
 
-def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int, List[Vec]]:
-    """Rank and kernel basis of an integer matrix (all-zero rows allowed).
+def int_kernel_basis(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> Tuple[List[int], List[List[int]]]:
+    """Pivot columns and an integer kernel basis of an integer matrix
+    (all-zero rows allowed).
 
-    Each basis vector has 1 in one non-pivot column, 0 in the others,
-    and is read off the primitive reduced row echelon form.  That form is
-    unique, so the basis does not depend on how the rows were scaled.
+    One basis vector per non-pivot column f, in column order: a positive
+    multiple of the vector with 1 at f and 0 at the other non-pivot
+    columns, read off the primitive reduced row echelon form.  That form
+    is unique, so the vectors' directions do not depend on how the rows
+    were scaled.
     """
     pivot_cols, reduced = kernels.rref_int([r for r in rows if any(r)], ncols)
     pivot_set = set(pivot_cols)
@@ -116,12 +121,26 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int, List[Vec
     for f in range(ncols):
         if f in pivot_set:
             continue
-        coords = [Fraction(0)] * ncols
-        coords[f] = Fraction(1)
-        for row, c in zip(reduced, pivot_cols):
-            coords[c] = Fraction(-row[f], row[c])
-        basis.append(tuple.__new__(Vec, coords))
-    return len(pivot_cols), basis
+        used = [(row, c) for row, c in zip(reduced, pivot_cols) if row[f]]
+        scale = lcm(*(row[c] for row, c in used))
+        vec = [0] * ncols
+        vec[f] = scale
+        for row, c in used:
+            vec[c] = -row[f] * (scale // row[c])
+        basis.append(vec)
+    return pivot_cols, basis
+
+
+def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int, List[Vec]]:
+    """Rank and kernel basis of an integer matrix (all-zero rows allowed).
+
+    Each basis vector has 1 in one non-pivot column, 0 in the others
+    (`int_kernel_basis` divided by that entry).
+    """
+    pivot_cols, basis = int_kernel_basis(rows, ncols)
+    pivot_set = set(pivot_cols)
+    free = [f for f in range(ncols) if f not in pivot_set]
+    return len(pivot_cols), [fraction_vec(vec, vec[f]) for f, vec in zip(free, basis)]
 
 
 def affine_rank(points: Sequence[Sequence[int]], d: int) -> int:
@@ -145,22 +164,21 @@ def int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[List[int],
     if not points:
         return None
     d = len(points[0])
-    pivot_cols, reduced = kernels.rref_int([list(p) + [-1] for p in points], d + 1)
-    if len(pivot_cols) != d:
+    _, kernel = int_kernel_basis([list(p) + [-1] for p in points], d + 1)
+    if len(kernel) != 1:
         return None
-    free = next(c for c in range(d + 1) if c not in pivot_cols)
-    # The kernel vector with L at the free column, L the lcm of the pivots.
-    scale = lcm(*(row[c] for row, c in zip(reduced, pivot_cols)))
-    h = [0] * (d + 1)
-    h[free] = scale
-    for row, c in zip(reduced, pivot_cols):
-        h[c] = -row[free] * (scale // row[c])
+    h = kernel[0]
     lead = next((x for x in h[:d] if x), None)
     if lead is None:
         # a = 0 forces b = 0, the zero vector; cannot occur in a kernel basis.
         return None
     g = gcd(*h) if lead > 0 else -gcd(*h)
     return [x // g for x in h[:d]], h[d] // g
+
+
+def int_side(a: Sequence[int], b: int, x: Sequence[int]) -> int:
+    """a.x - b over integers: its sign tells the side of the plane."""
+    return sum(u * v for u, v in zip(a, x)) - b
 
 
 def rank_and_kernel(
@@ -305,24 +323,6 @@ def linear_feasible(
     if any(len(r) != 2 * nvars + nslack for r in rows):
         raise ValueError("row length does not match nvars")
     return _phase1_feasible(rows, rhs)
-
-
-def hyperplane_through(points: Sequence[Sequence[Rational]]) -> Optional[Tuple[Vec, Rational]]:
-    """The hyperplane a.x = b through the given points, if unique.
-
-    Returns (a, b) with the first nonzero entry of a normalized to +1,
-    which makes equal hyperplanes literally equal.  Returns None when the
-    points do not affinely span exactly a hyperplane: uniqueness holds
-    for any number of points precisely when the incidence system below
-    has a one-dimensional kernel.
-    """
-    if not points:
-        return None
-    d = len(points[0])
-    if any(len(p) != d for p in points):
-        raise ValueError("points of mixed dimension")
-    ints, mult = as_int_coords(points)
-    return normalised_plane(int_hyperplane(ints), mult)
 
 
 def normalised_plane(

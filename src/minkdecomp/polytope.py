@@ -24,6 +24,7 @@ from .linalg import (
     affine_rank,
     as_int_coords,
     int_hyperplane,
+    int_side,
     linear_feasible,
     normalised_plane,
     point_in_hull,
@@ -58,10 +59,7 @@ class Polytope:
         facets = tuple(members for members, _, _ in data)
         stray = _non_vertices(len(verts), facets)
         if stray:
-            raise InvalidInputError(
-                "not vertices of the convex hull of the input: "
-                + ", ".join(f"point {i} ({', '.join(map(str, verts[i]))})" for i in stray)
-            )
+            raise InvalidInputError(_stray_message(verts, stray))
         poly = Polytope(dim=dim, vertices=verts, facets=facets, name=name)
         poly._cache["planes"] = [(normal, offset) for _, normal, offset in data]
         return poly
@@ -95,7 +93,7 @@ class Polytope:
         outside = next(
             (i for i in range(len(self.vertices)) if i not in set(members)), None
         )
-        if outside is not None and _side(a, b, ints[outside]) > 0:
+        if outside is not None and int_side(a, b, ints[outside]) > 0:
             normal, offset = -normal, -offset
         return normal, offset
 
@@ -134,11 +132,6 @@ class Polytope:
         )
 
 
-def _side(a: Sequence[int], b: int, x: Sequence[int]) -> int:
-    """a.x - b over integers: its sign tells the side of the plane."""
-    return sum(u * v for u, v in zip(a, x)) - b
-
-
 def _non_vertices(n: int, facets: Sequence[Sequence[int]]) -> List[int]:
     """Indices of the input points that are not vertices, read off facet
     lists that name every input point on each facet's hyperplane.
@@ -155,6 +148,12 @@ def _non_vertices(n: int, facets: Sequence[Sequence[int]]) -> List[int]:
         for i in members:
             meet[i] &= mask
     return [i for i in range(n) if meet[i] != 1 << i]
+
+
+def _stray_message(vertices: Sequence[Sequence[Rational]], stray: Sequence[int]) -> str:
+    return "not vertices of the convex hull of the input: " + ", ".join(
+        f"point {i} ({', '.join(map(str, vertices[i]))})" for i in stray
+    )
 
 
 def _edges_combinatorial(p: Polytope) -> Tuple[Tuple[int, int], ...]:
@@ -220,7 +219,11 @@ class ValidationReport:
 
 
 def validate(p: Polytope, check_edges: bool = False) -> ValidationReport:
-    """Check every structural invariant geometrically; collect all failures."""
+    """Check every structural invariant geometrically; collect all failures.
+
+    Once the facet checks pass, every point must be a vertex of the hull;
+    the points that are not are named as `from_vertices` names them.
+    """
     out: List[str] = []
     n = len(p.vertices)
     d = p.dim
@@ -246,7 +249,7 @@ def validate(p: Polytope, check_edges: bool = False) -> ValidationReport:
             out.append(f"facet {fi} vertices do not lie on a unique common hyperplane")
             continue
         a, b = fitted
-        sides = [_side(a, b, ints[i]) for i in range(n) if i not in member_sets[fi]]
+        sides = [int_side(a, b, ints[i]) for i in range(n) if i not in member_sets[fi]]
         if any(s == 0 for s in sides):
             out.append(f"facet {fi} hyperplane contains a vertex outside the facet")
         elif any(s > 0 for s in sides) and any(s < 0 for s in sides):
@@ -258,6 +261,12 @@ def validate(p: Polytope, check_edges: bool = False) -> ValidationReport:
         for j, b in enumerate(member_sets):
             if i != j and a <= b:
                 out.append(f"facet {i} is contained in facet {j}")
+    if not out:
+        # The facet checks passed, so each facet lists every point on its
+        # hyperplane, which is what `_non_vertices` reads.
+        stray = _non_vertices(n, p.facets)
+        if stray:
+            out.append(_stray_message(p.vertices, stray))
     if check_edges and not out:
         combinatorial = set(p.edges())
         for u in range(n):

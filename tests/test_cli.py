@@ -6,7 +6,7 @@ import pytest
 
 from minkdecomp.cli import main
 from minkdecomp.fileio import loads, read_polytope, write_polytope
-from minkdecomp.constructors import cube, simplex
+from minkdecomp.constructors import cube, cyclic, simplex
 
 
 def run(capsys, *argv):
@@ -168,6 +168,26 @@ def test_analyze_rejects_non_extreme_point_without_facets(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == ""
     assert "not vertices" in err and "point 4 (1, 0, 0)" in err
+    assert "homothety" not in err
+
+
+def test_analyze_rejects_non_extreme_point_in_listed_facets(tmp_path, capsys):
+    # cyclic(8,4) plus the midpoint of edge (0,1), listed in each of the
+    # six facets through that edge: every facet check passes.
+    p = cyclic(8, 4)
+    doc = {
+        "format_version": "1",
+        "dimension": 4,
+        "vertices": [[str(c) for c in v] for v in p.vertices]
+        + [[str(c) for c in (p.vertices[0] + p.vertices[1]) / 2]],
+        "facets": [list(f) + [8] if 0 in f and 1 in f else list(f) for f in p.facets],
+    }
+    assert sum(1 for f in doc["facets"] if 8 in f) == 6
+    path = tmp_path / "edge-point.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert "not vertices" in err and "point 8 (3/2, 5/2, 9/2, 17/2)" in err
     assert "homothety" not in err
 
 

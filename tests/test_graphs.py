@@ -12,6 +12,10 @@ below as the reference (`reference_decomposing_space`,
 bases and witnesses must match it exactly, also on scaled, shifted and
 relabelled images.
 
+`oracle_verdict` decides from the integer kernels without building the
+basis; `basis_oracle_verdict`, the verdict read off `decomposing_space`
+and `homothety_residue`, is its reference.
+
 The library eliminates over triangle classes (`triangle_classes`), not
 edges.  The uncontracted integer system, `cycle_rows` under the identity
 edge-to-column map, is the second reference (`identity_decomposing_space`,
@@ -52,7 +56,7 @@ from minkdecomp.linalg import (
     rank_and_kernel,
     zero_vec,
 )
-from minkdecomp.polytope import Polytope
+from minkdecomp.polytope import Polytope, minkowski_sum
 
 from reference_linalg import solve_exact
 
@@ -161,6 +165,22 @@ def reference_oracle_witness(g, basis):
     return None
 
 
+def basis_oracle_verdict(p):
+    """`oracle_verdict` read off the basis of `decomposing_space`: the
+    homothety residue of the first basis element whose edge scalars are
+    not all equal."""
+    g = skeleton(p)
+    dim, basis = decomposing_space(g)
+    if dim == p.dim + 1:
+        return OracleResult("Indecomposable", dim, None)
+    f = next((f for f in basis if len(set(f.edge_scalars.values())) > 1), None)
+    if f is None:
+        raise InvalidInputError(
+            "oracle dimension exceeds d+1 but every basis element is a homothety"
+        )
+    return OracleResult("Decomposable", dim, homothety_residue(g, f))
+
+
 def identity_decomposing_space(g):
     """The uncontracted integer system: one column per edge
     (`cycle_rows` under the identity map), kernel read off by `int_kernel`
@@ -225,6 +245,7 @@ def assert_same_space(g):
 
 def assert_same_oracle(p):
     res, ref = oracle_verdict(p), identity_oracle_verdict(p)
+    assert res == basis_oracle_verdict(p)
     assert (res.verdict, res.dimension) == (ref.verdict, ref.dimension)
     if ref.witness is None:
         assert res.witness is None
@@ -542,3 +563,41 @@ def test_contracted_space_matches_identity_map_on_random_graphs_with_collinear_t
         assert dim == naive_dimension(g)
         contracted += class_count(g) < len(g.edges)
     assert contracted > 100
+
+
+# ---------------------------------------------------------------------------
+# The oracle without a basis
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_oracle_matches_basis_reference_on_decomposable_sums(n):
+    p = minkowski_sum(cyclic(n, 4), [[0, 0, 0, 0], [1, 3, 2, 5]])
+    res = oracle_verdict(p)
+    assert res.verdict == "Decomposable"
+    assert res == basis_oracle_verdict(p) == identity_oracle_verdict(p)
+
+
+def test_oracle_raises_when_every_basis_element_is_a_homothety():
+    # cyclic(8,4) plus the midpoint of edge (0,1), listed in the six facets
+    # through the edge and built without `validate`: the midpoint has no
+    # edge, so its component adds only translations.
+    p = cyclic(8, 4)
+    facets = tuple(f + (8,) if 0 in f and 1 in f else f for f in p.facets)
+    q = Polytope(4, p.vertices + ((p.vertices[0] + p.vertices[1]) / 2,), facets)
+    assert len(skeleton(q).components()) == 2
+    for oracle in (oracle_verdict, basis_oracle_verdict):
+        with pytest.raises(InvalidInputError, match="every basis element is a homothety"):
+            oracle(q)
+
+
+def test_oracle_matches_basis_reference_on_a_two_component_skeleton():
+    # Two triangles given as the "facets" of one polygon, built without
+    # `validate`: each component's constant scalars are 0 on the other's
+    # edges, so the first one is not a homothety.
+    pts = [(0, 0), (2, 0), (0, 2), (5, 5), (7, 5), (Fraction(11, 2), 8)]
+    facets = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
+    p = Polytope(2, tuple(Vec(x) for x in pts), facets)
+    assert len(skeleton(p).components()) == 2
+    res = oracle_verdict(p)
+    assert (res.verdict, res.dimension) == ("Decomposable", 6)
+    assert res == basis_oracle_verdict(p)

@@ -1,5 +1,10 @@
 """The pure and compiled row reductions must be behaviourally identical.
 
+Both must also equal `reference_rref_int`, the reduction that makes every
+updated row primitive, on random matrices and on the systems the library
+reduces: the primitive reduced row echelon form with positive pivots is
+unique, whatever pivot rows are chosen on the way.
+
 Facet enumeration has one implementation on both paths; tests/test_hull.py
 checks it against a brute-force reference scan.
 """
@@ -9,6 +14,11 @@ import random
 import pytest
 
 from minkdecomp import _kernels_py, kernels
+from minkdecomp.catalogue import catalogue_list
+from minkdecomp.graphs import decomposing_space, skeleton
+from minkdecomp.polytope import validate
+
+from reference_linalg import reference_rref_int
 
 try:
     from minkdecomp import _kernels as compiled
@@ -38,6 +48,66 @@ def test_rref_identical_with_huge_entries():
     want = _kernels_py.rref_int([list(r) for r in rows], 3)
     got = compiled.rref_int([list(r) for r in rows], 3)
     assert got == want
+
+
+def _random_matrix(rng):
+    """Zero rows, negative leads, rank deficiency (rows combined from
+    earlier ones), tall and wide shapes, and entries above 2**64."""
+    nrows = rng.randint(0, 9)
+    ncols = rng.randint(1, 9)
+    huge = rng.random() < 0.2
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * ncols)
+        elif kind < 0.3 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = rng.randint(-3, 3)
+            rows.append([k * x - y for x, y in zip(a, b)])
+        else:
+            rows.append([
+                rng.randint(-(2**70), 2**70) if huge and rng.random() < 0.5 else rng.randint(-6, 6)
+                for _ in range(ncols)
+            ])
+    return rows, ncols
+
+
+def _assert_matches_reference(rows, ncols):
+    want = reference_rref_int([list(r) for r in rows], ncols)
+    assert _kernels_py.rref_int([list(r) for r in rows], ncols) == want, (rows, ncols)
+    assert kernels.rref_int([list(r) for r in rows], ncols) == want, (rows, ncols)
+
+
+def test_rref_matches_reference_on_random_matrices():
+    rng = random.Random(29)
+    shapes = set()
+    for _ in range(10_000):
+        rows, ncols = _random_matrix(rng)
+        shapes.add((len(rows) > ncols, len(rows) < ncols))
+        _assert_matches_reference(rows, ncols)
+    assert shapes == {(True, False), (False, True), (False, False)}
+
+
+def test_rref_matches_reference_on_library_systems(monkeypatch):
+    """The facet systems `validate` fits and the cycle and edge-basis
+    systems of `decomposing_space`, over the catalogue."""
+    calls = []
+    real = kernels.rref_int
+
+    def record(rows, ncols):
+        calls.append(([list(r) for r in rows], ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(kernels, "rref_int", record)
+    for e in catalogue_list():
+        p = e.build()
+        assert validate(p).ok
+        decomposing_space(skeleton(p))
+    monkeypatch.undo()
+    assert len(calls) > 300
+    for rows, ncols in calls:
+        _assert_matches_reference(rows, ncols)
 
 
 def test_pure_env_forces_fallback():

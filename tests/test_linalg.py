@@ -17,7 +17,6 @@ from minkdecomp.linalg import (
     affinely_independent,
     as_int_coords,
     clear_denominators,
-    hyperplane_through,
     int_hyperplane,
     int_kernel,
     linear_feasible,
@@ -27,7 +26,7 @@ from minkdecomp.linalg import (
     zero_vec,
 )
 
-from reference_linalg import matrix_rank, solve_exact
+from reference_linalg import hyperplane_through, matrix_rank, solve_exact
 
 
 def reference_rank(rows, ncols):

@@ -2,8 +2,9 @@
 
 Facet-plane fits and `validate` run over cleared integer coordinates.
 The rational fit they replaced (`reference_common_hyperplane`) and the
-rational facet checks of `validate` (`reference_validate`) are kept
-below as references, on catalogue images and on broken inputs with
+rational facet checks of `validate` (`reference_validate`, which also
+names the points that are not vertices once the facet checks pass) are
+kept below as references, on catalogue images and on broken inputs with
 fractional coordinates.
 """
 
@@ -108,6 +109,18 @@ def reference_validate(p):
         for j, b in enumerate(member_sets):
             if i != j and a <= b:
                 out.append(f"facet {i} is contained in facet {j}")
+    if not out:
+        # The smallest face through a point is the meet of its facets
+        # (every point for a point in none); a vertex is alone in it.
+        stray = [
+            i for i in range(n)
+            if set(range(n)).intersection(*(f for f in member_sets if i in f)) != {i}
+        ]
+        if stray:
+            out.append(
+                "not vertices of the convex hull of the input: "
+                + ", ".join(f"point {i} ({', '.join(map(str, p.vertices[i]))})" for i in stray)
+            )
     return out
 
 
@@ -341,3 +354,21 @@ def test_validate_matches_reference_on_broken_fractional_polytopes(case, scale):
     violations = validate(bad).violations
     assert violations == reference_validate(bad)
     assert f"facet {len(p.facets)} {message}" in violations
+
+
+def with_edge_midpoint(p, u, v):
+    """p plus the midpoint of edge (u, v), listed in every facet through
+    the edge: each facet still lists every point on its hyperplane."""
+    mid = len(p.vertices)
+    facets = tuple(f + (mid,) if u in f and v in f else f for f in p.facets)
+    return Polytope(p.dim, p.vertices + ((p.vertices[u] + p.vertices[v]) / 2,), facets)
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(5, 3)])
+def test_validate_names_a_non_extreme_point_in_listed_facets(scale):
+    p = with_edge_midpoint(_scaled(cyclic(8, 4), scale, (Fraction(1, 2), 0, -3, 1)), 0, 1)
+    assert sum(1 for f in p.facets if 8 in f) == 6
+    violations = validate(p).violations
+    assert violations == reference_validate(p)
+    assert len(violations) == 1
+    assert violations[0].startswith("not vertices of the convex hull of the input: point 8 (")
