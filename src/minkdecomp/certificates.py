@@ -20,6 +20,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
+from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .counts import CountConclusion, count_rules
@@ -32,13 +33,20 @@ from .errors import (
 from .graphs import (
     DecomposingFunction,
     GeometricGraph,
+    _edge_scalars,
     edge_key,
-    is_homothety,
     oracle_verdict,
     skeleton,
     touches_every_facet,
 )
-from .linalg import Vec, affinely_independent, int_hyperplane, int_side
+from .linalg import (
+    Vec,
+    affinely_independent,
+    as_int_coords,
+    fraction_vec,
+    int_hyperplane,
+    int_side,
+)
 from .polytope import FVector, Polytope, facet_as_polytope
 
 INDECOMPOSABLE = "Indecomposable"
@@ -458,7 +466,19 @@ def _shephard_witness(
 ) -> Optional[DecomposingFunction]:
     """The facet-slide condition and exact witness for one facet: every
     facet vertex needs exactly one neighbor outside, with at least two
-    vertices outside.  Shared by the rule and its replay."""
+    vertices outside.  Shared by the rule and its replay.
+
+    The slide is built and checked over the cached integer coordinates
+    X = mult * x.  With the outward normal scaled to integers a and
+    b = a.X on the facet, member v slides along its outside edge to w by
+    the fraction (b - alpha) / gap_w, where gap_w = b - a.X_w > 0 and
+    alpha is the highest outside level.  With den the lcm of those gaps,
+    every image times den * mult is an integer, so the edge scalars are
+    verified in integers (`graphs._edge_scalars`).  A polytope skeleton
+    is connected, and on a connected graph a decomposing function is a
+    homothety iff all its edge scalars are equal, so unequal scalars are
+    the whole non-homothety check.  `Fraction` images are made once, at
+    return."""
     members = p.facets[fi]
     fset = set(members)
     outside = [w for w in range(len(p.vertices)) if w not in fset]
@@ -470,18 +490,32 @@ def _shephard_witness(
         if len(others) != 1:
             return None
         out_nbr[v] = others[0]
-    a, b = p.facet_plane(fi)
-    alpha = max(a.dot(p.vertices[w]) for w in outside)
-    images = {i: p.vertices[i] for i in range(len(p.vertices))}
+    ints, mult = p.int_coords()
+    (a,), _ = as_int_coords([p.facet_plane(fi)[0]])
+    b = sum(u * x for u, x in zip(a, ints[members[0]]))
+    # How far each outside vertex lies below the facet: b - a.X_w > 0.
+    gap = {w: -int_side(a, b, ints[w]) for w in outside}
+    drop = min(gap.values())  # b - alpha
+    den = lcm(*(gap[out_nbr[v]] for v in members))
+    fs = {i: tuple(c * den for c in x) for i, x in enumerate(ints)}
     for v in members:
         w = out_nbr[v]
         # Slide v along its outside edge down to the level alpha.
-        t = (b - alpha) / (b - a.dot(p.vertices[w]))
-        images[v] = p.vertices[v] + (p.vertices[w] - p.vertices[v]) * t
-    witness = DecomposingFunction.from_images(skel, images)
-    if is_homothety(skel, witness):
+        k = den // gap[w] * drop
+        fs[v] = tuple(cv * den + (cw - cv) * k for cv, cw in zip(ints[v], ints[w]))
+    scalars = _edge_scalars(skel, dict(enumerate(ints)), mult, fs, den * mult)
+    if _equal_scalars(scalars):
         raise EngineInconsistencyError("facet-slide witness degenerated to a homothety")
-    return witness
+    return DecomposingFunction(
+        {i: fraction_vec(f, den * mult) for i, f in fs.items()}, scalars
+    )
+
+
+def _equal_scalars(scalars: Dict[Tuple[int, int], Fraction]) -> bool:
+    """Whether a decomposing function on a connected skeleton, given by
+    its edge scalars, is a homothety: it is exactly when they are all
+    equal."""
+    return len(set(scalars.values())) <= 1
 
 
 def shephard_facet(
@@ -490,7 +524,9 @@ def shephard_facet(
     """Decomposability from a facet whose vertices each have exactly one
     neighbor outside it (and at least two vertices lie outside): sliding
     the facet down to the outside level is a non-homothety decomposing
-    function, constructed and verified exactly."""
+    function, built and verified in integers (`_shephard_witness`): its
+    edge scalars are checked edge by edge and, the skeleton being
+    connected, it is no homothety because they are not all equal."""
     skel = skeleton(p)
     for fi in range(len(p.facets)):
         witness = _shephard_witness(p, skel, fi)
@@ -815,7 +851,14 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     reductions always, the graph search only when the oracle said
     Indecomposable, since the search can prove nothing else.  The oracle
     backstops the pipeline and cross-checks every certificate verdict;
-    oracle-only skips the rules entirely."""
+    oracle-only skips the rules entirely.
+
+    A certificate's witness (a facet slide, possibly lifted through
+    pyramid reductions) is checked once more as handed out: `check`
+    re-derives its edge scalars from its `Fraction` images, and since a
+    polytope skeleton is connected, a decomposing function on it is a
+    homothety iff those scalars are all equal.  Either failure, like a
+    verdict the oracle contradicts, raises EngineInconsistencyError."""
     if mode not in ("certificates-first", "oracle-only"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     fv = p.f_vector()
@@ -833,7 +876,7 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
         )
     if witness is not None:
         g = skeleton(p)
-        if not witness.check(g) or is_homothety(g, witness):
+        if not witness.check(g) or _equal_scalars(witness.edge_scalars):
             raise EngineInconsistencyError("witness does not decompose the input")
     return AnalysisReport(trace.verdict, method, trace, o.dimension, fv, notes, witness)
 
@@ -970,7 +1013,7 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
                 _fail(k, step, "result sets do not match the glued graph")
         elif step.rule == "ShephardFacet":
             fi, members = step.inputs
-            if fi >= len(current.facets) or tuple(current.facets[fi]) != tuple(members):
+            if not 0 <= fi < len(current.facets) or tuple(current.facets[fi]) != tuple(members):
                 _fail(k, step, "facet does not exist as recorded")
             if _shephard_witness(current, skel, fi) is None:
                 _fail(k, step, "facet does not meet the slide condition")

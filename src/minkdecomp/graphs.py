@@ -171,11 +171,16 @@ def _edge_scalars(
 
 
 def skeleton(p: Polytope) -> GeometricGraph:
-    return GeometricGraph(
-        dim=p.dim,
-        vertices={i: v for i, v in enumerate(p.vertices)},
-        edges=p.edges(),
-    )
+    """The edge graph of p, built and validated once per polytope."""
+    g = p._cache.get("skeleton")
+    if g is None:
+        g = GeometricGraph(
+            dim=p.dim,
+            vertices={i: v for i, v in enumerate(p.vertices)},
+            edges=p.edges(),
+        )
+        p._cache["skeleton"] = g
+    return g
 
 
 def _bfs_tree(g: GeometricGraph, comp: Sequence[int]):

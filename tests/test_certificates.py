@@ -1,6 +1,8 @@
 """Certificate rules, the analysis pipeline, and trace replay."""
 
 import dataclasses
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -39,10 +41,21 @@ from minkdecomp.constructors import (
     octahedron,
     simplex,
 )
-from minkdecomp.errors import DegenerateInputError, InvalidInputError, RuleNotApplicableError
-from minkdecomp.graphs import is_homothety, skeleton, touches_every_facet
+from minkdecomp.errors import (
+    DegenerateInputError,
+    EngineInconsistencyError,
+    InvalidInputError,
+    RuleNotApplicableError,
+)
+from minkdecomp.graphs import DecomposingFunction, is_homothety, skeleton, touches_every_facet
 from minkdecomp.linalg import Vec
-from minkdecomp.polytope import Polytope, minkowski_sum, pyramid_over, stack_pyramid
+from minkdecomp.polytope import (
+    Polytope,
+    minkowski_sum,
+    prism_over,
+    pyramid_over,
+    stack_pyramid,
+)
 
 
 OCTA = octahedron()
@@ -206,6 +219,101 @@ def test_shephard_facet_direct():
     assert shephard_facet(OCTA) is None
 
 
+def reference_shephard_witness(p, skel, fi):
+    """The facet slide in `Vec` and `Fraction` arithmetic, its scalars
+    derived by `DecomposingFunction.from_images` and its homothety test by
+    the least-squares fit: the reference for `_shephard_witness`."""
+    members = p.facets[fi]
+    fset = set(members)
+    outside = [w for w in range(len(p.vertices)) if w not in fset]
+    if len(outside) < 2:
+        return None
+    out_nbr = {}
+    for v in members:
+        others = [x for x in skel.neighbors(v) if x not in fset]
+        if len(others) != 1:
+            return None
+        out_nbr[v] = others[0]
+    a, b = p.facet_plane(fi)
+    alpha = max(a.dot(p.vertices[w]) for w in outside)
+    images = {i: p.vertices[i] for i in range(len(p.vertices))}
+    for v in members:
+        w = out_nbr[v]
+        t = (b - alpha) / (b - a.dot(p.vertices[w]))
+        images[v] = p.vertices[v] + (p.vertices[w] - p.vertices[v]) * t
+    witness = DecomposingFunction.from_images(skel, images)
+    if is_homothety(skel, witness):
+        raise EngineInconsistencyError("facet-slide witness degenerated to a homothety")
+    return witness
+
+
+def _relabelled_image(p, rng, scale):
+    """Vertices of a relabelled copy of p, scaled by `scale` and shifted
+    by an integer vector, and its facets renumbered."""
+    n = len(p.vertices)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    new_of = [0] * n
+    for new, old in enumerate(perm):
+        new_of[old] = new
+    shift = Vec(rng.randint(-9, 9) for _ in range(p.dim))
+    vertices = tuple(p.vertices[old] * scale + shift for old in perm)
+    facets = tuple(sorted(tuple(sorted(new_of[x] for x in f)) for f in p.facets))
+    return vertices, facets
+
+
+def _slide_cases():
+    """The catalogue; seeded images of each entry, with the facets given
+    (planes fitted by `Polytope._fit_plane`) and rebuilt from bare
+    vertices (planes from the hull); prisms and stacked pyramids over the
+    decomposable entries.  The prism over delta-3-4 (40 vertices in
+    dimension 8) is left out: its hull exceeds the facet-scan guard."""
+    rng = random.Random(8)
+    for e in catalogue_list():
+        p = e.build()
+        yield e.name, p
+        for scale in (Fraction(1, 2), Fraction(5, 3), Fraction(7, 4), Fraction(10**12)):
+            vertices, facets = _relabelled_image(p, rng, scale)
+            yield f"{e.name}*{scale}", Polytope(p.dim, vertices, facets)
+            yield f"{e.name}*{scale} hull", Polytope.from_vertices(p.dim, vertices)
+        if e.expected_status == "Decomposable":
+            if e.name != "delta-3-4":
+                yield f"prism over {e.name}", prism_over(p)
+            yield f"{e.name} stacked", stack_pyramid(p, 0)
+
+
+def test_integer_slide_matches_rational_reference():
+    fired = 0
+    for name, p in _slide_cases():
+        skel = skeleton(p)
+        for fi in range(len(p.facets)):
+            got = certificates._shephard_witness(p, skel, fi)
+            want = reference_shephard_witness(p, skel, fi)
+            if want is None:
+                assert got is None, (name, fi)
+                continue
+            fired += 1
+            assert got is not None, (name, fi)
+            assert list(got.images.items()) == list(want.images.items()), (name, fi)
+            assert list(got.edge_scalars.items()) == list(want.edge_scalars.items()), (name, fi)
+    # 1,325 slides over 355 polytopes when this was written.
+    assert fired >= 1325
+
+
+def test_slide_that_moves_nothing_is_refused():
+    # Not a valid polytope: point 6 lies on the bottom facet's plane but in
+    # no facet, so the bottom slides down by nothing and the witness is
+    # the identity, a homothety.
+    vertices = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1),
+                (Fraction(1, 4), Fraction(1, 4), 0)]
+    facets = ((0, 1, 2), (3, 4, 5), (0, 1, 3, 4), (1, 2, 4, 5), (0, 2, 3, 5))
+    p = Polytope(3, tuple(Vec(v) for v in vertices), facets)
+    skel = skeleton(p)
+    for slide in (certificates._shephard_witness, reference_shephard_witness):
+        with pytest.raises(EngineInconsistencyError, match="degenerated to a homothety"):
+            slide(p, skel, 0)
+
+
 def test_pyramid_apex():
     assert pyramid_apex(simplex(3)) is not None
     p = pyramid_over(cube(2))
@@ -308,6 +416,52 @@ def test_analyze_verdict_matches_oracle_everywhere():
         orac = analyze(p, mode="oracle-only")
         assert cert.verdict == orac.verdict
         assert (cert.oracle_dimension == p.dim + 1) == (cert.verdict == "Indecomposable")
+
+
+# ---------------------------------------------------------------------------
+# Soundness contract: a certificate the oracle or the witness check
+# contradicts is an internal inconsistency (exit 4), never an answer.
+
+
+@pytest.mark.parametrize("build", [capped_prism, lambda: simplex(4)])
+def test_analyze_raises_when_the_oracle_contradicts_a_certificate(monkeypatch, build):
+    p = build()
+    real = certificates.oracle_verdict
+
+    def flipped(q):
+        o = real(q)
+        other = "Indecomposable" if o.verdict == "Decomposable" else "Decomposable"
+        return dataclasses.replace(o, verdict=other)
+
+    monkeypatch.setattr(certificates, "oracle_verdict", flipped)
+    with pytest.raises(EngineInconsistencyError, match="but the rank oracle says"):
+        analyze(p)
+
+
+def _hand_back(monkeypatch, trace, witness):
+    monkeypatch.setattr(certificates, "shephard_facet", lambda p: (trace, witness))
+
+
+def test_analyze_rejects_a_homothety_witness(monkeypatch):
+    p = capped_prism()
+    trace, _ = shephard_facet(p)
+    g = skeleton(p)
+    identity = DecomposingFunction(dict(g.vertices), {e: Fraction(1) for e in g.edges})
+    assert identity.check(g)
+    _hand_back(monkeypatch, trace, identity)
+    with pytest.raises(EngineInconsistencyError, match="witness does not decompose the input"):
+        analyze(p)
+
+
+def test_analyze_rejects_a_witness_with_wrong_scalars(monkeypatch):
+    p = capped_prism()
+    trace, witness = shephard_facet(p)
+    e = next(iter(witness.edge_scalars))
+    scalars = dict(witness.edge_scalars)
+    scalars[e] += 1
+    _hand_back(monkeypatch, trace, DecomposingFunction(witness.images, scalars))
+    with pytest.raises(EngineInconsistencyError, match="witness does not decompose the input"):
+        analyze(p)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +590,17 @@ def test_replay_rejects_shephard_on_wrong_facet():
     )
     ok, why = replay_report(assemble_trace(bad, trace.verdict, ""), p)
     assert not ok
+    # A negative index names the recorded facet through Python's
+    # wrap-around; replay must still refuse it.
+    for p, fi in ((delta(2, 2), -6), (capped_prism(), -1), (bd182(), -1)):
+        trace = analyze(p).trace
+        step = trace.steps[-1]
+        assert step.rule == "ShephardFacet"
+        _, members = step.inputs
+        assert tuple(p.facets[fi]) == tuple(members)
+        bad = dataclasses.replace(step, inputs=(fi, members))
+        ok, why = replay_report(assemble_trace(bad, trace.verdict, ""), p)
+        assert not ok and "facet does not exist as recorded" in why, (p.name, why)
 
 
 def test_replay_rejects_trace_on_wrong_polytope():

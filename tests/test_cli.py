@@ -1,12 +1,14 @@
 """The command-line interface: subcommands, output shapes, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from minkdecomp import certificates
 from minkdecomp.cli import main
 from minkdecomp.fileio import loads, read_polytope, write_polytope
-from minkdecomp.constructors import cube, cyclic, simplex
+from minkdecomp.constructors import capped_prism, cube, cyclic, simplex
 
 
 def run(capsys, *argv):
@@ -205,6 +207,21 @@ def test_analyze_guard_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 3 and "error:" in err
+
+
+def test_analyze_inconsistency_exit_code(tmp_path, capsys, monkeypatch):
+    # The oracle is made to contradict the facet-slide certificate.
+    real = certificates.oracle_verdict
+    monkeypatch.setattr(
+        certificates,
+        "oracle_verdict",
+        lambda p: dataclasses.replace(real(p), verdict="Indecomposable"),
+    )
+    path = tmp_path / "capped.json"
+    write_polytope(capped_prism(), str(path))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 4 and out == ""
+    assert "internal inconsistency: certificate says Decomposable" in err
 
 
 # ---------------------------------------------------------------------------
