@@ -44,6 +44,7 @@ from .linalg import (
     affinely_independent,
     as_int_coords,
     fraction_vec,
+    int_collinear,
     int_hyperplane,
     int_side,
 )
@@ -193,7 +194,10 @@ def simple_extension(
     w: int,
     witnesses: Optional[Tuple[int, int]] = None,
 ) -> CertifiedGraph:
-    """Absorb one vertex adjacent to two covered vertices (two new edges)."""
+    """Absorb one vertex adjacent to two covered vertices (two new edges).
+
+    The three points must not be collinear, which is tested on the
+    graph's cached integer coordinates (`linalg.int_collinear`)."""
     if w in base.vertices:
         raise RuleNotApplicableError(f"vertex {w} is already covered")
     covered = [x for x in g.neighbors(w) if x in base.vertices]
@@ -206,7 +210,8 @@ def simple_extension(
         if a not in covered or b not in covered or a == b:
             raise RuleNotApplicableError(f"({a},{b}) are not two covered neighbors of {w}")
     # Collinear w,a,b would leave the new vertex a sliding freedom.
-    if not affinely_independent([g.vertices[w], g.vertices[a], g.vertices[b]]):
+    xs, _ = g.int_coords()
+    if int_collinear(xs[w], xs[a], xs[b]):
         raise RuleNotApplicableError(f"vertices {w},{a},{b} are collinear")
     return _graph_step(
         "SimpleExtension",
@@ -591,10 +596,18 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     side.  A facet of the reduced polytope holds exactly the vertices on
     its hyperplane with the rest strictly beneath, and u must lie
     strictly beyond it, so the test rejects only what the full check
-    would reject."""
+    would reject.
+
+    Both tests run in integers.  The pretest fits the neighbors' plane on
+    the cached integer coordinates X = mult * x (`linalg.int_hyperplane`,
+    which stops as soon as the neighbors span more than a hyperplane).
+    `from_vertices` keeps the reduced hull's planes a.x <= o / mult_r
+    with an integral normal a and o an integer on the reduced polytope's
+    own scale, so the apex's side of each is the sign of
+    mult_r * (a.X_u) - mult * o."""
     n = len(p.vertices)
     nbrs = p.neighbors(u)
-    ints, _ = p.int_coords()
+    ints, mult = p.int_coords()
     plane = int_hyperplane([ints[x] for x in nbrs])
     if plane is None:
         return None
@@ -615,14 +628,16 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     fmem = tuple(x - (x > u) for x in nbrs)
     if fmem not in set(reduced.facets):
         return None
-    apex = p.vertices[u]
+    apex = ints[u]
+    _, mult_r = reduced.int_coords()
     for fi, members in enumerate(reduced.facets):
-        a, b = reduced.facet_plane(fi)
-        side = a.dot(apex)
+        normal, offset = reduced.facet_plane(fi)
+        o = offset.numerator * (mult_r // offset.denominator)
+        side = mult_r * sum(c.numerator * x for c, x in zip(normal, apex)) - mult * o
         if members == fmem:
-            if side <= b:
+            if side <= 0:
                 return None
-        elif side >= b:
+        elif side >= 0:
             return None
     return reduced, fmem
 
@@ -958,9 +973,8 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
                     _fail(k, step, f"witnesses ({a},{b}) not two covered vertices")
                 if edge_key(a, w) not in skel_edges or edge_key(b, w) not in skel_edges:
                     _fail(k, step, f"({a},{w}) or ({b},{w}) is not a skeleton edge")
-                if not affinely_independent(
-                    [current.vertices[w], current.vertices[a], current.vertices[b]]
-                ):
+                ints, _ = current.int_coords()
+                if int_collinear(ints[w], ints[a], ints[b]):
                     _fail(k, step, f"{w},{a},{b} are collinear")
                 if vset != set(base.vertices) | {w} or eset != set(base.edges) | {
                     edge_key(a, w),

@@ -38,15 +38,16 @@ of `oracle_verdict`, whose edge scalars are verified edge by edge.
 `oracle_verdict` builds no basis.  It stops at the dimension when that
 is d + 1, and otherwise expands the edge rows only until the first one
 whose scalars differ, the first element of the basis that is not a
-homothety, and fits that one.
+homothety; that one's images and homothety fit are built only when the
+witness is read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import InvalidInputError
@@ -56,6 +57,7 @@ from .linalg import (
     affine_rank,
     as_int_coords,
     fraction_vec,
+    int_collinear,
     int_kernel_basis,
     zero_vec,
 )
@@ -68,12 +70,24 @@ def edge_key(u: int, v: int) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class GeometricGraph:
+    """Vertices with exact coordinates, by id, and undirected edges
+    (stored as sorted (u, v) pairs with u < v).
+
+    The sorted adjacency is built once, when the graph is made, and the
+    integer view of the coordinates (`int_coords`) on first use; neither
+    takes part in comparisons."""
+
     dim: int
     vertices: Dict[int, Vec]
     edges: Tuple[Tuple[int, int], ...]
+    _adjacency: Dict[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _ints: Optional[Tuple[Dict[int, Tuple[int, ...]], int]] = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(sorted(edge_key(*e) for e in set(self.edges))))
+        adjacency: Dict[int, List[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             if u == v:
                 raise InvalidInputError(f"loop edge at vertex {u}")
@@ -81,22 +95,26 @@ class GeometricGraph:
                 raise InvalidInputError(f"edge ({u},{v}) has a missing endpoint")
             if self.vertices[u] == self.vertices[v]:
                 raise InvalidInputError(f"edge ({u},{v}) endpoints share coordinates")
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        object.__setattr__(
+            self, "_adjacency", {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
+        )
 
-    def neighbors(self, v: int) -> List[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
+    def neighbors(self, v: int) -> Tuple[int, ...]:
+        """The vertices adjacent to v, ascending (none for a non-vertex)."""
+        return self._adjacency.get(v, ())
+
+    def int_coords(self) -> Tuple[Dict[int, Tuple[int, ...]], int]:
+        """The vertices cleared to one common denominator, by id, and
+        that denominator (`linalg.as_int_coords`); computed once."""
+        if self._ints is None:
+            ints, mult = as_int_coords(self.vertices.values())
+            object.__setattr__(self, "_ints", (dict(zip(self.vertices, ints)), mult))
+        return self._ints
 
     def components(self) -> List[List[int]]:
         """Connected components (vertex id lists, each sorted), sorted."""
-        adjacency: Dict[int, List[int]] = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
         seen = set()
         comps = []
         for start in sorted(self.vertices):
@@ -108,7 +126,7 @@ class GeometricGraph:
             while queue:
                 x = queue.popleft()
                 comp.append(x)
-                for y in sorted(adjacency[x]):
+                for y in self._adjacency[x]:
                     if y not in seen:
                         seen.add(y)
                         queue.append(y)
@@ -121,8 +139,8 @@ class GeometricGraph:
     def spans_ambient(self) -> bool:
         if not self.vertices:
             return False
-        ints, _ = as_int_coords(self.vertices[v] for v in sorted(self.vertices))
-        return affine_rank(ints, self.dim) == self.dim
+        xs, _ = self.int_coords()
+        return affine_rank([xs[v] for v in sorted(self.vertices)], self.dim) == self.dim
 
 
 @dataclass(frozen=True)
@@ -133,10 +151,9 @@ class DecomposingFunction:
     @staticmethod
     def from_images(g: GeometricGraph, images: Dict[int, Vec]) -> "DecomposingFunction":
         """Derive the per-edge scalars, verifying the defining identity."""
-        vids = list(g.vertices)
-        xs, mult = as_int_coords(g.vertices[v] for v in vids)
-        fs, den = as_int_coords(images[v] for v in vids)
-        scalars = _edge_scalars(g, dict(zip(vids, xs)), mult, dict(zip(vids, fs)), den)
+        xs, mult = g.int_coords()
+        fs, den = as_int_coords(images[v] for v in g.vertices)
+        scalars = _edge_scalars(g, xs, mult, dict(zip(g.vertices, fs)), den)
         return DecomposingFunction(images, scalars)
 
     def check(self, g: GeometricGraph) -> bool:
@@ -171,7 +188,8 @@ def _edge_scalars(
 
 
 def skeleton(p: Polytope) -> GeometricGraph:
-    """The edge graph of p, built and validated once per polytope."""
+    """The edge graph of p, built and validated once per polytope; its
+    integer view is the polytope's cached one."""
     g = p._cache.get("skeleton")
     if g is None:
         g = GeometricGraph(
@@ -179,18 +197,17 @@ def skeleton(p: Polytope) -> GeometricGraph:
             vertices={i: v for i, v in enumerate(p.vertices)},
             edges=p.edges(),
         )
+        ints, mult = p.int_coords()
+        object.__setattr__(g, "_ints", (dict(enumerate(ints)), mult))
         p._cache["skeleton"] = g
     return g
 
 
 def _bfs_tree(g: GeometricGraph, comp: Sequence[int]):
-    """Rooted spanning tree of one component: parent map and tree edges."""
-    adjacency: Dict[int, List[int]] = {v: [] for v in comp}
+    """Rooted spanning tree of one connected component (as `components`
+    lists it): parent map and tree edges."""
     comp_set = set(comp)
-    comp_edges = [e for e in g.edges if e[0] in comp_set and e[1] in comp_set]
-    for a, b in comp_edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
+    comp_edges = [e for e in g.edges if e[0] in comp_set]
     root = comp[0]
     parent: Dict[int, Optional[int]] = {root: None}
     depth = {root: 0}
@@ -198,7 +215,7 @@ def _bfs_tree(g: GeometricGraph, comp: Sequence[int]):
     queue = deque([root])
     while queue:
         x = queue.popleft()
-        for y in sorted(adjacency[x]):
+        for y in g.neighbors(x):
             if y not in parent:
                 parent[y] = x
                 depth[y] = depth[x] + 1
@@ -224,14 +241,6 @@ def _path_steps(parent, depth, u, v):
         up_from_v.append((y, parent[y]))
         x, y = parent[x], parent[y]
     return up_from_u + [(b, a) for a, b in reversed(up_from_v)]
-
-
-def _collinear(p: Sequence[int], q: Sequence[int], r: Sequence[int]) -> bool:
-    """Do three integer points (p != q) lie on one line?"""
-    a = [x - y for x, y in zip(q, p)]
-    b = [x - y for x, y in zip(r, p)]
-    j = next(i for i, c in enumerate(a) if c)
-    return all(a[j] * y == b[j] * x for x, y in zip(a, b))
 
 
 def triangle_classes(
@@ -269,7 +278,7 @@ def triangle_classes(
             if w < v:
                 continue
             ri, rj, rk = find(i), find(index[(u, w)]), find(index[(v, w)])
-            if ri == rj == rk or _collinear(xs[u], xs[v], xs[w]):
+            if ri == rj == rk or int_collinear(xs[u], xs[v], xs[w]):
                 continue
             root[rj] = ri
             root[find(rk)] = ri
@@ -386,8 +395,7 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
     maps to the origin.
     """
     d = g.dim
-    ints, mult = as_int_coords(g.vertices.values())
-    xs = dict(zip(g.vertices, ints))
+    xs, mult = g.int_coords()
     total = 0
     basis: List[DecomposingFunction] = []
     zero_images = {v: zero_vec(d) for v in g.vertices}
@@ -472,11 +480,49 @@ def is_homothety(g: GeometricGraph, f: DecomposingFunction) -> bool:
     return all(img.is_zero() for img in residue.images.values())
 
 
+class _PendingWitness:
+    """A witness not fitted yet: `fit()` builds it."""
+
+    __slots__ = ("fit",)
+
+    def __init__(self, fit: Callable[[], DecomposingFunction]):
+        self.fit = fit
+
+
+class _WitnessField:
+    """The `witness` field of OracleResult: it holds a witness or None,
+    or a _PendingWitness, which it fits on the first read and keeps.
+    Comparing, copying or printing a result reads the field, so all of
+    them see the fitted witness."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            # No class-level value: the field stays a required argument.
+            raise AttributeError(self.key)
+        value = obj.__dict__[self.key]
+        if isinstance(value, _PendingWitness):
+            value = value.fit()
+            obj.__dict__[self.key] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.key] = value
+
+
 @dataclass(frozen=True)
 class OracleResult:
+    """The rank oracle's answer: the verdict, the dimension of the space
+    of decomposing functions and, for Decomposable, a witness (None for
+    Indecomposable).  `oracle_verdict` defers the witness's images and
+    homothety fit to the first read of `witness`, so a caller that
+    settles the case another way never builds them."""
+
     verdict: str  # "Indecomposable" | "Decomposable"
     dimension: int
-    witness: Optional[DecomposingFunction]
+    witness: Optional[DecomposingFunction] = _WitnessField()  # type: ignore[assignment]
 
 
 def oracle_verdict(p: Polytope) -> OracleResult:
@@ -494,10 +540,13 @@ def oracle_verdict(p: Polytope) -> OracleResult:
     whose scalars differ, its images summed in integers.  On a graph
     with several components every edge row counts, as its scalars are 0
     on the other components' edges.
+
+    That edge row is found before returning, so a dimension above d+1
+    with no such row raises InvalidInputError on every call; its images
+    and residue are built only when the result's witness is read.
     """
     g = skeleton(p)
-    ints, mult = p.int_coords()
-    xs = dict(enumerate(ints))
+    xs, mult = g.int_coords()
     comps = _component_kernels(g, xs)
     dim = sum(p.dim + len(kernel) for _, _, _, kernel in comps)
     if dim == p.dim + 1:
@@ -508,9 +557,13 @@ def oracle_verdict(p: Polytope) -> OracleResult:
         for lam, den in _edge_rows(cols, kernel):
             if whole and len(set(lam)) == 1:
                 continue
-            sums = _tree_sums(xs, tree, lam)
-            fs = [sums.get(v, zero) for v in xs]
-            return OracleResult("Decomposable", dim, _residue(g, xs, mult, fs, den * mult))
+
+            def fit() -> DecomposingFunction:
+                sums = _tree_sums(xs, tree, lam)
+                fs = [sums.get(v, zero) for v in xs]
+                return _residue(g, xs, mult, fs, den * mult)
+
+            return OracleResult("Decomposable", dim, _PendingWitness(fit))
     raise InvalidInputError(
         "oracle dimension exceeds d+1 but every basis element is a homothety"
     )

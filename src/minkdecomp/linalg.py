@@ -9,14 +9,25 @@ denominator of a point set once, and the geometry then runs over Python
 integers.  Uniform scaling keeps every face, every rank and kernel of a
 system built from the points, and every sign test, so integer results
 convert back to the rational answer by one division at the end.
-Elimination is fraction-free integer row reduction in the kernels
-module.  `Fraction` values are made only at the edges: reading off a
-kernel basis, the normalised hyperplanes callers keep, and witnesses.
+
+Two eliminations serve two kinds of question.  A full kernel (the cycle
+systems and edge rows of the rank oracle) needs the reduced row echelon
+form, fraction-free integer Gauss-Jordan in the kernels module.  A rank
+with a known cap needs less: `affine_rank` (difference rows) and
+`int_hyperplane` (incidence rows) add rows one at a time to a
+fraction-free echelon (`_Echelon`) and stop as soon as the rank reaches
+the cap.  A hyperplane fit to points that span more than a hyperplane
+then costs d row insertions and dot products up to the first point off
+the candidate plane, not an elimination over all of them.
+`int_collinear` answers the three-point case with 2x2 minors.
+`Fraction` values are made only at the edges: reading off a kernel
+basis, the normalised hyperplanes callers keep, and witnesses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -29,13 +40,19 @@ class Vec(tuple):
     """Point or direction with exact rational coordinates.
 
     Immutable, hashable, componentwise arithmetic.  Mixed-length
-    operations raise ValueError (zip strict).
+    operations raise ValueError (zip strict).  Wrapping a Vec returns it
+    unchanged, and `Fraction` coordinates are kept as they are, so
+    re-wrapping already exact points costs no new fractions.
     """
 
     __slots__ = ()
 
     def __new__(cls, coords: Iterable) -> "Vec":
-        return super().__new__(cls, (Fraction(c) for c in coords))
+        if type(coords) is cls:
+            return coords
+        return super().__new__(
+            cls, (c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+        )
 
     def __add__(self, other) -> "Vec":
         return Vec(a + b for a, b in zip(self, other, strict=True))
@@ -143,13 +160,74 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int, List[Vec
     return len(pivot_cols), [fraction_vec(vec, vec[f]) for f, vec in zip(free, basis)]
 
 
+class _Echelon:
+    """A fraction-free integer row echelon form, grown one row at a time.
+
+    The rows are kept primitive, in the order they were added, each with
+    its pivot column, its first nonzero entry; a row is zero at the pivot
+    columns of the rows before it.  `add` eliminates a new row's entries
+    at the pivot columns in that order, each step a fraction-free
+    combination with the pivot row, which keeps the entries already
+    eliminated at zero.  A nonzero remainder is appended with its first
+    nonzero entry as a new pivot, and the rank grows by one.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows: List[Tuple[int, List[int]]] = []
+
+    def add(self, row: List[int]) -> bool:
+        """Append row reduced; True iff it is independent of the rows so far."""
+        for c, prow in self.rows:
+            x = row[c]
+            if x:
+                p = prow[c]
+                g = gcd(p, x)
+                p, x = p // g, x // g
+                row = [a * p - x * b for a, b in zip(row, prow)]
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None:
+            return False
+        g = gcd(*row)
+        self.rows.append((c, [a // g for a in row] if g != 1 else row))
+        return True
+
+    def kernel_vector(self, ncols: int) -> List[int]:
+        """The integer vector spanning the kernel of an echelon of rank
+        ncols - 1: 1 at the free column, scaled up as needed, and each
+        pivot entry solved by back-substitution, last row first.  A row
+        is nonzero only at its pivot, at the pivots of later rows and at
+        the free column, which are all set by then."""
+        pivots = {c for c, _ in self.rows}
+        h = [0] * ncols
+        h[next(j for j in range(ncols) if j not in pivots)] = 1
+        for c, row in reversed(self.rows):
+            # h[c] is still 0, so this is the rest of the row's equation.
+            s = sum(a * b for a, b in zip(row, h))
+            p = row[c]
+            g = gcd(p, s)
+            if p != g:
+                h = [x * (p // g) for x in h]
+            h[c] = -(s // g)
+        return h
+
+
 def affine_rank(points: Sequence[Sequence[int]], d: int) -> int:
-    """Dimension of the affine hull of integer points in R^d (0 if empty)."""
+    """Dimension of the affine hull of integer points in R^d (0 if empty).
+
+    The differences from the first point enter a fraction-free echelon
+    one at a time (`_Echelon`), which stops as soon as the rank is d.
+    """
     if not points:
         return 0
     base = points[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return len(kernels.rref_int([r for r in diffs if any(r)], d)[0])
+    ech = _Echelon()
+    for p in islice(points, 1, None):
+        if len(ech.rows) == d:
+            break
+        ech.add([a - b for a, b in zip(p, base)])
+    return len(ech.rows)
 
 
 def int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[List[int], int]]:
@@ -159,26 +237,51 @@ def int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[List[int],
     entry of a is positive, or None when the points do not affinely span
     exactly a hyperplane: uniqueness holds for any number of points
     precisely when the incidence system p.a - b = 0 has a one-dimensional
-    kernel.
+    kernel.  That vector is unique, so it does not depend on the order
+    the system is solved in.
+
+    The incidence rows (p, -1) enter a fraction-free echelon one at a
+    time (`_Echelon`) until its rank reaches d.  Then the kernel of the
+    rows so far is one-dimensional, and back-substitution gives its
+    vector (a, b), the only candidate; each remaining point is tested on
+    it by a dot product (`int_side`), since a point off it would raise
+    the rank to d+1.  Points that run out below rank d leave a kernel of
+    dimension two or more.
     """
     if not points:
         return None
     d = len(points[0])
-    _, kernel = int_kernel_basis([list(p) + [-1] for p in points], d + 1)
-    if len(kernel) != 1:
+    ech = _Echelon()
+    k = 0
+    while len(ech.rows) < d:
+        if k == len(points):
+            return None
+        ech.add([*points[k], -1])
+        k += 1
+    h = ech.kernel_vector(d + 1)
+    a, b = h[:d], h[d]
+    if any(int_side(a, b, p) for p in islice(points, k, None)):
         return None
-    h = kernel[0]
-    lead = next((x for x in h[:d] if x), None)
-    if lead is None:
-        # a = 0 forces b = 0, the zero vector; cannot occur in a kernel basis.
-        return None
-    g = gcd(*h) if lead > 0 else -gcd(*h)
-    return [x // g for x in h[:d]], h[d] // g
+    # a = 0 would force b = 0 on the first point: a is nonzero.
+    g = gcd(*h) if next(x for x in a if x) > 0 else -gcd(*h)
+    return [x // g for x in a], b // g
 
 
 def int_side(a: Sequence[int], b: int, x: Sequence[int]) -> int:
     """a.x - b over integers: its sign tells the side of the plane."""
     return sum(u * v for u, v in zip(a, x)) - b
+
+
+def int_collinear(p: Sequence[int], q: Sequence[int], r: Sequence[int]) -> bool:
+    """Whether three integer points lie on one line, coincident points
+    included: q - p and r - p are parallel or one of them is zero, which
+    every 2x2 minor of the two differences vanishing says."""
+    u = [x - y for x, y in zip(q, p)]
+    v = [x - y for x, y in zip(r, p)]
+    j = next((i for i, c in enumerate(u) if c), None)
+    if j is None:
+        return True
+    return all(u[j] * y == v[j] * x for x, y in zip(u, v))
 
 
 def rank_and_kernel(
@@ -288,40 +391,6 @@ def point_in_hull(p: Sequence[Rational], points: Sequence[Sequence[Rational]]) -
     rows = [[q[r] for q in pts] for r in range(d)]
     rows.append([Fraction(1)] * len(pts))
     rhs = list(pt) + [Fraction(1)]
-    return _phase1_feasible(rows, rhs)
-
-
-def linear_feasible(
-    eq_rows: Sequence[Sequence[Rational]],
-    eq_rhs: Sequence[Rational],
-    le_rows: Sequence[Sequence[Rational]],
-    le_rhs: Sequence[Rational],
-    nvars: int,
-) -> bool:
-    """Is there an unrestricted x with Aeq.x = beq and Ale.x <= ble?
-
-    Free variables are split into differences of nonnegative ones and
-    inequalities get slack variables, then phase-1 simplex decides.
-    """
-    rows = []
-    rhs = []
-    nslack = len(le_rows)
-    for row, b in zip(eq_rows, eq_rhs, strict=True):
-        split = []
-        for c in row:
-            split.extend((Fraction(c), -Fraction(c)))
-        rows.append(split + [Fraction(0)] * nslack)
-        rhs.append(Fraction(b))
-    for k, (row, b) in enumerate(zip(le_rows, le_rhs, strict=True)):
-        split = []
-        for c in row:
-            split.extend((Fraction(c), -Fraction(c)))
-        slack = [Fraction(0)] * nslack
-        slack[k] = Fraction(1)
-        rows.append(split + slack)
-        rhs.append(Fraction(b))
-    if any(len(r) != 2 * nvars + nslack for r in rows):
-        raise ValueError("row length does not match nvars")
     return _phase1_feasible(rows, rhs)
 
 

@@ -25,7 +25,6 @@ from .linalg import (
     as_int_coords,
     int_hyperplane,
     int_side,
-    linear_feasible,
     normalised_plane,
     point_in_hull,
 )
@@ -52,7 +51,9 @@ class Polytope:
         """Build with facets enumerated from scratch (under the guard).
 
         Every point must be a vertex of the hull; InvalidInputError
-        names the points that are not (`_non_vertices`).
+        names the points that are not (`_non_vertices`).  The facet
+        planes are kept as the hull gives them: integral normals, and
+        offsets over the vertices' common denominator (`int_coords`).
         """
         verts = tuple(Vec(v) for v in vertices)
         data = hull.facet_data(dim, verts)
@@ -191,24 +192,6 @@ def is_simple(p: Polytope) -> bool:
     return all(deg == p.dim for deg in degree)
 
 
-def is_geometric_edge(p: Polytope, u: int, v: int) -> bool:
-    """Supporting-hyperplane test: some (a, b) has a.u = a.v = b and
-    a.w <= b - 1 for every other vertex (the margin is scale-free since
-    (a, b) ranges over all of R^{d+1})."""
-    d = p.dim
-    pu, pv = p.vertices[u], p.vertices[v]
-    eq_rows = [list(pu) + [-1], list(pv) + [-1]]
-    eq_rhs = [Fraction(0), Fraction(0)]
-    le_rows = []
-    le_rhs = []
-    for w, pw in enumerate(p.vertices):
-        if w in (u, v):
-            continue
-        le_rows.append(list(pw) + [-1])
-        le_rhs.append(Fraction(-1))
-    return linear_feasible(eq_rows, eq_rhs, le_rows, le_rhs, d + 1)
-
-
 @dataclass
 class ValidationReport:
     violations: List[str]
@@ -218,7 +201,7 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(p: Polytope, check_edges: bool = False) -> ValidationReport:
+def validate(p: Polytope) -> ValidationReport:
     """Check every structural invariant geometrically; collect all failures.
 
     Once the facet checks pass, every point must be a vertex of the hull;
@@ -267,16 +250,6 @@ def validate(p: Polytope, check_edges: bool = False) -> ValidationReport:
         stray = _non_vertices(n, p.facets)
         if stray:
             out.append(_stray_message(p.vertices, stray))
-    if check_edges and not out:
-        combinatorial = set(p.edges())
-        for u in range(n):
-            for v in range(u + 1, n):
-                geo = is_geometric_edge(p, u, v)
-                if geo != ((u, v) in combinatorial):
-                    out.append(
-                        f"edge rule mismatch on ({u},{v}): "
-                        f"combinatorial={ (u, v) in combinatorial }, geometric={geo}"
-                    )
     return ValidationReport(out)
 
 

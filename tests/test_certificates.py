@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from minkdecomp import certificates
+from minkdecomp import certificates, graphs
 from minkdecomp.catalogue import catalogue_entry, catalogue_list, sum_of_point_sets
 from minkdecomp.certificates import (
     AnalysisReport,
@@ -705,19 +705,38 @@ for _f in range(len(capped_prism().facets)):
     STACK_CASES[f"capped-prism-stacked-{_f}"] = lambda f=_f: stack_pyramid(capped_prism(), f)
 
 
+def _stack_image(name, scale, seed):
+    """A relabelled, shifted copy of a stack case scaled by `scale`, so
+    the apex and the reduced polytope clear different denominators."""
+    p = STACK_CASES[name]()
+    vertices, facets = _relabelled_image(p, random.Random(seed), scale)
+    return Polytope(p.dim, vertices, facets)
+
+
+for _k, _name in enumerate(sorted(STACK_CASES)):
+    for _scale in (Fraction(1, 2), Fraction(5, 3), Fraction(10**12)):
+        STACK_CASES[f"{_name}*{_scale}"] = (
+            lambda name=_name, scale=_scale, seed=_k: _stack_image(name, scale, seed)
+        )
+
+
 @pytest.mark.parametrize("name", sorted(STACK_CASES))
 def test_stack_structure_matches_reduced_hull_reference(name):
     p = STACK_CASES[name]()
+    apexes = 0
     for u in range(len(p.vertices)):
         got = certificates._stack_structure(p, u)
         want = _stack_structure_reference(p, u)
         if want is None:
             assert got is None, u
         else:
+            apexes += 1
             assert got is not None, u
             assert got[1] == want[1]
             assert got[0].vertices == want[0].vertices
             assert got[0].facets == want[0].facets
+    if "stacked" in name:
+        assert apexes
 
 
 @pytest.mark.parametrize("build", [bd198, lambda: stack_pyramid(cyclic(8, 4), 0)])
@@ -729,8 +748,41 @@ def test_replay_rejects_every_non_apex_in_reduction(build):
     apex, fmem, sub = first.inputs
     others = [u for u in range(len(p.vertices)) if _stack_structure_reference(p, u) is None]
     assert others
-    for u in others:
+    # Indices that name no vertex are refused the same way.
+    for u in others + [-1, len(p.vertices)]:
         bad = dataclasses.replace(first, inputs=(u, fmem, sub))
         tampered = CertificateTrace((bad,) + trace.steps[1:], trace.verdict, "")
         ok, why = replay_report(tampered, p)
         assert not ok and "vertex is not a stacked pyramid apex" in why, (u, why)
+
+
+# ---------------------------------------------------------------------------
+# The oracle's witness
+
+
+def test_analyze_fits_the_oracle_witness_only_when_it_hands_it_out(monkeypatch):
+    fits = []
+    real = graphs._residue
+
+    def record(*args):
+        fits.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "_residue", record)
+    # Closed by the facet slide and by a count rule: no fit.
+    assert analyze(capped_prism()).method == "certificate"
+    assert analyze(cube(3)).method == "count-rule"
+    assert not fits
+    # Closed by the oracle, and oracle-only: one fit each, handed out.
+    p = catalogue_entry("sum-25-edges").build()
+    r = analyze(p)
+    assert (r.verdict, r.method, len(fits)) == ("Decomposable", "oracle", 1)
+    assert r.witness.check(skeleton(p))
+    r = analyze(capped_prism(), "oracle-only")
+    assert len(fits) == 2
+    assert r.witness.check(skeleton(capped_prism()))
+    # The deferred witness is fitted once, on first read.
+    o = graphs.oracle_verdict(p)
+    assert len(fits) == 2
+    assert o.witness is o.witness
+    assert len(fits) == 3

@@ -90,8 +90,11 @@ def test_rref_matches_reference_on_random_matrices():
 
 
 def test_rref_matches_reference_on_library_systems(monkeypatch):
-    """The facet systems `validate` fits and the cycle and edge-basis
-    systems of `decomposing_space`, over the catalogue."""
+    """The cycle and edge-basis systems of `decomposing_space`, and the
+    homogeneous facet systems (one row (x, -1) per facet vertex), over
+    the catalogue.  `validate` fits its facets with the early-exit
+    echelon of `linalg`, not `rref_int`, so the facet systems are fed in
+    directly."""
     calls = []
     real = kernels.rref_int
 
@@ -104,6 +107,8 @@ def test_rref_matches_reference_on_library_systems(monkeypatch):
         p = e.build()
         assert validate(p).ok
         decomposing_space(skeleton(p))
+        ints, _ = p.int_coords()
+        calls.extend(([list(ints[i]) + [-1] for i in f], p.dim + 1) for f in p.facets)
     monkeypatch.undo()
     assert len(calls) > 300
     for rows, ncols in calls:

@@ -6,6 +6,7 @@ they produce can vouch for rank_and_kernel and, downstream, for the
 decomposing-space computation.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,15 +19,22 @@ from minkdecomp.linalg import (
     as_int_coords,
     clear_denominators,
     int_hyperplane,
+    int_collinear,
     int_kernel,
-    linear_feasible,
     point_in_hull,
     rank_and_kernel,
     unit_vec,
     zero_vec,
 )
 
-from reference_linalg import hyperplane_through, matrix_rank, solve_exact
+from reference_linalg import (
+    hyperplane_through,
+    linear_feasible,
+    matrix_rank,
+    reference_affine_rank,
+    reference_int_hyperplane,
+    solve_exact,
+)
 
 
 def reference_rank(rows, ncols):
@@ -222,3 +230,84 @@ def test_int_hyperplane_is_primitive_with_positive_lead():
     assert hyperplane_through([(Fraction(3, 5), 0), (Fraction(1, 5), Fraction(-1, 5))]) == (
         Vec((1, -2)), Fraction(3, 5)
     )
+
+
+def _random_point_set(rng):
+    """Integer points in R^d, d = 1..7: random points, affine
+    combinations of a few base points (coplanar and rank-deficient sets)
+    and repeats, with entries up to 2^70 in one set of five."""
+    d = rng.randint(1, 7)
+    huge = rng.random() < 0.2
+    bound = 2**70 if huge else 6
+    base = [
+        tuple(rng.randint(-bound, bound) for _ in range(d))
+        for _ in range(rng.randint(1, d + 1))
+    ]
+    points = []
+    for _ in range(rng.randint(1, d + 3)):
+        kind = rng.random()
+        if kind < 0.15 and points:
+            points.append(rng.choice(points))
+        elif kind < 0.65:
+            # Integer affine combination: the weights sum to 1.
+            weights = [rng.randint(-3, 3) for _ in base[1:]]
+            weights.insert(0, 1 - sum(weights))
+            points.append(
+                tuple(sum(w * q[j] for w, q in zip(weights, base)) for j in range(d))
+            )
+        else:
+            points.append(tuple(rng.randint(-bound, bound) for _ in range(d)))
+    return d, points
+
+
+def test_early_exit_fits_match_full_elimination_on_random_point_sets():
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(12_000):
+        d, points = _random_point_set(rng)
+        want = reference_int_hyperplane(points)
+        assert int_hyperplane(points) == want, points
+        rank = reference_affine_rank(points, d)
+        assert affine_rank(points, d) == rank, points
+        kinds.add((want is not None, rank == d, len(points) > d + 1))
+    # Unique planes through more than d points, spanning sets, and
+    # rank-deficient sets all occur.
+    assert kinds >= {(True, False, True), (False, True, True), (False, False, True),
+                     (True, False, False), (False, False, False)}
+
+
+def test_early_exit_fits_match_full_elimination_on_catalogue_facets():
+    from minkdecomp.catalogue import catalogue_list
+
+    for e in catalogue_list():
+        p = e.build()
+        ints, _ = p.int_coords()
+        assert affine_rank(ints, p.dim) == reference_affine_rank(ints, p.dim) == p.dim
+        for f in p.facets:
+            pts = [ints[i] for i in f]
+            assert int_hyperplane(pts) == reference_int_hyperplane(pts) is not None
+        for v in range(len(ints)):
+            nbrs = [ints[x] for x in p.neighbors(v)]
+            assert int_hyperplane(nbrs) == reference_int_hyperplane(nbrs)
+
+
+def test_int_collinear_is_total():
+    assert int_collinear((0, 0), (1, 1), (3, 3))
+    assert not int_collinear((0, 0), (1, 0), (0, 1))
+    # Coincident points are collinear with anything, in any position.
+    for p, q, r in [((1, 2), (1, 2), (5, 7)), ((1, 2), (5, 7), (1, 2)),
+                    ((5, 7), (1, 2), (1, 2)), ((1, 2), (1, 2), (1, 2))]:
+        assert int_collinear(p, q, r)
+    rng = random.Random(3)
+    for _ in range(2000):
+        d = rng.randint(1, 5)
+        pts = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(3)]
+        assert int_collinear(*pts) == (not affinely_independent(pts))
+
+
+def test_vec_keeps_vecs_and_fractions():
+    v = Vec((Fraction(1, 2), 3))
+    assert Vec(v) is v
+    half = Fraction(1, 2)
+    assert Vec((half, 1))[0] is half
+    assert Vec((1, "2/3")) == (Fraction(1), Fraction(2, 3))

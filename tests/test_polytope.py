@@ -34,7 +34,6 @@ from minkdecomp.polytope import (
     Polytope,
     facet_as_polytope,
     incidence_isomorphic,
-    is_geometric_edge,
     is_simple,
     minkowski_sum,
     prism_over,
@@ -44,7 +43,7 @@ from minkdecomp.polytope import (
     validate,
 )
 
-from reference_linalg import matrix_rank
+from reference_linalg import is_geometric_edge, matrix_rank
 
 
 def reference_common_hyperplane(pts):
@@ -219,8 +218,14 @@ def test_translate_preserves_combinatorics():
 
 def test_validate_accepts_catalogue_shapes():
     for p in (simplex(4), octahedron(), delta(2, 2)):
-        rep = validate(p, check_edges=True)
-        assert rep.ok, rep.problems
+        rep = validate(p)
+        assert rep.ok, rep.violations
+        # The combinatorial edge rule agrees with the supporting-hyperplane LP.
+        n = len(p.vertices)
+        combinatorial = set(p.edges())
+        for u in range(n):
+            for v in range(u + 1, n):
+                assert is_geometric_edge(p, u, v) == ((u, v) in combinatorial), (u, v)
 
 
 def test_validate_flags_tampered_facets():
