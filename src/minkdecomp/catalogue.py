@@ -25,8 +25,15 @@ from .constructors import (
     simplex,
     wedge,
 )
-from .linalg import Vec, point_in_hull
-from .polytope import FVector, Polytope, prism_over, pyramid_over, validate
+from .linalg import Vec
+from .polytope import (
+    FVector,
+    Polytope,
+    extreme_points,
+    prism_over,
+    pyramid_over,
+    validate,
+)
 
 
 def sum_of_point_sets(
@@ -40,12 +47,7 @@ def sum_of_point_sets(
             s = Vec(x) + Vec(y)
             if s not in pts:
                 pts.append(s)
-    extreme = [
-        p
-        for i, p in enumerate(pts)
-        if not point_in_hull(p, pts[:i] + pts[i + 1 :])
-    ]
-    return Polytope.from_vertices(dim, extreme, name=name)
+    return Polytope.from_vertices(dim, extreme_points(dim, pts), name=name)
 
 
 _E = [[int(i == j) for j in range(4)] for i in range(4)]

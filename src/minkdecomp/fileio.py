@@ -3,7 +3,10 @@
 Coordinates are integers or "p/q" strings, never floats.  Facets are
 optional on input (recomputed under the enumeration guard when absent)
 and always written on output, with members and facet lists sorted, so
-write -> read -> write is byte-identical.
+write -> read -> write is byte-identical.  Listed facets must be exactly
+the facets of the hull of the vertices, each listing every vertex on its
+hyperplane once, in any order: `validate` checks them against the hull,
+which it builds under the same guard.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ def polytope_from_dict(data: dict) -> Polytope:
             raise InvalidInputError("each facet must be a list of integers")
         if any(i < 0 or i >= len(vertices) for i in f):
             raise InvalidInputError("facet index out of range")
+        if len(set(f)) != len(f):
+            repeated = next(i for i in f if f.count(i) > 1)
+            raise InvalidInputError(f"facet lists vertex index {repeated} more than once")
         facets.append(tuple(sorted(f)))
     p = Polytope(dim, tuple(vertices), tuple(sorted(facets)), name=name)
     report = validate(p)

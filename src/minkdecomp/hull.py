@@ -14,6 +14,10 @@ integers (uniform scaling does not change the face structure).
 `SUBSET_GUARD` refuses inputs with more than 10^7 d-subsets
 (GuardExceededError): it is an admission bound on the input size only,
 not a measure of the hull's work.
+
+Two callers build the hull: `facet_data`, for `Polytope.from_vertices`,
+and `facet_masks`, for `polytope.validate`, which compares a file's
+listed facets with the hull's.  Both apply the guard.
 """
 
 from fractions import Fraction
@@ -46,10 +50,7 @@ def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
         raise InvalidInputError("vertex of wrong dimension")
     if len(set(pts)) != n:
         raise InvalidInputError("duplicate vertices")
-    if comb(n, d) > SUBSET_GUARD:
-        raise GuardExceededError(
-            f"C({n},{d}) = {comb(n, d)} d-subsets exceeds the guard of {SUBSET_GUARD}"
-        )
+    _admit(n, d)
     ints, mult = as_int_coords(pts)
     if affine_rank(ints, d) != d:
         raise DegenerateInputError("vertex set does not affinely span the ambient dimension")
@@ -62,3 +63,20 @@ def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
     out.sort(key=lambda t: t[0])
     return out
 
+
+def facet_masks(ints: Sequence[Sequence[int]], d: int):
+    """The set of facet bitmasks over the input indices of the hull of
+    integer points that affinely span R^d, under the guard.
+
+    Each mask holds every input point on the facet's hyperplane, so the
+    copies of a repeated point share their masks.
+    """
+    _admit(len(ints), d)
+    return {mask for mask, _, _ in kernels.facet_scan(ints, d)}
+
+
+def _admit(n: int, d: int) -> None:
+    if comb(n, d) > SUBSET_GUARD:
+        raise GuardExceededError(
+            f"C({n},{d}) = {comb(n, d)} d-subsets exceeds the guard of {SUBSET_GUARD}"
+        )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import hull
+from . import hull, kernels
 from .errors import InvalidInputError
 from .linalg import (
     Rational,
@@ -26,7 +26,6 @@ from .linalg import (
     int_hyperplane,
     int_side,
     normalised_plane,
-    point_in_hull,
 )
 
 
@@ -145,10 +144,35 @@ def _non_vertices(n: int, facets: Sequence[Sequence[int]]) -> List[int]:
     """
     meet = [-1] * n
     for members in facets:
-        mask = sum(1 << i for i in members)
+        mask = _mask(members)
         for i in members:
             meet[i] &= mask
     return [i for i in range(n) if meet[i] != 1 << i]
+
+
+def _mask(members: Sequence[int]) -> int:
+    out = 0
+    for i in members:
+        out |= 1 << i
+    return out
+
+
+def extreme_points(dim: int, points: Sequence[Vec]) -> List[Vec]:
+    """The points that are vertices of their convex hull, in their order.
+
+    One exact hull over all the points (`kernels.facet_scan`) and
+    `_non_vertices` on its facets; the points must be distinct.
+    Points that do not affinely span R^dim are returned unchanged, for
+    `Polytope.from_vertices` to reject.
+    """
+    if len(points) <= dim or any(len(x) != dim for x in points):
+        return list(points)
+    ints, _ = as_int_coords(points)
+    if affine_rank(ints, dim) != dim:
+        return list(points)
+    facets = [_members(mask) for mask, _, _ in kernels.facet_scan(ints, dim)]
+    stray = set(_non_vertices(len(points), facets))
+    return [x for i, x in enumerate(points) if i not in stray]
 
 
 def _stray_message(vertices: Sequence[Sequence[Rational]], stray: Sequence[int]) -> str:
@@ -202,10 +226,17 @@ class ValidationReport:
 
 
 def validate(p: Polytope) -> ValidationReport:
-    """Check every structural invariant geometrically; collect all failures.
+    """Check every structural invariant against the exact hull; collect
+    all failures.
 
-    Once the facet checks pass, every point must be a vertex of the hull;
-    the points that are not are named as `from_vertices` names them.
+    The hull of the points is built once (`hull.facet_masks`, under the
+    guard `from_vertices` applies, so a larger input raises
+    GuardExceededError), and the listed facets are compared with its
+    facets as vertex sets, so member order does not matter.  The listed
+    facets must be exactly the hull's: a listed facet the hull lacks is
+    fitted to name its fault, and once every other check passes, every
+    point must be a vertex of the hull (the points that are not are named
+    as `from_vertices` names them) and every hull facet must be listed.
     """
     out: List[str] = []
     n = len(p.vertices)
@@ -213,12 +244,14 @@ def validate(p: Polytope) -> ValidationReport:
     if any(len(v) != d for v in p.vertices):
         out.append("vertex coordinate length differs from dim")
         return ValidationReport(out)
-    if len(set(p.vertices)) != n:
-        out.append("duplicate vertex coordinates")
     ints, _ = p.int_coords()
+    if len(set(ints)) != n:
+        out.append("duplicate vertex coordinates")
     if n < d + 1 or affine_rank(ints, d) != d:
         out.append("vertex set does not affinely span the ambient dimension")
         return ValidationReport(out)
+    hull_masks = hull.facet_masks(ints, d)
+    listed = set()
     member_sets = [set(f) for f in p.facets]
     for fi, f in enumerate(p.facets):
         if len(f) < d:
@@ -226,6 +259,10 @@ def validate(p: Polytope) -> ValidationReport:
             continue
         if not all(0 <= v < n for v in f):
             out.append(f"facet {fi} has an out-of-range vertex index")
+            continue
+        mask = _mask(f)
+        if mask in hull_masks:
+            listed.add(mask)
             continue
         fitted = int_hyperplane([ints[i] for i in f])
         if fitted is None:
@@ -240,17 +277,26 @@ def validate(p: Polytope) -> ValidationReport:
     for v in range(n):
         if sum(1 for f in member_sets if v in f) < d:
             out.append(f"vertex {v} lies in fewer than {d} facets")
-    for i, a in enumerate(member_sets):
-        for j, b in enumerate(member_sets):
-            if i != j and a <= b:
-                out.append(f"facet {i} is contained in facet {j}")
+    # Distinct hull facets never contain one another.
+    if len(listed) != len(p.facets):
+        for i, a in enumerate(member_sets):
+            for j, b in enumerate(member_sets):
+                if i != j and a <= b:
+                    out.append(f"facet {i} is contained in facet {j}")
     if not out:
-        # The facet checks passed, so each facet lists every point on its
-        # hyperplane, which is what `_non_vertices` reads.
+        # Every listed facet is a hull facet, which holds every point on
+        # its hyperplane, as `_non_vertices` needs.
         stray = _non_vertices(n, p.facets)
         if stray:
             out.append(_stray_message(p.vertices, stray))
+        else:
+            missing = sorted(_members(m) for m in hull_masks - listed)
+            out.extend(f"hull facet {members} is not listed" for members in missing)
     return ValidationReport(out)
+
+
+def _members(mask: int) -> Tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def minkowski_sum(p: Polytope, q, name: Optional[str] = None) -> Polytope:
@@ -267,12 +313,7 @@ def minkowski_sum(p: Polytope, q, name: Optional[str] = None) -> Polytope:
     if any(len(x) != p.dim for x in q_vertices):
         raise InvalidInputError("summands live in different ambient dimensions")
     candidates = sorted(set(a + b for a in p.vertices for b in q_vertices))
-    keep = [
-        c
-        for i, c in enumerate(candidates)
-        if not point_in_hull(c, [x for j, x in enumerate(candidates) if j != i])
-    ]
-    return Polytope.from_vertices(p.dim, keep, name=name)
+    return Polytope.from_vertices(p.dim, extreme_points(p.dim, candidates), name=name)
 
 
 def prism_over(p: Polytope, name: Optional[str] = None) -> Polytope:

@@ -10,8 +10,11 @@ uses directly.
 `reference_int_hyperplane` and `reference_affine_rank` are the fits by
 full Gauss-Jordan elimination over every point (`kernels.rref_int`);
 the library's early-exit echelon must give the same answers.  The exact
-LP `linear_feasible` backs `is_geometric_edge`, the supporting-hyperplane
-edge test the combinatorial edge rule is checked against.
+phase-1 simplex `_phase1_feasible` backs two LP tests: `point_in_hull`,
+the membership test the hull's vertex pruning (`from_vertices`,
+`extreme_points`) is checked against, and `linear_feasible`, behind
+`is_geometric_edge`, the supporting-hyperplane edge test the
+combinatorial edge rule is checked against.
 
 `reference_rref_int` is the row reduction that keeps every row primitive
 throughout; `test_kernels` checks the library's against it.
@@ -25,7 +28,6 @@ from minkdecomp import kernels
 from minkdecomp.linalg import (
     Rational,
     Vec,
-    _phase1_feasible,
     as_int_coords,
     clear_denominators,
     int_hyperplane,
@@ -99,6 +101,85 @@ def reference_int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[
         return None
     g = gcd(*h) if lead > 0 else -gcd(*h)
     return [x // g for x in h[:d]], h[d] // g
+
+
+def _phase1_feasible(rows: List[List[Fraction]], rhs: List[Fraction]) -> bool:
+    """Exact phase-1 simplex: is {x >= 0 : A.x = b} nonempty?
+
+    Bland's rule on entering and leaving variables, so termination is
+    guaranteed despite degeneracy.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return True
+    # Flip rows so every right-hand side is nonnegative, then append an
+    # identity of artificial variables; minimize their sum.
+    tab = []
+    for i in range(m):
+        row = list(rows[i])
+        b = rhs[i]
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tab.append(row + art + [b])
+    basis = list(range(n, n + m))
+    total = n + m
+    # Reduced cost row for the artificial objective, with the artificial
+    # basis already priced out: cost_j = c_j - sum_i tab[i][j].
+    cost = []
+    for j in range(total):
+        cj = Fraction(1) if j >= n else Fraction(0)
+        cost.append(cj - sum(tab[i][j] for i in range(m)))
+    objective = -sum((tab[i][-1] for i in range(m)), Fraction(0))
+
+    while True:
+        enter = next((j for j in range(total) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coeff = tab[i][enter]
+            if coeff > 0:
+                ratio = tab[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            # Cannot happen: the artificial objective is bounded below by 0.
+            raise ArithmeticError("unbounded phase-1 objective")
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        if cost[enter]:
+            f = cost[enter]
+            for j in range(total):
+                cost[j] -= f * tab[leave][j]
+            objective -= f * tab[leave][-1]
+        basis[leave] = enter
+    return objective == 0
+
+
+def point_in_hull(p: Sequence[Rational], points: Sequence[Sequence[Rational]]) -> bool:
+    """True iff p is a convex combination of the given points (exact LP)."""
+    if not points:
+        return False
+    pt = Vec(p)
+    pts = [Vec(q) for q in points]
+    d = len(pt)
+    if any(len(q) != d for q in pts):
+        raise ValueError("points of mixed dimension")
+    # sum mu_i q_i = p, sum mu_i = 1, mu >= 0
+    rows = [[q[r] for q in pts] for r in range(d)]
+    rows.append([Fraction(1)] * len(pts))
+    rhs = list(pt) + [Fraction(1)]
+    return _phase1_feasible(rows, rhs)
 
 
 def linear_feasible(

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from minkdecomp import certificates
+from minkdecomp import certificates, kernels
 from minkdecomp.cli import main
 from minkdecomp.fileio import loads, read_polytope, write_polytope
 from minkdecomp.constructors import capped_prism, cube, cyclic, simplex
@@ -193,20 +193,49 @@ def test_analyze_rejects_non_extreme_point_in_listed_facets(tmp_path, capsys):
     assert "homothety" not in err
 
 
-def test_analyze_guard_exit_code(tmp_path, capsys):
+def _guard_document():
     import random
 
     rng = random.Random(11)
     pts = {tuple(rng.randrange(0, 2) for _ in range(12)) for _ in range(40)}
-    doc = {
+    return {
         "format_version": "1",
         "dimension": 12,
         "vertices": [list(p) for p in sorted(pts)],
     }
+
+
+def test_analyze_guard_exit_code(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_guard_document()), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 3 and "error:" in err
+
+
+def test_analyze_guard_exit_code_with_listed_facets(tmp_path, capsys, monkeypatch):
+    # `validate` builds the hull to check listed facets, under the same
+    # guard; the hull must not even start.
+    def no_scan(*args):
+        raise AssertionError("facet_scan ran above the guard")
+
+    monkeypatch.setattr(kernels, "facet_scan", no_scan)
+    doc = _guard_document()
+    doc["facets"] = [list(range(12)), list(range(12, 24))]
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, "analyze", str(path))
-    assert code == 3 and "error:" in err
+    assert code == 3 and "exceeds the guard" in err
+
+
+def test_analyze_rejects_a_facet_list_missing_a_facet(tmp_path, capsys, octa_file):
+    with open(octa_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    missing = doc["facets"].pop(3)
+    path = tmp_path / "octa-missing.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert f"hull facet {tuple(missing)} is not listed" in err
 
 
 def test_analyze_inconsistency_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """JSON serialization: exact coordinates, canonical output."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -52,43 +54,42 @@ def test_no_floats_in_output():
         assert all(isinstance(c, (int, str)) for c in row)
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.update(format_version="2"),
-        lambda d: d.update(dimension=0),
-        lambda d: d.update(dimension="3"),
-        lambda d: d.update(dimension=True),
-        lambda d: d.update(vertices=[]),
-        lambda d: d.update(vertices=[[0.5, 0, 0]] + d["vertices"][1:]),
-        lambda d: d.update(vertices=[[True, 0, 0]] + d["vertices"][1:]),
-        lambda d: d.update(vertices=[["1/0", 0, 0]] + d["vertices"][1:]),
-        lambda d: d.update(vertices=[v[:2] for v in d["vertices"]]),
-        lambda d: d.update(facets=[[0, 99]]),
-        lambda d: d.update(facets=[[0, False, 2]]),
-        lambda d: d.update(facets="not-a-list"),
-        lambda d: d.update(name=7),
-    ],
-    ids=[
-        "version",
-        "dim-zero",
-        "dim-string",
-        "dim-bool",
-        "no-vertices",
-        "float-coord",
-        "bool-coord",
-        "zero-denominator",
-        "short-vertex",
-        "facet-range",
-        "facet-bool",
-        "facets-type",
-        "name-type",
-    ],
-)
+REJECTED_DOCUMENTS = {
+    "version": (lambda d: d.update(format_version="2"), "unsupported format_version"),
+    "dim-zero": (lambda d: d.update(dimension=0), "dimension must be a positive integer"),
+    "dim-string": (lambda d: d.update(dimension="3"), "dimension must be a positive integer"),
+    "dim-bool": (lambda d: d.update(dimension=True), "dimension must be a positive integer"),
+    "no-vertices": (lambda d: d.update(vertices=[]), "vertices must be a nonempty list"),
+    "float-coord": (
+        lambda d: d.update(vertices=[[0.5, 0, 0]] + d["vertices"][1:]), "must be exact"
+    ),
+    "bool-coord": (
+        lambda d: d.update(vertices=[[True, 0, 0]] + d["vertices"][1:]), "must be exact"
+    ),
+    "zero-denominator": (
+        lambda d: d.update(vertices=[["1/0", 0, 0]] + d["vertices"][1:]), "bad coordinate '1/0'"
+    ),
+    "short-vertex": (
+        lambda d: d.update(vertices=[v[:2] for v in d["vertices"]]), "needs 3 coordinates"
+    ),
+    "facet-range": (lambda d: d.update(facets=[[0, 99]]), "facet index out of range"),
+    "facet-bool": (
+        lambda d: d.update(facets=[[0, False, 2]]), "each facet must be a list of integers"
+    ),
+    "facet-repeat": (
+        lambda d: d["facets"].append([0, 0, 1, 2]), "facet lists vertex index 0 more than once"
+    ),
+    "facets-type": (lambda d: d.update(facets="not-a-list"), "facets must be a list"),
+    "name-type": (lambda d: d.update(name=7), "name must be a string"),
+}
+
+
+@pytest.mark.parametrize("mutate", list(REJECTED_DOCUMENTS))
 def test_rejected_documents(mutate):
+    change, message = REJECTED_DOCUMENTS[mutate]
     data = polytope_to_dict(simplex(3))
-    mutate(data)
-    with pytest.raises(InvalidInputError):
+    change(data)
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
         polytope_from_dict(data)
 
 
@@ -115,3 +116,16 @@ def test_nameless_polytope_omits_name_key():
     p = Polytope.from_vertices(1, [[0], [1]])
     assert "name" not in polytope_to_dict(p)
     assert loads(dumps(p)).name is None
+
+
+def test_benchmark_inputs_with_facets_load():
+    # The committed benchmark inputs list their facets; each must pass
+    # `validate`, which requires exactly the hull's facets.
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs", "polytopes.json")
+    with open(path, encoding="utf-8") as fh:
+        bases = json.load(fh)
+    listed = {name: data for name, data in bases.items() if "facets" in data}
+    assert len(listed) == 48
+    for name, data in listed.items():
+        p = polytope_from_dict(data)
+        assert [list(f) for f in p.facets] == data["facets"], name

@@ -21,7 +21,6 @@ from minkdecomp.linalg import (
     int_hyperplane,
     int_collinear,
     int_kernel,
-    point_in_hull,
     rank_and_kernel,
     unit_vec,
     zero_vec,
@@ -31,6 +30,7 @@ from reference_linalg import (
     hyperplane_through,
     linear_feasible,
     matrix_rank,
+    point_in_hull,
     reference_affine_rank,
     reference_int_hyperplane,
     solve_exact,

@@ -2,10 +2,12 @@
 
 Facet-plane fits and `validate` run over cleared integer coordinates.
 The rational fit they replaced (`reference_common_hyperplane`) and the
-rational facet checks of `validate` (`reference_validate`, which also
-names the points that are not vertices once the facet checks pass) are
-kept below as references, on catalogue images and on broken inputs with
-fractional coordinates.
+rational facet checks of `validate` (`reference_validate`, which fits
+every listed facet and, once the facet checks pass, names the points
+that are not vertices and the hull facets that are not listed) are kept
+below as references, on catalogue images, on broken inputs with
+fractional coordinates and on seeded tampered facet lists.  `validate`
+itself fits only the listed facets the hull lacks.
 """
 
 import random
@@ -26,12 +28,16 @@ from minkdecomp.constructors import (
     simplex,
     wedge,
 )
-from minkdecomp.catalogue import catalogue_list
-from minkdecomp.errors import InvalidInputError
-from minkdecomp.linalg import Vec, point_in_hull, rank_and_kernel
+from minkdecomp import hull
+from minkdecomp.catalogue import catalogue_list, sum_of_point_sets
+from minkdecomp.errors import DegenerateInputError, InvalidInputError
+from minkdecomp.fileio import polytope_from_dict, polytope_to_dict
+from minkdecomp.linalg import Vec, rank_and_kernel
 from minkdecomp.polytope import (
     FVector,
     Polytope,
+    _non_vertices,
+    extreme_points,
     facet_as_polytope,
     incidence_isomorphic,
     is_simple,
@@ -43,7 +49,7 @@ from minkdecomp.polytope import (
     validate,
 )
 
-from reference_linalg import is_geometric_edge, matrix_rank
+from reference_linalg import is_geometric_edge, matrix_rank, point_in_hull
 
 
 def reference_common_hyperplane(pts):
@@ -72,7 +78,8 @@ def reference_facet_plane(p, members):
 
 
 def reference_validate(p):
-    """The rational `validate` (without the edge check)."""
+    """The rational `validate`: every listed facet fitted, then the hull's
+    facets (`hull.facet_data`) compared with the listed ones."""
     out = []
     n = len(p.vertices)
     d = p.dim
@@ -120,6 +127,11 @@ def reference_validate(p):
                 "not vertices of the convex hull of the input: "
                 + ", ".join(f"point {i} ({', '.join(map(str, p.vertices[i]))})" for i in stray)
             )
+    if not out:
+        listed = {tuple(sorted(f)) for f in member_sets}
+        for members, _, _ in hull.facet_data(d, p.vertices):
+            if members not in listed:
+                out.append(f"hull facet {members} is not listed")
     return out
 
 
@@ -375,5 +387,156 @@ def test_validate_names_a_non_extreme_point_in_listed_facets(scale):
     assert sum(1 for f in p.facets if 8 in f) == 6
     violations = validate(p).violations
     assert violations == reference_validate(p)
+    assert len(violations) == 1
+    assert violations[0].startswith("not vertices of the convex hull of the input: point 8 (")
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(5, 3)], ids=["integer", "fractional"])
+def test_validate_names_a_missing_hull_facet(scale):
+    # A vertex of the dropped facet that is left in fewer than d facets
+    # is reported first, as before; otherwise the facet is named.
+    rng = random.Random(5)
+    named = 0
+    for e in catalogue_list():
+        base = e.build()
+        p = _scaled(base, scale, [Fraction(rng.randint(-9, 9), 2) for _ in range(base.dim)])
+        for k, missing in enumerate(p.facets):
+            q = Polytope(p.dim, p.vertices, p.facets[:k] + p.facets[k + 1:])
+            short = [v for v in missing if sum(1 for f in q.facets if v in f) < p.dim]
+            if short:
+                expected = [f"vertex {v} lies in fewer than {p.dim} facets" for v in short]
+            else:
+                expected = [f"hull facet {missing} is not listed"]
+                named += 1
+            assert validate(q).violations == expected, (e.name, k)
+            data = polytope_to_dict(q)
+            with pytest.raises(InvalidInputError, match=re.escape(expected[0])):
+                polytope_from_dict(data)
+    assert named == 35
+
+
+def test_non_vertices_reads_a_repeated_index_once():
+    p = simplex(3)
+    repeated = [f + (f[0],) for f in p.facets]
+    assert _non_vertices(4, repeated) == _non_vertices(4, p.facets) == []
+
+
+def test_validate_accepts_unsorted_facet_tuples():
+    rng = random.Random(8)
+    for p in (octahedron(), capped_prism(), bd182(), delta(2, 2), cyclic(7, 4)):
+        facets = []
+        for f in p.facets:
+            f = list(f)
+            rng.shuffle(f)
+            facets.append(tuple(f))
+        rng.shuffle(facets)
+        assert validate(Polytope(p.dim, p.vertices, tuple(facets))).ok
+
+
+def _tampered(p, kind, rng):
+    """One seeded tampering of p's facet list (or, for "swap", of two of
+    its points)."""
+    n, d = len(p.vertices), p.dim
+    facets = list(p.facets)
+    k = rng.randrange(len(facets))
+    if kind == "drop":
+        del facets[k]
+    elif kind == "subset":
+        facets.append(tuple(sorted(rng.sample(range(n), rng.randint(d, n - 1)))))
+    elif kind == "merge":
+        j = rng.choice([j for j in range(len(facets)) if j != k])
+        merged = tuple(sorted(set(facets[k]) | set(facets[j])))
+        facets = [f for i, f in enumerate(facets) if i not in (j, k)] + [merged]
+    elif kind == "repeat":
+        facets.append(facets[k])
+    elif kind == "shrink":
+        f = list(facets[k])
+        f.remove(rng.choice(f))
+        facets[k] = tuple(f)
+    elif kind == "grow":
+        facets[k] = tuple(sorted(facets[k] + (rng.choice([v for v in range(n) if v not in facets[k]]),)))
+    elif kind == "midpoint":
+        return with_edge_midpoint(p, *rng.choice(p.edges()))
+    elif kind == "swap":
+        u, v = rng.sample(range(n), 2)
+        verts = list(p.vertices)
+        verts[u], verts[v] = verts[v], verts[u]
+        return Polytope(d, tuple(verts), p.facets)
+    elif kind == "range":
+        facets[k] += (n,)
+    elif kind == "duplicate":
+        # A copy of vertex u, listed beside it in every facet or in none.
+        u = rng.randrange(n)
+        listed = rng.random() < 0.5
+        facets = [f + (n,) if listed and u in f else f for f in facets]
+        return Polytope(d, p.vertices + (p.vertices[u],), tuple(facets))
+    return Polytope(d, p.vertices, tuple(facets))
+
+
+TAMPERINGS = [
+    "drop", "subset", "merge", "repeat", "shrink", "grow", "midpoint", "swap", "range",
+    "duplicate",
+]
+
+
+def test_validate_matches_reference_on_tampered_facet_lists():
+    rng = random.Random(2027)
+    bases = [e.build() for e in catalogue_list()]
+    seen = {}
+    cases = 0
+    for p in bases:
+        for scale in (1, Fraction(7, 4)):
+            q = _scaled(p, scale, [Fraction(rng.randint(-9, 9), 3) for _ in range(p.dim)])
+            for t in range(23):
+                kind = TAMPERINGS[t % len(TAMPERINGS)]
+                bad = _tampered(q, kind, rng)
+                violations = validate(bad).violations
+                assert violations == reference_validate(bad), (p.name, scale, kind)
+                for line in violations:
+                    key = re.sub(r"\d+|\(.*\)", "#", line)
+                    seen[key] = seen.get(key, 0) + 1
+                cases += 1
+    assert cases >= 1500
+    # Every kind of violation below the guard, apart from the coordinate
+    # length and affine span, which no tampering here produces.
+    assert len(seen) == 10, sorted(seen)
+
+
+def test_extreme_points_match_lp_membership():
+    # Grid points give coplanar and boundary points; centroids and edge
+    # midpoints are added as interior and boundary points.
+    rng = random.Random(47)
+    pruned = 0
+    for trial in range(90):
+        d = 2 + trial % 3
+        pts = {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 3 + trial % 9)}
+        pts = [Vec(x) for x in pts]
+        if matrix_rank([x - pts[0] for x in pts[1:]], d) < d:
+            continue
+        a, b = rng.sample(pts, 2)
+        extra = [(a + b) / 2, sum(pts, Vec([0] * d)) / len(pts)]
+        pts += [x for x in extra if x not in pts]
+        rng.shuffle(pts)
+        expected = [x for i, x in enumerate(pts) if not point_in_hull(x, pts[:i] + pts[i + 1:])]
+        assert extreme_points(d, pts) == expected
+        pruned += len(pts) - len(expected)
+    assert pruned > 250
+
+
+def test_extreme_points_pass_degenerate_sets_through():
+    flat = [Vec(x) for x in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 0)]]
+    assert extreme_points(3, flat) == flat
+    with pytest.raises(DegenerateInputError):
+        sum_of_point_sets(3, [(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (0, 1, 0), (0, 2, 0)], "flat")
+
+
+def test_validate_names_a_stray_point_before_a_missing_facet():
+    # The stray-point check runs first, and a missing facet is reported
+    # only when nothing else fired.
+    p = with_edge_midpoint(cyclic(8, 4), 0, 1)
+    k = next(i for i, f in enumerate(p.facets) if 8 not in f)
+    q = Polytope(4, p.vertices, p.facets[:k] + p.facets[k + 1:])
+    violations = validate(q).violations
+    assert violations == reference_validate(q)
     assert len(violations) == 1
     assert violations[0].startswith("not vertices of the convex hull of the input: point 8 (")
