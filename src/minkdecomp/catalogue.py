@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from . import hull
 from .certificates import DECOMPOSABLE, INDECOMPOSABLE, analyze, replay
 from .constructors import (
     bd182,
@@ -29,7 +30,6 @@ from .linalg import Vec
 from .polytope import (
     FVector,
     Polytope,
-    extreme_points,
     prism_over,
     pyramid_over,
     validate,
@@ -47,7 +47,7 @@ def sum_of_point_sets(
             s = Vec(x) + Vec(y)
             if s not in pts:
                 pts.append(s)
-    return Polytope.from_vertices(dim, extreme_points(dim, pts), name=name)
+    return Polytope.from_vertices(dim, hull.extreme_points(dim, pts), name=name)
 
 
 _E = [[int(i == j) for j in range(4)] for i in range(4)]

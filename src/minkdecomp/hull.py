@@ -15,14 +15,17 @@ integers (uniform scaling does not change the face structure).
 (GuardExceededError): it is an admission bound on the input size only,
 not a measure of the hull's work.
 
-Two callers build the hull: `facet_data`, for `Polytope.from_vertices`,
-and `facet_masks`, for `polytope.validate`, which compares a file's
-listed facets with the hull's.  Both apply the guard.
+Every hull is built here, by three callers: `facet_data`, for
+`Polytope.from_vertices`; `facet_masks`, for `polytope.validate`, which
+compares a file's listed facets with the hull's; and `extreme_points`,
+which prunes the candidate points of a Minkowski sum.  The first two
+apply the guard; the prune, like the LP it replaced, does not, and the
+`from_vertices` call on the points it keeps applies it.
 """
 
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import List, Sequence
 
 from . import kernels
 from .errors import DegenerateInputError, GuardExceededError, InvalidInputError
@@ -72,6 +75,49 @@ def facet_masks(ints: Sequence[Sequence[int]], d: int):
     copies of a repeated point share their masks.
     """
     _admit(len(ints), d)
+    return _scan_masks(ints, d)
+
+
+def extreme_points(dim: int, points: Sequence[Vec]) -> List[Vec]:
+    """The points that are vertices of their convex hull, in their order.
+
+    One hull over all the points and `non_vertices` on its facets; the
+    points must be distinct.  Points that do not affinely span R^dim are
+    returned unchanged, for `Polytope.from_vertices` to reject.
+    """
+    n = len(points)
+    if n <= dim or any(len(x) != dim for x in points):
+        return list(points)
+    try:
+        masks = _scan_masks(as_int_coords(points)[0], dim)
+    except ValueError:
+        return list(points)
+    facets = [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
+    stray = set(non_vertices(n, facets))
+    return [x for i, x in enumerate(points) if i not in stray]
+
+
+def non_vertices(n: int, facets: Sequence[Sequence[int]]) -> List[int]:
+    """Indices of the input points that are not vertices, read off facet
+    lists that name every input point on each facet's hyperplane.
+
+    The smallest face holding a point is the intersection of the facets
+    through it (the whole set for a point in no facet), so a point is a
+    vertex exactly when it is the only input point in that intersection.
+    A vertex lies in at least d facets; fewer facets meet in a face of
+    dimension at least 1, which holds two vertices.
+    """
+    meet = [-1] * n
+    for members in facets:
+        mask = 0
+        for i in members:
+            mask |= 1 << i
+        for i in members:
+            meet[i] &= mask
+    return [i for i in range(n) if meet[i] != 1 << i]
+
+
+def _scan_masks(ints: Sequence[Sequence[int]], d: int):
     return {mask for mask, _, _ in kernels.facet_scan(ints, d)}
 
 

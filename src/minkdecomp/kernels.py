@@ -9,10 +9,10 @@ nonempty value forces the pure-Python row reduction, and
 `python -m minkdecomp.bench` compares the two.  `facet_scan` is pure
 Python on both paths: an exact double-description hull whose cost
 follows the facets it builds rather than the C(n, d) vertex subsets.
-It builds every hull in the package: `hull.facet_data` (for
-`Polytope.from_vertices`), `hull.facet_masks` (for `polytope.validate`,
-which checks listed facets against it) and `polytope.extreme_points`
-(the vertex pruning of Minkowski sums).
+It builds every hull in the package, and only `hull` calls it:
+`hull.facet_data` (for `Polytope.from_vertices`), `hull.facet_masks`
+(for `polytope.validate`, which checks listed facets against it) and
+`hull.extreme_points` (the vertex pruning of Minkowski sums).
 """
 
 import os

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import hull, kernels
+from . import hull
 from .errors import InvalidInputError
 from .linalg import (
     Rational,
@@ -50,14 +50,14 @@ class Polytope:
         """Build with facets enumerated from scratch (under the guard).
 
         Every point must be a vertex of the hull; InvalidInputError
-        names the points that are not (`_non_vertices`).  The facet
+        names the points that are not (`hull.non_vertices`).  The facet
         planes are kept as the hull gives them: integral normals, and
         offsets over the vertices' common denominator (`int_coords`).
         """
         verts = tuple(Vec(v) for v in vertices)
         data = hull.facet_data(dim, verts)
         facets = tuple(members for members, _, _ in data)
-        stray = _non_vertices(len(verts), facets)
+        stray = hull.non_vertices(len(verts), facets)
         if stray:
             raise InvalidInputError(_stray_message(verts, stray))
         poly = Polytope(dim=dim, vertices=verts, facets=facets, name=name)
@@ -132,47 +132,11 @@ class Polytope:
         )
 
 
-def _non_vertices(n: int, facets: Sequence[Sequence[int]]) -> List[int]:
-    """Indices of the input points that are not vertices, read off facet
-    lists that name every input point on each facet's hyperplane.
-
-    The smallest face holding a point is the intersection of the facets
-    through it (the whole set for a point in no facet), so a point is a
-    vertex exactly when it is the only input point in that intersection.
-    A vertex lies in at least d facets; fewer facets meet in a face of
-    dimension at least 1, which holds two vertices.
-    """
-    meet = [-1] * n
-    for members in facets:
-        mask = _mask(members)
-        for i in members:
-            meet[i] &= mask
-    return [i for i in range(n) if meet[i] != 1 << i]
-
-
 def _mask(members: Sequence[int]) -> int:
     out = 0
     for i in members:
         out |= 1 << i
     return out
-
-
-def extreme_points(dim: int, points: Sequence[Vec]) -> List[Vec]:
-    """The points that are vertices of their convex hull, in their order.
-
-    One exact hull over all the points (`kernels.facet_scan`) and
-    `_non_vertices` on its facets; the points must be distinct.
-    Points that do not affinely span R^dim are returned unchanged, for
-    `Polytope.from_vertices` to reject.
-    """
-    if len(points) <= dim or any(len(x) != dim for x in points):
-        return list(points)
-    ints, _ = as_int_coords(points)
-    if affine_rank(ints, dim) != dim:
-        return list(points)
-    facets = [_members(mask) for mask, _, _ in kernels.facet_scan(ints, dim)]
-    stray = set(_non_vertices(len(points), facets))
-    return [x for i, x in enumerate(points) if i not in stray]
 
 
 def _stray_message(vertices: Sequence[Sequence[Rational]], stray: Sequence[int]) -> str:
@@ -232,9 +196,10 @@ def validate(p: Polytope) -> ValidationReport:
     The hull of the points is built once (`hull.facet_masks`, under the
     guard `from_vertices` applies, so a larger input raises
     GuardExceededError), and the listed facets are compared with its
-    facets as vertex sets, so member order does not matter.  The listed
-    facets must be exactly the hull's: a listed facet the hull lacks is
-    fitted to name its fault, and once every other check passes, every
+    facets as vertex sets, so member order does not matter.  A facet
+    that lists an index twice is named as such.  The listed facets must
+    be exactly the hull's: a listed facet the hull lacks is fitted to
+    name its fault, and once every other check passes, every
     point must be a vertex of the hull (the points that are not are named
     as `from_vertices` names them) and every hull facet must be listed.
     """
@@ -259,6 +224,10 @@ def validate(p: Polytope) -> ValidationReport:
             continue
         if not all(0 <= v < n for v in f):
             out.append(f"facet {fi} has an out-of-range vertex index")
+            continue
+        if len(member_sets[fi]) != len(f):
+            repeated = next(v for v in f if f.count(v) > 1)
+            out.append(f"facet {fi} lists vertex index {repeated} more than once")
             continue
         mask = _mask(f)
         if mask in hull_masks:
@@ -285,8 +254,8 @@ def validate(p: Polytope) -> ValidationReport:
                     out.append(f"facet {i} is contained in facet {j}")
     if not out:
         # Every listed facet is a hull facet, which holds every point on
-        # its hyperplane, as `_non_vertices` needs.
-        stray = _non_vertices(n, p.facets)
+        # its hyperplane, as `hull.non_vertices` needs.
+        stray = hull.non_vertices(n, p.facets)
         if stray:
             out.append(_stray_message(p.vertices, stray))
         else:
@@ -313,7 +282,7 @@ def minkowski_sum(p: Polytope, q, name: Optional[str] = None) -> Polytope:
     if any(len(x) != p.dim for x in q_vertices):
         raise InvalidInputError("summands live in different ambient dimensions")
     candidates = sorted(set(a + b for a in p.vertices for b in q_vertices))
-    return Polytope.from_vertices(p.dim, extreme_points(p.dim, candidates), name=name)
+    return Polytope.from_vertices(p.dim, hull.extreme_points(p.dim, candidates), name=name)
 
 
 def prism_over(p: Polytope, name: Optional[str] = None) -> Polytope:

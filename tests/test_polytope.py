@@ -7,12 +7,17 @@ every listed facet and, once the facet checks pass, names the points
 that are not vertices and the hull facets that are not listed) are kept
 below as references, on catalogue images, on broken inputs with
 fractional coordinates and on seeded tampered facet lists.  `validate`
-itself fits only the listed facets the hull lacks.
+itself fits only the listed facets the hull lacks.  The reference finds
+the hull's facets by trying the hyperplane of every d-subset of the
+points (`reference_hull_facets`), not by `kernels.facet_scan`.
 """
 
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -28,16 +33,14 @@ from minkdecomp.constructors import (
     simplex,
     wedge,
 )
-from minkdecomp import hull
 from minkdecomp.catalogue import catalogue_list, sum_of_point_sets
 from minkdecomp.errors import DegenerateInputError, InvalidInputError
 from minkdecomp.fileio import polytope_from_dict, polytope_to_dict
-from minkdecomp.linalg import Vec, rank_and_kernel
+from minkdecomp.hull import extreme_points, non_vertices
+from minkdecomp.linalg import Vec, as_int_coords, rank_and_kernel
 from minkdecomp.polytope import (
     FVector,
     Polytope,
-    _non_vertices,
-    extreme_points,
     facet_as_polytope,
     incidence_isomorphic,
     is_simple,
@@ -49,7 +52,12 @@ from minkdecomp.polytope import (
     validate,
 )
 
-from reference_linalg import is_geometric_edge, matrix_rank, point_in_hull
+from reference_linalg import (
+    is_geometric_edge,
+    matrix_rank,
+    point_in_hull,
+    reference_int_hyperplane,
+)
 
 
 def reference_common_hyperplane(pts):
@@ -77,9 +85,45 @@ def reference_facet_plane(p, members):
     return normal, offset
 
 
+def reference_hull_facets(p):
+    """The facets of the hull of p's distinct, spanning points, as sorted
+    member tuples: every d-subset whose hyperplane has all the points on
+    one side gives the facet of the points on that hyperplane.
+
+    Positive scaling and translation keep the facets, so the points are
+    reduced to primitive integer differences from the first one and the
+    subsets are tried once per shape.
+    """
+    ints, _ = as_int_coords([v - p.vertices[0] for v in p.vertices])
+    g = gcd(*(x for pt in ints for x in pt))
+    return _subset_facets(p.dim, tuple(tuple(x // g for x in pt) for pt in ints))
+
+
+@lru_cache(maxsize=None)
+def _subset_facets(d, ints):
+    found = set()
+    for subset in combinations(range(len(ints)), d):
+        fitted = reference_int_hyperplane([ints[i] for i in subset])
+        if fitted is None:
+            continue
+        a, b = fitted
+        on, signs = [], set()
+        for i, x in enumerate(ints):
+            s = sum(u * v for u, v in zip(a, x)) - b
+            if s == 0:
+                on.append(i)
+            else:
+                signs.add(s > 0)
+                if len(signs) == 2:
+                    break
+        else:
+            found.add(tuple(on))
+    return sorted(found)
+
+
 def reference_validate(p):
     """The rational `validate`: every listed facet fitted, then the hull's
-    facets (`hull.facet_data`) compared with the listed ones."""
+    facets (`reference_hull_facets`) compared with the listed ones."""
     out = []
     n = len(p.vertices)
     d = p.dim
@@ -97,6 +141,10 @@ def reference_validate(p):
             continue
         if not all(0 <= v < n for v in f):
             out.append(f"facet {fi} has an out-of-range vertex index")
+            continue
+        if len(member_sets[fi]) != len(f):
+            repeated = next(v for v in f if f.count(v) > 1)
+            out.append(f"facet {fi} lists vertex index {repeated} more than once")
             continue
         fitted = reference_common_hyperplane([p.vertices[i] for i in f])
         if fitted is None:
@@ -129,7 +177,7 @@ def reference_validate(p):
             )
     if not out:
         listed = {tuple(sorted(f)) for f in member_sets}
-        for members, _, _ in hull.facet_data(d, p.vertices):
+        for members in reference_hull_facets(p):
             if members not in listed:
                 out.append(f"hull facet {members} is not listed")
     return out
@@ -418,7 +466,18 @@ def test_validate_names_a_missing_hull_facet(scale):
 def test_non_vertices_reads_a_repeated_index_once():
     p = simplex(3)
     repeated = [f + (f[0],) for f in p.facets]
-    assert _non_vertices(4, repeated) == _non_vertices(4, p.facets) == []
+    assert non_vertices(4, repeated) == non_vertices(4, p.facets) == []
+
+
+def test_validate_names_a_repeated_facet_index():
+    # The repeat folds into the hull facet's mask, so only this check
+    # tells the list from the cube's own.
+    p = cube(3)
+    facets = (p.facets[0] + (p.facets[0][0],),) + p.facets[1:]
+    bad = Polytope(3, p.vertices, facets)
+    violations = validate(bad).violations
+    assert violations == reference_validate(bad)
+    assert violations == [f"facet 0 lists vertex index {p.facets[0][0]} more than once"]
 
 
 def test_validate_accepts_unsorted_facet_tuples():
@@ -464,6 +523,8 @@ def _tampered(p, kind, rng):
         return Polytope(d, tuple(verts), p.facets)
     elif kind == "range":
         facets[k] += (n,)
+    elif kind == "index":
+        facets[k] += (rng.choice(facets[k]),)
     elif kind == "duplicate":
         # A copy of vertex u, listed beside it in every facet or in none.
         u = rng.randrange(n)
@@ -475,7 +536,7 @@ def _tampered(p, kind, rng):
 
 TAMPERINGS = [
     "drop", "subset", "merge", "repeat", "shrink", "grow", "midpoint", "swap", "range",
-    "duplicate",
+    "duplicate", "index",
 ]
 
 
@@ -499,7 +560,7 @@ def test_validate_matches_reference_on_tampered_facet_lists():
     assert cases >= 1500
     # Every kind of violation below the guard, apart from the coordinate
     # length and affine span, which no tampering here produces.
-    assert len(seen) == 10, sorted(seen)
+    assert len(seen) == 11, sorted(seen)
 
 
 def test_extreme_points_match_lp_membership():
