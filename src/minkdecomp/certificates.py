@@ -42,7 +42,6 @@ from .graphs import (
 from .linalg import (
     Vec,
     affinely_independent,
-    as_int_coords,
     fraction_vec,
     int_collinear,
     int_hyperplane,
@@ -474,8 +473,8 @@ def _shephard_witness(
     vertices outside.  Shared by the rule and its replay.
 
     The slide is built and checked over the cached integer coordinates
-    X = mult * x.  With the outward normal scaled to integers a and
-    b = a.X on the facet, member v slides along its outside edge to w by
+    X = mult * x.  With the facet's outward integer plane a.X <= b
+    (`Polytope.int_plane`), member v slides along its outside edge to w by
     the fraction (b - alpha) / gap_w, where gap_w = b - a.X_w > 0 and
     alpha is the highest outside level.  With den the lcm of those gaps,
     every image times den * mult is an integer, so the edge scalars are
@@ -496,8 +495,7 @@ def _shephard_witness(
             return None
         out_nbr[v] = others[0]
     ints, mult = p.int_coords()
-    (a,), _ = as_int_coords([p.facet_plane(fi)[0]])
-    b = sum(u * x for u, x in zip(a, ints[members[0]]))
+    a, b = p.int_plane(fi)
     # How far each outside vertex lies below the facet: b - a.X_w > 0.
     gap = {w: -int_side(a, b, ints[w]) for w in outside}
     drop = min(gap.values())  # b - alpha
@@ -601,10 +599,9 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     Both tests run in integers.  The pretest fits the neighbors' plane on
     the cached integer coordinates X = mult * x (`linalg.int_hyperplane`,
     which stops as soon as the neighbors span more than a hyperplane).
-    `from_vertices` keeps the reduced hull's planes a.x <= o / mult_r
-    with an integral normal a and o an integer on the reduced polytope's
-    own scale, so the apex's side of each is the sign of
-    mult_r * (a.X_u) - mult * o."""
+    The reduced polytope keeps its hull's integer planes a.Y <= o
+    (`Polytope.int_plane`) on its own scale Y = mult_r * x, so the apex's
+    side of each is the sign of mult_r * (a.X_u) - mult * o."""
     n = len(p.vertices)
     nbrs = p.neighbors(u)
     ints, mult = p.int_coords()
@@ -631,9 +628,8 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     apex = ints[u]
     _, mult_r = reduced.int_coords()
     for fi, members in enumerate(reduced.facets):
-        normal, offset = reduced.facet_plane(fi)
-        o = offset.numerator * (mult_r // offset.denominator)
-        side = mult_r * sum(c.numerator * x for c, x in zip(normal, apex)) - mult * o
+        a, o = reduced.int_plane(fi)
+        side = mult_r * sum(c * x for c, x in zip(a, apex)) - mult * o
         if members == fmem:
             if side <= 0:
                 return None

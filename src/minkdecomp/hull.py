@@ -9,8 +9,13 @@ subsets, and it handles non-simplicial facets natively.  Every facet
 lists all input points on its hyperplane, non-extreme ones included.
 
 Input coordinates are rational; `linalg.as_int_coords` clears their
-common denominator, so the affine-rank check and the kernel run over
-integers (uniform scaling does not change the face structure).
+common denominator, so the kernel runs over integers (uniform scaling
+does not change the face structure), and its start simplex doubles as
+the affine-rank check.  `facet_data` hands back those integer
+coordinates with the scan's primitive integer planes, so a polytope
+built from vertices keeps both and makes no `Fraction` plane unless one
+is asked for.  Facet members are read off each mask by low-bit
+iteration (`mask_members`).
 `SUBSET_GUARD` refuses inputs with more than 10^7 d-subsets
 (GuardExceededError): it is an admission bound on the input size only,
 not a measure of the hull's work.
@@ -23,48 +28,50 @@ apply the guard; the prune, like the LP it replaced, does not, and the
 `from_vertices` call on the points it keeps applies it.
 """
 
-from fractions import Fraction
 from math import comb
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from . import kernels
 from .errors import DegenerateInputError, GuardExceededError, InvalidInputError
-from .linalg import Rational, Vec, affine_rank, as_int_coords
+from .linalg import Rational, Vec, as_int_coords
 
 SUBSET_GUARD = 10**7
 
 
 def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
-    """Facets with their outward hyperplanes.
+    """Facets with their outward integer hyperplanes, and the integer
+    coordinates those are written in.
 
-    Returns a list of (vertex_index_tuple, normal, offset) sorted by the
-    vertex tuple, with normal . x <= offset over the whole vertex set and
-    equality on every input point of the facet's hyperplane.  Points that
-    are not extreme are kept and listed in every facet whose hyperplane
-    holds them, so the facet lists tell them apart from the vertices;
+    Returns (facets, ints, mult).  ints, mult are the vertices cleared to
+    a common denominator (`linalg.as_int_coords`): X = mult * x.  facets
+    is a list of (vertex_index_tuple, normal, offset) sorted by the
+    vertex tuple, where (normal, offset) is a primitive integer vector
+    with normal . X <= offset over the whole vertex set and equality on
+    every input point of the facet's hyperplane; on the rational points
+    that is normal . x <= offset / mult.  Points that are not extreme
+    are kept and listed in every facet whose hyperplane holds them, so
+    the facet lists tell them apart from the vertices;
     `Polytope.from_vertices` rejects them by that test.
     """
-    pts = [Vec(v) for v in vertices]
-    n = len(pts)
+    n = len(vertices)
     if n == 0:
         raise InvalidInputError("empty vertex set")
     d = dim
-    if any(len(p) != d for p in pts):
+    if any(len(v) != d for v in vertices):
         raise InvalidInputError("vertex of wrong dimension")
-    if len(set(pts)) != n:
+    ints, mult = as_int_coords(vertices)
+    if len(set(ints)) != n:
         raise InvalidInputError("duplicate vertices")
     _admit(n, d)
-    ints, mult = as_int_coords(pts)
-    if affine_rank(ints, d) != d:
-        raise DegenerateInputError("vertex set does not affinely span the ambient dimension")
-    raw = kernels.facet_scan(ints, d)
-    out = []
-    for mask, normal, offset in raw:
-        members = tuple(i for i in range(n) if mask >> i & 1)
-        # Undo the scaling: the integer scan saw mult * x.
-        out.append((members, Vec(normal), Fraction(offset, mult)))
-    out.sort(key=lambda t: t[0])
-    return out
+    try:
+        raw = kernels.facet_scan(ints, d)
+    except ValueError:
+        raise DegenerateInputError(
+            "vertex set does not affinely span the ambient dimension"
+        ) from None
+    facets = [(mask_members(mask), normal, offset) for mask, normal, offset in raw]
+    facets.sort(key=lambda t: t[0])
+    return facets, ints, mult
 
 
 def facet_masks(ints: Sequence[Sequence[int]], d: int):
@@ -92,7 +99,7 @@ def extreme_points(dim: int, points: Sequence[Vec]) -> List[Vec]:
         masks = _scan_masks(as_int_coords(points)[0], dim)
     except ValueError:
         return list(points)
-    facets = [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
+    facets = [mask_members(mask) for mask in masks]
     stray = set(non_vertices(n, facets))
     return [x for i, x in enumerate(points) if i not in stray]
 
@@ -115,6 +122,16 @@ def non_vertices(n: int, facets: Sequence[Sequence[int]]) -> List[int]:
         for i in members:
             meet[i] &= mask
     return [i for i in range(n) if meet[i] != 1 << i]
+
+
+def mask_members(mask: int) -> Tuple[int, ...]:
+    """The indices of the set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _scan_masks(ints: Sequence[Sequence[int]], d: int):

@@ -1,4 +1,5 @@
-"""The two integer kernels: row reduction and facet enumeration.
+"""The integer kernels: row reduction, the incremental echelon and
+facet enumeration.
 
 `rref_int` runs the compiled extension when it is built and the
 pure-Python twin in `_kernels_py` otherwise.  The two give identical
@@ -6,18 +7,26 @@ results because both return the primitive reduced row echelon form with
 positive pivots, which is unique, not because they pick the same pivot
 rows (they do not).  Setting the environment variable MINKDECOMP_PURE to any
 nonempty value forces the pure-Python row reduction, and
-`python -m minkdecomp.bench` compares the two.  `facet_scan` is pure
-Python on both paths: an exact double-description hull whose cost
-follows the facets it builds rather than the C(n, d) vertex subsets.
-It builds every hull in the package, and only `hull` calls it:
-`hull.facet_data` (for `Polytope.from_vertices`), `hull.facet_masks`
-(for `polytope.validate`, which checks listed facets against it) and
-`hull.extreme_points` (the vertex pruning of Minkowski sums).
+`python -m minkdecomp.bench` compares the two.
+
+`Echelon` is the fraction-free echelon grown one row at a time that
+answers rank questions with a known cap (`linalg.affine_rank`,
+`linalg.int_hyperplane`, and the start simplex of `facet_scan`): it
+stops as soon as the cap is reached.
+
+`facet_scan` is pure Python on both paths: an exact double-description
+hull whose cost follows the facets it builds rather than the C(n, d)
+vertex subsets.  It builds every hull in the package, and only `hull`
+calls it: `hull.facet_data` (for `Polytope.from_vertices`, which keeps
+its integer planes), `hull.facet_masks` (for `polytope.validate`, which
+checks listed facets against it) and `hull.extreme_points` (the vertex
+pruning of Minkowski sums).
 """
 
 import os
 from math import gcd, lcm
 from operator import mul
+from typing import List, Sequence, Tuple
 
 from . import _kernels_py
 
@@ -38,6 +47,59 @@ def rref_int(rows, ncols):
     return _kernels_py.rref_int(rows, ncols)
 
 
+class Echelon:
+    """A fraction-free integer row echelon form, grown one row at a time.
+
+    The rows are kept primitive, in the order they were added, each with
+    its pivot column, its first nonzero entry; a row is zero at the pivot
+    columns of the rows before it.  `add` eliminates a new row's entries
+    at the pivot columns in that order, each step a fraction-free
+    combination with the pivot row, which keeps the entries already
+    eliminated at zero.  A nonzero remainder is appended with its first
+    nonzero entry as a new pivot, and the rank grows by one.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows: List[Tuple[int, Sequence[int]]] = []
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Append row reduced; True iff it is independent of the rows so far."""
+        for c, prow in self.rows:
+            x = row[c]
+            if x:
+                p = prow[c]
+                g = gcd(p, x)
+                p, x = p // g, x // g
+                row = [a * p - x * b for a, b in zip(row, prow)]
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None:
+            return False
+        g = gcd(*row)
+        self.rows.append((c, [a // g for a in row] if g != 1 else row))
+        return True
+
+    def kernel_vector(self, ncols: int) -> List[int]:
+        """The integer vector spanning the kernel of an echelon of rank
+        ncols - 1: 1 at the free column, scaled up as needed, and each
+        pivot entry solved by back-substitution, last row first.  A row
+        is nonzero only at its pivot, at the pivots of later rows and at
+        the free column, which are all set by then."""
+        pivots = {c for c, _ in self.rows}
+        h = [0] * ncols
+        h[next(j for j in range(ncols) if j not in pivots)] = 1
+        for c, row in reversed(self.rows):
+            # h[c] is still 0, so this is the rest of the row's equation.
+            s = sum(a * b for a, b in zip(row, h))
+            p = row[c]
+            g = gcd(p, s)
+            if p != g:
+                h = [x * (p // g) for x in h]
+            h[c] = -(s // g)
+        return h
+
+
 def _divide_gcd(h):
     g = gcd(*h)
     return tuple(x // g for x in h)
@@ -51,10 +113,11 @@ def facet_scan(coords, d):
     is kept as h = (a, b) with a.x <= b on every inserted point, so each
     point x is the constraint (x, -1).h <= 0 on the cone of valid
     inequalities, whose extreme rays are the facets.  The start is the
-    simplex on the first d+1 affinely independent points; the others are
-    inserted in index order.  Inserting p evaluates s = a.p - b on every
-    facet.  A facet with s = 0 adds p to its mask.  Each adjacent pair of
-    a facet with s+ > 0 and one with s- < 0 yields the new facet
+    simplex on the first d+1 affinely independent points, picked by an
+    `Echelon` that stops at rank d+1; the others are inserted in index
+    order.  Inserting p evaluates s = a.p - b on every facet.  A facet
+    with s = 0 adds p to its mask.  Each adjacent pair of a facet with
+    s+ > 0 and one with s- < 0 yields the new facet
     s+ h- - s- h+ through p, and then the facets with s > 0 are dropped.
     Two facets are adjacent when their common mask has at least d-1
     points and lies in no third facet's mask (the combinatorial test).
@@ -68,10 +131,16 @@ def facet_scan(coords, d):
     the points do not affinely span R^d.
     """
     rows = [tuple(x) + (-1,) for x in coords]
-    # The pivot columns of the transpose are the first linearly
-    # independent rows, in index order.
-    start, _ = _kernels_py.rref_int([list(col) for col in zip(*rows)], len(rows))
-    if len(start) <= d:
+    # The start points: each row independent of the rows before it, up
+    # to rank d+1.
+    ech = Echelon()
+    start = []
+    for i, row in enumerate(rows):
+        if ech.add(row):
+            start.append(i)
+            if len(start) > d:
+                break
+    else:
         raise ValueError("input not full-dimensional")
     # Column k of the inverse of the start matrix is, up to a positive
     # factor, minus the facet opposite start[k]: tight on the other

@@ -15,13 +15,13 @@ systems and edge rows of the rank oracle) needs the reduced row echelon
 form, fraction-free integer Gauss-Jordan in the kernels module.  A rank
 with a known cap needs less: `affine_rank` (difference rows) and
 `int_hyperplane` (incidence rows) add rows one at a time to a
-fraction-free echelon (`_Echelon`) and stop as soon as the rank reaches
+fraction-free echelon (`kernels.Echelon`) and stop as soon as the rank reaches
 the cap.  A hyperplane fit to points that span more than a hyperplane
 then costs d row insertions and dot products up to the first point off
 the candidate plane, not an elimination over all of them.
 `int_collinear` answers the three-point case with 2x2 minors.
 `Fraction` values are made only at the edges: reading off a kernel
-basis, the normalised hyperplanes callers keep, and witnesses.
+basis, a facet plane a caller asks for, and witnesses.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import kernels
+from .kernels import Echelon
 
 Rational = Fraction
 
@@ -160,69 +161,16 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int, List[Vec
     return len(pivot_cols), [fraction_vec(vec, vec[f]) for f, vec in zip(free, basis)]
 
 
-class _Echelon:
-    """A fraction-free integer row echelon form, grown one row at a time.
-
-    The rows are kept primitive, in the order they were added, each with
-    its pivot column, its first nonzero entry; a row is zero at the pivot
-    columns of the rows before it.  `add` eliminates a new row's entries
-    at the pivot columns in that order, each step a fraction-free
-    combination with the pivot row, which keeps the entries already
-    eliminated at zero.  A nonzero remainder is appended with its first
-    nonzero entry as a new pivot, and the rank grows by one.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self) -> None:
-        self.rows: List[Tuple[int, List[int]]] = []
-
-    def add(self, row: List[int]) -> bool:
-        """Append row reduced; True iff it is independent of the rows so far."""
-        for c, prow in self.rows:
-            x = row[c]
-            if x:
-                p = prow[c]
-                g = gcd(p, x)
-                p, x = p // g, x // g
-                row = [a * p - x * b for a, b in zip(row, prow)]
-        c = next((j for j, a in enumerate(row) if a), None)
-        if c is None:
-            return False
-        g = gcd(*row)
-        self.rows.append((c, [a // g for a in row] if g != 1 else row))
-        return True
-
-    def kernel_vector(self, ncols: int) -> List[int]:
-        """The integer vector spanning the kernel of an echelon of rank
-        ncols - 1: 1 at the free column, scaled up as needed, and each
-        pivot entry solved by back-substitution, last row first.  A row
-        is nonzero only at its pivot, at the pivots of later rows and at
-        the free column, which are all set by then."""
-        pivots = {c for c, _ in self.rows}
-        h = [0] * ncols
-        h[next(j for j in range(ncols) if j not in pivots)] = 1
-        for c, row in reversed(self.rows):
-            # h[c] is still 0, so this is the rest of the row's equation.
-            s = sum(a * b for a, b in zip(row, h))
-            p = row[c]
-            g = gcd(p, s)
-            if p != g:
-                h = [x * (p // g) for x in h]
-            h[c] = -(s // g)
-        return h
-
-
 def affine_rank(points: Sequence[Sequence[int]], d: int) -> int:
     """Dimension of the affine hull of integer points in R^d (0 if empty).
 
     The differences from the first point enter a fraction-free echelon
-    one at a time (`_Echelon`), which stops as soon as the rank is d.
+    one at a time (`kernels.Echelon`), which stops as soon as the rank is d.
     """
     if not points:
         return 0
     base = points[0]
-    ech = _Echelon()
+    ech = Echelon()
     for p in islice(points, 1, None):
         if len(ech.rows) == d:
             break
@@ -241,7 +189,7 @@ def int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[List[int],
     the system is solved in.
 
     The incidence rows (p, -1) enter a fraction-free echelon one at a
-    time (`_Echelon`) until its rank reaches d.  Then the kernel of the
+    time (`kernels.Echelon`) until its rank reaches d.  Then the kernel of the
     rows so far is one-dimensional, and back-substitution gives its
     vector (a, b), the only candidate; each remaining point is tested on
     it by a dot product (`int_side`), since a point off it would raise
@@ -251,7 +199,7 @@ def int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[List[int],
     if not points:
         return None
     d = len(points[0])
-    ech = _Echelon()
+    ech = Echelon()
     k = 0
     while len(ech.rows) < d:
         if k == len(points):
@@ -314,14 +262,3 @@ def affinely_independent(points: Sequence[Sequence[Rational]]) -> bool:
         return False
     return affine_rank(as_int_coords(points)[0], d) == k - 1
 
-
-def normalised_plane(
-    plane: Optional[Tuple[Sequence[int], int]], mult: int
-) -> Optional[Tuple[Vec, Rational]]:
-    """The rational plane a.x = b / mult, scaled so that the first nonzero
-    entry of a is +1 (None passes through)."""
-    if plane is None:
-        return None
-    a, b = plane
-    lead = next(x for x in a if x)
-    return fraction_vec(a, lead), Fraction(b, lead * mult)

@@ -3,11 +3,19 @@ on them that everything else consumes.
 
 A polytope is stored as exact vertex coordinates together with the list
 of facet vertex-index sets; no face lattice above the facet level is
-kept, because none of the decomposability rules needs one.  Edges are
-derived combinatorially: a pair is an edge iff the facets containing
-both vertices intersect in exactly that pair (with the convention that
-an empty facet family intersects to the full vertex set, which makes a
-segment have one edge).
+kept, because none of the decomposability rules needs one.  Everything
+derived is computed once per polytope and cached: the integer
+coordinates X = mult * x (`int_coords`), the integer facet planes
+(`int_plane`), their `Fraction` forms (`facet_plane`), the edges and the
+adjacency.  `from_vertices` seeds the first two from the hull, and the
+`Fraction` planes are made only when asked for.
+
+Edges are derived combinatorially from facet bitsets: a pair is an edge
+iff the facets containing both vertices intersect in exactly that pair
+(with the convention that an empty facet family intersects to the full
+vertex set, which makes a segment have one edge).  An edge lies in at
+least d-1 facets, so a pair sharing fewer is skipped, and the meet stops
+as soon as it is down to the pair.
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ from .linalg import (
     Vec,
     affine_rank,
     as_int_coords,
+    fraction_vec,
     int_hyperplane,
     int_side,
-    normalised_plane,
 )
 
 
@@ -50,26 +58,41 @@ class Polytope:
         """Build with facets enumerated from scratch (under the guard).
 
         Every point must be a vertex of the hull; InvalidInputError
-        names the points that are not (`hull.non_vertices`).  The facet
-        planes are kept as the hull gives them: integral normals, and
-        offsets over the vertices' common denominator (`int_coords`).
+        names the points that are not (`hull.non_vertices`).  The hull's
+        integer coordinates and primitive integer facet planes are kept
+        as `int_coords` and `int_plane`; `facet_plane` divides them by
+        the common denominator, which leaves the normals integral.
         """
         verts = tuple(Vec(v) for v in vertices)
-        data = hull.facet_data(dim, verts)
+        data, ints, mult = hull.facet_data(dim, verts)
         facets = tuple(members for members, _, _ in data)
         stray = hull.non_vertices(len(verts), facets)
         if stray:
             raise InvalidInputError(_stray_message(verts, stray))
         poly = Polytope(dim=dim, vertices=verts, facets=facets, name=name)
-        poly._cache["planes"] = [(normal, offset) for _, normal, offset in data]
+        poly._cache["ints"] = (ints, mult)
+        poly._cache["int_planes"] = [(normal, offset) for _, normal, offset in data]
+        poly._cache["hull_planes"] = True
         return poly
 
     def facet_plane(self, index: int) -> Tuple[Vec, Rational]:
-        """Outward hyperplane (a, b) of a facet: a.x <= b on P, = b on it."""
-        planes = self._cache.get("planes")
-        if planes is None:
-            planes = [None] * len(self.facets)
-            self._cache["planes"] = planes
+        """Outward hyperplane (a, b) of a facet: a.x <= b on P, = b on it.
+
+        Made from `int_plane` on first use: a polytope built by
+        `from_vertices` keeps the hull's integral normal, any other has
+        its normal scaled so that the first nonzero entry is +1 or -1."""
+        planes = self._per_facet("planes")
+        if planes[index] is None:
+            a, o = self.int_plane(index)
+            lead = 1 if self._cache.get("hull_planes") else abs(next(x for x in a if x))
+            planes[index] = fraction_vec(a, lead), Fraction(o, lead * self.int_coords()[1])
+        return planes[index]
+
+    def int_plane(self, index: int) -> Tuple[Sequence[int], int]:
+        """Outward integer hyperplane (a, o) of a facet on the `int_coords`
+        scale: a.X <= o for every vertex X, with equality exactly on the
+        facet.  Kept from the hull by `from_vertices`, fitted otherwise."""
+        planes = self._per_facet("int_planes")
         if planes[index] is None:
             planes[index] = self._fit_plane(self.facets[index])
         return planes[index]
@@ -83,19 +106,24 @@ class Polytope:
             self._cache["ints"] = cached
         return cached
 
-    def _fit_plane(self, members: Sequence[int]) -> Tuple[Vec, Rational]:
-        ints, mult = self.int_coords()
+    def _per_facet(self, key: str) -> list:
+        cached = self._cache.get(key)
+        if cached is None:
+            cached = [None] * len(self.facets)
+            self._cache[key] = cached
+        return cached
+
+    def _fit_plane(self, members: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+        ints, _ = self.int_coords()
         fitted = int_hyperplane([ints[i] for i in members])
         if fitted is None:
             raise InvalidInputError(f"facet {tuple(members)} is not coplanar-spanning")
         a, b = fitted
-        normal, offset = normalised_plane(fitted, mult)
-        outside = next(
-            (i for i in range(len(self.vertices)) if i not in set(members)), None
-        )
+        member_set = set(members)
+        outside = next((i for i in range(len(ints)) if i not in member_set), None)
         if outside is not None and int_side(a, b, ints[outside]) > 0:
-            normal, offset = -normal, -offset
-        return normal, offset
+            return tuple(-x for x in a), -b
+        return tuple(a), b
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         cached = self._cache.get("edges")
@@ -108,16 +136,26 @@ class Polytope:
         return FVector(len(self.vertices), len(self.edges()), len(self.facets))
 
     def vertex_degree(self, v: int) -> int:
-        return sum(1 for e in self.edges() if v in e)
+        return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        out = []
-        for a, b in self.edges():
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(sorted(out))
+        """v's neighbours in increasing order; none for an index that
+        names no vertex."""
+        adj = self._adjacency()
+        return adj[v] if 0 <= v < len(adj) else ()
+
+    def _adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each vertex's neighbours in increasing order; computed once."""
+        cached = self._cache.get("adjacency")
+        if cached is None:
+            adj: List[List[int]] = [[] for _ in self.vertices]
+            # The edges come in increasing order, so each list does too.
+            for a, b in self.edges():
+                adj[a].append(b)
+                adj[b].append(a)
+            cached = tuple(map(tuple, adj))
+            self._cache["adjacency"] = cached
+        return cached
 
     def facets_of_vertex(self, v: int) -> Tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.facets) if v in f)
@@ -148,6 +186,8 @@ def _stray_message(vertices: Sequence[Sequence[Rational]], stray: Sequence[int])
 def _edges_combinatorial(p: Polytope) -> Tuple[Tuple[int, int], ...]:
     n = len(p.vertices)
     all_mask = (1 << n) - 1
+    # An edge lies in at least d-1 facets.
+    need = p.dim - 1
     fmask_of_vertex = [0] * n
     vmask_of_facet = []
     for fi, f in enumerate(p.facets):
@@ -158,16 +198,18 @@ def _edges_combinatorial(p: Polytope) -> Tuple[Tuple[int, int], ...]:
         vmask_of_facet.append(m)
     out = []
     for u in range(n):
+        fu = fmask_of_vertex[u]
         for v in range(u + 1, n):
-            common = fmask_of_vertex[u] & fmask_of_vertex[v]
+            common = fu & fmask_of_vertex[v]
+            if common.bit_count() < need:
+                continue
+            pair = (1 << u) | (1 << v)
             meet = all_mask
-            fi = 0
-            while common:
-                if common & 1:
-                    meet &= vmask_of_facet[fi]
-                common >>= 1
-                fi += 1
-            if meet == (1 << u) | (1 << v):
+            while common and meet != pair:
+                low = common & -common
+                meet &= vmask_of_facet[low.bit_length() - 1]
+                common ^= low
+            if meet == pair:
                 out.append((u, v))
     return tuple(out)
 
@@ -243,9 +285,12 @@ def validate(p: Polytope) -> ValidationReport:
             out.append(f"facet {fi} hyperplane contains a vertex outside the facet")
         elif any(s > 0 for s in sides) and any(s < 0 for s in sides):
             out.append(f"facet {fi} does not have all other vertices on one side")
-    for v in range(n):
-        if sum(1 for f in member_sets if v in f) < d:
-            out.append(f"vertex {v} lies in fewer than {d} facets")
+    count = [0] * n
+    for f in member_sets:
+        for v in f:
+            if 0 <= v < n:
+                count[v] += 1
+    out.extend(f"vertex {v} lies in fewer than {d} facets" for v in range(n) if count[v] < d)
     # Distinct hull facets never contain one another.
     if len(listed) != len(p.facets):
         for i, a in enumerate(member_sets):
@@ -259,13 +304,9 @@ def validate(p: Polytope) -> ValidationReport:
         if stray:
             out.append(_stray_message(p.vertices, stray))
         else:
-            missing = sorted(_members(m) for m in hull_masks - listed)
+            missing = sorted(hull.mask_members(m) for m in hull_masks - listed)
             out.extend(f"hull facet {members} is not listed" for members in missing)
     return ValidationReport(out)
-
-
-def _members(mask: int) -> Tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def minkowski_sum(p: Polytope, q, name: Optional[str] = None) -> Polytope:
@@ -360,7 +401,7 @@ def facet_as_polytope(p: Polytope, facet: int) -> Polytope:
     if not 0 <= facet < len(p.facets):
         raise InvalidInputError(f"no facet with index {facet}")
     members = list(p.facets[facet])
-    normal, _ = p.facet_plane(facet)
+    normal, _ = p.int_plane(facet)
     drop = next(j for j, x in enumerate(normal) if x)
     reindex = {old: new for new, old in enumerate(members)}
     verts = [

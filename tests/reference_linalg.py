@@ -30,9 +30,9 @@ from minkdecomp.linalg import (
     Vec,
     as_int_coords,
     clear_denominators,
+    fraction_vec,
     int_hyperplane,
     int_kernel_basis,
-    normalised_plane,
     rank_and_kernel,
 )
 
@@ -73,7 +73,12 @@ def hyperplane_through(points: Sequence[Sequence[Rational]]) -> Optional[Tuple[V
     if any(len(p) != d for p in points):
         raise ValueError("points of mixed dimension")
     ints, mult = as_int_coords(points)
-    return normalised_plane(int_hyperplane(ints), mult)
+    plane = int_hyperplane(ints)
+    if plane is None:
+        return None
+    a, b = plane
+    lead = next(x for x in a if x)
+    return fraction_vec(a, lead), Fraction(b, lead * mult)
 
 
 def reference_affine_rank(points: Sequence[Sequence[int]], d: int) -> int:

@@ -3,8 +3,9 @@
 Facets of a cyclic polytope on the moment curve have a purely
 combinatorial description (Gale's evenness condition).  The brute-force
 scan below tests every d-subset of the input for spanning a supporting
-hyperplane; the double-description hull must reproduce its facets,
-normals and offsets exactly, coplanar and non-extreme points included.
+hyperplane; the double-description hull must reproduce its facets and
+their primitive integer normals and offsets over the cleared
+coordinates exactly, coplanar and non-extreme points included.
 """
 
 import random
@@ -28,7 +29,8 @@ from minkdecomp.polytope import minkowski_sum, stack_pyramid
 
 def enumerate_facets(dim, vertices):
     """Facet vertex-index sets, each sorted, list sorted lexicographically."""
-    return [members for members, _, _ in hull.facet_data(dim, vertices)]
+    facets, _, _ = hull.facet_data(dim, vertices)
+    return [members for members, _, _ in facets]
 
 
 def _det(m):
@@ -121,21 +123,23 @@ def brute_force_facet_scan(coords, d):
 
 
 def reference_facet_data(dim, vertices):
-    """facet_data's output, computed by the brute-force scan."""
+    """facet_data's output, computed by the brute-force scan: the facets
+    with their primitive integer planes over the cleared coordinates,
+    and those coordinates with their common denominator."""
     pts = [[Fraction(c) for c in v] for v in vertices]
     mult = lcm(*(c.denominator for v in pts for c in v))
     ints = [tuple(int(c * mult) for c in v) for v in pts]
     out = []
     for mask, normal, offset in brute_force_facet_scan(ints, dim):
         members = tuple(i for i in range(len(ints)) if mask >> i & 1)
-        out.append((members, Vec(normal), Fraction(offset, mult)))
-    return sorted(out, key=lambda t: t[0])
+        out.append((members, normal, offset))
+    return sorted(out, key=lambda t: t[0]), ints, mult
 
 
 def assert_matches_reference(dim, vertices):
     got = hull.facet_data(dim, vertices)
     assert got == reference_facet_data(dim, vertices)
-    return got
+    return got[0]
 
 
 def gale_evenness_facets(n, d):
@@ -174,12 +178,17 @@ def test_enumerate_facets_unit_square():
 
 
 def test_facet_planes_are_outward_and_tight():
-    verts = [Vec((0, 0, 0)), Vec((1, 0, 0)), Vec((0, 1, 0)), Vec((0, 0, 1))]
-    data = hull.facet_data(3, verts)
+    verts = [Vec((0, 0, 0)), Vec((2, 0, 0)), Vec((0, Fraction(1, 3), 0)), Vec((0, 0, 1))]
+    data, ints, mult = hull.facet_data(3, verts)
+    assert mult == 3
+    assert ints == [(0, 0, 0), (6, 0, 0), (0, 1, 0), (0, 0, 3)]
     assert len(data) == 4
     for members, normal, offset in data:
-        for i, v in enumerate(verts):
-            s = normal.dot(v)
+        assert gcd(*normal, offset) == 1
+        for i, (v, x) in enumerate(zip(verts, ints)):
+            s = sum(a * c for a, c in zip(normal, x))
+            # The same plane on the rational points, with offset / mult.
+            assert Vec(normal).dot(v) * mult == s
             if i in members:
                 assert s == offset
             else:
@@ -303,10 +312,11 @@ def test_delta_3_4_has_its_nine_product_facets():
     for side in (0, 1):
         for left_out in sorted({part[side] for part in parts}):
             expected.append(tuple(i for i, part in enumerate(parts) if part[side] != left_out))
-    data = hull.facet_data(7, verts)
+    data, ints, _ = hull.facet_data(7, verts)
     assert [m for m, _, _ in data] == sorted(expected)
     assert len(data) == 9
     for members, normal, offset in data:
-        for i, v in enumerate(verts):
-            assert (normal.dot(v) == offset) == (i in members)
-            assert normal.dot(v) <= offset
+        for i, x in enumerate(ints):
+            s = sum(a * c for a, c in zip(normal, x))
+            assert (s == offset) == (i in members)
+            assert s <= offset

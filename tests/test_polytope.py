@@ -10,6 +10,11 @@ fractional coordinates and on seeded tampered facet lists.  `validate`
 itself fits only the listed facets the hull lacks.  The reference finds
 the hull's facets by trying the hyperplane of every d-subset of the
 points (`reference_hull_facets`), not by `kernels.facet_scan`.
+
+The skeleton, read off facet bitsets, is checked against the exact
+supporting-hyperplane LP (`is_geometric_edge`), and the integer facet
+planes (`Polytope.int_plane`) against their `Fraction` forms and the
+rational reference fit.
 """
 
 import random
@@ -601,3 +606,123 @@ def test_validate_names_a_stray_point_before_a_missing_facet():
     assert violations == reference_validate(q)
     assert len(violations) == 1
     assert violations[0].startswith("not vertices of the convex hull of the input: point 8 (")
+
+
+# ---------------------------------------------------------------------------
+# The skeleton read off facet bitsets, and the integer facet planes
+
+# Every pair of the smaller entries is checked; the larger ones (up to
+# d = 7) cost seconds of exact LPs each, so a seeded sample of their
+# edges and non-edges is.
+_SMALL = {e.name: len(e.build().vertices) <= 12 for e in catalogue_list()}
+SKELETON_CATALOGUE = [e for e in catalogue_list() if _SMALL[e.name]]
+LARGE_CATALOGUE = [e for e in catalogue_list() if not _SMALL[e.name]]
+
+
+def geometric_edges(p):
+    n = len(p.vertices)
+    return tuple(
+        (u, v) for u in range(n) for v in range(u + 1, n) if is_geometric_edge(p, u, v)
+    )
+
+
+def random_polytopes(seed, count):
+    """Hulls of seeded integer point sets in d = 2..5; coordinates in
+    [-2, 2] make many of them non-simplicial."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = 2 + len(out) % 4
+        size = d + 2 + len(out) % 6
+        pts = sorted({tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(size)})
+        try:
+            out.append(Polytope.from_vertices(d, extreme_points(d, [Vec(x) for x in pts])))
+        except DegenerateInputError:
+            continue
+    return out
+
+
+def _non_simplicial(p):
+    return any(len(f) > p.dim for f in p.facets)
+
+
+@pytest.mark.parametrize("entry", SKELETON_CATALOGUE, ids=lambda e: e.name)
+def test_edges_match_geometric_edges_on_catalogue(entry):
+    p = entry.build()
+    assert p.edges() == geometric_edges(p)
+
+
+@pytest.mark.parametrize("entry", LARGE_CATALOGUE, ids=lambda e: e.name)
+def test_edges_match_geometric_edges_on_sampled_pairs_of_large_entries(entry):
+    p = entry.build()
+    edges = set(p.edges())
+    pairs = list(combinations(range(len(p.vertices)), 2))
+    rng = random.Random(entry.name)
+    sample = rng.sample(sorted(edges), 8) + rng.sample([e for e in pairs if e not in edges], 8)
+    for u, v in sample:
+        assert is_geometric_edge(p, u, v) == ((u, v) in edges), (u, v)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_edges_match_geometric_edges_on_cyclic_6(n):
+    # Neighborly: every pair is an edge, in as few as d-1 = 5 facets.
+    p = cyclic(n, 6)
+    assert p.edges() == geometric_edges(p)
+    assert len(p.edges()) == n * (n - 1) // 2
+
+
+def test_edges_match_geometric_edges_on_random_point_sets():
+    polys = random_polytopes(71, 24)
+    for p in polys:
+        assert p.edges() == geometric_edges(p), (p.dim, p.vertices)
+    assert sum(map(_non_simplicial, polys)) >= 10
+    # Polygons are always simplicial.
+    assert {p.dim for p in polys if _non_simplicial(p)} == {3, 4, 5}
+
+
+def test_neighbors_and_degree_match_a_scan_of_the_edges():
+    polys = [e.build() for e in catalogue_list()] + random_polytopes(72, 40)
+    for p in polys:
+        edges = p.edges()
+        for v in range(len(p.vertices)):
+            scan = tuple(sorted([b for a, b in edges if a == v] + [a for a, b in edges if b == v]))
+            assert p.neighbors(v) == scan
+            assert p.vertex_degree(v) == len(scan)
+        assert p.neighbors(-1) == p.neighbors(len(p.vertices)) == ()
+
+
+def _loaded(p):
+    """p rebuilt from its vertices and facet lists, as a file gives them."""
+    return [Polytope(p.dim, p.vertices, p.facets), polytope_from_dict(polytope_to_dict(p))]
+
+
+def test_int_plane_matches_facet_plane():
+    rng = random.Random(5)
+    built = [e.build() for e in catalogue_list()] + random_polytopes(73, 40)
+    for p in built[:10]:
+        # Fractional images: the integer planes live on a scale mult > 1.
+        shift = Vec(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(p.dim))
+        image = [v * Fraction(3, 7) + shift for v in p.vertices]
+        built.append(Polytope.from_vertices(p.dim, image))
+    for p in built:
+        ints, mult = p.int_coords()
+        assert (ints, mult) == as_int_coords(p.vertices)
+        for q in [p] + _loaded(p):
+            assert q.int_coords() == (ints, mult)
+            for i, members in enumerate(q.facets):
+                a, o = q.int_plane(i)
+                # The hull's plane and a fitted one are the same primitive
+                # integer vector.
+                assert q.int_plane(i) == p.int_plane(i)
+                assert gcd(*a, o) == 1
+                for v, x in enumerate(ints):
+                    s = sum(c * y for c, y in zip(a, x))
+                    assert (s == o) == (v in members) and s <= o
+                normal, offset = q.facet_plane(i)
+                if q is p:
+                    # The hull's integral normal, over the common denominator.
+                    assert (normal, offset) == (Vec(a), Fraction(o, mult))
+                else:
+                    lead = abs(next(c for c in a if c))
+                    assert (normal, offset) == (Vec(a) / lead, Fraction(o, lead * mult))
+                    assert (normal, offset) == reference_facet_plane(q, members)
