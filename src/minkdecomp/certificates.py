@@ -20,12 +20,11 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .counts import CountConclusion, count_rules
 from .errors import (
-    DegenerateInputError,
     EngineInconsistencyError,
     InvalidInputError,
     RuleNotApplicableError,
@@ -484,16 +483,16 @@ def _shephard_witness(
     the whole non-homothety check.  `Fraction` images are made once, at
     return."""
     members = p.facets[fi]
-    fset = set(members)
-    outside = [w for w in range(len(p.vertices)) if w not in fset]
-    if len(outside) < 2:
+    if len(p.vertices) - len(members) < 2:
         return None
+    fset = set(members)
     out_nbr = {}
     for v in members:
         others = [x for x in skel.neighbors(v) if x not in fset]
         if len(others) != 1:
             return None
         out_nbr[v] = others[0]
+    outside = [w for w in range(len(p.vertices)) if w not in fset]
     ints, mult = p.int_coords()
     a, b = p.int_plane(fi)
     # How far each outside vertex lies below the facet: b - a.X_w > 0.
@@ -551,12 +550,18 @@ def shephard_facet(
 
 def pyramid_apex(p: Polytope) -> Optional[CertificateTrace]:
     """A vertex lying in every facet but one, the exception containing
-    all other vertices: the polytope is a pyramid, hence indecomposable."""
+    all other vertices: the polytope is a pyramid, hence indecomposable.
+    The facets through each vertex are counted once, and the facet away
+    from a vertex is looked up only for a vertex in all but one."""
     n = len(p.vertices)
+    count = [0] * n
+    for f in p.facets:
+        for v in f:
+            count[v] += 1
     for u in range(n):
-        away = [fi for fi, f in enumerate(p.facets) if u not in f]
-        if len(away) != 1:
+        if count[u] != len(p.facets) - 1:
             continue
+        away = [fi for fi, f in enumerate(p.facets) if u not in f]
         base = p.facets[away[0]]
         if len(base) == n - 1:
             step = CertificateStep(
@@ -582,28 +587,43 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     """The reduced polytope and facet witnessing that p results from
     stacking a pyramid with apex u, or None.
 
-    Checks the definition itself: removing u leaves a valid polytope in
-    which u's neighbor set is a facet, and u lies strictly beyond that
-    facet and strictly beneath every other facet of the reduced polytope.
-    The beneath conditions are essential; without them the status
-    equivalence fails (the apex would absorb other facets).
+    The definition: removing u leaves a polytope in which u's neighbor
+    set is a facet, and u lies strictly beyond that facet and strictly
+    beneath every other facet of the reduced polytope.  The beneath
+    conditions are essential; without them the status equivalence fails
+    (the apex would absorb other facets).
 
-    The reduced hull is built only for a vertex that passes a cheaper
-    necessary test first: u's neighbors span a unique hyperplane, u lies
-    strictly off it, and every other vertex lies strictly on the far
-    side.  A facet of the reduced polytope holds exactly the vertices on
-    its hyperplane with the rest strictly beneath, and u must lie
-    strictly beyond it, so the test rejects only what the full check
-    would reject.
+    It is decided on p's own facets, with no hull built, by three tests:
+    some vertex is not a neighbor of u; the neighbors span a unique
+    hyperplane H, with u strictly beyond it and every other vertex
+    strictly beneath; and every facet through u lies within u and its
+    neighbors.  These hold exactly when the definition does.
 
-    Both tests run in integers.  The pretest fits the neighbors' plane on
-    the cached integer coordinates X = mult * x (`linalg.int_hyperplane`,
-    which stops as soon as the neighbors span more than a hyperplane).
-    The reduced polytope keeps its hull's integer planes a.Y <= o
-    (`Polytope.int_plane`) on its own scale Y = mult_r * x, so the apex's
-    side of each is the sign of mult_r * (a.X_u) - mult * o."""
+    If they hold, no edge of p crosses H, since u's edges end on it, so
+    the vertices of P ∩ H⁻ are those of p other than u, and
+    conv(V - u) = P ∩ H⁻.  Its facets are H ∩ P, whose vertices are the
+    neighbors, and the facets of p that miss u, which lie beneath H; a
+    facet through u meets H⁻ only in a face of H ∩ P.  u lies strictly
+    beneath every facet of p that misses it.  Conversely, each test is
+    needed.  If every other vertex is a neighbor, the neighbor set is the
+    whole reduced polytope, not a facet of it.  A facet's vertices span
+    its hyperplane, every other vertex lies strictly beneath it, and u
+    must lie strictly beyond: that is the second test.  A facet F through
+    u with a vertex strictly beneath H leaves F ∩ H⁻ a facet of the
+    reduced polytope whose hyperplane holds u.
+
+    Everything runs in integers.  H is fitted on the cached coordinates
+    X = mult * x (`linalg.int_hyperplane`, which stops as soon as the
+    neighbors span more than a hyperplane).  The reduced polytope clears
+    its own denominator, Y = mult_r * x with mult_r dividing mult, and
+    each plane a.X <= o becomes the primitive (mult * a, mult_r * o) on
+    that scale, with H turned away from u: the planes and coordinates
+    its hull would give, so `int_plane` and `facet_plane` read the same
+    values."""
     n = len(p.vertices)
     nbrs = p.neighbors(u)
+    if len(nbrs) == n - 1:
+        return None
     ints, mult = p.int_coords()
     plane = int_hyperplane([ints[x] for x in nbrs])
     if plane is None:
@@ -613,28 +633,40 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     others = (int_side(a, b, ints[x]) for x in range(n) if x != u and x not in nbrs)
     if apex_side == 0 or any(side * apex_side >= 0 for side in others):
         return None
-    kept = [x for x in range(n) if x != u]
-    try:
-        reduced = Polytope.from_vertices(
-            p.dim,
-            [p.vertices[x] for x in kept],
-            name=f"{p.name or 'polytope'} minus vertex {u}",
-        )
-    except DegenerateInputError:
-        return None
-    fmem = tuple(x - (x > u) for x in nbrs)
-    if fmem not in set(reduced.facets):
-        return None
-    apex = ints[u]
-    _, mult_r = reduced.int_coords()
-    for fi, members in enumerate(reduced.facets):
-        a, o = reduced.int_plane(fi)
-        side = mult_r * sum(c * x for c, x in zip(a, apex)) - mult * o
-        if members == fmem:
-            if side <= 0:
-                return None
-        elif side >= 0:
+    closed = {u, *nbrs}
+    away = []
+    for fi, members in enumerate(p.facets):
+        if u not in members:
+            away.append(fi)
+        elif not closed.issuperset(members):
             return None
+    if apex_side < 0:
+        a, b = [-c for c in a], -b
+    kept = [x for x in range(n) if x != u]
+    g = gcd(mult, *(c for x in kept for c in ints[x]))
+    mult_r = mult // g
+
+    def rescaled(normal: Sequence[int], offset: int) -> Tuple[Tuple[int, ...], int]:
+        h = [mult * c for c in normal]
+        h.append(mult_r * offset)
+        k = gcd(*h)
+        return tuple(c // k for c in h[:-1]), h[-1] // k
+
+    fmem = tuple(x - (x > u) for x in nbrs)
+    rows = [(fmem, rescaled(a, b))]
+    for fi in away:
+        members = tuple(sorted(x - (x > u) for x in p.facets[fi]))
+        rows.append((members, rescaled(*p.int_plane(fi))))
+    rows.sort(key=lambda row: row[0])
+    reduced = Polytope(
+        p.dim,
+        tuple(p.vertices[x] for x in kept),
+        tuple(members for members, _ in rows),
+        name=f"{p.name or 'polytope'} minus vertex {u}",
+    )
+    reduced._cache["ints"] = ([tuple(c // g for c in ints[x]) for x in kept], mult_r)
+    reduced._cache["int_planes"] = [plane for _, plane in rows]
+    reduced._cache["hull_planes"] = True
     return reduced, fmem
 
 
@@ -642,7 +674,9 @@ def pyramid_reduction(p: Polytope) -> Optional[PyramidReductionData]:
     """Detect a stacked apex and reduce past it.  Applicable only when
     the stacked-on facet is certified indecomposable as a
     lower-dimensional polytope; the two polytopes then share their
-    decomposability status."""
+    decomposability status.  The reduced polytope, with its facets and
+    integer planes, is read off p's own (`_stack_structure`, which
+    `replay` shares), so a reduction builds no hull."""
     if p.dim < 3:
         return None
     for u in range(len(p.vertices)):

@@ -19,11 +19,14 @@ The system is then contracted over triangles (McMullen 1987; the
 forces equal scalars on its three edges, so the edges fall into classes,
 the union-find closure of those 3-cycles, and the elimination runs over
 one column per class (`triangle_classes`) instead of one per edge.  A
-complete skeleton is one class.  The dimension of the space is read off
-that elimination alone (`_component_kernels`).  The kernel vectors are
-expanded back to the edges and brought to the basis the uncontracted
-system's reduced echelon form gives (`_edge_rows`), so the basis does not
-depend on the contraction.
+complete skeleton is one class, and so is that of every simplicial
+polytope of dimension 3 or more.  The union-find stops once one class is
+left, and a one-class system, whose rows all vanish, is neither built
+nor eliminated.  The dimension of the space is read off that elimination
+alone (`_component_kernels`).  The kernel vectors are expanded back to
+the edges and brought to the basis the uncontracted system's reduced
+echelon form gives (`_edge_rows`), so the basis does not depend on the
+contraction.
 
 The whole computation runs over integers: the vertex coordinates are
 cleared to a common denominator once (`linalg.as_int_coords`), which
@@ -34,6 +37,9 @@ summed along a spanning tree and the homothety fit (`_residue`), solved
 in closed form from integer sums.  `Fraction` appears only where a
 function is handed out: the basis of `decomposing_space` and the witness
 of `oracle_verdict`, whose edge scalars are verified edge by edge.
+
+A polytope's graph (`skeleton`) takes the polytope's cached edges,
+adjacency and integer coordinates as they are.
 
 `oracle_verdict` builds no basis.  It stops at the dimension when that
 is d + 1, and otherwise expands the edge rows only until the first one
@@ -188,17 +194,32 @@ def _edge_scalars(
 
 
 def skeleton(p: Polytope) -> GeometricGraph:
-    """The edge graph of p, built and validated once per polytope; its
-    integer view is the polytope's cached one."""
+    """The edge graph of p, built once per polytope.
+
+    Its edges, adjacency and integer view are the polytope's cached ones
+    (`Polytope.edges`, `Polytope._adjacency`, `Polytope.int_coords`),
+    taken as they are: the edges are derived sorted, with u < v and no
+    repeats, so the graph skips the normalising and checking that
+    `GeometricGraph` does for edges given by hand.  The one check kept
+    refuses an edge whose endpoints share coordinates, which only a
+    `Polytope` built in code with a repeated vertex can have; it compares
+    the integer tuples."""
     g = p._cache.get("skeleton")
     if g is None:
-        g = GeometricGraph(
-            dim=p.dim,
-            vertices={i: v for i, v in enumerate(p.vertices)},
-            edges=p.edges(),
-        )
         ints, mult = p.int_coords()
-        object.__setattr__(g, "_ints", (dict(enumerate(ints)), mult))
+        edges = p.edges()
+        for u, v in edges:
+            if ints[u] == ints[v]:
+                raise InvalidInputError(f"edge ({u},{v}) endpoints share coordinates")
+        g = object.__new__(GeometricGraph)
+        for name, value in (
+            ("dim", p.dim),
+            ("vertices", dict(enumerate(p.vertices))),
+            ("edges", edges),
+            ("_adjacency", dict(enumerate(p._adjacency()))),
+            ("_ints", (dict(enumerate(ints)), mult)),
+        ):
+            object.__setattr__(g, name, value)
         p._cache["skeleton"] = g
     return g
 
@@ -258,9 +279,13 @@ def triangle_classes(
     2-faces.  Collinear 3-cycles (possible in a graph, never in a
     skeleton) give one equation and join nothing.  Classes are numbered
     by their first edge in comp_edges order.
+
+    The union-find stops once one class is left, as no further 3-cycle
+    can change the answer: every edge then has column 0.
     """
     index = {e: i for i, e in enumerate(comp_edges)}
     root = list(range(len(comp_edges)))
+    left = len(comp_edges)
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -273,6 +298,8 @@ def triangle_classes(
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
     for (u, v), i in index.items():
+        if left == 1:
+            break
         for w in adjacency[u] & adjacency[v]:
             # Each triangle once, as u < v < w.
             if w < v:
@@ -280,6 +307,7 @@ def triangle_classes(
             ri, rj, rk = find(i), find(index[(u, w)]), find(index[(v, w)])
             if ri == rj == rk or int_collinear(xs[u], xs[v], xs[w]):
                 continue
+            left -= len({ri, rj, rk}) - 1
             root[rj] = ri
             root[find(rk)] = ri
     number: Dict[int, int] = {}
@@ -321,7 +349,12 @@ def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
     its BFS tree, the column of each of its edges in the contracted cycle
     system (`triangle_classes`) and that system's integer kernel basis
     (`linalg.int_kernel_basis`).  The space has dimension d per component
-    plus the total number of kernel vectors."""
+    plus the total number of kernel vectors.
+
+    With one class, as on every simplicial polytope of dimension 3 or
+    more, each cycle row sums the edge directions around a closed walk
+    and is zero, so the kernel is [[1]] and the system is neither built
+    nor eliminated."""
     if not g.edges:
         raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
     out = []
@@ -332,7 +365,10 @@ def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
         kernel: List[List[int]] = []
         if comp_edges:
             col_of, k = triangle_classes(xs, comp_edges)
-            _, kernel = int_kernel_basis(cycle_rows(xs, tree, col_of, k), k)
+            if k == 1:
+                kernel = [[1]]
+            else:
+                _, kernel = int_kernel_basis(cycle_rows(xs, tree, col_of, k), k)
             cols = [col_of[e] for e in comp_edges]
         out.append((comp, tree, cols, kernel))
     return out

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from minkdecomp import certificates, graphs
+from minkdecomp import certificates, graphs, hull, kernels
 from minkdecomp.catalogue import catalogue_entry, catalogue_list, sum_of_point_sets
 from minkdecomp.certificates import (
     AnalysisReport,
@@ -48,13 +48,14 @@ from minkdecomp.errors import (
     RuleNotApplicableError,
 )
 from minkdecomp.graphs import DecomposingFunction, is_homothety, skeleton, touches_every_facet
-from minkdecomp.linalg import Vec
+from minkdecomp.linalg import Vec, int_hyperplane, int_side
 from minkdecomp.polytope import (
     Polytope,
     minkowski_sum,
     prism_over,
     pyramid_over,
     stack_pyramid,
+    truncate_vertex,
 )
 
 
@@ -754,6 +755,168 @@ def test_replay_rejects_every_non_apex_in_reduction(build):
         tampered = CertificateTrace((bad,) + trace.steps[1:], trace.verdict, "")
         ok, why = replay_report(tampered, p)
         assert not ok and "vertex is not a stacked pyramid apex" in why, (u, why)
+
+
+def hull_stack_structure(p, u):
+    """The stacked-apex check that builds the reduced polytope's hull:
+    the same hyperplane pretest as the library, then the hull of the
+    other vertices from scratch, with the apex tested against its integer
+    planes.  Returns (result, stage): result as `_stack_structure` gives
+    it, and the stage that refused u ("pretest" or "hull"), or None."""
+    n = len(p.vertices)
+    nbrs = p.neighbors(u)
+    ints, mult = p.int_coords()
+    plane = int_hyperplane([ints[x] for x in nbrs])
+    if plane is None:
+        return None, "pretest"
+    a, b = plane
+    apex_side = int_side(a, b, ints[u])
+    others = (int_side(a, b, ints[x]) for x in range(n) if x != u and x not in nbrs)
+    if apex_side == 0 or any(side * apex_side >= 0 for side in others):
+        return None, "pretest"
+    kept = [x for x in range(n) if x != u]
+    try:
+        reduced = Polytope.from_vertices(
+            p.dim,
+            [p.vertices[x] for x in kept],
+            name=f"{p.name or 'polytope'} minus vertex {u}",
+        )
+    except DegenerateInputError:
+        return None, "hull"
+    fmem = tuple(x - (x > u) for x in nbrs)
+    if fmem not in set(reduced.facets):
+        return None, "hull"
+    apex = ints[u]
+    _, mult_r = reduced.int_coords()
+    for fi, members in enumerate(reduced.facets):
+        a, o = reduced.int_plane(fi)
+        side = mult_r * sum(c * x for c, x in zip(a, apex)) - mult * o
+        if members == fmem:
+            if side <= 0:
+                return None, "hull"
+        elif side >= 0:
+            return None, "hull"
+    return (reduced, fmem), None
+
+
+def _assert_same_reduction(got, want):
+    """Field for field: the reduced polytope and facet, and everything a
+    caller reads off the reduced polytope."""
+    (gr, gf), (wr, wf) = got, want
+    assert gf == wf
+    assert (gr.dim, gr.vertices, gr.facets, gr.name) == (wr.dim, wr.vertices, wr.facets, wr.name)
+    assert gr.int_coords() == wr.int_coords()
+    for fi in range(len(wr.facets)):
+        assert gr.int_plane(fi) == wr.int_plane(fi), fi
+        assert gr.facet_plane(fi) == wr.facet_plane(fi), fi
+    assert gr.edges() == wr.edges()
+
+
+def _random_polytope(rng, d):
+    """The hull of a few seeded integer points in R^d, scaled by a random
+    fraction, or None when they do not span R^d."""
+    scale = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+    points = sorted({tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d + rng.randint(2, 6))})
+    points = [Vec(x) * scale for x in points]
+    try:
+        return Polytope.from_vertices(d, hull.extreme_points(d, points))
+    except DegenerateInputError:
+        return None
+
+
+def _derived_stack_cases():
+    """The catalogue, then pyramids stacked once and twice on its entries
+    of dimension at most 5 and their truncations, then seeded random
+    polytopes in d = 3..5 with a pyramid stacked on each and a
+    truncation."""
+    for e in catalogue_list():
+        p = e.build()
+        yield e.name, p
+        if p.dim > 5:
+            continue
+        once = stack_pyramid(p, 0)
+        yield f"{e.name} stacked", once
+        yield f"{e.name} stacked twice", stack_pyramid(once, len(once.facets) - 1)
+        yield f"{e.name} truncated", truncate_vertex(p, 0)
+    rng = random.Random(61)
+    for d in (3, 4, 5):
+        for k in range(40):
+            p = _random_polytope(rng, d)
+            if p is None:
+                continue
+            yield f"random-{d}-{k}", p
+            yield f"random-{d}-{k} stacked", stack_pyramid(p, rng.randrange(len(p.facets)))
+            yield f"random-{d}-{k} truncated", truncate_vertex(p, rng.randrange(len(p.vertices)))
+
+
+def test_derived_reduction_matches_the_hull_built_one():
+    """`_stack_structure` reads the reduced polytope off p's facets; the
+    reference builds its hull.  Both must agree on every vertex, and
+    every refusal of the derived check must be seen: a vertex adjacent
+    to all others, one whose facets leave its neighbors (cube(3) vertex
+    0 among them), and one that fails the hyperplane pretest."""
+    refused = {"neighbourly": 0, "containment": 0, "pretest": 0}
+    reduced = {"catalogue": 0, "random": 0}
+    for name, p in _derived_stack_cases():
+        n = len(p.vertices)
+        for u in range(n):
+            got = certificates._stack_structure(p, u)
+            want, stage = hull_stack_structure(p, u)
+            if want is not None:
+                assert got is not None, (name, u)
+                _assert_same_reduction(got, want)
+                reduced["random" if name.startswith("random") else "catalogue"] += 1
+                continue
+            assert got is None, (name, u)
+            nbrs = p.neighbors(u)
+            if len(nbrs) == n - 1:
+                refused["neighbourly"] += 1
+            elif stage == "pretest":
+                refused["pretest"] += 1
+            else:
+                closed = {u, *nbrs}
+                assert any(u in f and not closed.issuperset(f) for f in p.facets), (name, u)
+                refused["containment"] += 1
+    assert all(refused.values()), refused
+    assert all(reduced.values()), reduced
+    # cube(3) vertex 0 passes the pretest and fails the containment test.
+    p = cube(3)
+    closed = {0, *p.neighbors(0)}
+    assert hull_stack_structure(p, 0) == (None, "hull")
+    assert len(closed) < 8 and any(0 in f and not closed.issuperset(f) for f in p.facets)
+    assert certificates._stack_structure(p, 0) is None
+
+
+def test_reduction_builds_no_hull(monkeypatch):
+    p = stack_pyramid(cyclic(8, 4), 0)
+    calls = []
+    real = kernels.facet_scan
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "facet_scan", record)
+    report = analyze(p)
+    assert report.trace.steps[0].rule == "PyramidReduction"
+    assert replay(report.trace, p)
+    assert not calls
+
+
+def test_replay_rejects_a_forged_reduction_on_cube():
+    p = cube(3)
+    sub = analyze(simplex(2)).trace
+    forged = CertificateStep(
+        rule="PyramidReduction",
+        inputs=(0, (0, 1, 2), sub),
+        conclusion=certificates.STATUS_EQUIVALENT,
+        vertices=(0, 1, 2),
+    )
+    trace = analyze(p).trace
+    tampered = CertificateTrace((forged,) + trace.steps, trace.verdict, "")
+    ok, why = replay_report(tampered, p)
+    assert not ok
+    assert why.startswith("step_1 (PyramidReduction): vertex is not a stacked pyramid apex"), why
 
 
 # ---------------------------------------------------------------------------

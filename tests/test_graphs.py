@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import pytest
 
+from minkdecomp import graphs, kernels
 from minkdecomp.catalogue import catalogue_list
 from minkdecomp.constructors import cube, cyclic, octahedron, simplex
 from minkdecomp.errors import InvalidInputError
@@ -513,6 +514,40 @@ def test_complete_skeleton_of_cyclic_24_6_is_one_class():
     g = skeleton(cyclic(24, 6))
     assert (len(g.edges), class_count(g)) == (276, 1)
     assert decomposing_space(g)[0] == 7
+
+
+def test_oracle_skips_the_cycle_system_with_one_class(monkeypatch):
+    # cyclic(10,4) is simplicial and neighbourly: one triangle class, so
+    # the kernel is known without building or eliminating the system.
+    def refuse(*args):
+        raise AssertionError("the one-class system was built or eliminated")
+
+    monkeypatch.setattr(graphs, "cycle_rows", refuse)
+    monkeypatch.setattr(kernels, "rref_int", refuse)
+    res = oracle_verdict(cyclic(10, 4))
+    assert (res.verdict, res.dimension) == ("Indecomposable", 5)
+
+
+def test_skeleton_matches_a_graph_built_from_the_edges():
+    for e in catalogue_list():
+        p = e.build()
+        g = skeleton(p)
+        want = GeometricGraph(p.dim, dict(enumerate(p.vertices)), p.edges())
+        assert g == want, e.name
+        assert all(g.neighbors(v) == want.neighbors(v) for v in want.vertices), e.name
+        assert g.int_coords() == want.int_coords(), e.name
+        assert g.components() == want.components(), e.name
+
+
+def test_skeleton_refuses_an_edge_with_repeated_coordinates():
+    # Built in code and never validated: vertex 3 repeats vertex 0, and
+    # the facet lists make (0,3) an edge.
+    pts = [(0, 0), (1, 0), (0, 1), (0, 0)]
+    facets = ((0, 1), (1, 2), (2, 3), (0, 3))
+    p = Polytope(2, tuple(Vec(x) for x in pts), facets)
+    assert (0, 3) in p.edges()
+    with pytest.raises(InvalidInputError, match=r"edge \(0,3\) endpoints share coordinates"):
+        skeleton(p)
 
 
 def test_collinear_triangle_is_not_contracted():

@@ -15,7 +15,7 @@ import pytest
 
 from minkdecomp import _kernels_py, kernels
 from minkdecomp.catalogue import catalogue_list
-from minkdecomp.graphs import decomposing_space, skeleton
+from minkdecomp.graphs import _bfs_tree, cycle_rows, decomposing_space, skeleton
 from minkdecomp.polytope import validate
 
 from reference_linalg import reference_rref_int
@@ -90,10 +90,14 @@ def test_rref_matches_reference_on_random_matrices():
 
 
 def test_rref_matches_reference_on_library_systems(monkeypatch):
-    """The cycle and edge-basis systems of `decomposing_space`, and the
-    homogeneous facet systems (one row (x, -1) per facet vertex), over
-    the catalogue.  `validate` fits its facets with the early-exit
-    echelon of `linalg`, not `rref_int`, so the facet systems are fed in
+    """The cycle and edge-basis systems of `decomposing_space`, the
+    uncontracted cycle systems and the homogeneous facet systems (one row
+    (x, -1) per facet vertex), over the catalogue.  `validate` fits its
+    facets with the early-exit echelon of `linalg`, not `rref_int`, and
+    the library eliminates over triangle classes, never reducing a
+    one-class system, so the facet systems and each skeleton's system
+    over its edges (`cycle_rows` under the identity map, as
+    `identity_decomposing_space` in test_graphs.py builds it) are fed in
     directly."""
     calls = []
     real = kernels.rref_int
@@ -106,7 +110,13 @@ def test_rref_matches_reference_on_library_systems(monkeypatch):
     for e in catalogue_list():
         p = e.build()
         assert validate(p).ok
-        decomposing_space(skeleton(p))
+        g = skeleton(p)
+        decomposing_space(g)
+        xs, _ = g.int_coords()
+        for comp in g.components():
+            tree = _bfs_tree(g, comp)
+            identity = {e: i for i, e in enumerate(tree[3])}
+            calls.append((cycle_rows(xs, tree, identity, len(identity)), len(identity)))
         ints, _ = p.int_coords()
         calls.extend(([list(ints[i]) + [-1] for i in f], p.dim + 1) for f in p.facets)
     monkeypatch.undo()
