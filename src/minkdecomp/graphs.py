@@ -169,10 +169,6 @@ class DecomposingFunction:
             return False
         return derived.edge_scalars == self.edge_scalars
 
-    def is_constant(self) -> bool:
-        values = set(self.images.values())
-        return len(values) <= 1
-
 
 def _edge_scalars(
     g: GeometricGraph, xs: Dict[int, Sequence[int]], mult: int,
@@ -509,11 +505,6 @@ def _residue(
     return DecomposingFunction(
         {v: fraction_vec(r, res_den) for v, r in zip(xs, res)}, scalars
     )
-
-
-def is_homothety(g: GeometricGraph, f: DecomposingFunction) -> bool:
-    residue = homothety_residue(g, f)
-    return all(img.is_zero() for img in residue.images.values())
 
 
 class _PendingWitness:

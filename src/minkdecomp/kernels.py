@@ -1,50 +1,94 @@
 """The integer kernels: row reduction, the incremental echelon and
-facet enumeration.
+facet enumeration, all pure Python over arbitrary-precision integers.
 
-`rref_int` runs the compiled extension when it is built and the
-pure-Python twin in `_kernels_py` otherwise.  The two give identical
-results because both return the primitive reduced row echelon form with
-positive pivots, which is unique, not because they pick the same pivot
-rows (they do not).  Setting the environment variable MINKDECOMP_PURE to any
-nonempty value forces the pure-Python row reduction, and
-`python -m minkdecomp.bench` compares the two.
+`rref_int` is fraction-free Gauss-Jordan elimination: callers clear the
+denominators first.  It returns the primitive reduced row echelon form
+with positive pivots, which the row space alone determines, so its
+output does not depend on the pivot rows it picks.  The rank oracle
+eliminates its cycle systems (`linalg.int_kernel_basis`) and edge rows
+(`graphs._edge_rows`) with it, and `facet_scan` inverts its start
+simplex with it.
 
 `Echelon` is the fraction-free echelon grown one row at a time that
 answers rank questions with a known cap (`linalg.affine_rank`,
 `linalg.int_hyperplane`, and the start simplex of `facet_scan`): it
 stops as soon as the cap is reached.
 
-`facet_scan` is pure Python on both paths: an exact double-description
-hull whose cost follows the facets it builds rather than the C(n, d)
-vertex subsets.  It builds every hull in the package, and only `hull`
-calls it: `hull.facet_data` (for `Polytope.from_vertices`, which keeps
-its integer planes), `hull.facet_masks` (for `polytope.validate`, which
-checks listed facets against it) and `hull.extreme_points` (the vertex
-pruning of Minkowski sums).
+`facet_scan` is an exact double-description hull whose cost follows the
+facets it builds rather than the C(n, d) vertex subsets.  It builds
+every hull in the package, and only `hull` calls it: `hull.facet_data`
+(for `Polytope.from_vertices`, which keeps its integer planes),
+`hull.facet_masks` (for `polytope.validate`, which checks listed facets
+against it) and `hull.extreme_points` (the vertex pruning of Minkowski
+sums).
 """
 
-import os
 from math import gcd, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from . import _kernels_py
-
-if os.environ.get("MINKDECOMP_PURE"):
-    _compiled = None
-else:
-    try:
-        from . import _kernels as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
-
-HAVE_COMPILED = _compiled is not None
+# There is no compiled path; the benchmark still records this flag.
+HAVE_COMPILED = False
 
 
 def rref_int(rows, ncols):
-    if _compiled is not None:
-        return _compiled.rref_int(rows, ncols)
-    return _kernels_py.rref_int(rows, ncols)
+    """Integer Gauss-Jordan elimination.
+
+    Returns (pivot_cols, reduced) where each reduced row is primitive with
+    a positive pivot as its first nonzero entry, and every pivot column is
+    zero in all other rows.  That form is unique, so it does not depend on
+    the pivot rows chosen.  A pivot row is made primitive when chosen, and
+    so is every row eliminated against a pivot other than 1 (the pivot
+    multiplies it); a row eliminated against a pivot of 1 only has a
+    multiple of the pivot row subtracted and is left as it is.  Every kept
+    row is made primitive once at the end.
+    """
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    pivot_cols = []
+    rank = 0
+    for col in range(ncols):
+        # Smallest nonzero magnitude as pivot keeps the integers small.
+        best = -1
+        size = 0
+        for i in range(rank, nrows):
+            x = mat[i][col]
+            if x and (best < 0 or abs(x) < size):
+                best = i
+                size = abs(x)
+        if best < 0:
+            continue
+        piv_row = mat[best]
+        mat[best] = mat[rank]
+        # Columns before col are zero in rows rank.., so the entry at col
+        # leads the row.
+        g = gcd(*piv_row)
+        if piv_row[col] < 0:
+            g = -g
+        if g != 1:
+            piv_row = [x // g for x in piv_row]
+        mat[rank] = piv_row
+        p = piv_row[col]
+        for i in range(nrows):
+            row = mat[i]
+            q = row[col]
+            if not q or i == rank:
+                continue
+            if p == 1:
+                mat[i] = [x - q * y for x, y in zip(row, piv_row)]
+            else:
+                row = [x * p - q * y for x, y in zip(row, piv_row)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
+        pivot_cols.append(col)
+        rank += 1
+    reduced = []
+    for row in mat[:rank]:
+        # The pivot stays positive: later pivots are positive and only
+        # multiply it.
+        g = gcd(*row)
+        reduced.append([x // g for x in row] if g > 1 else row)
+    return pivot_cols, reduced
 
 
 class Echelon:
@@ -146,7 +190,7 @@ def facet_scan(coords, d):
     # factor, minus the facet opposite start[k]: tight on the other
     # start points, strictly negative on start[k].
     aug = [list(rows[i]) + [int(j == r) for j in range(d + 1)] for r, i in enumerate(start)]
-    _, red = _kernels_py.rref_int(aug, 2 * (d + 1))
+    _, red = rref_int(aug, 2 * (d + 1))
     scale = lcm(*(red[r][r] for r in range(d + 1)))
     full = sum(1 << i for i in start)
     facets = []

@@ -10,15 +10,17 @@ integers.  Uniform scaling keeps every face, every rank and kernel of a
 system built from the points, and every sign test, so integer results
 convert back to the rational answer by one division at the end.
 
-Two eliminations serve two kinds of question.  A full kernel (the cycle
+Two eliminations serve two kinds of question, each with one pure
+Python implementation in the kernels module.  A full kernel (the cycle
 systems and edge rows of the rank oracle) needs the reduced row echelon
-form, fraction-free integer Gauss-Jordan in the kernels module.  A rank
-with a known cap needs less: `affine_rank` (difference rows) and
-`int_hyperplane` (incidence rows) add rows one at a time to a
-fraction-free echelon (`kernels.Echelon`) and stop as soon as the rank reaches
-the cap.  A hyperplane fit to points that span more than a hyperplane
-then costs d row insertions and dot products up to the first point off
-the candidate plane, not an elimination over all of them.
+form, which `kernels.rref_int` computes by fraction-free integer
+Gauss-Jordan elimination.  A rank with a known cap needs less:
+`affine_rank` (difference rows) and `int_hyperplane` (incidence rows)
+add rows one at a time to a fraction-free echelon (`kernels.Echelon`)
+and stop as soon as the rank reaches the cap.  A hyperplane fit to
+points that span more than a hyperplane then costs d row insertions and
+dot products up to the first point off the candidate plane, not an
+elimination over all of them.
 `int_collinear` answers the three-point case with 2x2 minors.
 `Fraction` values are made only at the edges: reading off a kernel
 basis, a facet plane a caller asks for, and witnesses.

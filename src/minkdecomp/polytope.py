@@ -214,14 +214,6 @@ def _edges_combinatorial(p: Polytope) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
-def is_simple(p: Polytope) -> bool:
-    degree = [0] * len(p.vertices)
-    for a, b in p.edges():
-        degree[a] += 1
-        degree[b] += 1
-    return all(deg == p.dim for deg in degree)
-
-
 @dataclass
 class ValidationReport:
     violations: List[str]

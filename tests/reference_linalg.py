@@ -18,6 +18,11 @@ combinatorial edge rule is checked against.
 
 `reference_rref_int` is the row reduction that keeps every row primitive
 throughout; `test_kernels` checks the library's against it.
+
+Two predicates the library does not need are kept here for the tests
+that state properties with them: `is_simple` (every vertex has degree
+d) and `is_homothety` (the homothety residue of `graphs.homothety_residue`
+is zero).
 """
 
 from fractions import Fraction
@@ -25,6 +30,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from minkdecomp import kernels
+from minkdecomp.graphs import DecomposingFunction, GeometricGraph, homothety_residue
 from minkdecomp.linalg import (
     Rational,
     Vec,
@@ -289,3 +295,16 @@ def reference_rref_int(rows, ncols):
         pivot_cols.append(col)
         rank += 1
     return pivot_cols, mat[:rank]
+
+
+def is_simple(p) -> bool:
+    degree = [0] * len(p.vertices)
+    for a, b in p.edges():
+        degree[a] += 1
+        degree[b] += 1
+    return all(deg == p.dim for deg in degree)
+
+
+def is_homothety(g: GeometricGraph, f: DecomposingFunction) -> bool:
+    residue = homothety_residue(g, f)
+    return all(img.is_zero() for img in residue.images.values())

@@ -27,7 +27,6 @@ from minkdecomp.errors import InvalidInputError
 from minkdecomp.graphs import (
     GeometricGraph,
     decomposing_space,
-    is_homothety,
     oracle_verdict,
     skeleton,
 )
@@ -35,9 +34,10 @@ from minkdecomp.linalg import Vec
 from minkdecomp.polytope import (
     Polytope,
     incidence_isomorphic,
-    is_simple,
     prism_over,
 )
+
+from reference_linalg import is_homothety, is_simple
 
 SEED = 20260815
 

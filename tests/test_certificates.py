@@ -47,7 +47,7 @@ from minkdecomp.errors import (
     InvalidInputError,
     RuleNotApplicableError,
 )
-from minkdecomp.graphs import DecomposingFunction, is_homothety, skeleton, touches_every_facet
+from minkdecomp.graphs import DecomposingFunction, skeleton, touches_every_facet
 from minkdecomp.linalg import Vec, int_hyperplane, int_side
 from minkdecomp.polytope import (
     Polytope,
@@ -57,6 +57,8 @@ from minkdecomp.polytope import (
     stack_pyramid,
     truncate_vertex,
 )
+
+from reference_linalg import is_homothety
 
 
 OCTA = octahedron()

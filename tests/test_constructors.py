@@ -18,7 +18,9 @@ from minkdecomp.constructors import (
     wedge,
 )
 from minkdecomp.errors import InvalidInputError
-from minkdecomp.polytope import FVector, incidence_isomorphic, is_simple, validate
+from minkdecomp.polytope import FVector, incidence_isomorphic, validate
+
+from reference_linalg import is_simple
 
 
 @pytest.mark.parametrize("d", range(1, 7))

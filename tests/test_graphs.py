@@ -42,7 +42,6 @@ from minkdecomp.graphs import (
     decomposing_space,
     edge_key,
     homothety_residue,
-    is_homothety,
     is_indecomposable_graph,
     oracle_verdict,
     skeleton,
@@ -59,7 +58,7 @@ from minkdecomp.linalg import (
 )
 from minkdecomp.polytope import Polytope, minkowski_sum
 
-from reference_linalg import solve_exact
+from reference_linalg import is_homothety, solve_exact
 
 
 def decomposing_system_matrix(g):
@@ -519,12 +518,16 @@ def test_complete_skeleton_of_cyclic_24_6_is_one_class():
 def test_oracle_skips_the_cycle_system_with_one_class(monkeypatch):
     # cyclic(10,4) is simplicial and neighbourly: one triangle class, so
     # the kernel is known without building or eliminating the system.
+    # The polytope is built first: its hull inverts a start simplex with
+    # `rref_int`.
+    p = cyclic(10, 4)
+
     def refuse(*args):
         raise AssertionError("the one-class system was built or eliminated")
 
     monkeypatch.setattr(graphs, "cycle_rows", refuse)
     monkeypatch.setattr(kernels, "rref_int", refuse)
-    res = oracle_verdict(cyclic(10, 4))
+    res = oracle_verdict(p)
     assert (res.verdict, res.dimension) == ("Indecomposable", 5)
 
 

@@ -1,0 +1,72 @@
+"""The package is one pure-Python implementation with no dead code.
+
+There is no compiled extension to build and no switch between two
+implementations, so the package directory holds Python modules only and
+none of them reads the environment.  Every
+module-level function and class must have a use: a reference elsewhere
+in the package, a place in `minkdecomp.__all__`, or a probe of the
+benchmark's tracer, which looks its targets up by name.  A helper that
+only the tests call belongs in tests/reference_linalg.py.
+"""
+
+import ast
+from pathlib import Path
+
+import minkdecomp
+
+from test_bench_probes import _load_tracer
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "minkdecomp"
+
+
+def test_package_is_pure_python_with_no_path_switch():
+    compiled = sorted(p.name for p in PACKAGE.rglob("*") if p.suffix in (".pyx", ".c"))
+    assert not compiled, compiled
+    # No module reads the environment, so no variable can pick a path.
+    switched = sorted(
+        p.name for p in PACKAGE.glob("*.py")
+        if any(word in p.read_text(encoding="utf-8") for word in ("environ", "getenv"))
+    )
+    assert not switched, switched
+
+
+def _definitions_and_references():
+    """(module, node) for each module-level def and class, and for each
+    name the (module, line) of every load of it, bare or as an
+    attribute."""
+    defs = []
+    refs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defs.extend(
+            (path.stem, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((path.stem, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((path.stem, node.lineno))
+    return defs, refs
+
+
+def test_every_module_level_definition_has_a_use():
+    defs, refs = _definitions_and_references()
+    exported = {
+        (obj.__module__, obj.__name__)
+        for obj in (getattr(minkdecomp, name) for name in minkdecomp.__all__)
+    }
+    probed = {(probe.home, probe.attr) for probe in _load_tracer().PROBES}
+    unused = []
+    for module, node in defs:
+        used_elsewhere = any(
+            m != module or not node.lineno <= line <= node.end_lineno
+            for m, line in refs.get(node.name, ())
+        )
+        if not (
+            used_elsewhere
+            or (f"minkdecomp.{module}", node.name) in exported
+            or (module, node.name) in probed
+        ):
+            unused.append(f"{module}.{node.name}")
+    assert not unused, f"no caller in src/, not exported, not probed: {unused}"

@@ -48,7 +48,6 @@ from minkdecomp.polytope import (
     Polytope,
     facet_as_polytope,
     incidence_isomorphic,
-    is_simple,
     minkowski_sum,
     prism_over,
     pyramid_over,
@@ -59,6 +58,7 @@ from minkdecomp.polytope import (
 
 from reference_linalg import (
     is_geometric_edge,
+    is_simple,
     matrix_rank,
     point_in_hull,
     reference_int_hyperplane,
