@@ -11,7 +11,6 @@ from .catalogue import (
     catalogue_entry,
     catalogue_list,
     catalogue_verify,
-    sum_of_point_sets,
 )
 from .certificates import (
     AnalysisReport,
@@ -122,7 +121,6 @@ __all__ = [
     "simplex",
     "skeleton",
     "stack_pyramid",
-    "sum_of_point_sets",
     "truncate_vertex",
     "validate",
     "wedge",

@@ -9,9 +9,8 @@ oracle both reproduce the expected status.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from . import hull
 from .certificates import DECOMPOSABLE, INDECOMPOSABLE, analyze, replay
 from .constructors import (
     bd182,
@@ -26,28 +25,14 @@ from .constructors import (
     simplex,
     wedge,
 )
-from .linalg import Vec
 from .polytope import (
     FVector,
     Polytope,
+    minkowski_sum,
     prism_over,
     pyramid_over,
     validate,
 )
-
-
-def sum_of_point_sets(
-    dim: int, a: Sequence[Sequence], b: Sequence[Sequence], name: str
-) -> Polytope:
-    """Convex hull of all pairwise sums; summands may be degenerate, the
-    result must be full-dimensional."""
-    pts: List[Vec] = []
-    for x in a:
-        for y in b:
-            s = Vec(x) + Vec(y)
-            if s not in pts:
-                pts.append(s)
-    return Polytope.from_vertices(dim, hull.extreme_points(dim, pts), name=name)
 
 
 _E = [[int(i == j) for j in range(4)] for i in range(4)]
@@ -55,24 +40,20 @@ _O4 = [0, 0, 0, 0]
 
 
 def _sum_18() -> Polytope:
-    return sum_of_point_sets(
-        4, [_O4, _E[0], _E[1]], [_O4, _E[2], _E[3]], "sum-18-edges"
-    )
+    return minkowski_sum([_O4, _E[0], _E[1]], [_O4, _E[2], _E[3]], "sum-18-edges")
 
 
 def _sum_19() -> Polytope:
-    s = simplex(4)
-    return sum_of_point_sets(4, s.vertices, [_O4, [1, 1, 0, 0]], "sum-19-edges")
+    return minkowski_sum(simplex(4), [_O4, [1, 1, 0, 0]], "sum-19-edges")
 
 
 def _sum_20() -> Polytope:
-    s = simplex(4)
-    return sum_of_point_sets(4, s.vertices, [_O4, [1, 2, 4, 8]], "sum-20-edges")
+    return minkowski_sum(simplex(4), [_O4, [1, 2, 4, 8]], "sum-20-edges")
 
 
 def _sum_22() -> Polytope:
     base = [_O4, _E[0], _E[1], _E[2], _E[3], [0, 0, 1, 1]]
-    return sum_of_point_sets(4, base, [_O4, _E[0]], "sum-22-edges")
+    return minkowski_sum(base, [_O4, _E[0]], "sum-22-edges")
 
 
 def _sum_25() -> Polytope:
@@ -80,14 +61,11 @@ def _sum_25() -> Polytope:
     # give the same count, and [p(1), p(3)] is one that yields 25.
     c = cyclic(6, 4)
     direction = c.vertices[2] - c.vertices[0]
-    return sum_of_point_sets(4, c.vertices, [_O4, direction], "sum-25-edges")
+    return minkowski_sum(c, [_O4, direction], "sum-25-edges")
 
 
 def _sum_27() -> Polytope:
-    s = simplex(4)
-    return sum_of_point_sets(
-        4, s.vertices, [_O4, [-1, 0, 0, 0], [0, -1, 0, 0]], "sum-27-edges"
-    )
+    return minkowski_sum(simplex(4), [_O4, [-1, 0, 0, 0], [0, -1, 0, 0]], "sum-27-edges")
 
 
 @dataclass(frozen=True)

@@ -618,8 +618,8 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     its own denominator, Y = mult_r * x with mult_r dividing mult, and
     each plane a.X <= o becomes the primitive (mult * a, mult_r * o) on
     that scale, with H turned away from u: the planes and coordinates
-    its hull would give, so `int_plane` and `facet_plane` read the same
-    values."""
+    its hull would give, which `Polytope._with_planes` keeps as the
+    reduced polytope's `int_coords` and `int_plane`."""
     n = len(p.vertices)
     nbrs = p.neighbors(u)
     if len(nbrs) == n - 1:
@@ -658,15 +658,15 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
         members = tuple(sorted(x - (x > u) for x in p.facets[fi]))
         rows.append((members, rescaled(*p.int_plane(fi))))
     rows.sort(key=lambda row: row[0])
-    reduced = Polytope(
+    reduced = Polytope._with_planes(
         p.dim,
         tuple(p.vertices[x] for x in kept),
         tuple(members for members, _ in rows),
-        name=f"{p.name or 'polytope'} minus vertex {u}",
+        f"{p.name or 'polytope'} minus vertex {u}",
+        [tuple(c // g for c in ints[x]) for x in kept],
+        mult_r,
+        [plane for _, plane in rows],
     )
-    reduced._cache["ints"] = ([tuple(c // g for c in ints[x]) for x in kept], mult_r)
-    reduced._cache["int_planes"] = [plane for _, plane in rows]
-    reduced._cache["hull_planes"] = True
     return reduced, fmem
 
 

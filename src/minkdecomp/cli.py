@@ -27,7 +27,6 @@ from .polytope import Polytope, minkowski_sum, prism_over, stack_pyramid, trunca
 
 PARAMETRIC_KINDS = {
     "simplex": ("d",),
-    "segment": (),
     "delta": ("m", "n"),
     "cube": ("d",),
     "cyclic": ("n", "d"),

@@ -45,11 +45,9 @@ def delta(m: int, n: int) -> Polytope:
     ambient = m + n
     a = _padded_simplex_points(m, 0, ambient)
     b = _padded_simplex_points(n, m, ambient)
-    name = f"delta({m},{n})"
     # Every pairwise sum is already extreme here (product-like structure),
-    # so the hull run only attaches the facet data.
-    candidates = sorted(set(p + q for p in a for q in b))
-    return Polytope.from_vertices(ambient, candidates, name=name)
+    # so the sum's pruning keeps all (m + 1)(n + 1) of them.
+    return minkowski_sum(a, b, name=f"delta({m},{n})")
 
 
 def cube(d: int) -> Polytope:

@@ -23,7 +23,7 @@ dot products up to the first point off the candidate plane, not an
 elimination over all of them.
 `int_collinear` answers the three-point case with 2x2 minors.
 `Fraction` values are made only at the edges: reading off a kernel
-basis, a facet plane a caller asks for, and witnesses.
+basis, a stacked pyramid's apex, and witnesses.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class Vec(tuple):
 
     def dot(self, other) -> Rational:
         return sum((a * b for a, b in zip(self, other, strict=True)), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not any(self)
 
 
 def zero_vec(d: int) -> Vec:

@@ -5,10 +5,12 @@ A polytope is stored as exact vertex coordinates together with the list
 of facet vertex-index sets; no face lattice above the facet level is
 kept, because none of the decomposability rules needs one.  Everything
 derived is computed once per polytope and cached: the integer
-coordinates X = mult * x (`int_coords`), the integer facet planes
-(`int_plane`), their `Fraction` forms (`facet_plane`), the edges and the
-adjacency.  `from_vertices` seeds the first two from the hull, and the
-`Fraction` planes are made only when asked for.
+coordinates X = mult * x (`int_coords`), one primitive outward integer
+plane per facet (`int_plane`), the edges and the adjacency.  Only this
+module lays out that cache.  `from_vertices` seeds the coordinates and
+planes from the hull through `_with_planes`, which a caller that reads
+them off another polytope uses too; a polytope given by vertices and
+facet lists, as a file gives it, fits the same planes on first use.
 
 Edges are derived combinatorially from facet bitsets: a pair is an edge
 iff the facets containing both vertices intersect in exactly that pair
@@ -31,7 +33,6 @@ from .linalg import (
     Vec,
     affine_rank,
     as_int_coords,
-    fraction_vec,
     int_hyperplane,
     int_side,
 )
@@ -60,8 +61,7 @@ class Polytope:
         Every point must be a vertex of the hull; InvalidInputError
         names the points that are not (`hull.non_vertices`).  The hull's
         integer coordinates and primitive integer facet planes are kept
-        as `int_coords` and `int_plane`; `facet_plane` divides them by
-        the common denominator, which leaves the normals integral.
+        as `int_coords` and `int_plane`.
         """
         verts = tuple(Vec(v) for v in vertices)
         data, ints, mult = hull.facet_data(dim, verts)
@@ -69,30 +69,34 @@ class Polytope:
         stray = hull.non_vertices(len(verts), facets)
         if stray:
             raise InvalidInputError(_stray_message(verts, stray))
-        poly = Polytope(dim=dim, vertices=verts, facets=facets, name=name)
+        planes = [(normal, offset) for _, normal, offset in data]
+        return Polytope._with_planes(dim, verts, facets, name, ints, mult, planes)
+
+    @staticmethod
+    def _with_planes(
+        dim: int,
+        vertices: Tuple[Vec, ...],
+        facets: Tuple[Tuple[int, ...], ...],
+        name: Optional[str],
+        ints: List[Tuple[int, ...]],
+        mult: int,
+        planes: List[Tuple[Tuple[int, ...], int]],
+    ) -> "Polytope":
+        """A polytope whose `int_coords` (ints, mult) and per-facet
+        `int_plane` values are already known; each plane must be the
+        primitive outward one `int_plane` would fit."""
+        poly = Polytope(dim=dim, vertices=vertices, facets=facets, name=name)
         poly._cache["ints"] = (ints, mult)
-        poly._cache["int_planes"] = [(normal, offset) for _, normal, offset in data]
-        poly._cache["hull_planes"] = True
+        poly._cache["int_planes"] = planes
         return poly
-
-    def facet_plane(self, index: int) -> Tuple[Vec, Rational]:
-        """Outward hyperplane (a, b) of a facet: a.x <= b on P, = b on it.
-
-        Made from `int_plane` on first use: a polytope built by
-        `from_vertices` keeps the hull's integral normal, any other has
-        its normal scaled so that the first nonzero entry is +1 or -1."""
-        planes = self._per_facet("planes")
-        if planes[index] is None:
-            a, o = self.int_plane(index)
-            lead = 1 if self._cache.get("hull_planes") else abs(next(x for x in a if x))
-            planes[index] = fraction_vec(a, lead), Fraction(o, lead * self.int_coords()[1])
-        return planes[index]
 
     def int_plane(self, index: int) -> Tuple[Sequence[int], int]:
         """Outward integer hyperplane (a, o) of a facet on the `int_coords`
         scale: a.X <= o for every vertex X, with equality exactly on the
         facet.  Kept from the hull by `from_vertices`, fitted otherwise."""
-        planes = self._per_facet("int_planes")
+        planes = self._cache.get("int_planes")
+        if planes is None:
+            planes = self._cache["int_planes"] = [None] * len(self.facets)
         if planes[index] is None:
             planes[index] = self._fit_plane(self.facets[index])
         return planes[index]
@@ -104,13 +108,6 @@ class Polytope:
         if cached is None:
             cached = as_int_coords(self.vertices)
             self._cache["ints"] = cached
-        return cached
-
-    def _per_facet(self, key: str) -> list:
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = [None] * len(self.facets)
-            self._cache[key] = cached
         return cached
 
     def _fit_plane(self, members: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
@@ -135,9 +132,6 @@ class Polytope:
     def f_vector(self) -> FVector:
         return FVector(len(self.vertices), len(self.edges()), len(self.facets))
 
-    def vertex_degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """v's neighbours in increasing order; none for an index that
         names no vertex."""
@@ -156,18 +150,6 @@ class Polytope:
             cached = tuple(map(tuple, adj))
             self._cache["adjacency"] = cached
         return cached
-
-    def facets_of_vertex(self, v: int) -> Tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.facets) if v in f)
-
-    def translate(self, shift: Sequence[Rational]) -> "Polytope":
-        t = Vec(shift)
-        return Polytope(
-            self.dim,
-            tuple(v + t for v in self.vertices),
-            self.facets,
-            self.name,
-        )
 
 
 def _mask(members: Sequence[int]) -> int:
@@ -301,21 +283,27 @@ def validate(p: Polytope) -> ValidationReport:
     return ValidationReport(out)
 
 
-def minkowski_sum(p: Polytope, q, name: Optional[str] = None) -> Polytope:
+def minkowski_sum(p, q, name: Optional[str] = None) -> Polytope:
     """Exact Minkowski sum via pairwise vertex sums and hull pruning.
 
-    The second summand may be a Polytope or a bare point list; the latter
+    Each summand may be a Polytope or a bare point list; a point list
     admits lower-dimensional summands (segments, polygons in R^4), which
     cannot be represented as full-dimensional Polytope values but sum
-    perfectly well.
+    perfectly well.  The ambient dimension is read off the points, and
+    the sum must span it (DegenerateInputError otherwise).  The
+    candidate sums are deduplicated and sorted, and the points that are
+    not extreme are dropped before the hull is built.
     """
-    q_vertices = q.vertices if isinstance(q, Polytope) else [Vec(x) for x in q]
-    if not q_vertices:
+    p_points, q_points = (
+        s.vertices if isinstance(s, Polytope) else [Vec(x) for x in s] for s in (p, q)
+    )
+    if not p_points or not q_points:
         raise InvalidInputError("empty summand")
-    if any(len(x) != p.dim for x in q_vertices):
+    dim = len(p_points[0])
+    if any(len(x) != dim for x in (*p_points, *q_points)):
         raise InvalidInputError("summands live in different ambient dimensions")
-    candidates = sorted(set(a + b for a in p.vertices for b in q_vertices))
-    return Polytope.from_vertices(p.dim, hull.extreme_points(p.dim, candidates), name=name)
+    candidates = sorted(set(a + b for a in p_points for b in q_points))
+    return Polytope.from_vertices(dim, hull.extreme_points(dim, candidates), name=name)
 
 
 def prism_over(p: Polytope, name: Optional[str] = None) -> Polytope:
@@ -338,30 +326,27 @@ def pyramid_over(p: Polytope, name: Optional[str] = None) -> Polytope:
 def stack_pyramid(p: Polytope, facet: int, name: Optional[str] = None) -> Polytope:
     """Glue a pyramid onto the chosen facet.
 
-    The apex starts at facet centroid + outward normal and is halved
-    toward the centroid until it lies strictly beyond the chosen facet
-    and strictly beneath every other one.
+    The apex starts at facet centroid + outward normal, the facet's
+    primitive integer normal (`int_plane`), and is halved toward the
+    centroid until it lies strictly beyond the chosen facet and strictly
+    beneath every other one.  The planes are the same whether p was
+    built from vertices or read from a file, so both give one apex.
     """
     if not 0 <= facet < len(p.facets):
         raise InvalidInputError(f"no facet with index {facet}")
     members = p.facets[facet]
-    normal, offset = p.facet_plane(facet)
+    # a.X <= o on the `int_coords` scale is a.x <= o / mult on p's own.
+    _, mult = p.int_coords()
+    planes = [(Vec(a), Fraction(o, mult)) for a, o in map(p.int_plane, range(len(p.facets)))]
+    normal, offset = planes[facet]
+    others = planes[:facet] + planes[facet + 1:]
     centroid = Vec(
         sum(col) / len(members) for col in zip(*(p.vertices[i] for i in members))
     )
     step = Fraction(1)
     for _ in range(64):
         apex = centroid + normal * step
-        ok = normal.dot(apex) > offset
-        if ok:
-            for gi in range(len(p.facets)):
-                if gi == facet:
-                    continue
-                gn, go = p.facet_plane(gi)
-                if gn.dot(apex) >= go:
-                    ok = False
-                    break
-        if ok:
+        if normal.dot(apex) > offset and all(a.dot(apex) < o for a, o in others):
             return Polytope.from_vertices(
                 p.dim, list(p.vertices) + [apex], name=name
             )

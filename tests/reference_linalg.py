@@ -19,14 +19,19 @@ combinatorial edge rule is checked against.
 `reference_rref_int` is the row reduction that keeps every row primitive
 throughout; `test_kernels` checks the library's against it.
 
-Two predicates the library does not need are kept here for the tests
-that state properties with them: `is_simple` (every vertex has degree
-d) and `is_homothety` (the homothety residue of `graphs.homothety_residue`
-is zero).
+`reference_plane` is a facet's outward hyperplane by a rational kernel
+over its points (`reference_common_hyperplane`), and `reference_int_plane`
+the same plane as the primitive integer vector on the polytope's
+`int_coords` scale, the form `Polytope.int_plane` keeps.
+
+Helpers the library does not need are kept here for the tests that
+state properties with them: `is_simple` (every vertex has degree d),
+`is_homothety` (the homothety residue of `graphs.homothety_residue` is
+zero), `is_zero`, `vertex_degree` and `translate`.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from minkdecomp import kernels
@@ -41,6 +46,7 @@ from minkdecomp.linalg import (
     int_kernel_basis,
     rank_and_kernel,
 )
+from minkdecomp.polytope import Polytope
 
 
 def matrix_rank(rows: Sequence[Sequence[Rational]], ncols: Optional[int] = None) -> int:
@@ -85,6 +91,46 @@ def hyperplane_through(points: Sequence[Sequence[Rational]]) -> Optional[Tuple[V
     a, b = plane
     lead = next(x for x in a if x)
     return fraction_vec(a, lead), Fraction(b, lead * mult)
+
+
+def reference_common_hyperplane(pts):
+    """The unique hyperplane through all the points, by a rational kernel,
+    with the first nonzero normal entry scaled to 1."""
+    if not pts:
+        return None
+    d = len(pts[0])
+    rows = [list(p) + [Fraction(-1)] for p in pts]
+    _, basis = rank_and_kernel(rows, d + 1)
+    if len(basis) != 1:
+        return None
+    vec = basis[0]
+    normal, offset = Vec(vec[:d]), vec[d]
+    lead = next((x for x in normal if x), None)
+    if lead is None:
+        return None
+    return normal / lead, offset / lead
+
+
+def reference_plane(p, members) -> Tuple[Vec, Rational]:
+    """Outward rational hyperplane (a, b) of a facet: a.x <= b on p, with
+    equality on the facet, normal lead entry +1 or -1."""
+    normal, offset = reference_common_hyperplane([p.vertices[i] for i in members])
+    outside = next((i for i in range(len(p.vertices)) if i not in set(members)), None)
+    if outside is not None and normal.dot(p.vertices[outside]) > offset:
+        normal, offset = -normal, -offset
+    return normal, offset
+
+
+def reference_int_plane(p, members) -> Tuple[Tuple[int, ...], int]:
+    """`reference_plane` on the scale X = mult * x of `as_int_coords`,
+    scaled to a primitive integer vector (a, o): a.X <= o on p."""
+    normal, offset = reference_plane(p, members)
+    _, mult = as_int_coords(p.vertices)
+    row = list(normal) + [offset * mult]
+    den = lcm(*(c.denominator for c in row))
+    ints = [c.numerator * (den // c.denominator) for c in row]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints[:-1]), ints[-1] // g
 
 
 def reference_affine_rank(points: Sequence[Sequence[int]], d: int) -> int:
@@ -307,4 +353,18 @@ def is_simple(p) -> bool:
 
 def is_homothety(g: GeometricGraph, f: DecomposingFunction) -> bool:
     residue = homothety_residue(g, f)
-    return all(img.is_zero() for img in residue.images.values())
+    return all(is_zero(img) for img in residue.images.values())
+
+
+def is_zero(v: Sequence[Rational]) -> bool:
+    return not any(v)
+
+
+def vertex_degree(p, v: int) -> int:
+    return len(p.neighbors(v))
+
+
+def translate(p, shift: Sequence[Rational]) -> Polytope:
+    """p shifted by a vector, its facet lists kept."""
+    t = Vec(shift)
+    return Polytope(p.dim, tuple(v + t for v in p.vertices), p.facets, p.name)

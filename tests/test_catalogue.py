@@ -6,9 +6,7 @@ from minkdecomp.catalogue import (
     catalogue_entry,
     catalogue_list,
     catalogue_verify,
-    sum_of_point_sets,
 )
-from minkdecomp.errors import DegenerateInputError
 from minkdecomp.polytope import incidence_isomorphic
 
 
@@ -64,13 +62,6 @@ def test_bd_pair_have_equal_counts_but_different_incidences():
     b = catalogue_entry("bd198").build()
     assert tuple(a.f_vector()) == tuple(b.f_vector()) == (8, 15, 9)
     assert not incidence_isomorphic(a, b)
-
-
-def test_sum_of_point_sets_drops_interior_points():
-    s = sum_of_point_sets(1, [[0], [1]], [[0], [1]], "segment-sum")
-    assert [tuple(v) for v in s.vertices] == [(0,), (2,)]
-    with pytest.raises(DegenerateInputError):
-        sum_of_point_sets(2, [[0, 0], [1, 0]], [[0, 0], [1, 0]], "flat")
 
 
 def test_status_split():

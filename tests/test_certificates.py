@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from minkdecomp import certificates, graphs, hull, kernels
-from minkdecomp.catalogue import catalogue_entry, catalogue_list, sum_of_point_sets
+from minkdecomp.catalogue import catalogue_entry, catalogue_list
 from minkdecomp.certificates import (
     AnalysisReport,
     CertificateStep,
@@ -58,7 +58,7 @@ from minkdecomp.polytope import (
     truncate_vertex,
 )
 
-from reference_linalg import is_homothety
+from reference_linalg import is_homothety, reference_int_plane, reference_plane, translate
 
 
 OCTA = octahedron()
@@ -237,7 +237,7 @@ def reference_shephard_witness(p, skel, fi):
         if len(others) != 1:
             return None
         out_nbr[v] = others[0]
-    a, b = p.facet_plane(fi)
+    a, b = reference_plane(p, members)
     alpha = max(a.dot(p.vertices[w]) for w in outside)
     images = {i: p.vertices[i] for i in range(len(p.vertices))}
     for v in members:
@@ -342,7 +342,7 @@ def test_pyramid_reduction_ignores_non_stacked_sums():
     # from their neighbors alone.
     c = cyclic(6, 4)
     d = c.vertices[1] - c.vertices[0]
-    s = sum_of_point_sets(4, c.vertices, [[0, 0, 0, 0], tuple(d)], "sum-24-edges")
+    s = minkowski_sum(c, [[0, 0, 0, 0], tuple(d)], "sum-24-edges")
     assert s.f_vector() == (10, 24, 11)
     assert pyramid_reduction(s) is None
     report = analyze(s)
@@ -493,7 +493,7 @@ def test_replay_accepts_emitted_traces(p):
 def test_replay_is_coordinate_shift_invariant():
     p = bd198()
     trace = analyze(p).trace
-    assert replay(trace, p.translate((1, -2, 3)))
+    assert replay(trace, translate(p, (1, -2, 3)))
 
 
 def test_replay_rejects_verdict_flip():
@@ -689,7 +689,7 @@ def _stack_structure_reference(p, u):
         return None
     apex = p.vertices[u]
     for fi, members in enumerate(reduced.facets):
-        a, b = reduced.facet_plane(fi)
+        a, b = reference_plane(reduced, members)
         side = a.dot(apex)
         if members == fmem:
             if side <= b:
@@ -810,7 +810,7 @@ def _assert_same_reduction(got, want):
     assert gr.int_coords() == wr.int_coords()
     for fi in range(len(wr.facets)):
         assert gr.int_plane(fi) == wr.int_plane(fi), fi
-        assert gr.facet_plane(fi) == wr.facet_plane(fi), fi
+        assert gr.int_plane(fi) == reference_int_plane(gr, gr.facets[fi]), fi
     assert gr.edges() == wr.edges()
 
 

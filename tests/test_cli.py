@@ -6,7 +6,7 @@ import json
 import pytest
 
 from minkdecomp import certificates, kernels
-from minkdecomp.cli import main
+from minkdecomp.cli import PARAMETRIC_KINDS, main
 from minkdecomp.fileio import loads, read_polytope, write_polytope
 from minkdecomp.constructors import capped_prism, cube, cyclic, simplex
 
@@ -34,6 +34,21 @@ def test_construct_to_file(tmp_path, capsys):
     code, out, _ = run(capsys, "construct", "cube", "--d", "3", "-o", str(path))
     assert code == 0 and out == ""
     assert read_polytope(str(path)).f_vector().v == 8
+
+
+# Small values every parametric family accepts: cyclic needs an even d
+# and n >= d + 1, wedge needs d >= 3.
+SMALL_PARAMS = {"d": 4, "m": 1, "n": 6}
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETRIC_KINDS))
+def test_construct_every_parametric_kind(capsys, kind):
+    argv = ["construct", kind]
+    for key in PARAMETRIC_KINDS[kind]:
+        argv += [f"--{key}", str(SMALL_PARAMS[key])]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert loads(out).vertices
 
 
 def test_construct_param_validation(capsys):

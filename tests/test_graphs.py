@@ -58,7 +58,7 @@ from minkdecomp.linalg import (
 )
 from minkdecomp.polytope import Polytope, minkowski_sum
 
-from reference_linalg import is_homothety, solve_exact
+from reference_linalg import is_homothety, is_zero, solve_exact
 
 
 def decomposing_system_matrix(g):
@@ -160,7 +160,7 @@ def reference_oracle_witness(g, basis):
     """The first nonzero homothety residue after the d translations."""
     for f in basis[g.dim:]:
         residue = reference_homothety_residue(g, f)
-        if not all(img.is_zero() for img in residue.images.values()):
+        if not all(is_zero(img) for img in residue.images.values()):
             return residue
     return None
 
@@ -381,7 +381,7 @@ def test_homothety_detection():
     images = {v: TRIANGLE.vertices[v] * Fraction(5, 2) + shift for v in TRIANGLE.vertices}
     f = DecomposingFunction.from_images(TRIANGLE, images)
     assert is_homothety(TRIANGLE, f)
-    assert all(img.is_zero() for img in homothety_residue(TRIANGLE, f).images.values())
+    assert all(is_zero(img) for img in homothety_residue(TRIANGLE, f).images.values())
 
     # Collapse one side of the square: decomposing but not a homothety.
     g = SQUARE

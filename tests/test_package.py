@@ -5,8 +5,10 @@ implementations, so the package directory holds Python modules only and
 none of them reads the environment.  Every
 module-level function and class must have a use: a reference elsewhere
 in the package, a place in `minkdecomp.__all__`, or a probe of the
-benchmark's tracer, which looks its targets up by name.  A helper that
-only the tests call belongs in tests/reference_linalg.py.
+benchmark's tracer, which looks its targets up by name.  Every method of
+a module-level class other than the dunder ones must be referenced in
+the package outside its own body.  A helper that only the tests call
+belongs in tests/reference_linalg.py.
 """
 
 import ast
@@ -31,27 +33,45 @@ def test_package_is_pure_python_with_no_path_switch():
 
 
 def _definitions_and_references():
-    """(module, node) for each module-level def and class, and for each
-    name the (module, line) of every load of it, bare or as an
-    attribute."""
+    """(module, node) for each module-level def and class, the
+    (module, class name, node) of each of their classes' non-dunder
+    methods, and for each name the (module, line) of every load of it,
+    bare or as an attribute."""
     defs = []
+    methods = []
     refs = {}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         defs.extend(
             (path.stem, node) for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if isinstance(node, (*functions, ast.ClassDef))
+        )
+        methods.extend(
+            (path.stem, cls.name, node)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, functions) and not node.name.startswith("__")
         )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.setdefault(node.id, []).append((path.stem, node.lineno))
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append((path.stem, node.lineno))
-    return defs, refs
+    return defs, methods, refs
+
+
+def _used_elsewhere(module, node, refs):
+    """Whether node's name is loaded anywhere in the package outside
+    node's own body."""
+    return any(
+        m != module or not node.lineno <= line <= node.end_lineno
+        for m, line in refs.get(node.name, ())
+    )
 
 
 def test_every_module_level_definition_has_a_use():
-    defs, refs = _definitions_and_references()
+    defs, _, refs = _definitions_and_references()
     exported = {
         (obj.__module__, obj.__name__)
         for obj in (getattr(minkdecomp, name) for name in minkdecomp.__all__)
@@ -59,14 +79,20 @@ def test_every_module_level_definition_has_a_use():
     probed = {(probe.home, probe.attr) for probe in _load_tracer().PROBES}
     unused = []
     for module, node in defs:
-        used_elsewhere = any(
-            m != module or not node.lineno <= line <= node.end_lineno
-            for m, line in refs.get(node.name, ())
-        )
         if not (
-            used_elsewhere
+            _used_elsewhere(module, node, refs)
             or (f"minkdecomp.{module}", node.name) in exported
             or (module, node.name) in probed
         ):
             unused.append(f"{module}.{node.name}")
     assert not unused, f"no caller in src/, not exported, not probed: {unused}"
+
+
+def test_every_method_has_a_use():
+    _, methods, refs = _definitions_and_references()
+    unused = [
+        f"{module}.{cls}.{node.name}"
+        for module, cls, node in methods
+        if not _used_elsewhere(module, node, refs)
+    ]
+    assert not unused, f"no caller in src/ outside their own bodies: {unused}"

@@ -1,20 +1,23 @@
 """Polytope representation, derived operations, and validation.
 
 Facet-plane fits and `validate` run over cleared integer coordinates.
-The rational fit they replaced (`reference_common_hyperplane`) and the
-rational facet checks of `validate` (`reference_validate`, which fits
-every listed facet and, once the facet checks pass, names the points
-that are not vertices and the hull facets that are not listed) are kept
-below as references, on catalogue images, on broken inputs with
-fractional coordinates and on seeded tampered facet lists.  `validate`
+The rational fit they replaced (`reference_common_hyperplane`, in
+reference_linalg) and the rational facet checks of `validate`
+(`reference_validate`, which fits every listed facet and, once the
+facet checks pass, names the points that are not vertices and the hull
+facets that are not listed) are the references, on catalogue images, on
+broken inputs with fractional coordinates and on seeded tampered facet
+lists.  `validate`
 itself fits only the listed facets the hull lacks.  The reference finds
 the hull's facets by trying the hyperplane of every d-subset of the
 points (`reference_hull_facets`), not by `kernels.facet_scan`.
 
 The skeleton, read off facet bitsets, is checked against the exact
 supporting-hyperplane LP (`is_geometric_edge`), and the integer facet
-planes (`Polytope.int_plane`) against their `Fraction` forms and the
-rational reference fit.
+planes (`Polytope.int_plane`) against the rational reference fit scaled
+to primitive integers (`reference_int_plane`), for built polytopes and
+for copies read from their vertex and facet lists.  `stack_pyramid`
+reads those planes, so both copies get one apex.
 """
 
 import random
@@ -38,11 +41,11 @@ from minkdecomp.constructors import (
     simplex,
     wedge,
 )
-from minkdecomp.catalogue import catalogue_list, sum_of_point_sets
+from minkdecomp.catalogue import catalogue_list
 from minkdecomp.errors import DegenerateInputError, InvalidInputError
-from minkdecomp.fileio import polytope_from_dict, polytope_to_dict
+from minkdecomp.fileio import dumps, loads, polytope_from_dict, polytope_to_dict
 from minkdecomp.hull import extreme_points, non_vertices
-from minkdecomp.linalg import Vec, as_int_coords, rank_and_kernel
+from minkdecomp.linalg import Vec, as_int_coords
 from minkdecomp.polytope import (
     FVector,
     Polytope,
@@ -61,33 +64,12 @@ from reference_linalg import (
     is_simple,
     matrix_rank,
     point_in_hull,
+    reference_common_hyperplane,
     reference_int_hyperplane,
+    reference_int_plane,
+    translate,
+    vertex_degree,
 )
-
-
-def reference_common_hyperplane(pts):
-    """The unique hyperplane through all the points, by a rational kernel."""
-    if not pts:
-        return None
-    d = len(pts[0])
-    rows = [list(p) + [Fraction(-1)] for p in pts]
-    _, basis = rank_and_kernel(rows, d + 1)
-    if len(basis) != 1:
-        return None
-    vec = basis[0]
-    normal, offset = Vec(vec[:d]), vec[d]
-    lead = next((x for x in normal if x), None)
-    if lead is None:
-        return None
-    return normal / lead, offset / lead
-
-
-def reference_facet_plane(p, members):
-    normal, offset = reference_common_hyperplane([p.vertices[i] for i in members])
-    outside = next((i for i in range(len(p.vertices)) if i not in set(members)), None)
-    if outside is not None and normal.dot(p.vertices[outside]) > offset:
-        normal, offset = -normal, -offset
-    return normal, offset
 
 
 def reference_hull_facets(p):
@@ -244,7 +226,7 @@ def test_neighbors_and_degree():
     p = octahedron()
     for v in range(6):
         nbrs = p.neighbors(v)
-        assert p.vertex_degree(v) == len(nbrs) == 4
+        assert vertex_degree(p, v) == len(nbrs) == 4
         assert v not in nbrs
 
 
@@ -262,20 +244,22 @@ def test_edges_combinatorial_equals_geometric_on_small_entries():
         assert combinatorial == geometric
 
 
-def test_facet_plane_orientation():
+def test_int_plane_orientation():
     p = simplex(3)
+    ints, _ = p.int_coords()
     for i in range(len(p.facets)):
-        a, b = p.facet_plane(i)
+        a, o = p.int_plane(i)
+        assert (a, o) == reference_int_plane(p, p.facets[i])
         members = set(p.facets[i])
-        for v in range(len(p.vertices)):
-            s = a.dot(p.vertices[v])
-            assert (s == b) == (v in members)
-            assert s <= b
+        for v, x in enumerate(ints):
+            s = sum(c * y for c, y in zip(a, x))
+            assert (s == o) == (v in members)
+            assert s <= o
 
 
 def test_translate_preserves_combinatorics():
     p = bd198()
-    q = p.translate((1, Fraction(-2, 3), 5))
+    q = translate(p, (1, Fraction(-2, 3), 5))
     assert q.facets == p.facets
     assert q.f_vector() == p.f_vector()
     assert q.vertices[0] == p.vertices[0] + (1, Fraction(-2, 3), 5)
@@ -316,13 +300,26 @@ def test_minkowski_sum_filters_non_extreme_points():
     assert incidence_isomorphic(summed, delta(1, 2))
 
 
+def test_minkowski_sum_of_point_lists_drops_interior_points():
+    s = minkowski_sum([[0], [1]], [[0], [1]], "segment-sum")
+    assert [tuple(v) for v in s.vertices] == [(0,), (2,)]
+    assert s.name == "segment-sum"
+    with pytest.raises(DegenerateInputError):
+        minkowski_sum([[0, 0], [1, 0]], [[0, 0], [1, 0]], "flat")
+    with pytest.raises(InvalidInputError, match="different ambient dimensions"):
+        minkowski_sum([[0, 0], [1, 0]], [[0], [1]])
+    with pytest.raises(InvalidInputError, match="empty summand"):
+        minkowski_sum([], simplex(2))
+
+
 def test_minkowski_sum_commutes_up_to_isomorphism():
     tri = Polytope.from_vertices(2, [(0, 0), (2, 0), (0, 2)])
     seg = [(0, 0), (1, 1)]
     a = minkowski_sum(tri, seg)
-    b = minkowski_sum(Polytope.from_vertices(2, seg + [(1, 0)]), [(0, 0)])
+    # The candidate sums are sorted, so either order gives one polytope.
+    assert minkowski_sum(seg, tri) == a
     assert a.f_vector().v == 5
-    assert incidence_isomorphic(a, a.translate((3, 4)))
+    assert incidence_isomorphic(a, translate(a, (3, 4)))
 
 
 def test_prism_over_counts():
@@ -357,7 +354,7 @@ def test_stack_pyramid_bad_facet_index():
 def test_truncate_vertex_counts():
     p = simplex(3)
     q = truncate_vertex(p, 0)
-    assert q.f_vector().v == p.f_vector().v - 1 + p.vertex_degree(0)
+    assert q.f_vector().v == p.f_vector().v - 1 + vertex_degree(p, 0)
     assert q.f_vector().f == p.f_vector().f + 1
 
 
@@ -379,7 +376,7 @@ def test_facet_as_polytope_bad_index():
 
 
 def test_incidence_isomorphic_positive_and_negative():
-    assert incidence_isomorphic(cube(3), cube(3).translate((5, 5, 5)))
+    assert incidence_isomorphic(cube(3), translate(cube(3), (5, 5, 5)))
     assert incidence_isomorphic(delta(1, 2), prism_over(Polytope.from_vertices(2, [(0, 0), (3, 0), (0, 3)])))
     assert not incidence_isomorphic(cube(3), octahedron())
     assert not incidence_isomorphic(bd182(), bd198())
@@ -390,7 +387,7 @@ def test_polytope_requires_consistent_dimension():
         Polytope.from_vertices(2, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
 
-def test_facet_planes_and_validate_match_rational_reference_on_catalogue():
+def test_int_planes_and_validate_match_rational_reference_on_catalogue():
     rng = random.Random(3)
     for e in catalogue_list():
         p = e.build()
@@ -398,7 +395,7 @@ def test_facet_planes_and_validate_match_rational_reference_on_catalogue():
             shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(p.dim)]
             q = _scaled(p, scale, shift)
             for i, members in enumerate(q.facets):
-                assert q.facet_plane(i) == reference_facet_plane(q, members), (e.name, scale, i)
+                assert q.int_plane(i) == reference_int_plane(q, members), (e.name, scale, i)
             assert validate(q).violations == reference_validate(q) == [], e.name
 
 
@@ -593,7 +590,7 @@ def test_extreme_points_pass_degenerate_sets_through():
     flat = [Vec(x) for x in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 0)]]
     assert extreme_points(3, flat) == flat
     with pytest.raises(DegenerateInputError):
-        sum_of_point_sets(3, [(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (0, 1, 0), (0, 2, 0)], "flat")
+        minkowski_sum([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (0, 1, 0), (0, 2, 0)], "flat")
 
 
 def test_validate_names_a_stray_point_before_a_missing_facet():
@@ -687,7 +684,7 @@ def test_neighbors_and_degree_match_a_scan_of_the_edges():
         for v in range(len(p.vertices)):
             scan = tuple(sorted([b for a, b in edges if a == v] + [a for a, b in edges if b == v]))
             assert p.neighbors(v) == scan
-            assert p.vertex_degree(v) == len(scan)
+            assert vertex_degree(p, v) == len(scan)
         assert p.neighbors(-1) == p.neighbors(len(p.vertices)) == ()
 
 
@@ -696,7 +693,7 @@ def _loaded(p):
     return [Polytope(p.dim, p.vertices, p.facets), polytope_from_dict(polytope_to_dict(p))]
 
 
-def test_int_plane_matches_facet_plane():
+def test_int_plane_is_one_plane_for_built_and_loaded_copies():
     rng = random.Random(5)
     built = [e.build() for e in catalogue_list()] + random_polytopes(73, 40)
     for p in built[:10]:
@@ -707,22 +704,29 @@ def test_int_plane_matches_facet_plane():
     for p in built:
         ints, mult = p.int_coords()
         assert (ints, mult) == as_int_coords(p.vertices)
-        for q in [p] + _loaded(p):
-            assert q.int_coords() == (ints, mult)
-            for i, members in enumerate(q.facets):
-                a, o = q.int_plane(i)
-                # The hull's plane and a fitted one are the same primitive
-                # integer vector.
-                assert q.int_plane(i) == p.int_plane(i)
-                assert gcd(*a, o) == 1
-                for v, x in enumerate(ints):
-                    s = sum(c * y for c, y in zip(a, x))
-                    assert (s == o) == (v in members) and s <= o
-                normal, offset = q.facet_plane(i)
-                if q is p:
-                    # The hull's integral normal, over the common denominator.
-                    assert (normal, offset) == (Vec(a), Fraction(o, mult))
-                else:
-                    lead = abs(next(c for c in a if c))
-                    assert (normal, offset) == (Vec(a) / lead, Fraction(o, lead * mult))
-                    assert (normal, offset) == reference_facet_plane(q, members)
+        loaded = _loaded(p)
+        for i, members in enumerate(p.facets):
+            a, o = p.int_plane(i)
+            # The hull's plane, the rational reference scaled to a
+            # primitive integer vector, and a copy's fitted plane agree.
+            assert (a, o) == reference_int_plane(p, members)
+            assert gcd(*a, o) == 1
+            for v, x in enumerate(ints):
+                s = sum(c * y for c, y in zip(a, x))
+                assert (s == o) == (v in members) and s <= o
+            for q in loaded:
+                assert q.int_coords() == (ints, mult)
+                assert q.int_plane(i) == (a, o)
+
+
+def test_stack_pyramid_gives_one_apex_for_built_and_loaded_copies():
+    for p in [e.build() for e in catalogue_list()] + [cyclic(6, 4)]:
+        loaded = loads(dumps(p))
+        for fi in range(len(p.facets)):
+            assert stack_pyramid(loaded, fi) == stack_pyramid(p, fi), (p.name, fi)
+    # The apex along the primitive integer outward normal of C(6,4)'s
+    # facet 0, for the built copy and the one read back from its file.
+    want = (Fraction(10265, 4096), Fraction(61405, 8192), Fraction(102405, 4096),
+            Fraction(724991, 8192))
+    for p in (cyclic(6, 4), loads(dumps(cyclic(6, 4)))):
+        assert stack_pyramid(p, 0).vertices[-1] == want
