@@ -9,7 +9,7 @@ oracle both reproduce the expected status.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from .certificates import DECOMPOSABLE, INDECOMPOSABLE, analyze, replay
 from .constructors import (
@@ -310,7 +310,7 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _verify_entry(entry: CatalogueEntry, expected_status: str) -> EntryResult:
+def _verify_entry(entry: CatalogueEntry) -> EntryResult:
     problems = []
     p = entry.build()
     report = validate(p)
@@ -322,8 +322,8 @@ def _verify_entry(entry: CatalogueEntry, expected_status: str) -> EntryResult:
     if entry.expected_edges is not None and fv.e != entry.expected_edges:
         problems.append(f"{fv.e} edges != expected {entry.expected_edges}")
     analysis = analyze(p, mode="certificates-first")
-    if analysis.verdict != expected_status:
-        problems.append(f"verdict {analysis.verdict} != expected {expected_status}")
+    if analysis.verdict != entry.expected_status:
+        problems.append(f"verdict {analysis.verdict} != expected {entry.expected_status}")
     if analysis.trace is not None and not replay(analysis.trace, p):
         problems.append("trace does not replay")
     if problems:
@@ -335,21 +335,16 @@ def _verify_entry(entry: CatalogueEntry, expected_status: str) -> EntryResult:
     )
 
 
-def catalogue_verify(
-    dims: Optional[Set[int]] = None,
-    expected_overrides: Optional[Dict[str, str]] = None,
-) -> VerifyReport:
+def catalogue_verify(dims: Optional[Set[int]] = None) -> VerifyReport:
     """Rebuild and re-decide every entry (optionally restricted to some
-    dimensions), reporting pass/fail per entry.  expected_overrides
-    substitutes expected statuses by name, for harness self-tests."""
-    overrides = expected_overrides or {}
+    dimensions) against its expected status, reporting pass/fail per
+    entry."""
     results = []
     for entry in _entries():
         if dims is not None and entry.dim not in dims:
             continue
-        expected = overrides.get(entry.name, entry.expected_status)
         try:
-            results.append(_verify_entry(entry, expected))
+            results.append(_verify_entry(entry))
         except Exception as exc:  # verification must not abort the report
             results.append(EntryResult(entry.name, False, f"error: {exc}"))
     return VerifyReport(tuple(results))

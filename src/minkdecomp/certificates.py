@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -38,6 +38,7 @@ from .graphs import (
     skeleton,
     touches_every_facet,
 )
+from .kernels import Echelon
 from .linalg import (
     Vec,
     affinely_independent,
@@ -268,14 +269,16 @@ def edge_replacement(
 
 
 def independent_cycle(g: GeometricGraph, vs: Sequence[int]) -> CertifiedGraph:
-    """A cycle on affinely independent points; the cycle edges need not
-    belong to g and are usually replaced away afterwards."""
+    """A cycle on affinely independent points, tested on the graph's
+    cached integer coordinates; the cycle edges need not belong to g and
+    are usually replaced away afterwards."""
     vs = tuple(vs)
     if len(vs) < 3 or len(set(vs)) != len(vs):
         raise RuleNotApplicableError("need at least three distinct cycle vertices")
     if any(v not in g.vertices for v in vs):
         raise RuleNotApplicableError("cycle vertex missing from the graph")
-    if not affinely_independent([g.vertices[v] for v in vs]):
+    xs, _ = g.int_coords()
+    if not affinely_independent([xs[v] for v in vs]):
         raise RuleNotApplicableError("cycle vertices are affinely dependent")
     edges = frozenset(edge_key(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
     return _graph_step("IndependentCycle", (vs,), frozenset(vs), edges)
@@ -319,93 +322,36 @@ def _close_by_coverage(cg: CertifiedGraph, p: Polytope, why: str) -> Certificate
     return assemble_trace(final, INDECOMPOSABLE, why)
 
 
-def chain_of_triangles(p: Polytope) -> Optional[CertifiedGraph]:
-    """Greedy chains of triangular facets, each sharing an edge with the
-    union of its predecessors; largest chain wins, earliest start breaks
-    ties.  None when no chain joins two triangles."""
-    if p.dim != 3:
-        raise InvalidInputError("triangle chains are a 3-polytope rule")
-    tris = [i for i, f in enumerate(p.facets) if len(f) == 3]
-    skel = skeleton(p)
-    best: Optional[CertifiedGraph] = None
-    best_key = (1, 0)
-    for start in tris:
-        a, b, c = sorted(p.facets[start])
-        cg = simple_extension(skel, seed_edge(skel, a, b), c, witnesses=(a, b))
-        used = {start}
-        grown = True
-        while grown:
-            grown = False
-            for j in tris:
-                if j in used:
-                    continue
-                fv = sorted(p.facets[j])
-                shared = next(
-                    (e for e in combinations(fv, 2) if edge_key(*e) in cg.edges), None
-                )
-                if shared is None:
-                    continue
-                third = next(x for x in fv if x not in shared)
-                if third not in cg.vertices:
-                    cg = simple_extension(skel, cg, third, witnesses=shared)
-                else:
-                    missing = {
-                        edge_key(third, shared[0]),
-                        edge_key(third, shared[1]),
-                    } - cg.edges
-                    if missing:
-                        tri = simple_extension(
-                            skel, seed_edge(skel, *shared), third, witnesses=shared
-                        )
-                        cg = union_shared_pair(cg, tri)
-                used.add(j)
-                grown = True
-                break
-        key = (len(used), len(cg.vertices))
-        if len(used) >= 2 and key > best_key:
-            best, best_key = cg, key
-    return best
-
-
 def _independent_cycles(p: Polytope, max_len: int):
     """Skeleton cycles with affinely independent vertices, emitted in
-    depth-first lexicographic order; prefixes are pruned the moment they
-    go affinely dependent."""
-    skel = skeleton(p)
-    n = len(p.vertices)
-    adj = {v: set(skel.neighbors(v)) for v in range(n)}
-    coords = p.vertices
+    depth-first lexicographic order; a prefix is pruned the moment it
+    goes affinely dependent.
 
-    def extend(path: List[int], pts: List):
+    One `kernels.Echelon` holds the differences X_v - X_start of the
+    path's cached integer coordinates: a vertex's row is added on the way
+    down, the vertex is pruned when its row does not raise the rank, and
+    the row is popped on the way back."""
+    adj = p._adjacency()
+    ints, _ = p.int_coords()
+    ech = Echelon()
+
+    def extend(path: List[int]):
         v0, last = path[0], path[-1]
         if len(path) >= 3 and v0 in adj[last] and path[1] < last:
             yield tuple(path)
         if len(path) == max_len:
             return
-        for y in sorted(adj[last]):
+        for y in adj[last]:
             if y <= v0 or y in path:
                 continue
-            if not affinely_independent(pts + [coords[y]]):
-                continue
-            yield from extend(path + [y], pts + [coords[y]])
+            if ech.add([a - b for a, b in zip(ints[y], ints[v0])]):
+                path.append(y)
+                yield from extend(path)
+                path.pop()
+                ech.rows.pop()
 
-    for v0 in range(n):
-        for x in sorted(adj[v0]):
-            if x > v0:
-                yield from extend([v0, x], [coords[v0], coords[x]])
-
-
-def independent_cycle_search(p: Polytope, max_len: int) -> Optional[CertificateTrace]:
-    """First (depth-first, lexicographic) affinely independent skeleton
-    cycle touching every facet, as a one-rule certificate."""
-    if not 3 <= max_len <= p.dim + 1:
-        raise InvalidInputError("cycle length must be between 3 and d+1")
-    skel = skeleton(p)
-    for vs in _independent_cycles(p, max_len):
-        if touches_every_facet(vs, p):
-            cg = independent_cycle(skel, vs)
-            return _close_by_coverage(cg, p, "cycle touches every facet")
-    return None
+    for v0 in range(len(ints)):
+        yield from extend([v0])
 
 
 def two_graph_cover(
@@ -751,8 +697,14 @@ CYCLE_FRAGMENT_LIMIT = 100
 def _stages_search(
     p: Polytope,
 ) -> Optional[Tuple[CertificateTrace, str, Optional[DecomposingFunction]]]:
-    """Search stages: extension closures, triangle chains, independent
-    cycles, then pairwise two-graph covers over the found fragments."""
+    """Search stages: extension closures, independent cycles, then
+    pairwise two-graph covers over the found fragments.
+
+    Every skeleton edge seeds a closure, and a closure absorbs any vertex
+    with two covered neighbours, so it subsumes the chains of triangular
+    facets grown from its edge.  The cycles are walked once: the first
+    that touches every facet closes the polytope, and the first
+    CYCLE_FRAGMENT_LIMIT of them join the fragments."""
     skel = skeleton(p)
     fragments: List[CertifiedGraph] = []
     seen: Set[Tuple[FrozenSet[int], FrozenSet[Tuple[int, int]]]] = set()
@@ -775,21 +727,16 @@ def _stages_search(
                 "certificate",
                 None,
             )
-    if p.dim == 3:
-        chain = chain_of_triangles(p)
-        if chain is not None:
-            if touches_every_facet(chain.vertices, p):
-                return (
-                    _close_by_coverage(chain, p, "triangle chain touches every facet"),
-                    "certificate",
-                    None,
-                )
-            add_fragment(chain)
-    cycles = independent_cycle_search(p, p.dim + 1)
-    if cycles is not None:
-        return cycles, "certificate", None
-    for vs in islice(_independent_cycles(p, p.dim + 1), CYCLE_FRAGMENT_LIMIT):
-        add_fragment(independent_cycle(skel, vs))
+    for k, vs in enumerate(_independent_cycles(p, p.dim + 1)):
+        if touches_every_facet(vs, p):
+            cg = independent_cycle(skel, vs)
+            return (
+                _close_by_coverage(cg, p, "cycle touches every facet"),
+                "certificate",
+                None,
+            )
+        if k < CYCLE_FRAGMENT_LIMIT:
+            add_fragment(independent_cycle(skel, vs))
     for i in range(len(fragments)):
         for j in range(i, len(fragments)):
             try:
@@ -1035,7 +982,8 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
             (vs,) = step.inputs
             if len(vs) < 3 or len(set(vs)) != len(vs):
                 _fail(k, step, "not a cycle on three or more distinct vertices")
-            if not affinely_independent([current.vertices[v] for v in vs]):
+            ints, _ = current.int_coords()
+            if not affinely_independent([ints[v] for v in vs]):
                 _fail(k, step, "cycle vertices are affinely dependent")
             cyc = {edge_key(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))}
             if vset != set(vs) or eset != cyc:

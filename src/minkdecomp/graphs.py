@@ -200,23 +200,24 @@ def skeleton(p: Polytope) -> GeometricGraph:
     refuses an edge whose endpoints share coordinates, which only a
     `Polytope` built in code with a repeated vertex can have; it compares
     the integer tuples."""
-    g = p._cache.get("skeleton")
-    if g is None:
-        ints, mult = p.int_coords()
-        edges = p.edges()
-        for u, v in edges:
-            if ints[u] == ints[v]:
-                raise InvalidInputError(f"edge ({u},{v}) endpoints share coordinates")
-        g = object.__new__(GeometricGraph)
-        for name, value in (
-            ("dim", p.dim),
-            ("vertices", dict(enumerate(p.vertices))),
-            ("edges", edges),
-            ("_adjacency", dict(enumerate(p._adjacency()))),
-            ("_ints", (dict(enumerate(ints)), mult)),
-        ):
-            object.__setattr__(g, name, value)
-        p._cache["skeleton"] = g
+    return p._derived("skeleton", lambda: _build_skeleton(p))
+
+
+def _build_skeleton(p: Polytope) -> GeometricGraph:
+    ints, mult = p.int_coords()
+    edges = p.edges()
+    for u, v in edges:
+        if ints[u] == ints[v]:
+            raise InvalidInputError(f"edge ({u},{v}) endpoints share coordinates")
+    g = object.__new__(GeometricGraph)
+    for name, value in (
+        ("dim", p.dim),
+        ("vertices", dict(enumerate(p.vertices))),
+        ("edges", edges),
+        ("_adjacency", dict(enumerate(p._adjacency()))),
+        ("_ints", (dict(enumerate(ints)), mult)),
+    ):
+        object.__setattr__(g, name, value)
     return g
 
 

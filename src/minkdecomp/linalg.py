@@ -29,7 +29,6 @@ basis, a stacked pyramid's apex, and witnesses.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -170,7 +169,7 @@ def affine_rank(points: Sequence[Sequence[int]], d: int) -> int:
         return 0
     base = points[0]
     ech = Echelon()
-    for p in islice(points, 1, None):
+    for p in points[1:]:
         if len(ech.rows) == d:
             break
         ech.add([a - b for a, b in zip(p, base)])
@@ -207,7 +206,7 @@ def int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[List[int],
         k += 1
     h = ech.kernel_vector(d + 1)
     a, b = h[:d], h[d]
-    if any(int_side(a, b, p) for p in islice(points, k, None)):
+    if any(int_side(a, b, p) for p in points[k:]):
         return None
     # a = 0 would force b = 0 on the first point: a is nonzero.
     g = gcd(*h) if next(x for x in a if x) > 0 else -gcd(*h)

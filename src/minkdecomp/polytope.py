@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 from . import hull
 from .errors import InvalidInputError
@@ -36,6 +36,8 @@ from .linalg import (
     int_hyperplane,
     int_side,
 )
+
+T = TypeVar("T")
 
 
 class FVector(NamedTuple):
@@ -94,9 +96,7 @@ class Polytope:
         """Outward integer hyperplane (a, o) of a facet on the `int_coords`
         scale: a.X <= o for every vertex X, with equality exactly on the
         facet.  Kept from the hull by `from_vertices`, fitted otherwise."""
-        planes = self._cache.get("int_planes")
-        if planes is None:
-            planes = self._cache["int_planes"] = [None] * len(self.facets)
+        planes = self._derived("int_planes", lambda: [None] * len(self.facets))
         if planes[index] is None:
             planes[index] = self._fit_plane(self.facets[index])
         return planes[index]
@@ -104,11 +104,7 @@ class Polytope:
     def int_coords(self) -> Tuple[List[Tuple[int, ...]], int]:
         """The vertices cleared to a common denominator, and that
         denominator (`linalg.as_int_coords`); computed once."""
-        cached = self._cache.get("ints")
-        if cached is None:
-            cached = as_int_coords(self.vertices)
-            self._cache["ints"] = cached
-        return cached
+        return self._derived("ints", lambda: as_int_coords(self.vertices))
 
     def _fit_plane(self, members: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
         ints, _ = self.int_coords()
@@ -123,11 +119,7 @@ class Polytope:
         return tuple(a), b
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        cached = self._cache.get("edges")
-        if cached is None:
-            cached = _edges_combinatorial(self)
-            self._cache["edges"] = cached
-        return cached
+        return self._derived("edges", lambda: _edges_combinatorial(self))
 
     def f_vector(self) -> FVector:
         return FVector(len(self.vertices), len(self.edges()), len(self.facets))
@@ -140,15 +132,23 @@ class Polytope:
 
     def _adjacency(self) -> Tuple[Tuple[int, ...], ...]:
         """Each vertex's neighbours in increasing order; computed once."""
-        cached = self._cache.get("adjacency")
+        return self._derived("adjacency", self._build_adjacency)
+
+    def _build_adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        adj: List[List[int]] = [[] for _ in self.vertices]
+        # The edges come in increasing order, so each list does too.
+        for a, b in self.edges():
+            adj[a].append(b)
+            adj[b].append(a)
+        return tuple(map(tuple, adj))
+
+    def _derived(self, key: str, build: Callable[[], T]) -> T:
+        """The cached value derived under key, built by build() on first
+        use.  Every cache entry goes through here, so only this module
+        knows the cache's layout."""
+        cached = self._cache.get(key)
         if cached is None:
-            adj: List[List[int]] = [[] for _ in self.vertices]
-            # The edges come in increasing order, so each list does too.
-            for a, b in self.edges():
-                adj[a].append(b)
-                adj[b].append(a)
-            cached = tuple(map(tuple, adj))
-            self._cache["adjacency"] = cached
+            cached = self._cache[key] = build()
         return cached
 
 

@@ -19,6 +19,11 @@ combinatorial edge rule is checked against.
 `reference_rref_int` is the row reduction that keeps every row primitive
 throughout; `test_kernels` checks the library's against it.
 
+`reference_independent_cycles` is the skeleton-cycle enumeration that
+re-ranks every prefix on the `Fraction` coordinates (`affinely_independent`
+on the whole path at each extension); the certificate search's one
+incremental integer echelon must yield the same cycles in the same order.
+
 `reference_plane` is a facet's outward hyperplane by a rational kernel
 over its points (`reference_common_hyperplane`), and `reference_int_plane`
 the same plane as the primitive integer vector on the polytope's
@@ -35,10 +40,11 @@ from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from minkdecomp import kernels
-from minkdecomp.graphs import DecomposingFunction, GeometricGraph, homothety_residue
+from minkdecomp.graphs import DecomposingFunction, GeometricGraph, homothety_residue, skeleton
 from minkdecomp.linalg import (
     Rational,
     Vec,
+    affinely_independent,
     as_int_coords,
     clear_denominators,
     fraction_vec,
@@ -341,6 +347,34 @@ def reference_rref_int(rows, ncols):
         pivot_cols.append(col)
         rank += 1
     return pivot_cols, mat[:rank]
+
+
+def reference_independent_cycles(p: Polytope, max_len: int):
+    """Skeleton cycles with affinely independent vertices, emitted in
+    depth-first lexicographic order; each extension re-tests the whole
+    prefix's `Fraction` coordinates."""
+    skel = skeleton(p)
+    n = len(p.vertices)
+    adj = {v: set(skel.neighbors(v)) for v in range(n)}
+    coords = p.vertices
+
+    def extend(path: List[int], pts: List):
+        v0, last = path[0], path[-1]
+        if len(path) >= 3 and v0 in adj[last] and path[1] < last:
+            yield tuple(path)
+        if len(path) == max_len:
+            return
+        for y in sorted(adj[last]):
+            if y <= v0 or y in path:
+                continue
+            if not affinely_independent(pts + [coords[y]]):
+                continue
+            yield from extend(path + [y], pts + [coords[y]])
+
+    for v0 in range(n):
+        for x in sorted(adj[v0]):
+            if x > v0:
+                yield from extend([v0, x], [coords[v0], coords[x]])
 
 
 def is_simple(p) -> bool:

@@ -1,7 +1,10 @@
 """The worked-example catalogue: builds, expected counts, verdicts."""
 
+import dataclasses
+
 import pytest
 
+from minkdecomp import catalogue
 from minkdecomp.catalogue import (
     catalogue_entry,
     catalogue_list,
@@ -42,8 +45,17 @@ def test_dims_filter():
     assert {r.name for r in report.results} == {"triangle", "square"}
 
 
-def test_expected_override_flips_exactly_one_entry():
-    report = catalogue_verify(expected_overrides={"octahedron": "Decomposable"})
+def test_expected_override_flips_exactly_one_entry(monkeypatch):
+    entries = catalogue._entries
+
+    def flipped():
+        return [
+            dataclasses.replace(e, expected_status="Decomposable") if e.name == "octahedron" else e
+            for e in entries()
+        ]
+
+    monkeypatch.setattr(catalogue, "_entries", flipped)
+    report = catalogue_verify()
     bad = [r for r in report.results if not r.ok]
     assert [r.name for r in bad] == ["octahedron"]
     assert "verdict" in bad[0].details

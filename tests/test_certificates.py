@@ -3,10 +3,11 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from minkdecomp import certificates, graphs, hull, kernels
+from minkdecomp import certificates, graphs, hull, kernels, linalg
 from minkdecomp.catalogue import catalogue_entry, catalogue_list
 from minkdecomp.certificates import (
     AnalysisReport,
@@ -14,11 +15,9 @@ from minkdecomp.certificates import (
     CertificateTrace,
     analyze,
     assemble_trace,
-    chain_of_triangles,
     cycle_gluing,
     edge_replacement,
     independent_cycle,
-    independent_cycle_search,
     pyramid_apex,
     pyramid_reduction,
     replay,
@@ -47,7 +46,7 @@ from minkdecomp.errors import (
     InvalidInputError,
     RuleNotApplicableError,
 )
-from minkdecomp.graphs import DecomposingFunction, skeleton, touches_every_facet
+from minkdecomp.graphs import DecomposingFunction, edge_key, skeleton, touches_every_facet
 from minkdecomp.linalg import Vec, int_hyperplane, int_side
 from minkdecomp.polytope import (
     Polytope,
@@ -58,7 +57,13 @@ from minkdecomp.polytope import (
     truncate_vertex,
 )
 
-from reference_linalg import is_homothety, reference_int_plane, reference_plane, translate
+from reference_linalg import (
+    is_homothety,
+    reference_independent_cycles,
+    reference_int_plane,
+    reference_plane,
+    translate,
+)
 
 
 OCTA = octahedron()
@@ -164,25 +169,31 @@ def test_cycle_gluing():
 # Polytope-level rules
 
 
-def test_chain_of_triangles_covers_simplicial_polytopes():
-    cg = chain_of_triangles(OCTA)
-    assert cg is not None
-    assert touches_every_facet(cg.vertices, OCTA)
-    assert chain_of_triangles(delta(1, 2)) is None  # two disjoint triangles
-    with pytest.raises(InvalidInputError):
-        chain_of_triangles(cyclic(6, 4))
-
-
-def test_independent_cycle_search():
-    trace = independent_cycle_search(simplex(3), 4)
-    assert trace is not None and trace.verdict == "Indecomposable"
-    assert replay(trace, simplex(3))
+def test_independent_cycles_give_a_covering_cycle_that_replays():
+    p = simplex(3)
+    vs = next(vs for vs in certificates._independent_cycles(p, 4) if touches_every_facet(vs, p))
+    trace = certificates._close_by_coverage(
+        independent_cycle(skeleton(p), vs), p, "cycle touches every facet"
+    )
+    assert trace.verdict == "Indecomposable"
+    assert trace.steps[-1].rule == "IndependentCycle"
+    assert replay(trace, p)
     # Every 4-cycle of the 3-cube is a planar face, so nothing qualifies.
-    assert independent_cycle_search(cube(3), 4) is None
-    with pytest.raises(InvalidInputError):
-        independent_cycle_search(simplex(3), 2)
-    with pytest.raises(InvalidInputError):
-        independent_cycle_search(simplex(3), 5)
+    assert list(certificates._independent_cycles(cube(3), 4)) == []
+
+
+def test_independent_cycles_run_on_the_cached_integers(monkeypatch):
+    p = delta(2, 3)
+    calls = []
+    real = linalg.as_int_coords
+
+    def record(points):
+        calls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(linalg, "as_int_coords", record)
+    assert list(certificates._independent_cycles(p, p.dim + 1))
+    assert not calls
 
 
 def test_two_graph_cover_single_shared_vertex():
@@ -619,13 +630,11 @@ SEGMENT = [[0, 0, 0, 0], [1, 3, 2, 5]]
 
 # The search runs only where the oracle said Indecomposable, so on a
 # decomposable input analyze never exercises its soundness: these tests
-# do, directly.  Catalogue entries of dimension 6 and 7 are left out: a
-# facet slide closes each before the search would run, and the search
-# alone takes 5 to 170 s on each of them on the pure-Python path.
+# do, directly, on every decomposable catalogue entry (the search walks
+# all of its stages on each, 1.2 s on delta-3-4 and at most 0.2 s on
+# the others on the pure-Python path).
 DECOMPOSABLE_CASES = {
-    e.name: e.build
-    for e in catalogue_list()
-    if e.expected_status == "Decomposable" and e.dim <= 5
+    e.name: e.build for e in catalogue_list() if e.expected_status == "Decomposable"
 }
 for _n in (6, 7):
     DECOMPOSABLE_CASES[f"cyclic-{_n}-4-plus-segment"] = (
@@ -951,3 +960,102 @@ def test_analyze_fits_the_oracle_witness_only_when_it_hands_it_out(monkeypatch):
     assert len(fits) == 2
     assert o.witness is o.witness
     assert len(fits) == 3
+
+
+# ---------------------------------------------------------------------------
+# The search's cycle enumeration and the closures it relies on
+
+
+def _cycle_cases():
+    """The catalogue without delta-3-4, then seeded random polytopes in
+    d = 2..5, those in d = 5 with at most 8 vertices: the reference's
+    walk takes seconds on delta-3-4 and on larger 5-polytopes, which have
+    thousands of cycles."""
+    for e in catalogue_list():
+        if e.name != "delta-3-4":
+            yield e.name, e.build()
+    rng = random.Random(15)
+    for d in (2, 3, 4, 5):
+        for k in range(12):
+            p = _random_polytope(rng, d)
+            if p is not None and (d < 5 or len(p.vertices) <= 8):
+                yield f"random-{d}-{k}", p
+
+
+def test_independent_cycles_match_the_rational_reference():
+    seen = 0
+    for name, p in _cycle_cases():
+        got = list(certificates._independent_cycles(p, p.dim + 1))
+        assert got == list(reference_independent_cycles(p, p.dim + 1)), name
+        seen += len(got)
+    assert seen
+
+
+def _triangle_chains(p):
+    """For each triangular facet, the greedy chain of triangular facets
+    grown from it, each sharing an edge with the union of its
+    predecessors, as the search once built it before trying cycles.
+    Yields the start triangle's first edge, the chain and its number of
+    triangles."""
+    tris = [i for i, f in enumerate(p.facets) if len(f) == 3]
+    skel = skeleton(p)
+    for start in tris:
+        a, b, c = sorted(p.facets[start])
+        cg = simple_extension(skel, seed_edge(skel, a, b), c, witnesses=(a, b))
+        used = {start}
+        grown = True
+        while grown:
+            grown = False
+            for j in tris:
+                if j in used:
+                    continue
+                fv = sorted(p.facets[j])
+                shared = next(
+                    (e for e in combinations(fv, 2) if edge_key(*e) in cg.edges), None
+                )
+                if shared is None:
+                    continue
+                third = next(x for x in fv if x not in shared)
+                if third not in cg.vertices:
+                    cg = simple_extension(skel, cg, third, witnesses=shared)
+                else:
+                    missing = {edge_key(third, shared[0]), edge_key(third, shared[1])} - cg.edges
+                    if missing:
+                        tri = simple_extension(
+                            skel, seed_edge(skel, *shared), third, witnesses=shared
+                        )
+                        cg = union_shared_pair(cg, tri)
+                used.add(j)
+                grown = True
+                break
+        yield (a, b), cg, len(used)
+
+
+def _three_polytopes():
+    """The 3-D catalogue entries, then seeded random 3-polytopes, each
+    with a pyramid stacked on a facet and a vertex truncated."""
+    for e in catalogue_list():
+        if e.dim == 3:
+            yield e.name, e.build()
+    rng = random.Random(3)
+    for k in range(20):
+        p = _random_polytope(rng, 3)
+        if p is None:
+            continue
+        yield f"random-{k}", p
+        yield f"random-{k} stacked", stack_pyramid(p, rng.randrange(len(p.facets)))
+        yield f"random-{k} truncated", truncate_vertex(p, rng.randrange(len(p.vertices)))
+
+
+def test_extension_closure_contains_every_triangle_chain():
+    """Why the search needs no triangle-chain stage: each chain lies in
+    the extension closure of its first edge, which the search tries
+    first, since every skeleton edge seeds a closure."""
+    chains = 0
+    for name, p in _three_polytopes():
+        skel = skeleton(p)
+        for edge, chain, triangles in _triangle_chains(p):
+            closure = simple_extension_closure(skel, edge)
+            assert chain.vertices <= closure.vertices, (name, edge)
+            chains += triangles >= 2
+    assert chains

@@ -8,7 +8,9 @@ in the package, a place in `minkdecomp.__all__`, or a probe of the
 benchmark's tracer, which looks its targets up by name.  Every method of
 a module-level class other than the dunder ones must be referenced in
 the package outside its own body.  A helper that only the tests call
-belongs in tests/reference_linalg.py.
+belongs in tests/reference_linalg.py.  A `Polytope`'s cache of derived
+data is laid out in polytope.py alone; other modules go through its
+accessors.
 """
 
 import ast
@@ -96,3 +98,15 @@ def test_every_method_has_a_use():
         if not _used_elsewhere(module, node, refs)
     ]
     assert not unused, f"no caller in src/ outside their own bodies: {unused}"
+
+
+def test_only_the_polytope_module_touches_its_cache():
+    touching = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if path.stem != "polytope"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "_cache"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        )
+    )
+    assert not touching, touching
