@@ -2,9 +2,10 @@
 
 Each rule is a small theorem about geometric graphs or polytopes; a rule
 application is recorded as a step whose inputs are earlier steps or raw
-polytope data, so a finished derivation is an acyclic trace that an
-independent checker can replay against the polytope without trusting the
-engine that produced it.
+polytope data, so a finished derivation is an acyclic trace.  `replay`
+checks it against the polytope without trusting the search that found
+it: each step is re-derived by the rule function that made it, so every
+rule is defined once.
 
 The engine is deliberately incomplete: the search strategies here close
 many polytopes with short human-readable derivations, and everything
@@ -23,7 +24,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .counts import CountConclusion, count_rules
+from .counts import count_rules
 from .errors import (
     EngineInconsistencyError,
     InvalidInputError,
@@ -78,6 +79,9 @@ _RULE_CONCLUSIONS = {
     "LowVertexCount": (POLYTOPE_INDECOMPOSABLE,),
     "PyramidReduction": (STATUS_EQUIVALENT,),
 }
+
+# The verdict a polytope-level conclusion gives.
+_VERDICTS = {POLYTOPE_INDECOMPOSABLE: INDECOMPOSABLE, POLYTOPE_DECOMPOSABLE: DECOMPOSABLE}
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +179,9 @@ def render_steps(steps: Sequence[CertificateStep]) -> List[str]:
 
 
 def seed_edge(g: GeometricGraph, u: int, v: int) -> CertifiedGraph:
+    if v not in g.neighbors(u):
+        raise RuleNotApplicableError(f"seed ({u},{v}) is not a skeleton edge")
     e = edge_key(u, v)
-    if e not in set(g.edges):
-        raise RuleNotApplicableError(f"({u},{v}) is not an edge of the graph")
     return _graph_step(
         "SimpleExtension",
         ("seed", e),
@@ -240,13 +244,23 @@ def simple_extension_closure(g: GeometricGraph, seed: Tuple[int, int]) -> Certif
         outside.remove(w)
 
 
-def union_shared_pair(c1: CertifiedGraph, c2: CertifiedGraph) -> CertifiedGraph:
-    shared = sorted(c1.vertices & c2.vertices)
-    if len(shared) < 2:
-        raise RuleNotApplicableError("the graphs share fewer than two vertices")
+def union_shared_pair(
+    c1: CertifiedGraph, c2: CertifiedGraph, pair: Optional[Tuple[int, int]] = None
+) -> CertifiedGraph:
+    """Join two certified graphs that share two vertices: the two
+    smallest shared ones, or `pair` when it names two."""
+    shared = c1.vertices & c2.vertices
+    if pair is None:
+        if len(shared) < 2:
+            raise RuleNotApplicableError("the graphs share fewer than two vertices")
+        pair = tuple(sorted(shared)[:2])
+    else:
+        a, b = pair
+        if a == b or a not in shared or b not in shared:
+            raise RuleNotApplicableError(f"({a},{b}) are not two shared vertices")
     return _graph_step(
         "UnionSharedPair",
-        (c1.step, c2.step, (shared[0], shared[1])),
+        (c1.step, c2.step, pair),
         c1.vertices | c2.vertices,
         c1.edges | c2.edges,
     )
@@ -354,15 +368,12 @@ def _independent_cycles(p: Polytope, max_len: int):
         yield from extend([v0])
 
 
-def two_graph_cover(
-    p: Polytope, c1: CertifiedGraph, c2: CertifiedGraph
-) -> CertificateTrace:
-    """Close the polytope from two certified skeleton subgraphs that
-    share a vertex and together miss at most d-2 vertices.  The union is
-    glued (directly on two shared vertices, else through a connecting
-    skeleton edge and a 3-cycle), the missing vertices are absorbed, and
-    full coverage yields the verdict."""
-    skel = skeleton(p)
+def _cover_gaps(
+    p: Polytope, skel: GeometricGraph, c1: CertifiedGraph, c2: CertifiedGraph
+) -> Tuple[List[int], List[int]]:
+    """The shared and the uncovered vertices of two certified graphs,
+    ascending.  Refused unless both are skeleton subgraphs that share a
+    vertex and together miss at most d-2 vertices."""
     skel_edges = set(skel.edges)
     for c in (c1, c2):
         if not c.edges <= skel_edges:
@@ -375,6 +386,38 @@ def two_graph_cover(
         raise RuleNotApplicableError(
             f"{len(missing)} vertices uncovered, more than d-2 = {p.dim - 2}"
         )
+    return shared, missing
+
+
+def _cover_step(
+    p: Polytope, skel: GeometricGraph,
+    c1: CertifiedGraph, c2: CertifiedGraph, glued: CertifiedGraph,
+) -> CertificateStep:
+    """The TwoGraphCover step: c1 and c2 meet `_cover_gaps`, and `glued`,
+    certified from them, reaches every vertex."""
+    _cover_gaps(p, skel, c1, c2)
+    if glued.vertices != set(range(len(p.vertices))):
+        raise RuleNotApplicableError("the glued graph does not reach every vertex")
+    return CertificateStep(
+        rule="TwoGraphCover",
+        inputs=(c1.step, c2.step, glued.step),
+        conclusion=POLYTOPE_INDECOMPOSABLE,
+        vertices=tuple(sorted(glued.vertices)),
+        edges=tuple(sorted(glued.edges)),
+        note="the union absorbs every vertex",
+    )
+
+
+def two_graph_cover(
+    p: Polytope, c1: CertifiedGraph, c2: CertifiedGraph
+) -> CertificateTrace:
+    """Close the polytope from two certified skeleton subgraphs that
+    share a vertex and together miss at most d-2 vertices.  The union is
+    glued (directly on two shared vertices, else through a connecting
+    skeleton edge and a 3-cycle), the missing vertices are absorbed, and
+    full coverage yields the verdict."""
+    skel = skeleton(p)
+    shared, missing = _cover_gaps(p, skel, c1, c2)
     if len(shared) >= 2:
         glued = union_shared_pair(c1, c2)
     else:
@@ -399,14 +442,7 @@ def two_graph_cover(
     # is >= d and at most d-3 other vertices stay uncovered.
     for w in missing:
         glued = simple_extension(skel, glued, w)
-    final = CertificateStep(
-        rule="TwoGraphCover",
-        inputs=(c1.step, c2.step, glued.step),
-        conclusion=POLYTOPE_INDECOMPOSABLE,
-        vertices=tuple(sorted(glued.vertices)),
-        edges=tuple(sorted(glued.edges)),
-        note="the union absorbs every vertex",
-    )
+    final = _cover_step(p, skel, c1, c2, glued)
     return assemble_trace(final, INDECOMPOSABLE, "two-graph cover reaches every vertex")
 
 
@@ -477,21 +513,33 @@ def shephard_facet(
     connected, it is no homothety because they are not all equal."""
     skel = skeleton(p)
     for fi in range(len(p.facets)):
-        witness = _shephard_witness(p, skel, fi)
-        if witness is None:
+        try:
+            step, witness = _shephard_rule(p, skel, fi)
+        except RuleNotApplicableError:
             continue
-        step = CertificateStep(
-            rule="ShephardFacet",
-            inputs=(fi, tuple(p.facets[fi])),
-            conclusion=POLYTOPE_DECOMPOSABLE,
-            vertices=tuple(p.facets[fi]),
-            note="facet slides along its unique outside edges",
-        )
-        trace = assemble_trace(
-            step, DECOMPOSABLE, f"facet {fi} slides to a proper summand"
-        )
-        return trace, witness
+        why = f"facet {fi} slides to a proper summand"
+        return assemble_trace(step, DECOMPOSABLE, why), witness
     return None
+
+
+def _shephard_rule(
+    p: Polytope, skel: GeometricGraph, fi: int
+) -> Tuple[CertificateStep, DecomposingFunction]:
+    """The ShephardFacet step on facet fi and its witness; refused unless
+    the facet exists and meets the slide condition (`_shephard_witness`)."""
+    if not 0 <= fi < len(p.facets):
+        raise RuleNotApplicableError("facet does not exist as recorded")
+    witness = _shephard_witness(p, skel, fi)
+    if witness is None:
+        raise RuleNotApplicableError("facet does not meet the slide condition")
+    step = CertificateStep(
+        rule="ShephardFacet",
+        inputs=(fi, tuple(p.facets[fi])),
+        conclusion=POLYTOPE_DECOMPOSABLE,
+        vertices=tuple(p.facets[fi]),
+        note="facet slides along its unique outside edges",
+    )
+    return step, witness
 
 
 def pyramid_apex(p: Polytope) -> Optional[CertificateTrace]:
@@ -507,18 +555,30 @@ def pyramid_apex(p: Polytope) -> Optional[CertificateTrace]:
     for u in range(n):
         if count[u] != len(p.facets) - 1:
             continue
-        away = [fi for fi, f in enumerate(p.facets) if u not in f]
-        base = p.facets[away[0]]
-        if len(base) == n - 1:
-            step = CertificateStep(
-                rule="PyramidApex",
-                inputs=(u, away[0]),
-                conclusion=POLYTOPE_INDECOMPOSABLE,
-                vertices=tuple(range(n)),
-                note=f"vertex {u} is an apex over facet {away[0]}",
-            )
-            return assemble_trace(step, INDECOMPOSABLE, f"pyramid with apex {u}")
+        try:
+            step = _apex_step(p, u)
+        except RuleNotApplicableError:
+            continue
+        return assemble_trace(step, INDECOMPOSABLE, f"pyramid with apex {u}")
     return None
+
+
+def _apex_step(p: Polytope, u: int) -> CertificateStep:
+    """The PyramidApex step for vertex u; refused unless exactly one
+    facet misses u and that facet holds every other vertex."""
+    n = len(p.vertices)
+    away = [fi for fi, f in enumerate(p.facets) if u not in f]
+    if len(away) != 1:
+        raise RuleNotApplicableError(f"vertex {u} is not in every facet but one")
+    if len(p.facets[away[0]]) != n - 1:
+        raise RuleNotApplicableError("the base facet misses some non-apex vertex")
+    return CertificateStep(
+        rule="PyramidApex",
+        inputs=(u, away[0]),
+        conclusion=POLYTOPE_INDECOMPOSABLE,
+        vertices=tuple(range(n)),
+        note=f"vertex {u} is an apex over facet {away[0]}",
+    )
 
 
 @dataclass(frozen=True)
@@ -623,18 +683,39 @@ def pyramid_reduction(p: Polytope) -> Optional[PyramidReductionData]:
     decomposability status.  The reduced polytope, with its facets and
     integer planes, is read off p's own (`_stack_structure`, which
     `replay` shares), so a reduction builds no hull."""
-    if p.dim < 3:
-        return None
     for u in range(len(p.vertices)):
-        data = _stack_structure(p, u)
-        if data is None:
+        try:
+            reduced, fmem, facet = _stacked_facet(p, u)
+        except RuleNotApplicableError:
             continue
-        reduced, fmem = data
-        sub = analyze(facet_as_polytope(reduced, reduced.facets.index(fmem)))
+        sub = analyze(facet)
         if sub.verdict != INDECOMPOSABLE or sub.trace is None:
             continue
         return PyramidReductionData(u, reduced, fmem, sub.trace)
     return None
+
+
+def _stacked_facet(p: Polytope, u: int) -> Tuple[Polytope, Tuple[int, ...], Polytope]:
+    """The reduced polytope past a stacked apex u (`_stack_structure`),
+    the stacked-on facet's members in it, and that facet as a polytope."""
+    if p.dim < 3:
+        raise RuleNotApplicableError("reduction needs dimension at least 3")
+    data = _stack_structure(p, u)
+    if data is None:
+        raise RuleNotApplicableError("vertex is not a stacked pyramid apex")
+    reduced, fmem = data
+    return reduced, fmem, facet_as_polytope(reduced, reduced.facets.index(fmem))
+
+
+def _reduction_step(r: PyramidReductionData) -> CertificateStep:
+    return CertificateStep(
+        rule="PyramidReduction",
+        inputs=(r.apex, r.facet, r.facet_trace),
+        conclusion=STATUS_EQUIVALENT,
+        vertices=r.facet,
+        note=f"apex {r.apex} stacked on an indecomposable facet; "
+        "later steps index the reduced polytope",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -652,25 +733,25 @@ class AnalysisReport:
     witness: Optional[DecomposingFunction] = None
 
 
-def _count_rule_close(p: Polytope) -> Optional[Tuple[CertificateTrace, str]]:
+def _count_step(p: Polytope, tag: Optional[str] = None) -> CertificateStep:
+    """The count-rule step from the first unconditional count rule that
+    p's counts meet, or from the one tagged `tag`."""
     fv = p.f_vector()
+    counts = (p.dim, fv.v, fv.e, fv.f)
     concl = next(
-        (c for c in count_rules(p.dim, fv.v, fv.e, fv.f) if c.unconditional), None
+        (c for c in count_rules(*counts) if c.unconditional and tag in (None, c.tag)),
+        None,
     )
     if concl is None:
-        return None
-    rule = "SmilanskyCount" if concl.tag.startswith("Smilansky") else "LowVertexCount"
-    verdict = INDECOMPOSABLE if concl.verdict == "indecomposable" else DECOMPOSABLE
-    conclusion = (
-        POLYTOPE_INDECOMPOSABLE if verdict == INDECOMPOSABLE else POLYTOPE_DECOMPOSABLE
-    )
-    step = CertificateStep(
-        rule=rule,
-        inputs=(p.dim, fv.v, fv.e, fv.f),
-        conclusion=conclusion,
+        raise RuleNotApplicableError("no unconditional count rule with this tag applies")
+    return CertificateStep(
+        rule="SmilanskyCount" if concl.tag.startswith("Smilansky") else "LowVertexCount",
+        inputs=counts,
+        conclusion=(
+            POLYTOPE_INDECOMPOSABLE if concl.verdict == "indecomposable" else POLYTOPE_DECOMPOSABLE
+        ),
         note=concl.tag,
     )
-    return assemble_trace(step, verdict, concl.tag), concl.tag
 
 
 def _stages_direct(
@@ -681,9 +762,12 @@ def _stages_direct(
     t = pyramid_apex(p)
     if t is not None:
         return t, "certificate", None
-    closed = _count_rule_close(p)
-    if closed is not None:
-        return closed[0], "count-rule", None
+    try:
+        step = _count_step(p)
+    except RuleNotApplicableError:
+        pass
+    else:
+        return assemble_trace(step, _VERDICTS[step.conclusion], step.note), "count-rule", None
     sh = shephard_facet(p)
     if sh is not None:
         return sh[0], "certificate", sh[1]
@@ -818,17 +902,7 @@ def _certificate_pipeline(
             outer = p if i == 0 else reductions[i - 1].reduced
             witness = _lift_witness(witness, reductions[i], outer)
     if reductions:
-        red_steps = tuple(
-            CertificateStep(
-                rule="PyramidReduction",
-                inputs=(r.apex, r.facet, r.facet_trace),
-                conclusion=STATUS_EQUIVALENT,
-                vertices=r.facet,
-                note=f"apex {r.apex} stacked on an indecomposable facet; "
-                "later steps index the reduced polytope",
-            )
-            for r in reductions
-        )
+        red_steps = tuple(_reduction_step(r) for r in reductions)
         trace = CertificateTrace(
             red_steps + trace.steps,
             trace.verdict,
@@ -893,6 +967,7 @@ def replay_report(trace: CertificateTrace, p: Polytope) -> Tuple[bool, str]:
         InvalidInputError,
         RuleNotApplicableError,
         EngineInconsistencyError,
+        AttributeError,
         KeyError,
         IndexError,
         TypeError,
@@ -912,17 +987,24 @@ def _fail(k: int, step: CertificateStep, why: str):
 
 
 def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
+    """Re-derive every step with the rule function that made it, from its
+    recorded parameters and input steps, and require the same step back:
+    rule, inputs, vertex and edge sets and, but for a graph step that
+    coverage raises to a polytope conclusion, the conclusion.  A refusing
+    rule fails the step with its own message.  Replay itself checks only
+    the rule and conclusion, that graph inputs are earlier graph steps,
+    the coverage, and that the last step concludes the verdict."""
     if not trace.steps:
         raise _ReplayFailure("empty trace")
     current = p
     skel = skeleton(current)
-    skel_edges = set(skel.edges)
-    known: Dict[int, CertificateStep] = {}
+    known: Dict[int, CertifiedGraph] = {}
 
-    def resolve(k, step, x) -> CertificateStep:
-        if id(x) not in known:
-            _fail(k, step, "references a step outside the earlier trace")
-        return x
+    def graph(x) -> CertifiedGraph:
+        cg = known.get(id(x))
+        if cg is None:
+            raise RuleNotApplicableError("input is not an earlier graph step")
+        return cg
 
     for k, step in enumerate(trace.steps, start=1):
         allowed = _RULE_CONCLUSIONS.get(step.rule)
@@ -930,149 +1012,65 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
             _fail(k, step, f"unknown rule {step.rule!r}")
         if step.conclusion not in allowed:
             _fail(k, step, f"a {step.rule} step cannot conclude {step.conclusion!r}")
-        vset = set(step.vertices)
-        eset = set(step.edges)
-        if any(edge_key(*e) != e or not set(e) <= vset for e in eset):
-            _fail(k, step, "edge list is not over the vertex list")
-        if step.rule == "SimpleExtension":
-            if step.inputs[0] == "seed":
-                e = step.inputs[1]
-                if e not in skel_edges:
-                    _fail(k, step, f"seed {e} is not a skeleton edge")
-                if vset != set(e) or eset != {e}:
-                    _fail(k, step, "seed step must cover exactly its edge")
+        rule, inputs = step.rule, step.inputs
+        reduced = None
+        try:
+            if rule == "SimpleExtension" and inputs[0] == "seed":
+                _, (u, v) = inputs
+                again = seed_edge(skel, u, v).step
+            elif rule == "SimpleExtension":
+                base, w, witnesses = inputs
+                again = simple_extension(skel, graph(base), w, witnesses).step
+            elif rule == "UnionSharedPair":
+                c1, c2, pair = inputs
+                again = union_shared_pair(graph(c1), graph(c2), pair).step
+            elif rule == "EdgeReplacement":
+                h, e, g = inputs
+                again = edge_replacement(graph(h), e, graph(g)).step
+            elif rule == "IndependentCycle":
+                (vs,) = inputs
+                again = independent_cycle(skel, vs).step
+            elif rule == "TwoGraphCover":
+                c1, c2, glued = inputs
+                again = _cover_step(current, skel, graph(c1), graph(c2), graph(glued))
+            elif rule == "ShephardFacet":
+                again, _ = _shephard_rule(current, skel, inputs[0])
+            elif rule == "PyramidApex":
+                again = _apex_step(current, inputs[0])
+            elif rule == "PyramidReduction":
+                apex, fmem, facet_trace = inputs
+                reduced, base, facet = _stacked_facet(current, apex)
+                if fmem != base:
+                    raise RuleNotApplicableError("recorded facet is not the apex base")
+                if facet_trace.verdict != INDECOMPOSABLE:
+                    raise RuleNotApplicableError("base facet certificate is not indecomposable")
+                ok, why = replay_report(facet_trace, facet)
+                if not ok:
+                    raise RuleNotApplicableError(f"base facet certificate fails: {why}")
+                again = _reduction_step(PyramidReductionData(apex, reduced, base, facet_trace))
             else:
-                base, w, (a, b) = step.inputs
-                base = resolve(k, step, base)
-                if w in set(base.vertices):
-                    _fail(k, step, f"vertex {w} was already covered")
-                if a == b or a not in set(base.vertices) or b not in set(base.vertices):
-                    _fail(k, step, f"witnesses ({a},{b}) not two covered vertices")
-                if edge_key(a, w) not in skel_edges or edge_key(b, w) not in skel_edges:
-                    _fail(k, step, f"({a},{w}) or ({b},{w}) is not a skeleton edge")
-                ints, _ = current.int_coords()
-                if int_collinear(ints[w], ints[a], ints[b]):
-                    _fail(k, step, f"{w},{a},{b} are collinear")
-                if vset != set(base.vertices) | {w} or eset != set(base.edges) | {
-                    edge_key(a, w),
-                    edge_key(b, w),
-                }:
-                    _fail(k, step, "result sets do not match the extension")
-        elif step.rule == "UnionSharedPair":
-            c1, c2, (a, b) = step.inputs
-            c1, c2 = resolve(k, step, c1), resolve(k, step, c2)
-            if a == b or not {a, b} <= set(c1.vertices) & set(c2.vertices):
-                _fail(k, step, f"({a},{b}) are not two shared vertices")
-            if vset != set(c1.vertices) | set(c2.vertices) or eset != set(
-                c1.edges
-            ) | set(c2.edges):
-                _fail(k, step, "result sets are not the union")
-        elif step.rule == "EdgeReplacement":
-            h, e, g = step.inputs
-            h, g = resolve(k, step, h), resolve(k, step, g)
-            if e not in set(h.edges):
-                _fail(k, step, f"{e} is not an edge of the base step")
-            if not set(e) <= set(g.vertices):
-                _fail(k, step, "replacement misses an endpoint")
-            if vset != set(h.vertices) | set(g.vertices) or eset != (
-                set(h.edges) - {e}
-            ) | set(g.edges):
-                _fail(k, step, "result sets do not match the replacement")
-        elif step.rule == "IndependentCycle":
-            (vs,) = step.inputs
-            if len(vs) < 3 or len(set(vs)) != len(vs):
-                _fail(k, step, "not a cycle on three or more distinct vertices")
-            ints, _ = current.int_coords()
-            if not affinely_independent([ints[v] for v in vs]):
-                _fail(k, step, "cycle vertices are affinely dependent")
-            cyc = {edge_key(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))}
-            if vset != set(vs) or eset != cyc:
-                _fail(k, step, "result sets do not match the cycle")
-        elif step.rule == "TwoGraphCover":
-            c1, c2, glued = step.inputs
-            c1, c2 = resolve(k, step, c1), resolve(k, step, c2)
-            glued = resolve(k, step, glued)
-            if not set(c1.vertices) & set(c2.vertices):
-                _fail(k, step, "the covered graphs share no vertex")
-            missing = set(range(len(current.vertices))) - (
-                set(c1.vertices) | set(c2.vertices)
-            )
-            if len(missing) > current.dim - 2:
-                _fail(k, step, "more than d-2 vertices uncovered")
-            if set(glued.vertices) != set(range(len(current.vertices))):
-                _fail(k, step, "the glued graph does not reach every vertex")
-            if vset != set(glued.vertices) or eset != set(glued.edges):
-                _fail(k, step, "result sets do not match the glued graph")
-        elif step.rule == "ShephardFacet":
-            fi, members = step.inputs
-            if not 0 <= fi < len(current.facets) or tuple(current.facets[fi]) != tuple(members):
-                _fail(k, step, "facet does not exist as recorded")
-            if _shephard_witness(current, skel, fi) is None:
-                _fail(k, step, "facet does not meet the slide condition")
-        elif step.rule == "PyramidApex":
-            u, base_fi = step.inputs
-            away = [fi for fi, f in enumerate(current.facets) if u not in f]
-            if away != [base_fi]:
-                _fail(k, step, f"vertex {u} is not in every facet but {base_fi}")
-            if len(current.facets[base_fi]) != len(current.vertices) - 1:
-                _fail(k, step, "the base facet misses some non-apex vertex")
-        elif step.rule in ("SmilanskyCount", "LowVertexCount"):
-            d, v, e, f = step.inputs
-            fv = current.f_vector()
-            if (d, v, e, f) != (current.dim, fv.v, fv.e, fv.f):
-                _fail(k, step, "recorded counts disagree with the polytope")
-            match = next(
-                (
-                    c
-                    for c in count_rules(d, v, e, f)
-                    if c.unconditional and c.tag == step.note
-                ),
-                None,
-            )
-            if match is None:
-                _fail(k, step, "no unconditional count rule with this tag applies")
-            want = (
-                POLYTOPE_INDECOMPOSABLE
-                if match.verdict == "indecomposable"
-                else POLYTOPE_DECOMPOSABLE
-            )
-            if step.conclusion != want:
-                _fail(k, step, "conclusion disagrees with the count rule")
-        elif step.rule == "PyramidReduction":
-            apex, fmem, facet_trace = step.inputs
-            if current.dim < 3:
-                _fail(k, step, "reduction needs dimension at least 3")
-            data = _stack_structure(current, apex)
-            if data is None:
-                _fail(k, step, "vertex is not a stacked pyramid apex")
-            reduced, base = data
-            if tuple(fmem) != base:
-                _fail(k, step, "recorded facet is not the apex base in the reduction")
-            if facet_trace.verdict != INDECOMPOSABLE:
-                _fail(k, step, "base facet certificate does not say indecomposable")
-            sub = facet_as_polytope(reduced, reduced.facets.index(tuple(fmem)))
-            ok, why = replay_report(facet_trace, sub)
-            if not ok:
-                _fail(k, step, f"base facet certificate fails: {why}")
+                again = _count_step(current, step.note)
+                if inputs != again.inputs:
+                    raise RuleNotApplicableError("recorded counts disagree with the polytope")
+        except RuleNotApplicableError as exc:
+            _fail(k, step, str(exc))
+        if (rule, inputs) != (again.rule, again.inputs):
+            _fail(k, step, "rule or inputs differ from the re-derived step")
+        vset, eset = frozenset(step.vertices), frozenset(step.edges)
+        if vset != frozenset(again.vertices) or eset != frozenset(again.edges):
+            _fail(k, step, "result sets do not match the re-derived step")
+        if rule not in GRAPH_RULES and step.conclusion != again.conclusion:
+            _fail(k, step, "conclusion disagrees with the rule")
+        if reduced is not None:
             # Later steps speak about the reduced polytope.
-            current = reduced
-            skel = skeleton(current)
-            skel_edges = set(skel.edges)
-            known = {}
+            current, skel, known = reduced, skeleton(reduced), {}
             continue
-        else:
-            _fail(k, step, f"unknown rule {step.rule!r}")
-        if step.conclusion == POLYTOPE_INDECOMPOSABLE and step.rule in GRAPH_RULES:
-            if not eset <= skel_edges:
-                _fail(k, step, "certified graph is not a skeleton subgraph")
-            if not touches_every_facet(vset, current):
-                _fail(k, step, "certified graph misses a facet")
-        known[id(step)] = step
-    final = trace.steps[-1]
-    want = (
-        POLYTOPE_INDECOMPOSABLE
-        if trace.verdict == INDECOMPOSABLE
-        else POLYTOPE_DECOMPOSABLE
-    )
-    if final.conclusion != want:
+        if rule in GRAPH_RULES:
+            if step.conclusion == POLYTOPE_INDECOMPOSABLE:
+                if not eset <= set(skel.edges):
+                    _fail(k, step, "certified graph is not a skeleton subgraph")
+                if not touches_every_facet(vset, current):
+                    _fail(k, step, "certified graph misses a facet")
+            known[id(step)] = CertifiedGraph(vset, eset, step)
+    if _VERDICTS.get(trace.steps[-1].conclusion) != trace.verdict:
         raise _ReplayFailure("final step does not conclude the verdict")

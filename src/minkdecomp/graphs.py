@@ -156,7 +156,15 @@ class DecomposingFunction:
 
     @staticmethod
     def from_images(g: GeometricGraph, images: Dict[int, Vec]) -> "DecomposingFunction":
-        """Derive the per-edge scalars, verifying the defining identity."""
+        """Derive the per-edge scalars, verifying the defining identity.
+        Every vertex needs an image with one coordinate per dimension."""
+        for v in g.vertices:
+            if v not in images:
+                raise InvalidInputError(f"no image for vertex {v}")
+            if len(images[v]) != g.dim:
+                raise InvalidInputError(
+                    f"image of vertex {v} has {len(images[v])} coordinates, not {g.dim}"
+                )
         xs, mult = g.int_coords()
         fs, den = as_int_coords(images[v] for v in g.vertices)
         scalars = _edge_scalars(g, xs, mult, dict(zip(g.vertices, fs)), den)

@@ -24,6 +24,11 @@ re-ranks every prefix on the `Fraction` coordinates (`affinely_independent`
 on the whole path at each extension); the certificate search's one
 incremental integer echelon must yield the same cycles in the same order.
 
+`reference_replay` is the trace replay with each rule's conditions
+written out by hand, step by step; the library's replay re-derives every
+step with the rule function that made it instead, and must accept every
+trace the engine emits and nothing this reference rejects.
+
 `reference_plane` is a facet's outward hyperplane by a rational kernel
 over its points (`reference_common_hyperplane`), and `reference_int_plane`
 the same plane as the primitive integer vector on the polytope's
@@ -39,8 +44,17 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from minkdecomp import kernels
-from minkdecomp.graphs import DecomposingFunction, GeometricGraph, homothety_residue, skeleton
+from minkdecomp import certificates, kernels
+from minkdecomp.counts import count_rules
+from minkdecomp.errors import EngineInconsistencyError, InvalidInputError, RuleNotApplicableError
+from minkdecomp.graphs import (
+    DecomposingFunction,
+    GeometricGraph,
+    edge_key,
+    homothety_residue,
+    skeleton,
+    touches_every_facet,
+)
 from minkdecomp.linalg import (
     Rational,
     Vec,
@@ -48,11 +62,12 @@ from minkdecomp.linalg import (
     as_int_coords,
     clear_denominators,
     fraction_vec,
+    int_collinear,
     int_hyperplane,
     int_kernel_basis,
     rank_and_kernel,
 )
-from minkdecomp.polytope import Polytope
+from minkdecomp.polytope import Polytope, facet_as_polytope
 
 
 def matrix_rank(rows: Sequence[Sequence[Rational]], ncols: Optional[int] = None) -> int:
@@ -375,6 +390,205 @@ def reference_independent_cycles(p: Polytope, max_len: int):
         for x in sorted(adj[v0]):
             if x > v0:
                 yield from extend([v0, x], [coords[v0], coords[x]])
+
+
+class _ReplayFailure(Exception):
+    pass
+
+
+def reference_replay(trace, p: Polytope) -> Tuple[bool, str]:
+    """Trace replay with each rule's conditions written out by hand
+    instead of re-derived by the rule functions; (ok, message) as
+    `certificates.replay_report` gives it."""
+    try:
+        _reference_replay_checked(trace, p)
+    except _ReplayFailure as rf:
+        return False, str(rf)
+    except (
+        InvalidInputError,
+        RuleNotApplicableError,
+        EngineInconsistencyError,
+        KeyError,
+        IndexError,
+        TypeError,
+        ValueError,
+        ZeroDivisionError,
+    ) as exc:
+        return False, f"replay error: {exc}"
+    return True, "all steps check"
+
+
+def _reference_replay_checked(trace, p: Polytope) -> None:
+    def fail(k, step, why):
+        raise _ReplayFailure(f"step_{k} ({step.rule}): {why}")
+
+    if not trace.steps:
+        raise _ReplayFailure("empty trace")
+    current = p
+    skel = skeleton(current)
+    skel_edges = set(skel.edges)
+    known = {}
+
+    def resolve(k, step, x):
+        if id(x) not in known:
+            fail(k, step, "references a step outside the earlier trace")
+        return x
+
+    for k, step in enumerate(trace.steps, start=1):
+        allowed = certificates._RULE_CONCLUSIONS.get(step.rule)
+        if allowed is None:
+            fail(k, step, f"unknown rule {step.rule!r}")
+        if step.conclusion not in allowed:
+            fail(k, step, f"a {step.rule} step cannot conclude {step.conclusion!r}")
+        vset = set(step.vertices)
+        eset = set(step.edges)
+        if any(edge_key(*e) != e or not set(e) <= vset for e in eset):
+            fail(k, step, "edge list is not over the vertex list")
+        if step.rule == "SimpleExtension":
+            if step.inputs[0] == "seed":
+                e = step.inputs[1]
+                if e not in skel_edges:
+                    fail(k, step, f"seed {e} is not a skeleton edge")
+                if vset != set(e) or eset != {e}:
+                    fail(k, step, "seed step must cover exactly its edge")
+            else:
+                base, w, (a, b) = step.inputs
+                base = resolve(k, step, base)
+                if w in set(base.vertices):
+                    fail(k, step, f"vertex {w} was already covered")
+                if a == b or a not in set(base.vertices) or b not in set(base.vertices):
+                    fail(k, step, f"witnesses ({a},{b}) not two covered vertices")
+                if edge_key(a, w) not in skel_edges or edge_key(b, w) not in skel_edges:
+                    fail(k, step, f"({a},{w}) or ({b},{w}) is not a skeleton edge")
+                ints, _ = current.int_coords()
+                if int_collinear(ints[w], ints[a], ints[b]):
+                    fail(k, step, f"{w},{a},{b} are collinear")
+                if vset != set(base.vertices) | {w} or eset != set(base.edges) | {
+                    edge_key(a, w),
+                    edge_key(b, w),
+                }:
+                    fail(k, step, "result sets do not match the extension")
+        elif step.rule == "UnionSharedPair":
+            c1, c2, (a, b) = step.inputs
+            c1, c2 = resolve(k, step, c1), resolve(k, step, c2)
+            if a == b or not {a, b} <= set(c1.vertices) & set(c2.vertices):
+                fail(k, step, f"({a},{b}) are not two shared vertices")
+            if vset != set(c1.vertices) | set(c2.vertices) or eset != set(
+                c1.edges
+            ) | set(c2.edges):
+                fail(k, step, "result sets are not the union")
+        elif step.rule == "EdgeReplacement":
+            h, e, g = step.inputs
+            h, g = resolve(k, step, h), resolve(k, step, g)
+            if e not in set(h.edges):
+                fail(k, step, f"{e} is not an edge of the base step")
+            if not set(e) <= set(g.vertices):
+                fail(k, step, "replacement misses an endpoint")
+            if vset != set(h.vertices) | set(g.vertices) or eset != (
+                set(h.edges) - {e}
+            ) | set(g.edges):
+                fail(k, step, "result sets do not match the replacement")
+        elif step.rule == "IndependentCycle":
+            (vs,) = step.inputs
+            if len(vs) < 3 or len(set(vs)) != len(vs):
+                fail(k, step, "not a cycle on three or more distinct vertices")
+            ints, _ = current.int_coords()
+            if not affinely_independent([ints[v] for v in vs]):
+                fail(k, step, "cycle vertices are affinely dependent")
+            cyc = {edge_key(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))}
+            if vset != set(vs) or eset != cyc:
+                fail(k, step, "result sets do not match the cycle")
+        elif step.rule == "TwoGraphCover":
+            c1, c2, glued = step.inputs
+            c1, c2 = resolve(k, step, c1), resolve(k, step, c2)
+            glued = resolve(k, step, glued)
+            if not set(c1.vertices) & set(c2.vertices):
+                fail(k, step, "the covered graphs share no vertex")
+            missing = set(range(len(current.vertices))) - (
+                set(c1.vertices) | set(c2.vertices)
+            )
+            if len(missing) > current.dim - 2:
+                fail(k, step, "more than d-2 vertices uncovered")
+            if set(glued.vertices) != set(range(len(current.vertices))):
+                fail(k, step, "the glued graph does not reach every vertex")
+            if vset != set(glued.vertices) or eset != set(glued.edges):
+                fail(k, step, "result sets do not match the glued graph")
+        elif step.rule == "ShephardFacet":
+            fi, members = step.inputs
+            if not 0 <= fi < len(current.facets) or tuple(current.facets[fi]) != tuple(members):
+                fail(k, step, "facet does not exist as recorded")
+            if certificates._shephard_witness(current, skel, fi) is None:
+                fail(k, step, "facet does not meet the slide condition")
+        elif step.rule == "PyramidApex":
+            u, base_fi = step.inputs
+            away = [fi for fi, f in enumerate(current.facets) if u not in f]
+            if away != [base_fi]:
+                fail(k, step, f"vertex {u} is not in every facet but {base_fi}")
+            if len(current.facets[base_fi]) != len(current.vertices) - 1:
+                fail(k, step, "the base facet misses some non-apex vertex")
+        elif step.rule in ("SmilanskyCount", "LowVertexCount"):
+            d, v, e, f = step.inputs
+            fv = current.f_vector()
+            if (d, v, e, f) != (current.dim, fv.v, fv.e, fv.f):
+                fail(k, step, "recorded counts disagree with the polytope")
+            match = next(
+                (
+                    c
+                    for c in count_rules(d, v, e, f)
+                    if c.unconditional and c.tag == step.note
+                ),
+                None,
+            )
+            if match is None:
+                fail(k, step, "no unconditional count rule with this tag applies")
+            want = (
+                certificates.POLYTOPE_INDECOMPOSABLE
+                if match.verdict == "indecomposable"
+                else certificates.POLYTOPE_DECOMPOSABLE
+            )
+            if step.conclusion != want:
+                fail(k, step, "conclusion disagrees with the count rule")
+        elif step.rule == "PyramidReduction":
+            apex, fmem, facet_trace = step.inputs
+            if current.dim < 3:
+                fail(k, step, "reduction needs dimension at least 3")
+            data = certificates._stack_structure(current, apex)
+            if data is None:
+                fail(k, step, "vertex is not a stacked pyramid apex")
+            reduced, base = data
+            if tuple(fmem) != base:
+                fail(k, step, "recorded facet is not the apex base in the reduction")
+            if facet_trace.verdict != certificates.INDECOMPOSABLE:
+                fail(k, step, "base facet certificate does not say indecomposable")
+            sub = facet_as_polytope(reduced, reduced.facets.index(tuple(fmem)))
+            ok, why = reference_replay(facet_trace, sub)
+            if not ok:
+                fail(k, step, f"base facet certificate fails: {why}")
+            # Later steps speak about the reduced polytope.
+            current = reduced
+            skel = skeleton(current)
+            skel_edges = set(skel.edges)
+            known = {}
+            continue
+        else:
+            fail(k, step, f"unknown rule {step.rule!r}")
+        if (
+            step.conclusion == certificates.POLYTOPE_INDECOMPOSABLE
+            and step.rule in certificates.GRAPH_RULES
+        ):
+            if not eset <= skel_edges:
+                fail(k, step, "certified graph is not a skeleton subgraph")
+            if not touches_every_facet(vset, current):
+                fail(k, step, "certified graph misses a facet")
+        known[id(step)] = step
+    final = trace.steps[-1]
+    want = (
+        certificates.POLYTOPE_INDECOMPOSABLE
+        if trace.verdict == certificates.INDECOMPOSABLE
+        else certificates.POLYTOPE_DECOMPOSABLE
+    )
+    if final.conclusion != want:
+        raise _ReplayFailure("final step does not conclude the verdict")
 
 
 def is_simple(p) -> bool:

@@ -126,6 +126,32 @@ def test_criterion_05_low_vertex_entries(reports):
     ok(5, "every small-vertex entry is indecomposable except the simplicial prisms")
 
 
+def test_criterion_05b_edge_count_boundary(reports):
+    """The abstract's edge-count claim, read inclusively (2e <= 2d^2 + d,
+    as `count_rules` encodes it): among such catalogue entries only the
+    simplicial prisms and, at d = 4 on the boundary e = d^2 + d/2 = 18,
+    the sum of two triangles are decomposable."""
+    decomposable = {}
+    for e, p, r in reports:
+        d, edges = p.dim, p.f_vector().e
+        if d < 3 or 2 * edges > 2 * d * d + d:
+            continue
+        assert any(c.verdict == "prism-or-delta22-or-indecomposable"
+                   for c in count_rules(d, e=edges)), e.name
+        if r.verdict == "Decomposable":
+            decomposable[e.name] = (d, edges)
+    prisms = {f"delta-1-{d - 1}": d for d in range(3, 7)}
+    assert set(decomposable) == set(prisms) | {"delta-2-2", "sum-18-edges"}
+    for name, d in prisms.items():
+        assert decomposable[name][0] == d
+    assert decomposable["delta-2-2"] == decomposable["sum-18-edges"] == (4, 18)
+    assert incidence_isomorphic(
+        catalogue_entry("delta-2-2").build(), catalogue_entry("sum-18-edges").build()
+    )
+    ok("5b", "at most d^2 + d/2 edges: only the prisms and, at d = 4 with 18 edges, "
+       "the sum of two triangles are decomposable")
+
+
 def test_criterion_06_impossible_and_scarce_counts(capsys):
     for d in range(4, 9):
         out = count_rules(d, v=2 * d, e=d * d + 1)

@@ -29,6 +29,7 @@ from minkdecomp.certificates import (
     two_graph_cover,
     union_shared_pair,
 )
+from minkdecomp.counts import count_rules
 from minkdecomp.constructors import (
     bd182,
     bd198,
@@ -62,6 +63,7 @@ from reference_linalg import (
     reference_independent_cycles,
     reference_int_plane,
     reference_plane,
+    reference_replay,
     translate,
 )
 
@@ -622,6 +624,234 @@ def test_replay_rejects_trace_on_wrong_polytope():
     assert not replay(trace, cube(3))
 
 
+def test_replay_refuses_a_cycle_on_a_negative_vertex():
+    """A TwoGraphCover of the octahedron over an extension closure and
+    an IndependentCycle on "vertex -1", which Python's wrap-around would
+    read as vertex 5: `independent_cycle` refuses that cycle, so replay
+    must too."""
+    closure = simple_extension_closure(OCTA_SKEL, (0, 1))
+    assert closure.vertices == frozenset(range(6))
+    cycle = CertificateStep(
+        rule="IndependentCycle",
+        inputs=((-1, 0, 1),),
+        conclusion="graph-indecomposable",
+        vertices=(-1, 0, 1),
+        edges=((-1, 0), (-1, 1), (0, 1)),
+    )
+    final = CertificateStep(
+        rule="TwoGraphCover",
+        inputs=(closure.step, cycle, closure.step),
+        conclusion="polytope-indecomposable",
+        vertices=tuple(sorted(closure.vertices)),
+        edges=tuple(sorted(closure.edges)),
+    )
+    trace = assemble_trace(final, "Indecomposable", "")
+    with pytest.raises(RuleNotApplicableError):
+        independent_cycle(OCTA_SKEL, (-1, 0, 1))
+    ok, why = replay_report(trace, OCTA)
+    assert not ok and "IndependentCycle" in why and "missing from the graph" in why, why
+
+
+def test_replay_refuses_a_count_step_renamed_against_its_tag():
+    p = bipyramid3()
+    trace = analyze(p).trace
+    (step,) = trace.steps
+    assert step.rule == "SmilanskyCount" and step.note.startswith("Smilansky")
+    renamed = dataclasses.replace(step, rule="LowVertexCount")
+    ok, why = replay_report(assemble_trace(renamed, trace.verdict, ""), p)
+    assert not ok and "LowVertexCount" in why, why
+
+
+def test_replay_refuses_a_graph_rule_over_a_facet_slide():
+    """A graph rule takes only earlier graph steps as inputs.  A facet
+    slide's step lists a facet's vertices but certifies no graph; a union
+    over it and an extension closure would otherwise cover every facet of
+    delta(2,2) and prove the decomposable polytope indecomposable."""
+    p = delta(2, 2)
+    slide = analyze(p).trace.steps[-1]
+    assert slide.rule == "ShephardFacet"
+    skel = skeleton(p)
+    closure = simple_extension_closure(skel, (0, 1))
+    covered = set(slide.vertices) | closure.vertices
+    assert touches_every_facet(covered, p)
+    forged = CertificateStep(
+        rule="UnionSharedPair",
+        inputs=(slide, closure.step, tuple(sorted(set(slide.vertices) & closure.vertices)[:2])),
+        conclusion="polytope-indecomposable",
+        vertices=tuple(sorted(covered)),
+        edges=tuple(sorted(closure.edges)),
+    )
+    ok, why = replay_report(assemble_trace(forged, "Indecomposable", ""), p)
+    assert not ok and "not an earlier graph step" in why, why
+
+
+# ---------------------------------------------------------------------------
+# Replay against the hand-written reference
+
+
+def _hand_built_traces():
+    """Traces the engine's search rarely emits: a two-graph cover of the
+    octahedron glued through a 3-cycle, and a covering independent cycle
+    of the tetrahedron."""
+    c1 = union_shared_pair(
+        independent_cycle(OCTA_SKEL, (0, 1, 2)), independent_cycle(OCTA_SKEL, (0, 1, 5))
+    )
+    cover = two_graph_cover(OCTA, c1, independent_cycle(OCTA_SKEL, (2, 3, 4)))
+    p = simplex(3)
+    vs = next(vs for vs in certificates._independent_cycles(p, 4) if touches_every_facet(vs, p))
+    cycle = certificates._close_by_coverage(
+        independent_cycle(skeleton(p), vs), p, "cycle touches every facet"
+    )
+    return [(OCTA, cover), (p, cycle)]
+
+
+def _replay_corpus():
+    """(polytope, trace) for a trace of every rule: the emitted traces
+    above (with a reduction, an apex, a slide, count rules and extension
+    closures) and the hand-built ones."""
+    polytopes = [e[0] for e in EMITTED] + [cube(3), bipyramid3(), delta(2, 2)]
+    return [(p, analyze(p).trace) for p in polytopes] + _hand_built_traces()
+
+
+_CONCLUSIONS = sorted({c for cs in certificates._RULE_CONCLUSIONS.values() for c in cs})
+_RULES = sorted(certificates._RULE_CONCLUSIONS)
+
+
+def _rebuilt(steps, k, new):
+    """steps with step k replaced by `new`, and each later step that
+    refers to a replaced one rebuilt to refer to its replacement."""
+    swap = {id(steps[k]): new}
+    out = list(steps)
+    out[k] = new
+    for i in range(k + 1, len(out)):
+        if any(id(x) in swap for x in out[i].inputs):
+            new_inputs = tuple(swap.get(id(x), x) for x in out[i].inputs)
+            swap[id(out[i])] = out[i] = dataclasses.replace(out[i], inputs=new_inputs)
+    return tuple(out)
+
+
+def _tampered_value(x, rng, n):
+    """A nearby wrong value: an index moved by one, wrapped negative or
+    past the end, or a tuple with one entry tampered, dropped, repeated
+    or the entries reordered."""
+    if isinstance(x, int):
+        return rng.choice([x + 1, x - 1, -1, -n, n, rng.randrange(n)])
+    if isinstance(x, tuple) and x and not isinstance(x[0], CertificateStep):
+        k = rng.randrange(len(x))
+        how = rng.randrange(4)
+        if how == 0:
+            return x[:k] + (_tampered_value(x[k], rng, n),) + x[k + 1:]
+        if how == 1:
+            return x[:k] + x[k + 1:]
+        if how == 2:
+            return x + (x[k],)
+        return tuple(rng.sample(x, len(x)))
+    return rng.choice(["seed", None, 0, ()])
+
+
+def _tampered(trace, rng, n, foreign):
+    """One random field mutation of a trace: one step's rule, conclusion,
+    note, an input (a step reference redirected, a nested certificate
+    tampered in turn, or a value), its vertex or edge list; or the
+    verdict, or a step dropped or moved."""
+    steps = trace.steps
+    k = rng.randrange(len(steps))
+    step = steps[k]
+    field = rng.choice(["rule", "conclusion", "note", "inputs", "inputs", "inputs",
+                        "vertices", "edges", "verdict", "order"])
+    if field == "verdict":
+        verdict = rng.choice(["Indecomposable", "Decomposable", "maybe"])
+        return CertificateTrace(steps, verdict, trace.coverage_note)
+    if field == "order":
+        rest = steps[:k] + steps[k + 1:]
+        if rng.random() < 0.5 or not rest:
+            return CertificateTrace(rest, trace.verdict, trace.coverage_note)
+        j = rng.randrange(len(rest) + 1)
+        return CertificateTrace(rest[:j] + (step,) + rest[j:], trace.verdict, trace.coverage_note)
+    if field == "rule":
+        new = dataclasses.replace(step, rule=rng.choice(_RULES))
+    elif field == "conclusion":
+        new = dataclasses.replace(step, conclusion=rng.choice(_CONCLUSIONS))
+    elif field == "note":
+        tags = [c.tag for c in count_rules(3, 5, 9, 6) + count_rules(3, 8, 12, 6)]
+        new = dataclasses.replace(step, note=rng.choice(tags + ["", step.note + "!"]))
+    elif field == "inputs":
+        if not step.inputs:
+            return None
+        i = rng.randrange(len(step.inputs))
+        x = step.inputs[i]
+        if isinstance(x, CertificateStep):
+            x = rng.choice(list(steps) + [foreign])
+        elif isinstance(x, CertificateTrace):
+            x = _tampered(x, rng, n, foreign)
+            if x is None:
+                return None
+        else:
+            x = _tampered_value(x, rng, n)
+        new = dataclasses.replace(step, inputs=step.inputs[:i] + (x,) + step.inputs[i + 1:])
+    elif field == "vertices":
+        new = dataclasses.replace(step, vertices=_tampered_value(step.vertices, rng, n))
+    else:
+        edges = step.edges
+        how = rng.randrange(4)
+        if how == 0 or not edges:
+            a, b = rng.randrange(n), rng.randrange(n)
+            edges = edges + ((min(a, b), max(a, b)),)
+        elif how == 1:
+            j = rng.randrange(len(edges))
+            edges = edges[:j] + (edges[j][::-1],) + edges[j + 1:]
+        else:
+            edges = _tampered_value(edges, rng, n)
+        new = dataclasses.replace(step, edges=edges)
+    return CertificateTrace(_rebuilt(steps, k, new), trace.verdict, trace.coverage_note)
+
+
+def tamper_corpus(corpus, seed, count):
+    """`count` seeded (polytope, tampered trace) pairs over the corpus."""
+    rng = random.Random(seed)
+    foreign = analyze(cyclic(10, 4)).trace.steps[0]
+    made = 0
+    while made < count:
+        p, trace = corpus[rng.randrange(len(corpus))]
+        tampered = _tampered(trace, rng, len(p.vertices), foreign)
+        if tampered is not None:
+            made += 1
+            yield p, tampered
+
+
+def test_replay_and_the_reference_accept_every_engine_trace():
+    for p, trace in _replay_corpus():
+        assert reference_replay(trace, p) == replay_report(trace, p) == (True, "all steps check")
+
+
+def test_replay_accepts_nothing_the_reference_rejects():
+    rejected = 0
+    for p, tampered in tamper_corpus(_replay_corpus(), 16, 2000):
+        ok, _ = replay_report(tampered, p)
+        want, because = reference_replay(tampered, p)
+        assert want or not ok, (tampered.render(), because)
+        rejected += not ok
+    assert rejected > 1000
+
+
+def test_replay_rederives_graph_steps_with_the_rule_functions(monkeypatch):
+    """Replaying engine traces goes through the engine's own graph rules:
+    nothing in replay restates them."""
+    corpus = [(cyclic(8, 4), analyze(cyclic(8, 4)).trace)] + _hand_built_traces()
+    names = {"seed_edge", "simple_extension", "union_shared_pair", "edge_replacement",
+             "independent_cycle"}
+    called = set()
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(certificates, name), **kwargs):
+            called.add(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, name, spy)
+    for p, trace in corpus:
+        assert replay(trace, p)
+    assert called == names
+
+
 # ---------------------------------------------------------------------------
 # Oracle-gated search
 
@@ -912,6 +1142,19 @@ def test_reduction_builds_no_hull(monkeypatch):
     assert report.trace.steps[0].rule == "PyramidReduction"
     assert replay(report.trace, p)
     assert not calls
+
+
+@pytest.mark.parametrize("facet_trace", [None, "step"])
+def test_replay_rejects_a_reduction_without_a_facet_certificate(facet_trace):
+    p = bd198()
+    trace = analyze(p).trace
+    first = trace.steps[0]
+    apex, fmem, _ = first.inputs
+    if facet_trace == "step":
+        facet_trace = trace.steps[1]
+    bad = dataclasses.replace(first, inputs=(apex, fmem, facet_trace))
+    ok, why = replay_report(CertificateTrace((bad,) + trace.steps[1:], trace.verdict, ""), p)
+    assert not ok and "verdict" in why, why
 
 
 def test_replay_rejects_a_forged_reduction_on_cube():

@@ -376,6 +376,27 @@ def test_check_detects_wrong_scalars():
     assert not bad.check(TRIANGLE)
 
 
+def test_check_refuses_malformed_images():
+    """A witness with an image missing or of the wrong length does not
+    check; it is refused, not raised on."""
+    from minkdecomp.certificates import analyze
+    from minkdecomp.constructors import delta
+
+    p = delta(2, 2)
+    g = graphs.skeleton(p)
+    w = analyze(p).witness
+    assert w.check(g)
+    missing = dict(w.images)
+    del missing[0]
+    longer = dict(w.images)
+    longer[3] = Vec(tuple(longer[3]) + (1,))
+    every_longer = {v: Vec(tuple(img) + (1,)) for v, img in w.images.items()}
+    for images in (missing, longer, every_longer):
+        assert not DecomposingFunction(images, w.edge_scalars).check(g)
+        with pytest.raises(InvalidInputError):
+            DecomposingFunction.from_images(g, images)
+
+
 def test_homothety_detection():
     shift = Vec((3, -2))
     images = {v: TRIANGLE.vertices[v] * Fraction(5, 2) + shift for v in TRIANGLE.vertices}
