@@ -466,8 +466,10 @@ def is_indecomposable_graph(g: GeometricGraph) -> bool:
         raise InvalidInputError("graph must be connected")
     if not g.spans_ambient():
         raise InvalidInputError("graph vertices must affinely span the ambient dimension")
-    dim, _ = decomposing_space(g)
-    return dim == g.dim + 1
+    # One component, so the dimension is d plus its kernel size; no
+    # basis is built.
+    ((_, _, _, kernel),) = _component_kernels(g, g.int_coords()[0])
+    return len(kernel) == 1
 
 
 def homothety_residue(g: GeometricGraph, f: DecomposingFunction) -> DecomposingFunction:

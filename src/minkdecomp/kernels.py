@@ -1,18 +1,19 @@
-"""The integer kernels: row reduction, the incremental echelon and
-facet enumeration, all pure Python over arbitrary-precision integers.
+"""The integer kernels: row reduction and facet enumeration, pure Python
+over arbitrary-precision integers.
 
-`rref_int` is fraction-free Gauss-Jordan elimination: callers clear the
-denominators first.  It returns the primitive reduced row echelon form
-with positive pivots, which the row space alone determines, so its
-output does not depend on the pivot rows it picks.  The rank oracle
-eliminates its cycle systems (`linalg.int_kernel_basis`) and edge rows
-(`graphs._edge_rows`) with it, and `facet_scan` inverts its start
-simplex with it.
-
-`Echelon` is the fraction-free echelon grown one row at a time that
-answers rank questions with a known cap (`linalg.affine_rank`,
-`linalg.int_hyperplane`, and the start simplex of `facet_scan`): it
-stops as soon as the cap is reached.
+`Echelon` is the package's one elimination: a fraction-free echelon
+(Bareiss 1968) grown one row at a time, over rows whose denominators
+the caller has cleared.  A rank question with a known cap
+(`linalg.affine_rank`, `linalg.int_hyperplane`, the start simplex of
+`facet_scan`) adds rows only until the cap is reached.  Two read-offs
+serve the rest: `Echelon.reduced` gives the primitive reduced row
+echelon form with positive pivots, which the row space alone
+determines, and `Echelon.kernel` one integer kernel vector per free
+column.  `rref_int` feeds a matrix to an echelon and returns its
+reduced form; the rank oracle brings its edge rows to a basis with it
+(`graphs._edge_rows`) and `facet_scan` inverts its start simplex with
+it.  The oracle's cycle systems are solved by `linalg.int_kernel_basis`
+over `Echelon.kernel`.
 
 `facet_scan` is an exact double-description hull whose cost follows the
 facets it builds rather than the C(n, d) vertex subsets.  It builds
@@ -32,63 +33,25 @@ HAVE_COMPILED = False
 
 
 def rref_int(rows, ncols):
-    """Integer Gauss-Jordan elimination.
+    """The primitive reduced row echelon form of an integer matrix whose
+    rows have ncols entries: (pivot_cols, reduced), each reduced row
+    primitive with a positive pivot as its first nonzero entry, and every
+    pivot column zero in all other rows (`Echelon.reduced`).  Zero rows
+    are allowed."""
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    return ech.reduced()
 
-    Returns (pivot_cols, reduced) where each reduced row is primitive with
-    a positive pivot as its first nonzero entry, and every pivot column is
-    zero in all other rows.  That form is unique, so it does not depend on
-    the pivot rows chosen.  A pivot row is made primitive when chosen, and
-    so is every row eliminated against a pivot other than 1 (the pivot
-    multiplies it); a row eliminated against a pivot of 1 only has a
-    multiple of the pivot row subtracted and is left as it is.  Every kept
-    row is made primitive once at the end.
-    """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    pivot_cols = []
-    rank = 0
-    for col in range(ncols):
-        # Smallest nonzero magnitude as pivot keeps the integers small.
-        best = -1
-        size = 0
-        for i in range(rank, nrows):
-            x = mat[i][col]
-            if x and (best < 0 or abs(x) < size):
-                best = i
-                size = abs(x)
-        if best < 0:
-            continue
-        piv_row = mat[best]
-        mat[best] = mat[rank]
-        # Columns before col are zero in rows rank.., so the entry at col
-        # leads the row.
-        g = gcd(*piv_row)
-        if piv_row[col] < 0:
-            g = -g
-        if g != 1:
-            piv_row = [x // g for x in piv_row]
-        mat[rank] = piv_row
-        p = piv_row[col]
-        for i in range(nrows):
-            row = mat[i]
-            q = row[col]
-            if not q or i == rank:
-                continue
-            if p == 1:
-                mat[i] = [x - q * y for x, y in zip(row, piv_row)]
-            else:
-                row = [x * p - q * y for x, y in zip(row, piv_row)]
-                g = gcd(*row)
-                mat[i] = [x // g for x in row] if g > 1 else row
-        pivot_cols.append(col)
-        rank += 1
-    reduced = []
-    for row in mat[:rank]:
-        # The pivot stays positive: later pivots are positive and only
-        # multiply it.
-        g = gcd(*row)
-        reduced.append([x // g for x in row] if g > 1 else row)
-    return pivot_cols, reduced
+
+def _cancel(row, prow, c):
+    """The fraction-free combination of row and pivot row prow that is
+    zero at column c: row times prow[c] minus prow times row[c], with the
+    two multipliers divided by their gcd."""
+    p, x = prow[c], row[c]
+    g = gcd(p, x)
+    p, x = p // g, x // g
+    return [a * p - x * b for a, b in zip(row, prow)]
 
 
 class Echelon:
@@ -100,7 +63,8 @@ class Echelon:
     at the pivot columns in that order, each step a fraction-free
     combination with the pivot row, which keeps the entries already
     eliminated at zero.  A nonzero remainder is appended with its first
-    nonzero entry as a new pivot, and the rank grows by one.
+    nonzero entry as a new pivot, and the rank grows by one.  Pivots may
+    be negative; the read-offs fix the signs.
     """
 
     __slots__ = ("rows",)
@@ -111,12 +75,8 @@ class Echelon:
     def add(self, row: Sequence[int]) -> bool:
         """Append row reduced; True iff it is independent of the rows so far."""
         for c, prow in self.rows:
-            x = row[c]
-            if x:
-                p = prow[c]
-                g = gcd(p, x)
-                p, x = p // g, x // g
-                row = [a * p - x * b for a, b in zip(row, prow)]
+            if row[c]:
+                row = _cancel(row, prow, c)
         c = next((j for j, a in enumerate(row) if a), None)
         if c is None:
             return False
@@ -124,24 +84,54 @@ class Echelon:
         self.rows.append((c, [a // g for a in row] if g != 1 else row))
         return True
 
-    def kernel_vector(self, ncols: int) -> List[int]:
-        """The integer vector spanning the kernel of an echelon of rank
-        ncols - 1: 1 at the free column, scaled up as needed, and each
-        pivot entry solved by back-substitution, last row first.  A row
-        is nonzero only at its pivot, at the pivots of later rows and at
-        the free column, which are all set by then."""
-        pivots = {c for c, _ in self.rows}
-        h = [0] * ncols
-        h[next(j for j in range(ncols) if j not in pivots)] = 1
+    def reduced(self) -> Tuple[List[int], List[List[int]]]:
+        """(pivot_cols, reduced): the primitive reduced row echelon form
+        with positive pivots, rows in pivot order.
+
+        Each pivot column is cleared from the earlier rows, last row
+        first.  A row is zero at the pivots of the rows before it, and by
+        the time it clears its own pivot from them the later rows have
+        cleared theirs from it, so each step changes the earlier row only
+        at that pivot and at free columns.  The rows are new lists: the
+        echelon may hold the caller's own."""
+        done: List[Tuple[int, List[int]]] = []
         for c, row in reversed(self.rows):
-            # h[c] is still 0, so this is the rest of the row's equation.
-            s = sum(a * b for a, b in zip(row, h))
-            p = row[c]
-            g = gcd(p, s)
-            if p != g:
-                h = [x * (p // g) for x in h]
-            h[c] = -(s // g)
-        return h
+            for pc, prow in done:
+                if row[pc]:
+                    row = _cancel(row, prow, pc)
+            g = gcd(*row) if row[c] > 0 else -gcd(*row)
+            done.append((c, [a // g for a in row]))
+        done.sort(key=lambda cr: cr[0])
+        return [c for c, _ in done], [row for _, row in done]
+
+    def kernel(self, ncols: int) -> List[List[int]]:
+        """An integer kernel basis of the rows, of length ncols: per free
+        (non-pivot) column f, in column order, the primitive vector that
+        is positive at f and zero at the other free columns.
+
+        Each vector starts as 1 at f and solves the pivot entries by
+        back-substitution, last row first: a row is nonzero only at its
+        pivot, at the pivots of later rows and at free columns, which are
+        all set by then."""
+        pivots = {c for c, _ in self.rows}
+        basis = []
+        for f in range(ncols):
+            if f in pivots:
+                continue
+            h = [0] * ncols
+            h[f] = 1
+            for c, row in reversed(self.rows):
+                # h[c] is still 0, so this is the rest of the row's equation.
+                s = sum(map(mul, row, h))
+                if s:
+                    p = row[c]
+                    g = gcd(p, s)
+                    if p != g:
+                        h = [x * (p // g) for x in h]
+                    h[c] = -(s // g)
+            g = gcd(*h) if h[f] > 0 else -gcd(*h)
+            basis.append([x // g for x in h])
+        return basis
 
 
 def _divide_gcd(h):

@@ -10,17 +10,15 @@ integers.  Uniform scaling keeps every face, every rank and kernel of a
 system built from the points, and every sign test, so integer results
 convert back to the rational answer by one division at the end.
 
-Two eliminations serve two kinds of question, each with one pure
-Python implementation in the kernels module.  A full kernel (the cycle
-systems and edge rows of the rank oracle) needs the reduced row echelon
-form, which `kernels.rref_int` computes by fraction-free integer
-Gauss-Jordan elimination.  A rank with a known cap needs less:
+One elimination serves every question: the fraction-free echelon of
+the kernels module (`kernels.Echelon`), grown one row at a time.  A full
+kernel (the cycle systems of the rank oracle) is back-substituted from
+it (`int_kernel_basis`).  A rank with a known cap needs less:
 `affine_rank` (difference rows) and `int_hyperplane` (incidence rows)
-add rows one at a time to a fraction-free echelon (`kernels.Echelon`)
-and stop as soon as the rank reaches the cap.  A hyperplane fit to
-points that span more than a hyperplane then costs d row insertions and
-dot products up to the first point off the candidate plane, not an
-elimination over all of them.
+add rows one at a time and stop as soon as the rank reaches the cap.  A
+hyperplane fit to points that span more than a hyperplane then costs d
+row insertions and dot products up to the first point off the candidate
+plane, not an elimination over all of them.
 `int_collinear` answers the three-point case with 2x2 minors.
 `Fraction` values are made only at the edges: reading off a kernel
 basis, a stacked pyramid's apex, and witnesses.
@@ -29,10 +27,9 @@ basis, a stacked pyramid's apex, and witnesses.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from . import kernels
 from .kernels import Echelon
 
 Rational = Fraction
@@ -125,26 +122,15 @@ def int_kernel_basis(
     """Pivot columns and an integer kernel basis of an integer matrix
     (all-zero rows allowed).
 
-    One basis vector per non-pivot column f, in column order: a positive
-    multiple of the vector with 1 at f and 0 at the other non-pivot
-    columns, read off the primitive reduced row echelon form.  That form
-    is unique, so the vectors' directions do not depend on how the rows
-    were scaled.
+    One basis vector per non-pivot column f, in column order: the
+    primitive vector that is positive at f and 0 at the other non-pivot
+    columns (`kernels.Echelon.kernel`).  It is unique, so it does not
+    depend on how the rows were scaled or ordered.
     """
-    pivot_cols, reduced = kernels.rref_int([r for r in rows if any(r)], ncols)
-    pivot_set = set(pivot_cols)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        used = [(row, c) for row, c in zip(reduced, pivot_cols) if row[f]]
-        scale = lcm(*(row[c] for row, c in used))
-        vec = [0] * ncols
-        vec[f] = scale
-        for row, c in used:
-            vec[c] = -row[f] * (scale // row[c])
-        basis.append(vec)
-    return pivot_cols, basis
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    return sorted(c for c, _ in ech.rows), ech.kernel(ncols)
 
 
 def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int, List[Vec]]:
@@ -188,8 +174,9 @@ def int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[List[int],
 
     The incidence rows (p, -1) enter a fraction-free echelon one at a
     time (`kernels.Echelon`) until its rank reaches d.  Then the kernel of the
-    rows so far is one-dimensional, and back-substitution gives its
-    vector (a, b), the only candidate; each remaining point is tested on
+    rows so far is one-dimensional, and back-substitution
+    (`Echelon.kernel`) gives its primitive vector (a, b), the only
+    candidate; each remaining point is tested on
     it by a dot product (`int_side`), since a point off it would raise
     the rank to d+1.  Points that run out below rank d leave a kernel of
     dimension two or more.
@@ -204,13 +191,14 @@ def int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[List[int],
             return None
         ech.add([*points[k], -1])
         k += 1
-    h = ech.kernel_vector(d + 1)
+    (h,) = ech.kernel(d + 1)
     a, b = h[:d], h[d]
     if any(int_side(a, b, p) for p in points[k:]):
         return None
     # a = 0 would force b = 0 on the first point: a is nonzero.
-    g = gcd(*h) if next(x for x in a if x) > 0 else -gcd(*h)
-    return [x // g for x in a], b // g
+    if next(x for x in a if x) < 0:
+        return [-x for x in a], -b
+    return a, b
 
 
 def int_side(a: Sequence[int], b: int, x: Sequence[int]) -> int:

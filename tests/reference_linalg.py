@@ -7,17 +7,22 @@ tests compare it against (`test_graphs`, `test_polytope`), and
 hyperplane fit over `linalg.int_hyperplane`, which the library itself
 uses directly.
 
+`reference_rref_int` is integer Gauss-Jordan elimination that keeps
+every row primitive throughout, written independently of the library's
+one elimination (`kernels.Echelon`), which `test_kernels` checks against
+it.  Every reference here that eliminates runs through it:
+`reference_kernel_basis` reads an integer kernel basis off its reduced
+form, `reference_rank_and_kernel` is the rational rank and kernel over
+that (behind `matrix_rank` and `reference_common_hyperplane`), and
+`solve_exact` back-solves a square system from it.
 `reference_int_hyperplane` and `reference_affine_rank` are the fits by
-full Gauss-Jordan elimination over every point (`kernels.rref_int`);
-the library's early-exit echelon must give the same answers.  The exact
+full elimination over every point; the library's early-exit echelon
+must give the same answers.  The exact
 phase-1 simplex `_phase1_feasible` backs two LP tests: `point_in_hull`,
 the membership test the hull's vertex pruning (`from_vertices`,
 `extreme_points`) is checked against, and `linear_feasible`, behind
 `is_geometric_edge`, the supporting-hyperplane edge test the
 combinatorial edge rule is checked against.
-
-`reference_rref_int` is the row reduction that keeps every row primitive
-throughout; `test_kernels` checks the library's against it.
 
 `reference_independent_cycles` is the skeleton-cycle enumeration that
 re-ranks every prefix on the `Fraction` coordinates (`affinely_independent`
@@ -44,7 +49,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from minkdecomp import certificates, kernels
+from minkdecomp import certificates
 from minkdecomp.counts import count_rules
 from minkdecomp.errors import EngineInconsistencyError, InvalidInputError, RuleNotApplicableError
 from minkdecomp.graphs import (
@@ -64,16 +69,42 @@ from minkdecomp.linalg import (
     fraction_vec,
     int_collinear,
     int_hyperplane,
-    int_kernel_basis,
-    rank_and_kernel,
 )
 from minkdecomp.polytope import Polytope, facet_as_polytope
 
 
+def reference_kernel_basis(rows, ncols):
+    """Pivot columns and an integer kernel basis read off the reduced form
+    of `reference_rref_int`: per non-pivot column f, in column order, the
+    vector that is lcm(pivots) at f, 0 at the other non-pivot columns and
+    solves each reduced row at its pivot."""
+    pivot_cols, reduced = reference_rref_int([r for r in rows if any(r)], ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        used = [(row, c) for row, c in zip(reduced, pivot_cols) if row[f]]
+        scale = lcm(*(row[c] for row, c in used))
+        vec = [0] * ncols
+        vec[f] = scale
+        for row, c in used:
+            vec[c] = -row[f] * (scale // row[c])
+        basis.append(vec)
+    return pivot_cols, basis
+
+
+def reference_rank_and_kernel(rows: Sequence[Sequence[Rational]], ncols: int):
+    """Rank and rational kernel basis over `reference_kernel_basis`, each
+    vector 1 at its non-pivot column."""
+    pivot_cols, basis = reference_kernel_basis(clear_denominators(rows), ncols)
+    free = [f for f in range(ncols) if f not in pivot_cols]
+    return len(pivot_cols), [fraction_vec(vec, vec[f]) for f, vec in zip(free, basis)]
+
+
 def matrix_rank(rows: Sequence[Sequence[Rational]], ncols: Optional[int] = None) -> int:
-    if ncols is None and not rows:
+    if not rows:
         return 0
-    return rank_and_kernel(rows, ncols)[0]
+    return reference_rank_and_kernel(rows, len(rows[0]) if ncols is None else ncols)[0]
 
 
 def solve_exact(
@@ -85,7 +116,7 @@ def solve_exact(
         raise ValueError("system is not square")
     aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
     int_rows = [r for r in clear_denominators(aug) if any(r)]
-    pivot_cols, reduced = kernels.rref_int(int_rows, n + 1)
+    pivot_cols, reduced = reference_rref_int(int_rows, n + 1)
     if tuple(pivot_cols) != tuple(range(n)):
         raise ValueError("matrix is singular")
     return [Fraction(reduced[i][n], reduced[i][i]) for i in range(n)]
@@ -121,7 +152,7 @@ def reference_common_hyperplane(pts):
         return None
     d = len(pts[0])
     rows = [list(p) + [Fraction(-1)] for p in pts]
-    _, basis = rank_and_kernel(rows, d + 1)
+    _, basis = reference_rank_and_kernel(rows, d + 1)
     if len(basis) != 1:
         return None
     vec = basis[0]
@@ -161,7 +192,7 @@ def reference_affine_rank(points: Sequence[Sequence[int]], d: int) -> int:
         return 0
     base = points[0]
     diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return len(kernels.rref_int([r for r in diffs if any(r)], d)[0])
+    return len(reference_rref_int([r for r in diffs if any(r)], d)[0])
 
 
 def reference_int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[List[int], int]]:
@@ -170,7 +201,7 @@ def reference_int_hyperplane(points: Sequence[Sequence[int]]) -> Optional[Tuple[
     if not points:
         return None
     d = len(points[0])
-    _, kernel = int_kernel_basis([list(p) + [-1] for p in points], d + 1)
+    _, kernel = reference_kernel_basis([list(p) + [-1] for p in points], d + 1)
     if len(kernel) != 1:
         return None
     h = kernel[0]

@@ -21,6 +21,11 @@ edges.  The uncontracted integer system, `cycle_rows` under the identity
 edge-to-column map, is the second reference (`identity_decomposing_space`,
 `identity_oracle_verdict`); the contracted space must equal it exactly,
 also on graphs with collinear 3-cycles, which must not be contracted.
+
+Every reference kernel here, and the naive system's rank, is read off
+the test-side elimination (`reference_linalg.reference_rank_and_kernel`),
+not the library's, so the comparisons check `kernels.Echelon` rather
+than repeat it.
 """
 
 import random
@@ -52,13 +57,16 @@ from minkdecomp.linalg import (
     Vec,
     as_int_coords,
     fraction_vec,
-    int_kernel,
-    rank_and_kernel,
     zero_vec,
 )
 from minkdecomp.polytope import Polytope, minkowski_sum
 
-from reference_linalg import is_homothety, is_zero, solve_exact
+from reference_linalg import (
+    is_homothety,
+    is_zero,
+    reference_rank_and_kernel,
+    solve_exact,
+)
 
 
 def decomposing_system_matrix(g):
@@ -115,7 +123,7 @@ def reference_decomposing_space(g):
             coeffs[k] = coeffs[k] + (g.vertices[v] - g.vertices[u])
             for j in range(d):
                 rows.append([c[j] for c in coeffs])
-        _, lam_basis = rank_and_kernel(rows, ncols=len(comp_edges))
+        _, lam_basis = reference_rank_and_kernel(rows, len(comp_edges))
         total += len(lam_basis)
         for lam in lam_basis:
             scalars = dict(zero_scalars)
@@ -183,8 +191,9 @@ def basis_oracle_verdict(p):
 
 def identity_decomposing_space(g):
     """The uncontracted integer system: one column per edge
-    (`cycle_rows` under the identity map), kernel read off by `int_kernel`
-    and images summed along the BFS tree."""
+    (`cycle_rows` under the identity map), kernel read off by the test-side
+    elimination (`reference_rank_and_kernel`) and images summed along the
+    BFS tree."""
     d = g.dim
     ints, mult = as_int_coords(g.vertices.values())
     xs = dict(zip(g.vertices, ints))
@@ -205,7 +214,7 @@ def identity_decomposing_space(g):
             continue
         identity = {e: i for i, e in enumerate(comp_edges)}
         ncols = len(comp_edges)
-        _, lam_basis = int_kernel(cycle_rows(xs, tree, identity, ncols), ncols)
+        _, lam_basis = reference_rank_and_kernel(cycle_rows(xs, tree, identity, ncols), ncols)
         total += len(lam_basis)
         for lam in lam_basis:
             scalars = dict(zero_scalars)
@@ -266,7 +275,7 @@ def graph(points, edges):
 
 def naive_dimension(g):
     rows, ncols = decomposing_system_matrix(g)
-    _, basis = rank_and_kernel(rows, ncols=ncols)
+    _, basis = reference_rank_and_kernel(rows, ncols)
     return len(basis)
 
 
@@ -295,6 +304,21 @@ def test_square_cycle_is_flexible():
     assert not is_indecomposable_graph(SQUARE)
 
 
+def test_is_indecomposable_graph_builds_no_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the decomposing basis was built")
+
+    monkeypatch.setattr(graphs, "decomposing_space", refuse)
+    assert is_indecomposable_graph(TRIANGLE)
+    assert not is_indecomposable_graph(SQUARE)
+
+
+def test_is_indecomposable_graph_matches_the_space_on_catalogue_skeleta():
+    for e in catalogue_list():
+        g = skeleton(e.build())
+        assert is_indecomposable_graph(g) == (decomposing_space(g)[0] == g.dim + 1), e.name
+
+
 def test_polytope_skeleta_dimensions():
     octa = skeleton(octahedron())
     assert decomposing_space(octa)[0] == 4
@@ -320,7 +344,7 @@ def test_basis_is_independent():
     dim, basis = decomposing_space(g)
     vids = sorted(g.vertices)
     rows = [[c for v in vids for c in f.images[v]] for f in basis]
-    rank, _ = rank_and_kernel(rows, ncols=len(vids) * g.dim)
+    rank, _ = reference_rank_and_kernel(rows, len(vids) * g.dim)
     assert rank == dim
 
 
@@ -540,13 +564,15 @@ def test_oracle_skips_the_cycle_system_with_one_class(monkeypatch):
     # cyclic(10,4) is simplicial and neighbourly: one triangle class, so
     # the kernel is known without building or eliminating the system.
     # The polytope is built first: its hull inverts a start simplex with
-    # `rref_int`.
+    # `rref_int`.  A cycle system reaches the elimination through
+    # `int_kernel_basis`, and the edge rows through `rref_int`.
     p = cyclic(10, 4)
 
     def refuse(*args):
         raise AssertionError("the one-class system was built or eliminated")
 
     monkeypatch.setattr(graphs, "cycle_rows", refuse)
+    monkeypatch.setattr(graphs, "int_kernel_basis", refuse)
     monkeypatch.setattr(kernels, "rref_int", refuse)
     res = oracle_verdict(p)
     assert (res.verdict, res.dimension) == ("Indecomposable", 5)

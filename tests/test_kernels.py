@@ -1,10 +1,15 @@
-"""The library's row reduction must equal `reference_rref_int`.
+"""The library's one elimination must equal an independent reference.
 
-`kernels.rref_int` makes a row primitive only where a pivot other than 1
-multiplies it; the reference makes every updated row primitive.  Both
-must give the same output on random matrices and on the systems the
-library reduces, because the primitive reduced row echelon form with
-positive pivots is unique, whatever pivot rows are chosen on the way.
+`kernels.rref_int` feeds a matrix to the fraction-free echelon
+(`kernels.Echelon`) and back-reduces it (`Echelon.reduced`);
+`reference_rref_int` is Gauss-Jordan elimination that picks the
+smallest pivot and makes every updated row primitive.  Both must give
+the same output on random matrices and on the systems the library
+reduces, because the primitive reduced row echelon form with positive
+pivots is unique, whatever pivot rows are chosen on the way.  The
+kernel read-off (`linalg.int_kernel_basis` over `Echelon.kernel`) must
+give the reference's pivot columns and, per free column, a kernel vector
+positive there and zero at the other free columns.
 
 Facet enumeration is checked against a brute-force reference scan in
 tests/test_hull.py.
@@ -14,7 +19,8 @@ import random
 
 from minkdecomp import kernels
 from minkdecomp.catalogue import catalogue_list
-from minkdecomp.graphs import _bfs_tree, cycle_rows, decomposing_space, skeleton
+from minkdecomp.graphs import _bfs_tree, cycle_rows, decomposing_space, skeleton, triangle_classes
+from minkdecomp.linalg import int_kernel_basis
 from minkdecomp.polytope import validate
 
 from reference_linalg import reference_rref_int
@@ -58,16 +64,30 @@ def test_rref_matches_reference_on_random_matrices():
     assert shapes == {(True, False), (False, True), (False, False)}
 
 
+def test_kernel_basis_matches_reference_on_random_matrices():
+    rng = random.Random(29)
+    for _ in range(10_000):
+        rows, ncols = _random_matrix(rng)
+        pivots, basis = int_kernel_basis([list(r) for r in rows], ncols)
+        assert pivots == reference_rref_int(rows, ncols)[0], (rows, ncols)
+        free = [f for f in range(ncols) if f not in pivots]
+        assert len(basis) == ncols - len(pivots), (rows, ncols)
+        for f, vec in zip(free, basis):
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows), (rows, ncols)
+            assert vec[f] > 0 and not any(vec[j] for j in free if j != f), (rows, ncols)
+
+
 def test_rref_matches_reference_on_library_systems(monkeypatch):
-    """The cycle and edge-basis systems of `decomposing_space`, the
-    start-simplex inversions of the hulls that building and validating
-    an entry run through `facet_scan`, the uncontracted cycle systems and
-    the homogeneous facet systems (one row (x, -1) per facet vertex),
-    over the catalogue.  The library eliminates over triangle classes,
-    never reducing a one-class system, and fits facets with the
-    early-exit echelon, so the facet systems and each skeleton's system
-    over its edges (`cycle_rows` under the identity map, as
-    `identity_decomposing_space` in test_graphs.py builds it) are fed in
+    """The edge-basis systems of `decomposing_space`, the start-simplex
+    inversions of the hulls that building and validating an entry run
+    through `facet_scan`, the contracted and uncontracted cycle systems
+    and the homogeneous facet systems (one row (x, -1) per facet vertex),
+    over the catalogue.  The library solves its cycle systems over
+    triangle classes with `linalg.int_kernel_basis`, never reducing a
+    one-class system, and fits facets with the early-exit echelon, so the
+    facet systems and each skeleton's cycle systems, over its triangle
+    classes and over its edges (`cycle_rows` under the identity map, as
+    `identity_decomposing_space` in test_graphs.py builds it), are fed in
     directly."""
     calls = []
     real = kernels.rref_int
@@ -85,6 +105,8 @@ def test_rref_matches_reference_on_library_systems(monkeypatch):
         xs, _ = g.int_coords()
         for comp in g.components():
             tree = _bfs_tree(g, comp)
+            col_of, k = triangle_classes(xs, tree[3])
+            calls.append((cycle_rows(xs, tree, col_of, k), k))
             identity = {e: i for i, e in enumerate(tree[3])}
             calls.append((cycle_rows(xs, tree, identity, len(identity)), len(identity)))
         ints, _ = p.int_coords()

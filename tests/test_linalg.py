@@ -3,7 +3,9 @@
 The reference eliminations in this file are written out independently
 (plain Fraction arithmetic, no package code) so the kernel dimensions
 they produce can vouch for rank_and_kernel and, downstream, for the
-decomposing-space computation.
+decomposing-space computation.  The references imported from
+`reference_linalg` eliminate with the test-side `reference_rref_int`,
+so the early-exit fits are checked against a different elimination.
 """
 
 import random

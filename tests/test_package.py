@@ -10,13 +10,16 @@ a module-level class other than the dunder ones must be referenced in
 the package outside its own body.  A helper that only the tests call
 belongs in tests/reference_linalg.py.  A `Polytope`'s cache of derived
 data is laid out in polytope.py alone; other modules go through its
-accessors.
+accessors.  Every integer elimination runs through `kernels.Echelon`.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import minkdecomp
+from minkdecomp import kernels, linalg
 
 from test_bench_probes import _load_tracer
 
@@ -110,3 +113,19 @@ def test_only_the_polytope_module_touches_its_cache():
         )
     )
     assert not touching, touching
+
+
+def test_every_elimination_runs_through_the_echelon(monkeypatch):
+    def refuse(self, row):
+        raise AssertionError("eliminated through Echelon")
+
+    monkeypatch.setattr(kernels.Echelon, "add", refuse)
+    rows = [[1, 2, 3], [0, 1, 1]]
+    for call in (
+        lambda: kernels.rref_int(rows, 3),
+        lambda: linalg.int_kernel_basis(rows, 3),
+        lambda: linalg.int_hyperplane([(0, 0), (1, 2)]),
+        lambda: linalg.affine_rank([(0, 0), (1, 2)], 2),
+    ):
+        with pytest.raises(AssertionError, match="through Echelon"):
+            call()
