@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .counts import count_rules
@@ -618,19 +618,17 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     u with a vertex strictly beneath H leaves F ∩ H⁻ a facet of the
     reduced polytope whose hyperplane holds u.
 
-    Everything runs in integers.  H is fitted on the cached coordinates
+    Everything runs in integers: H is fitted on the cached coordinates
     X = mult * x (`linalg.int_hyperplane`, which stops as soon as the
-    neighbors span more than a hyperplane).  The reduced polytope clears
-    its own denominator, Y = mult_r * x with mult_r dividing mult, and
-    each plane a.X <= o becomes the primitive (mult * a, mult_r * o) on
-    that scale, with H turned away from u: the planes and coordinates
-    its hull would give, which `Polytope._with_planes` keeps as the
-    reduced polytope's `int_coords` and `int_plane`."""
+    neighbors span more than a hyperplane).  The reduced polytope is
+    built from its vertices and facets alone, the facets sorted by
+    member tuple as a hull lists them; it fits its own coordinates and
+    planes on first use."""
     n = len(p.vertices)
     nbrs = p.neighbors(u)
     if len(nbrs) == n - 1:
         return None
-    ints, mult = p.int_coords()
+    ints, _ = p.int_coords()
     plane = int_hyperplane([ints[x] for x in nbrs])
     if plane is None:
         return None
@@ -640,38 +638,18 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     if apex_side == 0 or any(side * apex_side >= 0 for side in others):
         return None
     closed = {u, *nbrs}
-    away = []
-    for fi, members in enumerate(p.facets):
+    fmem = tuple(x - (x > u) for x in nbrs)
+    facets = [fmem]
+    for members in p.facets:
         if u not in members:
-            away.append(fi)
+            facets.append(tuple(sorted(x - (x > u) for x in members)))
         elif not closed.issuperset(members):
             return None
-    if apex_side < 0:
-        a, b = [-c for c in a], -b
-    kept = [x for x in range(n) if x != u]
-    g = gcd(mult, *(c for x in kept for c in ints[x]))
-    mult_r = mult // g
-
-    def rescaled(normal: Sequence[int], offset: int) -> Tuple[Tuple[int, ...], int]:
-        h = [mult * c for c in normal]
-        h.append(mult_r * offset)
-        k = gcd(*h)
-        return tuple(c // k for c in h[:-1]), h[-1] // k
-
-    fmem = tuple(x - (x > u) for x in nbrs)
-    rows = [(fmem, rescaled(a, b))]
-    for fi in away:
-        members = tuple(sorted(x - (x > u) for x in p.facets[fi]))
-        rows.append((members, rescaled(*p.int_plane(fi))))
-    rows.sort(key=lambda row: row[0])
-    reduced = Polytope._with_planes(
+    reduced = Polytope(
         p.dim,
-        tuple(p.vertices[x] for x in kept),
-        tuple(members for members, _ in rows),
+        tuple(v for x, v in enumerate(p.vertices) if x != u),
+        tuple(sorted(facets)),
         f"{p.name or 'polytope'} minus vertex {u}",
-        [tuple(c // g for c in ints[x]) for x in kept],
-        mult_r,
-        [plane for _, plane in rows],
     )
     return reduced, fmem
 
@@ -680,9 +658,9 @@ def pyramid_reduction(p: Polytope) -> Optional[PyramidReductionData]:
     """Detect a stacked apex and reduce past it.  Applicable only when
     the stacked-on facet is certified indecomposable as a
     lower-dimensional polytope; the two polytopes then share their
-    decomposability status.  The reduced polytope, with its facets and
-    integer planes, is read off p's own (`_stack_structure`, which
-    `replay` shares), so a reduction builds no hull."""
+    decomposability status.  The reduced polytope's facets are read off
+    p's own (`_stack_structure`, which `replay` shares), so a reduction
+    builds no hull."""
     for u in range(len(p.vertices)):
         try:
             reduced, fmem, facet = _stacked_facet(p, u)

@@ -9,6 +9,7 @@ name.
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import hull
 from .errors import InvalidInputError
 from .linalg import Vec, unit_vec, zero_vec
 from .polytope import Polytope, minkowski_sum, prism_over, pyramid_over, stack_pyramid, truncate_vertex
@@ -51,9 +52,11 @@ def delta(m: int, n: int) -> Polytope:
 
 
 def cube(d: int) -> Polytope:
-    """Sum of d pairwise orthogonal unit segments: all 0/1 vectors."""
+    """Sum of d pairwise orthogonal unit segments: all 0/1 vectors.  The
+    hull's guard is applied to the 2^d points before they are listed."""
     if d < 1:
         raise InvalidInputError("cube needs d >= 1")
+    hull.admit(1 << d, d)
     verts = []
     for bits in range(1 << d):
         verts.append(Vec((bits >> i) & 1 for i in range(d)))

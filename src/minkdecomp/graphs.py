@@ -231,12 +231,12 @@ def _build_skeleton(p: Polytope) -> GeometricGraph:
 
 def _bfs_tree(g: GeometricGraph, comp: Sequence[int]):
     """Rooted spanning tree of one connected component (as `components`
-    lists it): parent map and tree edges."""
+    lists it): parent map, vertices in BFS order, the component's edges
+    and its tree edges."""
     comp_set = set(comp)
     comp_edges = [e for e in g.edges if e[0] in comp_set]
     root = comp[0]
     parent: Dict[int, Optional[int]] = {root: None}
-    depth = {root: 0}
     order = [root]
     queue = deque([root])
     while queue:
@@ -244,29 +244,10 @@ def _bfs_tree(g: GeometricGraph, comp: Sequence[int]):
         for y in g.neighbors(x):
             if y not in parent:
                 parent[y] = x
-                depth[y] = depth[x] + 1
                 order.append(y)
                 queue.append(y)
     tree_edges = set(edge_key(v, parent[v]) for v in parent if parent[v] is not None)
-    return parent, depth, order, comp_edges, tree_edges
-
-
-def _path_steps(parent, depth, u, v):
-    """Oriented steps (a -> b) walking from u to v inside the tree."""
-    up_from_u = []
-    up_from_v = []
-    x, y = u, v
-    while depth[x] > depth[y]:
-        up_from_u.append((x, parent[x]))
-        x = parent[x]
-    while depth[y] > depth[x]:
-        up_from_v.append((y, parent[y]))
-        y = parent[y]
-    while x != y:
-        up_from_u.append((x, parent[x]))
-        up_from_v.append((y, parent[y]))
-        x, y = parent[x], parent[y]
-    return up_from_u + [(b, a) for a, b in reversed(up_from_v)]
+    return parent, order, comp_edges, tree_edges
 
 
 def triangle_classes(
@@ -329,23 +310,35 @@ def cycle_rows(
     directions must cancel around the edge's fundamental cycle.  Edge e's
     term is accumulated into column col_of[e] of ncols, so edges that
     share a column share one unknown: the identity map gives Kallay's
-    system over the edges, `triangle_classes` its contraction.  Each row
-    is accumulated per coordinate; all-zero rows are dropped.
+    system over the edges, `triangle_classes` its contraction.
+
+    Each vertex's path block, the terms of the tree edges from the root
+    down to it, is summed once in BFS order.  Edge (u, v)'s block is
+    path(u) - path(v) plus its own term x_v - x_u: the walk from v up
+    the tree and down to u, then along the edge, whose part from the
+    root to the lowest common ancestor cancels exactly.  All-zero rows
+    are dropped.
     """
-    parent, depth, _, comp_edges, tree_edges = tree
-    d = len(next(iter(xs.values())))
+    parent, order, comp_edges, tree_edges = tree
+    d = len(xs[order[0]])
+    path = {order[0]: [[0] * ncols for _ in range(d)]}
+    for v in order[1:]:
+        u = parent[v]
+        k = col_of[edge_key(u, v)]
+        block = path[v] = [row[:] for row in path[u]]
+        for row, xu, xv in zip(block, xs[u], xs[v]):
+            row[k] += xv - xu
     rows = []
     for e in comp_edges:
         if e in tree_edges:
             continue
         u, v = e
-        block = [[0] * ncols for _ in range(d)]
-        # Walk the tree from v back to u, then close the cycle along e.
-        for a, b in _path_steps(parent, depth, v, u) + [(u, v)]:
-            k = col_of[edge_key(a, b)]
-            for row, xa, xb in zip(block, xs[a], xs[b]):
-                row[k] += xb - xa
-        rows.extend(row for row in block if any(row))
+        k = col_of[e]
+        for pu, pv, xu, xv in zip(path[u], path[v], xs[u], xs[v]):
+            row = [a - b for a, b in zip(pu, pv)]
+            row[k] += xv - xu
+            if any(row):
+                rows.append(row)
     return rows
 
 
@@ -365,7 +358,7 @@ def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
     out = []
     for comp in g.components():
         tree = _bfs_tree(g, comp)
-        comp_edges = tree[3]
+        comp_edges = tree[2]
         cols: List[int] = []
         kernel: List[List[int]] = []
         if comp_edges:
@@ -409,7 +402,7 @@ def _tree_sums(
     """Images of one component under the edge scalars lam (in the
     component's edge order), times their common denominator, summed in
     integers along the BFS tree from the root, which maps to the origin."""
-    parent, _, order, comp_edges, _ = tree
+    parent, order, comp_edges, _ = tree
     lam_of = dict(zip(comp_edges, lam))
     sums = {order[0]: (0,) * len(xs[order[0]])}
     for v in order[1:]:
@@ -452,7 +445,7 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
         total += d + len(kernel)
         for lam, den in _edge_rows(cols, kernel):
             scalars = dict(zero_scalars)
-            scalars.update(zip(tree[3], (Fraction(x, den) for x in lam)))
+            scalars.update(zip(tree[2], (Fraction(x, den) for x in lam)))
             # The scalars are lam / den, so the images are sums / (den * mult).
             images = dict(zero_images)
             for v, coords in _tree_sums(xs, tree, lam).items():
@@ -591,7 +584,7 @@ def oracle_verdict(p: Polytope) -> OracleResult:
         return OracleResult("Indecomposable", dim, None)
     zero = (0,) * p.dim
     for _, tree, cols, kernel in comps:
-        whole = len(tree[3]) == len(g.edges)
+        whole = len(tree[2]) == len(g.edges)
         for lam, den in _edge_rows(cols, kernel):
             if whole and len(set(lam)) == 1:
                 continue

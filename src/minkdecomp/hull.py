@@ -12,13 +12,13 @@ Input coordinates are rational; `linalg.as_int_coords` clears their
 common denominator, so the kernel runs over integers (uniform scaling
 does not change the face structure), and its start simplex doubles as
 the affine-rank check.  `facet_data` hands back those integer
-coordinates with the scan's primitive integer planes, so a polytope
-built from vertices keeps both and makes no `Fraction` plane unless one
-is asked for.  Facet members are read off each mask by low-bit
-iteration (`mask_members`).
+coordinates with the facets' member tuples, and no planes:
+`Polytope.int_plane` fits each plane itself.  Facet members are read off
+each mask by low-bit iteration (`mask_members`).
 `SUBSET_GUARD` refuses inputs with more than 10^7 d-subsets
 (GuardExceededError): it is an admission bound on the input size only,
-not a measure of the hull's work.
+not a measure of the hull's work.  `admit` applies it, here and in
+`constructors.cube`, which checks its 2^d points before it lists them.
 
 Every hull is built here, by three callers: `facet_data`, for
 `Polytope.from_vertices`; `facet_masks`, for `polytope.validate`, which
@@ -39,18 +39,15 @@ SUBSET_GUARD = 10**7
 
 
 def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
-    """Facets with their outward integer hyperplanes, and the integer
-    coordinates those are written in.
+    """The facets of the hull, and the integer coordinates it was built
+    over.
 
     Returns (facets, ints, mult).  ints, mult are the vertices cleared to
     a common denominator (`linalg.as_int_coords`): X = mult * x.  facets
-    is a list of (vertex_index_tuple, normal, offset) sorted by the
-    vertex tuple, where (normal, offset) is a primitive integer vector
-    with normal . X <= offset over the whole vertex set and equality on
-    every input point of the facet's hyperplane; on the rational points
-    that is normal . x <= offset / mult.  Points that are not extreme
-    are kept and listed in every facet whose hyperplane holds them, so
-    the facet lists tell them apart from the vertices;
+    is the sorted list of the facets' vertex index tuples, each listing
+    every input point on the facet's hyperplane.  Points that are not
+    extreme are kept and listed in every facet whose hyperplane holds
+    them, so the facet lists tell them apart from the vertices;
     `Polytope.from_vertices` rejects them by that test.
     """
     n = len(vertices)
@@ -62,16 +59,14 @@ def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
     ints, mult = as_int_coords(vertices)
     if len(set(ints)) != n:
         raise InvalidInputError("duplicate vertices")
-    _admit(n, d)
+    admit(n, d)
     try:
-        raw = kernels.facet_scan(ints, d)
+        masks = _scan_masks(ints, d)
     except ValueError:
         raise DegenerateInputError(
             "vertex set does not affinely span the ambient dimension"
         ) from None
-    facets = [(mask_members(mask), normal, offset) for mask, normal, offset in raw]
-    facets.sort(key=lambda t: t[0])
-    return facets, ints, mult
+    return sorted(map(mask_members, masks)), ints, mult
 
 
 def facet_masks(ints: Sequence[Sequence[int]], d: int):
@@ -81,7 +76,7 @@ def facet_masks(ints: Sequence[Sequence[int]], d: int):
     Each mask holds every input point on the facet's hyperplane, so the
     copies of a repeated point share their masks.
     """
-    _admit(len(ints), d)
+    admit(len(ints), d)
     return _scan_masks(ints, d)
 
 
@@ -138,7 +133,9 @@ def _scan_masks(ints: Sequence[Sequence[int]], d: int):
     return {mask for mask, _, _ in kernels.facet_scan(ints, d)}
 
 
-def _admit(n: int, d: int) -> None:
+def admit(n: int, d: int) -> None:
+    """Refuse (GuardExceededError) a hull of n points in R^d with more
+    than `SUBSET_GUARD` d-subsets."""
     if comb(n, d) > SUBSET_GUARD:
         raise GuardExceededError(
             f"C({n},{d}) = {comb(n, d)} d-subsets exceeds the guard of {SUBSET_GUARD}"

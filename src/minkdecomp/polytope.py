@@ -7,10 +7,9 @@ kept, because none of the decomposability rules needs one.  Everything
 derived is computed once per polytope and cached: the integer
 coordinates X = mult * x (`int_coords`), one primitive outward integer
 plane per facet (`int_plane`), the edges and the adjacency.  Only this
-module lays out that cache.  `from_vertices` seeds the coordinates and
-planes from the hull through `_with_planes`, which a caller that reads
-them off another polytope uses too; a polytope given by vertices and
-facet lists, as a file gives it, fits the same planes on first use.
+module lays out that cache, and only this module makes a facet plane:
+`int_plane` fits each one on its first read, however the polytope was
+built.  `from_vertices` seeds the coordinates alone, from the hull.
 
 Edges are derived combinatorially from facet bitsets: a pair is an edge
 iff the facets containing both vertices intersect in exactly that pair
@@ -62,40 +61,22 @@ class Polytope:
 
         Every point must be a vertex of the hull; InvalidInputError
         names the points that are not (`hull.non_vertices`).  The hull's
-        integer coordinates and primitive integer facet planes are kept
-        as `int_coords` and `int_plane`.
+        integer coordinates are kept as `int_coords`.
         """
         verts = tuple(Vec(v) for v in vertices)
-        data, ints, mult = hull.facet_data(dim, verts)
-        facets = tuple(members for members, _, _ in data)
+        facets, ints, mult = hull.facet_data(dim, verts)
         stray = hull.non_vertices(len(verts), facets)
         if stray:
             raise InvalidInputError(_stray_message(verts, stray))
-        planes = [(normal, offset) for _, normal, offset in data]
-        return Polytope._with_planes(dim, verts, facets, name, ints, mult, planes)
-
-    @staticmethod
-    def _with_planes(
-        dim: int,
-        vertices: Tuple[Vec, ...],
-        facets: Tuple[Tuple[int, ...], ...],
-        name: Optional[str],
-        ints: List[Tuple[int, ...]],
-        mult: int,
-        planes: List[Tuple[Tuple[int, ...], int]],
-    ) -> "Polytope":
-        """A polytope whose `int_coords` (ints, mult) and per-facet
-        `int_plane` values are already known; each plane must be the
-        primitive outward one `int_plane` would fit."""
-        poly = Polytope(dim=dim, vertices=vertices, facets=facets, name=name)
+        poly = Polytope(dim=dim, vertices=verts, facets=tuple(facets), name=name)
         poly._cache["ints"] = (ints, mult)
-        poly._cache["int_planes"] = planes
         return poly
 
     def int_plane(self, index: int) -> Tuple[Sequence[int], int]:
         """Outward integer hyperplane (a, o) of a facet on the `int_coords`
         scale: a.X <= o for every vertex X, with equality exactly on the
-        facet.  Kept from the hull by `from_vertices`, fitted otherwise."""
+        facet.  Fitted on the first read (`_fit_plane`), whoever built
+        the polytope; the primitive outward plane is unique."""
         planes = self._derived("int_planes", lambda: [None] * len(self.facets))
         if planes[index] is None:
             planes[index] = self._fit_plane(self.facets[index])
@@ -329,8 +310,9 @@ def stack_pyramid(p: Polytope, facet: int, name: Optional[str] = None) -> Polyto
     The apex starts at facet centroid + outward normal, the facet's
     primitive integer normal (`int_plane`), and is halved toward the
     centroid until it lies strictly beyond the chosen facet and strictly
-    beneath every other one.  The planes are the same whether p was
-    built from vertices or read from a file, so both give one apex.
+    beneath every other one.  `int_plane` fits the planes the same way
+    whether p was built from vertices or read from a file, so both give
+    one apex.
     """
     if not 0 <= facet < len(p.facets):
         raise InvalidInputError(f"no facet with index {facet}")

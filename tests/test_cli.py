@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from minkdecomp import certificates, kernels
+from minkdecomp import certificates, constructors, kernels
 from minkdecomp.cli import PARAMETRIC_KINDS, main
 from minkdecomp.fileio import loads, read_polytope, write_polytope
 from minkdecomp.constructors import capped_prism, cube, cyclic, simplex
@@ -240,6 +240,16 @@ def test_analyze_guard_exit_code_with_listed_facets(tmp_path, capsys, monkeypatc
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 3 and "exceeds the guard" in err
+
+
+def test_construct_cube_above_the_guard_exit_code(capsys, monkeypatch):
+    # The guard refuses the 2^40 points before any is listed.
+    def no_points(*args):
+        raise AssertionError("cube listed its points above the guard")
+
+    monkeypatch.setattr(constructors, "Vec", no_points)
+    code, out, err = run(capsys, "construct", "cube", "--d", "40")
+    assert code == 3 and out == "" and "exceeds the guard" in err
 
 
 def test_analyze_rejects_a_facet_list_missing_a_facet(tmp_path, capsys, octa_file):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from minkdecomp import constructors
 from minkdecomp.constructors import (
     bd182,
     bd198,
@@ -17,7 +18,7 @@ from minkdecomp.constructors import (
     simplex,
     wedge,
 )
-from minkdecomp.errors import InvalidInputError
+from minkdecomp.errors import GuardExceededError, InvalidInputError
 from minkdecomp.polytope import FVector, incidence_isomorphic, validate
 
 from reference_linalg import is_simple, vertex_degree
@@ -59,6 +60,16 @@ def test_cube_counts(d):
     assert fv.v == 2**d
     assert fv.e == d * 2 ** (d - 1)
     assert fv.f == 2 * d
+
+
+@pytest.mark.parametrize("d", [6, 40])
+def test_cube_is_refused_before_its_points_are_listed(monkeypatch, d):
+    def no_points(*args):
+        raise AssertionError("cube listed its points above the guard")
+
+    monkeypatch.setattr(constructors, "Vec", no_points)
+    with pytest.raises(GuardExceededError):
+        cube(d)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])

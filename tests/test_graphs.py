@@ -42,7 +42,6 @@ from minkdecomp.graphs import (
     GeometricGraph,
     OracleResult,
     _bfs_tree,
-    _path_steps,
     cycle_rows,
     decomposing_space,
     edge_key,
@@ -91,15 +90,59 @@ def decomposing_system_matrix(g):
     return rows, ncols
 
 
+def dfs_tree(g, comp):
+    """A depth-first spanning tree of one connected component, rooted at
+    comp[0] as the library's BFS tree is: parent and depth maps, and the
+    vertices in discovery order."""
+    root = comp[0]
+    parent, depth, order = {root: None}, {root: 0}, [root]
+    stack = [root]
+    while stack:
+        x = stack[-1]
+        y = next((y for y in g.neighbors(x) if y not in parent), None)
+        if y is None:
+            stack.pop()
+            continue
+        parent[y], depth[y] = x, depth[x] + 1
+        order.append(y)
+        stack.append(y)
+    return parent, depth, order
+
+
+def path_steps(parent, depth, u, v):
+    """Oriented steps (a -> b) walking from u to v inside the tree, up to
+    the lowest common ancestor and down again."""
+    up_from_u = []
+    up_from_v = []
+    x, y = u, v
+    while depth[x] > depth[y]:
+        up_from_u.append((x, parent[x]))
+        x = parent[x]
+    while depth[y] > depth[x]:
+        up_from_v.append((y, parent[y]))
+        y = parent[y]
+    while x != y:
+        up_from_u.append((x, parent[x]))
+        up_from_v.append((y, parent[y]))
+        x, y = parent[x], parent[y]
+    return up_from_u + [(b, a) for a, b in reversed(up_from_v)]
+
+
 def reference_decomposing_space(g):
-    """The rational cycle-space construction: Vec rows cleared row by row."""
+    """The rational cycle-space construction: Vec rows cleared row by row,
+    over the fundamental cycles of a depth-first tree (`dfs_tree`), so no
+    tree walk is shared with the library.  The basis is the kernel's
+    reduced row echelon form, with the root's image fixed at 0, which
+    does not depend on the tree."""
     d = g.dim
     total = 0
     basis = []
     zero_images = {v: zero_vec(d) for v in g.vertices}
     zero_scalars = {e: Fraction(0) for e in g.edges}
     for comp in g.components():
-        parent, depth, order, comp_edges, tree_edges = _bfs_tree(g, comp)
+        parent, depth, order = dfs_tree(g, comp)
+        comp_edges = [e for e in g.edges if e[0] in parent]
+        tree_edges = {edge_key(v, parent[v]) for v in order[1:]}
         for j in range(d):
             images = dict(zero_images)
             shift = Vec(int(k == j) for k in range(d))
@@ -116,7 +159,7 @@ def reference_decomposing_space(g):
                 continue
             u, v = e
             coeffs = [zero_vec(d)] * len(comp_edges)
-            for a, b in _path_steps(parent, depth, v, u):
+            for a, b in path_steps(parent, depth, v, u):
                 k = col_of[edge_key(a, b)]
                 coeffs[k] = coeffs[k] + (g.vertices[b] - g.vertices[a])
             k = col_of[e]
@@ -203,7 +246,7 @@ def identity_decomposing_space(g):
     zero_scalars = {e: Fraction(0) for e in g.edges}
     for comp in g.components():
         tree = _bfs_tree(g, comp)
-        parent, _, order, comp_edges, _ = tree
+        parent, order, comp_edges, _ = tree
         for j in range(d):
             images = dict(zero_images)
             for v in comp:

@@ -3,9 +3,10 @@
 Facets of a cyclic polytope on the moment curve have a purely
 combinatorial description (Gale's evenness condition).  The brute-force
 scan below tests every d-subset of the input for spanning a supporting
-hyperplane; the double-description hull must reproduce its facets and
-their primitive integer normals and offsets over the cleared
-coordinates exactly, coplanar and non-extreme points included.
+hyperplane.  `hull.facet_data` must reproduce its facets and cleared
+coordinates, and the double-description scan (`kernels.facet_scan`) its
+primitive integer normals and offsets over those coordinates, exactly,
+coplanar and non-extreme points included.
 """
 
 import random
@@ -15,7 +16,7 @@ from math import gcd, lcm
 
 import pytest
 
-from minkdecomp import hull
+from minkdecomp import hull, kernels
 from minkdecomp.catalogue import catalogue_entry, catalogue_list
 from minkdecomp.constructors import cyclic, moment_point
 from minkdecomp.errors import (
@@ -30,7 +31,7 @@ from minkdecomp.polytope import minkowski_sum, stack_pyramid
 def enumerate_facets(dim, vertices):
     """Facet vertex-index sets, each sorted, list sorted lexicographically."""
     facets, _, _ = hull.facet_data(dim, vertices)
-    return [members for members, _, _ in facets]
+    return facets
 
 
 def _det(m):
@@ -122,24 +123,39 @@ def brute_force_facet_scan(coords, d):
     return found
 
 
-def reference_facet_data(dim, vertices):
-    """facet_data's output, computed by the brute-force scan: the facets
-    with their primitive integer planes over the cleared coordinates,
-    and those coordinates with their common denominator."""
+def cleared(vertices):
+    """The points cleared to their common denominator, and that
+    denominator."""
     pts = [[Fraction(c) for c in v] for v in vertices]
     mult = lcm(*(c.denominator for v in pts for c in v))
-    ints = [tuple(int(c * mult) for c in v) for v in pts]
-    out = []
-    for mask, normal, offset in brute_force_facet_scan(ints, dim):
-        members = tuple(i for i in range(len(ints)) if mask >> i & 1)
-        out.append((members, normal, offset))
-    return sorted(out, key=lambda t: t[0]), ints, mult
+    return [tuple(int(c * mult) for c in v) for v in pts], mult
+
+
+def reference_facet_data(dim, vertices):
+    """facet_data's output, computed by the brute-force scan: the sorted
+    facet member tuples, and the cleared coordinates with their common
+    denominator."""
+    ints, mult = cleared(vertices)
+    facets = [
+        tuple(i for i in range(len(ints)) if mask >> i & 1)
+        for mask, _, _ in brute_force_facet_scan(ints, dim)
+    ]
+    return sorted(facets), ints, mult
+
+
+def facet_planes(ints, d):
+    """The scan's facets as (members, normal, offset), sorted by members."""
+    return sorted((hull.mask_members(m), a, o) for m, a, o in kernels.facet_scan(ints, d))
 
 
 def assert_matches_reference(dim, vertices):
+    """facet_data and the scan's planes, both against the brute-force
+    scan; returns the facets with their planes."""
     got = hull.facet_data(dim, vertices)
     assert got == reference_facet_data(dim, vertices)
-    return got[0]
+    ints = got[1]
+    assert sorted(kernels.facet_scan(ints, dim)) == sorted(brute_force_facet_scan(ints, dim))
+    return facet_planes(ints, dim)
 
 
 def gale_evenness_facets(n, d):
@@ -179,9 +195,11 @@ def test_enumerate_facets_unit_square():
 
 def test_facet_planes_are_outward_and_tight():
     verts = [Vec((0, 0, 0)), Vec((2, 0, 0)), Vec((0, Fraction(1, 3), 0)), Vec((0, 0, 1))]
-    data, ints, mult = hull.facet_data(3, verts)
+    facets, ints, mult = hull.facet_data(3, verts)
     assert mult == 3
     assert ints == [(0, 0, 0), (6, 0, 0), (0, 1, 0), (0, 0, 3)]
+    data = facet_planes(ints, 3)
+    assert [m for m, _, _ in data] == facets
     assert len(data) == 4
     for members, normal, offset in data:
         assert gcd(*normal, offset) == 1
@@ -312,8 +330,10 @@ def test_delta_3_4_has_its_nine_product_facets():
     for side in (0, 1):
         for left_out in sorted({part[side] for part in parts}):
             expected.append(tuple(i for i, part in enumerate(parts) if part[side] != left_out))
-    data, ints, _ = hull.facet_data(7, verts)
-    assert [m for m, _, _ in data] == sorted(expected)
+    facets, ints, _ = hull.facet_data(7, verts)
+    assert facets == sorted(expected)
+    data = facet_planes(ints, 7)
+    assert [m for m, _, _ in data] == facets
     assert len(data) == 9
     for members, normal, offset in data:
         for i, x in enumerate(ints):

@@ -105,9 +105,9 @@ def test_rref_matches_reference_on_library_systems(monkeypatch):
         xs, _ = g.int_coords()
         for comp in g.components():
             tree = _bfs_tree(g, comp)
-            col_of, k = triangle_classes(xs, tree[3])
+            col_of, k = triangle_classes(xs, tree[2])
             calls.append((cycle_rows(xs, tree, col_of, k), k))
-            identity = {e: i for i, e in enumerate(tree[3])}
+            identity = {e: i for i, e in enumerate(tree[2])}
             calls.append((cycle_rows(xs, tree, identity, len(identity)), len(identity)))
         ints, _ = p.int_coords()
         calls.extend(([list(ints[i]) + [-1] for i in f], p.dim + 1) for f in p.facets)

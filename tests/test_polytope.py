@@ -29,6 +29,7 @@ from math import gcd
 
 import pytest
 
+from minkdecomp import certificates
 from minkdecomp.constructors import (
     bd182,
     bd198,
@@ -707,8 +708,8 @@ def test_int_plane_is_one_plane_for_built_and_loaded_copies():
         loaded = _loaded(p)
         for i, members in enumerate(p.facets):
             a, o = p.int_plane(i)
-            # The hull's plane, the rational reference scaled to a
-            # primitive integer vector, and a copy's fitted plane agree.
+            # The built polytope's plane, the rational reference scaled
+            # to a primitive integer vector, and a copy's plane agree.
             assert (a, o) == reference_int_plane(p, members)
             assert gcd(*a, o) == 1
             for v, x in enumerate(ints):
@@ -717,6 +718,32 @@ def test_int_plane_is_one_plane_for_built_and_loaded_copies():
             for q in loaded:
                 assert q.int_coords() == (ints, mult)
                 assert q.int_plane(i) == (a, o)
+
+
+def test_every_facet_plane_is_fitted_on_first_use(monkeypatch):
+    # Neither the hull nor the pyramid reduction hands planes in: a
+    # polytope built from vertices and a reduced polytope fit each of
+    # their planes on its first read, and only then.
+    p = Polytope.from_vertices(4, stack_pyramid(cyclic(7, 4), 0).vertices)
+    reduced, _ = certificates._stack_structure(p, len(p.vertices) - 1)
+    fitted = []
+    real = Polytope._fit_plane
+
+    def record(self, members):
+        fitted.append((self, tuple(members)))
+        return real(self, members)
+
+    monkeypatch.setattr(Polytope, "_fit_plane", record)
+    for q in (p, reduced):
+        fitted.clear()
+        for i in range(len(q.facets)):
+            q.int_plane(i)
+        assert [members for _, members in fitted] == list(q.facets)
+        assert all(owner is q for owner, _ in fitted)
+        fitted.clear()
+        for i in range(len(q.facets)):
+            q.int_plane(i)
+        assert fitted == []
 
 
 def test_stack_pyramid_gives_one_apex_for_built_and_loaded_copies():
