@@ -33,7 +33,7 @@ from .errors import (
 from .graphs import (
     DecomposingFunction,
     GeometricGraph,
-    _edge_scalars,
+    _edge_ratios,
     edge_key,
     oracle_verdict,
     skeleton,
@@ -446,24 +446,29 @@ def two_graph_cover(
     return assemble_trace(final, INDECOMPOSABLE, "two-graph cover reaches every vertex")
 
 
-def _shephard_witness(
-    p: Polytope, skel: GeometricGraph, fi: int
-) -> Optional[DecomposingFunction]:
-    """The facet-slide condition and exact witness for one facet: every
-    facet vertex needs exactly one neighbor outside, with at least two
-    vertices outside.  Shared by the rule and its replay.
+# An integer facet slide: the images times D, D, and each edge's ratio.
+Slide = Tuple[Dict[int, Tuple[int, ...]], int, Dict[Tuple[int, int], Tuple[int, int]]]
 
-    The slide is built and checked over the cached integer coordinates
-    X = mult * x.  With the facet's outward integer plane a.X <= b
-    (`Polytope.int_plane`), member v slides along its outside edge to w by
-    the fraction (b - alpha) / gap_w, where gap_w = b - a.X_w > 0 and
-    alpha is the highest outside level.  With den the lcm of those gaps,
-    every image times den * mult is an integer, so the edge scalars are
-    verified in integers (`graphs._edge_scalars`).  A polytope skeleton
-    is connected, and on a connected graph a decomposing function is a
-    homothety iff all its edge scalars are equal, so unequal scalars are
-    the whole non-homothety check.  `Fraction` images are made once, at
-    return."""
+
+def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slide]:
+    """The facet slide on one facet, decided and verified in integers:
+    None unless every facet vertex has exactly one neighbor outside and
+    at least two vertices lie outside, else (fs, D, ratios).  The rule
+    and its replay share it; only `_slide_witness` makes `Fraction`s.
+
+    The slide is built over the cached integer coordinates X = mult * x.
+    With the facet's outward integer plane a.X <= b (`Polytope.int_plane`),
+    member v slides along its outside edge to w by the fraction
+    (b - alpha) / gap_w, where gap_w = b - a.X_w > 0 and alpha is the
+    highest outside level.  With den the lcm of those gaps, every image
+    times D = den * mult is an integer: fs holds those integer images.
+    Each edge is verified in integers (`graphs._edge_ratios`), and ratios
+    holds its integer ratio (f_j, x_j): its scalar is
+    f_j * mult / (x_j * D).  A polytope skeleton is connected, and on a
+    connected graph a decomposing function is a homothety iff all its
+    edge scalars are equal, so the slide is refused with
+    EngineInconsistencyError when every ratio equals the first, compared
+    by cross-multiplication."""
     members = p.facets[fi]
     if len(p.vertices) - len(members) < 2:
         return None
@@ -475,31 +480,45 @@ def _shephard_witness(
             return None
         out_nbr[v] = others[0]
     outside = [w for w in range(len(p.vertices)) if w not in fset]
-    ints, mult = p.int_coords()
+    xs, mult = skel.int_coords()
     a, b = p.int_plane(fi)
     # How far each outside vertex lies below the facet: b - a.X_w > 0.
-    gap = {w: -int_side(a, b, ints[w]) for w in outside}
+    gap = {w: -int_side(a, b, xs[w]) for w in outside}
     drop = min(gap.values())  # b - alpha
     den = lcm(*(gap[out_nbr[v]] for v in members))
-    fs = {i: tuple(c * den for c in x) for i, x in enumerate(ints)}
+    fs = {i: tuple(c * den for c in x) for i, x in xs.items()}
     for v in members:
         w = out_nbr[v]
         # Slide v along its outside edge down to the level alpha.
         k = den // gap[w] * drop
-        fs[v] = tuple(cv * den + (cw - cv) * k for cv, cw in zip(ints[v], ints[w]))
-    scalars = _edge_scalars(skel, dict(enumerate(ints)), mult, fs, den * mult)
-    if _equal_scalars(scalars):
+        fs[v] = tuple(cv * den + (cw - cv) * k for cv, cw in zip(xs[v], xs[w]))
+    ratios = _edge_ratios(skel.edges, xs, fs)
+    (f0, x0), *rest = ratios.values()
+    if all(fj * x0 == f0 * xj for fj, xj in rest):
         raise EngineInconsistencyError("facet-slide witness degenerated to a homothety")
+    return fs, den * mult, ratios
+
+
+def _slide_witness(p: Polytope, slide: Slide) -> DecomposingFunction:
+    """The `Fraction` decomposing function of an integer slide
+    (fs, den, ratios) from `_shephard_slide`: images fs / den and edge
+    scalars f_j * mult / (x_j * den), made once, with no second
+    verification."""
+    fs, den, ratios = slide
+    _, mult = p.int_coords()
     return DecomposingFunction(
-        {i: fraction_vec(f, den * mult) for i, f in fs.items()}, scalars
+        {i: fraction_vec(f, den) for i, f in fs.items()},
+        {e: Fraction(fj * mult, xj * den) for e, (fj, xj) in ratios.items()},
     )
 
 
 def _equal_scalars(scalars: Dict[Tuple[int, int], Fraction]) -> bool:
     """Whether a decomposing function on a connected skeleton, given by
-    its edge scalars, is a homothety: it is exactly when they are all
-    equal."""
-    return len(set(scalars.values())) <= 1
+    its edge scalars, is a homothety: it is exactly when each equals the
+    first."""
+    values = iter(scalars.values())
+    first = next(values, None)
+    return all(s == first for s in values)
 
 
 def shephard_facet(
@@ -508,29 +527,34 @@ def shephard_facet(
     """Decomposability from a facet whose vertices each have exactly one
     neighbor outside it (and at least two vertices lie outside): sliding
     the facet down to the outside level is a non-homothety decomposing
-    function, built and verified in integers (`_shephard_witness`): its
-    edge scalars are checked edge by edge and, the skeleton being
-    connected, it is no homothety because they are not all equal."""
+    function.  The slide is decided and verified in integers once
+    (`_shephard_rule`): its edges are checked one by one and, the
+    skeleton being connected, it is no homothety because its scalars are
+    not all equal.  The witness handed out is built from that one slide
+    (`_slide_witness`), the only place the slide makes `Fraction`s."""
     skel = skeleton(p)
     for fi in range(len(p.facets)):
         try:
-            step, witness = _shephard_rule(p, skel, fi)
+            step, slide = _shephard_rule(p, skel, fi)
         except RuleNotApplicableError:
             continue
         why = f"facet {fi} slides to a proper summand"
-        return assemble_trace(step, DECOMPOSABLE, why), witness
+        return assemble_trace(step, DECOMPOSABLE, why), _slide_witness(p, slide)
     return None
 
 
 def _shephard_rule(
     p: Polytope, skel: GeometricGraph, fi: int
-) -> Tuple[CertificateStep, DecomposingFunction]:
-    """The ShephardFacet step on facet fi and its witness; refused unless
-    the facet exists and meets the slide condition (`_shephard_witness`)."""
+) -> Tuple[CertificateStep, Slide]:
+    """The ShephardFacet step on facet fi and its integer slide
+    (`_shephard_slide`); refused unless the facet exists and meets the
+    slide condition.  Replay calls it too, so it re-derives and
+    re-verifies the slide edge by edge in integers and makes no
+    `Fraction` and no `DecomposingFunction`."""
     if not 0 <= fi < len(p.facets):
         raise RuleNotApplicableError("facet does not exist as recorded")
-    witness = _shephard_witness(p, skel, fi)
-    if witness is None:
+    slide = _shephard_slide(p, skel, fi)
+    if slide is None:
         raise RuleNotApplicableError("facet does not meet the slide condition")
     step = CertificateStep(
         rule="ShephardFacet",
@@ -539,7 +563,7 @@ def _shephard_rule(
         vertices=tuple(p.facets[fi]),
         note="facet slides along its unique outside edges",
     )
-    return step, witness
+    return step, slide
 
 
 def pyramid_apex(p: Polytope) -> Optional[CertificateTrace]:
@@ -898,11 +922,14 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     oracle-only skips the rules entirely.
 
     A certificate's witness (a facet slide, possibly lifted through
-    pyramid reductions) is checked once more as handed out: `check`
-    re-derives its edge scalars from its `Fraction` images, and since a
-    polytope skeleton is connected, a decomposing function on it is a
-    homothety iff those scalars are all equal.  Either failure, like a
-    verdict the oracle contradicts, raises EngineInconsistencyError."""
+    pyramid reductions) is the only part of the slide built in
+    `Fraction`s, and it is checked once more as handed out, before
+    `analyze` returns: `check` clears its images to integers and tests
+    every edge against its recorded scalar by cross-multiplication, and
+    since a polytope skeleton is connected, a decomposing function on it
+    is a homothety iff those scalars are all equal.  Either failure,
+    like a verdict the oracle contradicts, raises
+    EngineInconsistencyError."""
     if mode not in ("certificates-first", "oracle-only"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     fv = p.f_vector()

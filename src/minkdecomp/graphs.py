@@ -53,7 +53,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import InvalidInputError
@@ -171,30 +171,80 @@ class DecomposingFunction:
         return DecomposingFunction(images, scalars)
 
     def check(self, g: GeometricGraph) -> bool:
-        try:
-            derived = DecomposingFunction.from_images(g, self.images)
-        except InvalidInputError:
+        """Whether the images decompose g with exactly the recorded edge
+        scalars, decided in integers: the same answer as deriving the
+        scalars with `from_images` and comparing the two dicts.
+
+        Every vertex needs an image with one coordinate per dimension, and
+        the scalars must be keyed by exactly g's edges.  The images are
+        cleared to F = den * f (`linalg.as_int_coords`), and an edge (u, v)
+        with recorded scalar n/m holds iff m*mult*(F_u - F_v) equals
+        n*den*(X_u - X_v) coordinate by coordinate.  A scalar that is not
+        an int or a `Fraction` is compared as `Fraction` equality would
+        compare it, through the edge's verified ratio (`_edge_ratios`)."""
+        for v in g.vertices:
+            if v not in self.images or len(self.images[v]) != g.dim:
+                return False
+        xs, mult = g.int_coords()
+        ints, den = as_int_coords(self.images[v] for v in g.vertices)
+        fs = dict(zip(g.vertices, ints))
+        scalars = self.edge_scalars
+        if len(scalars) != len(g.edges):
             return False
-        return derived.edge_scalars == self.edge_scalars
+        for e in g.edges:
+            if e not in scalars:
+                return False
+            s = scalars[e]
+            u, v = e
+            if isinstance(s, (int, Fraction)):
+                m, n = s.denominator * mult, s.numerator * den
+                if [m * (a - b) for a, b in zip(fs[u], fs[v])] != [
+                    n * (a - b) for a, b in zip(xs[u], xs[v])
+                ]:
+                    return False
+            else:
+                try:
+                    ((fj, xj),) = _edge_ratios((e,), xs, fs).values()
+                except InvalidInputError:
+                    return False
+                if Fraction(fj * mult, xj * den) != s:
+                    return False
+        return True
+
+
+def _edge_ratios(
+    edges: Iterable[Tuple[int, int]], xs: Dict[int, Sequence[int]],
+    fs: Dict[int, Sequence[int]],
+) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """Each edge's integer ratio (f_j, x_j) for the integer images fs
+    over the integer vertices xs, verified in integers: the image
+    difference must be a multiple of the vertex difference, which is
+    x_j != 0 at its first nonzero coordinate j and f_j there.  Raises
+    InvalidInputError at the first edge where it is not.  Every image has
+    one coordinate per vertex coordinate; the callers make or check it."""
+    ratios = {}
+    for u, v in edges:
+        fu, fv = fs[u], fs[v]
+        diff_x = [a - b for a, b in zip(xs[u], xs[v])]
+        xj = next(filter(None, diff_x))
+        j = diff_x.index(xj)
+        fj = fu[j] - fv[j]
+        if [(a - b) * xj for a, b in zip(fu, fv)] != [c * fj for c in diff_x]:
+            raise InvalidInputError(f"images do not decompose along edge ({u},{v})")
+        ratios[(u, v)] = (fj, xj)
+    return ratios
 
 
 def _edge_scalars(
     g: GeometricGraph, xs: Dict[int, Sequence[int]], mult: int,
     fs: Dict[int, Sequence[int]], den: int,
 ) -> Dict[Tuple[int, int], Rational]:
-    """Edge scalars of the images fs/den over the vertices xs/mult, each
-    edge verified in integers: the image difference must be a multiple
-    of the vertex difference."""
-    scalars = {}
-    for u, v in g.edges:
-        diff_f = [a - b for a, b in zip(fs[u], fs[v])]
-        diff_x = [a - b for a, b in zip(xs[u], xs[v])]
-        j = next(i for i, c in enumerate(diff_x) if c)
-        fj, xj = diff_f[j], diff_x[j]
-        if any(a * xj != b * fj for a, b in zip(diff_f, diff_x, strict=True)):
-            raise InvalidInputError(f"images do not decompose along edge ({u},{v})")
-        scalars[(u, v)] = Fraction(fj * mult, xj * den)
-    return scalars
+    """Edge scalars of the images fs/den over the vertices xs/mult: each
+    edge's verified integer ratio (`_edge_ratios`) as one `Fraction`."""
+    return {
+        e: Fraction(fj * mult, xj * den)
+        for e, (fj, xj) in _edge_ratios(g.edges, xs, fs).items()
+    }
 
 
 def skeleton(p: Polytope) -> GeometricGraph:

@@ -28,7 +28,7 @@ apply the guard; the prune, like the LP it replaced, does not, and the
 `from_vertices` call on the points it keeps applies it.
 """
 
-from math import comb
+from math import comb, log10
 from typing import List, Sequence, Tuple
 
 from . import kernels
@@ -135,8 +135,27 @@ def _scan_masks(ints: Sequence[Sequence[int]], d: int):
 
 def admit(n: int, d: int) -> None:
     """Refuse (GuardExceededError) a hull of n points in R^d with more
-    than `SUBSET_GUARD` d-subsets."""
-    if comb(n, d) > SUBSET_GUARD:
-        raise GuardExceededError(
-            f"C({n},{d}) = {comb(n, d)} d-subsets exceeds the guard of {SUBSET_GUARD}"
-        )
+    than `SUBSET_GUARD` d-subsets.  The message gives C(n, d) in full
+    when it has at most 15 digits, and its digit count otherwise; n
+    likewise."""
+    subsets = comb(n, d)
+    if subsets <= SUBSET_GUARD:
+        return
+    if subsets < 10**15:
+        count = f"C({n},{d}) = {subsets} d-subsets"
+    else:
+        points = str(n) if n < 10**15 else f"{_digits(n)}-digit n"
+        count = f"C({points},{d}), a {_digits(subsets)}-digit number of d-subsets,"
+    raise GuardExceededError(f"{count} exceeds the guard of {SUBSET_GUARD}")
+
+
+def _digits(x: int) -> int:
+    """The number of decimal digits of x > 0, counted without `str`,
+    which refuses integers of more than 4300 digits: floor(log10(x)) + 1,
+    with the float logarithm corrected by exact comparison."""
+    k = int(log10(x))
+    if 10**k > x:
+        k -= 1
+    elif 10 ** (k + 1) <= x:
+        k += 1
+    return k + 1

@@ -39,6 +39,10 @@ over its points (`reference_common_hyperplane`), and `reference_int_plane`
 the same plane as the primitive integer vector on the polytope's
 `int_coords` scale, the form `Polytope.int_plane` keeps.
 
+`reference_check` is the witness check by `Fraction` scalars derived
+afresh and compared as dicts; `DecomposingFunction.check` decides it in
+integers and must agree.
+
 Helpers the library does not need are kept here for the tests that
 state properties with them: `is_simple` (every vertex has degree d),
 `is_homothety` (the homothety residue of `graphs.homothety_residue` is
@@ -548,7 +552,7 @@ def _reference_replay_checked(trace, p: Polytope) -> None:
             fi, members = step.inputs
             if not 0 <= fi < len(current.facets) or tuple(current.facets[fi]) != tuple(members):
                 fail(k, step, "facet does not exist as recorded")
-            if certificates._shephard_witness(current, skel, fi) is None:
+            if certificates._shephard_slide(current, skel, fi) is None:
                 fail(k, step, "facet does not meet the slide condition")
         elif step.rule == "PyramidApex":
             u, base_fi = step.inputs
@@ -628,6 +632,18 @@ def is_simple(p) -> bool:
         degree[a] += 1
         degree[b] += 1
     return all(deg == p.dim for deg in degree)
+
+
+def reference_check(f: DecomposingFunction, g: GeometricGraph) -> bool:
+    """Whether f decomposes g with its recorded edge scalars, by deriving
+    the scalars afresh (`DecomposingFunction.from_images`) and comparing
+    the two dicts; `DecomposingFunction.check`, which decides the same in
+    integers by cross-multiplication, must give the same answer."""
+    try:
+        derived = DecomposingFunction.from_images(g, f.images)
+    except InvalidInputError:
+        return False
+    return derived.edge_scalars == f.edge_scalars
 
 
 def is_homothety(g: GeometricGraph, f: DecomposingFunction) -> bool:

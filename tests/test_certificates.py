@@ -238,7 +238,8 @@ def test_shephard_facet_direct():
 def reference_shephard_witness(p, skel, fi):
     """The facet slide in `Vec` and `Fraction` arithmetic, its scalars
     derived by `DecomposingFunction.from_images` and its homothety test by
-    the least-squares fit: the reference for `_shephard_witness`."""
+    the least-squares fit: the reference for `_shephard_slide` and
+    `_slide_witness`."""
     members = p.facets[fi]
     fset = set(members)
     outside = [w for w in range(len(p.vertices)) if w not in fset]
@@ -303,13 +304,14 @@ def test_integer_slide_matches_rational_reference():
     for name, p in _slide_cases():
         skel = skeleton(p)
         for fi in range(len(p.facets)):
-            got = certificates._shephard_witness(p, skel, fi)
+            slide = certificates._shephard_slide(p, skel, fi)
             want = reference_shephard_witness(p, skel, fi)
             if want is None:
-                assert got is None, (name, fi)
+                assert slide is None, (name, fi)
                 continue
             fired += 1
-            assert got is not None, (name, fi)
+            assert slide is not None, (name, fi)
+            got = certificates._slide_witness(p, slide)
             assert list(got.images.items()) == list(want.images.items()), (name, fi)
             assert list(got.edge_scalars.items()) == list(want.edge_scalars.items()), (name, fi)
     # 1,325 slides over 355 polytopes when this was written.
@@ -325,9 +327,32 @@ def test_slide_that_moves_nothing_is_refused():
     facets = ((0, 1, 2), (3, 4, 5), (0, 1, 3, 4), (1, 2, 4, 5), (0, 2, 3, 5))
     p = Polytope(3, tuple(Vec(v) for v in vertices), facets)
     skel = skeleton(p)
-    for slide in (certificates._shephard_witness, reference_shephard_witness):
+    for slide in (certificates._shephard_slide, reference_shephard_witness):
         with pytest.raises(EngineInconsistencyError, match="degenerated to a homothety"):
             slide(p, skel, 0)
+
+
+@pytest.mark.parametrize("name", ["delta-3-4", "capped-prism", "bd198"])
+def test_replaying_a_slide_builds_no_witness(name, monkeypatch):
+    """Replay re-derives and re-verifies a ShephardFacet step in integers:
+    it makes no `DecomposingFunction` and no `Fraction` image.  bd198's
+    slide follows a pyramid reduction, so the witness `analyze` hands out
+    for it is lifted."""
+    p = catalogue_entry(name).build()
+    r = analyze(p)
+    assert r.trace.steps[-1].rule == "ShephardFacet" and r.witness is not None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a witness was built")
+
+    monkeypatch.setattr(certificates, "DecomposingFunction", refuse)
+    monkeypatch.setattr(certificates, "fraction_vec", refuse)
+    # The patch reaches the witness `analyze` hands out ...
+    with pytest.raises(AssertionError, match="a witness was built"):
+        analyze(catalogue_entry(name).build())
+    # ... but not replay.
+    assert replay_report(r.trace, p) == (True, "all steps check")
+    assert replay_report(r.trace, catalogue_entry(name).build()) == (True, "all steps check")
 
 
 def test_pyramid_apex():

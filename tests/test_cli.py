@@ -252,6 +252,37 @@ def test_construct_cube_above_the_guard_exit_code(capsys, monkeypatch):
     assert code == 3 and out == "" and "exceeds the guard" in err
 
 
+@pytest.mark.parametrize(
+    "d,count",
+    [(6, "C(64,6) = 74974368 d-subsets"), (40, "434-digit"), (300, "26479-digit")],
+)
+def test_guard_refusal_is_one_short_line(capsys, d, count):
+    # A count of up to 15 digits is printed in full, a longer one by its
+    # digit count: C(2^40, 40) has 434 digits, and C(2^300, 300) more
+    # than `str` converts (4300).
+    code, out, err = run(capsys, "construct", "cube", "--d", str(d))
+    assert code == 3 and out == "" and "exceeds the guard" in err
+    assert count in err
+    assert err.count("\n") == 1 and len(err.rstrip("\n")) < 120, err
+
+
+def test_package_runs_as_a_module_from_a_checkout():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "minkdecomp", "catalogue", "list"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "delta-3-4" in done.stdout
+
+
 def test_analyze_rejects_a_facet_list_missing_a_facet(tmp_path, capsys, octa_file):
     with open(octa_file, encoding="utf-8") as fh:
         doc = json.load(fh)

@@ -63,6 +63,7 @@ from minkdecomp.polytope import Polytope, minkowski_sum
 from reference_linalg import (
     is_homothety,
     is_zero,
+    reference_check,
     reference_rank_and_kernel,
     solve_exact,
 )
@@ -462,6 +463,65 @@ def test_check_refuses_malformed_images():
         assert not DecomposingFunction(images, w.edge_scalars).check(g)
         with pytest.raises(InvalidInputError):
             DecomposingFunction.from_images(g, images)
+
+
+def _tampered(w, rng):
+    """Seeded tamperings of a witness: (label, images, scalars)."""
+    images, scalars = w.images, w.edge_scalars
+    verts, edges = sorted(images), sorted(scalars)
+    v, e = rng.choice(verts), rng.choice(edges)
+    d = len(images[v])
+    j = rng.randrange(d)
+    moved = dict(images)
+    moved[v] = Vec(c + Fraction(1, 7) if k == j else c for k, c in enumerate(images[v]))
+    changed = dict(scalars)
+    changed[e] = scalars[e] + Fraction(rng.choice([-1, 1]), rng.randint(1, 9))
+    dropped = {x: s for x, s in scalars.items() if x != e}
+    extra = dict(scalars)
+    extra[(len(verts), len(verts) + 1)] = scalars[e]
+    no_image = {x: img for x, img in images.items() if x != v}
+    longer = dict(images)
+    longer[v] = Vec(tuple(images[v]) + (0,))
+    shorter = dict(images)
+    shorter[v] = Vec(tuple(images[v])[:-1])
+    yield "as handed out", images, scalars
+    yield "coordinate moved by 1/7", moved, scalars
+    yield "scalar changed", images, changed
+    yield "edge key dropped", images, dropped
+    yield "edge key added", images, extra
+    yield "vertex image dropped", no_image, scalars
+    yield "image too long", longer, scalars
+    yield "image too short", shorter, scalars
+    yield "scalars as int", images, {x: int(s) for x, s in scalars.items()}
+    yield "scalars as float", images, {x: float(s) for x, s in scalars.items()}
+    yield "scalars as str", images, {x: str(s) for x, s in scalars.items()}
+
+
+def test_integer_check_matches_the_fraction_check_on_every_slide_witness():
+    """Over the catalogue, every witness `analyze` hands out from a facet
+    slide (lifted through pyramid reductions or not) checks, and on each
+    seeded tampering the integer check gives the reference's answer."""
+    from minkdecomp.certificates import analyze
+
+    rng = random.Random(19)
+    witnesses = refused = 0
+    for e in catalogue_list():
+        p = e.build()
+        r = analyze(p)
+        if r.trace is None or "ShephardFacet" not in [s.rule for s in r.trace.steps]:
+            continue
+        witnesses += 1
+        g = skeleton(p)
+        for label, images, scalars in _tampered(r.witness, rng):
+            f = DecomposingFunction(images, scalars)
+            want = reference_check(f, g)
+            assert f.check(g) == want, (e.name, label)
+            if label == "as handed out":
+                assert want, e.name
+            refused += not want
+    # 20 slide witnesses in the catalogue when this was written.
+    assert witnesses >= 20
+    assert refused >= 8 * witnesses
 
 
 def test_homothety_detection():
