@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -34,6 +33,7 @@ from .graphs import (
     DecomposingFunction,
     GeometricGraph,
     _edge_ratios,
+    _homothety_fit,
     edge_key,
     oracle_verdict,
     skeleton,
@@ -41,8 +41,8 @@ from .graphs import (
 )
 from .kernels import Echelon
 from .linalg import (
-    Vec,
     affinely_independent,
+    as_int_coords,
     fraction_vec,
     int_collinear,
     int_hyperplane,
@@ -833,47 +833,41 @@ def _stages_search(
     return None
 
 
-def _restriction_homothety(
-    pairs: Sequence[Tuple[Vec, Vec]],
-) -> Tuple[Fraction, Vec]:
-    """The exact homothety x -> alpha x + c agreeing with the given
-    (point, image) pairs.  The callers apply it to a facet certified
-    indecomposable, where existence is guaranteed; failure to fit means
-    an engine bug."""
-    if len(pairs) < 2:
-        raise EngineInconsistencyError("homothety fit needs two points")
-    alpha = None
-    for (x, gx), (y, gy) in combinations(pairs, 2):
-        j = next((k for k in range(len(x)) if x[k] != y[k]), None)
-        if j is not None:
-            alpha = Fraction(gx[j] - gy[j], 1) / (x[j] - y[j])
-            break
-    if alpha is None:
-        raise EngineInconsistencyError("homothety fit on coincident points")
-    x0, gx0 = pairs[0]
-    c = gx0 - x0 * alpha
-    for x, gx in pairs:
-        if x * alpha + c != gx:
-            raise EngineInconsistencyError(
-                "facet restriction of the witness is not a homothety"
-            )
-    return alpha, c
-
-
 def _lift_witness(
     w: DecomposingFunction, red: PyramidReductionData, outer: Polytope
 ) -> DecomposingFunction:
     """Extend a decomposing function across one pyramid reduction: the
     apex follows the homothety the function restricts to on the stacked
-    facet, the unique extension under the status equivalence."""
-    pairs = [(red.reduced.vertices[i], w.images[i]) for i in red.facet]
-    alpha, c = _restriction_homothety(pairs)
-    images = {i + (1 if i >= red.apex else 0): img for i, img in w.images.items()}
-    images[red.apex] = outer.vertices[red.apex] * alpha + c
+    facet, the unique extension under the status equivalence.
+
+    It runs in integers on the one homothety fit (`graphs._homothety_fit`).
+    w's images are cleared once to F = den*f and re-indexed past the apex.
+    The fit of the facet members' F over outer's cached coordinates X
+    must leave zero residue, since the facet is certified indecomposable.
+    Every image is then scaled by nq, the apex placed at m*X - offset, and
+    every edge of outer's skeleton verified (`graphs._edge_ratios`) before
+    the `Fraction` function is made from those ratios (`_slide_witness`)."""
+    xs, _ = outer.int_coords()
+    ints, den = as_int_coords(w.images.values())
+    fs = {i + (i >= red.apex): f for i, f in zip(w.images, ints)}
+    members = [i + (i >= red.apex) for i in red.facet]
     try:
-        return DecomposingFunction.from_images(skeleton(outer), images)
+        nq, m, offset = _homothety_fit([xs[i] for i in members], [fs[i] for i in members])
+        exact = all(
+            [nq * c for c in fs[i]] == [m * a - c for a, c in zip(xs[i], offset)]
+            for i in members
+        )
+    except ValueError:
+        exact = False
+    if not exact:
+        raise EngineInconsistencyError("facet restriction of the witness is not a homothety")
+    fs = {i: tuple(nq * c for c in f) for i, f in fs.items()}
+    fs[red.apex] = tuple(m * a - c for a, c in zip(xs[red.apex], offset))
+    try:
+        ratios = _edge_ratios(skeleton(outer).edges, xs, fs)
     except InvalidInputError as exc:
         raise EngineInconsistencyError(f"witness lift failed: {exc}") from exc
+    return _slide_witness(outer, (fs, nq * den, ratios))
 
 
 def _certificate_pipeline(
@@ -921,15 +915,14 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     backstops the pipeline and cross-checks every certificate verdict;
     oracle-only skips the rules entirely.
 
-    A certificate's witness (a facet slide, possibly lifted through
-    pyramid reductions) is the only part of the slide built in
-    `Fraction`s, and it is checked once more as handed out, before
-    `analyze` returns: `check` clears its images to integers and tests
-    every edge against its recorded scalar by cross-multiplication, and
-    since a polytope skeleton is connected, a decomposing function on it
-    is a homothety iff those scalars are all equal.  Either failure,
-    like a verdict the oracle contradicts, raises
-    EngineInconsistencyError."""
+    A certificate's witness, a facet slide lifted in integers through
+    any pyramid reductions (`_lift_witness`), is the only part of the
+    slide built in `Fraction`s.  It is checked once more before `analyze`
+    returns: `check` clears its images to integers and tests every edge
+    against its recorded scalar by cross-multiplication, and since a
+    polytope skeleton is connected, a decomposing function on it is a
+    homothety iff those scalars are all equal.  Either failure, like a
+    verdict the oracle contradicts, raises EngineInconsistencyError."""
     if mode not in ("certificates-first", "oracle-only"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     fv = p.f_vector()

@@ -33,10 +33,12 @@ cleared to a common denominator once (`linalg.as_int_coords`), which
 scales every cycle equation by the same factor and so keeps its kernel.
 The cycle rows are built as integer lists and reduced without fractions,
 the kernel vectors and edge rows stay integer, and so do the images
-summed along a spanning tree and the homothety fit (`_residue`), solved
-in closed form from integer sums.  `Fraction` appears only where a
-function is handed out: the basis of `decomposing_space` and the witness
-of `oracle_verdict`, whose edge scalars are verified edge by edge.
+summed along a spanning tree and the package's only homothety fit
+(`_homothety_fit`, which the oracle's `_residue` and the lift of a slide
+through a pyramid reduction read), solved in closed form from integer
+sums.  `Fraction` appears only where a function is handed out: the basis
+of `decomposing_space` and the witness of `oracle_verdict`, whose edge
+scalars are verified edge by edge.
 
 A polytope's graph (`skeleton`) takes the polytope's cached edges,
 adjacency and integer coordinates as they are.
@@ -154,26 +156,10 @@ class DecomposingFunction:
     images: Dict[int, Vec]
     edge_scalars: Dict[Tuple[int, int], Rational]
 
-    @staticmethod
-    def from_images(g: GeometricGraph, images: Dict[int, Vec]) -> "DecomposingFunction":
-        """Derive the per-edge scalars, verifying the defining identity.
-        Every vertex needs an image with one coordinate per dimension."""
-        for v in g.vertices:
-            if v not in images:
-                raise InvalidInputError(f"no image for vertex {v}")
-            if len(images[v]) != g.dim:
-                raise InvalidInputError(
-                    f"image of vertex {v} has {len(images[v])} coordinates, not {g.dim}"
-                )
-        xs, mult = g.int_coords()
-        fs, den = as_int_coords(images[v] for v in g.vertices)
-        scalars = _edge_scalars(g, xs, mult, dict(zip(g.vertices, fs)), den)
-        return DecomposingFunction(images, scalars)
-
     def check(self, g: GeometricGraph) -> bool:
         """Whether the images decompose g with exactly the recorded edge
-        scalars, decided in integers: the same answer as deriving the
-        scalars with `from_images` and comparing the two dicts.
+        scalars, decided in integers: the same answer as deriving each
+        edge's scalar afresh and comparing the two dicts.
 
         Every vertex needs an image with one coordinate per dimension, and
         the scalars must be keyed by exactly g's edges.  The images are
@@ -233,18 +219,6 @@ def _edge_ratios(
             raise InvalidInputError(f"images do not decompose along edge ({u},{v})")
         ratios[(u, v)] = (fj, xj)
     return ratios
-
-
-def _edge_scalars(
-    g: GeometricGraph, xs: Dict[int, Sequence[int]], mult: int,
-    fs: Dict[int, Sequence[int]], den: int,
-) -> Dict[Tuple[int, int], Rational]:
-    """Edge scalars of the images fs/den over the vertices xs/mult: each
-    edge's verified integer ratio (`_edge_ratios`) as one `Fraction`."""
-    return {
-        e: Fraction(fj * mult, xj * den)
-        for e, (fj, xj) in _edge_ratios(g.edges, xs, fs).items()
-    }
 
 
 def skeleton(p: Polytope) -> GeometricGraph:
@@ -524,6 +498,30 @@ def homothety_residue(g: GeometricGraph, f: DecomposingFunction) -> DecomposingF
     return _residue(g, dict(zip(vids, xs)), mult, fs, den)
 
 
+def _homothety_fit(
+    points: Sequence[Sequence[int]], images: Sequence[Sequence[int]],
+) -> Tuple[int, int, List[int]]:
+    """The least-squares homothety fit of integer images F over integer
+    points X (listed in the same order), in integers: (nq, m, offset)
+    with nq * (alpha' X + c') = m * X - offset for every X.
+
+    The fit minimises sum ||alpha' X + c' - F||^2 over (alpha', c').  Its
+    normal equations solve in closed form: alpha' = num / q with
+    num = n<X,F> - <sum X, sum F> and q = n<X,X> - |sum X|^2, and
+    c' = (sum F - alpha' sum X) / n, so nq = n*q, m = n*num and
+    offset = num * sum X - q * sum F.  q is 0 only when every point
+    coincides, which raises ValueError."""
+    n = len(points)
+    sum_x = [sum(col) for col in zip(*points)]
+    sum_f = [sum(col) for col in zip(*images)]
+    dot = sum(a * b for x, y in zip(points, images) for a, b in zip(x, y))
+    num = n * dot - sum(a * b for a, b in zip(sum_x, sum_f))
+    q = n * sum(a * a for x in points for a in x) - sum(a * a for a in sum_x)
+    if q == 0:
+        raise ValueError("matrix is singular")
+    return n * q, n * num, [num * a - q * b for a, b in zip(sum_x, sum_f)]
+
+
 def _residue(
     g: GeometricGraph, xs: Dict[int, Sequence[int]], mult: int,
     fs: Sequence[Sequence[int]], den: int,
@@ -531,33 +529,20 @@ def _residue(
     """The homothety residue of the images fs/den (listed in the order of
     xs) over the vertices xs/mult, with xs in vertex-id order.
 
-    The fit minimises sum ||alpha*x + c - f(x)||^2 over (alpha, c).  With
-    the vertices cleared to X = mult*x and the images to F = den*f, its
-    normal equations solve in closed form: alpha' = num / q with
-    num = n<X,F> - <sum X, sum F> and q = n<X,X> - |sum X|^2, and
-    c' = (sum F - alpha' sum X) / n, so n*q times every residue
-    F - alpha' X - c' is an integer.  The residue is linear in F, so any
-    common scaling of fs and den gives the same rationals.
-    """
-    n = len(xs)
-    points = list(xs.values())
-    sum_x = [sum(col) for col in zip(*points)]
-    sum_f = [sum(col) for col in zip(*fs)]
-    num = n * sum(a * b for x, y in zip(points, fs) for a, b in zip(x, y)) - sum(
-        a * b for a, b in zip(sum_x, sum_f)
-    )
-    q = n * sum(a * a for x in points for a in x) - sum(a * a for a in sum_x)
-    if q == 0:
-        raise ValueError("matrix is singular")
-    offset = [num * a - q * b for a, b in zip(sum_x, sum_f)]
+    With the vertices cleared to X = mult*x and the images to F = den*f,
+    nq times every residue F - alpha' X - c' of the fit (`_homothety_fit`)
+    is the integer nq*F - m*X + offset.  The residue is linear in F, so
+    any common scaling of fs and den gives the same rationals."""
+    nq, m, offset = _homothety_fit(list(xs.values()), fs)
     res = [
-        tuple(n * q * b - n * num * a + c for a, b, c in zip(x, y, offset))
-        for x, y in zip(points, fs)
+        tuple(nq * b - m * a + c for a, b, c in zip(x, y, offset))
+        for x, y in zip(xs.values(), fs)
     ]
-    res_den = n * q * den
-    scalars = _edge_scalars(g, xs, mult, dict(zip(xs, res)), res_den)
+    res_den = nq * den
+    ratios = _edge_ratios(g.edges, xs, dict(zip(xs, res)))
     return DecomposingFunction(
-        {v: fraction_vec(r, res_den) for v, r in zip(xs, res)}, scalars
+        {v: fraction_vec(r, res_den) for v, r in zip(xs, res)},
+        {e: Fraction(fj * mult, xj * res_den) for e, (fj, xj) in ratios.items()},
     )
 
 

@@ -39,9 +39,16 @@ over its points (`reference_common_hyperplane`), and `reference_int_plane`
 the same plane as the primitive integer vector on the polytope's
 `int_coords` scale, the form `Polytope.int_plane` keeps.
 
-`reference_check` is the witness check by `Fraction` scalars derived
-afresh and compared as dicts; `DecomposingFunction.check` decides it in
-integers and must agree.
+`reference_from_images` derives a decomposing function's edge scalars
+from its images in `Fraction`s, edge by edge; the library builds every
+function it hands out with its scalars.  `reference_check` is the
+witness check by scalars so derived afresh and compared as dicts;
+`DecomposingFunction.check` decides it in integers and must agree.
+
+`reference_lift_witness` lifts a witness across one pyramid reduction
+in `Fraction`s, with the homothety fitted pairwise on the stacked facet;
+the library lifts in integers on its one homothety fit
+(`graphs._homothety_fit`) and must hand out the same witness.
 
 Helpers the library does not need are kept here for the tests that
 state properties with them: `is_simple` (every vertex has degree d),
@@ -50,6 +57,7 @@ zero), `is_zero`, `vertex_degree` and `translate`.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -634,16 +642,79 @@ def is_simple(p) -> bool:
     return all(deg == p.dim for deg in degree)
 
 
+def reference_from_images(g: GeometricGraph, images) -> DecomposingFunction:
+    """The decomposing function with the given images, each edge's scalar
+    derived in `Fraction`s from its first nonzero coordinate and checked
+    on every other; InvalidInputError when an image is missing or of the
+    wrong length, or an edge does not decompose."""
+    for v in g.vertices:
+        if v not in images:
+            raise InvalidInputError(f"no image for vertex {v}")
+        if len(images[v]) != g.dim:
+            raise InvalidInputError(
+                f"image of vertex {v} has {len(images[v])} coordinates, not {g.dim}"
+            )
+    scalars = {}
+    for u, v in g.edges:
+        dx = [a - b for a, b in zip(g.vertices[u], g.vertices[v])]
+        df = [Fraction(a) - b for a, b in zip(images[u], images[v])]
+        j = next(k for k, c in enumerate(dx) if c)
+        s = df[j] / dx[j]
+        if any(c * s != e for c, e in zip(dx, df)):
+            raise InvalidInputError(f"images do not decompose along edge ({u},{v})")
+        scalars[(u, v)] = s
+    return DecomposingFunction(images, scalars)
+
+
 def reference_check(f: DecomposingFunction, g: GeometricGraph) -> bool:
     """Whether f decomposes g with its recorded edge scalars, by deriving
-    the scalars afresh (`DecomposingFunction.from_images`) and comparing
-    the two dicts; `DecomposingFunction.check`, which decides the same in
+    the scalars afresh (`reference_from_images`) and comparing the two
+    dicts; `DecomposingFunction.check`, which decides the same in
     integers by cross-multiplication, must give the same answer."""
     try:
-        derived = DecomposingFunction.from_images(g, f.images)
+        derived = reference_from_images(g, f.images)
     except InvalidInputError:
         return False
     return derived.edge_scalars == f.edge_scalars
+
+
+def _reference_restriction_homothety(pairs) -> Tuple[Fraction, Vec]:
+    """The exact homothety x -> alpha x + c agreeing with the given
+    (point, image) pairs, fitted from the first pair of distinct points
+    in `Fraction`s and then checked on every pair."""
+    if len(pairs) < 2:
+        raise EngineInconsistencyError("homothety fit needs two points")
+    alpha = None
+    for (x, gx), (y, gy) in combinations(pairs, 2):
+        j = next((k for k in range(len(x)) if x[k] != y[k]), None)
+        if j is not None:
+            alpha = Fraction(gx[j] - gy[j], 1) / (x[j] - y[j])
+            break
+    if alpha is None:
+        raise EngineInconsistencyError("homothety fit on coincident points")
+    x0, gx0 = pairs[0]
+    c = gx0 - x0 * alpha
+    for x, gx in pairs:
+        if x * alpha + c != gx:
+            raise EngineInconsistencyError("facet restriction of the witness is not a homothety")
+    return alpha, c
+
+
+def reference_lift_witness(w: DecomposingFunction, red, outer: Polytope) -> DecomposingFunction:
+    """The lift of a decomposing function across one pyramid reduction in
+    `Fraction`s: the apex image follows the homothety fitted pairwise on
+    the stacked facet's rational vertices, and the edge scalars are
+    derived afresh (`reference_from_images`).  The library's
+    `certificates._lift_witness` lifts in integers on the one homothety
+    fit and must hand out the same images and scalars."""
+    pairs = [(red.reduced.vertices[i], w.images[i]) for i in red.facet]
+    alpha, c = _reference_restriction_homothety(pairs)
+    images = {i + (1 if i >= red.apex else 0): img for i, img in w.images.items()}
+    images[red.apex] = outer.vertices[red.apex] * alpha + c
+    try:
+        return reference_from_images(skeleton(outer), images)
+    except InvalidInputError as exc:
+        raise EngineInconsistencyError(f"witness lift failed: {exc}") from exc
 
 
 def is_homothety(g: GeometricGraph, f: DecomposingFunction) -> bool:

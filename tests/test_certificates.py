@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -40,6 +41,7 @@ from minkdecomp.constructors import (
     delta,
     octahedron,
     simplex,
+    wedge,
 )
 from minkdecomp.errors import (
     DegenerateInputError,
@@ -61,7 +63,9 @@ from minkdecomp.polytope import (
 from reference_linalg import (
     is_homothety,
     reference_independent_cycles,
+    reference_from_images,
     reference_int_plane,
+    reference_lift_witness,
     reference_plane,
     reference_replay,
     translate,
@@ -237,7 +241,7 @@ def test_shephard_facet_direct():
 
 def reference_shephard_witness(p, skel, fi):
     """The facet slide in `Vec` and `Fraction` arithmetic, its scalars
-    derived by `DecomposingFunction.from_images` and its homothety test by
+    derived by `reference_from_images` and its homothety test by
     the least-squares fit: the reference for `_shephard_slide` and
     `_slide_witness`."""
     members = p.facets[fi]
@@ -258,7 +262,7 @@ def reference_shephard_witness(p, skel, fi):
         w = out_nbr[v]
         t = (b - alpha) / (b - a.dot(p.vertices[w]))
         images[v] = p.vertices[v] + (p.vertices[w] - p.vertices[v]) * t
-    witness = DecomposingFunction.from_images(skel, images)
+    witness = reference_from_images(skel, images)
     if is_homothety(skel, witness):
         raise EngineInconsistencyError("facet-slide witness degenerated to a homothety")
     return witness
@@ -353,6 +357,104 @@ def test_replaying_a_slide_builds_no_witness(name, monkeypatch):
     # ... but not replay.
     assert replay_report(r.trace, p) == (True, "all steps check")
     assert replay_report(r.trace, catalogue_entry(name).build()) == (True, "all steps check")
+
+
+def _lifted_cases():
+    """Polytopes whose facet slide may be lifted through pyramid
+    reductions: bd198 and a pyramid stacked on each facet of four small
+    polytopes, then seeded repeated stackings over six bases."""
+    yield "bd198", bd198()
+    for name, base in [("capped-prism", capped_prism()), ("bd198", bd198()),
+                       ("prism over simplex(3)", prism_over(simplex(3))),
+                       ("delta(2,2)", delta(2, 2))]:
+        for fi in range(len(base.facets)):
+            yield f"{name} stacked on {fi}", stack_pyramid(base, fi)
+    rng = random.Random(7)
+    bases = [delta(1, 2), prism_over(simplex(3)), delta(2, 2), cube(3),
+             prism_over(cube(2)), wedge(4)]
+    for k in range(400):
+        p = rng.choice(bases)
+        for _ in range(rng.randint(2, 4)):
+            p = stack_pyramid(p, rng.randrange(len(p.facets)))
+        yield f"seeded-{k}", p
+
+
+def test_integer_lift_matches_the_fraction_reference():
+    """Every handed-out witness lifted through pyramid reductions equals
+    the `Fraction` lift of the same slide, images and scalars in order."""
+    levels = Counter()
+    for name, p in _lifted_cases():
+        r = analyze(p)
+        if r.trace is None or r.witness is None or r.trace.steps[0].rule != "PyramidReduction":
+            continue
+        outers, reductions = [p], []
+        for step in r.trace.steps[:-1]:
+            assert step.rule == "PyramidReduction", name
+            red = pyramid_reduction(outers[-1])
+            assert red.apex == step.inputs[0], name
+            reductions.append(red)
+            outers.append(red.reduced)
+        slide_trace, want = shephard_facet(outers[-1])
+        assert slide_trace.steps[-1].inputs == r.trace.steps[-1].inputs, name
+        for red, outer in reversed(list(zip(reductions, outers))):
+            want = reference_lift_witness(want, red, outer)
+        assert list(r.witness.images.items()) == list(want.images.items()), name
+        assert list(r.witness.edge_scalars.items()) == list(want.edge_scalars.items()), name
+        levels[len(reductions)] += 1
+    # 16 one-level and 3 two-level lifts when this was written.
+    assert levels[1] >= 16 and levels[2] >= 1, levels
+
+
+def _bd198_lift():
+    """bd198, its pyramid reduction, and the slide witness on the reduced
+    polytope that `analyze` lifts back."""
+    p = bd198()
+    red = pyramid_reduction(p)
+    _, w = shephard_facet(red.reduced)
+    return p, red, w
+
+
+def _shifted(w, v):
+    images = dict(w.images)
+    images[v] = Vec(c + (k == 0) for k, c in enumerate(images[v]))
+    return DecomposingFunction(images, w.edge_scalars)
+
+
+@pytest.mark.parametrize("lift", [certificates._lift_witness, reference_lift_witness])
+def test_lift_refuses_a_facet_image_off_the_homothety(lift):
+    p, red, w = _bd198_lift()
+    with pytest.raises(EngineInconsistencyError, match="facet restriction of the witness is not a homothety"):
+        lift(_shifted(w, red.facet[0]), red, p)
+
+
+@pytest.mark.parametrize("lift", [certificates._lift_witness, reference_lift_witness])
+def test_lift_refuses_an_image_that_breaks_an_outer_edge(lift):
+    p, red, w = _bd198_lift()
+    v = next(v for v in range(len(red.reduced.vertices)) if v not in red.facet)
+    with pytest.raises(EngineInconsistencyError, match="witness lift failed"):
+        lift(_shifted(w, v), red, p)
+
+
+def test_lift_refuses_a_facet_of_coincident_points():
+    p, red, w = _bd198_lift()
+    one_point = dataclasses.replace(red, facet=red.facet[:1])
+    with pytest.raises(EngineInconsistencyError, match="facet restriction of the witness is not a homothety"):
+        certificates._lift_witness(w, one_point, p)
+
+
+def test_lifted_witness_needs_no_rational_vector_arithmetic(monkeypatch):
+    """The lift through bd198's pyramid reduction runs in integers: with
+    `Vec` arithmetic refused, `analyze` still hands out the witness."""
+    p = bd198()
+
+    def refuse(*args):
+        raise AssertionError("Vec arithmetic")
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "dot"):
+        monkeypatch.setattr(linalg.Vec, name, refuse)
+    r = analyze(p)
+    assert [s.rule for s in r.trace.steps] == ["PyramidReduction", "ShephardFacet"]
+    assert r.witness is not None
 
 
 def test_pyramid_apex():

@@ -283,6 +283,31 @@ def test_package_runs_as_a_module_from_a_checkout():
     assert "delta-3-4" in done.stdout
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_standard_output_exits_quietly(unbuffered):
+    """A reader that closes the pipe early gets exit 1 and no traceback,
+    whether the listing is written line by line or flushed at the end."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "minkdecomp", "catalogue", "list"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr, done.stderr
+
+
 def test_analyze_rejects_a_facet_list_missing_a_facet(tmp_path, capsys, octa_file):
     with open(octa_file, encoding="utf-8") as fh:
         doc = json.load(fh)

