@@ -13,6 +13,13 @@ they cannot close falls through to the exact rank oracle.  Soundness is
 absolute, so in certificates-first mode a disagreement between a
 certificate and the oracle is reported as an internal error rather than
 resolved by preference.
+
+The pipeline stages return a trace and, when the facet slide closes
+it, that slide in integers (`graphs.Slide`): the images times one
+denominator and each edge's verified integer ratio.  A slide found past
+pyramid reductions is lifted back slide to slide (`_lift_witness`), and
+`analyze` hands out its `Fraction` witness once (`graphs._slide_witness`)
+and reads the method off the trace's closing step.
 """
 
 from __future__ import annotations
@@ -32,8 +39,10 @@ from .errors import (
 from .graphs import (
     DecomposingFunction,
     GeometricGraph,
+    Slide,
     _edge_ratios,
     _homothety_fit,
+    _slide_witness,
     edge_key,
     oracle_verdict,
     skeleton,
@@ -42,8 +51,6 @@ from .graphs import (
 from .kernels import Echelon
 from .linalg import (
     affinely_independent,
-    as_int_coords,
-    fraction_vec,
     int_collinear,
     int_hyperplane,
     int_side,
@@ -446,15 +453,12 @@ def two_graph_cover(
     return assemble_trace(final, INDECOMPOSABLE, "two-graph cover reaches every vertex")
 
 
-# An integer facet slide: the images times D, D, and each edge's ratio.
-Slide = Tuple[Dict[int, Tuple[int, ...]], int, Dict[Tuple[int, int], Tuple[int, int]]]
-
-
 def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slide]:
     """The facet slide on one facet, decided and verified in integers:
     None unless every facet vertex has exactly one neighbor outside and
-    at least two vertices lie outside, else (fs, D, ratios).  The rule
-    and its replay share it; only `_slide_witness` makes `Fraction`s.
+    at least two vertices lie outside, else the integer slide
+    (fs, D, ratios).  The rule and its replay share it; only the witness
+    `analyze` hands out (`graphs._slide_witness`) makes `Fraction`s.
 
     The slide is built over the cached integer coordinates X = mult * x.
     With the facet's outward integer plane a.X <= b (`Polytope.int_plane`),
@@ -499,19 +503,6 @@ def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slid
     return fs, den * mult, ratios
 
 
-def _slide_witness(p: Polytope, slide: Slide) -> DecomposingFunction:
-    """The `Fraction` decomposing function of an integer slide
-    (fs, den, ratios) from `_shephard_slide`: images fs / den and edge
-    scalars f_j * mult / (x_j * den), made once, with no second
-    verification."""
-    fs, den, ratios = slide
-    _, mult = p.int_coords()
-    return DecomposingFunction(
-        {i: fraction_vec(f, den) for i, f in fs.items()},
-        {e: Fraction(fj * mult, xj * den) for e, (fj, xj) in ratios.items()},
-    )
-
-
 def _equal_scalars(scalars: Dict[Tuple[int, int], Fraction]) -> bool:
     """Whether a decomposing function on a connected skeleton, given by
     its edge scalars, is a homothety: it is exactly when each equals the
@@ -521,17 +512,15 @@ def _equal_scalars(scalars: Dict[Tuple[int, int], Fraction]) -> bool:
     return all(s == first for s in values)
 
 
-def shephard_facet(
-    p: Polytope,
-) -> Optional[Tuple[CertificateTrace, DecomposingFunction]]:
+def shephard_facet(p: Polytope) -> Optional[Tuple[CertificateTrace, Slide]]:
     """Decomposability from a facet whose vertices each have exactly one
     neighbor outside it (and at least two vertices lie outside): sliding
     the facet down to the outside level is a non-homothety decomposing
     function.  The slide is decided and verified in integers once
     (`_shephard_rule`): its edges are checked one by one and, the
     skeleton being connected, it is no homothety because its scalars are
-    not all equal.  The witness handed out is built from that one slide
-    (`_slide_witness`), the only place the slide makes `Fraction`s."""
+    not all equal.  It is returned as that integer slide; `analyze` hands
+    out its witness."""
     skel = skeleton(p)
     for fi in range(len(p.facets)):
         try:
@@ -539,7 +528,7 @@ def shephard_facet(
         except RuleNotApplicableError:
             continue
         why = f"facet {fi} slides to a proper summand"
-        return assemble_trace(step, DECOMPOSABLE, why), _slide_witness(p, slide)
+        return assemble_trace(step, DECOMPOSABLE, why), slide
     return None
 
 
@@ -756,33 +745,25 @@ def _count_step(p: Polytope, tag: Optional[str] = None) -> CertificateStep:
     )
 
 
-def _stages_direct(
-    p: Polytope,
-) -> Optional[Tuple[CertificateTrace, str, Optional[DecomposingFunction]]]:
+def _stages_direct(p: Polytope) -> Optional[Tuple[CertificateTrace, Optional[Slide]]]:
     """Stages that need no search: apex, unconditional count rules, facet
-    slide."""
+    slide.  The trace comes with the integer slide when the facet slide
+    closes it."""
     t = pyramid_apex(p)
     if t is not None:
-        return t, "certificate", None
+        return t, None
     try:
         step = _count_step(p)
     except RuleNotApplicableError:
-        pass
-    else:
-        return assemble_trace(step, _VERDICTS[step.conclusion], step.note), "count-rule", None
-    sh = shephard_facet(p)
-    if sh is not None:
-        return sh[0], "certificate", sh[1]
-    return None
+        return shephard_facet(p)
+    return assemble_trace(step, _VERDICTS[step.conclusion], step.note), None
 
 
 # Cap on how many cycles feed the pairwise cover stage.
 CYCLE_FRAGMENT_LIMIT = 100
 
 
-def _stages_search(
-    p: Polytope,
-) -> Optional[Tuple[CertificateTrace, str, Optional[DecomposingFunction]]]:
+def _stages_search(p: Polytope) -> Optional[CertificateTrace]:
     """Search stages: extension closures, independent cycles, then
     pairwise two-graph covers over the found fragments.
 
@@ -808,48 +789,37 @@ def _stages_search(
         if not add_fragment(cg):
             continue
         if touches_every_facet(cg.vertices, p):
-            return (
-                _close_by_coverage(cg, p, "extension closure touches every facet"),
-                "certificate",
-                None,
-            )
+            return _close_by_coverage(cg, p, "extension closure touches every facet")
     for k, vs in enumerate(_independent_cycles(p, p.dim + 1)):
         if touches_every_facet(vs, p):
             cg = independent_cycle(skel, vs)
-            return (
-                _close_by_coverage(cg, p, "cycle touches every facet"),
-                "certificate",
-                None,
-            )
+            return _close_by_coverage(cg, p, "cycle touches every facet")
         if k < CYCLE_FRAGMENT_LIMIT:
             add_fragment(independent_cycle(skel, vs))
     for i in range(len(fragments)):
         for j in range(i, len(fragments)):
             try:
-                trace = two_graph_cover(p, fragments[i], fragments[j])
+                return two_graph_cover(p, fragments[i], fragments[j])
             except RuleNotApplicableError:
                 continue
-            return trace, "certificate", None
     return None
 
 
-def _lift_witness(
-    w: DecomposingFunction, red: PyramidReductionData, outer: Polytope
-) -> DecomposingFunction:
-    """Extend a decomposing function across one pyramid reduction: the
-    apex follows the homothety the function restricts to on the stacked
-    facet, the unique extension under the status equivalence.
+def _lift_witness(slide: Slide, red: PyramidReductionData, outer: Polytope) -> Slide:
+    """Extend an integer slide across one pyramid reduction: the apex
+    follows the homothety the slide restricts to on the stacked facet,
+    the unique extension under the status equivalence.
 
     It runs in integers on the one homothety fit (`graphs._homothety_fit`).
-    w's images are cleared once to F = den*f and re-indexed past the apex.
-    The fit of the facet members' F over outer's cached coordinates X
-    must leave zero residue, since the facet is certified indecomposable.
-    Every image is then scaled by nq, the apex placed at m*X - offset, and
-    every edge of outer's skeleton verified (`graphs._edge_ratios`) before
-    the `Fraction` function is made from those ratios (`_slide_witness`)."""
+    The slide's images F = D*f are re-indexed past the apex.  The fit of
+    the facet members' F over outer's cached coordinates X must leave
+    zero residue, since the facet is certified indecomposable.  Every
+    image is then scaled by nq, the apex placed at m*X - offset, and every
+    edge of outer's skeleton verified (`graphs._edge_ratios`): the lifted
+    slide is those images over nq*D and their ratios."""
     xs, _ = outer.int_coords()
-    ints, den = as_int_coords(w.images.values())
-    fs = {i + (i >= red.apex): f for i, f in zip(w.images, ints)}
+    fs, den, _ = slide
+    fs = {i + (i >= red.apex): f for i, f in fs.items()}
     members = [i + (i >= red.apex) for i in red.facet]
     try:
         nq, m, offset = _homothety_fit([xs[i] for i in members], [fs[i] for i in members])
@@ -867,15 +837,16 @@ def _lift_witness(
         ratios = _edge_ratios(skeleton(outer).edges, xs, fs)
     except InvalidInputError as exc:
         raise EngineInconsistencyError(f"witness lift failed: {exc}") from exc
-    return _slide_witness(outer, (fs, nq * den, ratios))
+    return fs, nq * den, ratios
 
 
 def _certificate_pipeline(
     p: Polytope, search: bool
-) -> Optional[Tuple[CertificateTrace, str, Optional[DecomposingFunction]]]:
+) -> Optional[Tuple[CertificateTrace, Optional[Slide]]]:
     """Direct stages and pyramid reductions, then the graph search if
     `search` is set.  The search can only prove indecomposability, so
-    the caller clears `search` once the oracle has said Decomposable."""
+    the caller clears `search` once the oracle has said Decomposable.
+    A facet slide comes back lifted to p, still in integers."""
     reductions: List[PyramidReductionData] = []
     current = p
     closed = None
@@ -889,14 +860,15 @@ def _certificate_pipeline(
         reductions.append(red)
         current = red.reduced
     if closed is None and search:
-        closed = _stages_search(current)
+        trace = _stages_search(current)
+        closed = None if trace is None else (trace, None)
     if closed is None:
         return None
-    trace, method, witness = closed
-    if witness is not None:
+    trace, slide = closed
+    if slide is not None:
         for i in range(len(reductions) - 1, -1, -1):
             outer = p if i == 0 else reductions[i - 1].reduced
-            witness = _lift_witness(witness, reductions[i], outer)
+            slide = _lift_witness(slide, reductions[i], outer)
     if reductions:
         red_steps = tuple(_reduction_step(r) for r in reductions)
         trace = CertificateTrace(
@@ -904,7 +876,7 @@ def _certificate_pipeline(
             trace.verdict,
             trace.coverage_note + "; status carried through pyramid reduction",
         )
-    return trace, method, witness
+    return trace, slide
 
 
 def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
@@ -913,16 +885,21 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     reductions always, the graph search only when the oracle said
     Indecomposable, since the search can prove nothing else.  The oracle
     backstops the pipeline and cross-checks every certificate verdict;
-    oracle-only skips the rules entirely.
+    oracle-only skips the rules entirely.  The method is "count-rule"
+    when a count rule closes the trace, else "certificate", and "oracle"
+    when no rule closes it.
 
-    A certificate's witness, a facet slide lifted in integers through
-    any pyramid reductions (`_lift_witness`), is the only part of the
-    slide built in `Fraction`s.  It is checked once more before `analyze`
-    returns: `check` clears its images to integers and tests every edge
-    against its recorded scalar by cross-multiplication, and since a
-    polytope skeleton is connected, a decomposing function on it is a
-    homothety iff those scalars are all equal.  Either failure, like a
-    verdict the oracle contradicts, raises EngineInconsistencyError."""
+    A Decomposable report carries a witness, the oracle's or the facet
+    slide's, unless a count rule decided it.  The facet slide comes out
+    of the pipeline in integers, lifted through any pyramid reductions
+    (`_lift_witness`), and is handed out once, here
+    (`graphs._slide_witness`), the only place its `Fraction`s are made.
+    The witness is checked once more before `analyze` returns: `check`
+    clears its images to integers and tests every edge against its
+    recorded scalar by cross-multiplication, and since a polytope
+    skeleton is connected, a decomposing function on it is a homothety
+    iff those scalars are all equal.  Either failure, like a verdict the
+    oracle contradicts, raises EngineInconsistencyError."""
     if mode not in ("certificates-first", "oracle-only"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     fv = p.f_vector()
@@ -933,15 +910,19 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     closed = _certificate_pipeline(p, search=o.verdict == INDECOMPOSABLE)
     if closed is None:
         return AnalysisReport(o.verdict, "oracle", None, o.dimension, fv, notes, o.witness)
-    trace, method, witness = closed
+    trace, slide = closed
     if trace.verdict != o.verdict:
         raise EngineInconsistencyError(
             f"certificate says {trace.verdict} but the rank oracle says {o.verdict}"
         )
-    if witness is not None:
+    witness = None
+    if slide is not None:
         g = skeleton(p)
+        witness = _slide_witness(g.int_coords()[1], slide)
         if not witness.check(g) or _equal_scalars(witness.edge_scalars):
             raise EngineInconsistencyError("witness does not decompose the input")
+    closing = trace.steps[-1].rule
+    method = "count-rule" if closing in ("SmilanskyCount", "LowVertexCount") else "certificate"
     return AnalysisReport(trace.verdict, method, trace, o.dimension, fv, notes, witness)
 
 

@@ -7,12 +7,12 @@ name.
 """
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import hull
 from .errors import InvalidInputError
 from .linalg import Vec, unit_vec, zero_vec
-from .polytope import Polytope, minkowski_sum, prism_over, pyramid_over, stack_pyramid, truncate_vertex
+from .polytope import Polytope, minkowski_sum, stack_pyramid, truncate_vertex
 
 
 def simplex(d: int) -> Polytope:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InvalidInputError
 from .linalg import Vec

@@ -37,8 +37,11 @@ summed along a spanning tree and the package's only homothety fit
 (`_homothety_fit`, which the oracle's `_residue` and the lift of a slide
 through a pyramid reduction read), solved in closed form from integer
 sums.  `Fraction` appears only where a function is handed out: the basis
-of `decomposing_space` and the witness of `oracle_verdict`, whose edge
-scalars are verified edge by edge.
+of `decomposing_space`, and the witnesses.  Every witness, the residue
+of `oracle_verdict` and the facet slide `certificates.analyze` returns,
+is an integer slide (images times one denominator, and each edge's
+integer ratio, verified edge by edge) until `_slide_witness` makes its
+`Fraction`s once.
 
 A polytope's graph (`skeleton`) takes the polytope's cached edges,
 adjacency and integer coordinates as they are.
@@ -219,6 +222,23 @@ def _edge_ratios(
             raise InvalidInputError(f"images do not decompose along edge ({u},{v})")
         ratios[(u, v)] = (fj, xj)
     return ratios
+
+
+# An integer slide: the images times D, D, and each edge's ratio.
+Slide = Tuple[Dict[int, Tuple[int, ...]], int, Dict[Tuple[int, int], Tuple[int, int]]]
+
+
+def _slide_witness(mult: int, slide: Slide) -> DecomposingFunction:
+    """The `Fraction` witness of an integer slide (fs, D, ratios) over
+    vertices cleared to X = mult*x: images fs / D and edge scalars
+    f_j * mult / (x_j * D), one per verified ratio (`_edge_ratios`).  It
+    hands out every witness, the facet slide's and the oracle's residue,
+    and makes the `Fraction`s once, with no second verification."""
+    fs, den, ratios = slide
+    return DecomposingFunction(
+        {i: fraction_vec(f, den) for i, f in fs.items()},
+        {e: Fraction(fj * mult, xj * den) for e, (fj, xj) in ratios.items()},
+    )
 
 
 def skeleton(p: Polytope) -> GeometricGraph:
@@ -531,19 +551,15 @@ def _residue(
 
     With the vertices cleared to X = mult*x and the images to F = den*f,
     nq times every residue F - alpha' X - c' of the fit (`_homothety_fit`)
-    is the integer nq*F - m*X + offset.  The residue is linear in F, so
-    any common scaling of fs and den gives the same rationals."""
+    is the integer nq*F - m*X + offset, a slide over nq*den that
+    `_slide_witness` hands out.  The residue is linear in F, so any
+    common scaling of fs and den gives the same rationals."""
     nq, m, offset = _homothety_fit(list(xs.values()), fs)
-    res = [
-        tuple(nq * b - m * a + c for a, b, c in zip(x, y, offset))
-        for x, y in zip(xs.values(), fs)
-    ]
-    res_den = nq * den
-    ratios = _edge_ratios(g.edges, xs, dict(zip(xs, res)))
-    return DecomposingFunction(
-        {v: fraction_vec(r, res_den) for v, r in zip(xs, res)},
-        {e: Fraction(fj * mult, xj * res_den) for e, (fj, xj) in ratios.items()},
-    )
+    res = {
+        v: tuple(nq * b - m * a + c for a, b, c in zip(x, y, offset))
+        for (v, x), y in zip(xs.items(), fs)
+    }
+    return _slide_witness(mult, (res, nq * den, _edge_ratios(g.edges, xs, res)))
 
 
 class _PendingWitness:

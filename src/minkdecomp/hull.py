@@ -24,8 +24,8 @@ Every hull is built here, by three callers: `facet_data`, for
 `Polytope.from_vertices`; `facet_masks`, for `polytope.validate`, which
 compares a file's listed facets with the hull's; and `extreme_points`,
 which prunes the candidate points of a Minkowski sum.  The first two
-apply the guard; the prune, like the LP it replaced, does not, and the
-`from_vertices` call on the points it keeps applies it.
+apply the guard; the prune does not, and the `from_vertices` call on
+the points it keeps applies it.
 """
 
 from math import comb, log10

@@ -26,6 +26,7 @@ from minkdecomp.counts import count_rules, simple_vertex_spectrum_below_3d
 from minkdecomp.errors import InvalidInputError
 from minkdecomp.graphs import (
     GeometricGraph,
+    _slide_witness,
     decomposing_space,
     oracle_verdict,
     skeleton,
@@ -174,7 +175,8 @@ def test_criterion_07_facet_slide_witnesses(entries):
         if out is None:
             continue
         fired += 1
-        _, witness = out
+        _, slide = out
+        witness = _slide_witness(p.int_coords()[1], slide)
         g = skeleton(p)
         assert witness.check(g), e.name
         assert not is_homothety(g, witness), e.name

@@ -10,6 +10,8 @@ from minkdecomp.catalogue import (
     catalogue_list,
     catalogue_verify,
 )
+from minkdecomp.certificates import analyze
+from minkdecomp.graphs import skeleton
 from minkdecomp.polytope import incidence_isomorphic
 
 
@@ -91,3 +93,19 @@ def test_status_split():
         "simplex-6",
     }
     assert len(entries) - len(ind) == 25
+
+
+def test_a_decomposable_report_has_a_witness_unless_a_count_rule_decided_it():
+    count_ruled = set()
+    for e in catalogue_list():
+        p = e.build()
+        r = analyze(p)
+        if r.verdict != "Decomposable":
+            assert r.witness is None, e.name
+            continue
+        assert (r.witness is None) == (r.method == "count-rule"), e.name
+        if r.witness is None:
+            count_ruled.add(e.name)
+        else:
+            assert r.witness.check(skeleton(p)), e.name
+    assert count_ruled == {"cube-3", "pentagonal-prism", "delta-1-2", "wedge-3"}

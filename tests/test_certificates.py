@@ -227,12 +227,19 @@ def test_two_graph_cover_guards():
         two_graph_cover(OCTA, bad, t1)
 
 
+def _handed_out(p, slide):
+    """The `Fraction` witness of an integer slide on p, as `analyze`
+    hands it out."""
+    return graphs._slide_witness(p.int_coords()[1], slide)
+
+
 def test_shephard_facet_direct():
     out = shephard_facet(delta(1, 2))
     assert out is not None
-    trace, witness = out
+    trace, slide = out
     assert trace.verdict == "Decomposable"
     g = skeleton(delta(1, 2))
+    witness = _handed_out(delta(1, 2), slide)
     assert witness.check(g)
     assert not is_homothety(g, witness)
     assert shephard_facet(simplex(3)) is None
@@ -315,7 +322,7 @@ def test_integer_slide_matches_rational_reference():
                 continue
             fired += 1
             assert slide is not None, (name, fi)
-            got = certificates._slide_witness(p, slide)
+            got = _handed_out(p, slide)
             assert list(got.images.items()) == list(want.images.items()), (name, fi)
             assert list(got.edge_scalars.items()) == list(want.edge_scalars.items()), (name, fi)
     # 1,325 slides over 355 polytopes when this was written.
@@ -349,8 +356,9 @@ def test_replaying_a_slide_builds_no_witness(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a witness was built")
 
-    monkeypatch.setattr(certificates, "DecomposingFunction", refuse)
-    monkeypatch.setattr(certificates, "fraction_vec", refuse)
+    for module in (certificates, graphs):
+        monkeypatch.setattr(module, "DecomposingFunction", refuse)
+    monkeypatch.setattr(graphs, "fraction_vec", refuse)
     # The patch reaches the witness `analyze` hands out ...
     with pytest.raises(AssertionError, match="a witness was built"):
         analyze(catalogue_entry(name).build())
@@ -381,7 +389,8 @@ def _lifted_cases():
 
 def test_integer_lift_matches_the_fraction_reference():
     """Every handed-out witness lifted through pyramid reductions equals
-    the `Fraction` lift of the same slide, images and scalars in order."""
+    the `Fraction` lift of the same facet slide built in `Fraction`s
+    (`reference_shephard_witness`), images and scalars in order."""
     levels = Counter()
     for name, p in _lifted_cases():
         r = analyze(p)
@@ -394,8 +403,10 @@ def test_integer_lift_matches_the_fraction_reference():
             assert red.apex == step.inputs[0], name
             reductions.append(red)
             outers.append(red.reduced)
-        slide_trace, want = shephard_facet(outers[-1])
+        slide_trace, _ = shephard_facet(outers[-1])
         assert slide_trace.steps[-1].inputs == r.trace.steps[-1].inputs, name
+        fi = slide_trace.steps[-1].inputs[0]
+        want = reference_shephard_witness(outers[-1], skeleton(outers[-1]), fi)
         for red, outer in reversed(list(zip(reductions, outers))):
             want = reference_lift_witness(want, red, outer)
         assert list(r.witness.images.items()) == list(want.images.items()), name
@@ -406,40 +417,83 @@ def test_integer_lift_matches_the_fraction_reference():
 
 
 def _bd198_lift():
-    """bd198, its pyramid reduction, and the slide witness on the reduced
-    polytope that `analyze` lifts back."""
+    """bd198, its pyramid reduction, and the integer facet slide on the
+    reduced polytope that `analyze` lifts back."""
     p = bd198()
     red = pyramid_reduction(p)
-    _, w = shephard_facet(red.reduced)
-    return p, red, w
+    _, slide = shephard_facet(red.reduced)
+    return p, red, slide
 
 
-def _shifted(w, v):
-    images = dict(w.images)
-    images[v] = Vec(c + (k == 0) for k, c in enumerate(images[v]))
-    return DecomposingFunction(images, w.edge_scalars)
+def _shifted_input(lift, red, slide, v):
+    """The slide with vertex v's image moved by one along the first axis:
+    in integers for `_lift_witness`, in `Fraction`s, from the reference
+    facet slide, for `reference_lift_witness`."""
+    if lift is reference_lift_witness:
+        fi = shephard_facet(red.reduced)[0].steps[-1].inputs[0]
+        w = reference_shephard_witness(red.reduced, skeleton(red.reduced), fi)
+        images = dict(w.images)
+        images[v] = Vec(c + (k == 0) for k, c in enumerate(images[v]))
+        return DecomposingFunction(images, w.edge_scalars)
+    fs, den, ratios = slide
+    fs = dict(fs)
+    fs[v] = tuple(c + den * (k == 0) for k, c in enumerate(fs[v]))
+    return fs, den, ratios
 
 
 @pytest.mark.parametrize("lift", [certificates._lift_witness, reference_lift_witness])
 def test_lift_refuses_a_facet_image_off_the_homothety(lift):
-    p, red, w = _bd198_lift()
+    p, red, slide = _bd198_lift()
     with pytest.raises(EngineInconsistencyError, match="facet restriction of the witness is not a homothety"):
-        lift(_shifted(w, red.facet[0]), red, p)
+        lift(_shifted_input(lift, red, slide, red.facet[0]), red, p)
 
 
 @pytest.mark.parametrize("lift", [certificates._lift_witness, reference_lift_witness])
 def test_lift_refuses_an_image_that_breaks_an_outer_edge(lift):
-    p, red, w = _bd198_lift()
+    p, red, slide = _bd198_lift()
     v = next(v for v in range(len(red.reduced.vertices)) if v not in red.facet)
     with pytest.raises(EngineInconsistencyError, match="witness lift failed"):
-        lift(_shifted(w, v), red, p)
+        lift(_shifted_input(lift, red, slide, v), red, p)
 
 
 def test_lift_refuses_a_facet_of_coincident_points():
-    p, red, w = _bd198_lift()
+    p, red, slide = _bd198_lift()
     one_point = dataclasses.replace(red, facet=red.facet[:1])
     with pytest.raises(EngineInconsistencyError, match="facet restriction of the witness is not a homothety"):
-        certificates._lift_witness(w, one_point, p)
+        certificates._lift_witness(slide, one_point, p)
+
+
+def test_a_lifted_witness_is_handed_out_once_and_never_recleared(monkeypatch):
+    """Through two pyramid reductions the facet slide stays an integer
+    slide: `analyze` calls the hand-out once, and the only clearing of a
+    witness image is the final `check` on the witness it hands out."""
+    two_levels = ["PyramidReduction", "PyramidReduction", "ShephardFacet"]
+    for _, p in _lifted_cases():
+        trace = analyze(p).trace
+        if trace is not None and [s.rule for s in trace.steps] == two_levels:
+            break
+    images = set()
+    events = []
+    real_hand_out, real_clear = graphs._slide_witness, linalg.as_int_coords
+
+    def hand_out(*args):
+        w = real_hand_out(*args)
+        images.update(id(img) for img in w.images.values())
+        events.append("hand-out")
+        return w
+
+    def clear(points):
+        points = list(points)
+        if any(id(x) in images for x in points):
+            events.append("clear")
+        return real_clear(points)
+
+    for module in (certificates, graphs):
+        monkeypatch.setattr(module, "_slide_witness", hand_out, raising=False)
+        monkeypatch.setattr(module, "as_int_coords", clear, raising=False)
+    r = analyze(p)
+    assert events == ["hand-out", "clear"]
+    assert r.witness is not None and r.witness.check(skeleton(p))
 
 
 def test_lifted_witness_needs_no_rational_vector_arithmetic(monkeypatch):
@@ -581,16 +635,20 @@ def test_analyze_raises_when_the_oracle_contradicts_a_certificate(monkeypatch, b
         analyze(p)
 
 
-def _hand_back(monkeypatch, trace, witness):
-    monkeypatch.setattr(certificates, "shephard_facet", lambda p: (trace, witness))
+def _hand_back(monkeypatch, trace, slide):
+    monkeypatch.setattr(certificates, "shephard_facet", lambda p: (trace, slide))
 
 
 def test_analyze_rejects_a_homothety_witness(monkeypatch):
     p = capped_prism()
     trace, _ = shephard_facet(p)
     g = skeleton(p)
-    identity = DecomposingFunction(dict(g.vertices), {e: Fraction(1) for e in g.edges})
-    assert identity.check(g)
+    xs, mult = g.int_coords()
+    identity = (xs, mult, graphs._edge_ratios(g.edges, xs, xs))
+    assert _handed_out(p, identity) == DecomposingFunction(
+        dict(g.vertices), {e: Fraction(1) for e in g.edges}
+    )
+    assert _handed_out(p, identity).check(g)
     _hand_back(monkeypatch, trace, identity)
     with pytest.raises(EngineInconsistencyError, match="witness does not decompose the input"):
         analyze(p)
@@ -598,11 +656,16 @@ def test_analyze_rejects_a_homothety_witness(monkeypatch):
 
 def test_analyze_rejects_a_witness_with_wrong_scalars(monkeypatch):
     p = capped_prism()
-    trace, witness = shephard_facet(p)
-    e = next(iter(witness.edge_scalars))
-    scalars = dict(witness.edge_scalars)
-    scalars[e] += 1
-    _hand_back(monkeypatch, trace, DecomposingFunction(witness.images, scalars))
+    real = graphs._slide_witness
+
+    def wrong_scalar(mult, slide):
+        witness = real(mult, slide)
+        e = next(iter(witness.edge_scalars))
+        scalars = dict(witness.edge_scalars)
+        scalars[e] += 1
+        return DecomposingFunction(witness.images, scalars)
+
+    monkeypatch.setattr(certificates, "_slide_witness", wrong_scalar)
     with pytest.raises(EngineInconsistencyError, match="witness does not decompose the input"):
         analyze(p)
 

@@ -11,6 +11,7 @@ the package outside its own body.  A helper that only the tests call
 belongs in tests/reference_linalg.py.  A `Polytope`'s cache of derived
 data is laid out in polytope.py alone; other modules go through its
 accessors.  Every integer elimination runs through `kernels.Echelon`.
+No module imports a name it never uses.
 """
 
 import ast
@@ -101,6 +102,26 @@ def test_every_method_has_a_use():
         if not _used_elsewhere(module, node, refs)
     ]
     assert not unused, f"no caller in src/ outside their own bodies: {unused}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module imports is loaded somewhere in it; `__init__`,
+    which imports to re-export, and `__future__` imports are exempt."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        ]
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(f"{path.stem}.{name}" for name in imported if name not in loaded)
+    assert not unused, f"imported but never used: {unused}"
 
 
 def test_only_the_polytope_module_touches_its_cache():
