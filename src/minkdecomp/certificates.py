@@ -7,6 +7,13 @@ checks it against the polytope without trusting the search that found
 it: each step is re-derived by the rule function that made it, so every
 rule is defined once.
 
+A `CertificateStep` is the only record of a rule application.  A graph
+step is the subgraph it certifies: the graph rules take earlier steps
+and return a step whose vertex and edge sets are frozensets, and a
+pyramid reduction returns its step with the reduced polytope.  Raising
+a graph step to a polytope conclusion is one rule as well (`_covered`):
+the search closes with it and replay re-applies it.
+
 The engine is deliberately incomplete: the search strategies here close
 many polytopes with short human-readable derivations, and everything
 they cannot close falls through to the exact rank oracle.  Soundness is
@@ -65,13 +72,6 @@ POLYTOPE_INDECOMPOSABLE = "polytope-indecomposable"
 POLYTOPE_DECOMPOSABLE = "polytope-decomposable"
 STATUS_EQUIVALENT = "status-equivalent-to-reduced"
 
-# Rules whose steps certify a subgraph; a polytope conclusion on such a
-# step additionally requires the subgraph to live in the skeleton and to
-# meet the facet-coverage condition.
-GRAPH_RULES = frozenset(
-    ["SimpleExtension", "UnionSharedPair", "EdgeReplacement", "IndependentCycle", "TwoGraphCover"]
-)
-
 # What each rule may conclude; replay rejects any other pairing (a
 # certified subgraph, for instance, can never witness decomposability).
 _RULE_CONCLUSIONS = {
@@ -93,14 +93,16 @@ _VERDICTS = {POLYTOPE_INDECOMPOSABLE: INDECOMPOSABLE, POLYTOPE_DECOMPOSABLE: DEC
 
 @dataclass(frozen=True, eq=False)
 class CertificateStep:
-    """One rule application.  Identity-hashed: steps are nodes of a
-    derivation DAG and the same object may be referenced repeatedly."""
+    """One rule application, and the only record of it.  A graph step is
+    the subgraph it certifies: its vertex and edge sets.  Identity-hashed:
+    steps are nodes of a derivation DAG and the same object may be
+    referenced repeatedly."""
 
     rule: str
     inputs: Tuple
     conclusion: str
-    vertices: Tuple[int, ...] = ()
-    edges: Tuple[Tuple[int, int], ...] = ()
+    vertices: FrozenSet[int] = frozenset()
+    edges: FrozenSet[Tuple[int, int]] = frozenset()
     note: str = ""
 
 
@@ -114,31 +116,8 @@ class CertificateTrace:
         return "\n".join(render_steps(self.steps))
 
 
-@dataclass(frozen=True, eq=False)
-class CertifiedGraph:
-    """A subgraph together with the step that proves it indecomposable."""
-
-    vertices: FrozenSet[int]
-    edges: FrozenSet[Tuple[int, int]]
-    step: CertificateStep
-
-
-def _graph_step(
-    rule: str,
-    inputs: Tuple,
-    vertices: FrozenSet[int],
-    edges: FrozenSet[Tuple[int, int]],
-    note: str = "",
-) -> CertifiedGraph:
-    step = CertificateStep(
-        rule=rule,
-        inputs=inputs,
-        conclusion=GRAPH_INDECOMPOSABLE,
-        vertices=tuple(sorted(vertices)),
-        edges=tuple(sorted(edges)),
-        note=note,
-    )
-    return CertifiedGraph(vertices, edges, step)
+def _graph_step(rule: str, inputs: Tuple, vertices, edges, note: str = "") -> CertificateStep:
+    return CertificateStep(rule, inputs, GRAPH_INDECOMPOSABLE, vertices, edges, note)
 
 
 def assemble_trace(final: CertificateStep, verdict: str, coverage_note: str) -> CertificateTrace:
@@ -185,7 +164,7 @@ def render_steps(steps: Sequence[CertificateStep]) -> List[str]:
 # Graph rules
 
 
-def seed_edge(g: GeometricGraph, u: int, v: int) -> CertifiedGraph:
+def seed_edge(g: GeometricGraph, u: int, v: int) -> CertificateStep:
     if v not in g.neighbors(u):
         raise RuleNotApplicableError(f"seed ({u},{v}) is not a skeleton edge")
     e = edge_key(u, v)
@@ -200,10 +179,10 @@ def seed_edge(g: GeometricGraph, u: int, v: int) -> CertifiedGraph:
 
 def simple_extension(
     g: GeometricGraph,
-    base: CertifiedGraph,
+    base: CertificateStep,
     w: int,
     witnesses: Optional[Tuple[int, int]] = None,
-) -> CertifiedGraph:
+) -> CertificateStep:
     """Absorb one vertex adjacent to two covered vertices (two new edges).
 
     The three points must not be collinear, which is tested on the
@@ -225,13 +204,13 @@ def simple_extension(
         raise RuleNotApplicableError(f"vertices {w},{a},{b} are collinear")
     return _graph_step(
         "SimpleExtension",
-        (base.step, w, (a, b)),
+        (base, w, (a, b)),
         base.vertices | {w},
         base.edges | {edge_key(a, w), edge_key(b, w)},
     )
 
 
-def simple_extension_closure(g: GeometricGraph, seed: Tuple[int, int]) -> CertifiedGraph:
+def simple_extension_closure(g: GeometricGraph, seed: Tuple[int, int]) -> CertificateStep:
     """Grow from a seed edge until no vertex has two covered neighbors,
     absorbing the smallest eligible vertex first."""
     cg = seed_edge(g, *seed)
@@ -252,8 +231,8 @@ def simple_extension_closure(g: GeometricGraph, seed: Tuple[int, int]) -> Certif
 
 
 def union_shared_pair(
-    c1: CertifiedGraph, c2: CertifiedGraph, pair: Optional[Tuple[int, int]] = None
-) -> CertifiedGraph:
+    c1: CertificateStep, c2: CertificateStep, pair: Optional[Tuple[int, int]] = None
+) -> CertificateStep:
     """Join two certified graphs that share two vertices: the two
     smallest shared ones, or `pair` when it names two."""
     shared = c1.vertices & c2.vertices
@@ -267,15 +246,15 @@ def union_shared_pair(
             raise RuleNotApplicableError(f"({a},{b}) are not two shared vertices")
     return _graph_step(
         "UnionSharedPair",
-        (c1.step, c2.step, pair),
+        (c1, c2, pair),
         c1.vertices | c2.vertices,
         c1.edges | c2.edges,
     )
 
 
 def edge_replacement(
-    h: CertifiedGraph, e: Tuple[int, int], g: CertifiedGraph
-) -> CertifiedGraph:
+    h: CertificateStep, e: Tuple[int, int], g: CertificateStep
+) -> CertificateStep:
     e = edge_key(*e)
     if e not in h.edges:
         raise RuleNotApplicableError(f"{e} is not an edge of the base graph")
@@ -283,13 +262,13 @@ def edge_replacement(
         raise RuleNotApplicableError(f"replacement graph misses an endpoint of {e}")
     return _graph_step(
         "EdgeReplacement",
-        (h.step, e, g.step),
+        (h, e, g),
         h.vertices | g.vertices,
         (h.edges - {e}) | g.edges,
     )
 
 
-def independent_cycle(g: GeometricGraph, vs: Sequence[int]) -> CertifiedGraph:
+def independent_cycle(g: GeometricGraph, vs: Sequence[int]) -> CertificateStep:
     """A cycle on affinely independent points, tested on the graph's
     cached integer coordinates; the cycle edges need not belong to g and
     are usually replaced away afterwards."""
@@ -306,8 +285,8 @@ def independent_cycle(g: GeometricGraph, vs: Sequence[int]) -> CertifiedGraph:
 
 
 def cycle_gluing(
-    g: GeometricGraph, gs: Sequence[CertifiedGraph], vs: Sequence[int]
-) -> CertifiedGraph:
+    g: GeometricGraph, gs: Sequence[CertificateStep], vs: Sequence[int]
+) -> CertificateStep:
     """Glue certified graphs around an affinely independent cycle of
     connection vertices: vs[i] lies in gs[i] and gs[i-1].  Realized as an
     IndependentCycle step whose edges are then each replaced by the
@@ -336,11 +315,19 @@ def cycle_gluing(
 # Polytope-level rules
 
 
-def _close_by_coverage(cg: CertifiedGraph, p: Polytope, why: str) -> CertificateTrace:
-    """Upgrade a certified subgraph to a polytope verdict.  Valid only for
-    skeleton subgraphs meeting a coverage condition; replay re-checks."""
-    final = dataclasses.replace(cg.step, conclusion=POLYTOPE_INDECOMPOSABLE, note=why)
-    return assemble_trace(final, INDECOMPOSABLE, why)
+def _covered(
+    p: Polytope, skel: GeometricGraph, step: CertificateStep, why: str
+) -> CertificateStep:
+    """The coverage rule: a certified skeleton subgraph that touches
+    every facet makes the polytope indecomposable, so its graph step is
+    upgraded to that conclusion, with `why` as its note.  Refused unless
+    the step's edges lie in the skeleton and its vertices meet every
+    facet.  The search closes with it and replay re-applies it."""
+    if not step.edges.issubset(skel.edges):
+        raise RuleNotApplicableError("certified graph is not a skeleton subgraph")
+    if not touches_every_facet(step.vertices, p):
+        raise RuleNotApplicableError("certified graph misses a facet")
+    return dataclasses.replace(step, conclusion=POLYTOPE_INDECOMPOSABLE, note=why)
 
 
 def _independent_cycles(p: Polytope, max_len: int):
@@ -376,7 +363,7 @@ def _independent_cycles(p: Polytope, max_len: int):
 
 
 def _cover_gaps(
-    p: Polytope, skel: GeometricGraph, c1: CertifiedGraph, c2: CertifiedGraph
+    p: Polytope, skel: GeometricGraph, c1: CertificateStep, c2: CertificateStep
 ) -> Tuple[List[int], List[int]]:
     """The shared and the uncovered vertices of two certified graphs,
     ascending.  Refused unless both are skeleton subgraphs that share a
@@ -398,7 +385,7 @@ def _cover_gaps(
 
 def _cover_step(
     p: Polytope, skel: GeometricGraph,
-    c1: CertifiedGraph, c2: CertifiedGraph, glued: CertifiedGraph,
+    c1: CertificateStep, c2: CertificateStep, glued: CertificateStep,
 ) -> CertificateStep:
     """The TwoGraphCover step: c1 and c2 meet `_cover_gaps`, and `glued`,
     certified from them, reaches every vertex."""
@@ -407,16 +394,16 @@ def _cover_step(
         raise RuleNotApplicableError("the glued graph does not reach every vertex")
     return CertificateStep(
         rule="TwoGraphCover",
-        inputs=(c1.step, c2.step, glued.step),
+        inputs=(c1, c2, glued),
         conclusion=POLYTOPE_INDECOMPOSABLE,
-        vertices=tuple(sorted(glued.vertices)),
-        edges=tuple(sorted(glued.edges)),
+        vertices=glued.vertices,
+        edges=glued.edges,
         note="the union absorbs every vertex",
     )
 
 
 def two_graph_cover(
-    p: Polytope, c1: CertifiedGraph, c2: CertifiedGraph
+    p: Polytope, c1: CertificateStep, c2: CertificateStep
 ) -> CertificateTrace:
     """Close the polytope from two certified skeleton subgraphs that
     share a vertex and together miss at most d-2 vertices.  The union is
@@ -549,7 +536,7 @@ def _shephard_rule(
         rule="ShephardFacet",
         inputs=(fi, tuple(p.facets[fi])),
         conclusion=POLYTOPE_DECOMPOSABLE,
-        vertices=tuple(p.facets[fi]),
+        vertices=frozenset(p.facets[fi]),
         note="facet slides along its unique outside edges",
     )
     return step, slide
@@ -589,17 +576,9 @@ def _apex_step(p: Polytope, u: int) -> CertificateStep:
         rule="PyramidApex",
         inputs=(u, away[0]),
         conclusion=POLYTOPE_INDECOMPOSABLE,
-        vertices=tuple(range(n)),
+        vertices=frozenset(range(n)),
         note=f"vertex {u} is an apex over facet {away[0]}",
     )
-
-
-@dataclass(frozen=True)
-class PyramidReductionData:
-    apex: int
-    reduced: Polytope
-    facet: Tuple[int, ...]  # members in the reduced polytope's indexing
-    facet_trace: CertificateTrace
 
 
 def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int, ...]]]:
@@ -667,13 +646,13 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     return reduced, fmem
 
 
-def pyramid_reduction(p: Polytope) -> Optional[PyramidReductionData]:
-    """Detect a stacked apex and reduce past it.  Applicable only when
-    the stacked-on facet is certified indecomposable as a
-    lower-dimensional polytope; the two polytopes then share their
-    decomposability status.  The reduced polytope's facets are read off
-    p's own (`_stack_structure`, which `replay` shares), so a reduction
-    builds no hull."""
+def pyramid_reduction(p: Polytope) -> Optional[Tuple[CertificateStep, Polytope]]:
+    """Detect a stacked apex and reduce past it: the PyramidReduction
+    step and the reduced polytope.  Applicable only when the stacked-on
+    facet is certified indecomposable as a lower-dimensional polytope;
+    the two polytopes then share their decomposability status.  The
+    reduced polytope's facets are read off p's own (`_stack_structure`,
+    which `replay` shares), so a reduction builds no hull."""
     for u in range(len(p.vertices)):
         try:
             reduced, fmem, facet = _stacked_facet(p, u)
@@ -682,7 +661,7 @@ def pyramid_reduction(p: Polytope) -> Optional[PyramidReductionData]:
         sub = analyze(facet)
         if sub.verdict != INDECOMPOSABLE or sub.trace is None:
             continue
-        return PyramidReductionData(u, reduced, fmem, sub.trace)
+        return _reduction_step(u, fmem, sub.trace), reduced
     return None
 
 
@@ -698,13 +677,17 @@ def _stacked_facet(p: Polytope, u: int) -> Tuple[Polytope, Tuple[int, ...], Poly
     return reduced, fmem, facet_as_polytope(reduced, reduced.facets.index(fmem))
 
 
-def _reduction_step(r: PyramidReductionData) -> CertificateStep:
+def _reduction_step(
+    apex: int, facet: Tuple[int, ...], facet_trace: CertificateTrace
+) -> CertificateStep:
+    """The PyramidReduction step past a stacked apex, from the facet's
+    members in the reduced polytope's indexing and its certificate."""
     return CertificateStep(
         rule="PyramidReduction",
-        inputs=(r.apex, r.facet, r.facet_trace),
+        inputs=(apex, facet, facet_trace),
         conclusion=STATUS_EQUIVALENT,
-        vertices=r.facet,
-        note=f"apex {r.apex} stacked on an indecomposable facet; "
+        vertices=frozenset(facet),
+        note=f"apex {apex} stacked on an indecomposable facet; "
         "later steps index the reduced polytope",
     )
 
@@ -770,32 +753,39 @@ def _stages_search(p: Polytope) -> Optional[CertificateTrace]:
     Every skeleton edge seeds a closure, and a closure absorbs any vertex
     with two covered neighbours, so it subsumes the chains of triangular
     facets grown from its edge.  The cycles are walked once: the first
-    that touches every facet closes the polytope, and the first
-    CYCLE_FRAGMENT_LIMIT of them join the fragments."""
+    that the coverage rule (`_covered`) accepts closes the polytope, and
+    the first CYCLE_FRAGMENT_LIMIT of them join the fragments."""
     skel = skeleton(p)
-    fragments: List[CertifiedGraph] = []
+    fragments: List[CertificateStep] = []
     seen: Set[Tuple[FrozenSet[int], FrozenSet[Tuple[int, int]]]] = set()
 
-    def add_fragment(cg: CertifiedGraph) -> bool:
-        key = (cg.vertices, cg.edges)
+    def add_fragment(step: CertificateStep) -> bool:
+        key = (step.vertices, step.edges)
         if key in seen:
             return False
         seen.add(key)
-        fragments.append(cg)
+        fragments.append(step)
         return True
 
+    def close(step: CertificateStep, why: str) -> Optional[CertificateTrace]:
+        try:
+            return assemble_trace(_covered(p, skel, step, why), INDECOMPOSABLE, why)
+        except RuleNotApplicableError:
+            return None
+
     for e in skel.edges:
-        cg = simple_extension_closure(skel, e)
-        if not add_fragment(cg):
-            continue
-        if touches_every_facet(cg.vertices, p):
-            return _close_by_coverage(cg, p, "extension closure touches every facet")
+        step = simple_extension_closure(skel, e)
+        if add_fragment(step):
+            trace = close(step, "extension closure touches every facet")
+            if trace is not None:
+                return trace
     for k, vs in enumerate(_independent_cycles(p, p.dim + 1)):
-        if touches_every_facet(vs, p):
-            cg = independent_cycle(skel, vs)
-            return _close_by_coverage(cg, p, "cycle touches every facet")
+        step = independent_cycle(skel, vs)
+        trace = close(step, "cycle touches every facet")
+        if trace is not None:
+            return trace
         if k < CYCLE_FRAGMENT_LIMIT:
-            add_fragment(independent_cycle(skel, vs))
+            add_fragment(step)
     for i in range(len(fragments)):
         for j in range(i, len(fragments)):
             try:
@@ -805,8 +795,9 @@ def _stages_search(p: Polytope) -> Optional[CertificateTrace]:
     return None
 
 
-def _lift_witness(slide: Slide, red: PyramidReductionData, outer: Polytope) -> Slide:
-    """Extend an integer slide across one pyramid reduction: the apex
+def _lift_witness(slide: Slide, red: CertificateStep, outer: Polytope) -> Slide:
+    """Extend an integer slide across one pyramid reduction, read off its
+    step's apex and stacked-facet inputs: the apex
     follows the homothety the slide restricts to on the stacked facet,
     the unique extension under the status equivalence.
 
@@ -817,10 +808,11 @@ def _lift_witness(slide: Slide, red: PyramidReductionData, outer: Polytope) -> S
     image is then scaled by nq, the apex placed at m*X - offset, and every
     edge of outer's skeleton verified (`graphs._edge_ratios`): the lifted
     slide is those images over nq*D and their ratios."""
+    apex, facet, _ = red.inputs
     xs, _ = outer.int_coords()
     fs, den, _ = slide
-    fs = {i + (i >= red.apex): f for i, f in fs.items()}
-    members = [i + (i >= red.apex) for i in red.facet]
+    fs = {i + (i >= apex): f for i, f in fs.items()}
+    members = [i + (i >= apex) for i in facet]
     try:
         nq, m, offset = _homothety_fit([xs[i] for i in members], [fs[i] for i in members])
         exact = all(
@@ -832,7 +824,7 @@ def _lift_witness(slide: Slide, red: PyramidReductionData, outer: Polytope) -> S
     if not exact:
         raise EngineInconsistencyError("facet restriction of the witness is not a homothety")
     fs = {i: tuple(nq * c for c in f) for i, f in fs.items()}
-    fs[red.apex] = tuple(m * a - c for a, c in zip(xs[red.apex], offset))
+    fs[apex] = tuple(m * a - c for a, c in zip(xs[apex], offset))
     try:
         ratios = _edge_ratios(skeleton(outer).edges, xs, fs)
     except InvalidInputError as exc:
@@ -847,9 +839,9 @@ def _certificate_pipeline(
     `search` is set.  The search can only prove indecomposability, so
     the caller clears `search` once the oracle has said Decomposable.
     A facet slide comes back lifted to p, still in integers."""
-    reductions: List[PyramidReductionData] = []
+    # Each reduction step with the polytope it reduces.
+    reductions: List[Tuple[CertificateStep, Polytope]] = []
     current = p
-    closed = None
     while True:
         closed = _stages_direct(current)
         if closed is not None:
@@ -857,8 +849,9 @@ def _certificate_pipeline(
         red = pyramid_reduction(current)
         if red is None:
             break
-        reductions.append(red)
-        current = red.reduced
+        step, reduced = red
+        reductions.append((step, current))
+        current = reduced
     if closed is None and search:
         trace = _stages_search(current)
         closed = None if trace is None else (trace, None)
@@ -866,13 +859,11 @@ def _certificate_pipeline(
         return None
     trace, slide = closed
     if slide is not None:
-        for i in range(len(reductions) - 1, -1, -1):
-            outer = p if i == 0 else reductions[i - 1].reduced
-            slide = _lift_witness(slide, reductions[i], outer)
+        for step, outer in reversed(reductions):
+            slide = _lift_witness(slide, step, outer)
     if reductions:
-        red_steps = tuple(_reduction_step(r) for r in reductions)
         trace = CertificateTrace(
-            red_steps + trace.steps,
+            tuple(step for step, _ in reductions) + trace.steps,
             trace.verdict,
             trace.coverage_note + "; status carried through pyramid reduction",
         )
@@ -968,22 +959,22 @@ def _fail(k: int, step: CertificateStep, why: str):
 def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
     """Re-derive every step with the rule function that made it, from its
     recorded parameters and input steps, and require the same step back:
-    rule, inputs, vertex and edge sets and, but for a graph step that
-    coverage raises to a polytope conclusion, the conclusion.  A refusing
-    rule fails the step with its own message.  Replay itself checks only
-    the rule and conclusion, that graph inputs are earlier graph steps,
-    the coverage, and that the last step concludes the verdict."""
+    rule, inputs, vertex and edge sets and conclusion.  A graph step
+    recorded with a polytope conclusion is re-derived through the
+    coverage rule (`_covered`) as well.  A refusing rule fails the step
+    with its own message.  Replay itself checks only that the rule may
+    draw the recorded conclusion, that graph inputs are earlier graph
+    steps, and that the last step concludes the verdict."""
     if not trace.steps:
         raise _ReplayFailure("empty trace")
     current = p
     skel = skeleton(current)
-    known: Dict[int, CertifiedGraph] = {}
+    known: Set[int] = set()  # ids of the accepted graph steps
 
-    def graph(x) -> CertifiedGraph:
-        cg = known.get(id(x))
-        if cg is None:
+    def graph(x) -> CertificateStep:
+        if id(x) not in known:
             raise RuleNotApplicableError("input is not an earlier graph step")
-        return cg
+        return x
 
     for k, step in enumerate(trace.steps, start=1):
         allowed = _RULE_CONCLUSIONS.get(step.rule)
@@ -992,23 +983,22 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
         if step.conclusion not in allowed:
             _fail(k, step, f"a {step.rule} step cannot conclude {step.conclusion!r}")
         rule, inputs = step.rule, step.inputs
-        reduced = None
         try:
             if rule == "SimpleExtension" and inputs[0] == "seed":
                 _, (u, v) = inputs
-                again = seed_edge(skel, u, v).step
+                again = seed_edge(skel, u, v)
             elif rule == "SimpleExtension":
                 base, w, witnesses = inputs
-                again = simple_extension(skel, graph(base), w, witnesses).step
+                again = simple_extension(skel, graph(base), w, witnesses)
             elif rule == "UnionSharedPair":
                 c1, c2, pair = inputs
-                again = union_shared_pair(graph(c1), graph(c2), pair).step
+                again = union_shared_pair(graph(c1), graph(c2), pair)
             elif rule == "EdgeReplacement":
                 h, e, g = inputs
-                again = edge_replacement(graph(h), e, graph(g)).step
+                again = edge_replacement(graph(h), e, graph(g))
             elif rule == "IndependentCycle":
                 (vs,) = inputs
-                again = independent_cycle(skel, vs).step
+                again = independent_cycle(skel, vs)
             elif rule == "TwoGraphCover":
                 c1, c2, glued = inputs
                 again = _cover_step(current, skel, graph(c1), graph(c2), graph(glued))
@@ -1026,30 +1016,26 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
                 ok, why = replay_report(facet_trace, facet)
                 if not ok:
                     raise RuleNotApplicableError(f"base facet certificate fails: {why}")
-                again = _reduction_step(PyramidReductionData(apex, reduced, base, facet_trace))
+                again = _reduction_step(apex, base, facet_trace)
             else:
                 again = _count_step(current, step.note)
                 if inputs != again.inputs:
                     raise RuleNotApplicableError("recorded counts disagree with the polytope")
+            graph_step = again.conclusion == GRAPH_INDECOMPOSABLE
+            if graph_step and step.conclusion == POLYTOPE_INDECOMPOSABLE:
+                again = _covered(current, skel, again, step.note)
         except RuleNotApplicableError as exc:
             _fail(k, step, str(exc))
         if (rule, inputs) != (again.rule, again.inputs):
             _fail(k, step, "rule or inputs differ from the re-derived step")
-        vset, eset = frozenset(step.vertices), frozenset(step.edges)
-        if vset != frozenset(again.vertices) or eset != frozenset(again.edges):
+        if (step.vertices, step.edges) != (again.vertices, again.edges):
             _fail(k, step, "result sets do not match the re-derived step")
-        if rule not in GRAPH_RULES and step.conclusion != again.conclusion:
+        if step.conclusion != again.conclusion:
             _fail(k, step, "conclusion disagrees with the rule")
-        if reduced is not None:
+        if rule == "PyramidReduction":
             # Later steps speak about the reduced polytope.
-            current, skel, known = reduced, skeleton(reduced), {}
-            continue
-        if rule in GRAPH_RULES:
-            if step.conclusion == POLYTOPE_INDECOMPOSABLE:
-                if not eset <= set(skel.edges):
-                    _fail(k, step, "certified graph is not a skeleton subgraph")
-                if not touches_every_facet(vset, current):
-                    _fail(k, step, "certified graph misses a facet")
-            known[id(step)] = CertifiedGraph(vset, eset, step)
+            current, skel, known = reduced, skeleton(reduced), set()
+        elif graph_step:
+            known.add(id(step))
     if _VERDICTS.get(trace.steps[-1].conclusion) != trace.verdict:
         raise _ReplayFailure("final step does not conclude the verdict")

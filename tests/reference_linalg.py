@@ -461,6 +461,13 @@ def reference_replay(trace, p: Polytope) -> Tuple[bool, str]:
     return True, "all steps check"
 
 
+# The rules whose steps certify their subgraph; such a step may conclude
+# polytope-indecomposable only if the subgraph lies in the skeleton and
+# touches every facet.
+_GRAPH_RULES = {"SimpleExtension", "UnionSharedPair", "EdgeReplacement", "IndependentCycle",
+                "TwoGraphCover"}
+
+
 def _reference_replay_checked(trace, p: Polytope) -> None:
     def fail(k, step, why):
         raise _ReplayFailure(f"step_{k} ({step.rule}): {why}")
@@ -615,10 +622,7 @@ def _reference_replay_checked(trace, p: Polytope) -> None:
             continue
         else:
             fail(k, step, f"unknown rule {step.rule!r}")
-        if (
-            step.conclusion == certificates.POLYTOPE_INDECOMPOSABLE
-            and step.rule in certificates.GRAPH_RULES
-        ):
+        if step.conclusion == certificates.POLYTOPE_INDECOMPOSABLE and step.rule in _GRAPH_RULES:
             if not eset <= skel_edges:
                 fail(k, step, "certified graph is not a skeleton subgraph")
             if not touches_every_facet(vset, current):
@@ -701,16 +705,18 @@ def _reference_restriction_homothety(pairs) -> Tuple[Fraction, Vec]:
 
 
 def reference_lift_witness(w: DecomposingFunction, red, outer: Polytope) -> DecomposingFunction:
-    """The lift of a decomposing function across one pyramid reduction in
-    `Fraction`s: the apex image follows the homothety fitted pairwise on
-    the stacked facet's rational vertices, and the edge scalars are
-    derived afresh (`reference_from_images`).  The library's
+    """The lift of a decomposing function across one pyramid reduction,
+    given by its PyramidReduction step, in `Fraction`s: the apex image
+    follows the homothety fitted pairwise on the stacked facet's rational
+    vertices, and the edge scalars are derived afresh
+    (`reference_from_images`).  The library's
     `certificates._lift_witness` lifts in integers on the one homothety
     fit and must hand out the same images and scalars."""
-    pairs = [(red.reduced.vertices[i], w.images[i]) for i in red.facet]
+    apex, facet, _ = red.inputs
+    pairs = [(outer.vertices[i + (i >= apex)], w.images[i]) for i in facet]
     alpha, c = _reference_restriction_homothety(pairs)
-    images = {i + (1 if i >= red.apex else 0): img for i, img in w.images.items()}
-    images[red.apex] = outer.vertices[red.apex] * alpha + c
+    images = {i + (1 if i >= apex else 0): img for i, img in w.images.items()}
+    images[apex] = outer.vertices[apex] * alpha + c
     try:
         return reference_from_images(skeleton(outer), images)
     except InvalidInputError as exc:

@@ -188,7 +188,8 @@ def test_criterion_08_reduction_preserves_verdict():
     for p in (capped_prism(), bd198()):
         red = pyramid_reduction(p)
         assert red is not None
-        assert oracle_verdict(p).verdict == oracle_verdict(red.reduced).verdict
+        _, reduced = red
+        assert oracle_verdict(p).verdict == oracle_verdict(reduced).verdict
     ok(8, "removing a stacked apex preserves the oracle verdict")
 
 
@@ -311,7 +312,7 @@ def _tampers():
 
     def stray_edge(trace):
         last = trace.steps[-1]
-        bad = dataclasses.replace(last, edges=last.edges + ((0, 10**6),))
+        bad = dataclasses.replace(last, edges=last.edges | {(0, 10**6)})
         return CertificateTrace(
             trace.steps[:-1] + (bad,), trace.verdict, trace.coverage_note
         )

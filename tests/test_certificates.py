@@ -171,16 +171,73 @@ def test_cycle_gluing():
         cycle_gluing(OCTA_SKEL, (t1, t3, t4), (5, 4, 0))  # 5 not in t1 or t3
 
 
+def test_a_graph_rule_returns_its_step_and_takes_steps():
+    """A graph step is the subgraph it certifies: each graph rule returns
+    a `CertificateStep` whose vertex and edge sets are frozensets, and a
+    rule built on certified graphs lists those very steps as inputs."""
+    seed = seed_edge(OCTA_SKEL, 0, 1)
+    grown = simple_extension(OCTA_SKEL, seed, 2)
+    t1 = independent_cycle(OCTA_SKEL, (0, 1, 5))
+    t2 = independent_cycle(OCTA_SKEL, (2, 3, 4))
+    union = union_shared_pair(grown, t1)
+    replaced = edge_replacement(t1, (0, 1), grown)
+    closure = simple_extension_closure(OCTA_SKEL, (0, 1))
+    glued = cycle_gluing(OCTA_SKEL, (grown, t1), (0, 1))
+    cover = two_graph_cover(OCTA, union, t2).steps[-1]
+    for step in (seed, grown, t1, union, replaced, closure, glued, cover):
+        assert type(step) is CertificateStep, step
+        assert type(step.vertices) is frozenset and type(step.edges) is frozenset, step
+    assert grown.inputs[0] is seed
+    assert union.inputs[0] is grown and union.inputs[1] is t1
+    assert replaced.inputs[0] is t1 and replaced.inputs[2] is grown
+    assert cover.inputs[0] is union and cover.inputs[1] is t2
+
+
 # ---------------------------------------------------------------------------
 # Polytope-level rules
+
+
+def _cube_non_covering_steps():
+    """Graph steps on cube(3) the coverage rule must refuse, with the
+    refusal it gives: an extension closure that is a lone edge (no
+    vertex of the cube has two neighbours on an edge), which misses the
+    opposite facet; and a cycle on three vertices of one facet, which
+    crosses the facet's diagonal and misses the opposite facet too, so
+    the skeleton test, made first, refuses it."""
+    p = cube(3)
+    skel = skeleton(p)
+    closure = simple_extension_closure(skel, skel.edges[0])
+    assert len(closure.vertices) == 2
+    cycle = independent_cycle(skel, p.facets[0][:3])
+    assert not cycle.edges <= set(skel.edges)
+    return p, [(closure, "certified graph misses a facet"),
+               (cycle, "certified graph is not a skeleton subgraph")]
+
+
+def test_coverage_rule_and_replay_refuse_a_non_covering_step_alike():
+    """The coverage upgrade is one rule: the search closes with
+    `_covered`, and replay re-applies it to the re-derived step, so both
+    refuse a step recorded as closing the polytope with one message."""
+    p, cases = _cube_non_covering_steps()
+    for step, message in cases:
+        with pytest.raises(RuleNotApplicableError) as refused:
+            certificates._covered(p, skeleton(p), step, "touches every facet")
+        assert str(refused.value) == message
+        forged = assemble_trace(
+            dataclasses.replace(step, conclusion="polytope-indecomposable"), "Indecomposable", ""
+        )
+        assert replay_report(forged, p) == (False, f"step_1 ({step.rule}): {message}")
+
+
+def _covering_trace(p, step, why):
+    """The trace that closes p by the coverage rule on a graph step."""
+    return assemble_trace(certificates._covered(p, skeleton(p), step, why), "Indecomposable", why)
 
 
 def test_independent_cycles_give_a_covering_cycle_that_replays():
     p = simplex(3)
     vs = next(vs for vs in certificates._independent_cycles(p, 4) if touches_every_facet(vs, p))
-    trace = certificates._close_by_coverage(
-        independent_cycle(skeleton(p), vs), p, "cycle touches every facet"
-    )
+    trace = _covering_trace(p, independent_cycle(skeleton(p), vs), "cycle touches every facet")
     assert trace.verdict == "Indecomposable"
     assert trace.steps[-1].rule == "IndependentCycle"
     assert replay(trace, p)
@@ -399,10 +456,10 @@ def test_integer_lift_matches_the_fraction_reference():
         outers, reductions = [p], []
         for step in r.trace.steps[:-1]:
             assert step.rule == "PyramidReduction", name
-            red = pyramid_reduction(outers[-1])
-            assert red.apex == step.inputs[0], name
+            red, reduced = pyramid_reduction(outers[-1])
+            assert red.inputs[0] == step.inputs[0], name
             reductions.append(red)
-            outers.append(red.reduced)
+            outers.append(reduced)
         slide_trace, _ = shephard_facet(outers[-1])
         assert slide_trace.steps[-1].inputs == r.trace.steps[-1].inputs, name
         fi = slide_trace.steps[-1].inputs[0]
@@ -417,21 +474,21 @@ def test_integer_lift_matches_the_fraction_reference():
 
 
 def _bd198_lift():
-    """bd198, its pyramid reduction, and the integer facet slide on the
-    reduced polytope that `analyze` lifts back."""
+    """bd198, its pyramid reduction step, the reduced polytope, and the
+    integer facet slide on it that `analyze` lifts back."""
     p = bd198()
-    red = pyramid_reduction(p)
-    _, slide = shephard_facet(red.reduced)
-    return p, red, slide
+    red, reduced = pyramid_reduction(p)
+    _, slide = shephard_facet(reduced)
+    return p, red, reduced, slide
 
 
-def _shifted_input(lift, red, slide, v):
+def _shifted_input(lift, reduced, slide, v):
     """The slide with vertex v's image moved by one along the first axis:
     in integers for `_lift_witness`, in `Fraction`s, from the reference
     facet slide, for `reference_lift_witness`."""
     if lift is reference_lift_witness:
-        fi = shephard_facet(red.reduced)[0].steps[-1].inputs[0]
-        w = reference_shephard_witness(red.reduced, skeleton(red.reduced), fi)
+        fi = shephard_facet(reduced)[0].steps[-1].inputs[0]
+        w = reference_shephard_witness(reduced, skeleton(reduced), fi)
         images = dict(w.images)
         images[v] = Vec(c + (k == 0) for k, c in enumerate(images[v]))
         return DecomposingFunction(images, w.edge_scalars)
@@ -443,22 +500,25 @@ def _shifted_input(lift, red, slide, v):
 
 @pytest.mark.parametrize("lift", [certificates._lift_witness, reference_lift_witness])
 def test_lift_refuses_a_facet_image_off_the_homothety(lift):
-    p, red, slide = _bd198_lift()
+    p, red, reduced, slide = _bd198_lift()
+    _, facet, _ = red.inputs
     with pytest.raises(EngineInconsistencyError, match="facet restriction of the witness is not a homothety"):
-        lift(_shifted_input(lift, red, slide, red.facet[0]), red, p)
+        lift(_shifted_input(lift, reduced, slide, facet[0]), red, p)
 
 
 @pytest.mark.parametrize("lift", [certificates._lift_witness, reference_lift_witness])
 def test_lift_refuses_an_image_that_breaks_an_outer_edge(lift):
-    p, red, slide = _bd198_lift()
-    v = next(v for v in range(len(red.reduced.vertices)) if v not in red.facet)
+    p, red, reduced, slide = _bd198_lift()
+    _, facet, _ = red.inputs
+    v = next(v for v in range(len(reduced.vertices)) if v not in facet)
     with pytest.raises(EngineInconsistencyError, match="witness lift failed"):
-        lift(_shifted_input(lift, red, slide, v), red, p)
+        lift(_shifted_input(lift, reduced, slide, v), red, p)
 
 
 def test_lift_refuses_a_facet_of_coincident_points():
-    p, red, slide = _bd198_lift()
-    one_point = dataclasses.replace(red, facet=red.facet[:1])
+    p, red, _, slide = _bd198_lift()
+    apex, facet, facet_trace = red.inputs
+    one_point = dataclasses.replace(red, inputs=(apex, facet[:1], facet_trace))
     with pytest.raises(EngineInconsistencyError, match="facet restriction of the witness is not a homothety"):
         certificates._lift_witness(slide, one_point, p)
 
@@ -524,10 +584,12 @@ def test_pyramid_reduction_on_capped_prism():
     p = capped_prism()
     red = pyramid_reduction(p)
     assert red is not None
-    assert len(red.reduced.vertices) == 6
-    assert red.facet_trace.verdict == "Indecomposable"
+    step, reduced = red
+    _, facet, facet_trace = step.inputs
+    assert len(reduced.vertices) == 6
+    assert facet_trace.verdict == "Indecomposable"
     # The base facet of the removed apex is a triangle of the prism.
-    assert len(red.facet) == 3
+    assert len(facet) == 3
 
 
 def test_pyramid_reduction_ignores_non_stacked_sums():
@@ -720,8 +782,8 @@ def test_replay_rejects_bad_seed():
         rule="SimpleExtension",
         inputs=("seed", (0, 3)),
         conclusion="polytope-indecomposable",
-        vertices=(0, 3),
-        edges=((0, 3),),
+        vertices=frozenset({0, 3}),
+        edges=frozenset({(0, 3)}),
     )
     trace = assemble_trace(final, "Indecomposable", "seed only")
     ok, why = replay_report(trace, OCTA)
@@ -733,8 +795,8 @@ def test_replay_rejects_uncovering_graph():
         rule="SimpleExtension",
         inputs=("seed", (0, 1)),
         conclusion="polytope-indecomposable",
-        vertices=(0, 1),
-        edges=((0, 1),),
+        vertices=frozenset({0, 1}),
+        edges=frozenset({(0, 1)}),
     )
     trace = assemble_trace(final, "Indecomposable", "seed only")
     ok, why = replay_report(trace, OCTA)
@@ -792,7 +854,7 @@ def test_replay_rejects_shephard_on_wrong_facet():
         i for i, f in enumerate(p.facets) if i != fi and len(f) == len(members)
     )
     bad = dataclasses.replace(
-        step, inputs=(other, tuple(p.facets[other])), vertices=tuple(p.facets[other])
+        step, inputs=(other, tuple(p.facets[other])), vertices=frozenset(p.facets[other])
     )
     ok, why = replay_report(assemble_trace(bad, trace.verdict, ""), p)
     assert not ok
@@ -825,21 +887,37 @@ def test_replay_refuses_a_cycle_on_a_negative_vertex():
         rule="IndependentCycle",
         inputs=((-1, 0, 1),),
         conclusion="graph-indecomposable",
-        vertices=(-1, 0, 1),
-        edges=((-1, 0), (-1, 1), (0, 1)),
+        vertices=frozenset({-1, 0, 1}),
+        edges=frozenset({(-1, 0), (-1, 1), (0, 1)}),
     )
     final = CertificateStep(
         rule="TwoGraphCover",
-        inputs=(closure.step, cycle, closure.step),
+        inputs=(closure, cycle, closure),
         conclusion="polytope-indecomposable",
-        vertices=tuple(sorted(closure.vertices)),
-        edges=tuple(sorted(closure.edges)),
+        vertices=closure.vertices,
+        edges=closure.edges,
     )
     trace = assemble_trace(final, "Indecomposable", "")
     with pytest.raises(RuleNotApplicableError):
         independent_cycle(OCTA_SKEL, (-1, 0, 1))
     ok, why = replay_report(trace, OCTA)
     assert not ok and "IndependentCycle" in why and "missing from the graph" in why, why
+
+
+def test_replay_rejects_a_graph_step_whose_sets_are_tuples():
+    """Replay compares a step's recorded sets with the re-derived step's
+    directly: the same members listed in sorted tuples are not the step
+    the rule makes, on the first step (which later steps refer to) or on
+    the last."""
+    p = cyclic(8, 4)
+    trace = analyze(p).trace
+    for k in (0, len(trace.steps) - 1):
+        step = trace.steps[k]
+        for field in ("vertices", "edges"):
+            bad = dataclasses.replace(step, **{field: tuple(sorted(getattr(step, field)))})
+            tampered = CertificateTrace(_rebuilt(trace.steps, k, bad), trace.verdict, "")
+            ok, why = replay_report(tampered, p)
+            assert not ok and "result sets do not match" in why, (k, field, why)
 
 
 def test_replay_refuses_a_count_step_renamed_against_its_tag():
@@ -862,14 +940,14 @@ def test_replay_refuses_a_graph_rule_over_a_facet_slide():
     assert slide.rule == "ShephardFacet"
     skel = skeleton(p)
     closure = simple_extension_closure(skel, (0, 1))
-    covered = set(slide.vertices) | closure.vertices
+    covered = slide.vertices | closure.vertices
     assert touches_every_facet(covered, p)
     forged = CertificateStep(
         rule="UnionSharedPair",
-        inputs=(slide, closure.step, tuple(sorted(set(slide.vertices) & closure.vertices)[:2])),
+        inputs=(slide, closure, tuple(sorted(slide.vertices & closure.vertices)[:2])),
         conclusion="polytope-indecomposable",
-        vertices=tuple(sorted(covered)),
-        edges=tuple(sorted(closure.edges)),
+        vertices=covered,
+        edges=closure.edges,
     )
     ok, why = replay_report(assemble_trace(forged, "Indecomposable", ""), p)
     assert not ok and "not an earlier graph step" in why, why
@@ -889,9 +967,7 @@ def _hand_built_traces():
     cover = two_graph_cover(OCTA, c1, independent_cycle(OCTA_SKEL, (2, 3, 4)))
     p = simplex(3)
     vs = next(vs for vs in certificates._independent_cycles(p, 4) if touches_every_facet(vs, p))
-    cycle = certificates._close_by_coverage(
-        independent_cycle(skeleton(p), vs), p, "cycle touches every facet"
-    )
+    cycle = _covering_trace(p, independent_cycle(skeleton(p), vs), "cycle touches every facet")
     return [(OCTA, cover), (p, cycle)]
 
 
@@ -939,6 +1015,13 @@ def _tampered_value(x, rng, n):
     return rng.choice(["seed", None, 0, ()])
 
 
+def _tampered_set(x, rng, n):
+    """`_tampered_value` on a set's members in ascending order, made a
+    set again when it comes back a tuple."""
+    x = _tampered_value(tuple(sorted(x)), rng, n)
+    return frozenset(x) if isinstance(x, tuple) else x
+
+
 def _tampered(trace, rng, n, foreign):
     """One random field mutation of a trace: one step's rule, conclusion,
     note, an input (a step reference redirected, a nested certificate
@@ -980,18 +1063,18 @@ def _tampered(trace, rng, n, foreign):
             x = _tampered_value(x, rng, n)
         new = dataclasses.replace(step, inputs=step.inputs[:i] + (x,) + step.inputs[i + 1:])
     elif field == "vertices":
-        new = dataclasses.replace(step, vertices=_tampered_value(step.vertices, rng, n))
+        new = dataclasses.replace(step, vertices=_tampered_set(step.vertices, rng, n))
     else:
         edges = step.edges
         how = rng.randrange(4)
         if how == 0 or not edges:
             a, b = rng.randrange(n), rng.randrange(n)
-            edges = edges + ((min(a, b), max(a, b)),)
+            edges = edges | {(min(a, b), max(a, b))}
         elif how == 1:
-            j = rng.randrange(len(edges))
-            edges = edges[:j] + (edges[j][::-1],) + edges[j + 1:]
+            e = sorted(edges)[rng.randrange(len(edges))]
+            edges = (edges - {e}) | {e[::-1]}
         else:
-            edges = _tampered_value(edges, rng, n)
+            edges = _tampered_set(edges, rng, n)
         new = dataclasses.replace(step, edges=edges)
     return CertificateTrace(_rebuilt(steps, k, new), trace.verdict, trace.coverage_note)
 
@@ -1354,7 +1437,7 @@ def test_replay_rejects_a_forged_reduction_on_cube():
         rule="PyramidReduction",
         inputs=(0, (0, 1, 2), sub),
         conclusion=certificates.STATUS_EQUIVALENT,
-        vertices=(0, 1, 2),
+        vertices=frozenset({0, 1, 2}),
     )
     trace = analyze(p).trace
     tampered = CertificateTrace((forged,) + trace.steps, trace.verdict, "")
