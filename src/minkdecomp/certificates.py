@@ -46,6 +46,7 @@ from .errors import (
 from .graphs import (
     DecomposingFunction,
     GeometricGraph,
+    OracleResult,
     Slide,
     _edge_ratios,
     _homothety_fit,
@@ -658,10 +659,10 @@ def pyramid_reduction(p: Polytope) -> Optional[Tuple[CertificateStep, Polytope]]
             reduced, fmem, facet = _stacked_facet(p, u)
         except RuleNotApplicableError:
             continue
-        sub = analyze(facet)
-        if sub.verdict != INDECOMPOSABLE or sub.trace is None:
+        _, closed = _decide(facet)
+        if closed is None or closed[0].verdict != INDECOMPOSABLE:
             continue
-        return _reduction_step(u, fmem, sub.trace), reduced
+        return _reduction_step(u, fmem, closed[0]), reduced
     return None
 
 
@@ -870,6 +871,23 @@ def _certificate_pipeline(
     return trace, slide
 
 
+def _decide(
+    p: Polytope,
+) -> Tuple[OracleResult, Optional[Tuple[CertificateTrace, Optional[Slide]]]]:
+    """The rank oracle's answer and the rule pipeline's, the graph search
+    run only when the oracle said Indecomposable.  A certificate the
+    oracle contradicts raises EngineInconsistencyError.  No witness is
+    handed out, so a pyramid reduction decides its facet with this and
+    builds none it would discard."""
+    o = oracle_verdict(p)
+    closed = _certificate_pipeline(p, search=o.verdict == INDECOMPOSABLE)
+    if closed is not None and closed[0].verdict != o.verdict:
+        raise EngineInconsistencyError(
+            f"certificate says {closed[0].verdict} but the rank oracle says {o.verdict}"
+        )
+    return o, closed
+
+
 def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     """Decide decomposability.  In certificates-first mode the rank oracle
     runs first, then the rule pipeline: the direct stages and pyramid
@@ -880,12 +898,13 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     when a count rule closes the trace, else "certificate", and "oracle"
     when no rule closes it.
 
-    A Decomposable report carries a witness, the oracle's or the facet
-    slide's, unless a count rule decided it.  The facet slide comes out
-    of the pipeline in integers, lifted through any pyramid reductions
-    (`_lift_witness`), and is handed out once, here
+    Every Decomposable report carries a witness: the facet slide's when
+    the slide closes the trace, else the oracle's, which a count rule's
+    verdict gets too, since a count rule decides without one.  The facet
+    slide comes out of the pipeline in integers, lifted through any
+    pyramid reductions (`_lift_witness`), and is handed out once, here
     (`graphs._slide_witness`), the only place its `Fraction`s are made.
-    The witness is checked once more before `analyze` returns: `check`
+    Its witness is checked once more before `analyze` returns: `check`
     clears its images to integers and tests every edge against its
     recorded scalar by cross-multiplication, and since a polytope
     skeleton is connected, a decomposing function on it is a homothety
@@ -895,19 +914,16 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
         raise InvalidInputError(f"unknown mode {mode!r}")
     fv = p.f_vector()
     notes = tuple(c.render() for c in count_rules(p.dim, fv.v, fv.e, fv.f))
-    o = oracle_verdict(p)
     if mode == "oracle-only":
-        return AnalysisReport(o.verdict, "oracle", None, o.dimension, fv, notes, o.witness)
-    closed = _certificate_pipeline(p, search=o.verdict == INDECOMPOSABLE)
+        o, closed = oracle_verdict(p), None
+    else:
+        o, closed = _decide(p)
     if closed is None:
         return AnalysisReport(o.verdict, "oracle", None, o.dimension, fv, notes, o.witness)
     trace, slide = closed
-    if trace.verdict != o.verdict:
-        raise EngineInconsistencyError(
-            f"certificate says {trace.verdict} but the rank oracle says {o.verdict}"
-        )
-    witness = None
-    if slide is not None:
+    if slide is None:
+        witness = o.witness
+    else:
         g = skeleton(p)
         witness = _slide_witness(g.int_coords()[1], slide)
         if not witness.check(g) or _equal_scalars(witness.edge_scalars):

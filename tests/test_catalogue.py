@@ -95,7 +95,9 @@ def test_status_split():
     assert len(entries) - len(ind) == 25
 
 
-def test_a_decomposable_report_has_a_witness_unless_a_count_rule_decided_it():
+def test_every_decomposable_report_has_a_witness_that_checks():
+    """A count rule decides without a witness, so its Decomposable
+    report carries the oracle's, the one oracle-only mode hands out."""
     count_ruled = set()
     for e in catalogue_list():
         p = e.build()
@@ -103,9 +105,8 @@ def test_a_decomposable_report_has_a_witness_unless_a_count_rule_decided_it():
         if r.verdict != "Decomposable":
             assert r.witness is None, e.name
             continue
-        assert (r.witness is None) == (r.method == "count-rule"), e.name
-        if r.witness is None:
+        assert r.witness is not None and r.witness.check(skeleton(p)), e.name
+        if r.method == "count-rule":
             count_ruled.add(e.name)
-        else:
-            assert r.witness.check(skeleton(p)), e.name
+            assert r.witness == analyze(p, "oracle-only").witness, e.name
     assert count_ruled == {"cube-3", "pentagonal-prism", "delta-1-2", "wedge-3"}

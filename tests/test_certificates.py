@@ -1459,23 +1459,27 @@ def test_analyze_fits_the_oracle_witness_only_when_it_hands_it_out(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(graphs, "_residue", record)
-    # Closed by the facet slide and by a count rule: no fit.
+    # Closed by the facet slide: no fit.
     assert analyze(capped_prism()).method == "certificate"
-    assert analyze(cube(3)).method == "count-rule"
     assert not fits
+    # Closed by a count rule, which has no witness of its own: one fit,
+    # handed out.
+    r = analyze(cube(3))
+    assert (r.verdict, r.method, len(fits)) == ("Decomposable", "count-rule", 1)
+    assert r.witness.check(skeleton(cube(3)))
     # Closed by the oracle, and oracle-only: one fit each, handed out.
     p = catalogue_entry("sum-25-edges").build()
     r = analyze(p)
-    assert (r.verdict, r.method, len(fits)) == ("Decomposable", "oracle", 1)
+    assert (r.verdict, r.method, len(fits)) == ("Decomposable", "oracle", 2)
     assert r.witness.check(skeleton(p))
     r = analyze(capped_prism(), "oracle-only")
-    assert len(fits) == 2
+    assert len(fits) == 3
     assert r.witness.check(skeleton(capped_prism()))
     # The deferred witness is fitted once, on first read.
     o = graphs.oracle_verdict(p)
-    assert len(fits) == 2
-    assert o.witness is o.witness
     assert len(fits) == 3
+    assert o.witness is o.witness
+    assert len(fits) == 4
 
 
 # ---------------------------------------------------------------------------
