@@ -32,6 +32,7 @@ and reads the method off the trace's closing step.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -369,10 +370,8 @@ def _cover_gaps(
     """The shared and the uncovered vertices of two certified graphs,
     ascending.  Refused unless both are skeleton subgraphs that share a
     vertex and together miss at most d-2 vertices."""
-    skel_edges = set(skel.edges)
-    for c in (c1, c2):
-        if not c.edges <= skel_edges:
-            raise RuleNotApplicableError("certified graph is not a skeleton subgraph")
+    if not (c1.edges | c2.edges).issubset(skel.edges):
+        raise RuleNotApplicableError("certified graph is not a skeleton subgraph")
     shared = sorted(c1.vertices & c2.vertices)
     if not shared:
         raise RuleNotApplicableError("the graphs share no vertex")
@@ -708,6 +707,11 @@ class AnalysisReport:
     witness: Optional[DecomposingFunction] = None
 
 
+# What a pipeline stage returns: None, or the trace that closes the case
+# with, when the facet slide closed it, the integer slide.
+Closed = Optional[Tuple[CertificateTrace, Optional[Slide]]]
+
+
 def _count_step(p: Polytope, tag: Optional[str] = None) -> CertificateStep:
     """The count-rule step from the first unconditional count rule that
     p's counts meet, or from the one tagged `tag`."""
@@ -729,7 +733,7 @@ def _count_step(p: Polytope, tag: Optional[str] = None) -> CertificateStep:
     )
 
 
-def _stages_direct(p: Polytope) -> Optional[Tuple[CertificateTrace, Optional[Slide]]]:
+def _stages_direct(p: Polytope) -> Closed:
     """Stages that need no search: apex, unconditional count rules, facet
     slide.  The trace comes with the integer slide when the facet slide
     closes it."""
@@ -768,39 +772,32 @@ def _stages_search(p: Polytope) -> Optional[CertificateTrace]:
         fragments.append(step)
         return True
 
-    def close(step: CertificateStep, why: str) -> Optional[CertificateTrace]:
-        try:
-            return assemble_trace(_covered(p, skel, step, why), INDECOMPOSABLE, why)
-        except RuleNotApplicableError:
-            return None
+    def close(step: CertificateStep, why: str) -> CertificateTrace:
+        return assemble_trace(_covered(p, skel, step, why), INDECOMPOSABLE, why)
 
     for e in skel.edges:
         step = simple_extension_closure(skel, e)
         if add_fragment(step):
-            trace = close(step, "extension closure touches every facet")
-            if trace is not None:
-                return trace
+            with suppress(RuleNotApplicableError):
+                return close(step, "extension closure touches every facet")
     for k, vs in enumerate(_independent_cycles(p, p.dim + 1)):
         step = independent_cycle(skel, vs)
-        trace = close(step, "cycle touches every facet")
-        if trace is not None:
-            return trace
+        with suppress(RuleNotApplicableError):
+            return close(step, "cycle touches every facet")
         if k < CYCLE_FRAGMENT_LIMIT:
             add_fragment(step)
     for i in range(len(fragments)):
         for j in range(i, len(fragments)):
-            try:
+            with suppress(RuleNotApplicableError):
                 return two_graph_cover(p, fragments[i], fragments[j])
-            except RuleNotApplicableError:
-                continue
     return None
 
 
 def _lift_witness(slide: Slide, red: CertificateStep, outer: Polytope) -> Slide:
-    """Extend an integer slide across one pyramid reduction, read off its
-    step's apex and stacked-facet inputs: the apex
-    follows the homothety the slide restricts to on the stacked facet,
-    the unique extension under the status equivalence.
+    """Extend an integer slide across one pyramid reduction, whose step
+    gives the apex and the stacked facet: the apex follows the homothety
+    the slide restricts to on the stacked facet, the unique extension
+    under the status equivalence.
 
     It runs in integers on the one homothety fit (`graphs._homothety_fit`).
     The slide's images F = D*f are re-indexed past the apex.  The fit of
@@ -833,9 +830,7 @@ def _lift_witness(slide: Slide, red: CertificateStep, outer: Polytope) -> Slide:
     return fs, nq * den, ratios
 
 
-def _certificate_pipeline(
-    p: Polytope, search: bool
-) -> Optional[Tuple[CertificateTrace, Optional[Slide]]]:
+def _certificate_pipeline(p: Polytope, search: bool) -> Closed:
     """Direct stages and pyramid reductions, then the graph search if
     `search` is set.  The search can only prove indecomposability, so
     the caller clears `search` once the oracle has said Decomposable.
@@ -871,14 +866,11 @@ def _certificate_pipeline(
     return trace, slide
 
 
-def _decide(
-    p: Polytope,
-) -> Tuple[OracleResult, Optional[Tuple[CertificateTrace, Optional[Slide]]]]:
+def _decide(p: Polytope) -> Tuple[OracleResult, Closed]:
     """The rank oracle's answer and the rule pipeline's, the graph search
-    run only when the oracle said Indecomposable.  A certificate the
-    oracle contradicts raises EngineInconsistencyError.  No witness is
-    handed out, so a pyramid reduction decides its facet with this and
-    builds none it would discard."""
+    run only when the oracle said Indecomposable; a certificate the
+    oracle contradicts raises EngineInconsistencyError.  It hands out no
+    witness, so a pyramid reduction decides its facet with it."""
     o = oracle_verdict(p)
     closed = _certificate_pipeline(p, search=o.verdict == INDECOMPOSABLE)
     if closed is not None and closed[0].verdict != o.verdict:
