@@ -659,9 +659,8 @@ def pyramid_reduction(p: Polytope) -> Optional[Tuple[CertificateStep, Polytope]]
         except RuleNotApplicableError:
             continue
         _, closed = _decide(facet)
-        if closed is None or closed[0].verdict != INDECOMPOSABLE:
-            continue
-        return _reduction_step(u, fmem, closed[0]), reduced
+        if closed is not None and closed[0].verdict == INDECOMPOSABLE:
+            return _reduction_step(u, fmem, closed[0]), reduced
     return None
 
 
