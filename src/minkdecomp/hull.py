@@ -28,7 +28,7 @@ apply the guard; the prune does not, and the `from_vertices` call on
 the points it keeps applies it.
 """
 
-from math import comb, log10
+from math import log10
 from typing import List, Sequence, Tuple
 
 from . import kernels
@@ -136,17 +136,24 @@ def _scan_masks(ints: Sequence[Sequence[int]], d: int):
 def admit(n: int, d: int) -> None:
     """Refuse (GuardExceededError) a hull of n points in R^d with more
     than `SUBSET_GUARD` d-subsets.  The message gives C(n, d) in full
-    when it has at most 15 digits, and its digit count otherwise; n
-    likewise."""
-    subsets = comb(n, d)
+    when it is below 10^15, and ">= 10^15" otherwise; n in full when it
+    has at most 15 digits, and its digit count otherwise.
+
+    C(n, d) is never computed in full: C(n, k) = C(n, k-1) (n-k+1) / k
+    does not decrease for k up to min(d, n-d), where it reaches C(n, d),
+    so the product stops once it reaches 10^15."""
+    subsets = 1
+    for k in range(1, min(d, n - d) + 1):
+        subsets = subsets * (n - k + 1) // k
+        if subsets >= 10**15:
+            break
     if subsets <= SUBSET_GUARD:
         return
-    if subsets < 10**15:
-        count = f"C({n},{d}) = {subsets} d-subsets"
-    else:
-        points = str(n) if n < 10**15 else f"{_digits(n)}-digit n"
-        count = f"C({points},{d}), a {_digits(subsets)}-digit number of d-subsets,"
-    raise GuardExceededError(f"{count} exceeds the guard of {SUBSET_GUARD}")
+    points = str(n) if n < 10**15 else f"{_digits(n)}-digit n"
+    count = f"= {subsets}" if subsets < 10**15 else ">= 10^15"
+    raise GuardExceededError(
+        f"C({points},{d}) {count} d-subsets exceeds the guard of {SUBSET_GUARD}"
+    )
 
 
 def _digits(x: int) -> int:

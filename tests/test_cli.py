@@ -254,12 +254,17 @@ def test_construct_cube_above_the_guard_exit_code(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "d,count",
-    [(6, "C(64,6) = 74974368 d-subsets"), (40, "434-digit"), (300, "26479-digit")],
+    [
+        (6, "C(64,6) = 74974368 d-subsets"),
+        (40, "C(1099511627776,40) >= 10^15 d-subsets"),
+        (300, "C(91-digit n,300) >= 10^15 d-subsets"),
+        (5000, "C(1506-digit n,5000) >= 10^15 d-subsets"),
+    ],
 )
 def test_guard_refusal_is_one_short_line(capsys, d, count):
-    # A count of up to 15 digits is printed in full, a longer one by its
-    # digit count: C(2^40, 40) has 434 digits, and C(2^300, 300) more
-    # than `str` converts (4300).
+    # A count below 10^15 is printed in full, a larger one as ">= 10^15",
+    # and n by its digit count past 15 digits.  C(2^5000, 5000) is never
+    # computed: its partial products stop at 10^15.
     code, out, err = run(capsys, "construct", "cube", "--d", str(d))
     assert code == 3 and out == "" and "exceeds the guard" in err
     assert count in err
