@@ -11,8 +11,9 @@ The space is computed per connected component through the cycle space
 (Kallay 1982): an edge-scalar assignment extends to a decomposing
 function iff it sums to zero (weighted by edge directions) around every
 fundamental cycle, and the extension is then unique up to translation.
-This solves a system over the edge scalars only, much smaller than the
-naive system over all vertex images, with an identical kernel dimension.
+The trees come from `_bfs_forest`, the module's only graph walk.  This
+solves a system over the edge scalars only, much smaller than the naive
+system over all vertex images, with an identical kernel dimension.
 
 The system is then contracted over triangles (McMullen 1987; the
 "triangular faces" method): every 3-cycle whose points are not collinear
@@ -44,18 +45,19 @@ integer ratio, verified edge by edge) until `_slide_witness` makes its
 `Fraction`s once.
 
 A polytope's graph (`skeleton`) takes the polytope's cached edges,
-adjacency and integer coordinates as they are.
+adjacency and integer coordinates as they are.  It is refused unless
+connected, as every polytope's skeleton is (Balinski 1961), so the
+oracle and every equal-scalar homothety test see one component;
+`decomposing_space` takes a `GeometricGraph` with any number.
 
 `oracle_verdict` builds no basis.  It stops at the dimension when that
-is d + 1, and otherwise expands the edge rows only until the first one
-whose scalars differ, the first element of the basis that is not a
-homothety; that one's images and homothety fit are built only when the
-witness is read.
+is d + 1, and otherwise takes the first edge row, the first element of
+the basis that is not a homothety; its images and homothety fit are
+built only when the witness is read.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -126,23 +128,7 @@ class GeometricGraph:
 
     def components(self) -> List[List[int]]:
         """Connected components (vertex id lists, each sorted), sorted."""
-        seen = set()
-        comps = []
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            queue = deque([start])
-            seen.add(start)
-            comp = []
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
-                for y in self._adjacency[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            comps.append(sorted(comp))
-        return comps
+        return [sorted(order) for _, order, _, _ in _bfs_forest(self)]
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
@@ -248,10 +234,11 @@ def skeleton(p: Polytope) -> GeometricGraph:
     (`Polytope.edges`, `Polytope._adjacency`, `Polytope.int_coords`),
     taken as they are: the edges are derived sorted, with u < v and no
     repeats, so the graph skips the normalising and checking that
-    `GeometricGraph` does for edges given by hand.  The one check kept
-    refuses an edge whose endpoints share coordinates, which only a
-    `Polytope` built in code with a repeated vertex can have; it compares
-    the integer tuples."""
+    `GeometricGraph` does for edges given by hand.  It keeps two checks,
+    for what only an unvalidated `Polytope` can have: an edge whose
+    endpoints share coordinates (compared as integer tuples) and a
+    disconnected graph, both InvalidInputError.  `analyze`, `_decide`
+    and `replay` build it before any rule or the oracle runs."""
     return p._derived("skeleton", lambda: _build_skeleton(p))
 
 
@@ -270,28 +257,35 @@ def _build_skeleton(p: Polytope) -> GeometricGraph:
         ("_ints", (dict(enumerate(ints)), mult)),
     ):
         object.__setattr__(g, name, value)
+    trees = len(_bfs_forest(g))
+    if trees != 1:
+        raise InvalidInputError(f"skeleton is disconnected: {trees} components")
     return g
 
 
-def _bfs_tree(g: GeometricGraph, comp: Sequence[int]):
-    """Rooted spanning tree of one connected component (as `components`
-    lists it): parent map, vertices in BFS order, the component's edges
-    and its tree edges."""
-    comp_set = set(comp)
-    comp_edges = [e for e in g.edges if e[0] in comp_set]
-    root = comp[0]
-    parent: Dict[int, Optional[int]] = {root: None}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                queue.append(y)
-    tree_edges = set(edge_key(v, parent[v]) for v in parent if parent[v] is not None)
-    return parent, order, comp_edges, tree_edges
+def _bfs_forest(g: GeometricGraph):
+    """One rooted BFS spanning tree per connected component: its parent
+    map, its vertices in BFS order, its edges (in g.edges order) and its
+    tree edges.  Components come in order of their smallest vertex, each
+    rooted there and walked over the sorted adjacency."""
+    adjacency = g._adjacency
+    forest = []
+    seen = set()
+    for root in sorted(g.vertices):
+        if root in seen:
+            continue
+        parent: Dict[int, Optional[int]] = {root: None}
+        order = [root]
+        # The order grows behind the walk, so it is the walk's queue.
+        for x in order:
+            for y in adjacency[x]:
+                if y not in parent:
+                    parent[y] = x
+                    order.append(y)
+        seen.update(order)
+        comp_edges = [e for e in g.edges if e[0] in parent]
+        forest.append((parent, order, comp_edges, {edge_key(v, parent[v]) for v in order[1:]}))
+    return forest
 
 
 def triangle_classes(
@@ -387,11 +381,12 @@ def cycle_rows(
 
 
 def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
-    """The integer core of the decomposing space: per connected component,
-    its BFS tree, the column of each of its edges in the contracted cycle
-    system (`triangle_classes`) and that system's integer kernel basis
-    (`linalg.int_kernel_basis`).  The space has dimension d per component
-    plus the total number of kernel vectors.
+    """The integer core of the decomposing space: for each tree of
+    `_bfs_forest`, that tree, the column of each of its component's edges
+    in the contracted cycle system (`triangle_classes`) and that system's
+    integer kernel basis (`linalg.int_kernel_basis`).  The space has
+    dimension d per component plus the total number of kernel vectors.
+    A polytope's skeleton gives one tree.
 
     With one class, as on every simplicial polytope of dimension 3 or
     more, each cycle row sums the edge directions around a closed walk
@@ -400,8 +395,7 @@ def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
     if not g.edges:
         raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
     out = []
-    for comp in g.components():
-        tree = _bfs_tree(g, comp)
+    for tree in _bfs_forest(g):
         comp_edges = tree[2]
         cols: List[int] = []
         kernel: List[List[int]] = []
@@ -412,7 +406,7 @@ def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
             else:
                 _, kernel = int_kernel_basis(cycle_rows(xs, tree, col_of, k), k)
             cols = [col_of[e] for e in comp_edges]
-        out.append((comp, tree, cols, kernel))
+        out.append((tree, cols, kernel))
     return out
 
 
@@ -478,12 +472,12 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
     basis: List[DecomposingFunction] = []
     zero_images = {v: zero_vec(d) for v in g.vertices}
     zero_scalars = {e: Fraction(0) for e in g.edges}
-    for comp, tree, cols, kernel in _component_kernels(g, xs):
+    for tree, cols, kernel in _component_kernels(g, xs):
         # Translations: d dimensions per component.
         for j in range(d):
             images = dict(zero_images)
             shift = Vec(int(k == j) for k in range(d))
-            for v in comp:
+            for v in tree[1]:
                 images[v] = shift
             basis.append(DecomposingFunction(images, dict(zero_scalars)))
         total += d + len(kernel)
@@ -505,7 +499,7 @@ def is_indecomposable_graph(g: GeometricGraph) -> bool:
         raise InvalidInputError("graph vertices must affinely span the ambient dimension")
     # One component, so the dimension is d plus its kernel size; no
     # basis is built.
-    ((_, _, _, kernel),) = _component_kernels(g, g.int_coords()[0])
+    ((_, _, kernel),) = _component_kernels(g, g.int_coords()[0])
     return len(kernel) == 1
 
 
@@ -608,47 +602,32 @@ class OracleResult:
 
 
 def oracle_verdict(p: Polytope) -> OracleResult:
-    """Kallay's criterion on the whole skeleton, decided by exact rank.
+    """Kallay's criterion on the skeleton, decided by exact rank.
 
     Indecomposable exactly when the decomposing space has dimension d+1,
-    which the integer kernels of `_component_kernels` give over the
-    polytope's cached integer coordinates, with no basis built.
-    Otherwise the witness is the homothety residue of the first basis
-    element of `decomposing_space` that is not a homothety.  A polytope
-    skeleton is connected, and on a connected graph a decomposing
-    function is a homothety iff all its edge scalars are equal, so the
-    translations (all scalars 0) and any other homothety are skipped
-    without a fit: the witness comes from the first edge row (`_edge_rows`)
-    whose scalars differ, its images summed in integers.  On a graph
-    with several components every edge row counts, as its scalars are 0
-    on the other components' edges.
-
-    That edge row is found before returning, so a dimension above d+1
-    with no such row raises InvalidInputError on every call; its images
-    and residue are built only when the result's witness is read.
+    which the integer kernel of `_component_kernels` gives over the
+    polytope's cached integer coordinates, with no basis built; the
+    skeleton is connected, so it has one component.  Otherwise the
+    witness is the homothety residue of the first basis element of
+    `decomposing_space` that is not a homothety, the first edge row
+    (`_edge_rows`): on a connected graph a homothety has equal edge
+    scalars, and with two or more rows each is 1 at its own free column
+    and 0 at the others'.  Its images, summed in integers, and its
+    residue are built only when the result's witness is read.
     """
     g = skeleton(p)
     xs, mult = g.int_coords()
-    comps = _component_kernels(g, xs)
-    dim = sum(p.dim + len(kernel) for _, _, _, kernel in comps)
-    if dim == p.dim + 1:
+    ((tree, cols, kernel),) = _component_kernels(g, xs)
+    dim = p.dim + len(kernel)
+    if len(kernel) == 1:
         return OracleResult("Indecomposable", dim, None)
-    zero = (0,) * p.dim
-    for _, tree, cols, kernel in comps:
-        whole = len(tree[2]) == len(g.edges)
-        for lam, den in _edge_rows(cols, kernel):
-            if whole and len(set(lam)) == 1:
-                continue
+    lam, den = _edge_rows(cols, kernel)[0]
 
-            def fit() -> DecomposingFunction:
-                sums = _tree_sums(xs, tree, lam)
-                fs = [sums.get(v, zero) for v in xs]
-                return _residue(g, xs, mult, fs, den * mult)
+    def fit() -> DecomposingFunction:
+        sums = _tree_sums(xs, tree, lam)
+        return _residue(g, xs, mult, [sums[v] for v in xs], den * mult)
 
-            return OracleResult("Decomposable", dim, _PendingWitness(fit))
-    raise InvalidInputError(
-        "oracle dimension exceeds d+1 but every basis element is a homothety"
-    )
+    return OracleResult("Decomposable", dim, _PendingWitness(fit))
 
 
 def touches_every_facet(s, p: Polytope) -> bool:

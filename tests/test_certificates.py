@@ -49,7 +49,13 @@ from minkdecomp.errors import (
     InvalidInputError,
     RuleNotApplicableError,
 )
-from minkdecomp.graphs import DecomposingFunction, edge_key, skeleton, touches_every_facet
+from minkdecomp.graphs import (
+    DecomposingFunction,
+    GeometricGraph,
+    edge_key,
+    skeleton,
+    touches_every_facet,
+)
 from minkdecomp.linalg import Vec, int_hyperplane, int_side
 from minkdecomp.polytope import (
     Polytope,
@@ -389,12 +395,13 @@ def test_integer_slide_matches_rational_reference():
 def test_slide_that_moves_nothing_is_refused():
     # Not a valid polytope: point 6 lies on the bottom facet's plane but in
     # no facet, so the bottom slides down by nothing and the witness is
-    # the identity, a homothety.
+    # the identity, a homothety.  Point 6 has no edge, so `skeleton`
+    # refuses the graph as disconnected; the slide gets it built by hand.
     vertices = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1),
                 (Fraction(1, 4), Fraction(1, 4), 0)]
     facets = ((0, 1, 2), (3, 4, 5), (0, 1, 3, 4), (1, 2, 4, 5), (0, 2, 3, 5))
     p = Polytope(3, tuple(Vec(v) for v in vertices), facets)
-    skel = skeleton(p)
+    skel = GeometricGraph(3, dict(enumerate(p.vertices)), p.edges())
     for slide in (certificates._shephard_slide, reference_shephard_witness):
         with pytest.raises(EngineInconsistencyError, match="degenerated to a homothety"):
             slide(p, skel, 0)

@@ -41,7 +41,7 @@ from minkdecomp.graphs import (
     DecomposingFunction,
     GeometricGraph,
     OracleResult,
-    _bfs_tree,
+    _bfs_forest,
     cycle_rows,
     decomposing_space,
     edge_key,
@@ -226,11 +226,7 @@ def basis_oracle_verdict(p):
     dim, basis = decomposing_space(g)
     if dim == p.dim + 1:
         return OracleResult("Indecomposable", dim, None)
-    f = next((f for f in basis if len(set(f.edge_scalars.values())) > 1), None)
-    if f is None:
-        raise InvalidInputError(
-            "oracle dimension exceeds d+1 but every basis element is a homothety"
-        )
+    f = next(f for f in basis if len(set(f.edge_scalars.values())) > 1)
     return OracleResult("Decomposable", dim, homothety_residue(g, f))
 
 
@@ -246,12 +242,11 @@ def identity_decomposing_space(g):
     basis = []
     zero_images = {v: zero_vec(d) for v in g.vertices}
     zero_scalars = {e: Fraction(0) for e in g.edges}
-    for comp in g.components():
-        tree = _bfs_tree(g, comp)
+    for tree in _bfs_forest(g):
         parent, order, comp_edges, _ = tree
         for j in range(d):
             images = dict(zero_images)
-            for v in comp:
+            for v in order:
                 images[v] = Vec(int(k == j) for k in range(d))
             basis.append(DecomposingFunction(images, dict(zero_scalars)))
         total += d
@@ -266,7 +261,7 @@ def identity_decomposing_space(g):
             scalars.update(zip(comp_edges, lam))
             (lam_ints,), den = as_int_coords([lam])
             lam_of = dict(zip(comp_edges, lam_ints))
-            sums = {comp[0]: (0,) * d}
+            sums = {order[0]: (0,) * d}
             for v in order[1:]:
                 u = parent[v]
                 s = lam_of[edge_key(u, v)]
@@ -769,27 +764,49 @@ def test_oracle_matches_basis_reference_on_decomposable_sums(n):
     assert res == basis_oracle_verdict(p) == identity_oracle_verdict(p)
 
 
-def test_oracle_raises_when_every_basis_element_is_a_homothety():
+def _edge_graph(p):
+    """p's edges as a hand-built graph, which `skeleton`'s checks skip."""
+    return GeometricGraph(p.dim, dict(enumerate(p.vertices)), p.edges())
+
+
+def test_skeleton_refuses_an_isolated_midpoint_as_disconnected():
     # cyclic(8,4) plus the midpoint of edge (0,1), listed in the six facets
     # through the edge and built without `validate`: the midpoint has no
-    # edge, so its component adds only translations.
+    # edge, so it is a component of its own, which adds only translations.
     p = cyclic(8, 4)
     facets = tuple(f + (8,) if 0 in f and 1 in f else f for f in p.facets)
     q = Polytope(4, p.vertices + ((p.vertices[0] + p.vertices[1]) / 2,), facets)
-    assert len(skeleton(q).components()) == 2
-    for oracle in (oracle_verdict, basis_oracle_verdict):
-        with pytest.raises(InvalidInputError, match="every basis element is a homothety"):
-            oracle(q)
+    g = _edge_graph(q)
+    assert len(g.components()) == 2
+    assert decomposing_space(g)[0] == 5 + 4
+    for build in (skeleton, oracle_verdict, basis_oracle_verdict):
+        with pytest.raises(InvalidInputError, match="skeleton is disconnected: 2 components"):
+            build(q)
 
 
-def test_oracle_matches_basis_reference_on_a_two_component_skeleton():
+def test_skeleton_analyze_and_replay_refuse_two_disjoint_triangles():
     # Two triangles given as the "facets" of one polygon, built without
-    # `validate`: each component's constant scalars are 0 on the other's
-    # edges, so the first one is not a homothety.
+    # `validate`.  A homothety test by equal edge scalars holds only on a
+    # connected graph, so neither the oracle nor a facet slide may decide
+    # it: facet 0 would slide to a "proper summand".
+    from minkdecomp.certificates import CertificateStep, CertificateTrace, analyze, replay_report
+
     pts = [(0, 0), (2, 0), (0, 2), (5, 5), (7, 5), (Fraction(11, 2), 8)]
     facets = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
     p = Polytope(2, tuple(Vec(x) for x in pts), facets)
-    assert len(skeleton(p).components()) == 2
-    res = oracle_verdict(p)
-    assert (res.verdict, res.dimension) == ("Decomposable", 6)
-    assert res == basis_oracle_verdict(p)
+    g = _edge_graph(p)
+    assert len(g.components()) == 2
+    assert decomposing_space(g)[0] == 3 + 3
+    refusal = "skeleton is disconnected: 2 components"
+    for decide in (skeleton, oracle_verdict, basis_oracle_verdict):
+        with pytest.raises(InvalidInputError, match=refusal):
+            decide(p)
+    for mode in ("certificates-first", "oracle-only"):
+        with pytest.raises(InvalidInputError, match=refusal):
+            analyze(p, mode)
+    slide = CertificateStep(
+        "ShephardFacet", (0, (0, 1)), "polytope-decomposable", frozenset({0, 1}), frozenset(),
+        "facet slides along its unique outside edges",
+    )
+    trace = CertificateTrace((slide,), "Decomposable", "facet 0 slides to a proper summand")
+    assert replay_report(trace, p) == (False, f"replay error: {refusal}")

@@ -19,7 +19,7 @@ import random
 
 from minkdecomp import kernels
 from minkdecomp.catalogue import catalogue_list
-from minkdecomp.graphs import _bfs_tree, cycle_rows, decomposing_space, skeleton, triangle_classes
+from minkdecomp.graphs import _bfs_forest, cycle_rows, decomposing_space, skeleton, triangle_classes
 from minkdecomp.linalg import int_kernel_basis
 from minkdecomp.polytope import validate
 
@@ -103,8 +103,7 @@ def test_rref_matches_reference_on_library_systems(monkeypatch):
         g = skeleton(p)
         decomposing_space(g)
         xs, _ = g.int_coords()
-        for comp in g.components():
-            tree = _bfs_tree(g, comp)
+        for tree in _bfs_forest(g):
             col_of, k = triangle_classes(xs, tree[2])
             calls.append((cycle_rows(xs, tree, col_of, k), k))
             identity = {e: i for i, e in enumerate(tree[2])}
