@@ -591,11 +591,14 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     conditions are essential; without them the status equivalence fails
     (the apex would absorb other facets).
 
-    It is decided on p's own facets, with no hull built, by three tests:
-    some vertex is not a neighbor of u; the neighbors span a unique
-    hyperplane H, with u strictly beyond it and every other vertex
-    strictly beneath; and every facet through u lies within u and its
-    neighbors.  These hold exactly when the definition does.
+    It is decided on p's own facets, with no hull built, by three tests,
+    in this order: some vertex is not a neighbor of u; every facet
+    through u lies within u and its neighbors; and the neighbors span a
+    unique hyperplane H, with u strictly beyond it and every other vertex
+    strictly beneath.  These hold exactly when the definition does.  The
+    first two read index sets only, and the tests are a conjunction, so
+    the hyperplane is fitted only for a vertex that passes both, and the
+    order changes no answer.
 
     If they hold, no edge of p crosses H, since u's edges end on it, so
     the vertices of P ∩ H⁻ are those of p other than u, and
@@ -604,11 +607,11 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     facet through u meets H⁻ only in a face of H ∩ P.  u lies strictly
     beneath every facet of p that misses it.  Conversely, each test is
     needed.  If every other vertex is a neighbor, the neighbor set is the
-    whole reduced polytope, not a facet of it.  A facet's vertices span
-    its hyperplane, every other vertex lies strictly beneath it, and u
-    must lie strictly beyond: that is the second test.  A facet F through
-    u with a vertex strictly beneath H leaves F ∩ H⁻ a facet of the
-    reduced polytope whose hyperplane holds u.
+    whole reduced polytope, not a facet of it.  A facet F through u with
+    a vertex strictly beneath H leaves F ∩ H⁻ a facet of the reduced
+    polytope whose hyperplane holds u.  A facet's vertices span its
+    hyperplane, every other vertex lies strictly beneath it, and u must
+    lie strictly beyond: that is the third test.
 
     Everything runs in integers: H is fitted on the cached coordinates
     X = mult * x (`linalg.int_hyperplane`, which stops as soon as the
@@ -620,6 +623,10 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     nbrs = p.neighbors(u)
     if len(nbrs) == n - 1:
         return None
+    closed = {u, *nbrs}
+    for members in p.facets:
+        if u in members and not closed.issuperset(members):
+            return None
     ints, _ = p.int_coords()
     plane = int_hyperplane([ints[x] for x in nbrs])
     if plane is None:
@@ -629,14 +636,11 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     others = (int_side(a, b, ints[x]) for x in range(n) if x != u and x not in nbrs)
     if apex_side == 0 or any(side * apex_side >= 0 for side in others):
         return None
-    closed = {u, *nbrs}
     fmem = tuple(x - (x > u) for x in nbrs)
     facets = [fmem]
     for members in p.facets:
         if u not in members:
             facets.append(tuple(sorted(x - (x > u) for x in members)))
-        elif not closed.issuperset(members):
-            return None
     reduced = Polytope(
         p.dim,
         tuple(v for x, v in enumerate(p.vertices) if x != u),

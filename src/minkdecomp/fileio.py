@@ -1,6 +1,9 @@
 """Polytope file format: canonical JSON with exact coordinates.
 
-Coordinates are integers or "p/q" strings, never floats.  Facets are
+Coordinates are integers or "p/q" strings, never floats: a string must
+match -?[0-9]+(/[0-9]+)? in full, with ASCII digits, so "1.5", "1e2",
+" 3/4 ", "1_0" and other scripts' digits, which `Fraction` would take,
+are refused.  Facets are
 optional on input (recomputed under the enumeration guard when absent)
 and always written on output, with members and facet lists sorted, so
 write -> read -> write is byte-identical.  Listed facets must be exactly
@@ -12,6 +15,7 @@ which it builds under the same guard.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -19,6 +23,7 @@ from .linalg import Vec
 from .polytope import Polytope, validate
 
 FORMAT_VERSION = "1"
+_COORD_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _coord_to_json(x: Fraction):
@@ -33,9 +38,12 @@ def _coord_from_json(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        m = _COORD_STRING.fullmatch(x)
+        if m is None:
+            raise InvalidInputError(f"bad coordinate {x!r}: not an integer or 'p/q'")
         try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(int(m[1]), int(m[2] or 1))
+        except ZeroDivisionError as exc:
             raise InvalidInputError(f"bad coordinate {x!r}: {exc}") from exc
     raise InvalidInputError(f"bad coordinate {x!r}")
 

@@ -355,7 +355,9 @@ def cycle_rows(
     path(u) - path(v) plus its own term x_v - x_u: the walk from v up
     the tree and down to u, then along the edge, whose part from the
     root to the lowest common ancestor cancels exactly.  All-zero rows
-    are dropped.
+    are dropped, and so is every repeat of a row, which leaves the row
+    space, and with it the pivots and the kernel basis, unchanged: each
+    distinct row is kept once, in order of first appearance.
     """
     parent, order, comp_edges, tree_edges = tree
     d = len(xs[order[0]])
@@ -366,7 +368,7 @@ def cycle_rows(
         block = path[v] = [row[:] for row in path[u]]
         for row, xu, xv in zip(block, xs[u], xs[v]):
             row[k] += xv - xu
-    rows = []
+    rows: Dict[Tuple[int, ...], List[int]] = {}
     for e in comp_edges:
         if e in tree_edges:
             continue
@@ -376,8 +378,8 @@ def cycle_rows(
             row = [a - b for a, b in zip(pu, pv)]
             row[k] += xv - xu
             if any(row):
-                rows.append(row)
-    return rows
+                rows.setdefault(tuple(row), row)
+    return list(rows.values())
 
 
 def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
@@ -391,7 +393,9 @@ def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
     With one class, as on every simplicial polytope of dimension 3 or
     more, each cycle row sums the edge directions around a closed walk
     and is zero, so the kernel is [[1]] and the system is neither built
-    nor eliminated."""
+    nor eliminated.  Otherwise only the system's distinct rows are
+    eliminated (`cycle_rows`): the kernel basis is the unique one the
+    row space determines."""
     if not g.edges:
         raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
     out = []

@@ -141,6 +141,17 @@ def _divide_gcd(h):
     return tuple(x // g for x in h)
 
 
+def _in_pair_only(common, masks):
+    """Whether at most two of the masks contain common: the pair itself."""
+    seen = 0
+    for m in masks:
+        if m & common == common:
+            seen += 1
+            if seen > 2:
+                return False
+    return True
+
+
 def facet_scan(coords, d):
     """Exact facet enumeration over integer coordinates by incremental
     double description (Fukuda & Prodon 1996).
@@ -157,7 +168,13 @@ def facet_scan(coords, d):
     s+ h- - s- h+ through p, and then the facets with s > 0 are dropped.
     Two facets are adjacent when their common mask has at least d-1
     points and lies in no third facet's mask (the combinatorial test).
-    A new facet's mask is that common mask plus p, since a positive
+    When either mask holds exactly d points, the third-facet scan is
+    skipped: those d tight points span the facet's hyperplane, so they
+    are affinely independent, and the common mask, at least d-1 of them
+    and not all d (two facets never share every point that spans one's
+    hyperplane), spans a (d-2)-flat that lies in both facets.  Their
+    intersection is then a ridge, which lies in no third facet.  A new
+    facet's mask is that common mask plus p, since a positive
     combination is tight exactly where both parts are; so masks hold
     every tight input point, coplanar and non-extreme ones included.
 
@@ -207,18 +224,12 @@ def facet_scan(coords, d):
         if pos:
             masks = [f[1] for f in facets]
             for (hp, mp), sp in pos:
+                simplicial = mp.bit_count() == d
                 for (hn, mn), sn in neg:
                     common = mp & mn
                     if common.bit_count() < d - 1:
                         continue
-                    # Adjacent iff only the pair itself contains common.
-                    seen = 0
-                    for m in masks:
-                        if m & common == common:
-                            seen += 1
-                            if seen > 2:
-                                break
-                    else:
+                    if simplicial or mn.bit_count() == d or _in_pair_only(common, masks):
                         h = [sp * y - sn * x for x, y in zip(hp, hn)]
                         kept.append((_divide_gcd(h), common | bit))
         facets = kept

@@ -24,6 +24,16 @@ the membership test the hull's vertex pruning (`from_vertices`,
 `is_geometric_edge`, the supporting-hyperplane edge test the
 combinatorial edge rule is checked against.
 
+`reference_facet_scan` is the double-description hull with the
+combinatorial adjacency test run by a scan over every facet mask for
+every candidate pair; `kernels.facet_scan` skips the scan when a facet
+of the pair is simplicial and must return the same list in the same
+order.
+
+`reference_cycle_rows` is the cycle-system builder that keeps every
+nonzero row, repeats included; `graphs.cycle_rows` keeps each distinct
+row once, and the kernels eliminated from the two must agree.
+
 `reference_independent_cycles` is the skeleton-cycle enumeration that
 re-ranks every prefix on the `Fraction` coordinates (`affinely_independent`
 on the whole path at each extension); the certificate search's one
@@ -72,6 +82,7 @@ from minkdecomp.graphs import (
     skeleton,
     touches_every_facet,
 )
+from minkdecomp.kernels import Echelon, rref_int
 from minkdecomp.linalg import (
     Rational,
     Vec,
@@ -405,6 +416,92 @@ def reference_rref_int(rows, ncols):
         pivot_cols.append(col)
         rank += 1
     return pivot_cols, mat[:rank]
+
+
+def reference_facet_scan(coords, d):
+    """`kernels.facet_scan` as it was before simplicial pairs were
+    accepted without a scan: every positive/negative pair whose common
+    mask has at least d-1 points is adjacent iff that common mask lies in
+    no third facet's mask, and that is checked by scanning every mask.
+    The library must return the same list, in the same order."""
+    rows = [tuple(x) + (-1,) for x in coords]
+    ech = Echelon()
+    start = []
+    for i, row in enumerate(rows):
+        if ech.add(row):
+            start.append(i)
+            if len(start) > d:
+                break
+    else:
+        raise ValueError("input not full-dimensional")
+    aug = [list(rows[i]) + [int(j == r) for j in range(d + 1)] for r, i in enumerate(start)]
+    _, red = rref_int(aug, 2 * (d + 1))
+    scale = lcm(*(red[r][r] for r in range(d + 1)))
+    full = sum(1 << i for i in start)
+
+    def primitive(h):
+        g = gcd(*h)
+        return tuple(x // g for x in h)
+
+    facets = []
+    for k, i in enumerate(start):
+        h = [-red[r][d + 1 + k] * (scale // red[r][r]) for r in range(d + 1)]
+        facets.append((primitive(h), full & ~(1 << i)))
+    for k in sorted(set(range(len(rows))) - set(start)):
+        q = rows[k]
+        bit = 1 << k
+        pos = []
+        neg = []
+        kept = []
+        for f in facets:
+            s = sum(a * b for a, b in zip(f[0], q))
+            if s > 0:
+                pos.append((f, s))
+            elif s < 0:
+                neg.append((f, s))
+                kept.append(f)
+            else:
+                kept.append((f[0], f[1] | bit))
+        masks = [f[1] for f in facets]
+        for (hp, mp), sp in pos:
+            for (hn, mn), sn in neg:
+                common = mp & mn
+                if common.bit_count() < d - 1:
+                    continue
+                if sum(m & common == common for m in masks) <= 2:
+                    h = [sp * y - sn * x for x, y in zip(hp, hn)]
+                    kept.append((primitive(h), common | bit))
+        facets = kept
+    return [(m, h[:d], h[d]) for h, m in facets]
+
+
+def reference_cycle_rows(xs, tree, col_of, ncols):
+    """`graphs.cycle_rows` as it was before repeated rows were dropped:
+    d rows per non-tree edge, the scalar-weighted edge directions summed
+    around its fundamental cycle (path(u) - path(v) + x_v - x_u over the
+    BFS tree), all-zero rows dropped and every other row kept, repeats
+    included."""
+    parent, order, comp_edges, tree_edges = tree
+    d = len(xs[order[0]])
+    path = {order[0]: [[0] * ncols for _ in range(d)]}
+    for v in order[1:]:
+        u = parent[v]
+        k = col_of[edge_key(u, v)]
+        block = path[v] = [row[:] for row in path[u]]
+        for row, xu, xv in zip(block, xs[u], xs[v]):
+            row[k] += xv - xu
+    rows = []
+    for e in comp_edges:
+        if e in tree_edges:
+            continue
+        u, v = e
+        k = col_of[e]
+        for pu, pv, xu, xv in zip(path[u], path[v], xs[u], xs[v]):
+            row = [a - b for a, b in zip(pu, pv)]
+            row[k] += xv - xu
+            if any(row):
+                rows.append(row)
+    return rows
 
 
 def reference_independent_cycles(p: Polytope, max_len: int):

@@ -1408,6 +1408,34 @@ def test_derived_reduction_matches_the_hull_built_one():
     assert certificates._stack_structure(p, 0) is None
 
 
+def test_containment_is_tested_before_the_hyperplane_fit(monkeypatch):
+    """The containment test reads index sets only, so it runs before the
+    hyperplane fit.  On cyclic(6,4) plus a segment every vertex fails it:
+    no plane is fitted, where fitting first would fit one per vertex that
+    is not adjacent to all others (12).  A stacked pyramid still reduces
+    past its apex to the polytope the hull-built check gives."""
+    fits = []
+    real = certificates.int_hyperplane
+
+    def record(points):
+        fits.append(points)
+        return real(points)
+
+    monkeypatch.setattr(certificates, "int_hyperplane", record)
+    p = minkowski_sum(cyclic(6, 4), [[0, 0, 0, 0], [1, 3, 2, 5]])
+    n = len(p.vertices)
+    assert sum(len(p.neighbors(u)) < n - 1 for u in range(n)) == 12
+    assert pyramid_reduction(p) is None
+    assert fits == []
+    q = stack_pyramid(cyclic(8, 4), 0)
+    step, reduced = pyramid_reduction(q)
+    apex, fmem, _ = step.inputs
+    assert (apex, fmem) == (8, (0, 1, 2, 3))
+    assert 0 < len(fits) < len(q.vertices)
+    want, _ = hull_stack_structure(q, apex)
+    _assert_same_reduction((reduced, fmem), want)
+
+
 def test_reduction_builds_no_hull(monkeypatch):
     p = stack_pyramid(cyclic(8, 4), 0)
     calls = []

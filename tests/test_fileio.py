@@ -3,9 +3,11 @@
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
+from minkdecomp.cli import main
 from minkdecomp.constructors import cube, cyclic, simplex
 from minkdecomp.errors import InvalidInputError
 from minkdecomp.fileio import (
@@ -69,6 +71,26 @@ REJECTED_DOCUMENTS = {
     "zero-denominator": (
         lambda d: d.update(vertices=[["1/0", 0, 0]] + d["vertices"][1:]), "bad coordinate '1/0'"
     ),
+    # String forms that `Fraction` parses but the format does not allow,
+    # and malformed fractions.
+    **{
+        f"coord-{kind}": (
+            lambda d, coord=coord: d["vertices"][1].__setitem__(0, coord),
+            f"bad coordinate {coord!r}",
+        )
+        for kind, coord in {
+            "decimal": "1.5",
+            "exponent": "1e2",
+            "spaces": " 3/4 ",
+            "underscore": "1_0",
+            "arabic-indic-digit": "\u0663",
+            "plus-sign": "+1",
+            "trailing-newline": "1/2\n",
+            "negative-denominator": "1/-2",
+            "no-denominator": "3/",
+            "empty": "",
+        }.items()
+    },
     "short-vertex": (
         lambda d: d.update(vertices=[v[:2] for v in d["vertices"]]), "needs 3 coordinates"
     ),
@@ -91,6 +113,31 @@ def test_rejected_documents(mutate):
     change(data)
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         polytope_from_dict(data)
+
+
+def test_cli_exits_2_on_a_coordinate_outside_the_format(tmp_path, capsys):
+    data = polytope_to_dict(simplex(3))
+    del data["facets"]
+    data["vertices"][1][0] = "1e2"
+    path = tmp_path / "bad-coordinate.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad coordinate '1e2'" in captured.err
+
+
+def test_format_coordinate_strings_still_load():
+    data = polytope_to_dict(simplex(3))
+    data["vertices"][1] = ["2/2", "-0", "007"]
+    data["vertices"][2] = ["-0/1", "-1/3", "0/5"]
+    data["vertices"][3] = ["0", "0", "12/4"]
+    del data["facets"]
+    p = polytope_from_dict(data)
+    assert p.vertices[1:] == (
+        (Fraction(1), Fraction(0), Fraction(7)),
+        (Fraction(0), Fraction(-1, 3), Fraction(0)),
+        (Fraction(0), Fraction(0), Fraction(3)),
+    )
 
 
 def test_tampered_facet_list_rejected():

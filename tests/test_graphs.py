@@ -34,7 +34,7 @@ from fractions import Fraction
 import pytest
 
 from minkdecomp import graphs, kernels
-from minkdecomp.catalogue import catalogue_list
+from minkdecomp.catalogue import catalogue_entry, catalogue_list
 from minkdecomp.constructors import cube, cyclic, octahedron, simplex
 from minkdecomp.errors import InvalidInputError
 from minkdecomp.graphs import (
@@ -42,6 +42,7 @@ from minkdecomp.graphs import (
     GeometricGraph,
     OracleResult,
     _bfs_forest,
+    _component_kernels,
     cycle_rows,
     decomposing_space,
     edge_key,
@@ -56,6 +57,7 @@ from minkdecomp.linalg import (
     Vec,
     as_int_coords,
     fraction_vec,
+    int_kernel_basis,
     zero_vec,
 )
 from minkdecomp.polytope import Polytope, minkowski_sum
@@ -64,10 +66,12 @@ from reference_linalg import (
     is_homothety,
     is_zero,
     reference_check,
+    reference_cycle_rows,
     reference_from_images,
     reference_rank_and_kernel,
     solve_exact,
 )
+from test_certificates import _derived_stack_cases
 
 
 def decomposing_system_matrix(g):
@@ -810,3 +814,41 @@ def test_skeleton_analyze_and_replay_refuse_two_disjoint_triangles():
     )
     trace = CertificateTrace((slide,), "Decomposable", "facet 0 slides to a proper summand")
     assert replay_report(trace, p) == (False, f"replay error: {refusal}")
+
+
+def test_distinct_cycle_rows_give_the_kernels_of_every_row():
+    """`_component_kernels` eliminates each distinct cycle row once; the
+    old builder (`reference_cycle_rows`) kept every repeat.  A repeat
+    leaves the row space unchanged, so the columns and the unique kernel
+    basis must be the same, on the catalogue and on seeded stackings and
+    truncations.  The distinct rows are the old rows with repeats
+    dropped, in order of first appearance."""
+    systems = repeats = 0
+    for name, p in _derived_stack_cases():
+        g = skeleton(p)
+        xs, _ = g.int_coords()
+        ((tree, cols, kernel),) = _component_kernels(g, xs)
+        col_of, k = triangle_classes(xs, tree[2])
+        assert cols == [col_of[e] for e in tree[2]], name
+        if k == 1:
+            assert kernel == [[1]], name
+            continue
+        every = reference_cycle_rows(xs, tree, col_of, k)
+        distinct = cycle_rows(xs, tree, col_of, k)
+        assert distinct == [list(r) for r in dict.fromkeys(map(tuple, every))], name
+        assert kernel == int_kernel_basis(every, k)[1], name
+        systems += 1
+        repeats += len(distinct) < len(every)
+    assert systems > 100 and repeats > 50, (systems, repeats)
+
+
+def test_delta_3_4_cycle_system_drops_repeated_rows():
+    g = skeleton(catalogue_entry("delta-3-4").build())
+    xs, _ = g.int_coords()
+    (tree,) = _bfs_forest(g)
+    col_of, k = triangle_classes(xs, tree[2])
+    assert k > 1
+    distinct = cycle_rows(xs, tree, col_of, k)
+    every = reference_cycle_rows(xs, tree, col_of, k)
+    assert len(distinct) < len(every)
+    assert len({tuple(r) for r in every}) == len(distinct)

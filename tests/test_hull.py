@@ -18,7 +18,7 @@ import pytest
 
 from minkdecomp import hull, kernels
 from minkdecomp.catalogue import catalogue_entry, catalogue_list
-from minkdecomp.constructors import cyclic, moment_point
+from minkdecomp.constructors import cube, cyclic, moment_point
 from minkdecomp.errors import (
     DegenerateInputError,
     GuardExceededError,
@@ -26,6 +26,8 @@ from minkdecomp.errors import (
 )
 from minkdecomp.linalg import Vec
 from minkdecomp.polytope import minkowski_sum, stack_pyramid
+
+from reference_linalg import reference_facet_scan
 
 
 def enumerate_facets(dim, vertices):
@@ -340,3 +342,68 @@ def test_delta_3_4_has_its_nine_product_facets():
             s = sum(a * c for a, c in zip(normal, x))
             assert (s == offset) == (i in members)
             assert s <= offset
+
+
+def _scan_matches_reference(ints, d, monkeypatch):
+    """facet_scan against the reference that scans every mask: the same
+    list in the same order.  Returns the facets and the number of pairs
+    that still scanned the masks."""
+    scans = []
+    real = kernels._in_pair_only
+
+    def record(common, masks):
+        scans.append(common)
+        return real(common, masks)
+
+    monkeypatch.setattr(kernels, "_in_pair_only", record)
+    try:
+        got = kernels.facet_scan(ints, d)
+    finally:
+        monkeypatch.undo()
+    assert got == reference_facet_scan(ints, d)
+    return got, len(scans)
+
+
+def test_facet_scan_matches_the_full_mask_scan_on_named_polytopes(monkeypatch):
+    # A pair with a simplicial facet is accepted without the mask scan;
+    # only pairs of two non-simplicial facets keep it.  Simplicial
+    # polytopes then scan no mask at all, cubes still do.
+    for e in catalogue_list():
+        p = e.build()
+        _scan_matches_reference(p.int_coords()[0], p.dim, monkeypatch)
+    for d in range(3, 6):
+        p = cube(d)
+        _, scanned = _scan_matches_reference(p.int_coords()[0], d, monkeypatch)
+        assert scanned > 0
+    # cube(6) is refused by the guard, so its 64 points go to the scan directly.
+    points = [tuple(bits >> i & 1 for i in range(6)) for bits in range(64)]
+    facets, _ = _scan_matches_reference(points, 6, monkeypatch)
+    assert len(facets) == 12
+    for n in range(8, 15):
+        facets, scanned = _scan_matches_reference(cyclic(n, 4).int_coords()[0], 4, monkeypatch)
+        assert len(facets) == n * (n - 3) // 2
+        assert scanned == 0
+
+
+def test_facet_scan_matches_the_full_mask_scan_on_random_point_sets(monkeypatch):
+    # Points from a box of side 7 make coplanar and non-extreme tight
+    # points common, so masks of more than d points, and pairs of two
+    # such facets, are both exercised.
+    rng = random.Random(2516)
+    compared = coplanar = stray = scanned = 0
+    while compared < 320:
+        d = rng.randint(2, 5)
+        n = rng.randint(d + 1, d + 8)
+        pts = sorted({tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)})
+        try:
+            facets, pair_scans = _scan_matches_reference(pts, d, monkeypatch)
+        except ValueError:
+            with pytest.raises(ValueError):
+                reference_facet_scan(pts, d)
+            continue
+        compared += 1
+        scanned += pair_scans
+        members = [hull.mask_members(m) for m, _, _ in facets]
+        coplanar += any(len(f) > d for f in members)
+        stray += any(i in f for i in hull.non_vertices(len(pts), members) for f in members)
+    assert coplanar > 50 and stray > 20 and scanned > 20
