@@ -507,9 +507,21 @@ def shephard_facet(p: Polytope) -> Optional[Tuple[CertificateTrace, Slide]]:
     (`_shephard_rule`): its edges are checked one by one and, the
     skeleton being connected, it is no homothety because its scalars are
     not all equal.  It is returned as that integer slide; `analyze` hands
-    out its witness."""
+    out its witness.
+
+    A facet F with a member of skeleton degree above |F| is skipped
+    before the rule runs: that member has at most |F| - 1 neighbors in F,
+    so at least two outside, and the slide condition fails anyway.  The
+    first facet that slides is the same.  On a simplicial neighborly
+    polytope other than a simplex, such as cyclic(n, 4) for n >= 6, every
+    facet is refused by degree alone; there the slide runs only as the
+    cross-check after an Indecomposable oracle verdict."""
     skel = skeleton(p)
-    for fi in range(len(p.facets)):
+    degree = [len(skel.neighbors(v)) for v in skel.vertices]
+    for fi, members in enumerate(p.facets):
+        size = len(members)
+        if any(degree[v] > size for v in members):
+            continue
         try:
             step, slide = _shephard_rule(p, skel, fi)
         except RuleNotApplicableError:

@@ -9,7 +9,8 @@ and always written on output, with members and facet lists sorted, so
 write -> read -> write is byte-identical.  Listed facets must be exactly
 the facets of the hull of the vertices, each listing every vertex on its
 hyperplane once, in any order: `validate` checks them against the hull,
-which it builds under the same guard.
+which it builds under the same guard.  An error's "facet i" is the i-th
+facet listed in the file, counted from 0.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ def polytope_from_dict(data: dict) -> Polytope:
     p = Polytope(dim, tuple(vertices), tuple(sorted(facets)), name=name)
     report = validate(p)
     if not report.ok:
+        # Validity does not depend on the facets' order: check them again
+        # in file order, so each fault names a facet by its place there.
+        report = validate(Polytope(dim, tuple(vertices), tuple(facets), name=name))
         raise InvalidInputError("invalid polytope: " + "; ".join(report.violations))
     return p
 

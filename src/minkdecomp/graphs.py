@@ -47,8 +47,10 @@ integer ratio, verified edge by edge) until `_slide_witness` makes its
 A polytope's graph (`skeleton`) takes the polytope's cached edges,
 adjacency and integer coordinates as they are.  It is refused unless
 connected, as every polytope's skeleton is (Balinski 1961), so the
-oracle and every equal-scalar homothety test see one component;
-`decomposing_space` takes a `GeometricGraph` with any number.
+oracle and every equal-scalar homothety test see one component, and the
+BFS tree that check walked is kept for the oracle's cycle system, so a
+skeleton is walked once; `decomposing_space` takes a `GeometricGraph`
+with any number.
 
 `oracle_verdict` builds no basis.  It stops at the dimension when that
 is d + 1, and otherwise takes the first edge row, the first element of
@@ -239,10 +241,17 @@ def skeleton(p: Polytope) -> GeometricGraph:
     endpoints share coordinates (compared as integer tuples) and a
     disconnected graph, both InvalidInputError.  `analyze`, `_decide`
     and `replay` build it before any rule or the oracle runs."""
+    return _skeleton_tree(p)[0]
+
+
+def _skeleton_tree(p: Polytope):
+    """The skeleton of p and the one BFS tree (`_bfs_forest`) that its
+    connectivity check walked, built once per polytope: `oracle_verdict`
+    reads that tree, so a skeleton is walked once."""
     return p._derived("skeleton", lambda: _build_skeleton(p))
 
 
-def _build_skeleton(p: Polytope) -> GeometricGraph:
+def _build_skeleton(p: Polytope):
     ints, mult = p.int_coords()
     edges = p.edges()
     for u, v in edges:
@@ -257,10 +266,10 @@ def _build_skeleton(p: Polytope) -> GeometricGraph:
         ("_ints", (dict(enumerate(ints)), mult)),
     ):
         object.__setattr__(g, name, value)
-    trees = len(_bfs_forest(g))
-    if trees != 1:
-        raise InvalidInputError(f"skeleton is disconnected: {trees} components")
-    return g
+    forest = _bfs_forest(g)
+    if len(forest) != 1:
+        raise InvalidInputError(f"skeleton is disconnected: {len(forest)} components")
+    return g, forest[0]
 
 
 def _bfs_forest(g: GeometricGraph):
@@ -382,13 +391,14 @@ def cycle_rows(
     return list(rows.values())
 
 
-def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
-    """The integer core of the decomposing space: for each tree of
-    `_bfs_forest`, that tree, the column of each of its component's edges
-    in the contracted cycle system (`triangle_classes`) and that system's
-    integer kernel basis (`linalg.int_kernel_basis`).  The space has
-    dimension d per component plus the total number of kernel vectors.
-    A polytope's skeleton gives one tree.
+def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]], forest=None):
+    """The integer core of the decomposing space: for each tree of the
+    forest (`_bfs_forest(g)` unless given), that tree, the column of each
+    of its component's edges in the contracted cycle system
+    (`triangle_classes`) and that system's integer kernel basis
+    (`linalg.int_kernel_basis`).  The space has dimension d per component
+    plus the total number of kernel vectors.  A polytope's skeleton gives
+    one tree, the one `skeleton` walked, which `oracle_verdict` passes.
 
     With one class, as on every simplicial polytope of dimension 3 or
     more, each cycle row sums the edge directions around a closed walk
@@ -399,7 +409,7 @@ def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]]):
     if not g.edges:
         raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
     out = []
-    for tree in _bfs_forest(g):
+    for tree in _bfs_forest(g) if forest is None else forest:
         comp_edges = tree[2]
         cols: List[int] = []
         kernel: List[List[int]] = []
@@ -611,17 +621,18 @@ def oracle_verdict(p: Polytope) -> OracleResult:
     Indecomposable exactly when the decomposing space has dimension d+1,
     which the integer kernel of `_component_kernels` gives over the
     polytope's cached integer coordinates, with no basis built; the
-    skeleton is connected, so it has one component.  Otherwise the
-    witness is the homothety residue of the first basis element of
-    `decomposing_space` that is not a homothety, the first edge row
-    (`_edge_rows`): on a connected graph a homothety has equal edge
+    skeleton is connected, so it has one component, and its BFS tree is
+    the one `skeleton` walked to check that (`_skeleton_tree`).
+    Otherwise the witness is the homothety residue of the first basis
+    element of `decomposing_space` that is not a homothety, the first
+    edge row (`_edge_rows`): on a connected graph a homothety has equal edge
     scalars, and with two or more rows each is 1 at its own free column
     and 0 at the others'.  Its images, summed in integers, and its
     residue are built only when the result's witness is read.
     """
-    g = skeleton(p)
+    g, tree = _skeleton_tree(p)
     xs, mult = g.int_coords()
-    ((tree, cols, kernel),) = _component_kernels(g, xs)
+    ((_, cols, kernel),) = _component_kernels(g, xs, [tree])
     dim = p.dim + len(kernel)
     if len(kernel) == 1:
         return OracleResult("Indecomposable", dim, None)

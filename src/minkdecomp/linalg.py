@@ -19,7 +19,8 @@ add rows one at a time and stop as soon as the rank reaches the cap.  A
 hyperplane fit to points that span more than a hyperplane then costs d
 row insertions and dot products up to the first point off the candidate
 plane, not an elimination over all of them.
-`int_collinear` answers the three-point case with 2x2 minors.
+`int_collinear` answers the three-point case with 2x2 minors, in one
+pass that stops at the first nonzero one.
 `Fraction` values are made only at the edges: reading off a kernel
 basis, a stacked pyramid's apex, and witnesses.
 """
@@ -208,14 +209,22 @@ def int_side(a: Sequence[int], b: int, x: Sequence[int]) -> int:
 
 def int_collinear(p: Sequence[int], q: Sequence[int], r: Sequence[int]) -> bool:
     """Whether three integer points lie on one line, coincident points
-    included: q - p and r - p are parallel or one of them is zero, which
-    every 2x2 minor of the two differences vanishing says."""
-    u = [x - y for x, y in zip(q, p)]
-    v = [x - y for x, y in zip(r, p)]
-    j = next((i for i, c in enumerate(u) if c), None)
-    if j is None:
-        return True
-    return all(u[j] * y == v[j] * x for x, y in zip(u, v))
+    included: the differences u = q - p and v = r - p have rank at most
+    one, that is, every coordinate pair (u_k, v_k) is parallel to the
+    first nonzero one (u_j, v_j), u_j*v_k == v_j*u_k.
+
+    One pass over the coordinates with no lists: it finds (u_j, v_j),
+    then stops at the first k whose 2x2 minor is nonzero.  Points in
+    general position stop at the second coordinate."""
+    coords = zip(p, q, r)
+    for a, b, c in coords:
+        uj, vj = b - a, c - a
+        if uj or vj:
+            for a, b, c in coords:
+                if uj * (c - a) != vj * (b - a):
+                    return False
+            break
+    return True
 
 
 def rank_and_kernel(

@@ -30,6 +30,15 @@ every candidate pair; `kernels.facet_scan` skips the scan when a facet
 of the pair is simplicial and must return the same list in the same
 order.
 
+`reference_int_collinear` is the collinearity test on two difference
+lists, tested on every 2x2 minor with u's first nonzero entry;
+`linalg.int_collinear` reads the coordinates once and stops at the first
+nonzero minor, and must give the same answer on every triple.
+
+`reference_shephard_facet` is the facet-slide search that tries the rule
+on every facet; `certificates.shephard_facet` skips a facet by vertex
+degree first and must return the same trace and slide.
+
 `reference_cycle_rows` is the cycle-system builder that keeps every
 nonzero row, repeats included; `graphs.cycle_rows` keeps each distinct
 row once, and the kernels eliminated from the two must agree.
@@ -473,6 +482,32 @@ def reference_facet_scan(coords, d):
                     kept.append((primitive(h), common | bit))
         facets = kept
     return [(m, h[:d], h[d]) for h, m in facets]
+
+
+def reference_int_collinear(p: Sequence[int], q: Sequence[int], r: Sequence[int]) -> bool:
+    """Whether three integer points lie on one line, coincident points
+    included: q - p and r - p are parallel or one of them is zero, which
+    every 2x2 minor of the two differences vanishing says."""
+    u = [x - y for x, y in zip(q, p)]
+    v = [x - y for x, y in zip(r, p)]
+    j = next((i for i, c in enumerate(u) if c), None)
+    if j is None:
+        return True
+    return all(u[j] * y == v[j] * x for x, y in zip(u, v))
+
+
+def reference_shephard_facet(p: Polytope):
+    """`certificates.shephard_facet` trying `_shephard_rule` on every
+    facet, with no degree pretest."""
+    skel = skeleton(p)
+    for fi in range(len(p.facets)):
+        try:
+            step, slide = certificates._shephard_rule(p, skel, fi)
+        except RuleNotApplicableError:
+            continue
+        why = f"facet {fi} slides to a proper summand"
+        return certificates.assemble_trace(step, certificates.DECOMPOSABLE, why), slide
+    return None
 
 
 def reference_cycle_rows(xs, tree, col_of, ncols):

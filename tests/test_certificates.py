@@ -74,6 +74,7 @@ from reference_linalg import (
     reference_lift_witness,
     reference_plane,
     reference_replay,
+    reference_shephard_facet,
     translate,
 )
 
@@ -307,6 +308,50 @@ def test_shephard_facet_direct():
     assert not is_homothety(g, witness)
     assert shephard_facet(simplex(3)) is None
     assert shephard_facet(OCTA) is None
+
+
+# The catalogue, cube(3..5), cyclic(n,4) for n = 6..14, a pyramid
+# stacked on each of those, and the bench's segment sums.
+SLIDE_SEARCH_CASES = {e.name: e.build for e in catalogue_list()}
+for _name, _base in [(f"cube({d})", lambda d=d: cube(d)) for d in (3, 4, 5)] + [
+    (f"cyclic({n},4)", lambda n=n: cyclic(n, 4)) for n in range(6, 15)
+]:
+    SLIDE_SEARCH_CASES[_name] = _base
+    SLIDE_SEARCH_CASES[f"stack({_name})"] = lambda b=_base: stack_pyramid(b(), 0)
+for _n in (6, 7, 8):
+    SLIDE_SEARCH_CASES[f"cyclic-{_n}-4+segment"] = (
+        lambda n=_n: minkowski_sum(cyclic(n, 4), SEGMENT)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SLIDE_SEARCH_CASES))
+def test_degree_pretest_keeps_the_first_slide(name):
+    """Skipping facets by vertex degree leaves the first facet that
+    slides, its trace and its integer slide as trying every facet does."""
+    p = SLIDE_SEARCH_CASES[name]()
+    got, want = shephard_facet(p), reference_shephard_facet(p)
+    if want is None:
+        assert got is None
+    else:
+        # Steps compare by identity: compare the trace field by field.
+        assert dataclasses.asdict(got[0]) == dataclasses.asdict(want[0])
+        assert got[1] == want[1]
+
+
+def test_degree_pretest_refuses_every_neighborly_facet(monkeypatch):
+    p = cyclic(10, 4)
+    calls = []
+    rule = certificates._shephard_rule
+
+    def counted(*args):
+        calls.append(args[2])
+        return rule(*args)
+
+    monkeypatch.setattr(certificates, "_shephard_rule", counted)
+    assert shephard_facet(p) is None
+    assert calls == []
+    assert reference_shephard_facet(p) is None
+    assert calls == list(range(len(p.facets)))
 
 
 def reference_shephard_witness(p, skel, fi):

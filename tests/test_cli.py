@@ -324,6 +324,33 @@ def test_analyze_rejects_a_facet_list_missing_a_facet(tmp_path, capsys, octa_fil
     assert f"hull facet {tuple(missing)} is not listed" in err
 
 
+@pytest.mark.parametrize(
+    "vertices, facets, named, not_named",
+    [
+        # File facet 2, [0,1], is a hull edge; file facet 3, [0,3], is
+        # not, and is facet 2 once the list is sorted.
+        ([[0, 0], [4, 0], [0, 4], [3, 3]], [[2, 3], [0, 2], [0, 1], [0, 3]],
+         ["facet 3 does not have all other vertices on one side"],
+         "facet 2 does not"),
+        # The short facet is listed last but sorts first.
+        ([[0, 0], [1, 0], [0, 1]], [[1, 2], [0, 2], [0]],
+         ["facet 2 has fewer than 2 vertices", "facet 2 is contained in facet 1"],
+         "facet 0"),
+    ],
+)
+def test_analyze_names_faulty_facets_in_file_order(
+    tmp_path, capsys, vertices, facets, named, not_named
+):
+    doc = {"format_version": "1", "dimension": 2, "vertices": vertices, "facets": facets}
+    path = tmp_path / "bad-facets.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    for message in named:
+        assert message in err
+    assert not_named not in err
+
+
 def test_analyze_inconsistency_exit_code(tmp_path, capsys, monkeypatch):
     # The oracle is made to contradict the facet-slide certificate.
     real = certificates.oracle_verdict

@@ -60,7 +60,7 @@ from minkdecomp.linalg import (
     int_kernel_basis,
     zero_vec,
 )
-from minkdecomp.polytope import Polytope, minkowski_sum
+from minkdecomp.polytope import Polytope, minkowski_sum, stack_pyramid
 
 from reference_linalg import (
     is_homothety,
@@ -840,6 +840,30 @@ def test_distinct_cycle_rows_give_the_kernels_of_every_row():
         systems += 1
         repeats += len(distinct) < len(every)
     assert systems > 100 and repeats > 50, (systems, repeats)
+
+
+@pytest.mark.parametrize("mode", ["certificates-first", "oracle-only"])
+def test_analyze_walks_each_skeleton_once(monkeypatch, mode):
+    """The connectivity check's BFS tree is the one the oracle's cycle
+    system is built over: `analyze` walks every skeleton it builds once,
+    the reduced polytopes of pyramid reductions included."""
+    from minkdecomp.certificates import analyze
+
+    walks, built = [], []
+    walk, build = graphs._bfs_forest, graphs._build_skeleton
+    monkeypatch.setattr(graphs, "_bfs_forest", lambda g: walks.append(g) or walk(g))
+    monkeypatch.setattr(graphs, "_build_skeleton", lambda p: built.append(p) or build(p))
+    analyses = 0
+    for e in catalogue_list():
+        q = e.build()
+        for p in (q, stack_pyramid(q, 0)) if q.dim in (3, 4) else (q,):
+            before = len(built)
+            analyze(p, mode)
+            analyses += 1
+            assert len(built) > before and len(walks) == len(built), e.name
+    assert walks == [skeleton(p) for p in built]
+    if mode == "certificates-first":
+        assert len(built) > analyses
 
 
 def test_delta_3_4_cycle_system_drops_repeated_rows():

@@ -34,6 +34,7 @@ from reference_linalg import (
     matrix_rank,
     point_in_hull,
     reference_affine_rank,
+    reference_int_collinear,
     reference_int_hyperplane,
     solve_exact,
 )
@@ -305,6 +306,49 @@ def test_int_collinear_is_total():
         d = rng.randint(1, 5)
         pts = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(3)]
         assert int_collinear(*pts) == (not affinely_independent(pts))
+
+
+def test_one_pass_collinearity_matches_the_difference_lists():
+    """`int_collinear` stops at the first deciding coordinate and must
+    answer as the two-list reference does on every triple: 100,000 seeded
+    triples in d = 0..6 from a box of side 5, a quarter of them forced
+    collinear (r on the line through p and q) and a tenth with p = q."""
+    rng = random.Random(26)
+    collinear = 0
+    for _ in range(100_000):
+        d = rng.randint(0, 6)
+        p, q, r = (tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(3))
+        kind = rng.random()
+        if kind < 0.1:
+            q = p
+        elif kind < 0.35:
+            t = rng.randint(-2, 2)
+            r = tuple(a + t * (b - a) for a, b in zip(p, q))
+        want = reference_int_collinear(p, q, r)
+        assert int_collinear(p, q, r) == want, (p, q, r)
+        collinear += want
+    assert 25_000 < collinear < 75_000
+
+
+@pytest.mark.parametrize(
+    "p, q, r, want",
+    [
+        # v is nonzero before u's first nonzero entry.
+        ((0, 0, 0), (0, 1, 0), (1, 0, 0), False),
+        ((0, 0, 0), (0, 0, 1), (0, 1, 1), False),
+        # u is zero: p = q, collinear with any r.
+        ((1, 2, 3), (1, 2, 3), (4, 0, 7), True),
+        # The first 2x2 minor is zero on points that are not collinear.
+        ((0, 0, 0), (0, 0, 1), (1, 0, 0), False),
+        ((0, 0, 0), (1, 2, 0), (2, 4, 1), False),
+        # Collinear, with the deciding pair past a zero coordinate.
+        ((0, 0, 0), (0, 2, 4), (0, -1, -2), True),
+        ((0,), (3,), (5,), True),
+        ((), (), (), True),
+    ],
+)
+def test_int_collinear_hand_cases(p, q, r, want):
+    assert int_collinear(p, q, r) == reference_int_collinear(p, q, r) == want
 
 
 def test_vec_keeps_vecs_and_fractions():
