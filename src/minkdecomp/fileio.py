@@ -4,12 +4,13 @@ Coordinates are integers or "p/q" strings, never floats: a string must
 match -?[0-9]+(/[0-9]+)? in full, with ASCII digits, so "1.5", "1e2",
 " 3/4 ", "1_0" and other scripts' digits, which `Fraction` would take,
 are refused.  Facets are
-optional on input (recomputed under the enumeration guard when absent)
-and always written on output, with members and facet lists sorted, so
-write -> read -> write is byte-identical.  Listed facets must be exactly
-the facets of the hull of the vertices, each listing every vertex on its
-hyperplane once, in any order: `validate` checks them against the hull,
-which it builds under the same guard.  An error's "facet i" is the i-th
+optional on input and always written on output, with members and facet
+lists sorted, so write -> read -> write is byte-identical.  Either way
+the polytope is built from its vertices (`Polytope.from_vertices`, under
+the enumeration guard).  Listed facets must then be exactly the hull's,
+each listing every vertex on its hyperplane once, in any order: they are
+compared with the hull's as sorted member tuples
+(`polytope.facet_list_faults`), and an error's "facet i" is the i-th
 facet listed in the file, counted from 0.
 """
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .linalg import Vec
-from .polytope import Polytope, validate
+from .polytope import Polytope, facet_list_faults
 
 FORMAT_VERSION = "1"
 _COORD_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -87,7 +88,7 @@ def polytope_from_dict(data: dict) -> Polytope:
         return Polytope.from_vertices(dim, vertices, name=name)
     if not isinstance(raw_facets, list):
         raise InvalidInputError("facets must be a list of index lists")
-    facets = []
+    listed = []
     for f in raw_facets:
         if not isinstance(f, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in f
@@ -98,14 +99,11 @@ def polytope_from_dict(data: dict) -> Polytope:
         if len(set(f)) != len(f):
             repeated = next(i for i in f if f.count(i) > 1)
             raise InvalidInputError(f"facet lists vertex index {repeated} more than once")
-        facets.append(tuple(sorted(f)))
-    p = Polytope(dim, tuple(vertices), tuple(sorted(facets)), name=name)
-    report = validate(p)
-    if not report.ok:
-        # Validity does not depend on the facets' order: check them again
-        # in file order, so each fault names a facet by its place there.
-        report = validate(Polytope(dim, tuple(vertices), tuple(facets), name=name))
-        raise InvalidInputError("invalid polytope: " + "; ".join(report.violations))
+        listed.append(tuple(sorted(f)))
+    p = Polytope.from_vertices(dim, vertices, name=name)
+    faults = facet_list_faults(listed, p.facets)
+    if faults:
+        raise InvalidInputError("invalid polytope: " + "; ".join(faults))
     return p
 
 

@@ -128,13 +128,6 @@ class GeometricGraph:
             object.__setattr__(self, "_ints", (dict(zip(self.vertices, ints)), mult))
         return self._ints
 
-    def components(self) -> List[List[int]]:
-        """Connected components (vertex id lists, each sorted), sorted."""
-        return [sorted(order) for _, order, _, _ in _bfs_forest(self)]
-
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
     def spans_ambient(self) -> bool:
         if not self.vertices:
             return False
@@ -398,7 +391,9 @@ def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]], forest=N
     (`triangle_classes`) and that system's integer kernel basis
     (`linalg.int_kernel_basis`).  The space has dimension d per component
     plus the total number of kernel vectors.  A polytope's skeleton gives
-    one tree, the one `skeleton` walked, which `oracle_verdict` passes.
+    one tree, the one `skeleton` walked, which `oracle_verdict` passes;
+    `is_indecomposable_graph` passes the one tree its connectivity check
+    walked.
 
     With one class, as on every simplicial polytope of dimension 3 or
     more, each cycle row sums the edge directions around a closed walk
@@ -507,13 +502,14 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
 
 
 def is_indecomposable_graph(g: GeometricGraph) -> bool:
-    if not g.is_connected():
+    forest = _bfs_forest(g)
+    if len(forest) != 1:
         raise InvalidInputError("graph must be connected")
     if not g.spans_ambient():
         raise InvalidInputError("graph vertices must affinely span the ambient dimension")
-    # One component, so the dimension is d plus its kernel size; no
-    # basis is built.
-    ((_, _, kernel),) = _component_kernels(g, g.int_coords()[0])
+    # One component, walked once above, so the dimension is d plus its
+    # kernel size; no basis is built.
+    ((_, _, kernel),) = _component_kernels(g, g.int_coords()[0], forest)
     return len(kernel) == 1
 
 

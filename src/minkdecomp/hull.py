@@ -20,12 +20,12 @@ each mask by low-bit iteration (`mask_members`).
 not a measure of the hull's work.  `admit` applies it, here and in
 `constructors.cube`, which checks its 2^d points before it lists them.
 
-Every hull is built here, by three callers: `facet_data`, for
-`Polytope.from_vertices`; `facet_masks`, for `polytope.validate`, which
-compares a file's listed facets with the hull's; and `extreme_points`,
-which prunes the candidate points of a Minkowski sum.  The first two
-apply the guard; the prune does not, and the `from_vertices` call on
-the points it keeps applies it.
+Every hull is built here, by two callers: `facet_data`, for
+`Polytope.from_vertices` (which a file's listed facets and `validate`
+are checked through as well), and `extreme_points`, which prunes the
+candidate points of a Minkowski sum.  The first applies the guard; the
+prune does not, and the `from_vertices` call on the points it keeps
+applies it.
 """
 
 from math import log10
@@ -67,17 +67,6 @@ def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
             "vertex set does not affinely span the ambient dimension"
         ) from None
     return sorted(map(mask_members, masks)), ints, mult
-
-
-def facet_masks(ints: Sequence[Sequence[int]], d: int):
-    """The set of facet bitmasks over the input indices of the hull of
-    integer points that affinely span R^d, under the guard.
-
-    Each mask holds every input point on the facet's hyperplane, so the
-    copies of a repeated point share their masks.
-    """
-    admit(len(ints), d)
-    return _scan_masks(ints, d)
 
 
 def extreme_points(dim: int, points: Sequence[Vec]) -> List[Vec]:

@@ -27,14 +27,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from . import hull
 from .errors import InvalidInputError
-from .linalg import (
-    Rational,
-    Vec,
-    affine_rank,
-    as_int_coords,
-    int_hyperplane,
-    int_side,
-)
+from .linalg import Rational, Vec, as_int_coords, int_hyperplane, int_side
 
 T = TypeVar("T")
 
@@ -133,13 +126,6 @@ class Polytope:
         return cached
 
 
-def _mask(members: Sequence[int]) -> int:
-    out = 0
-    for i in members:
-        out |= 1 << i
-    return out
-
-
 def _stray_message(vertices: Sequence[Sequence[Rational]], stray: Sequence[int]) -> str:
     return "not vertices of the convex hull of the input: " + ", ".join(
         f"point {i} ({', '.join(map(str, vertices[i]))})" for i in stray
@@ -187,81 +173,48 @@ class ValidationReport:
 
 
 def validate(p: Polytope) -> ValidationReport:
-    """Check every structural invariant against the exact hull; collect
-    all failures.
+    """Check p against the exact hull of its points; collect all failures.
 
-    The hull of the points is built once (`hull.facet_masks`, under the
-    guard `from_vertices` applies, so a larger input raises
-    GuardExceededError), and the listed facets are compared with its
-    facets as vertex sets, so member order does not matter.  A facet
-    that lists an index twice is named as such.  The listed facets must
-    be exactly the hull's: a listed facet the hull lacks is fitted to
-    name its fault, and once every other check passes, every
-    point must be a vertex of the hull (the points that are not are named
-    as `from_vertices` names them) and every hull facet must be listed.
+    The hull is built as `Polytope.from_vertices` builds it, under its
+    guard (a larger input raises GuardExceededError), and its refusal
+    of the points (a coordinate list of the wrong length, a repeated
+    point, points that do not span R^d, points that are not vertices)
+    is the one violation.  Otherwise the listed facets, each read as a
+    sorted member tuple, are compared with the hull's
+    (`facet_list_faults`), so member and facet order do not matter.
     """
-    out: List[str] = []
-    n = len(p.vertices)
-    d = p.dim
-    if any(len(v) != d for v in p.vertices):
-        out.append("vertex coordinate length differs from dim")
-        return ValidationReport(out)
-    ints, _ = p.int_coords()
-    if len(set(ints)) != n:
-        out.append("duplicate vertex coordinates")
-    if n < d + 1 or affine_rank(ints, d) != d:
-        out.append("vertex set does not affinely span the ambient dimension")
-        return ValidationReport(out)
-    hull_masks = hull.facet_masks(ints, d)
-    listed = set()
-    member_sets = [set(f) for f in p.facets]
-    for fi, f in enumerate(p.facets):
-        if len(f) < d:
-            out.append(f"facet {fi} has fewer than {d} vertices")
-            continue
-        if not all(0 <= v < n for v in f):
-            out.append(f"facet {fi} has an out-of-range vertex index")
-            continue
-        if len(member_sets[fi]) != len(f):
-            repeated = next(v for v in f if f.count(v) > 1)
-            out.append(f"facet {fi} lists vertex index {repeated} more than once")
-            continue
-        mask = _mask(f)
-        if mask in hull_masks:
-            listed.add(mask)
-            continue
-        fitted = int_hyperplane([ints[i] for i in f])
-        if fitted is None:
-            out.append(f"facet {fi} vertices do not lie on a unique common hyperplane")
-            continue
-        a, b = fitted
-        sides = [int_side(a, b, ints[i]) for i in range(n) if i not in member_sets[fi]]
-        if any(s == 0 for s in sides):
-            out.append(f"facet {fi} hyperplane contains a vertex outside the facet")
-        elif any(s > 0 for s in sides) and any(s < 0 for s in sides):
-            out.append(f"facet {fi} does not have all other vertices on one side")
-    count = [0] * n
-    for f in member_sets:
-        for v in f:
-            if 0 <= v < n:
-                count[v] += 1
-    out.extend(f"vertex {v} lies in fewer than {d} facets" for v in range(n) if count[v] < d)
-    # Distinct hull facets never contain one another.
-    if len(listed) != len(p.facets):
-        for i, a in enumerate(member_sets):
-            for j, b in enumerate(member_sets):
-                if i != j and a <= b:
-                    out.append(f"facet {i} is contained in facet {j}")
-    if not out:
-        # Every listed facet is a hull facet, which holds every point on
-        # its hyperplane, as `hull.non_vertices` needs.
-        stray = hull.non_vertices(n, p.facets)
-        if stray:
-            out.append(_stray_message(p.vertices, stray))
+    try:
+        hull_facets = Polytope.from_vertices(p.dim, p.vertices).facets
+    except InvalidInputError as exc:
+        return ValidationReport([str(exc)])
+    listed = [tuple(sorted(f)) for f in p.facets]
+    return ValidationReport(facet_list_faults(listed, hull_facets))
+
+
+def facet_list_faults(
+    listed: Sequence[Tuple[int, ...]], hull_facets: Sequence[Tuple[int, ...]]
+) -> List[str]:
+    """How a facet list differs from the hull's facets, both as sorted
+    member tuples: each listed facet that is not a hull facet, by its
+    index in the list and its members; each listed facet that repeats an
+    earlier one, by both indices; then each hull facet left out, by its
+    members.  Empty exactly when the list is the hull's facets in some
+    order.  `validate` and `fileio.polytope_from_dict` both compare
+    through here."""
+    hull_set = set(hull_facets)
+    first: Dict[Tuple[int, ...], int] = {}
+    out = []
+    for i, members in enumerate(listed):
+        if members not in hull_set:
+            out.append(f"facet {i} {members} is not a hull facet")
+        elif members in first:
+            out.append(f"facet {i} repeats facet {first[members]}")
         else:
-            missing = sorted(hull.mask_members(m) for m in hull_masks - listed)
-            out.extend(f"hull facet {members} is not listed" for members in missing)
-    return ValidationReport(out)
+            first[members] = i
+    out.extend(
+        f"hull facet {members} is not listed" for members in hull_facets if members not in first
+    )
+    return out
 
 
 def minkowski_sum(p, q, name: Optional[str] = None) -> Polytope:

@@ -242,6 +242,26 @@ def test_analyze_guard_exit_code_with_listed_facets(tmp_path, capsys, monkeypatc
     assert code == 3 and "exceeds the guard" in err
 
 
+@pytest.mark.parametrize("listed", [False, True], ids=["vertices-only", "listed-facets"])
+def test_analyze_guard_exit_code_on_a_hyperplane(tmp_path, capsys, monkeypatch, listed):
+    # The guard document's points put on the hyperplane x_12 = 0: too
+    # many d-subsets, so the guard refuses them before any hull, and so
+    # before the affine span is known, with listed facets or without.
+    def no_scan(*args):
+        raise AssertionError("facet_scan ran above the guard")
+
+    monkeypatch.setattr(kernels, "facet_scan", no_scan)
+    doc = _guard_document()
+    doc["vertices"] = [list(x) for x in sorted({tuple(v[:11]) + (0,) for v in doc["vertices"]})]
+    assert len(doc["vertices"]) == 40
+    if listed:
+        doc["facets"] = [list(range(12)), list(range(12, 24))]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == "" and "exceeds the guard" in err
+
+
 def test_construct_cube_above_the_guard_exit_code(capsys, monkeypatch):
     # The guard refuses the 2^40 points before any is listed.
     def no_points(*args):
@@ -321,7 +341,8 @@ def test_analyze_rejects_a_facet_list_missing_a_facet(tmp_path, capsys, octa_fil
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == ""
-    assert f"hull facet {tuple(missing)} is not listed" in err
+    # The one fault is the missing facet, named by its members.
+    assert err == f"error: invalid polytope: hull facet {tuple(missing)} is not listed\n"
 
 
 @pytest.mark.parametrize(
@@ -329,13 +350,19 @@ def test_analyze_rejects_a_facet_list_missing_a_facet(tmp_path, capsys, octa_fil
     [
         # File facet 2, [0,1], is a hull edge; file facet 3, [0,3], is
         # not, and is facet 2 once the list is sorted.
-        ([[0, 0], [4, 0], [0, 4], [3, 3]], [[2, 3], [0, 2], [0, 1], [0, 3]],
-         ["facet 3 does not have all other vertices on one side"],
-         "facet 2 does not"),
+        pytest.param(
+            [[0, 0], [4, 0], [0, 4], [3, 3]], [[2, 3], [0, 2], [0, 1], [0, 3]],
+            ["facet 3 (0, 3) is not a hull facet", "hull facet (1, 3) is not listed"],
+            "facet 2",
+            id="vertices0-facets0-named0-facet 2 does not",
+        ),
         # The short facet is listed last but sorts first.
-        ([[0, 0], [1, 0], [0, 1]], [[1, 2], [0, 2], [0]],
-         ["facet 2 has fewer than 2 vertices", "facet 2 is contained in facet 1"],
-         "facet 0"),
+        pytest.param(
+            [[0, 0], [1, 0], [0, 1]], [[1, 2], [0, 2], [0]],
+            ["facet 2 (0,) is not a hull facet", "hull facet (0, 1) is not listed"],
+            "facet 0",
+            id="vertices1-facets1-named1-facet 0",
+        ),
     ],
 )
 def test_analyze_names_faulty_facets_in_file_order(
@@ -346,8 +373,7 @@ def test_analyze_names_faulty_facets_in_file_order(
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == ""
-    for message in named:
-        assert message in err
+    assert err == "error: invalid polytope: " + "; ".join(named) + "\n"
     assert not_named not in err
 
 

@@ -166,8 +166,8 @@ def test_nameless_polytope_omits_name_key():
 
 
 def test_benchmark_inputs_with_facets_load():
-    # The committed benchmark inputs list their facets; each must pass
-    # `validate`, which requires exactly the hull's facets.
+    # The committed benchmark inputs list their facets; each list must be
+    # exactly the hull's facets.
     path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs", "polytopes.json")
     with open(path, encoding="utf-8") as fh:
         bases = json.load(fh)

@@ -134,6 +134,12 @@ def path_steps(parent, depth, u, v):
     return up_from_u + [(b, a) for a, b in reversed(up_from_v)]
 
 
+def components(g):
+    """The connected components of g, each a sorted vertex list, in order
+    of their smallest vertex: the vertex sets of `_bfs_forest`'s trees."""
+    return [sorted(order) for _, order, _, _ in _bfs_forest(g)]
+
+
 def reference_decomposing_space(g):
     """The rational cycle-space construction: Vec rows cleared row by row,
     over the fundamental cycles of a depth-first tree (`dfs_tree`), so no
@@ -145,7 +151,7 @@ def reference_decomposing_space(g):
     basis = []
     zero_images = {v: zero_vec(d) for v in g.vertices}
     zero_scalars = {e: Fraction(0) for e in g.edges}
-    for comp in g.components():
+    for comp in components(g):
         parent, depth, order = dfs_tree(g, comp)
         comp_edges = [e for e in g.edges if e[0] in parent]
         tree_edges = {edge_key(v, parent[v]) for v in order[1:]}
@@ -357,6 +363,18 @@ def test_is_indecomposable_graph_builds_no_basis(monkeypatch):
     assert not is_indecomposable_graph(SQUARE)
 
 
+def test_is_indecomposable_graph_walks_the_graph_once(monkeypatch):
+    # The tree the connectivity check walked is the one the cycle system
+    # is built over.
+    p = cube(3)
+    g = GeometricGraph(p.dim, dict(enumerate(p.vertices)), p.edges())
+    walks = []
+    walk = graphs._bfs_forest
+    monkeypatch.setattr(graphs, "_bfs_forest", lambda h: walks.append(h) or walk(h))
+    assert not is_indecomposable_graph(g)
+    assert len(walks) == 1 and walks[0] is g
+
+
 def test_is_indecomposable_graph_matches_the_space_on_catalogue_skeleta():
     for e in catalogue_list():
         g = skeleton(e.build())
@@ -397,7 +415,7 @@ def test_disconnected_graph_components_add_up():
         [(0, 0), (2, 0), (0, 2), (5, 5), (6, 5)],
         [(0, 1), (0, 2), (1, 2), (3, 4)],
     )
-    assert len(g.components()) == 2
+    assert len(components(g)) == 2
     dim, _ = decomposing_space(g)
     assert dim == 3 + 3
     assert naive_dimension(g) == 6
@@ -614,7 +632,7 @@ def test_integer_space_and_witness_match_rational_reference(name, p):
 @pytest.mark.parametrize("name,p", CATALOGUE_IMAGES[::5], ids=[n for n, _ in CATALOGUE_IMAGES[::5]])
 def test_equal_scalars_decide_homothety_on_catalogue_skeleta(name, p):
     g = skeleton(p)
-    assert g.is_connected()
+    assert len(_bfs_forest(g)) == 1
     _, basis = decomposing_space(g)
     for f in basis:
         assert (len(set(f.edge_scalars.values())) == 1) == is_homothety(g, f)
@@ -692,7 +710,7 @@ def test_skeleton_matches_a_graph_built_from_the_edges():
         assert g == want, e.name
         assert all(g.neighbors(v) == want.neighbors(v) for v in want.vertices), e.name
         assert g.int_coords() == want.int_coords(), e.name
-        assert g.components() == want.components(), e.name
+        assert components(g) == components(want), e.name
 
 
 def test_skeleton_refuses_an_edge_with_repeated_coordinates():
@@ -781,7 +799,7 @@ def test_skeleton_refuses_an_isolated_midpoint_as_disconnected():
     facets = tuple(f + (8,) if 0 in f and 1 in f else f for f in p.facets)
     q = Polytope(4, p.vertices + ((p.vertices[0] + p.vertices[1]) / 2,), facets)
     g = _edge_graph(q)
-    assert len(g.components()) == 2
+    assert len(components(g)) == 2
     assert decomposing_space(g)[0] == 5 + 4
     for build in (skeleton, oracle_verdict, basis_oracle_verdict):
         with pytest.raises(InvalidInputError, match="skeleton is disconnected: 2 components"):
@@ -799,7 +817,7 @@ def test_skeleton_analyze_and_replay_refuse_two_disjoint_triangles():
     facets = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
     p = Polytope(2, tuple(Vec(x) for x in pts), facets)
     g = _edge_graph(p)
-    assert len(g.components()) == 2
+    assert len(components(g)) == 2
     assert decomposing_space(g)[0] == 3 + 3
     refusal = "skeleton is disconnected: 2 components"
     for decide in (skeleton, oracle_verdict, basis_oracle_verdict):

@@ -1,16 +1,17 @@
 """Polytope representation, derived operations, and validation.
 
-Facet-plane fits and `validate` run over cleared integer coordinates.
-The rational fit they replaced (`reference_common_hyperplane`, in
-reference_linalg) and the rational facet checks of `validate`
-(`reference_validate`, which fits every listed facet and, once the
-facet checks pass, names the points that are not vertices and the hull
-facets that are not listed) are the references, on catalogue images, on
-broken inputs with fractional coordinates and on seeded tampered facet
-lists.  `validate`
-itself fits only the listed facets the hull lacks.  The reference finds
-the hull's facets by trying the hyperplane of every d-subset of the
-points (`reference_hull_facets`), not by `kernels.facet_scan`.
+Facet-plane fits run over cleared integer coordinates; the rational fit
+they replaced (`reference_common_hyperplane`, in reference_linalg) is
+their reference.  `validate` builds the hull of the points as
+`from_vertices` does and compares the listed facets with its facets as
+sets.  The rational per-facet checks it replaced (`reference_validate`,
+which fits every listed facet and, once the facet checks pass, names
+the points that are not vertices and the hull facets that are not
+listed) are the reference for which inputs are refused, on catalogue
+images, on broken inputs with fractional coordinates and on seeded
+tampered facet lists.  The reference finds the hull's facets by trying
+the hyperplane of every d-subset of the points (`reference_hull_facets`),
+not by `kernels.facet_scan`.
 
 The skeleton, read off facet bitsets, is checked against the exact
 supporting-hyperplane LP (`is_geometric_edge`), and the integer facet
@@ -402,7 +403,8 @@ def test_int_planes_and_validate_match_rational_reference_on_catalogue():
 
 # Broken cube images with fractional coordinates; vertex k of cube(3) is
 # the 0/1 point with coordinate bits k.  Square facet {0, 1, 2, 3} is
-# z = 0 and {4, 5, 6, 7} is z = 1.
+# z = 0 and {4, 5, 6, 7} is z = 1.  Each facet comes with the fault the
+# reference names when it fits it.
 BROKEN_FACETS = {
     # 0, 1, 2 lie on z = 0, vertex 7 does not.
     "not coplanar": ((0, 1, 2, 7), "vertices do not lie on a unique common hyperplane"),
@@ -416,12 +418,17 @@ BROKEN_FACETS = {
 @pytest.mark.parametrize("case", sorted(BROKEN_FACETS))
 @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(5, 3), Fraction(7, 4)])
 def test_validate_matches_reference_on_broken_fractional_polytopes(case, scale):
-    facet, message = BROKEN_FACETS[case]
+    # Both refuse the list and name the facet by its place in it, which
+    # is not its place once the list is sorted.
+    facet, fault = BROKEN_FACETS[case]
     p = _scaled(cube(3), scale, (Fraction(1, 3), Fraction(-2, 7), 5))
     bad = Polytope(3, p.vertices, p.facets + (facet,))
+    k = len(p.facets)
+    assert f"facet {k} {fault}" in reference_validate(bad)
     violations = validate(bad).violations
-    assert violations == reference_validate(bad)
-    assert f"facet {len(p.facets)} {message}" in violations
+    assert violations == [f"facet {k} {facet} is not a hull facet"]
+    sorted_index = sorted(bad.facets).index(facet)
+    assert sorted_index != k and f"facet {sorted_index} " not in violations[0]
 
 
 def with_edge_midpoint(p, u, v):
@@ -444,26 +451,24 @@ def test_validate_names_a_non_extreme_point_in_listed_facets(scale):
 
 @pytest.mark.parametrize("scale", [1, Fraction(5, 3)], ids=["integer", "fractional"])
 def test_validate_names_a_missing_hull_facet(scale):
-    # A vertex of the dropped facet that is left in fewer than d facets
-    # is reported first, as before; otherwise the facet is named.
+    # Every dropped facet is named by its members, also when one of its
+    # vertices is left in fewer than d facets.
     rng = random.Random(5)
-    named = 0
+    named = short = 0
     for e in catalogue_list():
         base = e.build()
         p = _scaled(base, scale, [Fraction(rng.randint(-9, 9), 2) for _ in range(base.dim)])
         for k, missing in enumerate(p.facets):
             q = Polytope(p.dim, p.vertices, p.facets[:k] + p.facets[k + 1:])
-            short = [v for v in missing if sum(1 for f in q.facets if v in f) < p.dim]
-            if short:
-                expected = [f"vertex {v} lies in fewer than {p.dim} facets" for v in short]
-            else:
-                expected = [f"hull facet {missing} is not listed"]
-                named += 1
-            assert validate(q).violations == expected, (e.name, k)
+            short += any(sum(1 for f in q.facets if v in f) < p.dim for v in missing)
+            expected = f"hull facet {missing} is not listed"
+            assert validate(q).violations == [expected], (e.name, k)
             data = polytope_to_dict(q)
-            with pytest.raises(InvalidInputError, match=re.escape(expected[0])):
+            with pytest.raises(InvalidInputError, match=re.escape(expected)):
                 polytope_from_dict(data)
-    assert named == 35
+            named += 1
+    assert named == sum(len(e.build().facets) for e in catalogue_list()) > 35
+    assert short > 0
 
 
 def test_non_vertices_reads_a_repeated_index_once():
@@ -473,14 +478,23 @@ def test_non_vertices_reads_a_repeated_index_once():
 
 
 def test_validate_names_a_repeated_facet_index():
-    # The repeat folds into the hull facet's mask, so only this check
-    # tells the list from the cube's own.
+    # A facet that lists an index twice is not a hull facet's member
+    # tuple; a facet listed twice is named with its first listing.  Each
+    # is named by its place in the list, not in the sorted list.
     p = cube(3)
-    facets = (p.facets[0] + (p.facets[0][0],),) + p.facets[1:]
-    bad = Polytope(3, p.vertices, facets)
-    violations = validate(bad).violations
-    assert violations == reference_validate(bad)
-    assert violations == [f"facet 0 lists vertex index {p.facets[0][0]} more than once"]
+    first = p.facets[0]
+    doubled = first + (first[0],)
+    bad = Polytope(3, p.vertices, p.facets[1:] + (doubled,))
+    assert reference_validate(bad)
+    assert validate(bad).violations == [
+        f"facet 5 {tuple(sorted(doubled))} is not a hull facet",
+        f"hull facet {first} is not listed",
+    ]
+    assert sorted(bad.facets).index(doubled) == 0
+    twice = Polytope(3, p.vertices, p.facets[1:] + (first, first))
+    assert reference_validate(twice)
+    assert validate(twice).violations == ["facet 6 repeats facet 5"]
+    assert sorted(twice.facets).index(first) == 0
 
 
 def test_validate_accepts_unsorted_facet_tuples():
@@ -543,10 +557,20 @@ TAMPERINGS = [
 ]
 
 
+# Every refusal names a facet by its index in the list or its members,
+# a point that is not a vertex, or a repeated point.
+NAMED_FAULT = re.compile(
+    r"facet \d+ \(.*\) is not a hull facet|facet \d+ repeats facet \d+"
+    r"|hull facet \(.*\) is not listed"
+    r"|not vertices of the convex hull of the input: point \d+ \(.*\)|duplicate vertices"
+)
+
+
 def test_validate_matches_reference_on_tampered_facet_lists():
     rng = random.Random(2027)
     bases = [e.build() for e in catalogue_list()]
-    seen = {}
+    refused = {}
+    seen = set()
     cases = 0
     for p in bases:
         for scale in (1, Fraction(7, 4)):
@@ -555,15 +579,24 @@ def test_validate_matches_reference_on_tampered_facet_lists():
                 kind = TAMPERINGS[t % len(TAMPERINGS)]
                 bad = _tampered(q, kind, rng)
                 violations = validate(bad).violations
-                assert violations == reference_validate(bad), (p.name, scale, kind)
+                assert (not violations) == (not reference_validate(bad)), (p.name, scale, kind)
                 for line in violations:
-                    key = re.sub(r"\d+|\(.*\)", "#", line)
-                    seen[key] = seen.get(key, 0) + 1
+                    assert NAMED_FAULT.fullmatch(line), (p.name, scale, kind, line)
+                    seen.add(re.sub(r"\d+|\(.*\)", "#", line))
+                refused[kind] = refused.get(kind, 0) + bool(violations)
                 cases += 1
     assert cases >= 1500
-    # Every kind of violation below the guard, apart from the coordinate
-    # length and affine span, which no tampering here produces.
-    assert len(seen) == 11, sorted(seen)
+    # Every tampering is refused somewhere, and every kind of violation
+    # below the guard is seen, apart from the coordinate length and the
+    # affine span, which no tampering here produces.
+    assert len(TAMPERINGS) == 11 and all(refused[kind] for kind in TAMPERINGS), refused
+    assert seen == {
+        "facet # # is not a hull facet",
+        "facet # repeats facet #",
+        "hull facet # is not listed",
+        "not vertices of the convex hull of the input: point # #",
+        "duplicate vertices",
+    }, sorted(seen)
 
 
 def test_extreme_points_match_lp_membership():
