@@ -50,7 +50,6 @@ from .graphs import (
     GeometricGraph,
     OracleResult,
     decomposing_space,
-    is_indecomposable_graph,
     oracle_verdict,
     skeleton,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "dumps",
     "facet_as_polytope",
     "incidence_isomorphic",
-    "is_indecomposable_graph",
     "loads",
     "minkowski_sum",
     "octahedron",

@@ -216,7 +216,7 @@ def simple_extension_closure(g: GeometricGraph, seed: Tuple[int, int]) -> Certif
     """Grow from a seed edge until no vertex has two covered neighbors,
     absorbing the smallest eligible vertex first."""
     cg = seed_edge(g, *seed)
-    outside = sorted(set(g.vertices) - cg.vertices)
+    outside = sorted(set(range(len(g.vertices))) - cg.vertices)
     while True:
         w = next(
             (
@@ -277,7 +277,7 @@ def independent_cycle(g: GeometricGraph, vs: Sequence[int]) -> CertificateStep:
     vs = tuple(vs)
     if len(vs) < 3 or len(set(vs)) != len(vs):
         raise RuleNotApplicableError("need at least three distinct cycle vertices")
-    if any(v not in g.vertices for v in vs):
+    if any(v not in range(len(g.vertices)) for v in vs):
         raise RuleNotApplicableError("cycle vertex missing from the graph")
     xs, _ = g.int_coords()
     if not affinely_independent([xs[v] for v in vs]):
@@ -477,7 +477,7 @@ def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slid
     gap = {w: -int_side(a, b, xs[w]) for w in outside}
     drop = min(gap.values())  # b - alpha
     den = lcm(*(gap[out_nbr[v]] for v in members))
-    fs = {i: tuple(c * den for c in x) for i, x in xs.items()}
+    fs = {i: tuple(c * den for c in x) for i, x in enumerate(xs)}
     for v in members:
         w = out_nbr[v]
         # Slide v along its outside edge down to the level alpha.
@@ -517,7 +517,7 @@ def shephard_facet(p: Polytope) -> Optional[Tuple[CertificateTrace, Slide]]:
     facet is refused by degree alone; there the slide runs only as the
     cross-check after an Indecomposable oracle verdict."""
     skel = skeleton(p)
-    degree = [len(skel.neighbors(v)) for v in skel.vertices]
+    degree = [len(skel.neighbors(v)) for v in range(len(p.vertices))]
     for fi, members in enumerate(p.facets):
         size = len(members)
         if any(degree[v] > size for v in members):

@@ -7,11 +7,19 @@ decomposing functions always contains the homotheties x -> a*x + b; a
 connected, affinely spanning graph is indecomposable exactly when there
 is nothing else, i.e. when the space has dimension d + 1.
 
-The space is computed per connected component through the cycle space
-(Kallay 1982): an edge-scalar assignment extends to a decomposing
-function iff it sums to zero (weighted by edge directions) around every
-fundamental cycle, and the extension is then unique up to translation.
-The trees come from `_bfs_forest`, the module's only graph walk.  This
+Every graph is a polytope's edge graph, and `skeleton` is the only place
+one is built.  It takes the polytope's cached edges, adjacency and
+integer coordinates as they are, and it refuses a disconnected graph, as
+every polytope's skeleton is connected (Balinski 1961).  So every graph
+has one component, and one BFS tree from vertex 0 (`_bfs_tree`), the
+walk that checked the connectivity: the oracle's cycle system, every
+sum of images and every equal-scalar homothety test read that one tree,
+so a skeleton is walked once.
+
+The space is computed through the cycle space (Kallay 1982): an
+edge-scalar assignment extends to a decomposing function iff it sums to
+zero (weighted by edge directions) around every fundamental cycle of
+the tree, and the extension is then unique up to translation.  This
 solves a system over the edge scalars only, much smaller than the naive
 system over all vertex images, with an identical kernel dimension.
 
@@ -24,17 +32,17 @@ complete skeleton is one class, and so is that of every simplicial
 polytope of dimension 3 or more.  The union-find stops once one class is
 left, and a one-class system, whose rows all vanish, is neither built
 nor eliminated.  The dimension of the space is read off that elimination
-alone (`_component_kernels`).  The kernel vectors are expanded back to
-the edges and brought to the basis the uncontracted system's reduced
+alone (`_cycle_kernel`).  The kernel vectors are expanded back to the
+edges and brought to the basis the uncontracted system's reduced
 echelon form gives (`_edge_rows`), so the basis does not depend on the
 contraction.
 
-The whole computation runs over integers: the vertex coordinates are
-cleared to a common denominator once (`linalg.as_int_coords`), which
-scales every cycle equation by the same factor and so keeps its kernel.
-The cycle rows are built as integer lists and reduced without fractions,
-the kernel vectors and edge rows stay integer, and so do the images
-summed along a spanning tree and the package's only homothety fit
+The whole computation runs over integers: over the polytope's vertex
+coordinates cleared to a common denominator once (`Polytope.int_coords`),
+which scales every cycle equation by the same factor and so keeps its
+kernel.  The cycle rows are built as integer lists and reduced without
+fractions, the kernel vectors and edge rows stay integer, and so do the
+images summed along the tree and the package's only homothety fit
 (`_homothety_fit`, which the oracle's `_residue` and the lift of a slide
 through a pyramid reduction read), solved in closed form from integer
 sums.  `Fraction` appears only where a function is handed out: the basis
@@ -43,14 +51,6 @@ of `oracle_verdict` and the facet slide `certificates.analyze` returns,
 is an integer slide (images times one denominator, and each edge's
 integer ratio, verified edge by edge) until `_slide_witness` makes its
 `Fraction`s once.
-
-A polytope's graph (`skeleton`) takes the polytope's cached edges,
-adjacency and integer coordinates as they are.  It is refused unless
-connected, as every polytope's skeleton is (Balinski 1961), so the
-oracle and every equal-scalar homothety test see one component, and the
-BFS tree that check walked is kept for the oracle's cycle system, so a
-skeleton is walked once; `decomposing_space` takes a `GeometricGraph`
-with any number.
 
 `oracle_verdict` builds no basis.  It stops at the dimension when that
 is d + 1, and otherwise takes the first edge row, the first element of
@@ -62,19 +62,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import kernels
 from .errors import InvalidInputError
 from .linalg import (
     Rational,
     Vec,
-    affine_rank,
     as_int_coords,
     fraction_vec,
     int_collinear,
     int_kernel_basis,
-    zero_vec,
 )
 from .polytope import Polytope
 
@@ -83,56 +81,41 @@ def edge_key(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+# A BFS spanning tree: its parent map, its vertices in BFS order, the
+# graph's edges and its tree edges.
+Tree = Tuple[
+    Dict[int, Optional[int]], List[int], Tuple[Tuple[int, int], ...], Set[Tuple[int, int]]
+]
+
+
 @dataclass(frozen=True)
 class GeometricGraph:
-    """Vertices with exact coordinates, by id, and undirected edges
-    (stored as sorted (u, v) pairs with u < v).
+    """A polytope's edge graph, as `skeleton` builds it: the vertices
+    with exact coordinates, by index, and the undirected edges as sorted
+    (u, v) pairs with u < v.
 
-    The sorted adjacency is built once, when the graph is made, and the
-    integer view of the coordinates (`int_coords`) on first use; neither
+    The adjacency (each vertex's neighbours, ascending) and the integer
+    view of the coordinates (`int_coords`) are the polytope's cached
+    values, and the BFS tree is the one `skeleton` walked; none of them
     takes part in comparisons."""
 
     dim: int
-    vertices: Dict[int, Vec]
+    vertices: Tuple[Vec, ...]
     edges: Tuple[Tuple[int, int], ...]
-    _adjacency: Dict[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    _ints: Optional[Tuple[Dict[int, Tuple[int, ...]], int]] = field(
-        init=False, default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(edge_key(*e) for e in set(self.edges))))
-        adjacency: Dict[int, List[int]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            if u == v:
-                raise InvalidInputError(f"loop edge at vertex {u}")
-            if u not in self.vertices or v not in self.vertices:
-                raise InvalidInputError(f"edge ({u},{v}) has a missing endpoint")
-            if self.vertices[u] == self.vertices[v]:
-                raise InvalidInputError(f"edge ({u},{v}) endpoints share coordinates")
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        object.__setattr__(
-            self, "_adjacency", {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
-        )
+    _adjacency: Tuple[Tuple[int, ...], ...] = field(repr=False, compare=False)
+    _ints: Tuple[List[Tuple[int, ...]], int] = field(repr=False, compare=False)
+    _tree: Tree = field(repr=False, compare=False)
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        """The vertices adjacent to v, ascending (none for a non-vertex)."""
-        return self._adjacency.get(v, ())
+        """The vertices adjacent to v, ascending; none for an index that
+        names no vertex, -1 included."""
+        adj = self._adjacency
+        return adj[v] if 0 <= v < len(adj) else ()
 
-    def int_coords(self) -> Tuple[Dict[int, Tuple[int, ...]], int]:
-        """The vertices cleared to one common denominator, by id, and
-        that denominator (`linalg.as_int_coords`); computed once."""
-        if self._ints is None:
-            ints, mult = as_int_coords(self.vertices.values())
-            object.__setattr__(self, "_ints", (dict(zip(self.vertices, ints)), mult))
+    def int_coords(self) -> Tuple[List[Tuple[int, ...]], int]:
+        """The vertices cleared to one common denominator, by index, and
+        that denominator: the polytope's own (`Polytope.int_coords`)."""
         return self._ints
-
-    def spans_ambient(self) -> bool:
-        if not self.vertices:
-            return False
-        xs, _ = self.int_coords()
-        return affine_rank([xs[v] for v in sorted(self.vertices)], self.dim) == self.dim
 
 
 @dataclass(frozen=True)
@@ -152,12 +135,12 @@ class DecomposingFunction:
         n*den*(X_u - X_v) coordinate by coordinate.  A scalar that is not
         an int or a `Fraction` is compared as `Fraction` equality would
         compare it, through the edge's verified ratio (`_edge_ratios`)."""
-        for v in g.vertices:
+        vids = range(len(g.vertices))
+        for v in vids:
             if v not in self.images or len(self.images[v]) != g.dim:
                 return False
         xs, mult = g.int_coords()
-        ints, den = as_int_coords(self.images[v] for v in g.vertices)
-        fs = dict(zip(g.vertices, ints))
+        fs, den = as_int_coords(self.images[v] for v in vids)
         scalars = self.edge_scalars
         if len(scalars) != len(g.edges):
             return False
@@ -183,15 +166,16 @@ class DecomposingFunction:
 
 
 def _edge_ratios(
-    edges: Iterable[Tuple[int, int]], xs: Dict[int, Sequence[int]],
-    fs: Dict[int, Sequence[int]],
+    edges: Iterable[Tuple[int, int]], xs: Sequence[Sequence[int]],
+    fs: Union[Sequence[Sequence[int]], Dict[int, Sequence[int]]],
 ) -> Dict[Tuple[int, int], Tuple[int, int]]:
     """Each edge's integer ratio (f_j, x_j) for the integer images fs
-    over the integer vertices xs, verified in integers: the image
-    difference must be a multiple of the vertex difference, which is
-    x_j != 0 at its first nonzero coordinate j and f_j there.  Raises
-    InvalidInputError at the first edge where it is not.  Every image has
-    one coordinate per vertex coordinate; the callers make or check it."""
+    (a list or a dict, by vertex index) over the integer vertices xs,
+    verified in integers: the image difference must be a multiple of the
+    vertex difference, which is x_j != 0 at its first nonzero coordinate
+    j and f_j there.  Raises InvalidInputError at the first edge where it
+    is not.  Every image has one coordinate per vertex coordinate; the
+    callers make or check it."""
     ratios = {}
     for u, v in edges:
         fu, fv = fs[u], fs[v]
@@ -223,75 +207,56 @@ def _slide_witness(mult: int, slide: Slide) -> DecomposingFunction:
 
 
 def skeleton(p: Polytope) -> GeometricGraph:
-    """The edge graph of p, built once per polytope.
+    """The edge graph of p, built once per polytope (`_build_skeleton`).
 
     Its edges, adjacency and integer view are the polytope's cached ones
     (`Polytope.edges`, `Polytope._adjacency`, `Polytope.int_coords`),
     taken as they are: the edges are derived sorted, with u < v and no
-    repeats, so the graph skips the normalising and checking that
-    `GeometricGraph` does for edges given by hand.  It keeps two checks,
-    for what only an unvalidated `Polytope` can have: an edge whose
-    endpoints share coordinates (compared as integer tuples) and a
-    disconnected graph, both InvalidInputError.  `analyze`, `_decide`
-    and `replay` build it before any rule or the oracle runs."""
-    return _skeleton_tree(p)[0]
-
-
-def _skeleton_tree(p: Polytope):
-    """The skeleton of p and the one BFS tree (`_bfs_forest`) that its
-    connectivity check walked, built once per polytope: `oracle_verdict`
-    reads that tree, so a skeleton is walked once."""
+    repeats.  It keeps the checks for what only an unvalidated `Polytope`
+    can have: no vertex, an edge whose endpoints share coordinates
+    (compared as integer tuples) and a disconnected graph, each
+    InvalidInputError.  The BFS tree that the connectivity check walked
+    is kept for the oracle.  `analyze`, `_decide` and `replay` build the
+    skeleton before any rule or the oracle runs."""
     return p._derived("skeleton", lambda: _build_skeleton(p))
 
 
-def _build_skeleton(p: Polytope):
-    ints, mult = p.int_coords()
+def _build_skeleton(p: Polytope) -> GeometricGraph:
+    xs, _ = p.int_coords()
     edges = p.edges()
     for u, v in edges:
-        if ints[u] == ints[v]:
+        if xs[u] == xs[v]:
             raise InvalidInputError(f"edge ({u},{v}) endpoints share coordinates")
-    g = object.__new__(GeometricGraph)
-    for name, value in (
-        ("dim", p.dim),
-        ("vertices", dict(enumerate(p.vertices))),
-        ("edges", edges),
-        ("_adjacency", dict(enumerate(p._adjacency()))),
-        ("_ints", (dict(enumerate(ints)), mult)),
-    ):
-        object.__setattr__(g, name, value)
-    forest = _bfs_forest(g)
-    if len(forest) != 1:
-        raise InvalidInputError(f"skeleton is disconnected: {len(forest)} components")
-    return g, forest[0]
+    adjacency = p._adjacency()
+    n = len(adjacency)
+    if not n:
+        raise InvalidInputError("skeleton has no vertices")
+    tree = parent, order, _, _ = _bfs_tree(adjacency, edges)
+    if len(order) != n:
+        missed = next(v for v in range(n) if v not in parent)
+        raise InvalidInputError(
+            f"skeleton is disconnected: vertex {missed} is not reached from vertex 0"
+        )
+    return GeometricGraph(p.dim, p.vertices, edges, adjacency, p.int_coords(), tree)
 
 
-def _bfs_forest(g: GeometricGraph):
-    """One rooted BFS spanning tree per connected component: its parent
-    map, its vertices in BFS order, its edges (in g.edges order) and its
-    tree edges.  Components come in order of their smallest vertex, each
-    rooted there and walked over the sorted adjacency."""
-    adjacency = g._adjacency
-    forest = []
-    seen = set()
-    for root in sorted(g.vertices):
-        if root in seen:
-            continue
-        parent: Dict[int, Optional[int]] = {root: None}
-        order = [root]
-        # The order grows behind the walk, so it is the walk's queue.
-        for x in order:
-            for y in adjacency[x]:
-                if y not in parent:
-                    parent[y] = x
-                    order.append(y)
-        seen.update(order)
-        comp_edges = [e for e in g.edges if e[0] in parent]
-        forest.append((parent, order, comp_edges, {edge_key(v, parent[v]) for v in order[1:]}))
-    return forest
+def _bfs_tree(adjacency: Sequence[Sequence[int]], edges: Tuple[Tuple[int, int], ...]) -> Tree:
+    """The BFS tree from vertex 0 over the sorted adjacency: its parent
+    map, the vertices it reaches in BFS order, the edges and its tree
+    edges.  It spans the graph exactly when the graph is connected."""
+    parent: Dict[int, Optional[int]] = {0: None}
+    order = [0]
+    # The order grows behind the walk, so it is the walk's queue.
+    for x in order:
+        for y in adjacency[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    return parent, order, edges, {edge_key(v, parent[v]) for v in order[1:]}
 
 
 def triangle_classes(
-    xs: Dict[int, Sequence[int]], comp_edges: Sequence[Tuple[int, int]]
+    xs: Sequence[Sequence[int]], edges: Sequence[Tuple[int, int]]
 ) -> Tuple[Dict[Tuple[int, int], int], int]:
     """Column of each edge in the contracted cycle system, and the number
     of columns.
@@ -302,16 +267,16 @@ def triangle_classes(
     b = x_w - x_v independent.  That equation lies in the span of the
     fundamental cycles, so every kernel vector is constant on the classes
     of the union-find closure of these 3-cycles, whether or not they are
-    2-faces.  Collinear 3-cycles (possible in a graph, never in a
-    skeleton) give one equation and join nothing.  Classes are numbered
-    by their first edge in comp_edges order.
+    2-faces.  Collinear 3-cycles, which only the skeleton of an
+    unvalidated `Polytope` can have, give one equation and join nothing.
+    Classes are numbered by their first edge in edges order.
 
     The union-find stops once one class is left, as no further 3-cycle
     can change the answer: every edge then has column 0.
     """
-    index = {e: i for i, e in enumerate(comp_edges)}
-    root = list(range(len(comp_edges)))
-    left = len(comp_edges)
+    index = {e: i for i, e in enumerate(edges)}
+    root = list(range(len(edges)))
+    left = len(edges)
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -320,7 +285,7 @@ def triangle_classes(
         return i
 
     adjacency: Dict[int, set] = {}
-    for u, v in comp_edges:
+    for u, v in edges:
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
     for (u, v), i in index.items():
@@ -342,9 +307,9 @@ def triangle_classes(
 
 
 def cycle_rows(
-    xs: Dict[int, Sequence[int]], tree, col_of: Dict[Tuple[int, int], int], ncols: int
+    xs: Sequence[Sequence[int]], tree: Tree, col_of: Dict[Tuple[int, int], int], ncols: int
 ) -> List[List[int]]:
-    """The cycle system of one component over integer coordinates xs.
+    """The cycle system over integer coordinates xs and a BFS tree.
 
     One block of d rows per non-tree edge: the scalar-weighted edge
     directions must cancel around the edge's fundamental cycle.  Edge e's
@@ -361,7 +326,7 @@ def cycle_rows(
     space, and with it the pivots and the kernel basis, unchanged: each
     distinct row is kept once, in order of first appearance.
     """
-    parent, order, comp_edges, tree_edges = tree
+    parent, order, edges, tree_edges = tree
     d = len(xs[order[0]])
     path = {order[0]: [[0] * ncols for _ in range(d)]}
     for v in order[1:]:
@@ -371,7 +336,7 @@ def cycle_rows(
         for row, xu, xv in zip(block, xs[u], xs[v]):
             row[k] += xv - xu
     rows: Dict[Tuple[int, ...], List[int]] = {}
-    for e in comp_edges:
+    for e in edges:
         if e in tree_edges:
             continue
         u, v = e
@@ -384,16 +349,12 @@ def cycle_rows(
     return list(rows.values())
 
 
-def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]], forest=None):
-    """The integer core of the decomposing space: for each tree of the
-    forest (`_bfs_forest(g)` unless given), that tree, the column of each
-    of its component's edges in the contracted cycle system
-    (`triangle_classes`) and that system's integer kernel basis
-    (`linalg.int_kernel_basis`).  The space has dimension d per component
-    plus the total number of kernel vectors.  A polytope's skeleton gives
-    one tree, the one `skeleton` walked, which `oracle_verdict` passes;
-    `is_indecomposable_graph` passes the one tree its connectivity check
-    walked.
+def _cycle_kernel(g: GeometricGraph) -> Tuple[List[int], List[List[int]]]:
+    """The integer core of the decomposing space: the column of each of
+    g's edges in the contracted cycle system (`triangle_classes`) and
+    that system's integer kernel basis (`linalg.int_kernel_basis`), over
+    the tree `skeleton` walked.  The space has dimension d plus the
+    number of kernel vectors.
 
     With one class, as on every simplicial polytope of dimension 3 or
     more, each cycle row sums the edge directions around a closed walk
@@ -403,20 +364,13 @@ def _component_kernels(g: GeometricGraph, xs: Dict[int, Sequence[int]], forest=N
     row space determines."""
     if not g.edges:
         raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
-    out = []
-    for tree in _bfs_forest(g) if forest is None else forest:
-        comp_edges = tree[2]
-        cols: List[int] = []
-        kernel: List[List[int]] = []
-        if comp_edges:
-            col_of, k = triangle_classes(xs, comp_edges)
-            if k == 1:
-                kernel = [[1]]
-            else:
-                _, kernel = int_kernel_basis(cycle_rows(xs, tree, col_of, k), k)
-            cols = [col_of[e] for e in comp_edges]
-        out.append((tree, cols, kernel))
-    return out
+    xs, _ = g.int_coords()
+    col_of, k = triangle_classes(xs, g.edges)
+    if k == 1:
+        kernel = [[1]]
+    else:
+        _, kernel = int_kernel_basis(cycle_rows(xs, g._tree, col_of, k), k)
+    return [col_of[e] for e in g.edges], kernel
 
 
 def _edge_rows(
@@ -425,7 +379,9 @@ def _edge_rows(
     """Kernel vectors over classes, expanded to the edges (edge i takes
     the value of class cols[i]) and brought to the kernel basis that the
     uncontracted system's reduced row echelon form gives, as integer
-    pairs (lam, den): edge i's scalar is lam[i] / den.
+    pairs (lam, den): edge i's scalar is lam[i] / den.  `_cycle_kernel`
+    gives the classes and the kernel; `decomposing_space` hands out every
+    row, `oracle_verdict` reads the first.
 
     That basis has one vector per free column f, with 1 at f and 0 at the
     other free columns.  Column f is free exactly when some kernel vector
@@ -435,8 +391,6 @@ def _edge_rows(
     The reduced rows are primitive, so lam / den is in lowest terms as a
     vector: den is the least common denominator of the scalars.
     """
-    if not kernel:
-        return []
     rows = [[mu[c] for c in reversed(cols)] for mu in kernel]
     pivots, reduced = kernels.rref_int(rows, len(cols))
     # Reversed pivots ascend, so free columns descend: read them backwards.
@@ -444,13 +398,13 @@ def _edge_rows(
 
 
 def _tree_sums(
-    xs: Dict[int, Sequence[int]], tree, lam: Sequence[int]
+    xs: Sequence[Sequence[int]], tree: Tree, lam: Sequence[int]
 ) -> Dict[int, Tuple[int, ...]]:
-    """Images of one component under the edge scalars lam (in the
-    component's edge order), times their common denominator, summed in
-    integers along the BFS tree from the root, which maps to the origin."""
-    parent, order, comp_edges, _ = tree
-    lam_of = dict(zip(comp_edges, lam))
+    """Images under the edge scalars lam (in edge order), times their
+    common denominator, summed in integers along the BFS tree from the
+    root, which maps to the origin."""
+    parent, order, edges, _ = tree
+    lam_of = dict(zip(edges, lam))
     sums = {order[0]: (0,) * len(xs[order[0]])}
     for v in order[1:]:
         u = parent[v]
@@ -460,66 +414,46 @@ def _tree_sums(
 
 
 def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]]:
-    """Dimension and a basis of the space of decomposing functions on g.
+    """Dimension and a basis of the space of decomposing functions on the
+    skeleton g.
 
-    Per connected component: d translations, then one function per
-    kernel vector of the component's integer cycle system (`cycle_rows`).
-    The system is built over the component's triangle classes
-    (`triangle_classes`) and its integer kernel read off
-    (`_component_kernels`); `_edge_rows` expands each kernel vector to
-    the edges and gives the kernel basis of the uncontracted system's
+    d translations, then one function per kernel vector of the integer
+    cycle system (`cycle_rows`).  The system is built over the triangle
+    classes (`triangle_classes`) and its integer kernel read off
+    (`_cycle_kernel`); `_edge_rows` expands each kernel vector to the
+    edges and gives the kernel basis of the uncontracted system's
     primitive reduced row echelon form, in free-column order.  That form
     does not depend on how the rows were scaled or contracted, so the
     basis is the same exact rational basis whatever the common
     denominator of the coordinates.  A kernel vector's images are summed
-    in integers along a BFS tree from the component's first vertex, which
-    maps to the origin.
+    in integers along the BFS tree from vertex 0, which maps to the
+    origin.
     """
     d = g.dim
+    vids = range(len(g.vertices))
+    cols, kernel = _cycle_kernel(g)
     xs, mult = g.int_coords()
-    total = 0
     basis: List[DecomposingFunction] = []
-    zero_images = {v: zero_vec(d) for v in g.vertices}
-    zero_scalars = {e: Fraction(0) for e in g.edges}
-    for tree, cols, kernel in _component_kernels(g, xs):
-        # Translations: d dimensions per component.
-        for j in range(d):
-            images = dict(zero_images)
-            shift = Vec(int(k == j) for k in range(d))
-            for v in tree[1]:
-                images[v] = shift
-            basis.append(DecomposingFunction(images, dict(zero_scalars)))
-        total += d + len(kernel)
-        for lam, den in _edge_rows(cols, kernel):
-            scalars = dict(zero_scalars)
-            scalars.update(zip(tree[2], (Fraction(x, den) for x in lam)))
-            # The scalars are lam / den, so the images are sums / (den * mult).
-            images = dict(zero_images)
-            for v, coords in _tree_sums(xs, tree, lam).items():
-                images[v] = fraction_vec(coords, den * mult)
-            basis.append(DecomposingFunction(images, scalars))
-    return total, basis
-
-
-def is_indecomposable_graph(g: GeometricGraph) -> bool:
-    forest = _bfs_forest(g)
-    if len(forest) != 1:
-        raise InvalidInputError("graph must be connected")
-    if not g.spans_ambient():
-        raise InvalidInputError("graph vertices must affinely span the ambient dimension")
-    # One component, walked once above, so the dimension is d plus its
-    # kernel size; no basis is built.
-    ((_, _, kernel),) = _component_kernels(g, g.int_coords()[0], forest)
-    return len(kernel) == 1
+    for j in range(d):
+        shift = Vec(int(k == j) for k in range(d))
+        basis.append(
+            DecomposingFunction({v: shift for v in vids}, {e: Fraction(0) for e in g.edges})
+        )
+    for lam, den in _edge_rows(cols, kernel):
+        scalars = dict(zip(g.edges, (Fraction(x, den) for x in lam)))
+        # The scalars are lam / den, so the images are sums / (den * mult).
+        sums = _tree_sums(xs, g._tree, lam)
+        images = {v: fraction_vec(sums[v], den * mult) for v in vids}
+        basis.append(DecomposingFunction(images, scalars))
+    return d + len(kernel), basis
 
 
 def homothety_residue(g: GeometricGraph, f: DecomposingFunction) -> DecomposingFunction:
     """Subtract the least-squares homothety fit; zero residue iff f is one
-    (`_residue` over the cleared vertices and images)."""
-    vids = sorted(g.vertices)
-    xs, mult = as_int_coords(g.vertices[v] for v in vids)
-    fs, den = as_int_coords(f.images[v] for v in vids)
-    return _residue(g, dict(zip(vids, xs)), mult, fs, den)
+    (`_residue` over the skeleton's integer view and the cleared images)."""
+    xs, mult = g.int_coords()
+    fs, den = as_int_coords(f.images[v] for v in range(len(xs)))
+    return _residue(g, xs, mult, fs, den)
 
 
 def _homothety_fit(
@@ -547,21 +481,21 @@ def _homothety_fit(
 
 
 def _residue(
-    g: GeometricGraph, xs: Dict[int, Sequence[int]], mult: int,
+    g: GeometricGraph, xs: Sequence[Sequence[int]], mult: int,
     fs: Sequence[Sequence[int]], den: int,
 ) -> DecomposingFunction:
-    """The homothety residue of the images fs/den (listed in the order of
-    xs) over the vertices xs/mult, with xs in vertex-id order.
+    """The homothety residue of the images fs/den over the vertices
+    xs/mult, both listed by vertex index.
 
     With the vertices cleared to X = mult*x and the images to F = den*f,
     nq times every residue F - alpha' X - c' of the fit (`_homothety_fit`)
     is the integer nq*F - m*X + offset, a slide over nq*den that
     `_slide_witness` hands out.  The residue is linear in F, so any
     common scaling of fs and den gives the same rationals."""
-    nq, m, offset = _homothety_fit(list(xs.values()), fs)
+    nq, m, offset = _homothety_fit(xs, fs)
     res = {
         v: tuple(nq * b - m * a + c for a, b, c in zip(x, y, offset))
-        for (v, x), y in zip(xs.items(), fs)
+        for v, (x, y) in enumerate(zip(xs, fs))
     }
     return _slide_witness(mult, (res, nq * den, _edge_ratios(g.edges, xs, res)))
 
@@ -615,28 +549,27 @@ def oracle_verdict(p: Polytope) -> OracleResult:
     """Kallay's criterion on the skeleton, decided by exact rank.
 
     Indecomposable exactly when the decomposing space has dimension d+1,
-    which the integer kernel of `_component_kernels` gives over the
-    polytope's cached integer coordinates, with no basis built; the
-    skeleton is connected, so it has one component, and its BFS tree is
-    the one `skeleton` walked to check that (`_skeleton_tree`).
-    Otherwise the witness is the homothety residue of the first basis
-    element of `decomposing_space` that is not a homothety, the first
-    edge row (`_edge_rows`): on a connected graph a homothety has equal edge
-    scalars, and with two or more rows each is 1 at its own free column
-    and 0 at the others'.  Its images, summed in integers, and its
-    residue are built only when the result's witness is read.
+    which the integer kernel of `_cycle_kernel` gives over the polytope's
+    cached integer coordinates and the BFS tree `skeleton` walked, with
+    no basis built.  Otherwise the witness is the homothety residue of
+    the first basis element of `decomposing_space` that is not a
+    homothety, the first edge row (`_edge_rows`): on the connected
+    skeleton a homothety has equal edge scalars, and with two or more
+    rows each is 1 at its own free column and 0 at the others'.  Its
+    images, summed in integers along that tree, and its residue are built
+    only when the result's witness is read.
     """
-    g, tree = _skeleton_tree(p)
-    xs, mult = g.int_coords()
-    ((_, cols, kernel),) = _component_kernels(g, xs, [tree])
+    g = skeleton(p)
+    cols, kernel = _cycle_kernel(g)
     dim = p.dim + len(kernel)
     if len(kernel) == 1:
         return OracleResult("Indecomposable", dim, None)
     lam, den = _edge_rows(cols, kernel)[0]
 
     def fit() -> DecomposingFunction:
-        sums = _tree_sums(xs, tree, lam)
-        return _residue(g, xs, mult, [sums[v] for v in xs], den * mult)
+        xs, mult = g.int_coords()
+        sums = _tree_sums(xs, g._tree, lam)
+        return _residue(g, xs, mult, [sums[v] for v in range(len(xs))], den * mult)
 
     return OracleResult("Decomposable", dim, _PendingWitness(fit))
 

@@ -778,12 +778,44 @@ def is_simple(p) -> bool:
     return all(deg == p.dim for deg in degree)
 
 
+def decomposing_system_matrix(vertices, edges):
+    """The naive linear system on the points `vertices` (by index) joined
+    by `edges`, which need not form a skeleton: unknowns are all vertex
+    images plus one scalar per edge, d equations per edge.  Used to
+    cross-check the cycle-space computation; exponentially slower to
+    eliminate."""
+    d = len(vertices[0])
+    vcol = [i * d for i in range(len(vertices))]
+    ecol_base = len(vertices) * d
+    ecol = {e: ecol_base + i for i, e in enumerate(edges)}
+    ncols = ecol_base + len(edges)
+    rows = []
+    for u, v in edges:
+        direction = vertices[u] - vertices[v]
+        for j in range(d):
+            row = [Fraction(0)] * ncols
+            row[vcol[u] + j] = Fraction(1)
+            row[vcol[v] + j] = Fraction(-1)
+            row[ecol[(u, v)]] = -direction[j]
+            rows.append(row)
+    return rows, ncols
+
+
+def naive_dimension(vertices, edges):
+    """The dimension of the decomposing space of any graph on the points
+    `vertices`, connected or not: the kernel of the naive system
+    (`decomposing_system_matrix`), read off the test-side elimination."""
+    rows, ncols = decomposing_system_matrix(vertices, edges)
+    _, basis = reference_rank_and_kernel(rows, ncols)
+    return len(basis)
+
+
 def reference_from_images(g: GeometricGraph, images) -> DecomposingFunction:
     """The decomposing function with the given images, each edge's scalar
     derived in `Fraction`s from its first nonzero coordinate and checked
     on every other; InvalidInputError when an image is missing or of the
     wrong length, or an edge does not decompose."""
-    for v in g.vertices:
+    for v in range(len(g.vertices)):
         if v not in images:
             raise InvalidInputError(f"no image for vertex {v}")
         if len(images[v]) != g.dim:

@@ -56,7 +56,7 @@ from minkdecomp.graphs import (
     skeleton,
     touches_every_facet,
 )
-from minkdecomp.linalg import Vec, int_hyperplane, int_side
+from minkdecomp.linalg import Vec, as_int_coords, int_hyperplane, int_side
 from minkdecomp.polytope import (
     Polytope,
     minkowski_sum,
@@ -109,12 +109,12 @@ def test_simple_extension_growth_and_guards():
 
 
 def test_simple_extension_rejects_collinear_triple():
-    from minkdecomp.graphs import GeometricGraph
-
+    # No polytope has this graph: it is built by hand, with every field.
+    vertices = tuple(Vec(x) for x in [(0, 0), (2, 0), (1, 0), (1, 1)])
+    edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
+    adjacency = ((1, 2, 3), (0, 2, 3), (0, 1), (0, 1))
     g = GeometricGraph(
-        dim=2,
-        vertices={0: Vec((0, 0)), 1: Vec((2, 0)), 2: Vec((1, 0)), 3: Vec((1, 1))},
-        edges=((0, 1), (0, 2), (1, 2), (0, 3), (1, 3)),
+        2, vertices, edges, adjacency, as_int_coords(vertices), graphs._bfs_tree(adjacency, edges)
     )
     base = seed_edge(g, 0, 1)
     with pytest.raises(RuleNotApplicableError):
@@ -446,7 +446,10 @@ def test_slide_that_moves_nothing_is_refused():
                 (Fraction(1, 4), Fraction(1, 4), 0)]
     facets = ((0, 1, 2), (3, 4, 5), (0, 1, 3, 4), (1, 2, 4, 5), (0, 2, 3, 5))
     p = Polytope(3, tuple(Vec(v) for v in vertices), facets)
-    skel = GeometricGraph(3, dict(enumerate(p.vertices)), p.edges())
+    adjacency, edges = p._adjacency(), p.edges()
+    skel = GeometricGraph(
+        3, p.vertices, edges, adjacency, p.int_coords(), graphs._bfs_tree(adjacency, edges)
+    )
     for slide in (certificates._shephard_slide, reference_shephard_witness):
         with pytest.raises(EngineInconsistencyError, match="degenerated to a homothety"):
             slide(p, skel, 0)
@@ -758,9 +761,9 @@ def test_analyze_rejects_a_homothety_witness(monkeypatch):
     trace, _ = shephard_facet(p)
     g = skeleton(p)
     xs, mult = g.int_coords()
-    identity = (xs, mult, graphs._edge_ratios(g.edges, xs, xs))
+    identity = (dict(enumerate(xs)), mult, graphs._edge_ratios(g.edges, xs, xs))
     assert _handed_out(p, identity) == DecomposingFunction(
-        dict(g.vertices), {e: Fraction(1) for e in g.edges}
+        dict(enumerate(g.vertices)), {e: Fraction(1) for e in g.edges}
     )
     assert _handed_out(p, identity).check(g)
     _hand_back(monkeypatch, trace, identity)

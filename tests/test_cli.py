@@ -228,8 +228,8 @@ def test_analyze_guard_exit_code(tmp_path, capsys):
 
 
 def test_analyze_guard_exit_code_with_listed_facets(tmp_path, capsys, monkeypatch):
-    # `validate` builds the hull to check listed facets, under the same
-    # guard; the hull must not even start.
+    # `fileio` builds the hull through `Polytope.from_vertices` to check
+    # listed facets, under the same guard; the hull must not even start.
     def no_scan(*args):
         raise AssertionError("facet_scan ran above the guard")
 

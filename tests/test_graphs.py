@@ -20,7 +20,13 @@ The library eliminates over triangle classes (`triangle_classes`), not
 edges.  The uncontracted integer system, `cycle_rows` under the identity
 edge-to-column map, is the second reference (`identity_decomposing_space`,
 `identity_oracle_verdict`); the contracted space must equal it exactly,
-also on graphs with collinear 3-cycles, which must not be contracted.
+also on the skeletons of unvalidated polytopes with collinear 3-cycles
+(`edge_polytope`), which must not be contracted.
+
+Every graph the library builds is a polytope's skeleton.  Graphs that
+are not, such as the random subgraphs of acceptance criterion 9b, get
+their dimension from the naive system
+(`reference_linalg.naive_dimension`).
 
 Every reference kernel here, and the naive system's rank, is read off
 the test-side elimination (`reference_linalg.reference_rank_and_kernel`),
@@ -29,25 +35,22 @@ than repeat it.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from minkdecomp import graphs, kernels
 from minkdecomp.catalogue import catalogue_entry, catalogue_list
-from minkdecomp.constructors import cube, cyclic, octahedron, simplex
+from minkdecomp.constructors import cube, cyclic, octahedron, segment, simplex
 from minkdecomp.errors import InvalidInputError
 from minkdecomp.graphs import (
     DecomposingFunction,
-    GeometricGraph,
     OracleResult,
-    _bfs_forest,
-    _component_kernels,
     cycle_rows,
     decomposing_space,
     edge_key,
     homothety_residue,
-    is_indecomposable_graph,
     oracle_verdict,
     skeleton,
     touches_every_facet,
@@ -64,6 +67,7 @@ from minkdecomp.polytope import Polytope, minkowski_sum, stack_pyramid
 
 from reference_linalg import (
     is_homothety,
+    naive_dimension,
     is_zero,
     reference_check,
     reference_cycle_rows,
@@ -74,35 +78,12 @@ from reference_linalg import (
 from test_certificates import _derived_stack_cases
 
 
-def decomposing_system_matrix(g):
-    """The naive linear system: unknowns are all vertex images plus one
-    scalar per edge, d equations per edge.  Used to cross-check the
-    cycle-space computation; exponentially slower to eliminate."""
-    d = g.dim
-    vids = sorted(g.vertices)
-    vcol = {v: i * d for i, v in enumerate(vids)}
-    ecol_base = len(vids) * d
-    ecol = {e: ecol_base + i for i, e in enumerate(g.edges)}
-    ncols = ecol_base + len(g.edges)
-    rows = []
-    for u, v in g.edges:
-        direction = g.vertices[u] - g.vertices[v]
-        for j in range(d):
-            row = [Fraction(0)] * ncols
-            row[vcol[u] + j] = Fraction(1)
-            row[vcol[v] + j] = Fraction(-1)
-            row[ecol[(u, v)]] = -direction[j]
-            rows.append(row)
-    return rows, ncols
-
-
-def dfs_tree(g, comp):
-    """A depth-first spanning tree of one connected component, rooted at
-    comp[0] as the library's BFS tree is: parent and depth maps, and the
-    vertices in discovery order."""
-    root = comp[0]
-    parent, depth, order = {root: None}, {root: 0}, [root]
-    stack = [root]
+def dfs_tree(g):
+    """A depth-first spanning tree of the skeleton g, rooted at vertex 0
+    as the library's BFS tree is: parent and depth maps, and the vertices
+    in discovery order."""
+    parent, depth, order = {0: None}, {0: 0}, [0]
+    stack = [0]
     while stack:
         x = stack[-1]
         y = next((y for y in g.neighbors(x) if y not in parent), None)
@@ -134,70 +115,51 @@ def path_steps(parent, depth, u, v):
     return up_from_u + [(b, a) for a, b in reversed(up_from_v)]
 
 
-def components(g):
-    """The connected components of g, each a sorted vertex list, in order
-    of their smallest vertex: the vertex sets of `_bfs_forest`'s trees."""
-    return [sorted(order) for _, order, _, _ in _bfs_forest(g)]
-
-
 def reference_decomposing_space(g):
     """The rational cycle-space construction: Vec rows cleared row by row,
     over the fundamental cycles of a depth-first tree (`dfs_tree`), so no
     tree walk is shared with the library.  The basis is the kernel's
-    reduced row echelon form, with the root's image fixed at 0, which
+    reduced row echelon form, with vertex 0's image fixed at 0, which
     does not depend on the tree."""
     d = g.dim
-    total = 0
+    vids = range(len(g.vertices))
     basis = []
-    zero_images = {v: zero_vec(d) for v in g.vertices}
-    zero_scalars = {e: Fraction(0) for e in g.edges}
-    for comp in components(g):
-        parent, depth, order = dfs_tree(g, comp)
-        comp_edges = [e for e in g.edges if e[0] in parent]
-        tree_edges = {edge_key(v, parent[v]) for v in order[1:]}
-        for j in range(d):
-            images = dict(zero_images)
-            shift = Vec(int(k == j) for k in range(d))
-            for v in comp:
-                images[v] = shift
-            basis.append(DecomposingFunction(images, dict(zero_scalars)))
-        total += d
-        if not comp_edges:
+    for j in range(d):
+        shift = Vec(int(k == j) for k in range(d))
+        zero_scalars = {e: Fraction(0) for e in g.edges}
+        basis.append(DecomposingFunction({v: shift for v in vids}, zero_scalars))
+    parent, depth, order = dfs_tree(g)
+    tree_edges = {edge_key(v, parent[v]) for v in order[1:]}
+    col_of = {e: i for i, e in enumerate(g.edges)}
+    rows = []
+    for e in g.edges:
+        if e in tree_edges:
             continue
-        col_of = {e: i for i, e in enumerate(comp_edges)}
-        rows = []
-        for e in comp_edges:
-            if e in tree_edges:
-                continue
-            u, v = e
-            coeffs = [zero_vec(d)] * len(comp_edges)
-            for a, b in path_steps(parent, depth, v, u):
-                k = col_of[edge_key(a, b)]
-                coeffs[k] = coeffs[k] + (g.vertices[b] - g.vertices[a])
-            k = col_of[e]
-            coeffs[k] = coeffs[k] + (g.vertices[v] - g.vertices[u])
-            for j in range(d):
-                rows.append([c[j] for c in coeffs])
-        _, lam_basis = reference_rank_and_kernel(rows, len(comp_edges))
-        total += len(lam_basis)
-        for lam in lam_basis:
-            scalars = dict(zero_scalars)
-            for e, value in zip(comp_edges, lam):
-                scalars[e] = value
-            images = dict(zero_images)
-            images[comp[0]] = zero_vec(d)
-            for v in order[1:]:
-                u = parent[v]
-                images[v] = images[u] + (g.vertices[v] - g.vertices[u]) * scalars[edge_key(u, v)]
-            basis.append(DecomposingFunction(images, scalars))
-    return total, basis
+        u, v = e
+        coeffs = [zero_vec(d)] * len(g.edges)
+        for a, b in path_steps(parent, depth, v, u):
+            k = col_of[edge_key(a, b)]
+            coeffs[k] = coeffs[k] + (g.vertices[b] - g.vertices[a])
+        k = col_of[e]
+        coeffs[k] = coeffs[k] + (g.vertices[v] - g.vertices[u])
+        for j in range(d):
+            rows.append([c[j] for c in coeffs])
+    _, lam_basis = reference_rank_and_kernel(rows, len(g.edges))
+    for lam in lam_basis:
+        scalars = dict(zip(g.edges, lam))
+        images = {0: zero_vec(d)}
+        for v in order[1:]:
+            u = parent[v]
+            images[v] = images[u] + (g.vertices[v] - g.vertices[u]) * scalars[edge_key(u, v)]
+        basis.append(DecomposingFunction({v: images[v] for v in vids}, scalars))
+    return d + len(lam_basis), basis
 
 
 def reference_homothety_residue(g, f):
     """Least-squares homothety fit by solving the rational normal equations."""
     d = g.dim
-    vids = sorted(g.vertices)
-    pts = [g.vertices[v] for v in vids]
+    vids = range(len(g.vertices))
+    pts = g.vertices
     rows = [[sum(p.dot(p) for p in pts)] + [sum(p[j] for p in pts) for j in range(d)]]
     rhs = [sum(p.dot(f.images[v]) for p, v in zip(pts, vids))]
     for j in range(d):
@@ -246,41 +208,28 @@ def identity_decomposing_space(g):
     elimination (`reference_rank_and_kernel`) and images summed along the
     BFS tree."""
     d = g.dim
-    ints, mult = as_int_coords(g.vertices.values())
-    xs = dict(zip(g.vertices, ints))
-    total = 0
+    vids = range(len(g.vertices))
+    xs, mult = as_int_coords(g.vertices)
     basis = []
-    zero_images = {v: zero_vec(d) for v in g.vertices}
-    zero_scalars = {e: Fraction(0) for e in g.edges}
-    for tree in _bfs_forest(g):
-        parent, order, comp_edges, _ = tree
-        for j in range(d):
-            images = dict(zero_images)
-            for v in order:
-                images[v] = Vec(int(k == j) for k in range(d))
-            basis.append(DecomposingFunction(images, dict(zero_scalars)))
-        total += d
-        if not comp_edges:
-            continue
-        identity = {e: i for i, e in enumerate(comp_edges)}
-        ncols = len(comp_edges)
-        _, lam_basis = reference_rank_and_kernel(cycle_rows(xs, tree, identity, ncols), ncols)
-        total += len(lam_basis)
-        for lam in lam_basis:
-            scalars = dict(zero_scalars)
-            scalars.update(zip(comp_edges, lam))
-            (lam_ints,), den = as_int_coords([lam])
-            lam_of = dict(zip(comp_edges, lam_ints))
-            sums = {order[0]: (0,) * d}
-            for v in order[1:]:
-                u = parent[v]
-                s = lam_of[edge_key(u, v)]
-                sums[v] = tuple(a + (xv - xu) * s for a, xv, xu in zip(sums[u], xs[v], xs[u]))
-            images = dict(zero_images)
-            for v, coords in sums.items():
-                images[v] = fraction_vec(coords, den * mult)
-            basis.append(DecomposingFunction(images, scalars))
-    return total, basis
+    for j in range(d):
+        shift = Vec(int(k == j) for k in range(d))
+        zero_scalars = {e: Fraction(0) for e in g.edges}
+        basis.append(DecomposingFunction({v: shift for v in vids}, zero_scalars))
+    tree = parent, order, _, _ = g._tree
+    identity = {e: i for i, e in enumerate(g.edges)}
+    ncols = len(g.edges)
+    _, lam_basis = reference_rank_and_kernel(cycle_rows(xs, tree, identity, ncols), ncols)
+    for lam in lam_basis:
+        (lam_ints,), den = as_int_coords([lam])
+        lam_of = dict(zip(g.edges, lam_ints))
+        sums = {0: (0,) * d}
+        for v in order[1:]:
+            u = parent[v]
+            s = lam_of[edge_key(u, v)]
+            sums[v] = tuple(a + (xv - xu) * s for a, xv, xu in zip(sums[u], xs[v], xs[u]))
+        images = {v: fraction_vec(sums[v], den * mult) for v in vids}
+        basis.append(DecomposingFunction(images, dict(zip(g.edges, lam))))
+    return d + len(lam_basis), basis
 
 
 def identity_oracle_verdict(p):
@@ -314,71 +263,53 @@ def assert_same_oracle(p):
 
 
 def class_count(g):
-    ints, _ = as_int_coords(g.vertices.values())
-    return triangle_classes(dict(zip(g.vertices, ints)), g.edges)[1]
+    ints, _ = as_int_coords(g.vertices)
+    return triangle_classes(ints, g.edges)[1]
 
 
-def graph(points, edges):
-    pts = {i: Vec(p) for i, p in enumerate(points)}
-    return GeometricGraph(dim=len(points[0]), vertices=pts, edges=tuple(edges))
+def edge_polytope(points, edges):
+    """A `Polytope` built in code and never validated whose skeleton has
+    exactly the given edges: each edge is listed d - 1 times as a facet,
+    so its two endpoints share d - 1 facets that meet in just them, and
+    no other pair shares a facet."""
+    d = len(points[0])
+    facets = tuple(e for e in edges for _ in range(d - 1))
+    return Polytope(d, tuple(Vec(x) for x in points), facets)
 
 
-def naive_dimension(g):
-    rows, ncols = decomposing_system_matrix(g)
-    _, basis = reference_rank_and_kernel(rows, ncols)
-    return len(basis)
-
-
-TRIANGLE = graph([(0, 0), (2, 0), (0, 2)], [(0, 1), (0, 2), (1, 2)])
-SQUARE = graph([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+TRIANGLE = skeleton(simplex(2))
+SQUARE = skeleton(cube(2))
 
 
 def test_single_edge_dimension():
-    g = graph([(0, 0), (1, 0)], [(0, 1)])
+    g = skeleton(segment(0, 1))
     dim, basis = decomposing_space(g)
-    assert dim == 3 == len(basis)
-    assert naive_dimension(g) == 3
+    assert dim == 2 == len(basis)
+    assert naive_dimension(g.vertices, g.edges) == 2
 
 
 def test_triangle_is_rigid():
     dim, basis = decomposing_space(TRIANGLE)
     assert dim == 3
-    assert naive_dimension(TRIANGLE) == 3
-    assert is_indecomposable_graph(TRIANGLE)
+    assert naive_dimension(TRIANGLE.vertices, TRIANGLE.edges) == 3
+    assert oracle_verdict(simplex(2)).verdict == "Indecomposable"
 
 
 def test_square_cycle_is_flexible():
     dim, _ = decomposing_space(SQUARE)
     assert dim == 4
-    assert naive_dimension(SQUARE) == 4
-    assert not is_indecomposable_graph(SQUARE)
+    assert naive_dimension(SQUARE.vertices, SQUARE.edges) == 4
+    assert oracle_verdict(cube(2)).verdict == "Decomposable"
 
 
-def test_is_indecomposable_graph_builds_no_basis(monkeypatch):
+def test_oracle_builds_no_basis(monkeypatch):
     def refuse(*args):
         raise AssertionError("the decomposing basis was built")
 
     monkeypatch.setattr(graphs, "decomposing_space", refuse)
-    assert is_indecomposable_graph(TRIANGLE)
-    assert not is_indecomposable_graph(SQUARE)
-
-
-def test_is_indecomposable_graph_walks_the_graph_once(monkeypatch):
-    # The tree the connectivity check walked is the one the cycle system
-    # is built over.
-    p = cube(3)
-    g = GeometricGraph(p.dim, dict(enumerate(p.vertices)), p.edges())
-    walks = []
-    walk = graphs._bfs_forest
-    monkeypatch.setattr(graphs, "_bfs_forest", lambda h: walks.append(h) or walk(h))
-    assert not is_indecomposable_graph(g)
-    assert len(walks) == 1 and walks[0] is g
-
-
-def test_is_indecomposable_graph_matches_the_space_on_catalogue_skeleta():
-    for e in catalogue_list():
-        g = skeleton(e.build())
-        assert is_indecomposable_graph(g) == (decomposing_space(g)[0] == g.dim + 1), e.name
+    assert oracle_verdict(simplex(2)).verdict == "Indecomposable"
+    res = oracle_verdict(cube(2))
+    assert res.verdict == "Decomposable" and res.witness.check(SQUARE)
 
 
 def test_polytope_skeleta_dimensions():
@@ -396,7 +327,7 @@ def test_polytope_skeleta_dimensions():
 def test_cycle_route_matches_naive_system(p):
     g = skeleton(p)
     dim, basis = decomposing_space(g)
-    assert naive_dimension(g) == dim
+    assert naive_dimension(g.vertices, g.edges) == dim
     for f in basis:
         assert f.check(g)
 
@@ -404,48 +335,22 @@ def test_cycle_route_matches_naive_system(p):
 def test_basis_is_independent():
     g = skeleton(cube(3))
     dim, basis = decomposing_space(g)
-    vids = sorted(g.vertices)
+    vids = range(len(g.vertices))
     rows = [[c for v in vids for c in f.images[v]] for f in basis]
     rank, _ = reference_rank_and_kernel(rows, len(vids) * g.dim)
     assert rank == dim
 
 
-def test_disconnected_graph_components_add_up():
-    g = graph(
-        [(0, 0), (2, 0), (0, 2), (5, 5), (6, 5)],
-        [(0, 1), (0, 2), (1, 2), (3, 4)],
-    )
-    assert len(components(g)) == 2
-    dim, _ = decomposing_space(g)
-    assert dim == 3 + 3
-    assert naive_dimension(g) == 6
-    with pytest.raises(InvalidInputError):
-        is_indecomposable_graph(g)
-
-
-def test_non_spanning_graph_rejected():
-    g = graph([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2)])
-    with pytest.raises(InvalidInputError):
-        is_indecomposable_graph(g)
+# A single point, built in code and never validated: its skeleton has
+# one vertex and no edge.
+POINT = Polytope(2, (Vec((1, 2)),), ())
 
 
 def test_edgeless_graph_rejected():
-    g = GeometricGraph(dim=2, vertices={0: Vec((0, 0))}, edges=())
-    with pytest.raises(InvalidInputError):
-        decomposing_space(g)
-
-
-def test_graph_validation():
-    with pytest.raises(InvalidInputError):
-        graph([(0, 0), (1, 0)], [(0, 0)])
-    with pytest.raises(InvalidInputError):
-        graph([(0, 0), (1, 0)], [(0, 2)])
-    with pytest.raises(InvalidInputError):
-        GeometricGraph(
-            dim=2,
-            vertices={0: Vec((0, 0)), 1: Vec((0, 0))},
-            edges=((0, 1),),
-        )
+    with pytest.raises(InvalidInputError, match="edgeless"):
+        decomposing_space(skeleton(POINT))
+    with pytest.raises(InvalidInputError, match="edgeless"):
+        oracle_verdict(POINT)
 
 
 def test_non_decomposing_map_does_not_check():
@@ -458,7 +363,7 @@ def test_non_decomposing_map_does_not_check():
 
 
 def test_check_detects_wrong_scalars():
-    images = {v: TRIANGLE.vertices[v] * 2 for v in TRIANGLE.vertices}
+    images = dict(enumerate(v * 2 for v in TRIANGLE.vertices))
     f = reference_from_images(TRIANGLE, images)
     assert f.check(TRIANGLE)
     bad = DecomposingFunction(f.images, {e: Fraction(7) for e in f.edge_scalars})
@@ -547,14 +452,14 @@ def test_integer_check_matches_the_fraction_check_on_every_slide_witness():
 
 def test_homothety_detection():
     shift = Vec((3, -2))
-    images = {v: TRIANGLE.vertices[v] * Fraction(5, 2) + shift for v in TRIANGLE.vertices}
+    images = dict(enumerate(v * Fraction(5, 2) + shift for v in TRIANGLE.vertices))
     f = reference_from_images(TRIANGLE, images)
     assert is_homothety(TRIANGLE, f)
     assert all(is_zero(img) for img in homothety_residue(TRIANGLE, f).images.values())
 
-    # Collapse one side of the square: decomposing but not a homothety.
+    # Collapse the square's vertical edges: decomposing but not a homothety.
     g = SQUARE
-    images = {0: Vec((0, 0)), 1: Vec((1, 0)), 2: Vec((1, 0)), 3: Vec((0, 0))}
+    images = {0: Vec((0, 0)), 1: Vec((1, 0)), 2: Vec((0, 0)), 3: Vec((1, 0))}
     w = reference_from_images(g, images)
     assert not is_homothety(g, w)
 
@@ -632,7 +537,6 @@ def test_integer_space_and_witness_match_rational_reference(name, p):
 @pytest.mark.parametrize("name,p", CATALOGUE_IMAGES[::5], ids=[n for n, _ in CATALOGUE_IMAGES[::5]])
 def test_equal_scalars_decide_homothety_on_catalogue_skeleta(name, p):
     g = skeleton(p)
-    assert len(_bfs_forest(g)) == 1
     _, basis = decomposing_space(g)
     for f in basis:
         assert (len(set(f.edge_scalars.values())) == 1) == is_homothety(g, f)
@@ -652,7 +556,7 @@ def test_homothety_residue_matches_reference_on_fractional_images():
 
 
 def test_homothety_residue_of_single_vertex_is_singular():
-    g = GeometricGraph(dim=2, vertices={0: Vec((1, 2))}, edges=())
+    g = skeleton(POINT)
     f = DecomposingFunction({0: Vec((0, 0))}, {})
     with pytest.raises(ValueError):
         homothety_residue(g, f)
@@ -702,15 +606,31 @@ def test_oracle_skips_the_cycle_system_with_one_class(monkeypatch):
     assert (res.verdict, res.dimension) == ("Indecomposable", 5)
 
 
-def test_skeleton_matches_a_graph_built_from_the_edges():
+def test_skeleton_takes_the_polytope_cached_values_as_they_are():
     for e in catalogue_list():
         p = e.build()
         g = skeleton(p)
-        want = GeometricGraph(p.dim, dict(enumerate(p.vertices)), p.edges())
-        assert g == want, e.name
-        assert all(g.neighbors(v) == want.neighbors(v) for v in want.vertices), e.name
-        assert g.int_coords() == want.int_coords(), e.name
-        assert components(g) == components(want), e.name
+        assert g.dim == p.dim and g.vertices is p.vertices and g.edges is p.edges(), e.name
+        assert g._adjacency is p._adjacency(), e.name
+        assert g.int_coords() is p.int_coords(), e.name
+        n = len(p.vertices)
+        assert [g.neighbors(v) for v in range(-1, n + 1)] == [
+            p.neighbors(v) for v in range(-1, n + 1)
+        ], e.name
+        # The walk that checked connectivity reached every vertex.
+        assert sorted(g._tree[1]) == list(range(n)), e.name
+
+
+def test_skeleton_neighbors_of_a_non_vertex_are_none():
+    # Replay passes recorded ids: -1 must not read as the last vertex.
+    n = len(SQUARE.vertices)
+    assert SQUARE.neighbors(-1) == SQUARE.neighbors(n) == SQUARE.neighbors(n + 5) == ()
+    assert SQUARE.neighbors(n - 1) == (1, 2)
+
+
+def test_skeleton_refuses_a_polytope_without_vertices():
+    with pytest.raises(InvalidInputError, match="^skeleton has no vertices$"):
+        skeleton(Polytope(2, (), ()))
 
 
 def test_skeleton_refuses_an_edge_with_repeated_coordinates():
@@ -728,17 +648,30 @@ def test_collinear_triangle_is_not_contracted():
     # 0, 1, 2 lie on a line: their 3-cycle gives one equation,
     # l01 + l12 = 2 l02, which leaves a free scalar that the square
     # 0-2-3-4 alone would not have.
-    g = graph(
+    g = skeleton(edge_polytope(
         [(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)],
         [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 4)],
-    )
+    ))
     assert class_count(g) == 6
-    assert assert_same_space(g) == naive_dimension(g) == 5
+    assert assert_same_space(g) == naive_dimension(g.vertices, g.edges) == 5
+
+
+def test_collinear_triangle_of_an_unvalidated_polygon_is_not_contracted():
+    # Three points on a line given as a triangle: contracting the 3-cycle
+    # would leave one scalar and read the "polygon" as indecomposable.
+    p = edge_polytope([(0, 0), (1, 0), (2, 0)], [(0, 1), (0, 2), (1, 2)])
+    assert p.facets == ((0, 1), (0, 2), (1, 2))
+    assert class_count(skeleton(p)) == 3
+    res = oracle_verdict(p)
+    assert (res.verdict, res.dimension) == ("Decomposable", 4)
+    assert res == basis_oracle_verdict(p) == identity_oracle_verdict(p)
 
 
 def _graph_with_collinear_triangles(rng, d):
-    """Random integer points in R^d, some placed on lines through earlier
-    pairs, and random edges plus the three edges of every such triple."""
+    """The skeleton of a random connected graph on integer points in R^d
+    (`edge_polytope`), some points placed on lines through earlier pairs:
+    random edges plus the three edges of every such triple.  A
+    disconnected draw is drawn again."""
     pts = []
     edges = set()
     n = rng.randint(d + 3, 9)
@@ -760,7 +693,10 @@ def _graph_with_collinear_triangles(rng, d):
         for v in range(u + 1, n):
             if rng.random() < 0.45:
                 edges.add((u, v))
-    return graph(pts, sorted(edges))
+    try:
+        return skeleton(edge_polytope(pts, sorted(edges)))
+    except InvalidInputError:
+        return _graph_with_collinear_triangles(rng, d)
 
 
 def test_contracted_space_matches_identity_map_on_random_graphs_with_collinear_triangles():
@@ -769,7 +705,7 @@ def test_contracted_space_matches_identity_map_on_random_graphs_with_collinear_t
     for trial in range(150):
         g = _graph_with_collinear_triangles(rng, 2 + trial % 3)
         dim = assert_same_space(g)
-        assert dim == naive_dimension(g)
+        assert dim == naive_dimension(g.vertices, g.edges)
         contracted += class_count(g) < len(g.edges)
     assert contracted > 100
 
@@ -786,23 +722,19 @@ def test_oracle_matches_basis_reference_on_decomposable_sums(n):
     assert res == basis_oracle_verdict(p) == identity_oracle_verdict(p)
 
 
-def _edge_graph(p):
-    """p's edges as a hand-built graph, which `skeleton`'s checks skip."""
-    return GeometricGraph(p.dim, dict(enumerate(p.vertices)), p.edges())
-
-
 def test_skeleton_refuses_an_isolated_midpoint_as_disconnected():
     # cyclic(8,4) plus the midpoint of edge (0,1), listed in the six facets
     # through the edge and built without `validate`: the midpoint has no
-    # edge, so it is a component of its own, which adds only translations.
+    # edge, so it is a component of its own, which adds only translations
+    # to the naive system's space.
     p = cyclic(8, 4)
     facets = tuple(f + (8,) if 0 in f and 1 in f else f for f in p.facets)
     q = Polytope(4, p.vertices + ((p.vertices[0] + p.vertices[1]) / 2,), facets)
-    g = _edge_graph(q)
-    assert len(components(g)) == 2
-    assert decomposing_space(g)[0] == 5 + 4
+    assert all(8 not in e for e in q.edges())
+    assert naive_dimension(q.vertices, q.edges()) == 5 + 4
+    refusal = "skeleton is disconnected: vertex 8 is not reached from vertex 0"
     for build in (skeleton, oracle_verdict, basis_oracle_verdict):
-        with pytest.raises(InvalidInputError, match="skeleton is disconnected: 2 components"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(refusal)}$"):
             build(q)
 
 
@@ -816,15 +748,15 @@ def test_skeleton_analyze_and_replay_refuse_two_disjoint_triangles():
     pts = [(0, 0), (2, 0), (0, 2), (5, 5), (7, 5), (Fraction(11, 2), 8)]
     facets = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
     p = Polytope(2, tuple(Vec(x) for x in pts), facets)
-    g = _edge_graph(p)
-    assert len(components(g)) == 2
-    assert decomposing_space(g)[0] == 3 + 3
-    refusal = "skeleton is disconnected: 2 components"
+    assert p.edges() == facets
+    assert naive_dimension(p.vertices, p.edges()) == 3 + 3
+    refusal = "skeleton is disconnected: vertex 3 is not reached from vertex 0"
+    exact = f"^{re.escape(refusal)}$"
     for decide in (skeleton, oracle_verdict, basis_oracle_verdict):
-        with pytest.raises(InvalidInputError, match=refusal):
+        with pytest.raises(InvalidInputError, match=exact):
             decide(p)
     for mode in ("certificates-first", "oracle-only"):
-        with pytest.raises(InvalidInputError, match=refusal):
+        with pytest.raises(InvalidInputError, match=exact):
             analyze(p, mode)
     slide = CertificateStep(
         "ShephardFacet", (0, (0, 1)), "polytope-decomposable", frozenset({0, 1}), frozenset(),
@@ -835,7 +767,7 @@ def test_skeleton_analyze_and_replay_refuse_two_disjoint_triangles():
 
 
 def test_distinct_cycle_rows_give_the_kernels_of_every_row():
-    """`_component_kernels` eliminates each distinct cycle row once; the
+    """`_cycle_kernel` eliminates each distinct cycle row once; the
     old builder (`reference_cycle_rows`) kept every repeat.  A repeat
     leaves the row space unchanged, so the columns and the unique kernel
     basis must be the same, on the catalogue and on seeded stackings and
@@ -845,9 +777,10 @@ def test_distinct_cycle_rows_give_the_kernels_of_every_row():
     for name, p in _derived_stack_cases():
         g = skeleton(p)
         xs, _ = g.int_coords()
-        ((tree, cols, kernel),) = _component_kernels(g, xs)
-        col_of, k = triangle_classes(xs, tree[2])
-        assert cols == [col_of[e] for e in tree[2]], name
+        tree = g._tree
+        cols, kernel = graphs._cycle_kernel(g)
+        col_of, k = triangle_classes(xs, g.edges)
+        assert cols == [col_of[e] for e in g.edges], name
         if k == 1:
             assert kernel == [[1]], name
             continue
@@ -868,8 +801,10 @@ def test_analyze_walks_each_skeleton_once(monkeypatch, mode):
     from minkdecomp.certificates import analyze
 
     walks, built = [], []
-    walk, build = graphs._bfs_forest, graphs._build_skeleton
-    monkeypatch.setattr(graphs, "_bfs_forest", lambda g: walks.append(g) or walk(g))
+    walk, build = graphs._bfs_tree, graphs._build_skeleton
+    monkeypatch.setattr(
+        graphs, "_bfs_tree", lambda adj, edges: walks.append(adj) or walk(adj, edges)
+    )
     monkeypatch.setattr(graphs, "_build_skeleton", lambda p: built.append(p) or build(p))
     analyses = 0
     for e in catalogue_list():
@@ -879,7 +814,7 @@ def test_analyze_walks_each_skeleton_once(monkeypatch, mode):
             analyze(p, mode)
             analyses += 1
             assert len(built) > before and len(walks) == len(built), e.name
-    assert walks == [skeleton(p) for p in built]
+    assert all(adj is p._adjacency() for adj, p in zip(walks, built))
     if mode == "certificates-first":
         assert len(built) > analyses
 
@@ -887,8 +822,8 @@ def test_analyze_walks_each_skeleton_once(monkeypatch, mode):
 def test_delta_3_4_cycle_system_drops_repeated_rows():
     g = skeleton(catalogue_entry("delta-3-4").build())
     xs, _ = g.int_coords()
-    (tree,) = _bfs_forest(g)
-    col_of, k = triangle_classes(xs, tree[2])
+    tree = g._tree
+    col_of, k = triangle_classes(xs, g.edges)
     assert k > 1
     distinct = cycle_rows(xs, tree, col_of, k)
     every = reference_cycle_rows(xs, tree, col_of, k)

@@ -19,7 +19,7 @@ import random
 
 from minkdecomp import kernels
 from minkdecomp.catalogue import catalogue_list
-from minkdecomp.graphs import _bfs_forest, cycle_rows, decomposing_space, skeleton, triangle_classes
+from minkdecomp.graphs import cycle_rows, decomposing_space, skeleton, triangle_classes
 from minkdecomp.linalg import int_kernel_basis
 from minkdecomp.polytope import validate
 
@@ -103,11 +103,10 @@ def test_rref_matches_reference_on_library_systems(monkeypatch):
         g = skeleton(p)
         decomposing_space(g)
         xs, _ = g.int_coords()
-        for tree in _bfs_forest(g):
-            col_of, k = triangle_classes(xs, tree[2])
-            calls.append((cycle_rows(xs, tree, col_of, k), k))
-            identity = {e: i for i, e in enumerate(tree[2])}
-            calls.append((cycle_rows(xs, tree, identity, len(identity)), len(identity)))
+        col_of, k = triangle_classes(xs, g.edges)
+        calls.append((cycle_rows(xs, g._tree, col_of, k), k))
+        identity = {e: i for i, e in enumerate(g.edges)}
+        calls.append((cycle_rows(xs, g._tree, identity, len(identity)), len(identity)))
         ints, _ = p.int_coords()
         calls.extend(([list(ints[i]) + [-1] for i in f], p.dim + 1) for f in p.facets)
     monkeypatch.undo()

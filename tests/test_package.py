@@ -11,7 +11,8 @@ the package outside its own body.  A helper that only the tests call
 belongs in tests/reference_linalg.py.  A `Polytope`'s cache of derived
 data is laid out in polytope.py alone; other modules go through its
 accessors.  Every integer elimination runs through `kernels.Echelon`.
-No module imports a name it never uses.
+No module imports a name it never uses.  A `GeometricGraph` is built in
+one place, `graphs._build_skeleton`, through its own constructor.
 """
 
 import ast
@@ -150,3 +151,33 @@ def test_every_elimination_runs_through_the_echelon(monkeypatch):
     ):
         with pytest.raises(AssertionError, match="through Echelon"):
             call()
+
+
+def test_only_the_skeleton_builder_makes_a_geometric_graph():
+    """The only `GeometricGraph(...)` call in the package is in
+    `graphs._build_skeleton`, and no module sidesteps a constructor with
+    `object.__new__`."""
+    makers, sidesteps = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for owner, call in _calls(tree, "<module>"):
+            callee = call.func
+            if isinstance(callee, ast.Name) and callee.id == "GeometricGraph":
+                makers.append(f"{path.stem}.{owner}")
+            if (
+                isinstance(callee, ast.Attribute) and callee.attr == "__new__"
+                and isinstance(callee.value, ast.Name) and callee.value.id == "object"
+            ):
+                sidesteps.append(f"{path.stem}.{owner}")
+    assert makers == ["graphs._build_skeleton"], makers
+    assert not sidesteps, sidesteps
+
+
+def _calls(node, owner):
+    """(owner, call) for every call below node, owner being the name of
+    the innermost function that holds the call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield owner, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _calls(child, inner)
