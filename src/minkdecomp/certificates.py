@@ -34,9 +34,8 @@ from __future__ import annotations
 import dataclasses
 from contextlib import suppress
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .counts import count_rules
 from .errors import (
@@ -50,6 +49,7 @@ from .graphs import (
     OracleResult,
     Slide,
     _edge_ratios,
+    _equal_ratios,
     _homothety_fit,
     _slide_witness,
     edge_key,
@@ -458,8 +458,8 @@ def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slid
     f_j * mult / (x_j * D).  A polytope skeleton is connected, and on a
     connected graph a decomposing function is a homothety iff all its
     edge scalars are equal, so the slide is refused with
-    EngineInconsistencyError when every ratio equals the first, compared
-    by cross-multiplication."""
+    EngineInconsistencyError when its ratios are all equal
+    (`graphs._equal_ratios`)."""
     members = p.facets[fi]
     if len(p.vertices) - len(members) < 2:
         return None
@@ -484,19 +484,9 @@ def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slid
         k = den // gap[w] * drop
         fs[v] = tuple(cv * den + (cw - cv) * k for cv, cw in zip(xs[v], xs[w]))
     ratios = _edge_ratios(skel.edges, xs, fs)
-    (f0, x0), *rest = ratios.values()
-    if all(fj * x0 == f0 * xj for fj, xj in rest):
+    if _equal_ratios(ratios):
         raise EngineInconsistencyError("facet-slide witness degenerated to a homothety")
     return fs, den * mult, ratios
-
-
-def _equal_scalars(scalars: Dict[Tuple[int, int], Fraction]) -> bool:
-    """Whether a decomposing function on a connected skeleton, given by
-    its edge scalars, is a homothety: it is exactly when each equals the
-    first."""
-    values = iter(scalars.values())
-    first = next(values, None)
-    return all(s == first for s in values)
 
 
 def shephard_facet(p: Polytope) -> Optional[Tuple[CertificateTrace, Slide]]:
@@ -912,11 +902,11 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     pyramid reductions (`_lift_witness`), and is handed out once, here
     (`graphs._slide_witness`), the only place its `Fraction`s are made.
     Its witness is checked once more before `analyze` returns: `check`
-    clears its images to integers and tests every edge against its
-    recorded scalar by cross-multiplication, and since a polytope
-    skeleton is connected, a decomposing function on it is a homothety
-    iff those scalars are all equal.  Either failure, like a verdict the
-    oracle contradicts, raises EngineInconsistencyError."""
+    clears its images to integers, verifies every edge and compares each
+    recorded scalar with the edge's verified ratio, and since a polytope
+    skeleton is connected, the slide is a homothety iff its ratios are
+    all equal (`graphs._equal_ratios`).  Either failure, like a verdict
+    the oracle contradicts, raises EngineInconsistencyError."""
     if mode not in ("certificates-first", "oracle-only"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     fv = p.f_vector()
@@ -933,7 +923,7 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     else:
         g = skeleton(p)
         witness = _slide_witness(g.int_coords()[1], slide)
-        if not witness.check(g) or _equal_scalars(witness.edge_scalars):
+        if not witness.check(g) or _equal_ratios(slide[2]):
             raise EngineInconsistencyError("witness does not decompose the input")
     closing = trace.steps[-1].rule
     method = "count-rule" if closing in ("SmilanskyCount", "LowVertexCount") else "certificate"

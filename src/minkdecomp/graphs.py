@@ -12,9 +12,8 @@ one is built.  It takes the polytope's cached edges, adjacency and
 integer coordinates as they are, and it refuses a disconnected graph, as
 every polytope's skeleton is connected (Balinski 1961).  So every graph
 has one component, and one BFS tree from vertex 0 (`_bfs_tree`), the
-walk that checked the connectivity: the oracle's cycle system, every
-sum of images and every equal-scalar homothety test read that one tree,
-so a skeleton is walked once.
+walk that checked the connectivity: the oracle's cycle system and every
+sum of images read that one tree, so a skeleton is walked once.
 
 The space is computed through the cycle space (Kallay 1982): an
 edge-scalar assignment extends to a decomposing function iff it sums to
@@ -45,12 +44,13 @@ fractions, the kernel vectors and edge rows stay integer, and so do the
 images summed along the tree and the package's only homothety fit
 (`_homothety_fit`, which the oracle's `_residue` and the lift of a slide
 through a pyramid reduction read), solved in closed form from integer
-sums.  `Fraction` appears only where a function is handed out: the basis
-of `decomposing_space`, and the witnesses.  Every witness, the residue
-of `oracle_verdict` and the facet slide `certificates.analyze` returns,
-is an integer slide (images times one denominator, and each edge's
-integer ratio, verified edge by edge) until `_slide_witness` makes its
-`Fraction`s once.
+sums.  `Fraction` appears only where a function is handed out, by
+`_slide_witness`, the only builder of a `DecomposingFunction`: the
+basis of `decomposing_space` and the witnesses.  Each is an integer
+slide (images times one denominator, and each edge's integer ratio,
+verified edge by edge for a witness: the residue of `oracle_verdict`
+and the facet slide `certificates.analyze` returns) until
+`_slide_witness` makes its `Fraction`s once.
 
 `oracle_verdict` builds no basis.  It stops at the dimension when that
 is d + 1, and otherwise takes the first edge row, the first element of
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import kernels
@@ -125,43 +126,37 @@ class DecomposingFunction:
 
     def check(self, g: GeometricGraph) -> bool:
         """Whether the images decompose g with exactly the recorded edge
-        scalars, decided in integers: the same answer as deriving each
-        edge's scalar afresh and comparing the two dicts.
+        scalars: the same answer as deriving each edge's scalar afresh and
+        comparing the two dicts.
 
         Every vertex needs an image with one coordinate per dimension, and
         the scalars must be keyed by exactly g's edges.  The images are
-        cleared to F = den * f (`linalg.as_int_coords`), and an edge (u, v)
-        with recorded scalar n/m holds iff m*mult*(F_u - F_v) equals
-        n*den*(X_u - X_v) coordinate by coordinate.  A scalar that is not
-        an int or a `Fraction` is compared as `Fraction` equality would
-        compare it, through the edge's verified ratio (`_edge_ratios`)."""
+        cleared to F = den * f (`linalg.as_int_coords`), every edge is
+        verified by `_edge_ratios`, and each recorded scalar is compared
+        with its edge's ratio (f_j, x_j), the scalar f_j * mult / (x_j * den):
+        an int or a `Fraction` by cross-multiplication, anything else as
+        `Fraction` equality compares it."""
         vids = range(len(g.vertices))
+        scalars = self.edge_scalars
+        if len(scalars) != len(g.edges):
+            return False
         for v in vids:
             if v not in self.images or len(self.images[v]) != g.dim:
                 return False
         xs, mult = g.int_coords()
         fs, den = as_int_coords(self.images[v] for v in vids)
-        scalars = self.edge_scalars
-        if len(scalars) != len(g.edges):
+        try:
+            ratios = _edge_ratios(g.edges, xs, fs)
+        except InvalidInputError:
             return False
-        for e in g.edges:
-            if e not in scalars:
-                return False
-            s = scalars[e]
-            u, v = e
+        for e, (fj, xj) in ratios.items():
+            # A missing key reads None, which no ratio equals.
+            s = scalars.get(e)
             if isinstance(s, (int, Fraction)):
-                m, n = s.denominator * mult, s.numerator * den
-                if [m * (a - b) for a, b in zip(fs[u], fs[v])] != [
-                    n * (a - b) for a, b in zip(xs[u], xs[v])
-                ]:
+                if s.numerator * xj * den != s.denominator * fj * mult:
                     return False
-            else:
-                try:
-                    ((fj, xj),) = _edge_ratios((e,), xs, fs).values()
-                except InvalidInputError:
-                    return False
-                if Fraction(fj * mult, xj * den) != s:
-                    return False
+            elif Fraction(fj * mult, xj * den) != s:
+                return False
         return True
 
 
@@ -179,14 +174,24 @@ def _edge_ratios(
     ratios = {}
     for u, v in edges:
         fu, fv = fs[u], fs[v]
-        diff_x = [a - b for a, b in zip(xs[u], xs[v])]
+        diff_x = list(map(sub, xs[u], xs[v]))
         xj = next(filter(None, diff_x))
         j = diff_x.index(xj)
         fj = fu[j] - fv[j]
-        if [(a - b) * xj for a, b in zip(fu, fv)] != [c * fj for c in diff_x]:
+        # `any` over a list: faster than over a generator at these lengths.
+        if any([(a - b) * xj - c * fj for a, b, c in zip(fu, fv, diff_x)]):
             raise InvalidInputError(f"images do not decompose along edge ({u},{v})")
         ratios[(u, v)] = (fj, xj)
     return ratios
+
+
+def _equal_ratios(ratios: Dict[Tuple[int, int], Tuple[int, int]]) -> bool:
+    """Whether a decomposing function on a connected skeleton, given by
+    its verified edge ratios (`_edge_ratios`), is a homothety: it is
+    exactly when all its edge scalars are equal, that is when every ratio
+    equals the first, compared by cross-multiplication."""
+    (f0, x0), *rest = ratios.values()
+    return all(fj * x0 == f0 * xj for fj, xj in rest)
 
 
 # An integer slide: the images times D, D, and each edge's ratio.
@@ -194,11 +199,13 @@ Slide = Tuple[Dict[int, Tuple[int, ...]], int, Dict[Tuple[int, int], Tuple[int, 
 
 
 def _slide_witness(mult: int, slide: Slide) -> DecomposingFunction:
-    """The `Fraction` witness of an integer slide (fs, D, ratios) over
+    """The `Fraction` function of an integer slide (fs, D, ratios) over
     vertices cleared to X = mult*x: images fs / D and edge scalars
-    f_j * mult / (x_j * D), one per verified ratio (`_edge_ratios`).  It
-    hands out every witness, the facet slide's and the oracle's residue,
-    and makes the `Fraction`s once, with no second verification."""
+    f_j * mult / (x_j * D), one per ratio.  It builds every
+    `DecomposingFunction`: each witness (the facet slide's and the
+    oracle's residue), from ratios `_edge_ratios` verified, and each basis
+    element of `decomposing_space`.  It makes the `Fraction`s once, with
+    no second verification."""
     fs, den, ratios = slide
     return DecomposingFunction(
         {i: fraction_vec(f, den) for i, f in fs.items()},
@@ -399,13 +406,14 @@ def _edge_rows(
 
 def _tree_sums(
     xs: Sequence[Sequence[int]], tree: Tree, lam: Sequence[int]
-) -> Dict[int, Tuple[int, ...]]:
+) -> List[Tuple[int, ...]]:
     """Images under the edge scalars lam (in edge order), times their
-    common denominator, summed in integers along the BFS tree from the
-    root, which maps to the origin."""
+    common denominator, by vertex index, summed in integers along the
+    BFS tree from the root, which maps to the origin."""
     parent, order, edges, _ = tree
     lam_of = dict(zip(edges, lam))
-    sums = {order[0]: (0,) * len(xs[order[0]])}
+    # The tree spans the graph, so every entry is overwritten but the root's.
+    sums = [(0,) * len(xs[order[0]])] * len(xs)
     for v in order[1:]:
         u = parent[v]
         s = lam_of[edge_key(u, v)]
@@ -425,26 +433,25 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
     primitive reduced row echelon form, in free-column order.  That form
     does not depend on how the rows were scaled or contracted, so the
     basis is the same exact rational basis whatever the common
-    denominator of the coordinates.  A kernel vector's images are summed
-    in integers along the BFS tree from vertex 0, which maps to the
-    origin.
+    denominator of the coordinates.  Each element is an integer slide
+    made a function by `_slide_witness`.  Translation j puts the unit
+    vector e_j at every vertex, over D = 1, with ratio (0, 1) on every
+    edge.  A kernel vector lam / den has its images summed in integers
+    along the BFS tree from vertex 0, which maps to the origin, over
+    D = den * mult, with ratio (lam_e, 1), the scalar lam_e / den, on edge e.
     """
     d = g.dim
-    vids = range(len(g.vertices))
     cols, kernel = _cycle_kernel(g)
     xs, mult = g.int_coords()
-    basis: List[DecomposingFunction] = []
+    zero = dict.fromkeys(g.edges, (0, 1))
+    basis = []
     for j in range(d):
-        shift = Vec(int(k == j) for k in range(d))
-        basis.append(
-            DecomposingFunction({v: shift for v in vids}, {e: Fraction(0) for e in g.edges})
-        )
+        shift = tuple(int(k == j) for k in range(d))
+        basis.append(_slide_witness(mult, (dict.fromkeys(range(len(xs)), shift), 1, zero)))
     for lam, den in _edge_rows(cols, kernel):
-        scalars = dict(zip(g.edges, (Fraction(x, den) for x in lam)))
-        # The scalars are lam / den, so the images are sums / (den * mult).
         sums = _tree_sums(xs, g._tree, lam)
-        images = {v: fraction_vec(sums[v], den * mult) for v in vids}
-        basis.append(DecomposingFunction(images, scalars))
+        ratios = {e: (x, 1) for e, x in zip(g.edges, lam)}
+        basis.append(_slide_witness(mult, (dict(enumerate(sums)), den * mult, ratios)))
     return d + len(kernel), basis
 
 
@@ -568,8 +575,7 @@ def oracle_verdict(p: Polytope) -> OracleResult:
 
     def fit() -> DecomposingFunction:
         xs, mult = g.int_coords()
-        sums = _tree_sums(xs, g._tree, lam)
-        return _residue(g, xs, mult, [sums[v] for v in range(len(xs))], den * mult)
+        return _residue(g, xs, mult, _tree_sums(xs, g._tree, lam), den * mult)
 
     return OracleResult("Decomposable", dim, _PendingWitness(fit))
 

@@ -141,9 +141,19 @@ def _edges_combinatorial(p: Polytope) -> Tuple[Tuple[int, int], ...]:
     vmask_of_facet = []
     for fi, f in enumerate(p.facets):
         m = 0
-        for v in f:
-            m |= 1 << v
-            fmask_of_vertex[v] |= 1 << fi
+        # Only an unvalidated `Polytope(...)` can list an index that names
+        # no vertex, and `analyze` and `replay` read the facets here first:
+        # a negative index fails the shift and one past the end the lookup.
+        # Catching those costs nothing on valid input, where a min/max test
+        # per facet made the edge derivation a fifth slower.
+        try:
+            for v in f:
+                m |= 1 << v
+                fmask_of_vertex[v] |= 1 << fi
+        except (IndexError, ValueError):
+            raise InvalidInputError(
+                f"facet {fi} {tuple(f)} lists an index outside 0..{n - 1}"
+            ) from None
         vmask_of_facet.append(m)
     out = []
     for u in range(n):

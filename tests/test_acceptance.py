@@ -23,7 +23,6 @@ from minkdecomp.certificates import (
 from minkdecomp.cli import main
 from minkdecomp.constructors import capped_prism, bd198, cube, delta, simplex, wedge
 from minkdecomp.counts import count_rules, simple_vertex_spectrum_below_3d
-from minkdecomp.errors import InvalidInputError
 from minkdecomp.graphs import (
     _slide_witness,
     decomposing_space,

@@ -11,7 +11,6 @@ import pytest
 from minkdecomp import certificates, graphs, hull, kernels, linalg
 from minkdecomp.catalogue import catalogue_entry, catalogue_list
 from minkdecomp.certificates import (
-    AnalysisReport,
     CertificateStep,
     CertificateTrace,
     analyze,

@@ -536,10 +536,16 @@ def test_integer_space_and_witness_match_rational_reference(name, p):
 
 @pytest.mark.parametrize("name,p", CATALOGUE_IMAGES[::5], ids=[n for n, _ in CATALOGUE_IMAGES[::5]])
 def test_equal_scalars_decide_homothety_on_catalogue_skeleta(name, p):
+    # `_equal_ratios` decides it over the integer ratios `_edge_ratios`
+    # verifies, as the facet slide and `analyze` read them.
     g = skeleton(p)
+    xs, _ = g.int_coords()
     _, basis = decomposing_space(g)
     for f in basis:
-        assert (len(set(f.edge_scalars.values())) == 1) == is_homothety(g, f)
+        homothety = is_homothety(g, f)
+        assert (len(set(f.edge_scalars.values())) == 1) == homothety
+        fs, _ = as_int_coords(f.images[v] for v in range(len(xs)))
+        assert graphs._equal_ratios(graphs._edge_ratios(g.edges, xs, fs)) == homothety
 
 
 def test_homothety_residue_matches_reference_on_fractional_images():

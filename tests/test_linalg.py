@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from minkdecomp.errors import InvalidInputError
 from minkdecomp.linalg import (
     Vec,
     affine_rank,

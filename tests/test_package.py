@@ -11,8 +11,10 @@ the package outside its own body.  A helper that only the tests call
 belongs in tests/reference_linalg.py.  A `Polytope`'s cache of derived
 data is laid out in polytope.py alone; other modules go through its
 accessors.  Every integer elimination runs through `kernels.Echelon`.
-No module imports a name it never uses.  A `GeometricGraph` is built in
-one place, `graphs._build_skeleton`, through its own constructor.
+No module, and no test file, imports a name it never uses.  A
+`GeometricGraph` is built in one place, `graphs._build_skeleton`,
+through its own constructor, and a `DecomposingFunction` in one place,
+`graphs._slide_witness`.
 """
 
 import ast
@@ -25,7 +27,8 @@ from minkdecomp import kernels, linalg
 
 from test_bench_probes import _load_tracer
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "minkdecomp"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "minkdecomp"
 
 
 def test_package_is_pure_python_with_no_path_switch():
@@ -106,12 +109,12 @@ def test_every_method_has_a_use():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    """Every name a module imports is loaded somewhere in it; `__init__`,
-    which imports to re-export, and `__future__` imports are exempt."""
+    """Every name a package module or a test file imports is loaded
+    somewhere in it; the package's `__init__`, which imports to
+    re-export, and `__future__` imports are exempt."""
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    for path in modules + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         imported = [
             (alias.asname or alias.name).split(".")[0]
@@ -121,7 +124,8 @@ def test_no_module_imports_a_name_it_never_uses():
             for alias in node.names
         ]
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused.extend(f"{path.stem}.{name}" for name in imported if name not in loaded)
+        where = f"{path.parent.name}.{path.stem}"
+        unused.extend(f"{where}.{name}" for name in imported if name not in loaded)
     assert not unused, f"imported but never used: {unused}"
 
 
@@ -157,20 +161,37 @@ def test_only_the_skeleton_builder_makes_a_geometric_graph():
     """The only `GeometricGraph(...)` call in the package is in
     `graphs._build_skeleton`, and no module sidesteps a constructor with
     `object.__new__`."""
-    makers, sidesteps = [], []
+    assert _callers_of("GeometricGraph") == ["graphs._build_skeleton"]
+    sidesteps = [
+        where for where, callee in _package_calls()
+        if isinstance(callee, ast.Attribute) and callee.attr == "__new__"
+        and isinstance(callee.value, ast.Name) and callee.value.id == "object"
+    ]
+    assert not sidesteps, sidesteps
+
+
+def test_only_the_slide_hand_out_makes_a_decomposing_function():
+    """The only `DecomposingFunction(...)` call in the package is in
+    `graphs._slide_witness`: every witness and every basis element of
+    `decomposing_space` is an integer slide handed out there."""
+    assert _callers_of("DecomposingFunction") == ["graphs._slide_witness"]
+
+
+def _callers_of(name):
+    """`module.function` of every call of the bare name in the package."""
+    return [
+        where for where, callee in _package_calls()
+        if isinstance(callee, ast.Name) and callee.id == name
+    ]
+
+
+def _package_calls():
+    """(`module.function`, callee) for every call in the package, the
+    function being the innermost one that holds the call."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for owner, call in _calls(tree, "<module>"):
-            callee = call.func
-            if isinstance(callee, ast.Name) and callee.id == "GeometricGraph":
-                makers.append(f"{path.stem}.{owner}")
-            if (
-                isinstance(callee, ast.Attribute) and callee.attr == "__new__"
-                and isinstance(callee.value, ast.Name) and callee.value.id == "object"
-            ):
-                sidesteps.append(f"{path.stem}.{owner}")
-    assert makers == ["graphs._build_skeleton"], makers
-    assert not sidesteps, sidesteps
+            yield f"{path.stem}.{owner}", call.func
 
 
 def _calls(node, owner):

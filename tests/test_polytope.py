@@ -246,6 +246,22 @@ def test_edges_combinatorial_equals_geometric_on_small_entries():
         assert combinatorial == geometric
 
 
+@pytest.mark.parametrize("bad", [5, 3, -1])
+def test_analyze_and_replay_refuse_a_facet_index_that_names_no_vertex(bad):
+    # Built without `validate`: a triangle whose last facet lists a vertex
+    # index past the end or below 0.  The edges are derived from the
+    # facets before anything else reads them, and they refuse the facet by
+    # its number instead of raising IndexError or a negative shift count.
+    p = Polytope(2, simplex(2).vertices, ((0, 1), (1, 2), (2, bad)))
+    refusal = f"facet 2 (2, {bad}) lists an index outside 0..2"
+    for mode in ("certificates-first", "oracle-only"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(refusal)}$"):
+            certificates.analyze(p, mode)
+    trace = certificates.analyze(simplex(2)).trace
+    assert certificates.replay_report(trace, simplex(2)) == (True, "all steps check")
+    assert certificates.replay_report(trace, p) == (False, f"replay error: {refusal}")
+
+
 def test_int_plane_orientation():
     p = simplex(3)
     ints, _ = p.int_coords()
