@@ -12,10 +12,10 @@ one is built.  It takes the polytope's cached edges, adjacency and
 integer coordinates as they are, and it refuses a disconnected graph, as
 every polytope's skeleton is connected (Balinski 1961).  So every graph
 has one component, and one BFS tree from vertex 0 (`_bfs_tree`), the
-walk that checked the connectivity: the oracle's cycle system and every
-sum of images read that one tree, so a skeleton is walked once.
+walk that checked the connectivity: the oracle's system and every sum of
+images read that one tree, so a skeleton is walked once.
 
-The space is computed through the cycle space (Kallay 1982): an
+The space is computed through the edge scalars (Kallay 1982): an
 edge-scalar assignment extends to a decomposing function iff it sums to
 zero (weighted by edge directions) around every fundamental cycle of
 the tree, and the extension is then unique up to translation.  This
@@ -26,11 +26,17 @@ The system is then contracted over triangles (McMullen 1987; the
 "triangular faces" method): every 3-cycle whose points are not collinear
 forces equal scalars on its three edges, so the edges fall into classes,
 the union-find closure of those 3-cycles, and the elimination runs over
-one column per class (`triangle_classes`) instead of one per edge.  A
-complete skeleton is one class, and so is that of every simplicial
-polytope of dimension 3 or more.  The union-find stops once one class is
-left, and a one-class system, whose rows all vanish, is neither built
-nor eliminated.  The dimension of the space is read off that elimination
+one column per class (`triangle_classes`) instead of one per edge.  The
+triangles a class joins share edges, so each class is a connected set of
+edges that a decomposing function moves rigidly, and the rows are
+written per class, not per cycle (`cycle_rows`): each class is anchored
+at its first vertex in the tree's BFS order, and every (vertex, class)
+incidence but a class's anchor and a vertex's tree-edge class gives one
+block of d rows: sum |V_c| - V - k + 1 blocks over k classes instead of
+Kallay's E - V + 1.  A complete skeleton is one class, and so is that of
+every simplicial polytope of dimension 3 or more.  The union-find stops
+once one class is left, and a one-class system, which has no rows, is
+neither built nor eliminated.  The dimension of the space is read off that elimination
 alone (`_cycle_kernel`).  The kernel vectors are expanded back to the
 edges and brought to the basis the uncontracted system's reduced
 echelon form gives (`_edge_rows`), so the basis does not depend on the
@@ -82,11 +88,9 @@ def edge_key(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-# A BFS spanning tree: its parent map, its vertices in BFS order, the
-# graph's edges and its tree edges.
-Tree = Tuple[
-    Dict[int, Optional[int]], List[int], Tuple[Tuple[int, int], ...], Set[Tuple[int, int]]
-]
+# A BFS spanning tree: its parent map, its vertices in BFS order and the
+# graph's edges.
+Tree = Tuple[Dict[int, Optional[int]], List[int], Tuple[Tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -238,7 +242,7 @@ def _build_skeleton(p: Polytope) -> GeometricGraph:
     n = len(adjacency)
     if not n:
         raise InvalidInputError("skeleton has no vertices")
-    tree = parent, order, _, _ = _bfs_tree(adjacency, edges)
+    tree = parent, order, _ = _bfs_tree(adjacency, edges)
     if len(order) != n:
         missed = next(v for v in range(n) if v not in parent)
         raise InvalidInputError(
@@ -249,8 +253,8 @@ def _build_skeleton(p: Polytope) -> GeometricGraph:
 
 def _bfs_tree(adjacency: Sequence[Sequence[int]], edges: Tuple[Tuple[int, int], ...]) -> Tree:
     """The BFS tree from vertex 0 over the sorted adjacency: its parent
-    map, the vertices it reaches in BFS order, the edges and its tree
-    edges.  It spans the graph exactly when the graph is connected."""
+    map, the vertices it reaches in BFS order and the edges.  It spans
+    the graph exactly when the graph is connected."""
     parent: Dict[int, Optional[int]] = {0: None}
     order = [0]
     # The order grows behind the walk, so it is the walk's queue.
@@ -259,7 +263,7 @@ def _bfs_tree(adjacency: Sequence[Sequence[int]], edges: Tuple[Tuple[int, int], 
             if y not in parent:
                 parent[y] = x
                 order.append(y)
-    return parent, order, edges, {edge_key(v, parent[v]) for v in order[1:]}
+    return parent, order, edges
 
 
 def triangle_classes(
@@ -316,43 +320,65 @@ def triangle_classes(
 def cycle_rows(
     xs: Sequence[Sequence[int]], tree: Tree, col_of: Dict[Tuple[int, int], int], ncols: int
 ) -> List[List[int]]:
-    """The cycle system over integer coordinates xs and a BFS tree.
+    """The rows of an integer system with the solutions of Kallay's, over
+    coordinates xs and a BFS tree, one column per class of the
+    edge-to-column map col_of (ncols columns).
 
-    One block of d rows per non-tree edge: the scalar-weighted edge
-    directions must cancel around the edge's fundamental cycle.  Edge e's
-    term is accumulated into column col_of[e] of ncols, so edges that
-    share a column share one unknown: the identity map gives Kallay's
-    system over the edges, `triangle_classes` its contraction.
+    Each class must be a connected set of edges, as every triangle class
+    and every single edge is.  A decomposing function then moves the
+    whole class rigidly: f(v) - f(a) = l_c (x_v - x_a) for any two of its
+    vertices a and v, whose path inside the class has scalar l_c on every
+    edge.  So each class is anchored at its first vertex a in BFS order,
+    and each vertex v reaches f(v), as a combination of the columns,
+    through the class of its tree edge: f(b) + l_own (x_v - x_b), where b
+    is that class's anchor, which comes no later than v's parent.  Every
+    other (vertex, class) incidence gives one block of d rows,
+    f(a) - f(v) + l_c (x_v - x_a) = 0: sum |V_c| - V - k + 1 blocks over
+    k classes with vertex sets V_c, where Kallay's system, one block per
+    fundamental cycle, has E - V + 1.  The two systems have the same
+    solutions; under the identity map, where every class is one edge,
+    they have the same number of blocks.  Rows read f(v) through f(b),
+    so only the anchors' blocks are kept, each made once, when its
+    vertex comes up in BFS order.
 
-    Each vertex's path block, the terms of the tree edges from the root
-    down to it, is summed once in BFS order.  Edge (u, v)'s block is
-    path(u) - path(v) plus its own term x_v - x_u: the walk from v up
-    the tree and down to u, then along the edge, whose part from the
-    root to the lowest common ancestor cancels exactly.  All-zero rows
-    are dropped, and so is every repeat of a row, which leaves the row
-    space, and with it the pivots and the kernel basis, unchanged: each
-    distinct row is kept once, in order of first appearance.
+    All-zero rows are dropped, and so is every repeat of a row, which
+    leaves the row space, and with it the pivots and the kernel basis,
+    unchanged: each distinct row is kept once, in order of first
+    appearance.
     """
-    parent, order, edges, tree_edges = tree
-    d = len(xs[order[0]])
-    path = {order[0]: [[0] * ncols for _ in range(d)]}
-    for v in order[1:]:
-        u = parent[v]
-        k = col_of[edge_key(u, v)]
-        block = path[v] = [row[:] for row in path[u]]
-        for row, xu, xv in zip(block, xs[u], xs[v]):
-            row[k] += xv - xu
-    rows: Dict[Tuple[int, ...], List[int]] = {}
+    parent, order, edges = tree
+    root = order[0]
+    d = len(xs[root])
+    classes: List[Set[int]] = [set() for _ in xs]
     for e in edges:
-        if e in tree_edges:
-            continue
-        u, v = e
-        k = col_of[e]
-        for pu, pv, xu, xv in zip(path[u], path[v], xs[u], xs[v]):
-            row = [a - b for a, b in zip(pu, pv)]
-            row[k] += xv - xu
-            if any(row):
-                rows.setdefault(tuple(row), row)
+        c = col_of[e]
+        classes[e[0]].add(c)
+        classes[e[1]].add(c)
+    # The root comes first in every class it is in: it anchors them all
+    # and has no other incidence.
+    anchor = dict.fromkeys(classes[root], root)
+    block = {root: [[0] * ncols for _ in range(d)]}
+    rows: Dict[Tuple[int, ...], List[int]] = {}
+    for v in order[1:]:
+        own = col_of[edge_key(parent[v], v)]
+        b = anchor[own]
+        fb, xb, xv = block[b], xs[b], xs[v]
+        for c in classes[v]:
+            a = anchor.setdefault(c, v)
+            if a == v:
+                if v not in block:
+                    fv = block[v] = [row[:] for row in fb]
+                    for row, tb, tv in zip(fv, xb, xv):
+                        row[own] += tv - tb
+                continue
+            if c == own:
+                continue
+            for fa, fbj, ta, tb, tv in zip(block[a], fb, xs[a], xb, xv):
+                row = list(map(sub, fa, fbj))
+                row[own] -= tv - tb
+                row[c] += tv - ta
+                if any(row):
+                    rows.setdefault(tuple(row), row)
     return list(rows.values())
 
 
@@ -364,11 +390,14 @@ def _cycle_kernel(g: GeometricGraph) -> Tuple[List[int], List[List[int]]]:
     number of kernel vectors.
 
     With one class, as on every simplicial polytope of dimension 3 or
-    more, each cycle row sums the edge directions around a closed walk
-    and is zero, so the kernel is [[1]] and the system is neither built
-    nor eliminated.  Otherwise only the system's distinct rows are
-    eliminated (`cycle_rows`): the kernel basis is the unique one the
-    row space determines."""
+    more, every edge has one scalar and every function it extends to is
+    a homothety, so the kernel is [[1]] and the system is neither built
+    nor eliminated.  Otherwise the system has one block of rows per
+    (vertex, class) incidence, the classes anchored on that tree, and
+    only its distinct rows are eliminated (`cycle_rows`): the kernel
+    basis is the unique one the row space determines, the same as that
+    of Kallay's system over the fundamental cycles, which has the same
+    solutions."""
     if not g.edges:
         raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
     xs, _ = g.int_coords()
@@ -410,7 +439,7 @@ def _tree_sums(
     """Images under the edge scalars lam (in edge order), times their
     common denominator, by vertex index, summed in integers along the
     BFS tree from the root, which maps to the origin."""
-    parent, order, edges, _ = tree
+    parent, order, edges = tree
     lam_of = dict(zip(edges, lam))
     # The tree spans the graph, so every entry is overwritten but the root's.
     sums = [(0,) * len(xs[order[0]])] * len(xs)

@@ -39,9 +39,11 @@ nonzero minor, and must give the same answer on every triple.
 on every facet; `certificates.shephard_facet` skips a facet by vertex
 degree first and must return the same trace and slide.
 
-`reference_cycle_rows` is the cycle-system builder that keeps every
-nonzero row, repeats included; `graphs.cycle_rows` keeps each distinct
-row once, and the kernels eliminated from the two must agree.
+`reference_cycle_rows` is Kallay's system, one block of rows per
+fundamental cycle, every nonzero row kept, repeats included;
+`graphs.cycle_rows` writes one block per (vertex, class) incidence and
+keeps each distinct row once, and the kernels eliminated from the two
+must agree.
 
 `reference_independent_cycles` is the skeleton-cycle enumeration that
 re-ranks every prefix on the `Fraction` coordinates (`affinely_independent`
@@ -511,12 +513,14 @@ def reference_shephard_facet(p: Polytope):
 
 
 def reference_cycle_rows(xs, tree, col_of, ncols):
-    """`graphs.cycle_rows` as it was before repeated rows were dropped:
-    d rows per non-tree edge, the scalar-weighted edge directions summed
-    around its fundamental cycle (path(u) - path(v) + x_v - x_u over the
-    BFS tree), all-zero rows dropped and every other row kept, repeats
-    included."""
-    parent, order, comp_edges, tree_edges = tree
+    """`graphs.cycle_rows` as it was before it wrote one block per
+    (vertex, class) incidence and dropped repeated rows: d rows per
+    non-tree edge, the scalar-weighted edge directions summed around its
+    fundamental cycle (path(u) - path(v) + x_v - x_u over the BFS tree,
+    whose edges it reads off the parent map), all-zero rows dropped and
+    every other row kept, repeats included."""
+    parent, order, comp_edges = tree
+    tree_edges = {edge_key(v, parent[v]) for v in order[1:]}
     d = len(xs[order[0]])
     path = {order[0]: [[0] * ncols for _ in range(d)]}
     for v in order[1:]:

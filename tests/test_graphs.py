@@ -17,8 +17,10 @@ basis; `basis_oracle_verdict`, the verdict read off `decomposing_space`
 and `homothety_residue`, is its reference.
 
 The library eliminates over triangle classes (`triangle_classes`), not
-edges.  The uncontracted integer system, `cycle_rows` under the identity
-edge-to-column map, is the second reference (`identity_decomposing_space`,
+edges, with one block of rows per (vertex, class) incidence, not per
+fundamental cycle.  Kallay's uncontracted integer system, the old
+builder `reference_cycle_rows` under the identity edge-to-column map, is
+the second reference (`identity_decomposing_space`,
 `identity_oracle_verdict`); the contracted space must equal it exactly,
 also on the skeletons of unvalidated polytopes with collinear 3-cycles
 (`edge_polytope`), which must not be contracted.
@@ -34,6 +36,7 @@ not the library's, so the comparisons check `kernels.Echelon` rather
 than repeat it.
 """
 
+import builtins
 import random
 import re
 from fractions import Fraction
@@ -202,11 +205,22 @@ def basis_oracle_verdict(p):
     return OracleResult("Decomposable", dim, homothety_residue(g, f))
 
 
+def identity_kernel(g):
+    """The rational kernel basis of Kallay's uncontracted system, one
+    column per edge and one block per fundamental cycle of the BFS tree
+    (`reference_cycle_rows` under the identity map), read off by the
+    test-side elimination (`reference_rank_and_kernel`): one vector per
+    free column, 1 there and 0 at the other free columns."""
+    xs, _ = as_int_coords(g.vertices)
+    identity = {e: i for i, e in enumerate(g.edges)}
+    ncols = len(g.edges)
+    rows = reference_cycle_rows(xs, g._tree, identity, ncols)
+    return reference_rank_and_kernel(rows, ncols)[1]
+
+
 def identity_decomposing_space(g):
-    """The uncontracted integer system: one column per edge
-    (`cycle_rows` under the identity map), kernel read off by the test-side
-    elimination (`reference_rank_and_kernel`) and images summed along the
-    BFS tree."""
+    """The uncontracted integer system (`identity_kernel`), with images
+    summed along the BFS tree."""
     d = g.dim
     vids = range(len(g.vertices))
     xs, mult = as_int_coords(g.vertices)
@@ -215,10 +229,8 @@ def identity_decomposing_space(g):
         shift = Vec(int(k == j) for k in range(d))
         zero_scalars = {e: Fraction(0) for e in g.edges}
         basis.append(DecomposingFunction({v: shift for v in vids}, zero_scalars))
-    tree = parent, order, _, _ = g._tree
-    identity = {e: i for i, e in enumerate(g.edges)}
-    ncols = len(g.edges)
-    _, lam_basis = reference_rank_and_kernel(cycle_rows(xs, tree, identity, ncols), ncols)
+    parent, order, _ = g._tree
+    lam_basis = identity_kernel(g)
     for lam in lam_basis:
         (lam_ints,), den = as_int_coords([lam])
         lam_of = dict(zip(g.edges, lam_ints))
@@ -772,13 +784,23 @@ def test_skeleton_analyze_and_replay_refuse_two_disjoint_triangles():
     assert replay_report(trace, p) == (False, f"replay error: {refusal}")
 
 
+def incidence_blocks(edges, col_of, nvertices, ncols):
+    """The number of blocks `cycle_rows` writes: one per (vertex, class)
+    incidence but each class's anchor and each vertex's tree edge."""
+    members = {}
+    for e in edges:
+        members.setdefault(col_of[e], set()).update(e)
+    return sum(map(len, members.values())) - nvertices - ncols + 1
+
+
 def test_distinct_cycle_rows_give_the_kernels_of_every_row():
-    """`_cycle_kernel` eliminates each distinct cycle row once; the
-    old builder (`reference_cycle_rows`) kept every repeat.  A repeat
-    leaves the row space unchanged, so the columns and the unique kernel
+    """`_cycle_kernel` eliminates each distinct row of the incidence
+    system once; the old builder (`reference_cycle_rows`) kept every row
+    of Kallay's fundamental-cycle system, repeats included.  The two
+    systems have the same solutions, so the columns and the unique kernel
     basis must be the same, on the catalogue and on seeded stackings and
-    truncations.  The distinct rows are the old rows with repeats
-    dropped, in order of first appearance."""
+    truncations.  The distinct rows are nonzero, each kept once, and at
+    most d per incidence block."""
     systems = repeats = 0
     for name, p in _derived_stack_cases():
         g = skeleton(p)
@@ -792,7 +814,8 @@ def test_distinct_cycle_rows_give_the_kernels_of_every_row():
             continue
         every = reference_cycle_rows(xs, tree, col_of, k)
         distinct = cycle_rows(xs, tree, col_of, k)
-        assert distinct == [list(r) for r in dict.fromkeys(map(tuple, every))], name
+        assert all(distinct) and len(set(map(tuple, distinct))) == len(distinct), name
+        assert len(distinct) <= g.dim * incidence_blocks(g.edges, col_of, len(xs), k), name
         assert kernel == int_kernel_basis(every, k)[1], name
         systems += 1
         repeats += len(distinct) < len(every)
@@ -825,13 +848,74 @@ def test_analyze_walks_each_skeleton_once(monkeypatch, mode):
         assert len(built) > analyses
 
 
-def test_delta_3_4_cycle_system_drops_repeated_rows():
+def test_delta_3_4_cycle_system_drops_repeated_rows(monkeypatch):
+    """Kallay's system on delta(3,4) has 7 * (70 - 20 + 1) = 357 rows;
+    the incidence system over its 9 triangle classes builds 84, every one
+    tested for zero once (counted through the module's `any`), and keeps
+    its 7 distinct nonzero rows, with the kernel of every row of the old
+    builder."""
     g = skeleton(catalogue_entry("delta-3-4").build())
     xs, _ = g.int_coords()
     tree = g._tree
     col_of, k = triangle_classes(xs, g.edges)
-    assert k > 1
+    assert k == 9
+    assert g.dim * (len(g.edges) - len(xs) + 1) == 357
+    built = []
+    monkeypatch.setattr(
+        graphs, "any", lambda row: built.append(row) or builtins.any(row), raising=False
+    )
     distinct = cycle_rows(xs, tree, col_of, k)
+    monkeypatch.undo()
+    assert len(built) == g.dim * incidence_blocks(g.edges, col_of, len(xs), k) <= 84
+    assert len(distinct) == 7 == len(set(map(tuple, distinct)))
     every = reference_cycle_rows(xs, tree, col_of, k)
-    assert len(distinct) < len(every)
-    assert len({tuple(r) for r in every}) == len(distinct)
+    assert len(distinct) < len({tuple(r) for r in every}) < len(every)
+    assert int_kernel_basis(distinct, k)[1] == int_kernel_basis(every, k)[1]
+
+
+def test_cycle_kernel_matches_the_uncontracted_reference_system():
+    """`_cycle_kernel`, expanded to the edges (`_edge_rows`), is the
+    kernel basis of Kallay's uncontracted system (`identity_kernel`), on
+    the catalogue, on its and seeded polytopes' stackings and truncations
+    (`_derived_stack_cases`), and on the unvalidated collinear polygon,
+    whose 3-cycle is not contracted."""
+    polygon = edge_polytope([(0, 0), (1, 0), (2, 0)], [(0, 1), (0, 2), (1, 2)])
+    cases = [*_derived_stack_cases(), ("collinear polygon", polygon)]
+    flexible = 0
+    for name, p in cases:
+        g = skeleton(p)
+        cols, kernel = graphs._cycle_kernel(g)
+        got = [fraction_vec(lam, den) for lam, den in graphs._edge_rows(cols, kernel)]
+        assert got == identity_kernel(g), name
+        flexible += len(kernel) > 1
+    assert flexible > 100, flexible
+
+
+def test_triangle_classes_are_connected_edge_sets():
+    """`cycle_rows` moves each class rigidly, which holds because each
+    class is a connected set of edges: the triangles it joins share
+    edges.  Checked on `_derived_stack_cases` and on random graphs with
+    collinear 3-cycles, which join nothing."""
+    rng = random.Random(29)
+    skeletons = [skeleton(p) for _, p in _derived_stack_cases()]
+    skeletons += [_graph_with_collinear_triangles(rng, 2 + t % 3) for t in range(60)]
+    joined = 0
+    for g in skeletons:
+        xs, _ = g.int_coords()
+        col_of, k = triangle_classes(xs, g.edges)
+        classes = {}
+        for e in g.edges:
+            classes.setdefault(col_of[e], []).append(e)
+        assert sorted(classes) == list(range(k))
+        for edges in classes.values():
+            reached = set(edges[0])
+            grew = True
+            while grew:
+                grew = False
+                for e in edges:
+                    if reached.intersection(e) and not reached.issuperset(e):
+                        reached.update(e)
+                        grew = True
+            assert all(reached.issuperset(e) for e in edges), edges
+            joined += len(edges) > 1
+    assert joined > 500, joined

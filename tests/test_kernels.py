@@ -86,9 +86,8 @@ def test_rref_matches_reference_on_library_systems(monkeypatch):
     triangle classes with `linalg.int_kernel_basis`, never reducing a
     one-class system, and fits facets with the early-exit echelon, so the
     facet systems and each skeleton's cycle systems, over its triangle
-    classes and over its edges (`cycle_rows` under the identity map, as
-    `identity_decomposing_space` in test_graphs.py builds it), are fed in
-    directly."""
+    classes and over its edges (`cycle_rows` under the identity map),
+    are fed in directly."""
     calls = []
     real = kernels.rref_int
 
