@@ -25,8 +25,9 @@ The pipeline stages return a trace and, when the facet slide closes
 it, that slide in integers (`graphs.Slide`): the images times one
 denominator and each edge's verified integer ratio.  A slide found past
 pyramid reductions is lifted back slide to slide (`_lift_witness`), and
-`analyze` hands out its `Fraction` witness once (`graphs._slide_witness`)
-and reads the method off the trace's closing step.
+`analyze` hands out its witness once (`graphs._slide_witness`), still an
+integer slide whose `Fraction`s are made only when read, and reads the
+method off the trace's closing step.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .graphs import (
     GeometricGraph,
     OracleResult,
     Slide,
+    _WITNESS_FAULT,
     _edge_ratios,
     _equal_ratios,
     _homothety_fit,
@@ -201,7 +203,7 @@ def simple_extension(
         if a not in covered or b not in covered or a == b:
             raise RuleNotApplicableError(f"({a},{b}) are not two covered neighbors of {w}")
     # Collinear w,a,b would leave the new vertex a sliding freedom.
-    xs, _ = g.int_coords()
+    xs = g.points
     if int_collinear(xs[w], xs[a], xs[b]):
         raise RuleNotApplicableError(f"vertices {w},{a},{b} are collinear")
     return _graph_step(
@@ -216,7 +218,7 @@ def simple_extension_closure(g: GeometricGraph, seed: Tuple[int, int]) -> Certif
     """Grow from a seed edge until no vertex has two covered neighbors,
     absorbing the smallest eligible vertex first."""
     cg = seed_edge(g, *seed)
-    outside = sorted(set(range(len(g.vertices))) - cg.vertices)
+    outside = sorted(set(range(len(g.points))) - cg.vertices)
     while True:
         w = next(
             (
@@ -277,9 +279,9 @@ def independent_cycle(g: GeometricGraph, vs: Sequence[int]) -> CertificateStep:
     vs = tuple(vs)
     if len(vs) < 3 or len(set(vs)) != len(vs):
         raise RuleNotApplicableError("need at least three distinct cycle vertices")
-    if any(v not in range(len(g.vertices)) for v in vs):
+    if any(v not in range(len(g.points)) for v in vs):
         raise RuleNotApplicableError("cycle vertex missing from the graph")
-    xs, _ = g.int_coords()
+    xs = g.points
     if not affinely_independent([xs[v] for v in vs]):
         raise RuleNotApplicableError("cycle vertices are affinely dependent")
     edges = frozenset(edge_key(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
@@ -375,7 +377,7 @@ def _cover_gaps(
     shared = sorted(c1.vertices & c2.vertices)
     if not shared:
         raise RuleNotApplicableError("the graphs share no vertex")
-    missing = sorted(set(range(len(p.vertices))) - (c1.vertices | c2.vertices))
+    missing = sorted(set(range(len(p))) - (c1.vertices | c2.vertices))
     if len(missing) > p.dim - 2:
         raise RuleNotApplicableError(
             f"{len(missing)} vertices uncovered, more than d-2 = {p.dim - 2}"
@@ -390,7 +392,7 @@ def _cover_step(
     """The TwoGraphCover step: c1 and c2 meet `_cover_gaps`, and `glued`,
     certified from them, reaches every vertex."""
     _cover_gaps(p, skel, c1, c2)
-    if glued.vertices != set(range(len(p.vertices))):
+    if glued.vertices != set(range(len(p))):
         raise RuleNotApplicableError("the glued graph does not reach every vertex")
     return CertificateStep(
         rule="TwoGraphCover",
@@ -445,7 +447,8 @@ def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slid
     None unless every facet vertex has exactly one neighbor outside and
     at least two vertices lie outside, else the integer slide
     (fs, D, ratios).  The rule and its replay share it; only the witness
-    `analyze` hands out (`graphs._slide_witness`) makes `Fraction`s.
+    `analyze` hands out (`graphs._slide_witness`) makes `Fraction`s, when
+    its images or scalars are read.
 
     The slide is built over the cached integer coordinates X = mult * x.
     With the facet's outward integer plane a.X <= b (`Polytope.int_plane`),
@@ -461,7 +464,7 @@ def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slid
     EngineInconsistencyError when its ratios are all equal
     (`graphs._equal_ratios`)."""
     members = p.facets[fi]
-    if len(p.vertices) - len(members) < 2:
+    if len(p) - len(members) < 2:
         return None
     fset = set(members)
     out_nbr = {}
@@ -470,8 +473,8 @@ def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slid
         if len(others) != 1:
             return None
         out_nbr[v] = others[0]
-    outside = [w for w in range(len(p.vertices)) if w not in fset]
-    xs, mult = skel.int_coords()
+    outside = [w for w in range(len(p)) if w not in fset]
+    xs, mult = skel.points, skel.mult
     a, b = p.int_plane(fi)
     # How far each outside vertex lies below the facet: b - a.X_w > 0.
     gap = {w: -int_side(a, b, xs[w]) for w in outside}
@@ -507,7 +510,7 @@ def shephard_facet(p: Polytope) -> Optional[Tuple[CertificateTrace, Slide]]:
     facet is refused by degree alone; there the slide runs only as the
     cross-check after an Indecomposable oracle verdict."""
     skel = skeleton(p)
-    degree = [len(skel.neighbors(v)) for v in range(len(p.vertices))]
+    degree = [len(skel.neighbors(v)) for v in range(len(p))]
     for fi, members in enumerate(p.facets):
         size = len(members)
         if any(degree[v] > size for v in members):
@@ -549,7 +552,7 @@ def pyramid_apex(p: Polytope) -> Optional[CertificateTrace]:
     all other vertices: the polytope is a pyramid, hence indecomposable.
     The facets through each vertex are counted once, and the facet away
     from a vertex is looked up only for a vertex in all but one."""
-    n = len(p.vertices)
+    n = len(p)
     count = [0] * n
     for f in p.facets:
         for v in f:
@@ -568,7 +571,7 @@ def pyramid_apex(p: Polytope) -> Optional[CertificateTrace]:
 def _apex_step(p: Polytope, u: int) -> CertificateStep:
     """The PyramidApex step for vertex u; refused unless exactly one
     facet misses u and that facet holds every other vertex."""
-    n = len(p.vertices)
+    n = len(p)
     away = [fi for fi, f in enumerate(p.facets) if u not in f]
     if len(away) != 1:
         raise RuleNotApplicableError(f"vertex {u} is not in every facet but one")
@@ -615,13 +618,13 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     hyperplane, every other vertex lies strictly beneath it, and u must
     lie strictly beyond: that is the third test.
 
-    Everything runs in integers: H is fitted on the cached coordinates
+    Everything runs in integers: H is fitted on p's integer points
     X = mult * x (`linalg.int_hyperplane`, which stops as soon as the
-    neighbors span more than a hyperplane).  The reduced polytope is
-    built from its vertices and facets alone, the facets sorted by
-    member tuple as a hull lists them; it fits its own coordinates and
-    planes on first use."""
-    n = len(p.vertices)
+    neighbors span more than a hyperplane).  The reduced polytope keeps
+    p's other points (`Polytope._of_ints`) and takes the facets alone,
+    sorted by member tuple as a hull lists them; it fits its own planes
+    on first use."""
+    n = len(p)
     nbrs = p.neighbors(u)
     if len(nbrs) == n - 1:
         return None
@@ -629,7 +632,7 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     for members in p.facets:
         if u in members and not closed.issuperset(members):
             return None
-    ints, _ = p.int_coords()
+    ints, mult = p.int_coords()
     plane = int_hyperplane([ints[x] for x in nbrs])
     if plane is None:
         return None
@@ -643,9 +646,10 @@ def _stack_structure(p: Polytope, u: int) -> Optional[Tuple[Polytope, Tuple[int,
     for members in p.facets:
         if u not in members:
             facets.append(tuple(sorted(x - (x > u) for x in members)))
-    reduced = Polytope(
+    reduced = Polytope._of_ints(
         p.dim,
-        tuple(v for x, v in enumerate(p.vertices) if x != u),
+        ints[:u] + ints[u + 1:],
+        mult,
         tuple(sorted(facets)),
         f"{p.name or 'polytope'} minus vertex {u}",
     )
@@ -659,7 +663,7 @@ def pyramid_reduction(p: Polytope) -> Optional[Tuple[CertificateStep, Polytope]]
     the two polytopes then share their decomposability status.  The
     reduced polytope's facets are read off p's own (`_stack_structure`,
     which `replay` shares), so a reduction builds no hull."""
-    for u in range(len(p.vertices)):
+    for u in range(len(p)):
         try:
             reduced, fmem, facet = _stacked_facet(p, u)
         except RuleNotApplicableError:
@@ -900,13 +904,15 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     verdict gets too, since a count rule decides without one.  The facet
     slide comes out of the pipeline in integers, lifted through any
     pyramid reductions (`_lift_witness`), and is handed out once, here
-    (`graphs._slide_witness`), the only place its `Fraction`s are made.
-    Its witness is checked once more before `analyze` returns: `check`
-    clears its images to integers, verifies every edge and compares each
-    recorded scalar with the edge's verified ratio, and since a polytope
-    skeleton is connected, the slide is a homothety iff its ratios are
-    all equal (`graphs._equal_ratios`).  Either failure, like a verdict
-    the oracle contradicts, raises EngineInconsistencyError."""
+    (`graphs._slide_witness`), keeping the slide: its `Fraction`s are made
+    only when its images or scalars are read.  Its witness is checked
+    once more before `analyze` returns: `check` runs on the slide's
+    integers, verifies every edge and compares each recorded ratio with
+    the edge's verified one, and since a polytope skeleton is connected,
+    the slide is a homothety iff its ratios are all equal
+    (`graphs._equal_ratios`).  Either failure, like a verdict
+    the oracle contradicts or an oracle witness that fails the same two
+    tests (`graphs.oracle_verdict`), raises EngineInconsistencyError."""
     if mode not in ("certificates-first", "oracle-only"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     fv = p.f_vector()
@@ -922,9 +928,9 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
         witness = o.witness
     else:
         g = skeleton(p)
-        witness = _slide_witness(g.int_coords()[1], slide)
+        witness = _slide_witness(g.mult, slide)
         if not witness.check(g) or _equal_ratios(slide[2]):
-            raise EngineInconsistencyError("witness does not decompose the input")
+            raise EngineInconsistencyError(_WITNESS_FAULT)
     closing = trace.steps[-1].rule
     method = "count-rule" if closing in ("SmilanskyCount", "LowVertexCount") else "certificate"
     return AnalysisReport(trace.verdict, method, trace, o.dimension, fv, notes, witness)

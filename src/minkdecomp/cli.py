@@ -194,7 +194,7 @@ def cmd_catalogue(args) -> int:
     except KeyError:
         raise InvalidInputError(f"no catalogue entry named {args.name!r}")
     p = entry.build()
-    p = Polytope(p.dim, p.vertices, p.facets, name=entry.name)
+    p = Polytope._of_ints(p.dim, *p.int_coords(), p.facets, entry.name)
     _write_out(p, args.out)
     return 0
 

@@ -116,7 +116,7 @@ def bd182() -> Polytope:
     """Britton-Dunitz no. 182: a tetrahedron stacked onto a cap facet of
     the capped prism."""
     capped = capped_prism()
-    apex = len(capped.vertices) - 1
+    apex = len(capped) - 1
     for fi, f in enumerate(capped.facets):
         if len(f) == 3 and apex in f:
             return stack_pyramid(capped, fi, name="bd182")
@@ -127,7 +127,7 @@ def bd198() -> Polytope:
     """Britton-Dunitz no. 198: tetrahedra stacked onto both triangular ends
     of the prism delta(1,2)."""
     capped = capped_prism()
-    apex = len(capped.vertices) - 1
+    apex = len(capped) - 1
     fi = _first_triangle_facet(capped, avoid_vertex=apex)
     return stack_pyramid(capped, fi, name="bd198")
 

@@ -42,21 +42,24 @@ edges and brought to the basis the uncontracted system's reduced
 echelon form gives (`_edge_rows`), so the basis does not depend on the
 contraction.
 
-The whole computation runs over integers: over the polytope's vertex
-coordinates cleared to a common denominator once (`Polytope.int_coords`),
-which scales every cycle equation by the same factor and so keeps its
-kernel.  The cycle rows are built as integer lists and reduced without
-fractions, the kernel vectors and edge rows stay integer, and so do the
-images summed along the tree and the package's only homothety fit
-(`_homothety_fit`, which the oracle's `_residue` and the lift of a slide
-through a pyramid reduction read), solved in closed form from integer
-sums.  `Fraction` appears only where a function is handed out, by
-`_slide_witness`, the only builder of a `DecomposingFunction`: the
-basis of `decomposing_space` and the witnesses.  Each is an integer
-slide (images times one denominator, and each edge's integer ratio,
-verified edge by edge for a witness: the residue of `oracle_verdict`
-and the facet slide `certificates.analyze` returns) until
-`_slide_witness` makes its `Fraction`s once.
+The whole computation runs over integers: over the polytope's own
+integer points, its vertices cleared to one common denominator
+(`Polytope.int_coords`), which the skeleton holds in place of rational
+coordinates; the scaling multiplies every cycle equation by the same
+factor and so keeps its kernel.  The cycle rows are built as integer
+lists and reduced without fractions, the kernel vectors and edge rows
+stay integer, and so do the images summed along the tree and the
+package's only homothety fit (`_homothety_fit`, which the oracle's
+`_residue` and the lift of a slide through a pyramid reduction read),
+solved in closed form from integer sums.  `Fraction` appears only where a handed-out function is read.
+`_slide_witness` is the only builder of a `DecomposingFunction`, each
+basis element of `decomposing_space` and each witness, and every one
+of them keeps its integer slide (images times one denominator, and each
+edge's integer ratio, verified edge by edge for a witness: the residue
+of `oracle_verdict` and the facet slide `certificates.analyze`
+returns).  It makes its `Fraction` images and scalars once, on their
+first read, and `check` runs on the slide, so a caller that only
+decides makes none.
 
 `oracle_verdict` builds no basis.  It stops at the dimension when that
 is d + 1, and otherwise takes the first edge row, the first element of
@@ -72,7 +75,7 @@ from operator import sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import kernels
-from .errors import InvalidInputError
+from .errors import EngineInconsistencyError, InvalidInputError
 from .linalg import (
     Rational,
     Vec,
@@ -95,20 +98,19 @@ Tree = Tuple[Dict[int, Optional[int]], List[int], Tuple[Tuple[int, int], ...]]
 
 @dataclass(frozen=True)
 class GeometricGraph:
-    """A polytope's edge graph, as `skeleton` builds it: the vertices
-    with exact coordinates, by index, and the undirected edges as sorted
-    (u, v) pairs with u < v.
+    """A polytope's edge graph, as `skeleton` builds it: the vertices as
+    the polytope's integer points X = mult * x, by index, mult, and the
+    undirected edges as sorted (u, v) pairs with u < v.
 
-    The adjacency (each vertex's neighbours, ascending) and the integer
-    view of the coordinates (`int_coords`) are the polytope's cached
-    values, and the BFS tree is the one `skeleton` walked; none of them
+    The adjacency (each vertex's neighbours, ascending) is the polytope's
+    cached one, and the BFS tree is the one `skeleton` walked; neither
     takes part in comparisons."""
 
     dim: int
-    vertices: Tuple[Vec, ...]
+    points: List[Tuple[int, ...]] = field(repr=False)
+    mult: int
     edges: Tuple[Tuple[int, int], ...]
     _adjacency: Tuple[Tuple[int, ...], ...] = field(repr=False, compare=False)
-    _ints: Tuple[List[Tuple[int, ...]], int] = field(repr=False, compare=False)
     _tree: Tree = field(repr=False, compare=False)
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
@@ -117,16 +119,55 @@ class GeometricGraph:
         adj = self._adjacency
         return adj[v] if 0 <= v < len(adj) else ()
 
-    def int_coords(self) -> Tuple[List[Tuple[int, ...]], int]:
-        """The vertices cleared to one common denominator, by index, and
-        that denominator: the polytope's own (`Polytope.int_coords`)."""
-        return self._ints
 
-
-@dataclass(frozen=True)
 class DecomposingFunction:
-    images: Dict[int, Vec]
-    edge_scalars: Dict[Tuple[int, int], Rational]
+    """A decomposing function: the image of each vertex (`images`, a dict
+    of `Vec`s by vertex index) and each edge's scalar (`edge_scalars`, a
+    dict by sorted edge).
+
+    Built either from those two dicts, or by `_slide_witness` from an
+    integer slide, whose `Fraction`s it makes on the first read of
+    `images` or `edge_scalars`.  Equality and `repr` read both dicts."""
+
+    __slots__ = ("_images", "_scalars", "_slide")
+
+    def __init__(
+        self,
+        images: Optional[Dict[int, Vec]],
+        edge_scalars: Optional[Dict[Tuple[int, int], Rational]],
+        *,
+        _slide: Optional[Tuple[int, Slide]] = None,
+    ):
+        self._images, self._scalars, self._slide = images, edge_scalars, _slide
+
+    @property
+    def images(self) -> Dict[int, Vec]:
+        if self._images is None:
+            self._make_fractions()
+        return self._images
+
+    @property
+    def edge_scalars(self) -> Dict[Tuple[int, int], Rational]:
+        if self._scalars is None:
+            self._make_fractions()
+        return self._scalars
+
+    def _make_fractions(self) -> None:
+        """The slide's `Fraction`s, made once: images fs / D and edge
+        scalars f_j * mult / (x_j * D), one per ratio."""
+        mult, (fs, den, ratios) = self._slide
+        self._images = {i: fraction_vec(f, den) for i, f in fs.items()}
+        self._scalars = {e: Fraction(fj * mult, xj * den) for e, (fj, xj) in ratios.items()}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.images, self.edge_scalars) == (other.images, other.edge_scalars)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"DecomposingFunction(images={self.images!r}, edge_scalars={self.edge_scalars!r})"
 
     def check(self, g: GeometricGraph) -> bool:
         """Whether the images decompose g with exactly the recorded edge
@@ -134,32 +175,44 @@ class DecomposingFunction:
         comparing the two dicts.
 
         Every vertex needs an image with one coordinate per dimension, and
-        the scalars must be keyed by exactly g's edges.  The images are
-        cleared to F = den * f (`linalg.as_int_coords`), every edge is
+        the scalars must be keyed by exactly g's edges.  The check runs in
+        integers, on a slide's own images F = D * f, or on the `Fraction`
+        images cleared to them (`linalg.as_int_coords`): every edge is
         verified by `_edge_ratios`, and each recorded scalar is compared
-        with its edge's ratio (f_j, x_j), the scalar f_j * mult / (x_j * den):
-        an int or a `Fraction` by cross-multiplication, anything else as
+        with its edge's ratio (f_j, x_j), the scalar f_j * mult / (x_j * D).
+        A slide's scalar, its ratio's f_j' * mult' / (x_j' * D), an int or
+        a `Fraction` is compared by cross-multiplication; anything else as
         `Fraction` equality compares it."""
-        vids = range(len(g.vertices))
-        scalars = self.edge_scalars
+        slide = self._slide
+        if slide is None:
+            images, scalars = self._images, self._scalars
+        else:
+            slide_mult, (images, den, scalars) = slide
+        vids = range(len(g.points))
         if len(scalars) != len(g.edges):
             return False
         for v in vids:
-            if v not in self.images or len(self.images[v]) != g.dim:
+            if v not in images or len(images[v]) != g.dim:
                 return False
-        xs, mult = g.int_coords()
-        fs, den = as_int_coords(self.images[v] for v in vids)
+        if slide is None:
+            images, den = as_int_coords(images[v] for v in vids)
+        mult = g.mult
         try:
-            ratios = _edge_ratios(g.edges, xs, fs)
+            ratios = _edge_ratios(g.edges, g.points, images)
         except InvalidInputError:
             return False
         for e, (fj, xj) in ratios.items():
             # A missing key reads None, which no ratio equals.
             s = scalars.get(e)
-            if isinstance(s, (int, Fraction)):
-                if s.numerator * xj * den != s.denominator * fj * mult:
-                    return False
-            elif Fraction(fj * mult, xj * den) != s:
+            if s is not None and slide is not None:
+                num, dnm = s[0] * slide_mult, s[1] * den
+            elif isinstance(s, (int, Fraction)):
+                num, dnm = s.numerator, s.denominator
+            elif Fraction(fj * mult, xj * den) == s:
+                continue
+            else:
+                return False
+            if num * xj * den != dnm * fj * mult:
                 return False
         return True
 
@@ -198,23 +251,22 @@ def _equal_ratios(ratios: Dict[Tuple[int, int], Tuple[int, int]]) -> bool:
     return all(fj * x0 == f0 * xj for fj, xj in rest)
 
 
+# What a witness that fails its integer check raises with.
+_WITNESS_FAULT = "witness does not decompose the input"
+
 # An integer slide: the images times D, D, and each edge's ratio.
 Slide = Tuple[Dict[int, Tuple[int, ...]], int, Dict[Tuple[int, int], Tuple[int, int]]]
 
 
 def _slide_witness(mult: int, slide: Slide) -> DecomposingFunction:
-    """The `Fraction` function of an integer slide (fs, D, ratios) over
-    vertices cleared to X = mult*x: images fs / D and edge scalars
-    f_j * mult / (x_j * D), one per ratio.  It builds every
-    `DecomposingFunction`: each witness (the facet slide's and the
-    oracle's residue), from ratios `_edge_ratios` verified, and each basis
-    element of `decomposing_space`.  It makes the `Fraction`s once, with
-    no second verification."""
-    fs, den, ratios = slide
-    return DecomposingFunction(
-        {i: fraction_vec(f, den) for i, f in fs.items()},
-        {e: Fraction(fj * mult, xj * den) for e, (fj, xj) in ratios.items()},
-    )
+    """The function of an integer slide (fs, D, ratios) over vertices
+    cleared to X = mult*x: images fs / D and edge scalars
+    f_j * mult / (x_j * D), one per ratio, made as `Fraction`s on their
+    first read.  It builds every `DecomposingFunction`: each witness (the
+    facet slide's and the oracle's residue), from ratios `_edge_ratios`
+    verified, and each basis element of `decomposing_space`.  It verifies
+    nothing a second time."""
+    return DecomposingFunction(None, None, _slide=(mult, slide))
 
 
 def skeleton(p: Polytope) -> GeometricGraph:
@@ -233,7 +285,7 @@ def skeleton(p: Polytope) -> GeometricGraph:
 
 
 def _build_skeleton(p: Polytope) -> GeometricGraph:
-    xs, _ = p.int_coords()
+    xs, mult = p.int_coords()
     edges = p.edges()
     for u, v in edges:
         if xs[u] == xs[v]:
@@ -248,7 +300,7 @@ def _build_skeleton(p: Polytope) -> GeometricGraph:
         raise InvalidInputError(
             f"skeleton is disconnected: vertex {missed} is not reached from vertex 0"
         )
-    return GeometricGraph(p.dim, p.vertices, edges, adjacency, p.int_coords(), tree)
+    return GeometricGraph(p.dim, xs, mult, edges, adjacency, tree)
 
 
 def _bfs_tree(adjacency: Sequence[Sequence[int]], edges: Tuple[Tuple[int, int], ...]) -> Tree:
@@ -266,11 +318,9 @@ def _bfs_tree(adjacency: Sequence[Sequence[int]], edges: Tuple[Tuple[int, int], 
     return parent, order, edges
 
 
-def triangle_classes(
-    xs: Sequence[Sequence[int]], edges: Sequence[Tuple[int, int]]
-) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Column of each edge in the contracted cycle system, and the number
-    of columns.
+def triangle_classes(g: GeometricGraph) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Column of each edge of g in the contracted cycle system, and the
+    number of columns.
 
     A 3-cycle u, v, w whose points are not collinear forces one scalar on
     its three edges: its cycle equation reads
@@ -282,9 +332,13 @@ def triangle_classes(
     unvalidated `Polytope` can have, give one equation and join nothing.
     Classes are numbered by their first edge in edges order.
 
-    The union-find stops once one class is left, as no further 3-cycle
-    can change the answer: every edge then has column 0.
+    The 3-cycles over each edge (u, v) are read off the skeleton's cached
+    adjacency: each neighbour w > v of u that is joined to v, found by
+    its edge's index.  The union-find stops once one class is left, as
+    no further 3-cycle can change the answer: every edge then has column
+    0.
     """
+    xs, edges, adjacency = g.points, g.edges, g._adjacency
     index = {e: i for i, e in enumerate(edges)}
     root = list(range(len(edges)))
     left = len(edges)
@@ -295,18 +349,17 @@ def triangle_classes(
             i = root[i]
         return i
 
-    adjacency: Dict[int, set] = {}
-    for u, v in edges:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
     for (u, v), i in index.items():
         if left == 1:
             break
-        for w in adjacency[u] & adjacency[v]:
+        for w in adjacency[u]:
             # Each triangle once, as u < v < w.
-            if w < v:
+            if w <= v:
                 continue
-            ri, rj, rk = find(i), find(index[(u, w)]), find(index[(v, w)])
+            k = index.get((v, w))
+            if k is None:
+                continue
+            ri, rj, rk = find(i), find(index[(u, w)]), find(k)
             if ri == rj == rk or int_collinear(xs[u], xs[v], xs[w]):
                 continue
             left -= len({ri, rj, rk}) - 1
@@ -400,8 +453,8 @@ def _cycle_kernel(g: GeometricGraph) -> Tuple[List[int], List[List[int]]]:
     solutions."""
     if not g.edges:
         raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
-    xs, _ = g.int_coords()
-    col_of, k = triangle_classes(xs, g.edges)
+    xs = g.points
+    col_of, k = triangle_classes(g)
     if k == 1:
         kernel = [[1]]
     else:
@@ -471,7 +524,7 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
     """
     d = g.dim
     cols, kernel = _cycle_kernel(g)
-    xs, mult = g.int_coords()
+    xs, mult = g.points, g.mult
     zero = dict.fromkeys(g.edges, (0, 1))
     basis = []
     for j in range(d):
@@ -486,10 +539,10 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
 
 def homothety_residue(g: GeometricGraph, f: DecomposingFunction) -> DecomposingFunction:
     """Subtract the least-squares homothety fit; zero residue iff f is one
-    (`_residue` over the skeleton's integer view and the cleared images)."""
-    xs, mult = g.int_coords()
-    fs, den = as_int_coords(f.images[v] for v in range(len(xs)))
-    return _residue(g, xs, mult, fs, den)
+    (`_residue` over the skeleton's integer points and the cleared
+    images)."""
+    fs, den = as_int_coords(f.images[v] for v in range(len(g.points)))
+    return _slide_witness(g.mult, _residue(g, fs, den))
 
 
 def _homothety_fit(
@@ -516,24 +569,22 @@ def _homothety_fit(
     return n * q, n * num, [num * a - q * b for a, b in zip(sum_x, sum_f)]
 
 
-def _residue(
-    g: GeometricGraph, xs: Sequence[Sequence[int]], mult: int,
-    fs: Sequence[Sequence[int]], den: int,
-) -> DecomposingFunction:
-    """The homothety residue of the images fs/den over the vertices
-    xs/mult, both listed by vertex index.
+def _residue(g: GeometricGraph, fs: Sequence[Sequence[int]], den: int) -> Slide:
+    """The homothety residue of the images fs/den over g's vertices, both
+    listed by vertex index, as an integer slide.
 
     With the vertices cleared to X = mult*x and the images to F = den*f,
     nq times every residue F - alpha' X - c' of the fit (`_homothety_fit`)
-    is the integer nq*F - m*X + offset, a slide over nq*den that
-    `_slide_witness` hands out.  The residue is linear in F, so any
-    common scaling of fs and den gives the same rationals."""
+    is the integer nq*F - m*X + offset, a slide over nq*den whose edges
+    `_edge_ratios` verifies.  The residue is linear in F, so any common
+    scaling of fs and den gives the same rationals."""
+    xs = g.points
     nq, m, offset = _homothety_fit(xs, fs)
     res = {
         v: tuple(nq * b - m * a + c for a, b, c in zip(x, y, offset))
         for v, (x, y) in enumerate(zip(xs, fs))
     }
-    return _slide_witness(mult, (res, nq * den, _edge_ratios(g.edges, xs, res)))
+    return res, nq * den, _edge_ratios(g.edges, xs, res)
 
 
 class _PendingWitness:
@@ -593,7 +644,11 @@ def oracle_verdict(p: Polytope) -> OracleResult:
     skeleton a homothety has equal edge scalars, and with two or more
     rows each is 1 at its own free column and 0 at the others'.  Its
     images, summed in integers along that tree, and its residue are built
-    only when the result's witness is read.
+    only when the result's witness is read, and its `Fraction`s only when
+    the witness's images or scalars are.  The residue is verified as the
+    facet slide's witness is in `certificates.analyze`: a residue that
+    fails an edge (`_edge_ratios`) or whose edge scalars are all equal
+    (`_equal_ratios`) raises EngineInconsistencyError.
     """
     g = skeleton(p)
     cols, kernel = _cycle_kernel(g)
@@ -603,8 +658,13 @@ def oracle_verdict(p: Polytope) -> OracleResult:
     lam, den = _edge_rows(cols, kernel)[0]
 
     def fit() -> DecomposingFunction:
-        xs, mult = g.int_coords()
-        return _residue(g, xs, mult, _tree_sums(xs, g._tree, lam), den * mult)
+        try:
+            slide = _residue(g, _tree_sums(g.points, g._tree, lam), den * g.mult)
+        except InvalidInputError as exc:
+            raise EngineInconsistencyError(f"{_WITNESS_FAULT}: {exc}") from exc
+        if _equal_ratios(slide[2]):
+            raise EngineInconsistencyError(f"{_WITNESS_FAULT}: it is a homothety")
+        return _slide_witness(g.mult, slide)
 
     return OracleResult("Decomposable", dim, _PendingWitness(fit))
 

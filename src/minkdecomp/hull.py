@@ -8,20 +8,21 @@ point.  Its cost follows the facets it builds, not the C(n, d) vertex
 subsets, and it handles non-simplicial facets natively.  Every facet
 lists all input points on its hyperplane, non-extreme ones included.
 
-Input coordinates are rational; `linalg.as_int_coords` clears their
-common denominator, so the kernel runs over integers (uniform scaling
-does not change the face structure), and its start simplex doubles as
-the affine-rank check.  `facet_data` hands back those integer
-coordinates with the facets' member tuples, and no planes:
-`Polytope.int_plane` fits each plane itself.  Facet members are read off
-each mask by low-bit iteration (`mask_members`).
+The kernel runs over integers: every polytope stores its vertices
+cleared to one common denominator (`Polytope.int_coords`; uniform
+scaling does not change the face structure), and `facet_data` takes
+those integer points as they are.  The start simplex doubles as the
+affine-rank check.  `facet_data` hands back the facets' member tuples
+alone, with no planes: `Polytope.int_plane` fits each plane itself.
+Facet members are read off each mask by low-bit iteration
+(`mask_members`).
 `SUBSET_GUARD` refuses inputs with more than 10^7 d-subsets
 (GuardExceededError): it is an admission bound on the input size only,
 not a measure of the hull's work.  `admit` applies it, here and in
 `constructors.cube`, which checks its 2^d points before it lists them.
 
 Every hull is built here, by two callers: `facet_data`, for
-`Polytope.from_vertices` (which a file's listed facets and `validate`
+`Polytope.from_int_coords` (which a file's listed facets and `validate`
 are checked through as well), and `extreme_points`, which prunes the
 candidate points of a Minkowski sum.  The first applies the guard; the
 prune does not, and the `from_vertices` call on the points it keeps
@@ -33,40 +34,36 @@ from typing import List, Sequence, Tuple
 
 from . import kernels
 from .errors import DegenerateInputError, GuardExceededError, InvalidInputError
-from .linalg import Rational, Vec, as_int_coords
+from .linalg import Vec, as_int_coords
 
 SUBSET_GUARD = 10**7
 
 
-def facet_data(dim: int, vertices: Sequence[Sequence[Rational]]):
-    """The facets of the hull, and the integer coordinates it was built
-    over.
+def facet_data(dim: int, points: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """The facets of the hull of integer points in R^dim.
 
-    Returns (facets, ints, mult).  ints, mult are the vertices cleared to
-    a common denominator (`linalg.as_int_coords`): X = mult * x.  facets
-    is the sorted list of the facets' vertex index tuples, each listing
-    every input point on the facet's hyperplane.  Points that are not
-    extreme are kept and listed in every facet whose hyperplane holds
-    them, so the facet lists tell them apart from the vertices;
-    `Polytope.from_vertices` rejects them by that test.
+    The sorted list of the facets' point index tuples, each listing every
+    input point on the facet's hyperplane.  Points that are not extreme
+    are kept and listed in every facet whose hyperplane holds them, so
+    the facet lists tell them apart from the vertices;
+    `Polytope.from_int_coords` rejects them by that test.
     """
-    n = len(vertices)
+    n = len(points)
     if n == 0:
         raise InvalidInputError("empty vertex set")
     d = dim
-    if any(len(v) != d for v in vertices):
+    if any(len(v) != d for v in points):
         raise InvalidInputError("vertex of wrong dimension")
-    ints, mult = as_int_coords(vertices)
-    if len(set(ints)) != n:
+    if len(set(points)) != n:
         raise InvalidInputError("duplicate vertices")
     admit(n, d)
     try:
-        masks = _scan_masks(ints, d)
+        masks = _scan_masks(points, d)
     except ValueError:
         raise DegenerateInputError(
             "vertex set does not affinely span the ambient dimension"
         ) from None
-    return sorted(map(mask_members, masks)), ints, mult
+    return sorted(map(mask_members, masks))
 
 
 def extreme_points(dim: int, points: Sequence[Vec]) -> List[Vec]:

@@ -18,7 +18,7 @@ over `Echelon.kernel`.
 `facet_scan` is an exact double-description hull whose cost follows the
 facets it builds rather than the C(n, d) vertex subsets.  It builds
 every hull in the package, and only `hull` calls it: `hull.facet_data`
-(for `Polytope.from_vertices`, which listed facets are also checked
+(for `Polytope.from_int_coords`, which listed facets are also checked
 through) and `hull.extreme_points` (the vertex pruning of Minkowski
 sums).  Both read only its facet masks.  It keeps a plane per facet
 because double description combines planes to make new facets; a

@@ -2,13 +2,15 @@
 
 Everything verdict-relevant in this package reduces to questions about
 ranks, kernels, hyperplanes and sign tests, and rank is discontinuous,
-so no floating point is allowed anywhere near a verdict.  Input
-coordinates are fractions.Fraction (vectors are immutable tuples of
-them, matrices plain lists of rows); `as_int_coords` clears the common
-denominator of a point set once, and the geometry then runs over Python
-integers.  Uniform scaling keeps every face, every rank and kernel of a
-system built from the points, and every sign test, so integer results
-convert back to the rational answer by one division at the end.
+so no floating point is allowed anywhere near a verdict.  The geometry
+runs over Python integers: a polytope stores its vertices cleared to
+one common denominator (`polytope.Polytope.int_coords`), which the file
+reader computes straight from the coordinate strings, and
+`as_int_coords` clears rational points given in code (`Vec`s, immutable
+tuples of `fractions.Fraction`) the same way.  Uniform scaling keeps
+every face, every rank and kernel of a system built from the points,
+and every sign test, so integer results convert back to the rational
+answer by one division at the end (`fraction_vec`).
 
 One elimination serves every question: the fraction-free echelon of
 the kernels module (`kernels.Echelon`), grown one row at a time.  A full
@@ -21,8 +23,9 @@ row insertions and dot products up to the first point off the candidate
 plane, not an elimination over all of them.
 `int_collinear` answers the three-point case with 2x2 minors, in one
 pass that stops at the first nonzero one.
-`Fraction` values are made only at the edges: reading off a kernel
-basis, a stacked pyramid's apex, and witnesses.
+`Fraction` values are made only at the edges: a polytope's vertex
+view, reading off a kernel basis, a stacked pyramid's apex, and a
+witness's images and scalars when they are read.
 """
 
 from __future__ import annotations

@@ -1,15 +1,28 @@
-"""Polytope data model: vertices plus facet incidences, and the operations
-on them that everything else consumes.
+"""Polytope data model: integer vertex points plus facet incidences, and
+the operations on them that everything else consumes.
 
-A polytope is stored as exact vertex coordinates together with the list
-of facet vertex-index sets; no face lattice above the facet level is
-kept, because none of the decomposability rules needs one.  Everything
-derived is computed once per polytope and cached: the integer
-coordinates X = mult * x (`int_coords`), one primitive outward integer
-plane per facet (`int_plane`), the edges and the adjacency.  Only this
-module lays out that cache, and only this module makes a facet plane:
-`int_plane` fits each one on its first read, however the polytope was
-built.  `from_vertices` seeds the coordinates alone, from the hull.
+A polytope is stored as its vertices cleared to one common denominator,
+the integer points X = mult * x with mult the least positive integer
+that makes every coordinate integral (`int_coords`, as
+`linalg.as_int_coords` gives them), together with the list of facet
+vertex-index sets; no face lattice above the facet level is kept,
+because none of the decomposability rules needs one.  Uniform scaling
+keeps every face, rank, kernel and sign test, so the engine runs on
+these integers alone.  `vertices`, the rational coordinates as `Vec`s
+of `Fraction`s, is a view made on its first read, for file output,
+rendering, error messages and the constructors' vector arithmetic.  Two
+polytopes are equal when their dimensions, integer points, mult, facet
+lists and names are: the same points and facets.
+
+A file hands its points in cleared (`from_int_coords`), code hands in
+rational vertices (`from_vertices`, or `Polytope(...)` with facets), and
+the exact faces and copies derived inside the package keep the integers
+of the polytope they come from (`_of_ints`).  Everything derived is
+computed once per polytope and cached: the vertex view, one primitive
+outward integer plane per facet (`int_plane`), the edges and the
+adjacency.  Only this module lays out that cache, and only this module
+makes a facet plane: `int_plane` fits each one on its first read,
+however the polytope was built.
 
 Edges are derived combinatorially from facet bitsets: a pair is an edge
 iff the facets containing both vertices intersect in exactly that pair
@@ -21,15 +34,18 @@ as soon as it is down to the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 from . import hull
 from .errors import InvalidInputError
-from .linalg import Rational, Vec, as_int_coords, int_hyperplane, int_side
+from .linalg import Rational, Vec, as_int_coords, fraction_vec, int_hyperplane, int_side
 
 T = TypeVar("T")
+# Integer points X = mult * x, by vertex index, and mult.
+IntCoords = Tuple[List[Tuple[int, ...]], int]
 
 
 class FVector(NamedTuple):
@@ -38,32 +54,112 @@ class FVector(NamedTuple):
     f: int
 
 
-@dataclass(frozen=True)
 class Polytope:
-    dim: int
-    vertices: Tuple[Vec, ...]
-    facets: Tuple[Tuple[int, ...], ...]
-    name: Optional[str] = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    """A d-polytope: its integer vertex points over their least common
+    denominator (`int_coords`), its facets as vertex index tuples, and an
+    optional name.  Immutable; `len` is the number of vertices.
+
+    `Polytope(dim, vertices, facets, name)` takes rational vertices given
+    in code and the facets as they are, unchecked (`validate` checks
+    them); `from_vertices` and `from_int_coords` enumerate the facets."""
+
+    __slots__ = ("dim", "facets", "name", "_ints", "_cache")
+
+    def __init__(
+        self,
+        dim: int,
+        vertices: Sequence[Sequence[Rational]],
+        facets: Sequence[Tuple[int, ...]],
+        name: Optional[str] = None,
+    ):
+        self._set(dim, as_int_coords(vertices), facets, name)
+
+    def _set(self, dim: int, ints: IntCoords, facets, name: Optional[str]) -> None:
+        for attr, value in (
+            ("dim", dim), ("facets", facets), ("name", name), ("_ints", ints), ("_cache", {})
+        ):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Polytope is immutable: cannot set {attr}")
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through the constructor, not by
+        # setting attributes.
+        return Polytope._of_ints, (self.dim, *self._ints, self.facets, self.name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self._ints, self.facets, self.name) == (
+            other.dim, other._ints, other.facets, other.name
+        )
+
+    def __hash__(self):
+        ints, mult = self._ints
+        return hash((self.dim, tuple(ints), mult, self.facets, self.name))
+
+    def __len__(self) -> int:
+        return len(self._ints[0])
+
+    def __repr__(self) -> str:
+        return (
+            f"Polytope(dim={self.dim!r}, vertices={self.vertices!r}, "
+            f"facets={self.facets!r}, name={self.name!r})"
+        )
 
     @staticmethod
     def from_vertices(
         dim: int, vertices: Sequence[Sequence[Rational]], name: Optional[str] = None
     ) -> "Polytope":
-        """Build with facets enumerated from scratch (under the guard).
+        """Build from rational vertices, with facets enumerated from
+        scratch: `from_int_coords` on the vertices cleared by
+        `linalg.as_int_coords`."""
+        ints, mult = as_int_coords(vertices)
+        return Polytope.from_int_coords(dim, ints, mult, name)
+
+    @staticmethod
+    def from_int_coords(
+        dim: int, ints: List[Tuple[int, ...]], mult: int, name: Optional[str] = None
+    ) -> "Polytope":
+        """Build from the integer points X = mult * x, mult the least
+        common denominator of the vertices x, with facets enumerated from
+        scratch (`hull.facet_data`, under the enumeration guard).
 
         Every point must be a vertex of the hull; InvalidInputError
-        names the points that are not (`hull.non_vertices`).  The hull's
-        integer coordinates are kept as `int_coords`.
-        """
-        verts = tuple(Vec(v) for v in vertices)
-        facets, ints, mult = hull.facet_data(dim, verts)
-        stray = hull.non_vertices(len(verts), facets)
+        names the points that are not (`hull.non_vertices`)."""
+        facets = hull.facet_data(dim, ints)
+        stray = hull.non_vertices(len(ints), facets)
         if stray:
-            raise InvalidInputError(_stray_message(verts, stray))
-        poly = Polytope(dim=dim, vertices=verts, facets=tuple(facets), name=name)
-        poly._cache["ints"] = (ints, mult)
+            raise InvalidInputError(_stray_message(ints, mult, stray))
+        return Polytope._of_ints(dim, ints, mult, tuple(facets), name)
+
+    @staticmethod
+    def _of_ints(
+        dim: int, ints: List[Tuple[int, ...]], mult: int,
+        facets: Sequence[Tuple[int, ...]], name: Optional[str] = None,
+    ) -> "Polytope":
+        """The polytope with integer points ints / mult and the facets as
+        given, unchecked.  ints and mult are first divided by their
+        greatest common divisor, so mult is the least common denominator
+        of the points, as `int_coords` promises."""
+        common = gcd(mult, *(c for x in ints for c in x)) if mult != 1 else 1
+        if common != 1:
+            ints = [tuple(c // common for c in x) for x in ints]
+            mult //= common
+        poly = Polytope.__new__(Polytope)
+        poly._set(dim, (ints, mult), facets, name)
         return poly
+
+    @property
+    def vertices(self) -> Tuple[Vec, ...]:
+        """The rational vertices x = X / mult, as `Vec`s of `Fraction`s;
+        made on the first read."""
+        return self._derived("vertices", self._rational_vertices)
+
+    def _rational_vertices(self) -> Tuple[Vec, ...]:
+        ints, mult = self._ints
+        return tuple(fraction_vec(x, mult) for x in ints)
 
     def int_plane(self, index: int) -> Tuple[Sequence[int], int]:
         """Outward integer hyperplane (a, o) of a facet on the `int_coords`
@@ -75,13 +171,13 @@ class Polytope:
             planes[index] = self._fit_plane(self.facets[index])
         return planes[index]
 
-    def int_coords(self) -> Tuple[List[Tuple[int, ...]], int]:
-        """The vertices cleared to a common denominator, and that
-        denominator (`linalg.as_int_coords`); computed once."""
-        return self._derived("ints", lambda: as_int_coords(self.vertices))
+    def int_coords(self) -> IntCoords:
+        """The vertices cleared to their least common denominator, by
+        index, and that denominator: the polytope's own representation."""
+        return self._ints
 
     def _fit_plane(self, members: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-        ints, _ = self.int_coords()
+        ints, _ = self._ints
         fitted = int_hyperplane([ints[i] for i in members])
         if fitted is None:
             raise InvalidInputError(f"facet {tuple(members)} is not coplanar-spanning")
@@ -96,7 +192,7 @@ class Polytope:
         return self._derived("edges", lambda: _edges_combinatorial(self))
 
     def f_vector(self) -> FVector:
-        return FVector(len(self.vertices), len(self.edges()), len(self.facets))
+        return FVector(len(self), len(self.edges()), len(self.facets))
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """v's neighbours in increasing order; none for an index that
@@ -109,7 +205,7 @@ class Polytope:
         return self._derived("adjacency", self._build_adjacency)
 
     def _build_adjacency(self) -> Tuple[Tuple[int, ...], ...]:
-        adj: List[List[int]] = [[] for _ in self.vertices]
+        adj: List[List[int]] = [[] for _ in range(len(self))]
         # The edges come in increasing order, so each list does too.
         for a, b in self.edges():
             adj[a].append(b)
@@ -126,14 +222,14 @@ class Polytope:
         return cached
 
 
-def _stray_message(vertices: Sequence[Sequence[Rational]], stray: Sequence[int]) -> str:
+def _stray_message(ints: Sequence[Sequence[int]], mult: int, stray: Sequence[int]) -> str:
     return "not vertices of the convex hull of the input: " + ", ".join(
-        f"point {i} ({', '.join(map(str, vertices[i]))})" for i in stray
+        f"point {i} ({', '.join(map(str, fraction_vec(ints[i], mult)))})" for i in stray
     )
 
 
 def _edges_combinatorial(p: Polytope) -> Tuple[Tuple[int, int], ...]:
-    n = len(p.vertices)
+    n = len(p)
     all_mask = (1 << n) - 1
     # An edge lies in at least d-1 facets.
     need = p.dim - 1
@@ -185,8 +281,9 @@ class ValidationReport:
 def validate(p: Polytope) -> ValidationReport:
     """Check p against the exact hull of its points; collect all failures.
 
-    The hull is built as `Polytope.from_vertices` builds it, under its
-    guard (a larger input raises GuardExceededError), and its refusal
+    The hull is built from p's integer points as
+    `Polytope.from_int_coords` builds it, under its guard (a larger
+    input raises GuardExceededError), and its refusal
     of the points (a coordinate list of the wrong length, a repeated
     point, points that do not span R^d, points that are not vertices)
     is the one violation.  Otherwise the listed facets, each read as a
@@ -194,7 +291,7 @@ def validate(p: Polytope) -> ValidationReport:
     (`facet_list_faults`), so member and facet order do not matter.
     """
     try:
-        hull_facets = Polytope.from_vertices(p.dim, p.vertices).facets
+        hull_facets = Polytope.from_int_coords(p.dim, *p.int_coords()).facets
     except InvalidInputError as exc:
         return ValidationReport([str(exc)])
     listed = [tuple(sorted(f)) for f in p.facets]
@@ -301,7 +398,7 @@ def stack_pyramid(p: Polytope, facet: int, name: Optional[str] = None) -> Polyto
 
 def truncate_vertex(p: Polytope, v: int, name: Optional[str] = None) -> Polytope:
     """Cut off one vertex, one new vertex per incident edge at parameter 1/3."""
-    if not 0 <= v < len(p.vertices):
+    if not 0 <= v < len(p):
         raise InvalidInputError(f"no vertex with index {v}")
     cut = []
     t = Fraction(1, 3)
@@ -318,7 +415,8 @@ def facet_as_polytope(p: Polytope, facet: int) -> Polytope:
     on the facet's hyperplane that projection is an affine bijection, so
     the face structure and decomposability status are unchanged.  Facets
     of the facet are the inclusion-maximal intersections with the other
-    facets of P.
+    facets of P.  It keeps p's integer points, the dropped coordinate
+    left out (`Polytope._of_ints`).
     """
     if not 0 <= facet < len(p.facets):
         raise InvalidInputError(f"no facet with index {facet}")
@@ -326,9 +424,8 @@ def facet_as_polytope(p: Polytope, facet: int) -> Polytope:
     normal, _ = p.int_plane(facet)
     drop = next(j for j, x in enumerate(normal) if x)
     reindex = {old: new for new, old in enumerate(members)}
-    verts = [
-        Vec(c for j, c in enumerate(p.vertices[old]) if j != drop) for old in members
-    ]
+    ints, mult = p.int_coords()
+    points = [ints[old][:drop] + ints[old][drop + 1:] for old in members]
     member_set = set(members)
     cuts = []
     for gi, g in enumerate(p.facets):
@@ -342,7 +439,7 @@ def facet_as_polytope(p: Polytope, facet: int) -> Polytope:
     ]
     sub_facets = sorted(tuple(sorted(reindex[v] for v in s)) for s in maximal)
     name = f"facet{facet}({p.name})" if p.name else None
-    return Polytope(p.dim - 1, tuple(verts), tuple(sub_facets), name)
+    return Polytope._of_ints(p.dim - 1, points, mult, tuple(sub_facets), name)
 
 
 def incidence_isomorphic(p: Polytope, q: Polytope) -> bool:
@@ -352,7 +449,7 @@ def incidence_isomorphic(p: Polytope, q: Polytope) -> bool:
     vertex-facet level, which determines the whole face lattice for
     polytopes.
     """
-    np_, nq = len(p.vertices), len(q.vertices)
+    np_, nq = len(p), len(q)
     if np_ != nq or len(p.facets) != len(q.facets):
         return False
     p_sizes = sorted(len(f) for f in p.facets)

@@ -74,7 +74,9 @@ the library lifts in integers on its one homothety fit
 Helpers the library does not need are kept here for the tests that
 state properties with them: `is_simple` (every vertex has degree d),
 `is_homothety` (the homothety residue of `graphs.homothety_residue` is
-zero), `is_zero`, `vertex_degree` and `translate`.
+zero), `is_zero`, `vertex_degree`, `translate` and `graph_vertices` (a
+skeleton's rational vertices, which the library's skeleton does not
+keep).
 """
 
 from fractions import Fraction
@@ -814,12 +816,17 @@ def naive_dimension(vertices, edges):
     return len(basis)
 
 
+def graph_vertices(g: GeometricGraph) -> Tuple[Vec, ...]:
+    """The rational vertices x = X / mult of a skeleton's integer points."""
+    return tuple(fraction_vec(x, g.mult) for x in g.points)
+
+
 def reference_from_images(g: GeometricGraph, images) -> DecomposingFunction:
     """The decomposing function with the given images, each edge's scalar
     derived in `Fraction`s from its first nonzero coordinate and checked
     on every other; InvalidInputError when an image is missing or of the
     wrong length, or an edge does not decompose."""
-    for v in range(len(g.vertices)):
+    for v in range(len(g.points)):
         if v not in images:
             raise InvalidInputError(f"no image for vertex {v}")
         if len(images[v]) != g.dim:
@@ -828,7 +835,7 @@ def reference_from_images(g: GeometricGraph, images) -> DecomposingFunction:
             )
     scalars = {}
     for u, v in g.edges:
-        dx = [a - b for a, b in zip(g.vertices[u], g.vertices[v])]
+        dx = [a - b for a, b in zip(*(graph_vertices(g)[i] for i in (u, v)))]
         df = [Fraction(a) - b for a, b in zip(images[u], images[v])]
         j = next(k for k, c in enumerate(dx) if c)
         s = df[j] / dx[j]

@@ -36,7 +36,7 @@ from minkdecomp.polytope import (
     prism_over,
 )
 
-from reference_linalg import is_homothety, is_simple, naive_dimension
+from reference_linalg import graph_vertices, is_homothety, is_simple, naive_dimension
 
 SEED = 20260815
 
@@ -228,7 +228,7 @@ def test_criterion_09b_edge_monotone_dimension(entries):
             continue
         # A random subgraph is no skeleton: the naive system gives its
         # dimension, which counts d per connected component.
-        assert naive_dimension(g.vertices, sub) >= decomposing_space(g)[0], name
+        assert naive_dimension(graph_vertices(g), sub) >= decomposing_space(g)[0], name
         checked += 1
     ok("9b", "decomposing-space dimension grew or held on 100 random subgraphs")
 

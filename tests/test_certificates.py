@@ -56,6 +56,7 @@ from minkdecomp.graphs import (
     touches_every_facet,
 )
 from minkdecomp.linalg import Vec, as_int_coords, int_hyperplane, int_side
+from minkdecomp.fileio import dumps, loads
 from minkdecomp.polytope import (
     Polytope,
     minkowski_sum,
@@ -66,8 +67,10 @@ from minkdecomp.polytope import (
 )
 
 from reference_linalg import (
+    graph_vertices,
     is_homothety,
     reference_independent_cycles,
+    reference_check,
     reference_from_images,
     reference_int_plane,
     reference_lift_witness,
@@ -113,7 +116,7 @@ def test_simple_extension_rejects_collinear_triple():
     edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
     adjacency = ((1, 2, 3), (0, 2, 3), (0, 1), (0, 1))
     g = GeometricGraph(
-        2, vertices, edges, adjacency, as_int_coords(vertices), graphs._bfs_tree(adjacency, edges)
+        2, *as_int_coords(vertices), edges, adjacency, graphs._bfs_tree(adjacency, edges)
     )
     base = seed_edge(g, 0, 1)
     with pytest.raises(RuleNotApplicableError):
@@ -447,7 +450,7 @@ def test_slide_that_moves_nothing_is_refused():
     p = Polytope(3, tuple(Vec(v) for v in vertices), facets)
     adjacency, edges = p._adjacency(), p.edges()
     skel = GeometricGraph(
-        3, p.vertices, edges, adjacency, p.int_coords(), graphs._bfs_tree(adjacency, edges)
+        3, *p.int_coords(), edges, adjacency, graphs._bfs_tree(adjacency, edges)
     )
     for slide in (certificates._shephard_slide, reference_shephard_witness):
         with pytest.raises(EngineInconsistencyError, match="degenerated to a homothety"):
@@ -579,35 +582,32 @@ def test_lift_refuses_a_facet_of_coincident_points():
 
 def test_a_lifted_witness_is_handed_out_once_and_never_recleared(monkeypatch):
     """Through two pyramid reductions the facet slide stays an integer
-    slide: `analyze` calls the hand-out once, and the only clearing of a
-    witness image is the final `check` on the witness it hands out."""
+    slide: `analyze` calls the hand-out once, and no witness image is
+    cleared, not even by the final `check` on the witness it hands out,
+    which runs on the slide's own integers."""
     two_levels = ["PyramidReduction", "PyramidReduction", "ShephardFacet"]
     for _, p in _lifted_cases():
         trace = analyze(p).trace
         if trace is not None and [s.rule for s in trace.steps] == two_levels:
             break
-    images = set()
     events = []
     real_hand_out, real_clear = graphs._slide_witness, linalg.as_int_coords
 
     def hand_out(*args):
-        w = real_hand_out(*args)
-        images.update(id(img) for img in w.images.values())
         events.append("hand-out")
-        return w
+        return real_hand_out(*args)
 
     def clear(points):
-        points = list(points)
-        if any(id(x) in images for x in points):
-            events.append("clear")
+        events.append("clear")
         return real_clear(points)
 
     for module in (certificates, graphs):
         monkeypatch.setattr(module, "_slide_witness", hand_out, raising=False)
         monkeypatch.setattr(module, "as_int_coords", clear, raising=False)
     r = analyze(p)
-    assert events == ["hand-out", "clear"]
+    assert events == ["hand-out"]
     assert r.witness is not None and r.witness.check(skeleton(p))
+    assert events == ["hand-out"]
 
 
 def test_lifted_witness_needs_no_rational_vector_arithmetic(monkeypatch):
@@ -759,10 +759,10 @@ def test_analyze_rejects_a_homothety_witness(monkeypatch):
     p = capped_prism()
     trace, _ = shephard_facet(p)
     g = skeleton(p)
-    xs, mult = g.int_coords()
+    xs, mult = g.points, g.mult
     identity = (dict(enumerate(xs)), mult, graphs._edge_ratios(g.edges, xs, xs))
     assert _handed_out(p, identity) == DecomposingFunction(
-        dict(enumerate(g.vertices)), {e: Fraction(1) for e in g.edges}
+        dict(enumerate(graph_vertices(g))), {e: Fraction(1) for e in g.edges}
     )
     assert _handed_out(p, identity).check(g)
     _hand_back(monkeypatch, trace, identity)
@@ -1562,6 +1562,116 @@ def test_analyze_fits_the_oracle_witness_only_when_it_hands_it_out(monkeypatch):
     assert len(fits) == 3
     assert o.witness is o.witness
     assert len(fits) == 4
+
+
+def test_a_decision_builds_no_fraction(monkeypatch):
+    """`loads`, `analyze` in both modes and `replay`, on a file with
+    fractional coordinates, make no `Fraction` and never build the
+    polytope's vertex view: the reader clears the coordinates straight to
+    integers, and each witness, the oracle's residue and the facet slide,
+    stays an integer slide.  Reading a witness's images makes its
+    `Fraction`s, once."""
+    q = capped_prism()
+    shift = Vec((Fraction(1, 3), -2, Fraction(5, 2)))
+    text = dumps(Polytope.from_vertices(3, [v * Fraction(7, 4) + shift for v in q.vertices]))
+    made, views = [], []
+    real_new, real_view = Fraction.__new__, Polytope._rational_vertices
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def counting_view(self):
+        views.append(self)
+        return real_view(self)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(Polytope, "_rational_vertices", counting_view)
+    p = loads(text)
+    oracle = analyze(p, "oracle-only")
+    first = analyze(p)
+    assert replay(first.trace, p)
+    assert (oracle.method, first.method) == ("oracle", "certificate")
+    assert oracle.witness is not None and first.witness is not None
+    assert made == [] and views == []
+    for report in (oracle, first):
+        before = len(made)
+        images = report.witness.images
+        built = len(made)
+        assert built > before
+        assert report.witness.images is images and report.witness.edge_scalars
+        assert len(made) == built
+        assert report.witness.check(skeleton(p))
+    assert views == []
+
+
+@pytest.mark.parametrize("images", ["off-edge", "homothety"])
+def test_the_oracle_witness_fails_as_the_facet_slide_does(monkeypatch, images):
+    """A residue that fails an edge (`_edge_ratios`) or whose edge scalars
+    are all equal (`_equal_ratios`) is an engine fault,
+    EngineInconsistencyError, as a facet slide's witness is, in both
+    modes: the tree sums are made random, or the identity map, whose
+    residue is zero."""
+    rng = random.Random(7)
+
+    def off_edge(xs, tree, lam):
+        return [tuple(rng.randint(-9, 9) for _ in x) for x in xs]
+
+    def identity(xs, tree, lam):
+        return [tuple(x) for x in xs]
+
+    monkeypatch.setattr(graphs, "_tree_sums", off_edge if images == "off-edge" else identity)
+    cases = [
+        (catalogue_entry("sum-25-edges").build(), "certificates-first"),  # closed by the oracle
+        (cube(3), "certificates-first"),  # closed by a count rule
+        (capped_prism(), "oracle-only"),
+    ]
+    for p, mode in cases:
+        with pytest.raises(EngineInconsistencyError, match="witness does not decompose the input"):
+            analyze(p, mode)
+
+
+def test_a_slide_witness_checks_as_its_fraction_copy_does():
+    """`check` on a witness still held as an integer slide gives the
+    answer of the reference check on the same function built from its
+    `Fraction`s, on every facet slide of the catalogue (lifted through
+    pyramid reductions or not) and on seeded tamperings of its images,
+    denominator, ratios and keys."""
+    rng = random.Random(23)
+    slides = refused = 0
+    for e in catalogue_list():
+        p = e.build()
+        closed = certificates._certificate_pipeline(p, search=False)
+        if closed is None or closed[1] is None:
+            continue
+        slides += 1
+        g = skeleton(p)
+        fs, den, ratios = closed[1]
+        v = rng.randrange(len(fs))
+        edge = rng.choice(list(ratios))
+        fj, xj = ratios[edge]
+        tampered = {
+            "as handed out": (fs, den, ratios),
+            "denominator doubled": (fs, 2 * den, ratios),
+            "ratio scaled": (fs, den, {**ratios, edge: (3 * fj, 3 * xj)}),
+            "ratio moved": (fs, den, {**ratios, edge: (fj + 1, xj)}),
+            "image moved": ({**fs, v: tuple(c + 1 for c in fs[v])}, den, ratios),
+            "image too long": ({**fs, v: fs[v] + (0,)}, den, ratios),
+            "image missing": ({w: f for w, f in fs.items() if w != v}, den, ratios),
+            "edge missing": (fs, den, {k: r for k, r in ratios.items() if k != edge}),
+            "edge added": (fs, den, {**ratios, (0, len(fs)): (1, 1)}),
+        }
+        for label, slide in tampered.items():
+            lazy = graphs._slide_witness(g.mult, slide)
+            got = lazy.check(g)
+            copy = DecomposingFunction(dict(lazy.images), dict(lazy.edge_scalars))
+            want = reference_check(copy, g)
+            assert got == want == copy.check(g), (e.name, label)
+            if label in ("as handed out", "denominator doubled", "ratio scaled"):
+                assert want, (e.name, label)
+            refused += not want
+    assert slides >= 20
+    assert refused >= 6 * slides
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from minkdecomp import certificates, constructors, kernels
+from minkdecomp import certificates, constructors, graphs, kernels
 from minkdecomp.cli import PARAMETRIC_KINDS, main
 from minkdecomp.fileio import loads, read_polytope, write_polytope
+from minkdecomp.catalogue import catalogue_entry
 from minkdecomp.constructors import capped_prism, cube, cyclic, simplex
 
 
@@ -390,6 +391,18 @@ def test_analyze_inconsistency_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 4 and out == ""
     assert "internal inconsistency: certificate says Decomposable" in err
+
+
+def test_analyze_exits_4_when_the_oracle_witness_fails(tmp_path, capsys, monkeypatch):
+    # The oracle's tree sums are made the identity map, whose homothety
+    # residue is zero: the witness it hands out would be a homothety.
+    monkeypatch.setattr(graphs, "_tree_sums", lambda xs, tree, lam: [tuple(x) for x in xs])
+    path = tmp_path / "sum.json"
+    write_polytope(catalogue_entry("sum-25-edges").build(), str(path))
+    for flags in ([], ["--oracle-only"]):
+        code, out, err = run(capsys, "analyze", str(path), *flags)
+        assert code == 4 and out == ""
+        assert "internal inconsistency: witness does not decompose the input" in err
 
 
 # ---------------------------------------------------------------------------

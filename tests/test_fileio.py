@@ -1,7 +1,9 @@
 """JSON serialization: exact coordinates, canonical output."""
 
+import copy
 import json
 import os
+import random
 import re
 from fractions import Fraction
 
@@ -18,7 +20,12 @@ from minkdecomp.fileio import (
     read_polytope,
     write_polytope,
 )
+from minkdecomp.linalg import as_int_coords
 from minkdecomp.polytope import Polytope
+
+from reference_fileio import reference_polytope_from_dict
+
+BENCH_INPUTS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs", "polytopes.json")
 
 
 def test_write_read_write_is_byte_identical(tmp_path):
@@ -113,6 +120,8 @@ def test_rejected_documents(mutate):
     change(data)
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         polytope_from_dict(data)
+    # Refused as the `Fraction` reader refused it, with the same message.
+    assert not _assert_same_reading(data)
 
 
 def test_cli_exits_2_on_a_coordinate_outside_the_format(tmp_path, capsys):
@@ -168,11 +177,103 @@ def test_nameless_polytope_omits_name_key():
 def test_benchmark_inputs_with_facets_load():
     # The committed benchmark inputs list their facets; each list must be
     # exactly the hull's facets.
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs", "polytopes.json")
-    with open(path, encoding="utf-8") as fh:
+    with open(BENCH_INPUTS, encoding="utf-8") as fh:
         bases = json.load(fh)
     listed = {name: data for name, data in bases.items() if "facets" in data}
     assert len(listed) == 48
     for name, data in listed.items():
         p = polytope_from_dict(data)
         assert [list(f) for f in p.facets] == data["facets"], name
+
+
+# ---------------------------------------------------------------------------
+# The integer reader against the `Fraction` reader it replaced
+
+
+def _outcome(read, data):
+    """What a reader makes of a document: ("ok", its result), or
+    ("refused", the error's type and message)."""
+    try:
+        return "ok", read(copy.deepcopy(data))
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return "refused", (type(exc), str(exc))
+
+
+def _assert_same_reading(data):
+    """The library reader refuses the document exactly when the
+    `Fraction` reader does, with the same error; otherwise its vertex
+    view is the reference's `Fraction`s, its integer points are those
+    cleared, and the polytopes are equal.  Returns whether it read."""
+    got = _outcome(polytope_from_dict, data)
+    want = _outcome(reference_polytope_from_dict, data)
+    if want[0] == "refused":
+        assert got == want
+        return False
+    assert got[0] == "ok", got
+    p, (q, vertices) = got[1], want[1]
+    assert p.vertices == tuple(vertices)
+    assert p.int_coords() == as_int_coords(vertices)
+    assert p == q and p.facets == q.facets and p.name == q.name
+    return True
+
+
+_ODD_COORDINATES = [
+    "1.5", "1e2", " 3/4 ", "1_0", "\u0663", "+1", "1/2\n", "1/-2", "3/", "", "/3",
+    "--1", "0x10", "1//2", "\u00bd", "2/0", "-0/0", True, False, 0.5, 2.0, None, [1],
+]
+
+
+def _random_coordinate(rng):
+    """An int, a format string (leading zeros, signs, unreduced, zero
+    and huge numerators), or now and then anything else."""
+    roll = rng.random()
+    if roll < 0.3:
+        return rng.randint(-12, 12)
+    if roll < 0.97:
+        p = rng.choice([0, 1, 2, 3, 6, 12, 35, 10**30 + 7])
+        q = rng.choice([1, 2, 3, 4, 6, 9, 12, 10**20])
+        sign = rng.choice(["", "-"])
+        zeros = "0" * rng.randint(0, 2)
+        return f"{sign}{zeros}{p}" if rng.random() < 0.2 else f"{sign}{zeros}{p}/{zeros}{q}"
+    return rng.choice(_ODD_COORDINATES)
+
+
+def test_the_reader_matches_the_fraction_reader_on_seeded_coordinates():
+    rng = random.Random(31)
+    read = refused = listed = 0
+    for _ in range(800):
+        dim = rng.randint(1, 3)
+        data = {
+            "format_version": "1",
+            "dimension": dim,
+            "vertices": [
+                [_random_coordinate(rng) for _ in range(dim)]
+                for _ in range(rng.randint(dim + 1, dim + 4))
+            ],
+        }
+        if _assert_same_reading(data):
+            read += 1
+            # Read again with the hull's facets listed, shuffled.
+            facets = [list(f) for f in reference_polytope_from_dict(data)[0].facets]
+            rng.shuffle(facets)
+            data["facets"] = facets
+            listed += _assert_same_reading(data)
+        else:
+            refused += 1
+    assert read > 150 and refused > 150 and listed == read, (read, refused, listed)
+
+
+def test_the_reader_matches_the_fraction_reader_on_the_benchmark_inputs():
+    with open(BENCH_INPUTS, encoding="utf-8") as fh:
+        bases = json.load(fh)
+    assert all(_assert_same_reading(data) for data in bases.values())
+
+
+def test_a_point_that_is_not_a_vertex_is_named_with_rational_coordinates():
+    data = polytope_to_dict(simplex(2))
+    del data["facets"]
+    data["vertices"].append(["1/2", "2/6"])
+    message = "not vertices of the convex hull of the input: point 3 (1/2, 1/3)"
+    with pytest.raises(InvalidInputError) as caught:
+        polytope_from_dict(data)
+    assert str(caught.value) == message

@@ -69,6 +69,7 @@ from minkdecomp.linalg import (
 from minkdecomp.polytope import Polytope, minkowski_sum, stack_pyramid
 
 from reference_linalg import (
+    graph_vertices,
     is_homothety,
     naive_dimension,
     is_zero,
@@ -125,7 +126,8 @@ def reference_decomposing_space(g):
     reduced row echelon form, with vertex 0's image fixed at 0, which
     does not depend on the tree."""
     d = g.dim
-    vids = range(len(g.vertices))
+    pts = graph_vertices(g)
+    vids = range(len(pts))
     basis = []
     for j in range(d):
         shift = Vec(int(k == j) for k in range(d))
@@ -142,9 +144,9 @@ def reference_decomposing_space(g):
         coeffs = [zero_vec(d)] * len(g.edges)
         for a, b in path_steps(parent, depth, v, u):
             k = col_of[edge_key(a, b)]
-            coeffs[k] = coeffs[k] + (g.vertices[b] - g.vertices[a])
+            coeffs[k] = coeffs[k] + (pts[b] - pts[a])
         k = col_of[e]
-        coeffs[k] = coeffs[k] + (g.vertices[v] - g.vertices[u])
+        coeffs[k] = coeffs[k] + (pts[v] - pts[u])
         for j in range(d):
             rows.append([c[j] for c in coeffs])
     _, lam_basis = reference_rank_and_kernel(rows, len(g.edges))
@@ -153,7 +155,7 @@ def reference_decomposing_space(g):
         images = {0: zero_vec(d)}
         for v in order[1:]:
             u = parent[v]
-            images[v] = images[u] + (g.vertices[v] - g.vertices[u]) * scalars[edge_key(u, v)]
+            images[v] = images[u] + (pts[v] - pts[u]) * scalars[edge_key(u, v)]
         basis.append(DecomposingFunction({v: images[v] for v in vids}, scalars))
     return d + len(lam_basis), basis
 
@@ -161,8 +163,8 @@ def reference_decomposing_space(g):
 def reference_homothety_residue(g, f):
     """Least-squares homothety fit by solving the rational normal equations."""
     d = g.dim
-    vids = range(len(g.vertices))
-    pts = g.vertices
+    pts = graph_vertices(g)
+    vids = range(len(pts))
     rows = [[sum(p.dot(p) for p in pts)] + [sum(p[j] for p in pts) for j in range(d)]]
     rhs = [sum(p.dot(f.images[v]) for p, v in zip(pts, vids))]
     for j in range(d):
@@ -172,11 +174,11 @@ def reference_homothety_residue(g, f):
         rhs.append(sum(f.images[v][j] for v in vids))
     fit = solve_exact(rows, rhs)
     alpha, shift = fit[0], Vec(fit[1:])
-    images = {v: f.images[v] - (g.vertices[v] * alpha + shift) for v in vids}
+    images = {v: f.images[v] - (pts[v] * alpha + shift) for v in vids}
     scalars = {}
     for u, v in g.edges:
         diff_f = images[u] - images[v]
-        diff_x = g.vertices[u] - g.vertices[v]
+        diff_x = pts[u] - pts[v]
         j = next(i for i, c in enumerate(diff_x) if c)
         lam = diff_f[j] / diff_x[j]
         assert diff_f == diff_x * lam
@@ -211,7 +213,7 @@ def identity_kernel(g):
     (`reference_cycle_rows` under the identity map), read off by the
     test-side elimination (`reference_rank_and_kernel`): one vector per
     free column, 1 there and 0 at the other free columns."""
-    xs, _ = as_int_coords(g.vertices)
+    xs = g.points
     identity = {e: i for i, e in enumerate(g.edges)}
     ncols = len(g.edges)
     rows = reference_cycle_rows(xs, g._tree, identity, ncols)
@@ -222,8 +224,8 @@ def identity_decomposing_space(g):
     """The uncontracted integer system (`identity_kernel`), with images
     summed along the BFS tree."""
     d = g.dim
-    vids = range(len(g.vertices))
-    xs, mult = as_int_coords(g.vertices)
+    vids = range(len(g.points))
+    xs, mult = g.points, g.mult
     basis = []
     for j in range(d):
         shift = Vec(int(k == j) for k in range(d))
@@ -275,8 +277,7 @@ def assert_same_oracle(p):
 
 
 def class_count(g):
-    ints, _ = as_int_coords(g.vertices)
-    return triangle_classes(ints, g.edges)[1]
+    return triangle_classes(g)[1]
 
 
 def edge_polytope(points, edges):
@@ -297,20 +298,20 @@ def test_single_edge_dimension():
     g = skeleton(segment(0, 1))
     dim, basis = decomposing_space(g)
     assert dim == 2 == len(basis)
-    assert naive_dimension(g.vertices, g.edges) == 2
+    assert naive_dimension(graph_vertices(g), g.edges) == 2
 
 
 def test_triangle_is_rigid():
     dim, basis = decomposing_space(TRIANGLE)
     assert dim == 3
-    assert naive_dimension(TRIANGLE.vertices, TRIANGLE.edges) == 3
+    assert naive_dimension(graph_vertices(TRIANGLE), TRIANGLE.edges) == 3
     assert oracle_verdict(simplex(2)).verdict == "Indecomposable"
 
 
 def test_square_cycle_is_flexible():
     dim, _ = decomposing_space(SQUARE)
     assert dim == 4
-    assert naive_dimension(SQUARE.vertices, SQUARE.edges) == 4
+    assert naive_dimension(graph_vertices(SQUARE), SQUARE.edges) == 4
     assert oracle_verdict(cube(2)).verdict == "Decomposable"
 
 
@@ -339,7 +340,7 @@ def test_polytope_skeleta_dimensions():
 def test_cycle_route_matches_naive_system(p):
     g = skeleton(p)
     dim, basis = decomposing_space(g)
-    assert naive_dimension(g.vertices, g.edges) == dim
+    assert naive_dimension(graph_vertices(g), g.edges) == dim
     for f in basis:
         assert f.check(g)
 
@@ -347,7 +348,7 @@ def test_cycle_route_matches_naive_system(p):
 def test_basis_is_independent():
     g = skeleton(cube(3))
     dim, basis = decomposing_space(g)
-    vids = range(len(g.vertices))
+    vids = range(len(g.points))
     rows = [[c for v in vids for c in f.images[v]] for f in basis]
     rank, _ = reference_rank_and_kernel(rows, len(vids) * g.dim)
     assert rank == dim
@@ -375,7 +376,7 @@ def test_non_decomposing_map_does_not_check():
 
 
 def test_check_detects_wrong_scalars():
-    images = dict(enumerate(v * 2 for v in TRIANGLE.vertices))
+    images = dict(enumerate(v * 2 for v in graph_vertices(TRIANGLE)))
     f = reference_from_images(TRIANGLE, images)
     assert f.check(TRIANGLE)
     bad = DecomposingFunction(f.images, {e: Fraction(7) for e in f.edge_scalars})
@@ -464,7 +465,7 @@ def test_integer_check_matches_the_fraction_check_on_every_slide_witness():
 
 def test_homothety_detection():
     shift = Vec((3, -2))
-    images = dict(enumerate(v * Fraction(5, 2) + shift for v in TRIANGLE.vertices))
+    images = dict(enumerate(v * Fraction(5, 2) + shift for v in graph_vertices(TRIANGLE)))
     f = reference_from_images(TRIANGLE, images)
     assert is_homothety(TRIANGLE, f)
     assert all(is_zero(img) for img in homothety_residue(TRIANGLE, f).images.values())
@@ -551,7 +552,7 @@ def test_equal_scalars_decide_homothety_on_catalogue_skeleta(name, p):
     # `_equal_ratios` decides it over the integer ratios `_edge_ratios`
     # verifies, as the facet slide and `analyze` read them.
     g = skeleton(p)
-    xs, _ = g.int_coords()
+    xs = g.points
     _, basis = decomposing_space(g)
     for f in basis:
         homothety = is_homothety(g, f)
@@ -628,10 +629,10 @@ def test_skeleton_takes_the_polytope_cached_values_as_they_are():
     for e in catalogue_list():
         p = e.build()
         g = skeleton(p)
-        assert g.dim == p.dim and g.vertices is p.vertices and g.edges is p.edges(), e.name
+        assert g.dim == p.dim and g.edges is p.edges(), e.name
         assert g._adjacency is p._adjacency(), e.name
-        assert g.int_coords() is p.int_coords(), e.name
-        n = len(p.vertices)
+        assert g.points is p.int_coords()[0] and g.mult == p.int_coords()[1], e.name
+        n = len(p)
         assert [g.neighbors(v) for v in range(-1, n + 1)] == [
             p.neighbors(v) for v in range(-1, n + 1)
         ], e.name
@@ -641,7 +642,7 @@ def test_skeleton_takes_the_polytope_cached_values_as_they_are():
 
 def test_skeleton_neighbors_of_a_non_vertex_are_none():
     # Replay passes recorded ids: -1 must not read as the last vertex.
-    n = len(SQUARE.vertices)
+    n = len(SQUARE.points)
     assert SQUARE.neighbors(-1) == SQUARE.neighbors(n) == SQUARE.neighbors(n + 5) == ()
     assert SQUARE.neighbors(n - 1) == (1, 2)
 
@@ -671,7 +672,7 @@ def test_collinear_triangle_is_not_contracted():
         [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 4)],
     ))
     assert class_count(g) == 6
-    assert assert_same_space(g) == naive_dimension(g.vertices, g.edges) == 5
+    assert assert_same_space(g) == naive_dimension(graph_vertices(g), g.edges) == 5
 
 
 def test_collinear_triangle_of_an_unvalidated_polygon_is_not_contracted():
@@ -723,7 +724,7 @@ def test_contracted_space_matches_identity_map_on_random_graphs_with_collinear_t
     for trial in range(150):
         g = _graph_with_collinear_triangles(rng, 2 + trial % 3)
         dim = assert_same_space(g)
-        assert dim == naive_dimension(g.vertices, g.edges)
+        assert dim == naive_dimension(graph_vertices(g), g.edges)
         contracted += class_count(g) < len(g.edges)
     assert contracted > 100
 
@@ -804,10 +805,10 @@ def test_distinct_cycle_rows_give_the_kernels_of_every_row():
     systems = repeats = 0
     for name, p in _derived_stack_cases():
         g = skeleton(p)
-        xs, _ = g.int_coords()
+        xs = g.points
         tree = g._tree
         cols, kernel = graphs._cycle_kernel(g)
-        col_of, k = triangle_classes(xs, g.edges)
+        col_of, k = triangle_classes(g)
         assert cols == [col_of[e] for e in g.edges], name
         if k == 1:
             assert kernel == [[1]], name
@@ -855,9 +856,9 @@ def test_delta_3_4_cycle_system_drops_repeated_rows(monkeypatch):
     its 7 distinct nonzero rows, with the kernel of every row of the old
     builder."""
     g = skeleton(catalogue_entry("delta-3-4").build())
-    xs, _ = g.int_coords()
+    xs = g.points
     tree = g._tree
-    col_of, k = triangle_classes(xs, g.edges)
+    col_of, k = triangle_classes(g)
     assert k == 9
     assert g.dim * (len(g.edges) - len(xs) + 1) == 357
     built = []
@@ -901,8 +902,8 @@ def test_triangle_classes_are_connected_edge_sets():
     skeletons += [_graph_with_collinear_triangles(rng, 2 + t % 3) for t in range(60)]
     joined = 0
     for g in skeletons:
-        xs, _ = g.int_coords()
-        col_of, k = triangle_classes(xs, g.edges)
+        xs = g.points
+        col_of, k = triangle_classes(g)
         classes = {}
         for e in g.edges:
             classes.setdefault(col_of[e], []).append(e)

@@ -24,16 +24,16 @@ from minkdecomp.errors import (
     GuardExceededError,
     InvalidInputError,
 )
-from minkdecomp.linalg import Vec
+from minkdecomp.linalg import Vec, as_int_coords
 from minkdecomp.polytope import minkowski_sum, stack_pyramid
 
 from reference_linalg import reference_facet_scan
 
 
 def enumerate_facets(dim, vertices):
-    """Facet vertex-index sets, each sorted, list sorted lexicographically."""
-    facets, _, _ = hull.facet_data(dim, vertices)
-    return facets
+    """Facet vertex-index sets, each sorted, list sorted lexicographically,
+    of the vertices cleared to integers."""
+    return hull.facet_data(dim, cleared(vertices)[0])
 
 
 def _det(m):
@@ -133,16 +133,14 @@ def cleared(vertices):
     return [tuple(int(c * mult) for c in v) for v in pts], mult
 
 
-def reference_facet_data(dim, vertices):
-    """facet_data's output, computed by the brute-force scan: the sorted
-    facet member tuples, and the cleared coordinates with their common
-    denominator."""
-    ints, mult = cleared(vertices)
+def reference_facet_data(dim, ints):
+    """facet_data's output on integer points, computed by the brute-force
+    scan: the sorted facet member tuples."""
     facets = [
         tuple(i for i in range(len(ints)) if mask >> i & 1)
         for mask, _, _ in brute_force_facet_scan(ints, dim)
     ]
-    return sorted(facets), ints, mult
+    return sorted(facets)
 
 
 def facet_planes(ints, d):
@@ -151,11 +149,11 @@ def facet_planes(ints, d):
 
 
 def assert_matches_reference(dim, vertices):
-    """facet_data and the scan's planes, both against the brute-force
-    scan; returns the facets with their planes."""
-    got = hull.facet_data(dim, vertices)
-    assert got == reference_facet_data(dim, vertices)
-    ints = got[1]
+    """facet_data and the scan's planes, on the vertices cleared to
+    integers, both against the brute-force scan; returns the facets with
+    their planes."""
+    ints, _ = cleared(vertices)
+    assert hull.facet_data(dim, ints) == reference_facet_data(dim, ints)
     assert sorted(kernels.facet_scan(ints, dim)) == sorted(brute_force_facet_scan(ints, dim))
     return facet_planes(ints, dim)
 
@@ -197,7 +195,8 @@ def test_enumerate_facets_unit_square():
 
 def test_facet_planes_are_outward_and_tight():
     verts = [Vec((0, 0, 0)), Vec((2, 0, 0)), Vec((0, Fraction(1, 3), 0)), Vec((0, 0, 1))]
-    facets, ints, mult = hull.facet_data(3, verts)
+    ints, mult = as_int_coords(verts)
+    facets = hull.facet_data(3, ints)
     assert mult == 3
     assert ints == [(0, 0, 0), (6, 0, 0), (0, 1, 0), (0, 0, 3)]
     data = facet_planes(ints, 3)
@@ -332,7 +331,8 @@ def test_delta_3_4_has_its_nine_product_facets():
     for side in (0, 1):
         for left_out in sorted({part[side] for part in parts}):
             expected.append(tuple(i for i, part in enumerate(parts) if part[side] != left_out))
-    facets, ints, _ = hull.facet_data(7, verts)
+    ints, _ = p.int_coords()
+    facets = hull.facet_data(7, ints)
     assert facets == sorted(expected)
     data = facet_planes(ints, 7)
     assert [m for m, _, _ in data] == facets

@@ -101,8 +101,8 @@ def test_rref_matches_reference_on_library_systems(monkeypatch):
         assert validate(p).ok
         g = skeleton(p)
         decomposing_space(g)
-        xs, _ = g.int_coords()
-        col_of, k = triangle_classes(xs, g.edges)
+        xs = g.points
+        col_of, k = triangle_classes(g)
         calls.append((cycle_rows(xs, g._tree, col_of, k), k))
         identity = {e: i for i, e in enumerate(g.edges)}
         calls.append((cycle_rows(xs, g._tree, identity, len(identity)), len(identity)))

@@ -14,7 +14,8 @@ accessors.  Every integer elimination runs through `kernels.Echelon`.
 No module, and no test file, imports a name it never uses.  A
 `GeometricGraph` is built in one place, `graphs._build_skeleton`,
 through its own constructor, and a `DecomposingFunction` in one place,
-`graphs._slide_witness`.
+`graphs._slide_witness`.  Only the modules at the package's edges import
+`Fraction`.
 """
 
 import ast
@@ -175,6 +176,29 @@ def test_only_the_slide_hand_out_makes_a_decomposing_function():
     `graphs._slide_witness`: every witness and every basis element of
     `decomposing_space` is an integer slide handed out there."""
     assert _callers_of("DecomposingFunction") == ["graphs._slide_witness"]
+
+
+def test_only_the_edge_modules_import_fraction():
+    """`Fraction` is made only at the package's edges: the vertex view
+    and the constructors' arithmetic (`polytope`, `constructors`), the
+    `Vec` type and its helpers (`linalg`), and the witness's images and
+    scalars (`graphs`).  The reader, the hull, the certificates and the
+    rest work on integers and import it, or `linalg.Rational`, its other
+    name, from nowhere."""
+    importing = sorted(
+        path.stem for path in PACKAGE.glob("*.py")
+        if any(
+            (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+            or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+            # `linalg.Rational` is `Fraction` under another name.
+            or (
+                isinstance(node, ast.ImportFrom)
+                and any(a.name in ("Fraction", "Rational") for a in node.names)
+            )
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        )
+    )
+    assert importing == ["constructors", "graphs", "linalg", "polytope"]
 
 
 def _callers_of(name):

@@ -21,6 +21,8 @@ for copies read from their vertex and facet lists.  `stack_pyramid`
 reads those planes, so both copies get one apex.
 """
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -806,3 +808,46 @@ def test_stack_pyramid_gives_one_apex_for_built_and_loaded_copies():
             Fraction(724991, 8192))
     for p in (cyclic(6, 4), loads(dumps(cyclic(6, 4)))):
         assert stack_pyramid(p, 0).vertices[-1] == want
+
+
+# ---------------------------------------------------------------------------
+# The integer representation
+
+
+def test_equality_is_same_points_and_facets_however_the_polytope_was_made():
+    """A polytope stores its integer points over their least common
+    denominator, so every route to the same points, facets and name gives
+    equal polytopes with equal hashes: built in code, from vertices, read
+    from a file, or made from integers over a larger denominator."""
+    verts = [(Fraction(1, 2), 0), (Fraction(3, 2), 0), (0, Fraction(2, 3))]
+    built = Polytope.from_vertices(2, verts, name="t")
+    facets = built.facets
+    same = [
+        Polytope(2, [Vec(v) for v in verts], facets, "t"),
+        loads(dumps(built)),
+        Polytope._of_ints(2, [(15, 0), (45, 0), (0, 20)], 30, facets, "t"),
+    ]
+    assert built.int_coords() == ([(3, 0), (9, 0), (0, 4)], 6)
+    for q in same:
+        assert q == built and hash(q) == hash(built)
+        assert q.int_coords() == built.int_coords() and q.vertices == built.vertices
+    moved = [(Fraction(1, 2), 0), (Fraction(3, 2), 0), (0, Fraction(1, 3))]
+    different = [
+        Polytope(2, verts, facets[::-1], "t"),
+        Polytope(2, verts, facets, "u"),
+        Polytope(2, moved, facets, "t"),
+        Polytope(3, [(*v, 0) for v in verts], facets, "t"),
+    ]
+    assert all(q != built for q in different)
+    assert len(built) == 3
+
+
+def test_a_polytope_is_immutable_and_builds_its_vertex_view_once():
+    p = loads(dumps(Polytope.from_vertices(2, [(0, 0), (Fraction(1, 4), 0), (0, 1)])))
+    with pytest.raises(AttributeError, match="immutable"):
+        p.name = "other"
+    view = p.vertices
+    assert view == (Vec((0, 0)), Vec((Fraction(1, 4), 0)), Vec((0, 1)))
+    assert p.vertices is view
+    assert copy.deepcopy(p) == p == pickle.loads(pickle.dumps(p))
+    assert repr(p) == f"Polytope(dim=2, vertices={view!r}, facets={p.facets!r}, name=None)"
