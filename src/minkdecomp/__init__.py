@@ -35,7 +35,7 @@ from .constructors import (
     simplex,
     wedge,
 )
-from .counts import CountConclusion, count_rules, simple_vertex_spectrum_below_3d
+from .counts import CountConclusion, count_rules
 from .errors import (
     DegenerateInputError,
     EngineInconsistencyError,
@@ -57,7 +57,6 @@ from .polytope import (
     FVector,
     Polytope,
     facet_as_polytope,
-    incidence_isomorphic,
     minkowski_sum,
     prism_over,
     pyramid_over,
@@ -101,7 +100,6 @@ __all__ = [
     "delta",
     "dumps",
     "facet_as_polytope",
-    "incidence_isomorphic",
     "loads",
     "minkowski_sum",
     "octahedron",
@@ -115,7 +113,6 @@ __all__ = [
     "replay",
     "replay_report",
     "segment",
-    "simple_vertex_spectrum_below_3d",
     "simplex",
     "skeleton",
     "stack_pyramid",

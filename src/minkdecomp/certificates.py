@@ -7,6 +7,12 @@ checks it against the polytope without trusting the search that found
 it: each step is re-derived by the rule function that made it, so every
 rule is defined once.
 
+The rules rest on facts about polytopes that they do not test: no three
+vertices are collinear, so a simple extension pins its new vertex, and
+the skeleton is connected, so equal edge scalars mean a homothety.
+Every `Polytope` is checked against its hull when it is made
+(`polytope`), and `skeleton` refuses a disconnected graph.
+
 A `CertificateStep` is the only record of a rule application.  A graph
 step is the subgraph it certifies: the graph rules take earlier steps
 and return a step whose vertex and edge sets are frozensets, and a
@@ -62,7 +68,6 @@ from .graphs import (
 from .kernels import Echelon
 from .linalg import (
     affinely_independent,
-    int_collinear,
     int_hyperplane,
     int_side,
 )
@@ -189,8 +194,8 @@ def simple_extension(
 ) -> CertificateStep:
     """Absorb one vertex adjacent to two covered vertices (two new edges).
 
-    The three points must not be collinear, which is tested on the
-    graph's cached integer coordinates (`linalg.int_collinear`)."""
+    Three vertices of a polytope are never collinear, so the new vertex
+    is pinned by its two covered neighbours."""
     if w in base.vertices:
         raise RuleNotApplicableError(f"vertex {w} is already covered")
     covered = [x for x in g.neighbors(w) if x in base.vertices]
@@ -202,10 +207,6 @@ def simple_extension(
         a, b = witnesses
         if a not in covered or b not in covered or a == b:
             raise RuleNotApplicableError(f"({a},{b}) are not two covered neighbors of {w}")
-    # Collinear w,a,b would leave the new vertex a sliding freedom.
-    xs = g.points
-    if int_collinear(xs[w], xs[a], xs[b]):
-        raise RuleNotApplicableError(f"vertices {w},{a},{b} are collinear")
     return _graph_step(
         "SimpleExtension",
         (base, w, (a, b)),

@@ -74,12 +74,3 @@ def count_rules(
         )
     return out
 
-
-def simple_vertex_spectrum_below_3d(d: int) -> set:
-    """Achievable vertex counts of simple d-polytopes below 3d vertices."""
-    if d < 3:
-        raise ValueError("needs d >= 3")
-    spectrum = {d + 1, 2 * d, 3 * d - 3, 3 * d - 1}
-    if d == 6:
-        spectrum.add(3 * d - 2)
-    return spectrum

@@ -11,11 +11,11 @@ integer points X = mult * x that a polytope stores
 written on output, with members and facet lists sorted, so write ->
 read -> write is byte-identical.  Either way the polytope is built from
 its integer points (`Polytope.from_int_coords`, under the enumeration
-guard).  Listed facets must then be exactly the hull's, each listing
-every vertex on its hyperplane once, in any order: they are compared
-with the hull's as sorted member tuples (`polytope.facet_list_faults`),
-and an error's "facet i" is the i-th facet listed in the file, counted
-from 0.
+guard).  Listed facets, once each is seen to be a list of integers, are
+checked as `Polytope(...)` checks them (`Polytope.from_listed_facets`):
+they must be exactly the hull's, each listing every vertex on its
+hyperplane once, in any order, and an error's "facet i" is the i-th
+facet listed in the file, counted from 0.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import gcd, lcm
 from typing import Tuple
 
 from .errors import InvalidInputError
-from .polytope import Polytope, facet_list_faults
+from .polytope import Polytope
 
 FORMAT_VERSION = "1"
 _COORD_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -98,23 +98,12 @@ def polytope_from_dict(data: dict) -> Polytope:
         return Polytope.from_int_coords(dim, ints, mult, name)
     if not isinstance(raw_facets, list):
         raise InvalidInputError("facets must be a list of index lists")
-    listed = []
     for f in raw_facets:
         if not isinstance(f, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in f
         ):
             raise InvalidInputError("each facet must be a list of integers")
-        if any(i < 0 or i >= len(ints) for i in f):
-            raise InvalidInputError("facet index out of range")
-        if len(set(f)) != len(f):
-            repeated = next(i for i in f if f.count(i) > 1)
-            raise InvalidInputError(f"facet lists vertex index {repeated} more than once")
-        listed.append(tuple(sorted(f)))
-    p = Polytope.from_int_coords(dim, ints, mult, name)
-    faults = facet_list_faults(listed, p.facets)
-    if faults:
-        raise InvalidInputError("invalid polytope: " + "; ".join(faults))
-    return p
+    return Polytope.from_listed_facets(dim, ints, mult, raw_facets, name)
 
 
 def dumps(p: Polytope) -> str:

@@ -9,11 +9,14 @@ is nothing else, i.e. when the space has dimension d + 1.
 
 Every graph is a polytope's edge graph, and `skeleton` is the only place
 one is built.  It takes the polytope's cached edges, adjacency and
-integer coordinates as they are, and it refuses a disconnected graph, as
-every polytope's skeleton is connected (Balinski 1961).  So every graph
-has one component, and one BFS tree from vertex 0 (`_bfs_tree`), the
-walk that checked the connectivity: the oracle's system and every sum of
-images read that one tree, so a skeleton is walked once.
+integer coordinates as they are: every polytope is checked when it is
+made (`polytope.Polytope`), so its vertices are distinct, no three are
+collinear and it has an edge.  It still refuses a disconnected graph,
+the premise of the homothety test, as every polytope's skeleton is
+connected (Balinski 1961).  So every graph has one component, and one
+BFS tree from vertex 0 (`_bfs_tree`), the walk that checked the
+connectivity: the oracle's system and every sum of images read that one
+tree, so a skeleton is walked once.
 
 The space is computed through the edge scalars (Kallay 1982): an
 edge-scalar assignment extends to a decomposing function iff it sums to
@@ -23,10 +26,11 @@ solves a system over the edge scalars only, much smaller than the naive
 system over all vertex images, with an identical kernel dimension.
 
 The system is then contracted over triangles (McMullen 1987; the
-"triangular faces" method): every 3-cycle whose points are not collinear
-forces equal scalars on its three edges, so the edges fall into classes,
-the union-find closure of those 3-cycles, and the elimination runs over
-one column per class (`triangle_classes`) instead of one per edge.  The
+"triangular faces" method): every 3-cycle forces equal scalars on its
+three edges, as three vertices of a polytope are never collinear, so the
+edges fall into classes, the union-find closure of those 3-cycles, and
+the elimination runs over one column per class (`triangle_classes`)
+instead of one per edge.  The
 triangles a class joins share edges, so each class is a connected set of
 edges that a decomposing function moves rigidly, and the rows are
 written per class, not per cycle (`cycle_rows`): each class is anchored
@@ -81,7 +85,6 @@ from .linalg import (
     Vec,
     as_int_coords,
     fraction_vec,
-    int_collinear,
     int_kernel_basis,
 )
 from .polytope import Polytope
@@ -275,9 +278,8 @@ def skeleton(p: Polytope) -> GeometricGraph:
     Its edges, adjacency and integer view are the polytope's cached ones
     (`Polytope.edges`, `Polytope._adjacency`, `Polytope.int_coords`),
     taken as they are: the edges are derived sorted, with u < v and no
-    repeats.  It keeps the checks for what only an unvalidated `Polytope`
-    can have: no vertex, an edge whose endpoints share coordinates
-    (compared as integer tuples) and a disconnected graph, each
+    repeats.  A disconnected graph, which only a polytope built through
+    the unchecked `Polytope._of_ints` can have, is refused with
     InvalidInputError.  The BFS tree that the connectivity check walked
     is kept for the oracle.  `analyze`, `_decide` and `replay` build the
     skeleton before any rule or the oracle runs."""
@@ -287,13 +289,8 @@ def skeleton(p: Polytope) -> GeometricGraph:
 def _build_skeleton(p: Polytope) -> GeometricGraph:
     xs, mult = p.int_coords()
     edges = p.edges()
-    for u, v in edges:
-        if xs[u] == xs[v]:
-            raise InvalidInputError(f"edge ({u},{v}) endpoints share coordinates")
     adjacency = p._adjacency()
     n = len(adjacency)
-    if not n:
-        raise InvalidInputError("skeleton has no vertices")
     tree = parent, order, _ = _bfs_tree(adjacency, edges)
     if len(order) != n:
         missed = next(v for v in range(n) if v not in parent)
@@ -322,15 +319,13 @@ def triangle_classes(g: GeometricGraph) -> Tuple[Dict[Tuple[int, int], int], int
     """Column of each edge of g in the contracted cycle system, and the
     number of columns.
 
-    A 3-cycle u, v, w whose points are not collinear forces one scalar on
-    its three edges: its cycle equation reads
-    (l_uv - l_uw) a + (l_vw - l_uw) b = 0 with a = x_v - x_u and
-    b = x_w - x_v independent.  That equation lies in the span of the
+    A 3-cycle u, v, w forces one scalar on its three edges: its cycle
+    equation reads (l_uv - l_uw) a + (l_vw - l_uw) b = 0 with
+    a = x_v - x_u and b = x_w - x_v independent, as three vertices of a
+    polytope are never collinear.  That equation lies in the span of the
     fundamental cycles, so every kernel vector is constant on the classes
     of the union-find closure of these 3-cycles, whether or not they are
-    2-faces.  Collinear 3-cycles, which only the skeleton of an
-    unvalidated `Polytope` can have, give one equation and join nothing.
-    Classes are numbered by their first edge in edges order.
+    2-faces.  Classes are numbered by their first edge in edges order.
 
     The 3-cycles over each edge (u, v) are read off the skeleton's cached
     adjacency: each neighbour w > v of u that is joined to v, found by
@@ -338,7 +333,7 @@ def triangle_classes(g: GeometricGraph) -> Tuple[Dict[Tuple[int, int], int], int
     no further 3-cycle can change the answer: every edge then has column
     0.
     """
-    xs, edges, adjacency = g.points, g.edges, g._adjacency
+    edges, adjacency = g.edges, g._adjacency
     index = {e: i for i, e in enumerate(edges)}
     root = list(range(len(edges)))
     left = len(edges)
@@ -360,7 +355,7 @@ def triangle_classes(g: GeometricGraph) -> Tuple[Dict[Tuple[int, int], int], int
             if k is None:
                 continue
             ri, rj, rk = find(i), find(index[(u, w)]), find(k)
-            if ri == rj == rk or int_collinear(xs[u], xs[v], xs[w]):
+            if ri == rj == rk:
                 continue
             left -= len({ri, rj, rk}) - 1
             root[rj] = ri
@@ -451,8 +446,6 @@ def _cycle_kernel(g: GeometricGraph) -> Tuple[List[int], List[List[int]]]:
     basis is the unique one the row space determines, the same as that
     of Kallay's system over the fundamental cycles, which has the same
     solutions."""
-    if not g.edges:
-        raise InvalidInputError("decomposing space of an edgeless graph is not defined here")
     xs = g.points
     col_of, k = triangle_classes(g)
     if k == 1:
@@ -539,9 +532,15 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
 
 def homothety_residue(g: GeometricGraph, f: DecomposingFunction) -> DecomposingFunction:
     """Subtract the least-squares homothety fit; zero residue iff f is one
-    (`_residue` over the skeleton's integer points and the cleared
-    images)."""
-    fs, den = as_int_coords(f.images[v] for v in range(len(g.points)))
+    (`_residue` over the skeleton's integer points and f's integer
+    images: a slide's own images and denominator, read as they are, or
+    the `Fraction` images cleared)."""
+    vids = range(len(g.points))
+    if f._slide is None:
+        fs, den = as_int_coords(f.images[v] for v in vids)
+    else:
+        _, (images, den, _) = f._slide
+        fs = [images[v] for v in vids]
     return _slide_witness(g.mult, _residue(g, fs, den))
 
 

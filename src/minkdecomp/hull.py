@@ -22,8 +22,8 @@ not a measure of the hull's work.  `admit` applies it, here and in
 `constructors.cube`, which checks its 2^d points before it lists them.
 
 Every hull is built here, by two callers: `facet_data`, for
-`Polytope.from_int_coords` (which a file's listed facets and `validate`
-are checked through as well), and `extreme_points`, which prunes the
+`Polytope.from_int_coords` (which `Polytope(...)`, a file's listed
+facets and `validate` are checked through as well), and `extreme_points`, which prunes the
 candidate points of a Minkowski sum.  The first applies the guard; the
 prune does not, and the `from_vertices` call on the points it keeps
 applies it.

@@ -14,11 +14,19 @@ rendering, error messages and the constructors' vector arithmetic.  Two
 polytopes are equal when their dimensions, integer points, mult, facet
 lists and names are: the same points and facets.
 
-A file hands its points in cleared (`from_int_coords`), code hands in
-rational vertices (`from_vertices`, or `Polytope(...)` with facets), and
-the exact faces and copies derived inside the package keep the integers
-of the polytope they come from (`_of_ints`).  Everything derived is
-computed once per polytope and cached: the vertex view, one primitive
+Every polytope is checked when it is made.  A file hands its points in
+cleared, code hands in rational vertices (`from_vertices`, or
+`Polytope(...)` with facets), and either way the facets are the hull's:
+enumerated from the points (`from_int_coords`), or, when they are
+listed, compared with the hull's (`from_listed_facets`), which
+`Polytope(...)` and the file reader share.  So every polytope's points
+are its vertices, spanning R^d, and its facets are the hull's, listed in
+the hull's order: no three vertices are collinear, no edge has
+coincident ends and the skeleton is connected, the premises the engine's
+rules rest on.  The one unchecked path, `_of_ints`, is private: the
+exact faces and copies derived inside the package keep the integers of
+the polytope they come from through it.  Everything derived is computed
+once per polytope and cached: the vertex view, one primitive
 outward integer plane per facet (`int_plane`), the edges and the
 adjacency.  Only this module lays out that cache, and only this module
 makes a facet plane: `int_plane` fits each one on its first read,
@@ -60,8 +68,10 @@ class Polytope:
     optional name.  Immutable; `len` is the number of vertices.
 
     `Polytope(dim, vertices, facets, name)` takes rational vertices given
-    in code and the facets as they are, unchecked (`validate` checks
-    them); `from_vertices` and `from_int_coords` enumerate the facets."""
+    in code and checks the facets as a file's listed facets are checked
+    (`from_listed_facets`): it keeps the hull's facets, in the hull's
+    order, or raises the reader's error.  `from_vertices` and
+    `from_int_coords` enumerate the facets."""
 
     __slots__ = ("dim", "facets", "name", "_ints", "_cache")
 
@@ -72,7 +82,8 @@ class Polytope:
         facets: Sequence[Tuple[int, ...]],
         name: Optional[str] = None,
     ):
-        self._set(dim, as_int_coords(vertices), facets, name)
+        checked = Polytope.from_listed_facets(dim, *as_int_coords(vertices), facets, name)
+        self._set(dim, checked._ints, checked.facets, name)
 
     def _set(self, dim: int, ints: IntCoords, facets, name: Optional[str]) -> None:
         for attr, value in (
@@ -135,14 +146,49 @@ class Polytope:
         return Polytope._of_ints(dim, ints, mult, tuple(facets), name)
 
     @staticmethod
+    def from_listed_facets(
+        dim: int, ints: List[Tuple[int, ...]], mult: int,
+        facets: Sequence[Sequence[int]], name: Optional[str] = None,
+    ) -> "Polytope":
+        """Build from the integer points X = mult * x and a listed facet
+        list, which must be exactly the hull's facets, each listing every
+        vertex on its hyperplane once, in any order.  The result is
+        `from_int_coords`'s, with the hull's facets in the hull's order.
+
+        InvalidInputError, in this order: a facet index that names no
+        point, a facet that lists an index twice, `from_int_coords`'s
+        refusal of the points, then every way the list differs from the
+        hull's facets (`facet_list_faults`), "facet i" being the i-th
+        facet listed.  `Polytope(...)` and `fileio.polytope_from_dict`
+        check through here."""
+        n = len(ints)
+        listed = []
+        for f in facets:
+            if any(i < 0 or i >= n for i in f):
+                raise InvalidInputError("facet index out of range")
+            if len(set(f)) != len(f):
+                repeated = next(i for i in f if f.count(i) > 1)
+                raise InvalidInputError(f"facet lists vertex index {repeated} more than once")
+            listed.append(tuple(sorted(f)))
+        p = Polytope.from_int_coords(dim, ints, mult, name)
+        faults = facet_list_faults(listed, p.facets)
+        if faults:
+            raise InvalidInputError("invalid polytope: " + "; ".join(faults))
+        return p
+
+    @staticmethod
     def _of_ints(
         dim: int, ints: List[Tuple[int, ...]], mult: int,
         facets: Sequence[Tuple[int, ...]], name: Optional[str] = None,
     ) -> "Polytope":
         """The polytope with integer points ints / mult and the facets as
-        given, unchecked.  ints and mult are first divided by their
-        greatest common divisor, so mult is the least common denominator
-        of the points, as `int_coords` promises."""
+        given, unchecked: only for the exact faces and copies of checked
+        polytopes (`from_int_coords`, `facet_as_polytope`, a pyramid
+        reduction's reduced polytope, the CLI's renamed catalogue copy
+        and `__reduce__`), which must list the hull's facets in the hull's
+        order.  ints and mult are first divided by their greatest common
+        divisor, so mult is the least common denominator of the points,
+        as `int_coords` promises."""
         common = gcd(mult, *(c for x in ints for c in x)) if mult != 1 else 1
         if common != 1:
             ints = [tuple(c // common for c in x) for x in ints]
@@ -178,10 +224,7 @@ class Polytope:
 
     def _fit_plane(self, members: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
         ints, _ = self._ints
-        fitted = int_hyperplane([ints[i] for i in members])
-        if fitted is None:
-            raise InvalidInputError(f"facet {tuple(members)} is not coplanar-spanning")
-        a, b = fitted
+        a, b = int_hyperplane([ints[i] for i in members])
         member_set = set(members)
         outside = next((i for i in range(len(ints)) if i not in member_set), None)
         if outside is not None and int_side(a, b, ints[outside]) > 0:
@@ -237,19 +280,9 @@ def _edges_combinatorial(p: Polytope) -> Tuple[Tuple[int, int], ...]:
     vmask_of_facet = []
     for fi, f in enumerate(p.facets):
         m = 0
-        # Only an unvalidated `Polytope(...)` can list an index that names
-        # no vertex, and `analyze` and `replay` read the facets here first:
-        # a negative index fails the shift and one past the end the lookup.
-        # Catching those costs nothing on valid input, where a min/max test
-        # per facet made the edge derivation a fifth slower.
-        try:
-            for v in f:
-                m |= 1 << v
-                fmask_of_vertex[v] |= 1 << fi
-        except (IndexError, ValueError):
-            raise InvalidInputError(
-                f"facet {fi} {tuple(f)} lists an index outside 0..{n - 1}"
-            ) from None
+        for v in f:
+            m |= 1 << v
+            fmask_of_vertex[v] |= 1 << fi
         vmask_of_facet.append(m)
     out = []
     for u in range(n):
@@ -281,7 +314,9 @@ class ValidationReport:
 def validate(p: Polytope) -> ValidationReport:
     """Check p against the exact hull of its points; collect all failures.
 
-    The hull is built from p's integer points as
+    Every polytope is checked when it is made, so this finds nothing on
+    one; `catalogue verify` runs it on each entry as a self-check.  The
+    hull is built from p's integer points as
     `Polytope.from_int_coords` builds it, under its guard (a larger
     input raises GuardExceededError), and its refusal
     of the points (a coordinate list of the wrong length, a repeated
@@ -306,7 +341,7 @@ def facet_list_faults(
     index in the list and its members; each listed facet that repeats an
     earlier one, by both indices; then each hull facet left out, by its
     members.  Empty exactly when the list is the hull's facets in some
-    order.  `validate` and `fileio.polytope_from_dict` both compare
+    order.  `validate` and `Polytope.from_listed_facets` both compare
     through here."""
     hull_set = set(hull_facets)
     first: Dict[Tuple[int, ...], int] = {}
@@ -416,8 +451,11 @@ def facet_as_polytope(p: Polytope, facet: int) -> Polytope:
     the face structure and decomposability status are unchanged.  Facets
     of the facet are the inclusion-maximal intersections with the other
     facets of P.  It keeps p's integer points, the dropped coordinate
-    left out (`Polytope._of_ints`).
+    left out (`Polytope._of_ints`).  A facet of a segment is a point, not
+    a polytope, so p must have dimension 2 or more.
     """
+    if p.dim < 2:
+        raise InvalidInputError("a facet of a segment is a point, not a polytope")
     if not 0 <= facet < len(p.facets):
         raise InvalidInputError(f"no facet with index {facet}")
     members = list(p.facets[facet])
@@ -440,63 +478,3 @@ def facet_as_polytope(p: Polytope, facet: int) -> Polytope:
     sub_facets = sorted(tuple(sorted(reindex[v] for v in s)) for s in maximal)
     name = f"facet{facet}({p.name})" if p.name else None
     return Polytope._of_ints(p.dim - 1, points, mult, tuple(sub_facets), name)
-
-
-def incidence_isomorphic(p: Polytope, q: Polytope) -> bool:
-    """Vertex-facet incidence isomorphism by backtracking; small inputs only.
-
-    Sound and complete for deciding combinatorial equivalence at the
-    vertex-facet level, which determines the whole face lattice for
-    polytopes.
-    """
-    np_, nq = len(p), len(q)
-    if np_ != nq or len(p.facets) != len(q.facets):
-        return False
-    p_sizes = sorted(len(f) for f in p.facets)
-    q_sizes = sorted(len(f) for f in q.facets)
-    if p_sizes != q_sizes:
-        return False
-    p_facets = [frozenset(f) for f in p.facets]
-    q_facets = set(frozenset(f) for f in q.facets)
-
-    # Signature pruning: per vertex, the multiset of sizes of its facets.
-    def signature(facets, v):
-        return tuple(sorted(len(f) for f in facets if v in f))
-
-    p_sig = [signature(p_facets, v) for v in range(np_)]
-    q_sig = [signature(q_facets, v) for v in range(nq)]
-    candidates = [
-        [w for w in range(nq) if q_sig[w] == p_sig[v]] for v in range(np_)
-    ]
-    if any(not c for c in candidates):
-        return False
-    order = sorted(range(np_), key=lambda v: len(candidates[v]))
-    mapping: Dict[int, int] = {}
-    used = set()
-
-    def feasible(v, w):
-        # Every fully-mapped P-facet through v must land inside some Q-facet.
-        for f in p_facets:
-            if v not in f:
-                continue
-            image = {mapping[x] for x in f if x in mapping} | {w}
-            if not any(image <= g for g in q_facets):
-                return False
-        return True
-
-    def extend(k):
-        if k == np_:
-            return all(frozenset(mapping[x] for x in f) in q_facets for f in p_facets)
-        v = order[k]
-        for w in candidates[v]:
-            if w in used or not feasible(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(k + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return extend(0)

@@ -31,9 +31,12 @@ of the pair is simplicial and must return the same list in the same
 order.
 
 `reference_int_collinear` is the collinearity test on two difference
-lists, tested on every 2x2 minor with u's first nonzero entry;
-`linalg.int_collinear` reads the coordinates once and stops at the first
-nonzero minor, and must give the same answer on every triple.
+lists, tested on every 2x2 minor with u's first nonzero entry.  The
+library has none: three vertices of a polytope are never collinear, and
+every polytope is checked when it is made.  The arbitrary graphs
+`test_graphs` builds draw no collinear 3-cycle by it, and
+`reference_replay` keeps the simple extension's collinearity condition
+with it.
 
 `reference_shephard_facet` is the facet-slide search that tries the rule
 on every facet; `certificates.shephard_facet` skips a facet by vertex
@@ -71,8 +74,18 @@ in `Fraction`s, with the homothety fitted pairwise on the stacked facet;
 the library lifts in integers on its one homothety fit
 (`graphs._homothety_fit`) and must hand out the same witness.
 
+`unchecked` builds a polytope object from rational points and a facet
+list through the library's one unchecked path (`Polytope._of_ints`), as
+the tests need objects that are not polytopes: the disconnected skeleton
+the skeleton still refuses, the arbitrary graphs of `test_graphs`, and
+the broken facet lists `validate` names.  `Polytope(...)` refuses every
+one of them.
+
 Helpers the library does not need are kept here for the tests that
-state properties with them: `is_simple` (every vertex has degree d),
+state properties with them: `incidence_isomorphic` (vertex-facet
+incidence isomorphism by backtracking), `simple_vertex_spectrum_below_3d`
+(the vertex counts of simple d-polytopes below 3d vertices), `is_simple`
+(every vertex has degree d),
 `is_homothety` (the homothety residue of `graphs.homothety_residue` is
 zero), `is_zero`, `vertex_degree`, `translate` and `graph_vertices` (a
 skeleton's rational vertices, which the library's skeleton does not
@@ -82,7 +95,7 @@ keep).
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from minkdecomp import certificates
 from minkdecomp.counts import count_rules
@@ -103,7 +116,6 @@ from minkdecomp.linalg import (
     as_int_coords,
     clear_denominators,
     fraction_vec,
-    int_collinear,
     int_hyperplane,
 )
 from minkdecomp.polytope import Polytope, facet_as_polytope
@@ -649,7 +661,7 @@ def _reference_replay_checked(trace, p: Polytope) -> None:
                 if edge_key(a, w) not in skel_edges or edge_key(b, w) not in skel_edges:
                     fail(k, step, f"({a},{w}) or ({b},{w}) is not a skeleton edge")
                 ints, _ = current.int_coords()
-                if int_collinear(ints[w], ints[a], ints[b]):
+                if reference_int_collinear(ints[w], ints[a], ints[b]):
                     fail(k, step, f"{w},{a},{b} are collinear")
                 if vset != set(base.vertices) | {w} or eset != set(base.edges) | {
                     edge_key(a, w),
@@ -774,6 +786,76 @@ def _reference_replay_checked(trace, p: Polytope) -> None:
     )
     if final.conclusion != want:
         raise _ReplayFailure("final step does not conclude the verdict")
+
+
+def incidence_isomorphic(p: Polytope, q: Polytope) -> bool:
+    """Vertex-facet incidence isomorphism by backtracking; small inputs only.
+
+    Sound and complete for deciding combinatorial equivalence at the
+    vertex-facet level, which determines the whole face lattice for
+    polytopes.
+    """
+    np_, nq = len(p), len(q)
+    if np_ != nq or len(p.facets) != len(q.facets):
+        return False
+    p_sizes = sorted(len(f) for f in p.facets)
+    q_sizes = sorted(len(f) for f in q.facets)
+    if p_sizes != q_sizes:
+        return False
+    p_facets = [frozenset(f) for f in p.facets]
+    q_facets = set(frozenset(f) for f in q.facets)
+
+    # Signature pruning: per vertex, the multiset of sizes of its facets.
+    def signature(facets, v):
+        return tuple(sorted(len(f) for f in facets if v in f))
+
+    p_sig = [signature(p_facets, v) for v in range(np_)]
+    q_sig = [signature(q_facets, v) for v in range(nq)]
+    candidates = [
+        [w for w in range(nq) if q_sig[w] == p_sig[v]] for v in range(np_)
+    ]
+    if any(not c for c in candidates):
+        return False
+    order = sorted(range(np_), key=lambda v: len(candidates[v]))
+    mapping: Dict[int, int] = {}
+    used = set()
+
+    def feasible(v, w):
+        # Every fully-mapped P-facet through v must land inside some Q-facet.
+        for f in p_facets:
+            if v not in f:
+                continue
+            image = {mapping[x] for x in f if x in mapping} | {w}
+            if not any(image <= g for g in q_facets):
+                return False
+        return True
+
+    def extend(k):
+        if k == np_:
+            return all(frozenset(mapping[x] for x in f) in q_facets for f in p_facets)
+        v = order[k]
+        for w in candidates[v]:
+            if w in used or not feasible(v, w):
+                continue
+            mapping[v] = w
+            used.add(w)
+            if extend(k + 1):
+                return True
+            del mapping[v]
+            used.discard(w)
+        return False
+
+    return extend(0)
+
+
+def simple_vertex_spectrum_below_3d(d: int) -> set:
+    """Achievable vertex counts of simple d-polytopes below 3d vertices."""
+    if d < 3:
+        raise ValueError("needs d >= 3")
+    spectrum = {d + 1, 2 * d, 3 * d - 3, 3 * d - 1}
+    if d == 6:
+        spectrum.add(3 * d - 2)
+    return spectrum
 
 
 def is_simple(p) -> bool:
@@ -909,6 +991,12 @@ def is_zero(v: Sequence[Rational]) -> bool:
 
 def vertex_degree(p, v: int) -> int:
     return len(p.neighbors(v))
+
+
+def unchecked(dim: int, vertices, facets, name: Optional[str] = None) -> Polytope:
+    """The polytope object with these rational vertices and facets as
+    given, built with no check (`Polytope._of_ints`)."""
+    return Polytope._of_ints(dim, *as_int_coords(vertices), tuple(facets), name)
 
 
 def translate(p, shift: Sequence[Rational]) -> Polytope:

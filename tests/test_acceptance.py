@@ -22,7 +22,7 @@ from minkdecomp.certificates import (
 )
 from minkdecomp.cli import main
 from minkdecomp.constructors import capped_prism, bd198, cube, delta, simplex, wedge
-from minkdecomp.counts import count_rules, simple_vertex_spectrum_below_3d
+from minkdecomp.counts import count_rules
 from minkdecomp.graphs import (
     _slide_witness,
     decomposing_space,
@@ -32,11 +32,17 @@ from minkdecomp.graphs import (
 from minkdecomp.linalg import Vec
 from minkdecomp.polytope import (
     Polytope,
-    incidence_isomorphic,
     prism_over,
 )
 
-from reference_linalg import graph_vertices, is_homothety, is_simple, naive_dimension
+from reference_linalg import (
+    graph_vertices,
+    incidence_isomorphic,
+    is_homothety,
+    is_simple,
+    naive_dimension,
+    simple_vertex_spectrum_below_3d,
+)
 
 SEED = 20260815
 

@@ -12,7 +12,8 @@ from minkdecomp.catalogue import (
 )
 from minkdecomp.certificates import analyze
 from minkdecomp.graphs import skeleton
-from minkdecomp.polytope import incidence_isomorphic
+
+from reference_linalg import incidence_isomorphic
 
 
 def test_catalogue_names_unique_and_lookup():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -55,7 +56,7 @@ from minkdecomp.graphs import (
     skeleton,
     touches_every_facet,
 )
-from minkdecomp.linalg import Vec, as_int_coords, int_hyperplane, int_side
+from minkdecomp.linalg import Vec, int_hyperplane, int_side
 from minkdecomp.fileio import dumps, loads
 from minkdecomp.polytope import (
     Polytope,
@@ -78,6 +79,7 @@ from reference_linalg import (
     reference_replay,
     reference_shephard_facet,
     translate,
+    unchecked,
 )
 
 
@@ -110,19 +112,21 @@ def test_simple_extension_growth_and_guards():
         simple_extension(OCTA_SKEL, cg, 4, witnesses=(0, 0))
 
 
-def test_simple_extension_rejects_collinear_triple():
-    # No polytope has this graph: it is built by hand, with every field.
-    vertices = tuple(Vec(x) for x in [(0, 0), (2, 0), (1, 0), (1, 1)])
-    edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
-    adjacency = ((1, 2, 3), (0, 2, 3), (0, 1), (0, 1))
-    g = GeometricGraph(
-        2, *as_int_coords(vertices), edges, adjacency, graphs._bfs_tree(adjacency, edges)
-    )
-    base = seed_edge(g, 0, 1)
-    with pytest.raises(RuleNotApplicableError):
-        simple_extension(g, base, 2)  # (1,0) lies on the seed line
-    cg = simple_extension(g, base, 3)
-    assert 3 in cg.vertices
+def test_collinear_triple_is_refused_at_construction():
+    """`simple_extension` pins a new vertex by two covered neighbours,
+    which holds because three vertices of a polytope are never
+    collinear.  The graph that would break it, (1, 0) on the seed edge
+    from (0, 0) to (2, 0), is refused when the polytope is made: (1, 0)
+    is no vertex.  On the polytope without it, the extension covers
+    (1, 1)."""
+    vertices = [(0, 0), (2, 0), (1, 0), (1, 1)]
+    facets = ((0, 2), (1, 2), (0, 3), (1, 3))
+    stray = "not vertices of the convex hull of the input: point 2 (1, 0)"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(stray)}$"):
+        Polytope(2, vertices, facets)
+    g = skeleton(Polytope(2, [(0, 0), (2, 0), (1, 1)], ((0, 1), (0, 2), (1, 2))))
+    cg = simple_extension(g, seed_edge(g, 0, 1), 2)
+    assert 2 in cg.vertices
 
 
 def test_simple_extension_closure_covers_octahedron():
@@ -440,14 +444,15 @@ def test_integer_slide_matches_rational_reference():
 
 
 def test_slide_that_moves_nothing_is_refused():
-    # Not a valid polytope: point 6 lies on the bottom facet's plane but in
-    # no facet, so the bottom slides down by nothing and the witness is
-    # the identity, a homothety.  Point 6 has no edge, so `skeleton`
-    # refuses the graph as disconnected; the slide gets it built by hand.
+    # Not a polytope, so built with no check: point 6 lies on the bottom
+    # facet's plane but in no facet, so the bottom slides down by nothing
+    # and the witness is the identity, a homothety.  Point 6 has no edge,
+    # so `skeleton` refuses the graph as disconnected; the slide gets it
+    # built by hand.
     vertices = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1),
                 (Fraction(1, 4), Fraction(1, 4), 0)]
     facets = ((0, 1, 2), (3, 4, 5), (0, 1, 3, 4), (1, 2, 4, 5), (0, 2, 3, 5))
-    p = Polytope(3, tuple(Vec(v) for v in vertices), facets)
+    p = unchecked(3, vertices, facets)
     adjacency, edges = p._adjacency(), p.edges()
     skel = GeometricGraph(
         3, *p.int_coords(), edges, adjacency, graphs._bfs_tree(adjacency, edges)

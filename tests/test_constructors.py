@@ -19,9 +19,9 @@ from minkdecomp.constructors import (
     wedge,
 )
 from minkdecomp.errors import GuardExceededError, InvalidInputError
-from minkdecomp.polytope import FVector, incidence_isomorphic, validate
+from minkdecomp.polytope import FVector, validate
 
-from reference_linalg import is_simple, vertex_degree
+from reference_linalg import incidence_isomorphic, is_simple, vertex_degree
 
 
 @pytest.mark.parametrize("d", range(1, 7))

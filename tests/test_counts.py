@@ -2,7 +2,9 @@
 
 import pytest
 
-from minkdecomp.counts import CountConclusion, count_rules, simple_vertex_spectrum_below_3d
+from minkdecomp.counts import CountConclusion, count_rules
+
+from reference_linalg import simple_vertex_spectrum_below_3d
 
 
 def verdicts(conclusions):

@@ -23,7 +23,7 @@ from minkdecomp.fileio import (
 from minkdecomp.linalg import as_int_coords
 from minkdecomp.polytope import Polytope
 
-from reference_fileio import reference_polytope_from_dict
+from reference_fileio import reference_coord_from_json, reference_polytope_from_dict
 
 BENCH_INPUTS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs", "polytopes.json")
 
@@ -238,12 +238,12 @@ def _random_coordinate(rng):
     return rng.choice(_ODD_COORDINATES)
 
 
-def test_the_reader_matches_the_fraction_reader_on_seeded_coordinates():
-    rng = random.Random(31)
-    read = refused = listed = 0
+def _seeded_documents(rng):
+    """800 documents in dimension 1 to 3, their coordinates drawn by
+    `_random_coordinate`, with no facet list."""
     for _ in range(800):
         dim = rng.randint(1, 3)
-        data = {
+        yield {
             "format_version": "1",
             "dimension": dim,
             "vertices": [
@@ -251,6 +251,12 @@ def test_the_reader_matches_the_fraction_reader_on_seeded_coordinates():
                 for _ in range(rng.randint(dim + 1, dim + 4))
             ],
         }
+
+
+def test_the_reader_matches_the_fraction_reader_on_seeded_coordinates():
+    rng = random.Random(31)
+    read = refused = listed = 0
+    for data in _seeded_documents(rng):
         if _assert_same_reading(data):
             read += 1
             # Read again with the hull's facets listed, shuffled.
@@ -261,6 +267,70 @@ def test_the_reader_matches_the_fraction_reader_on_seeded_coordinates():
         else:
             refused += 1
     assert read > 150 and refused > 150 and listed == read, (read, refused, listed)
+
+
+def _assert_the_constructor_reads_alike(data):
+    """`Polytope(...)`, given a document's dimension, its vertices read as
+    `Fraction`s, its facet list and its name, admits the same polytope
+    the reader does, or refuses it with the same error.  The document's
+    shape must be valid: the reader's shape checks come before the
+    check they share.  Returns whether it was admitted."""
+    vertices = [[reference_coord_from_json(c) for c in row] for row in data["vertices"]]
+
+    def construct(d):
+        return Polytope(d["dimension"], vertices, d["facets"], d.get("name"))
+
+    got = _outcome(construct, data)
+    assert got == _outcome(polytope_from_dict, data)
+    return got[0] == "ok"
+
+
+def test_the_constructor_matches_the_reader_on_seeded_documents():
+    """On each seeded document whose coordinates are in the format, with
+    the hull's facets listed, shuffled, where the reader reads it, and an
+    empty list where it refuses the points."""
+    rng = random.Random(31)
+    admitted = refused = 0
+    for data in _seeded_documents(rng):
+        try:
+            facets = [list(f) for f in reference_polytope_from_dict(data)[0].facets]
+        except InvalidInputError as exc:
+            if any(word in str(exc) for word in ("coordinate", "exact")):
+                continue
+            facets = []
+        rng.shuffle(facets)
+        data["facets"] = facets
+        if _assert_the_constructor_reads_alike(data):
+            admitted += 1
+        else:
+            refused += 1
+    assert admitted > 150 and refused > 150, (admitted, refused)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda d: d.update(facets=[[0, 99]]),
+        lambda d: d.update(facets=[[0, -1]]),
+        lambda d: d["facets"].append([0, 0, 1, 2]),
+        lambda d: d.update(facets=d["facets"][:-1]),
+        lambda d: d["facets"].append(d["facets"][0]),
+        lambda d: d["facets"].__setitem__(0, d["facets"][0] + [3]),
+        lambda d: d["vertices"].append(["1/4", "1/4", "1/4"]),
+        lambda d: d["vertices"].append([0, 0, 0]),
+        lambda d: d.update(vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+    ],
+    ids=[
+        "index-past-the-end", "negative-index", "repeated-index", "missing-facet",
+        "repeated-facet", "grown-facet", "stray-point", "duplicate-point", "flat",
+    ],
+)
+def test_the_constructor_refuses_what_the_reader_refuses(change):
+    """Documents whose shape is valid but whose facet list or points the
+    reader refuses: the constructor refuses them with the same error."""
+    data = polytope_to_dict(simplex(3))
+    change(data)
+    assert not _assert_the_constructor_reads_alike(data)
 
 
 def test_the_reader_matches_the_fraction_reader_on_the_benchmark_inputs():

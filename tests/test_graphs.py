@@ -22,8 +22,9 @@ fundamental cycle.  Kallay's uncontracted integer system, the old
 builder `reference_cycle_rows` under the identity edge-to-column map, is
 the second reference (`identity_decomposing_space`,
 `identity_oracle_verdict`); the contracted space must equal it exactly,
-also on the skeletons of unvalidated polytopes with collinear 3-cycles
-(`edge_polytope`), which must not be contracted.
+also on arbitrary graphs on points placed on lines through earlier
+ones (`edge_polytope`).  Every polytope is checked when it is made, so
+its skeleton has no collinear 3-cycle, and neither has any graph here.
 
 Every graph the library builds is a polytope's skeleton.  Graphs that
 are not, such as the random subgraphs of acceptance criterion 9b, get
@@ -39,6 +40,7 @@ than repeat it.
 import builtins
 import random
 import re
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -46,7 +48,8 @@ import pytest
 from minkdecomp import graphs, kernels
 from minkdecomp.catalogue import catalogue_entry, catalogue_list
 from minkdecomp.constructors import cube, cyclic, octahedron, segment, simplex
-from minkdecomp.errors import InvalidInputError
+from minkdecomp.errors import DegenerateInputError, InvalidInputError
+from minkdecomp.fileio import polytope_from_dict
 from minkdecomp.graphs import (
     DecomposingFunction,
     OracleResult,
@@ -76,8 +79,10 @@ from reference_linalg import (
     reference_check,
     reference_cycle_rows,
     reference_from_images,
+    reference_int_collinear,
     reference_rank_and_kernel,
     solve_exact,
+    unchecked,
 )
 from test_certificates import _derived_stack_cases
 
@@ -281,13 +286,23 @@ def class_count(g):
 
 
 def edge_polytope(points, edges):
-    """A `Polytope` built in code and never validated whose skeleton has
-    exactly the given edges: each edge is listed d - 1 times as a facet,
-    so its two endpoints share d - 1 facets that meet in just them, and
-    no other pair shares a facet."""
+    """A polytope object built with no check (`unchecked`) whose
+    skeleton has exactly the given edges, on distinct points: each edge
+    is listed d - 1 times as a facet, so its two endpoints share d - 1
+    facets that meet in just them, and no other pair shares a facet.
+
+    The engine contracts every 3-cycle, as three vertices of a polytope
+    are never collinear, so no 3-cycle of the edges may be collinear
+    (`reference_int_collinear`)."""
     d = len(points[0])
-    facets = tuple(e for e in edges for _ in range(d - 1))
-    return Polytope(d, tuple(Vec(x) for x in points), facets)
+    edge_set = set(edges)
+    assert len(set(points)) == len(points)
+    assert not any(
+        reference_int_collinear(points[u], points[v], points[w])
+        for u, v in edges for w in range(v + 1, len(points))
+        if (u, w) in edge_set and (v, w) in edge_set
+    ), "a collinear 3-cycle"
+    return unchecked(d, points, tuple(e for e in edges for _ in range(d - 1)))
 
 
 TRIANGLE = skeleton(simplex(2))
@@ -354,16 +369,21 @@ def test_basis_is_independent():
     assert rank == dim
 
 
-# A single point, built in code and never validated: its skeleton has
-# one vertex and no edge.
-POINT = Polytope(2, (Vec((1, 2)),), ())
+# A single point, built with no check: its skeleton has one vertex and no
+# edge.
+POINT = unchecked(2, [(1, 2)], ())
 
 
 def test_edgeless_graph_rejected():
-    with pytest.raises(InvalidInputError, match="edgeless"):
-        decomposing_space(skeleton(POINT))
-    with pytest.raises(InvalidInputError, match="edgeless"):
-        oracle_verdict(POINT)
+    """A single point is no polytope: it is refused when it is made, in
+    code and from a file, so every polytope the engine sees has an edge."""
+    refusal = "^vertex set does not affinely span the ambient dimension$"
+    with pytest.raises(DegenerateInputError, match=refusal):
+        Polytope(2, POINT.vertices, ())
+    document = {"format_version": "1", "dimension": 2, "vertices": [[1, 2]], "facets": []}
+    with pytest.raises(DegenerateInputError, match=refusal):
+        polytope_from_dict(document)
+    assert all(p.edges() for p in (segment(0, 1), simplex(2), cube(3)))
 
 
 def test_non_decomposing_map_does_not_check():
@@ -574,6 +594,30 @@ def test_homothety_residue_matches_reference_on_fractional_images():
         assert res.edge_scalars == ref.edge_scalars
 
 
+def test_homothety_residue_reads_a_slide_in_integers(monkeypatch):
+    """Every element of `decomposing_space` holds its integer slide, and
+    the residue reads the slide's images and denominator as they are: it
+    makes no `Fraction`, and its result is the one the `Fraction` images,
+    cleared, give."""
+    g = skeleton(cube(3))
+    _, basis = decomposing_space(g)
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    residues = [homothety_residue(g, f) for f in basis]
+    assert made == []
+    monkeypatch.undo()
+    assert len(residues) == 6
+    for f, res in zip(basis, residues):
+        cleared = DecomposingFunction(f.images, f.edge_scalars)
+        assert res == homothety_residue(g, cleared) == reference_homothety_residue(g, f)
+
+
 def test_homothety_residue_of_single_vertex_is_singular():
     g = skeleton(POINT)
     f = DecomposingFunction({0: Vec((0, 0))}, {})
@@ -647,50 +691,59 @@ def test_skeleton_neighbors_of_a_non_vertex_are_none():
     assert SQUARE.neighbors(n - 1) == (1, 2)
 
 
-def test_skeleton_refuses_a_polytope_without_vertices():
-    with pytest.raises(InvalidInputError, match="^skeleton has no vertices$"):
-        skeleton(Polytope(2, (), ()))
+def test_a_polytope_without_vertices_is_refused_at_construction():
+    with pytest.raises(InvalidInputError, match="^empty vertex set$"):
+        Polytope(2, (), ())
 
 
-def test_skeleton_refuses_an_edge_with_repeated_coordinates():
-    # Built in code and never validated: vertex 3 repeats vertex 0, and
-    # the facet lists make (0,3) an edge.
+def test_repeated_coordinates_are_refused_at_construction():
+    # Vertex 3 repeats vertex 0, and the facet list would make (0,3) an
+    # edge with coincident ends.
     pts = [(0, 0), (1, 0), (0, 1), (0, 0)]
     facets = ((0, 1), (1, 2), (2, 3), (0, 3))
-    p = Polytope(2, tuple(Vec(x) for x in pts), facets)
-    assert (0, 3) in p.edges()
-    with pytest.raises(InvalidInputError, match=r"edge \(0,3\) endpoints share coordinates"):
-        skeleton(p)
+    with pytest.raises(InvalidInputError, match="^duplicate vertices$"):
+        Polytope(2, pts, facets)
 
 
-def test_collinear_triangle_is_not_contracted():
-    # 0, 1, 2 lie on a line: their 3-cycle gives one equation,
-    # l01 + l12 = 2 l02, which leaves a free scalar that the square
-    # 0-2-3-4 alone would not have.
-    g = skeleton(edge_polytope(
-        [(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)],
-        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 4)],
-    ))
-    assert class_count(g) == 6
-    assert assert_same_space(g) == naive_dimension(graph_vertices(g), g.edges) == 5
+def test_collinear_points_are_refused_at_construction():
+    """The engine contracts every 3-cycle of a skeleton, which is sound
+    because three vertices of a polytope are never collinear.  A point
+    between two others is no vertex, so a facet list that would close a
+    collinear 3-cycle through it is refused when the polytope is made."""
+    # 0, 1, 2 lie on a line, and (0,1), (1,2), (0,2) would be edges.
+    pts = [(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)]
+    facets = ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 4))
+    with pytest.raises(
+        InvalidInputError,
+        match="^" + re.escape("not vertices of the convex hull of the input: point 1 (1, 0)") + "$",
+    ):
+        Polytope(2, pts, facets)
 
 
-def test_collinear_triangle_of_an_unvalidated_polygon_is_not_contracted():
-    # Three points on a line given as a triangle: contracting the 3-cycle
-    # would leave one scalar and read the "polygon" as indecomposable.
-    p = edge_polytope([(0, 0), (1, 0), (2, 0)], [(0, 1), (0, 2), (1, 2)])
-    assert p.facets == ((0, 1), (0, 2), (1, 2))
-    assert class_count(skeleton(p)) == 3
-    res = oracle_verdict(p)
-    assert (res.verdict, res.dimension) == ("Decomposable", 4)
-    assert res == basis_oracle_verdict(p) == identity_oracle_verdict(p)
+def test_collinear_polygon_is_refused_at_construction():
+    """Three points on a line given as a triangle span no polygon: they
+    are refused when the polytope is made, in code and from a file
+    alike, so no skeleton holds their collinear 3-cycle."""
+    line = [(0, 0), (1, 0), (2, 0)]
+    triangle = ((0, 1), (0, 2), (1, 2))
+    refusal = "^vertex set does not affinely span the ambient dimension$"
+    with pytest.raises(DegenerateInputError, match=refusal):
+        Polytope(2, line, triangle)
+    document = {
+        "format_version": "1", "dimension": 2,
+        "vertices": [list(x) for x in line], "facets": [list(f) for f in triangle],
+    }
+    with pytest.raises(DegenerateInputError, match=refusal):
+        polytope_from_dict(document)
 
 
-def _graph_with_collinear_triangles(rng, d):
+def _graph_on_collinear_points(rng, d):
     """The skeleton of a random connected graph on integer points in R^d
     (`edge_polytope`), some points placed on lines through earlier pairs:
-    random edges plus the three edges of every such triple.  A
-    disconnected draw is drawn again."""
+    random edges plus the two edges from every such point to its pair,
+    two parallel edges at one vertex.  An edge that would close a
+    collinear 3-cycle is left out, and a disconnected draw is drawn
+    again."""
     pts = []
     edges = set()
     n = rng.randint(d + 3, 9)
@@ -703,7 +756,7 @@ def _graph_with_collinear_triangles(rng, d):
                 continue
             pts.append(x)
             k = len(pts) - 1
-            edges |= {edge_key(i, j), edge_key(i, k), edge_key(j, k)}
+            edges |= {edge_key(i, k), edge_key(j, k)}
         else:
             x = tuple(rng.randint(-3, 3) for _ in range(d))
             if x not in pts:
@@ -712,17 +765,26 @@ def _graph_with_collinear_triangles(rng, d):
         for v in range(u + 1, n):
             if rng.random() < 0.45:
                 edges.add((u, v))
+    for u, v, w in combinations(range(n), 3):
+        if {(u, v), (u, w), (v, w)} <= edges and reference_int_collinear(pts[u], pts[v], pts[w]):
+            # Leave out the edge that passes through the third point.
+            edges.discard(max((u, v), (u, w), (v, w), key=lambda e: _length2(pts, e)))
     try:
         return skeleton(edge_polytope(pts, sorted(edges)))
     except InvalidInputError:
-        return _graph_with_collinear_triangles(rng, d)
+        return _graph_on_collinear_points(rng, d)
 
 
-def test_contracted_space_matches_identity_map_on_random_graphs_with_collinear_triangles():
+def _length2(pts, edge):
+    u, v = edge
+    return sum((a - b) ** 2 for a, b in zip(pts[u], pts[v]))
+
+
+def test_contracted_space_matches_identity_map_on_random_graphs_on_collinear_points():
     rng = random.Random(23)
     contracted = 0
     for trial in range(150):
-        g = _graph_with_collinear_triangles(rng, 2 + trial % 3)
+        g = _graph_on_collinear_points(rng, 2 + trial % 3)
         dim = assert_same_space(g)
         assert dim == naive_dimension(graph_vertices(g), g.edges)
         contracted += class_count(g) < len(g.edges)
@@ -743,12 +805,17 @@ def test_oracle_matches_basis_reference_on_decomposable_sums(n):
 
 def test_skeleton_refuses_an_isolated_midpoint_as_disconnected():
     # cyclic(8,4) plus the midpoint of edge (0,1), listed in the six facets
-    # through the edge and built without `validate`: the midpoint has no
-    # edge, so it is a component of its own, which adds only translations
-    # to the naive system's space.
+    # through the edge: the midpoint has no edge, so it is a component of
+    # its own, which adds only translations to the naive system's space.
+    # The midpoint is no vertex, so `Polytope(...)` refuses it; built with
+    # no check, the skeleton refuses it.
     p = cyclic(8, 4)
     facets = tuple(f + (8,) if 0 in f and 1 in f else f for f in p.facets)
-    q = Polytope(4, p.vertices + ((p.vertices[0] + p.vertices[1]) / 2,), facets)
+    points = p.vertices + ((p.vertices[0] + p.vertices[1]) / 2,)
+    stray = "not vertices of the convex hull of the input: point 8 (3/2, 5/2, 9/2, 17/2)"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(stray)}$"):
+        Polytope(4, points, facets)
+    q = unchecked(4, points, facets)
     assert all(8 not in e for e in q.edges())
     assert naive_dimension(q.vertices, q.edges()) == 5 + 4
     refusal = "skeleton is disconnected: vertex 8 is not reached from vertex 0"
@@ -758,15 +825,20 @@ def test_skeleton_refuses_an_isolated_midpoint_as_disconnected():
 
 
 def test_skeleton_analyze_and_replay_refuse_two_disjoint_triangles():
-    # Two triangles given as the "facets" of one polygon, built without
-    # `validate`.  A homothety test by equal edge scalars holds only on a
-    # connected graph, so neither the oracle nor a facet slide may decide
-    # it: facet 0 would slide to a "proper summand".
+    # Two triangles given as the "facets" of one polygon.  A homothety
+    # test by equal edge scalars holds only on a connected graph, so
+    # neither the oracle nor a facet slide may decide it: facet 0 would
+    # slide to a "proper summand".  Point 3 is inside the hull, so
+    # `Polytope(...)` refuses it; built with no check, the skeleton, and
+    # with it `analyze` and `replay`, refuse it.
     from minkdecomp.certificates import CertificateStep, CertificateTrace, analyze, replay_report
 
     pts = [(0, 0), (2, 0), (0, 2), (5, 5), (7, 5), (Fraction(11, 2), 8)]
     facets = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
-    p = Polytope(2, tuple(Vec(x) for x in pts), facets)
+    stray = "not vertices of the convex hull of the input: point 3 (5, 5)"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(stray)}$"):
+        Polytope(2, pts, facets)
+    p = unchecked(2, pts, facets)
     assert p.edges() == facets
     assert naive_dimension(p.vertices, p.edges()) == 3 + 3
     refusal = "skeleton is disconnected: vertex 3 is not reached from vertex 0"
@@ -878,12 +950,9 @@ def test_cycle_kernel_matches_the_uncontracted_reference_system():
     """`_cycle_kernel`, expanded to the edges (`_edge_rows`), is the
     kernel basis of Kallay's uncontracted system (`identity_kernel`), on
     the catalogue, on its and seeded polytopes' stackings and truncations
-    (`_derived_stack_cases`), and on the unvalidated collinear polygon,
-    whose 3-cycle is not contracted."""
-    polygon = edge_polytope([(0, 0), (1, 0), (2, 0)], [(0, 1), (0, 2), (1, 2)])
-    cases = [*_derived_stack_cases(), ("collinear polygon", polygon)]
+    (`_derived_stack_cases`)."""
     flexible = 0
-    for name, p in cases:
+    for name, p in _derived_stack_cases():
         g = skeleton(p)
         cols, kernel = graphs._cycle_kernel(g)
         got = [fraction_vec(lam, den) for lam, den in graphs._edge_rows(cols, kernel)]
@@ -895,11 +964,11 @@ def test_cycle_kernel_matches_the_uncontracted_reference_system():
 def test_triangle_classes_are_connected_edge_sets():
     """`cycle_rows` moves each class rigidly, which holds because each
     class is a connected set of edges: the triangles it joins share
-    edges.  Checked on `_derived_stack_cases` and on random graphs with
-    collinear 3-cycles, which join nothing."""
+    edges.  Checked on `_derived_stack_cases` and on random graphs on
+    collinear points (`_graph_on_collinear_points`)."""
     rng = random.Random(29)
     skeletons = [skeleton(p) for _, p in _derived_stack_cases()]
-    skeletons += [_graph_with_collinear_triangles(rng, 2 + t % 3) for t in range(60)]
+    skeletons += [_graph_on_collinear_points(rng, 2 + t % 3) for t in range(60)]
     joined = 0
     for g in skeletons:
         xs = g.points

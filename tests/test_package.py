@@ -14,8 +14,9 @@ accessors.  Every integer elimination runs through `kernels.Echelon`.
 No module, and no test file, imports a name it never uses.  A
 `GeometricGraph` is built in one place, `graphs._build_skeleton`,
 through its own constructor, and a `DecomposingFunction` in one place,
-`graphs._slide_witness`.  Only the modules at the package's edges import
-`Fraction`.
+`graphs._slide_witness`.  The unchecked `Polytope._of_ints` is read in
+the places that make exact faces and copies of checked polytopes only.
+Only the modules at the package's edges import `Fraction`.
 """
 
 import ast
@@ -171,6 +172,26 @@ def test_only_the_skeleton_builder_makes_a_geometric_graph():
     assert not sidesteps, sidesteps
 
 
+def test_only_exact_faces_and_copies_skip_the_polytope_check():
+    """`Polytope._of_ints`, the one path that builds a polytope without
+    checking it against its hull, is read in the places that make exact
+    faces and copies of checked polytopes, and nowhere else: the hull's
+    own product (`from_int_coords`), a facet, a pyramid reduction's
+    reduced polytope, the CLI's renamed catalogue copy and `__reduce__`,
+    which copies and pickles rebuild through.  Every other polytope goes
+    through `Polytope(...)` or `from_int_coords`, which check it."""
+    readers = sorted(
+        where for where, node in _package_nodes(ast.Attribute) if node.attr == "_of_ints"
+    )
+    assert readers == [
+        "certificates._stack_structure",
+        "cli.cmd_catalogue",
+        "polytope.__reduce__",
+        "polytope.facet_as_polytope",
+        "polytope.from_int_coords",
+    ], readers
+
+
 def test_only_the_slide_hand_out_makes_a_decomposing_function():
     """The only `DecomposingFunction(...)` call in the package is in
     `graphs._slide_witness`: every witness and every basis element of
@@ -212,17 +233,24 @@ def _callers_of(name):
 def _package_calls():
     """(`module.function`, callee) for every call in the package, the
     function being the innermost one that holds the call."""
+    for where, call in _package_nodes(ast.Call):
+        yield where, call.func
+
+
+def _package_nodes(kind):
+    """(`module.function`, node) for every node of the given kind in the
+    package, the function being the innermost one that holds it."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for owner, call in _calls(tree, "<module>"):
-            yield f"{path.stem}.{owner}", call.func
+        for owner, node in _nodes(tree, "<module>", kind):
+            yield f"{path.stem}.{owner}", node
 
 
-def _calls(node, owner):
-    """(owner, call) for every call below node, owner being the name of
-    the innermost function that holds the call."""
+def _nodes(node, owner, kind):
+    """(owner, child) for every child of the given kind below node,
+    owner being the name of the innermost function that holds it."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
+        if isinstance(child, kind):
             yield owner, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        yield from _calls(child, inner)
+        yield from _nodes(child, inner, kind)

@@ -11,7 +11,11 @@ listed) are the reference for which inputs are refused, on catalogue
 images, on broken inputs with fractional coordinates and on seeded
 tampered facet lists.  The reference finds the hull's facets by trying
 the hyperplane of every d-subset of the points (`reference_hull_facets`),
-not by `kernels.facet_scan`.
+not by `kernels.facet_scan`.  Every polytope is checked when it is made,
+so those broken inputs are built with no check (`unchecked`), and
+`Polytope(...)` must refuse each as `validate`'s findings say it should
+(`expected_refusal`); what the one unchecked path makes inside the
+package must pass that check.
 
 The skeleton, read off facet bitsets, is checked against the exact
 supporting-hyperplane LP (`is_geometric_edge`), and the integer facet
@@ -32,7 +36,7 @@ from math import gcd
 
 import pytest
 
-from minkdecomp import certificates
+from minkdecomp import certificates, cli
 from minkdecomp.constructors import (
     bd182,
     bd198,
@@ -42,6 +46,7 @@ from minkdecomp.constructors import (
     delta,
     octahedron,
     pentagon,
+    segment,
     simplex,
     wedge,
 )
@@ -54,7 +59,6 @@ from minkdecomp.polytope import (
     FVector,
     Polytope,
     facet_as_polytope,
-    incidence_isomorphic,
     minkowski_sum,
     prism_over,
     pyramid_over,
@@ -64,6 +68,7 @@ from minkdecomp.polytope import (
 )
 
 from reference_linalg import (
+    incidence_isomorphic,
     is_geometric_edge,
     is_simple,
     matrix_rank,
@@ -72,6 +77,7 @@ from reference_linalg import (
     reference_int_hyperplane,
     reference_int_plane,
     translate,
+    unchecked,
     vertex_degree,
 )
 
@@ -174,6 +180,37 @@ def reference_validate(p):
     return out
 
 
+def constructor_refusal(p):
+    """The message `Polytope(...)` refuses p's points and facet list
+    with, or None when it admits them; what it admits is the polytope of
+    p's points, facets enumerated."""
+    try:
+        q = Polytope(p.dim, p.vertices, p.facets, p.name)
+    except InvalidInputError as exc:
+        return str(exc)
+    assert q == Polytope.from_vertices(p.dim, p.vertices, p.name)
+    return None
+
+
+def expected_refusal(p, violations):
+    """The refusal `Polytope(...)` owes p, built with no check, given what
+    `validate` finds on it: a facet index that names no point or is
+    listed twice, checked facet by facet first; otherwise a refusal of
+    the points as it is, or the facet list's faults joined after
+    "invalid polytope: "; None when `validate` finds nothing."""
+    for f in p.facets:
+        if any(not 0 <= i < len(p) for i in f):
+            return "facet index out of range"
+        if len(set(f)) != len(f):
+            repeated = next(i for i in f if f.count(i) > 1)
+            return f"facet lists vertex index {repeated} more than once"
+    if not violations:
+        return None
+    if violations[0].startswith(("facet ", "hull facet ")):
+        return "invalid polytope: " + "; ".join(violations)
+    return violations[0]
+
+
 def _scaled(p, scale, shift):
     return Polytope(p.dim, tuple(v * scale + Vec(shift) for v in p.vertices), p.facets)
 
@@ -249,19 +286,17 @@ def test_edges_combinatorial_equals_geometric_on_small_entries():
 
 
 @pytest.mark.parametrize("bad", [5, 3, -1])
-def test_analyze_and_replay_refuse_a_facet_index_that_names_no_vertex(bad):
-    # Built without `validate`: a triangle whose last facet lists a vertex
-    # index past the end or below 0.  The edges are derived from the
-    # facets before anything else reads them, and they refuse the facet by
-    # its number instead of raising IndexError or a negative shift count.
-    p = Polytope(2, simplex(2).vertices, ((0, 1), (1, 2), (2, bad)))
-    refusal = f"facet 2 (2, {bad}) lists an index outside 0..2"
-    for mode in ("certificates-first", "oracle-only"):
-        with pytest.raises(InvalidInputError, match=f"^{re.escape(refusal)}$"):
-            certificates.analyze(p, mode)
-    trace = certificates.analyze(simplex(2)).trace
-    assert certificates.replay_report(trace, simplex(2)) == (True, "all steps check")
-    assert certificates.replay_report(trace, p) == (False, f"replay error: {refusal}")
+def test_a_facet_index_that_names_no_vertex_is_refused_at_construction(bad):
+    # A triangle whose last facet lists a vertex index past the end or
+    # below 0 is refused before its points are read, in code and from a
+    # file alike, so no facet list the engine reads names a non-vertex.
+    facets = ((0, 1), (1, 2), (2, bad))
+    with pytest.raises(InvalidInputError, match="^facet index out of range$"):
+        Polytope(2, simplex(2).vertices, facets)
+    data = polytope_to_dict(simplex(2))
+    data["facets"] = [list(f) for f in facets]
+    with pytest.raises(InvalidInputError, match="^facet index out of range$"):
+        polytope_from_dict(data)
 
 
 def test_int_plane_orientation():
@@ -299,9 +334,10 @@ def test_validate_accepts_catalogue_shapes():
 
 def test_validate_flags_tampered_facets():
     p = cube(3)
-    bad = Polytope(dim=3, vertices=p.vertices, facets=p.facets[:-1])
+    bad = unchecked(3, p.vertices, p.facets[:-1])
     rep = validate(bad)
     assert not rep.ok
+    assert constructor_refusal(bad) == "invalid polytope: " + "; ".join(rep.violations)
 
 
 def test_is_simple():
@@ -395,6 +431,44 @@ def test_facet_as_polytope_bad_index():
         facet_as_polytope(cube(3), 10)
 
 
+def test_a_facet_of_a_segment_is_refused():
+    # A facet of a segment is a point: no polytope, with no edge for the
+    # engine to read, so it is refused as the package's own error.
+    refusal = "^a facet of a segment is a point, not a polytope$"
+    for p in (segment(0, 1), Polytope.from_vertices(1, [(Fraction(1, 3),), (2,)])):
+        for k in range(len(p.facets)):
+            with pytest.raises(InvalidInputError, match=refusal):
+                facet_as_polytope(p, k)
+
+
+def test_every_polytope_made_without_the_check_passes_it(monkeypatch):
+    """`Polytope._of_ints` checks nothing, so each thing the package makes
+    through it must be a polytope `Polytope(...)` admits as it is, with
+    an edge: each facet of each catalogue entry, each pyramid
+    reduction's reduced polytope over the stack cases, the CLI's renamed
+    catalogue copy, and deep copies and pickles."""
+    from test_certificates import STACK_CASES
+
+    made = []
+    for e in catalogue_list():
+        p = e.build()
+        made += [copy.deepcopy(p), pickle.loads(pickle.dumps(p))]
+        made += [facet_as_polytope(p, k) for k in range(len(p.facets)) if p.dim >= 2]
+    for build in STACK_CASES.values():
+        p = build()
+        reduced = (certificates._stack_structure(p, u) for u in range(len(p)))
+        made += [r[0] for r in reduced if r is not None]
+    written = []
+    monkeypatch.setattr(cli, "_write_out", lambda p, out: written.append(p))
+    for e in catalogue_list():
+        assert cli.main(["catalogue", "export", e.name]) == 0
+    assert [q.name for q in written] == [e.name for e in catalogue_list()]
+    made += written
+    assert len(made) > 450
+    for q in made:
+        assert Polytope(q.dim, q.vertices, q.facets, q.name) == q and q.edges(), q.name
+
+
 def test_incidence_isomorphic_positive_and_negative():
     assert incidence_isomorphic(cube(3), translate(cube(3), (5, 5, 5)))
     assert incidence_isomorphic(delta(1, 2), prism_over(Polytope.from_vertices(2, [(0, 0), (3, 0), (0, 3)])))
@@ -440,21 +514,23 @@ def test_validate_matches_reference_on_broken_fractional_polytopes(case, scale):
     # is not its place once the list is sorted.
     facet, fault = BROKEN_FACETS[case]
     p = _scaled(cube(3), scale, (Fraction(1, 3), Fraction(-2, 7), 5))
-    bad = Polytope(3, p.vertices, p.facets + (facet,))
+    bad = unchecked(3, p.vertices, p.facets + (facet,))
     k = len(p.facets)
     assert f"facet {k} {fault}" in reference_validate(bad)
     violations = validate(bad).violations
     assert violations == [f"facet {k} {facet} is not a hull facet"]
     sorted_index = sorted(bad.facets).index(facet)
     assert sorted_index != k and f"facet {sorted_index} " not in violations[0]
+    assert constructor_refusal(bad) == f"invalid polytope: {violations[0]}"
 
 
 def with_edge_midpoint(p, u, v):
     """p plus the midpoint of edge (u, v), listed in every facet through
-    the edge: each facet still lists every point on its hyperplane."""
+    the edge, built with no check: each facet still lists every point on
+    its hyperplane."""
     mid = len(p.vertices)
     facets = tuple(f + (mid,) if u in f and v in f else f for f in p.facets)
-    return Polytope(p.dim, p.vertices + ((p.vertices[u] + p.vertices[v]) / 2,), facets)
+    return unchecked(p.dim, p.vertices + ((p.vertices[u] + p.vertices[v]) / 2,), facets)
 
 
 @pytest.mark.parametrize("scale", [1, Fraction(5, 3)])
@@ -465,6 +541,7 @@ def test_validate_names_a_non_extreme_point_in_listed_facets(scale):
     assert violations == reference_validate(p)
     assert len(violations) == 1
     assert violations[0].startswith("not vertices of the convex hull of the input: point 8 (")
+    assert constructor_refusal(p) == violations[0]
 
 
 @pytest.mark.parametrize("scale", [1, Fraction(5, 3)], ids=["integer", "fractional"])
@@ -477,10 +554,11 @@ def test_validate_names_a_missing_hull_facet(scale):
         base = e.build()
         p = _scaled(base, scale, [Fraction(rng.randint(-9, 9), 2) for _ in range(base.dim)])
         for k, missing in enumerate(p.facets):
-            q = Polytope(p.dim, p.vertices, p.facets[:k] + p.facets[k + 1:])
+            q = unchecked(p.dim, p.vertices, p.facets[:k] + p.facets[k + 1:])
             short += any(sum(1 for f in q.facets if v in f) < p.dim for v in missing)
             expected = f"hull facet {missing} is not listed"
             assert validate(q).violations == [expected], (e.name, k)
+            assert constructor_refusal(q) == f"invalid polytope: {expected}"
             data = polytope_to_dict(q)
             with pytest.raises(InvalidInputError, match=re.escape(expected)):
                 polytope_from_dict(data)
@@ -502,17 +580,21 @@ def test_validate_names_a_repeated_facet_index():
     p = cube(3)
     first = p.facets[0]
     doubled = first + (first[0],)
-    bad = Polytope(3, p.vertices, p.facets[1:] + (doubled,))
+    bad = unchecked(3, p.vertices, p.facets[1:] + (doubled,))
     assert reference_validate(bad)
     assert validate(bad).violations == [
         f"facet 5 {tuple(sorted(doubled))} is not a hull facet",
         f"hull facet {first} is not listed",
     ]
     assert sorted(bad.facets).index(doubled) == 0
-    twice = Polytope(3, p.vertices, p.facets[1:] + (first, first))
+    # The constructor, like the file reader, refuses the repeated index
+    # before it compares the list with the hull's.
+    assert constructor_refusal(bad) == f"facet lists vertex index {first[0]} more than once"
+    twice = unchecked(3, p.vertices, p.facets[1:] + (first, first))
     assert reference_validate(twice)
     assert validate(twice).violations == ["facet 6 repeats facet 5"]
     assert sorted(twice.facets).index(first) == 0
+    assert constructor_refusal(twice) == "invalid polytope: facet 6 repeats facet 5"
 
 
 def test_validate_accepts_unsorted_facet_tuples():
@@ -524,12 +606,14 @@ def test_validate_accepts_unsorted_facet_tuples():
             rng.shuffle(f)
             facets.append(tuple(f))
         rng.shuffle(facets)
-        assert validate(Polytope(p.dim, p.vertices, tuple(facets))).ok
+        assert validate(unchecked(p.dim, p.vertices, facets)).ok
+        # The constructor admits the list and keeps the hull's order.
+        assert Polytope(p.dim, p.vertices, tuple(facets), p.name) == p
 
 
 def _tampered(p, kind, rng):
     """One seeded tampering of p's facet list (or, for "swap", of two of
-    its points)."""
+    its points), built with no check."""
     n, d = len(p.vertices), p.dim
     facets = list(p.facets)
     k = rng.randrange(len(facets))
@@ -555,7 +639,7 @@ def _tampered(p, kind, rng):
         u, v = rng.sample(range(n), 2)
         verts = list(p.vertices)
         verts[u], verts[v] = verts[v], verts[u]
-        return Polytope(d, tuple(verts), p.facets)
+        return unchecked(d, verts, p.facets)
     elif kind == "range":
         facets[k] += (n,)
     elif kind == "index":
@@ -565,8 +649,8 @@ def _tampered(p, kind, rng):
         u = rng.randrange(n)
         listed = rng.random() < 0.5
         facets = [f + (n,) if listed and u in f else f for f in facets]
-        return Polytope(d, p.vertices + (p.vertices[u],), tuple(facets))
-    return Polytope(d, p.vertices, tuple(facets))
+        return unchecked(d, p.vertices + (p.vertices[u],), facets)
+    return unchecked(d, p.vertices, facets)
 
 
 TAMPERINGS = [
@@ -598,6 +682,9 @@ def test_validate_matches_reference_on_tampered_facet_lists():
                 bad = _tampered(q, kind, rng)
                 violations = validate(bad).violations
                 assert (not violations) == (not reference_validate(bad)), (p.name, scale, kind)
+                assert constructor_refusal(bad) == expected_refusal(bad, violations), (
+                    p.name, scale, kind
+                )
                 for line in violations:
                     assert NAMED_FAULT.fullmatch(line), (p.name, scale, kind, line)
                     seen.add(re.sub(r"\d+|\(.*\)", "#", line))
@@ -650,11 +737,12 @@ def test_validate_names_a_stray_point_before_a_missing_facet():
     # only when nothing else fired.
     p = with_edge_midpoint(cyclic(8, 4), 0, 1)
     k = next(i for i, f in enumerate(p.facets) if 8 not in f)
-    q = Polytope(4, p.vertices, p.facets[:k] + p.facets[k + 1:])
+    q = unchecked(4, p.vertices, p.facets[:k] + p.facets[k + 1:])
     violations = validate(q).violations
     assert violations == reference_validate(q)
     assert len(violations) == 1
     assert violations[0].startswith("not vertices of the convex hull of the input: point 8 (")
+    assert constructor_refusal(q) == violations[0]
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +912,8 @@ def test_equality_is_same_points_and_facets_however_the_polytope_was_made():
     facets = built.facets
     same = [
         Polytope(2, [Vec(v) for v in verts], facets, "t"),
+        # The constructor keeps the hull's facets in the hull's order.
+        Polytope(2, verts, facets[::-1], "t"),
         loads(dumps(built)),
         Polytope._of_ints(2, [(15, 0), (45, 0), (0, 20)], 30, facets, "t"),
     ]
@@ -833,10 +923,10 @@ def test_equality_is_same_points_and_facets_however_the_polytope_was_made():
         assert q.int_coords() == built.int_coords() and q.vertices == built.vertices
     moved = [(Fraction(1, 2), 0), (Fraction(3, 2), 0), (0, Fraction(1, 3))]
     different = [
-        Polytope(2, verts, facets[::-1], "t"),
+        unchecked(2, verts, facets[::-1], "t"),
         Polytope(2, verts, facets, "u"),
         Polytope(2, moved, facets, "t"),
-        Polytope(3, [(*v, 0) for v in verts], facets, "t"),
+        unchecked(3, [(*v, 0) for v in verts], facets, "t"),
     ]
     assert all(q != built for q in different)
     assert len(built) == 3
