@@ -47,7 +47,6 @@ from .errors import (
 from .fileio import dumps, loads, polytope_from_dict, polytope_to_dict, read_polytope, write_polytope
 from .graphs import (
     DecomposingFunction,
-    GeometricGraph,
     OracleResult,
     decomposing_space,
     oracle_verdict,
@@ -77,7 +76,6 @@ __all__ = [
     "DegenerateInputError",
     "EngineInconsistencyError",
     "FVector",
-    "GeometricGraph",
     "GuardExceededError",
     "InvalidInputError",
     "MinkdecompError",

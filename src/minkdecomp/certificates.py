@@ -1,6 +1,6 @@
 """The combinatorial certificate engine.
 
-Each rule is a small theorem about geometric graphs or polytopes; a rule
+Each rule is a small theorem about a polytope or its edge graph; a rule
 application is recorded as a step whose inputs are earlier steps or raw
 polytope data, so a finished derivation is an acyclic trace.  `replay`
 checks it against the polytope without trusting the search that found
@@ -11,7 +11,10 @@ The rules rest on facts about polytopes that they do not test: no three
 vertices are collinear, so a simple extension pins its new vertex, and
 the skeleton is connected, so equal edge scalars mean a homothety.
 Every `Polytope` is checked against its hull when it is made
-(`polytope`), and `skeleton` refuses a disconnected graph.
+(`polytope`), and `skeleton` refuses a disconnected graph: `analyze`,
+`_decide` and `replay` call it before any rule runs.  The rules take
+the polytope itself and read its cached edges, adjacency and integer
+coordinates; no rule takes a graph of its own.
 
 A `CertificateStep` is the only record of a rule application.  A graph
 step is the subgraph it certifies: the graph rules take earlier steps
@@ -52,7 +55,6 @@ from .errors import (
 )
 from .graphs import (
     DecomposingFunction,
-    GeometricGraph,
     OracleResult,
     Slide,
     _WITNESS_FAULT,
@@ -173,8 +175,8 @@ def render_steps(steps: Sequence[CertificateStep]) -> List[str]:
 # Graph rules
 
 
-def seed_edge(g: GeometricGraph, u: int, v: int) -> CertificateStep:
-    if v not in g.neighbors(u):
+def seed_edge(p: Polytope, u: int, v: int) -> CertificateStep:
+    if v not in p.neighbors(u):
         raise RuleNotApplicableError(f"seed ({u},{v}) is not a skeleton edge")
     e = edge_key(u, v)
     return _graph_step(
@@ -187,7 +189,7 @@ def seed_edge(g: GeometricGraph, u: int, v: int) -> CertificateStep:
 
 
 def simple_extension(
-    g: GeometricGraph,
+    p: Polytope,
     base: CertificateStep,
     w: int,
     witnesses: Optional[Tuple[int, int]] = None,
@@ -198,7 +200,7 @@ def simple_extension(
     is pinned by its two covered neighbours."""
     if w in base.vertices:
         raise RuleNotApplicableError(f"vertex {w} is already covered")
-    covered = [x for x in g.neighbors(w) if x in base.vertices]
+    covered = [x for x in p.neighbors(w) if x in base.vertices]
     if witnesses is None:
         if len(covered) < 2:
             raise RuleNotApplicableError(f"vertex {w} has fewer than two covered neighbors")
@@ -215,23 +217,24 @@ def simple_extension(
     )
 
 
-def simple_extension_closure(g: GeometricGraph, seed: Tuple[int, int]) -> CertificateStep:
+def simple_extension_closure(p: Polytope, seed: Tuple[int, int]) -> CertificateStep:
     """Grow from a seed edge until no vertex has two covered neighbors,
     absorbing the smallest eligible vertex first."""
-    cg = seed_edge(g, *seed)
-    outside = sorted(set(range(len(g.points))) - cg.vertices)
+    cg = seed_edge(p, *seed)
+    adj = p._adjacency()
+    outside = sorted(set(range(len(p))) - cg.vertices)
     while True:
         w = next(
             (
                 x
                 for x in outside
-                if sum(1 for y in g.neighbors(x) if y in cg.vertices) >= 2
+                if sum(1 for y in adj[x] if y in cg.vertices) >= 2
             ),
             None,
         )
         if w is None:
             return cg
-        cg = simple_extension(g, cg, w)
+        cg = simple_extension(p, cg, w)
         outside.remove(w)
 
 
@@ -273,16 +276,16 @@ def edge_replacement(
     )
 
 
-def independent_cycle(g: GeometricGraph, vs: Sequence[int]) -> CertificateStep:
-    """A cycle on affinely independent points, tested on the graph's
-    cached integer coordinates; the cycle edges need not belong to g and
-    are usually replaced away afterwards."""
+def independent_cycle(p: Polytope, vs: Sequence[int]) -> CertificateStep:
+    """A cycle on affinely independent points, tested on p's cached
+    integer coordinates; the cycle edges need not be edges of p and are
+    usually replaced away afterwards."""
     vs = tuple(vs)
     if len(vs) < 3 or len(set(vs)) != len(vs):
         raise RuleNotApplicableError("need at least three distinct cycle vertices")
-    if any(v not in range(len(g.points)) for v in vs):
+    if any(v not in range(len(p)) for v in vs):
         raise RuleNotApplicableError("cycle vertex missing from the graph")
-    xs = g.points
+    xs, _ = p.int_coords()
     if not affinely_independent([xs[v] for v in vs]):
         raise RuleNotApplicableError("cycle vertices are affinely dependent")
     edges = frozenset(edge_key(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
@@ -290,7 +293,7 @@ def independent_cycle(g: GeometricGraph, vs: Sequence[int]) -> CertificateStep:
 
 
 def cycle_gluing(
-    g: GeometricGraph, gs: Sequence[CertificateStep], vs: Sequence[int]
+    p: Polytope, gs: Sequence[CertificateStep], vs: Sequence[int]
 ) -> CertificateStep:
     """Glue certified graphs around an affinely independent cycle of
     connection vertices: vs[i] lies in gs[i] and gs[i-1].  Realized as an
@@ -309,7 +312,7 @@ def cycle_gluing(
             )
     if n == 2:
         return union_shared_pair(gs[0], gs[1])
-    out = independent_cycle(g, vs)
+    out = independent_cycle(p, vs)
     for i in range(n):
         # Both endpoints of cycle edge i lie in gs[i].
         out = edge_replacement(out, edge_key(vs[i], vs[(i + 1) % n]), gs[i])
@@ -320,15 +323,13 @@ def cycle_gluing(
 # Polytope-level rules
 
 
-def _covered(
-    p: Polytope, skel: GeometricGraph, step: CertificateStep, why: str
-) -> CertificateStep:
+def _covered(p: Polytope, step: CertificateStep, why: str) -> CertificateStep:
     """The coverage rule: a certified skeleton subgraph that touches
     every facet makes the polytope indecomposable, so its graph step is
     upgraded to that conclusion, with `why` as its note.  Refused unless
     the step's edges lie in the skeleton and its vertices meet every
     facet.  The search closes with it and replay re-applies it."""
-    if not step.edges.issubset(skel.edges):
+    if not step.edges.issubset(p.edges()):
         raise RuleNotApplicableError("certified graph is not a skeleton subgraph")
     if not touches_every_facet(step.vertices, p):
         raise RuleNotApplicableError("certified graph misses a facet")
@@ -368,12 +369,12 @@ def _independent_cycles(p: Polytope, max_len: int):
 
 
 def _cover_gaps(
-    p: Polytope, skel: GeometricGraph, c1: CertificateStep, c2: CertificateStep
+    p: Polytope, c1: CertificateStep, c2: CertificateStep
 ) -> Tuple[List[int], List[int]]:
     """The shared and the uncovered vertices of two certified graphs,
     ascending.  Refused unless both are skeleton subgraphs that share a
     vertex and together miss at most d-2 vertices."""
-    if not (c1.edges | c2.edges).issubset(skel.edges):
+    if not (c1.edges | c2.edges).issubset(p.edges()):
         raise RuleNotApplicableError("certified graph is not a skeleton subgraph")
     shared = sorted(c1.vertices & c2.vertices)
     if not shared:
@@ -387,12 +388,11 @@ def _cover_gaps(
 
 
 def _cover_step(
-    p: Polytope, skel: GeometricGraph,
-    c1: CertificateStep, c2: CertificateStep, glued: CertificateStep,
+    p: Polytope, c1: CertificateStep, c2: CertificateStep, glued: CertificateStep
 ) -> CertificateStep:
     """The TwoGraphCover step: c1 and c2 meet `_cover_gaps`, and `glued`,
     certified from them, reaches every vertex."""
-    _cover_gaps(p, skel, c1, c2)
+    _cover_gaps(p, c1, c2)
     if glued.vertices != set(range(len(p))):
         raise RuleNotApplicableError("the glued graph does not reach every vertex")
     return CertificateStep(
@@ -413,8 +413,7 @@ def two_graph_cover(
     glued (directly on two shared vertices, else through a connecting
     skeleton edge and a 3-cycle), the missing vertices are absorbed, and
     full coverage yields the verdict."""
-    skel = skeleton(p)
-    shared, missing = _cover_gaps(p, skel, c1, c2)
+    shared, missing = _cover_gaps(p, c1, c2)
     if len(shared) >= 2:
         glued = union_shared_pair(c1, c2)
     else:
@@ -422,7 +421,7 @@ def two_graph_cover(
         connecting = next(
             (
                 (a, b)
-                for a, b in skel.edges
+                for a, b in p.edges()
                 if (a in c1.vertices and a != v and b in c2.vertices and b != v)
                 or (b in c1.vertices and b != v and a in c2.vertices and a != v)
             ),
@@ -433,17 +432,17 @@ def two_graph_cover(
         a, b = connecting
         if a not in c1.vertices or a == v:
             a, b = b, a
-        bridge = seed_edge(skel, a, b)
-        glued = cycle_gluing(skel, (c1, bridge, c2), (v, a, b))
+        bridge = seed_edge(p, a, b)
+        glued = cycle_gluing(p, (c1, bridge, c2), (v, a, b))
     # Each uncovered vertex has at least two covered neighbors: its degree
     # is >= d and at most d-3 other vertices stay uncovered.
     for w in missing:
-        glued = simple_extension(skel, glued, w)
-    final = _cover_step(p, skel, c1, c2, glued)
+        glued = simple_extension(p, glued, w)
+    final = _cover_step(p, c1, c2, glued)
     return assemble_trace(final, INDECOMPOSABLE, "two-graph cover reaches every vertex")
 
 
-def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slide]:
+def _shephard_slide(p: Polytope, fi: int) -> Optional[Slide]:
     """The facet slide on one facet, decided and verified in integers:
     None unless every facet vertex has exactly one neighbor outside and
     at least two vertices lie outside, else the integer slide
@@ -468,14 +467,15 @@ def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slid
     if len(p) - len(members) < 2:
         return None
     fset = set(members)
+    adj = p._adjacency()
     out_nbr = {}
     for v in members:
-        others = [x for x in skel.neighbors(v) if x not in fset]
+        others = [x for x in adj[v] if x not in fset]
         if len(others) != 1:
             return None
         out_nbr[v] = others[0]
     outside = [w for w in range(len(p)) if w not in fset]
-    xs, mult = skel.points, skel.mult
+    xs, mult = p.int_coords()
     a, b = p.int_plane(fi)
     # How far each outside vertex lies below the facet: b - a.X_w > 0.
     gap = {w: -int_side(a, b, xs[w]) for w in outside}
@@ -487,7 +487,7 @@ def _shephard_slide(p: Polytope, skel: GeometricGraph, fi: int) -> Optional[Slid
         # Slide v along its outside edge down to the level alpha.
         k = den // gap[w] * drop
         fs[v] = tuple(cv * den + (cw - cv) * k for cv, cw in zip(xs[v], xs[w]))
-    ratios = _edge_ratios(skel.edges, xs, fs)
+    ratios = _edge_ratios(p.edges(), xs, fs)
     if _equal_ratios(ratios):
         raise EngineInconsistencyError("facet-slide witness degenerated to a homothety")
     return fs, den * mult, ratios
@@ -510,14 +510,13 @@ def shephard_facet(p: Polytope) -> Optional[Tuple[CertificateTrace, Slide]]:
     polytope other than a simplex, such as cyclic(n, 4) for n >= 6, every
     facet is refused by degree alone; there the slide runs only as the
     cross-check after an Indecomposable oracle verdict."""
-    skel = skeleton(p)
-    degree = [len(skel.neighbors(v)) for v in range(len(p))]
+    degree = list(map(len, p._adjacency()))
     for fi, members in enumerate(p.facets):
         size = len(members)
         if any(degree[v] > size for v in members):
             continue
         try:
-            step, slide = _shephard_rule(p, skel, fi)
+            step, slide = _shephard_rule(p, fi)
         except RuleNotApplicableError:
             continue
         why = f"facet {fi} slides to a proper summand"
@@ -525,9 +524,7 @@ def shephard_facet(p: Polytope) -> Optional[Tuple[CertificateTrace, Slide]]:
     return None
 
 
-def _shephard_rule(
-    p: Polytope, skel: GeometricGraph, fi: int
-) -> Tuple[CertificateStep, Slide]:
+def _shephard_rule(p: Polytope, fi: int) -> Tuple[CertificateStep, Slide]:
     """The ShephardFacet step on facet fi and its integer slide
     (`_shephard_slide`); refused unless the facet exists and meets the
     slide condition.  Replay calls it too, so it re-derives and
@@ -535,7 +532,7 @@ def _shephard_rule(
     `Fraction` and no `DecomposingFunction`."""
     if not 0 <= fi < len(p.facets):
         raise RuleNotApplicableError("facet does not exist as recorded")
-    slide = _shephard_slide(p, skel, fi)
+    slide = _shephard_slide(p, fi)
     if slide is None:
         raise RuleNotApplicableError("facet does not meet the slide condition")
     step = CertificateStep(
@@ -770,7 +767,6 @@ def _stages_search(p: Polytope) -> Optional[CertificateTrace]:
     facets grown from its edge.  The cycles are walked once: the first
     that the coverage rule (`_covered`) accepts closes the polytope, and
     the first CYCLE_FRAGMENT_LIMIT of them join the fragments."""
-    skel = skeleton(p)
     fragments: List[CertificateStep] = []
     seen: Set[Tuple[FrozenSet[int], FrozenSet[Tuple[int, int]]]] = set()
 
@@ -783,15 +779,15 @@ def _stages_search(p: Polytope) -> Optional[CertificateTrace]:
         return True
 
     def close(step: CertificateStep, why: str) -> CertificateTrace:
-        return assemble_trace(_covered(p, skel, step, why), INDECOMPOSABLE, why)
+        return assemble_trace(_covered(p, step, why), INDECOMPOSABLE, why)
 
-    for e in skel.edges:
-        step = simple_extension_closure(skel, e)
+    for e in p.edges():
+        step = simple_extension_closure(p, e)
         if add_fragment(step):
             with suppress(RuleNotApplicableError):
                 return close(step, "extension closure touches every facet")
     for k, vs in enumerate(_independent_cycles(p, p.dim + 1)):
-        step = independent_cycle(skel, vs)
+        step = independent_cycle(p, vs)
         with suppress(RuleNotApplicableError):
             return close(step, "cycle touches every facet")
         if k < CYCLE_FRAGMENT_LIMIT:
@@ -834,7 +830,7 @@ def _lift_witness(slide: Slide, red: CertificateStep, outer: Polytope) -> Slide:
     fs = {i: tuple(nq * c for c in f) for i, f in fs.items()}
     fs[apex] = tuple(m * a - c for a, c in zip(xs[apex], offset))
     try:
-        ratios = _edge_ratios(skeleton(outer).edges, xs, fs)
+        ratios = _edge_ratios(outer.edges(), xs, fs)
     except InvalidInputError as exc:
         raise EngineInconsistencyError(f"witness lift failed: {exc}") from exc
     return fs, nq * den, ratios
@@ -880,7 +876,10 @@ def _decide(p: Polytope) -> Tuple[OracleResult, Closed]:
     """The rank oracle's answer and the rule pipeline's, the graph search
     run only when the oracle said Indecomposable; a certificate the
     oracle contradicts raises EngineInconsistencyError.  It hands out no
-    witness, so a pyramid reduction decides its facet with it."""
+    witness, so a pyramid reduction decides its facet with it.  It calls
+    `skeleton` first, so a disconnected graph is refused before the
+    oracle or any rule runs."""
+    skeleton(p)
     o = oracle_verdict(p)
     closed = _certificate_pipeline(p, search=o.verdict == INDECOMPOSABLE)
     if closed is not None and closed[0].verdict != o.verdict:
@@ -918,6 +917,8 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
         raise InvalidInputError(f"unknown mode {mode!r}")
     fv = p.f_vector()
     notes = tuple(c.render() for c in count_rules(p.dim, fv.v, fv.e, fv.f))
+    # The connectivity check, in both modes, before the oracle or any rule.
+    skeleton(p)
     if mode == "oracle-only":
         o, closed = oracle_verdict(p), None
     else:
@@ -928,9 +929,8 @@ def analyze(p: Polytope, mode: str = "certificates-first") -> AnalysisReport:
     if slide is None:
         witness = o.witness
     else:
-        g = skeleton(p)
-        witness = _slide_witness(g.mult, slide)
-        if not witness.check(g) or _equal_ratios(slide[2]):
+        witness = _slide_witness(p.int_coords()[1], slide)
+        if not witness.check(p) or _equal_ratios(slide[2]):
             raise EngineInconsistencyError(_WITNESS_FAULT)
     closing = trace.steps[-1].rule
     method = "count-rule" if closing in ("SmilanskyCount", "LowVertexCount") else "certificate"
@@ -988,7 +988,7 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
     if not trace.steps:
         raise _ReplayFailure("empty trace")
     current = p
-    skel = skeleton(current)
+    skeleton(current)
     known: Set[int] = set()  # ids of the accepted graph steps
 
     def graph(x) -> CertificateStep:
@@ -1006,10 +1006,10 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
         try:
             if rule == "SimpleExtension" and inputs[0] == "seed":
                 _, (u, v) = inputs
-                again = seed_edge(skel, u, v)
+                again = seed_edge(current, u, v)
             elif rule == "SimpleExtension":
                 base, w, witnesses = inputs
-                again = simple_extension(skel, graph(base), w, witnesses)
+                again = simple_extension(current, graph(base), w, witnesses)
             elif rule == "UnionSharedPair":
                 c1, c2, pair = inputs
                 again = union_shared_pair(graph(c1), graph(c2), pair)
@@ -1018,12 +1018,12 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
                 again = edge_replacement(graph(h), e, graph(g))
             elif rule == "IndependentCycle":
                 (vs,) = inputs
-                again = independent_cycle(skel, vs)
+                again = independent_cycle(current, vs)
             elif rule == "TwoGraphCover":
                 c1, c2, glued = inputs
-                again = _cover_step(current, skel, graph(c1), graph(c2), graph(glued))
+                again = _cover_step(current, graph(c1), graph(c2), graph(glued))
             elif rule == "ShephardFacet":
-                again, _ = _shephard_rule(current, skel, inputs[0])
+                again, _ = _shephard_rule(current, inputs[0])
             elif rule == "PyramidApex":
                 again = _apex_step(current, inputs[0])
             elif rule == "PyramidReduction":
@@ -1043,7 +1043,7 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
                     raise RuleNotApplicableError("recorded counts disagree with the polytope")
             graph_step = again.conclusion == GRAPH_INDECOMPOSABLE
             if graph_step and step.conclusion == POLYTOPE_INDECOMPOSABLE:
-                again = _covered(current, skel, again, step.note)
+                again = _covered(current, again, step.note)
         except RuleNotApplicableError as exc:
             _fail(k, step, str(exc))
         if (rule, inputs) != (again.rule, again.inputs):
@@ -1053,8 +1053,10 @@ def _replay_checked(trace: CertificateTrace, p: Polytope) -> None:
         if step.conclusion != again.conclusion:
             _fail(k, step, "conclusion disagrees with the rule")
         if rule == "PyramidReduction":
-            # Later steps speak about the reduced polytope.
-            current, skel, known = reduced, skeleton(reduced), set()
+            # Later steps speak about the reduced polytope, whose skeleton
+            # is checked as p's was.
+            current, known = reduced, set()
+            skeleton(current)
         elif graph_step:
             known.add(id(step))
     if _VERDICTS.get(trace.steps[-1].conclusion) != trace.verdict:

@@ -1,22 +1,22 @@
-"""Geometric graphs and the decomposing-function oracle.
+"""A polytope's edge graph and the decomposing-function oracle.
 
-A geometric graph carries coordinates on its vertices; a decomposing
-function maps each vertex somewhere such that every edge's image
-difference is a scalar multiple of the edge direction.  The space of
-decomposing functions always contains the homotheties x -> a*x + b; a
-connected, affinely spanning graph is indecomposable exactly when there
-is nothing else, i.e. when the space has dimension d + 1.
+A decomposing function maps each vertex of a polytope somewhere such that
+every edge's image difference is a scalar multiple of the edge
+direction.  The space of decomposing functions always contains the
+homotheties x -> a*x + b; a connected, affinely spanning graph is
+indecomposable exactly when there is nothing else, i.e. when the space
+has dimension d + 1.
 
-Every graph is a polytope's edge graph, and `skeleton` is the only place
-one is built.  It takes the polytope's cached edges, adjacency and
-integer coordinates as they are: every polytope is checked when it is
-made (`polytope.Polytope`), so its vertices are distinct, no three are
-collinear and it has an edge.  It still refuses a disconnected graph,
-the premise of the homothety test, as every polytope's skeleton is
-connected (Balinski 1961).  So every graph has one component, and one
-BFS tree from vertex 0 (`_bfs_tree`), the walk that checked the
-connectivity: the oracle's system and every sum of images read that one
-tree, so a skeleton is walked once.
+The graph is the polytope itself: its cached edges (`Polytope.edges`),
+adjacency and integer coordinates (`Polytope.int_coords`), read as they
+are, since every polytope is checked when it is made (`polytope.Polytope`),
+so its vertices are distinct, no three are collinear and it has an edge.
+What the graph adds is one BFS tree from vertex 0, `skeleton`, walked
+once per polytope and cached on it.  That walk is the connectivity
+check, the premise of the homothety test: every polytope's skeleton is
+connected (Balinski 1961), and a graph the walk does not span is
+refused.  The oracle's system and every sum of images read that one
+tree.
 
 The space is computed through the edge scalars (Kallay 1982): an
 edge-scalar assignment extends to a decomposing function iff it sums to
@@ -48,9 +48,8 @@ contraction.
 
 The whole computation runs over integers: over the polytope's own
 integer points, its vertices cleared to one common denominator
-(`Polytope.int_coords`), which the skeleton holds in place of rational
-coordinates; the scaling multiplies every cycle equation by the same
-factor and so keeps its kernel.  The cycle rows are built as integer
+(`Polytope.int_coords`); the scaling multiplies every cycle equation by
+the same factor and so keeps its kernel.  The cycle rows are built as integer
 lists and reduced without fractions, the kernel vectors and edge rows
 stay integer, and so do the images summed along the tree and the
 package's only homothety fit (`_homothety_fit`, which the oracle's
@@ -73,7 +72,7 @@ built only when the witness is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -94,33 +93,9 @@ def edge_key(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-# A BFS spanning tree: its parent map, its vertices in BFS order and the
-# graph's edges.
-Tree = Tuple[Dict[int, Optional[int]], List[int], Tuple[Tuple[int, int], ...]]
-
-
-@dataclass(frozen=True)
-class GeometricGraph:
-    """A polytope's edge graph, as `skeleton` builds it: the vertices as
-    the polytope's integer points X = mult * x, by index, mult, and the
-    undirected edges as sorted (u, v) pairs with u < v.
-
-    The adjacency (each vertex's neighbours, ascending) is the polytope's
-    cached one, and the BFS tree is the one `skeleton` walked; neither
-    takes part in comparisons."""
-
-    dim: int
-    points: List[Tuple[int, ...]] = field(repr=False)
-    mult: int
-    edges: Tuple[Tuple[int, int], ...]
-    _adjacency: Tuple[Tuple[int, ...], ...] = field(repr=False, compare=False)
-    _tree: Tree = field(repr=False, compare=False)
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        """The vertices adjacent to v, ascending; none for an index that
-        names no vertex, -1 included."""
-        adj = self._adjacency
-        return adj[v] if 0 <= v < len(adj) else ()
+# A BFS spanning tree from vertex 0: its parent map and its vertices in
+# BFS order.
+Tree = Tuple[Dict[int, Optional[int]], List[int]]
 
 
 class DecomposingFunction:
@@ -172,13 +147,13 @@ class DecomposingFunction:
     def __repr__(self) -> str:
         return f"DecomposingFunction(images={self.images!r}, edge_scalars={self.edge_scalars!r})"
 
-    def check(self, g: GeometricGraph) -> bool:
-        """Whether the images decompose g with exactly the recorded edge
-        scalars: the same answer as deriving each edge's scalar afresh and
-        comparing the two dicts.
+    def check(self, p: Polytope) -> bool:
+        """Whether the images decompose p's edge graph with exactly the
+        recorded edge scalars: the same answer as deriving each edge's
+        scalar afresh and comparing the two dicts.
 
         Every vertex needs an image with one coordinate per dimension, and
-        the scalars must be keyed by exactly g's edges.  The check runs in
+        the scalars must be keyed by exactly p's edges.  The check runs in
         integers, on a slide's own images F = D * f, or on the `Fraction`
         images cleared to them (`linalg.as_int_coords`): every edge is
         verified by `_edge_ratios`, and each recorded scalar is compared
@@ -191,17 +166,18 @@ class DecomposingFunction:
             images, scalars = self._images, self._scalars
         else:
             slide_mult, (images, den, scalars) = slide
-        vids = range(len(g.points))
-        if len(scalars) != len(g.edges):
+        vids = range(len(p))
+        edges = p.edges()
+        if len(scalars) != len(edges):
             return False
         for v in vids:
-            if v not in images or len(images[v]) != g.dim:
+            if v not in images or len(images[v]) != p.dim:
                 return False
         if slide is None:
             images, den = as_int_coords(images[v] for v in vids)
-        mult = g.mult
+        xs, mult = p.int_coords()
         try:
-            ratios = _edge_ratios(g.edges, g.points, images)
+            ratios = _edge_ratios(edges, xs, images)
         except InvalidInputError:
             return False
         for e, (fj, xj) in ratios.items():
@@ -272,38 +248,36 @@ def _slide_witness(mult: int, slide: Slide) -> DecomposingFunction:
     return DecomposingFunction(None, None, _slide=(mult, slide))
 
 
-def skeleton(p: Polytope) -> GeometricGraph:
-    """The edge graph of p, built once per polytope (`_build_skeleton`).
+def skeleton(p: Polytope) -> Tree:
+    """The BFS tree of p's edge graph from vertex 0 (`_bfs_tree`), walked
+    once per polytope and cached on it: its parent map and its vertices
+    in BFS order.
 
-    Its edges, adjacency and integer view are the polytope's cached ones
-    (`Polytope.edges`, `Polytope._adjacency`, `Polytope.int_coords`),
-    taken as they are: the edges are derived sorted, with u < v and no
-    repeats.  A disconnected graph, which only a polytope built through
-    the unchecked `Polytope._of_ints` can have, is refused with
-    InvalidInputError.  The BFS tree that the connectivity check walked
-    is kept for the oracle.  `analyze`, `_decide` and `replay` build the
-    skeleton before any rule or the oracle runs."""
-    return p._derived("skeleton", lambda: _build_skeleton(p))
+    It is the connectivity check.  A graph the walk does not span, which
+    only a polytope built through the unchecked `Polytope._of_ints` can
+    have, is refused with InvalidInputError naming the first vertex the
+    walk did not reach.  `analyze` (in both modes), `_decide`, `replay`,
+    `oracle_verdict` and `decomposing_space` call it before any rule or
+    the oracle runs, and the oracle's system and its sums of images read
+    the tree it returns."""
 
+    def walk() -> Tree:
+        adjacency = p._adjacency()
+        tree = parent, order = _bfs_tree(adjacency)
+        if len(order) != len(adjacency):
+            missed = next(v for v in range(len(adjacency)) if v not in parent)
+            raise InvalidInputError(
+                f"skeleton is disconnected: vertex {missed} is not reached from vertex 0"
+            )
+        return tree
 
-def _build_skeleton(p: Polytope) -> GeometricGraph:
-    xs, mult = p.int_coords()
-    edges = p.edges()
-    adjacency = p._adjacency()
-    n = len(adjacency)
-    tree = parent, order, _ = _bfs_tree(adjacency, edges)
-    if len(order) != n:
-        missed = next(v for v in range(n) if v not in parent)
-        raise InvalidInputError(
-            f"skeleton is disconnected: vertex {missed} is not reached from vertex 0"
-        )
-    return GeometricGraph(p.dim, xs, mult, edges, adjacency, tree)
+    return p._derived("skeleton", walk)
 
 
-def _bfs_tree(adjacency: Sequence[Sequence[int]], edges: Tuple[Tuple[int, int], ...]) -> Tree:
+def _bfs_tree(adjacency: Sequence[Sequence[int]]) -> Tree:
     """The BFS tree from vertex 0 over the sorted adjacency: its parent
-    map, the vertices it reaches in BFS order and the edges.  It spans
-    the graph exactly when the graph is connected."""
+    map and the vertices it reaches in BFS order.  It spans the graph
+    exactly when the graph is connected."""
     parent: Dict[int, Optional[int]] = {0: None}
     order = [0]
     # The order grows behind the walk, so it is the walk's queue.
@@ -312,11 +286,11 @@ def _bfs_tree(adjacency: Sequence[Sequence[int]], edges: Tuple[Tuple[int, int], 
             if y not in parent:
                 parent[y] = x
                 order.append(y)
-    return parent, order, edges
+    return parent, order
 
 
-def triangle_classes(g: GeometricGraph) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Column of each edge of g in the contracted cycle system, and the
+def triangle_classes(p: Polytope) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Column of each edge of p in the contracted cycle system, and the
     number of columns.
 
     A 3-cycle u, v, w forces one scalar on its three edges: its cycle
@@ -327,13 +301,13 @@ def triangle_classes(g: GeometricGraph) -> Tuple[Dict[Tuple[int, int], int], int
     of the union-find closure of these 3-cycles, whether or not they are
     2-faces.  Classes are numbered by their first edge in edges order.
 
-    The 3-cycles over each edge (u, v) are read off the skeleton's cached
+    The 3-cycles over each edge (u, v) are read off p's cached
     adjacency: each neighbour w > v of u that is joined to v, found by
     its edge's index.  The union-find stops once one class is left, as
     no further 3-cycle can change the answer: every edge then has column
     0.
     """
-    edges, adjacency = g.edges, g._adjacency
+    edges, adjacency = p.edges(), p._adjacency()
     index = {e: i for i, e in enumerate(edges)}
     root = list(range(len(edges)))
     left = len(edges)
@@ -365,12 +339,10 @@ def triangle_classes(g: GeometricGraph) -> Tuple[Dict[Tuple[int, int], int], int
     return col_of, len(number)
 
 
-def cycle_rows(
-    xs: Sequence[Sequence[int]], tree: Tree, col_of: Dict[Tuple[int, int], int], ncols: int
-) -> List[List[int]]:
+def cycle_rows(p: Polytope, col_of: Dict[Tuple[int, int], int], ncols: int) -> List[List[int]]:
     """The rows of an integer system with the solutions of Kallay's, over
-    coordinates xs and a BFS tree, one column per class of the
-    edge-to-column map col_of (ncols columns).
+    p's integer coordinates and its BFS tree (`skeleton`), one column per
+    class of the edge-to-column map col_of (ncols columns).
 
     Each class must be a connected set of edges, as every triangle class
     and every single edge is.  A decomposing function then moves the
@@ -394,11 +366,12 @@ def cycle_rows(
     unchanged: each distinct row is kept once, in order of first
     appearance.
     """
-    parent, order, edges = tree
+    xs, _ = p.int_coords()
+    parent, order = skeleton(p)
     root = order[0]
     d = len(xs[root])
     classes: List[Set[int]] = [set() for _ in xs]
-    for e in edges:
+    for e in p.edges():
         c = col_of[e]
         classes[e[0]].add(c)
         classes[e[1]].add(c)
@@ -430,9 +403,9 @@ def cycle_rows(
     return list(rows.values())
 
 
-def _cycle_kernel(g: GeometricGraph) -> Tuple[List[int], List[List[int]]]:
+def _cycle_kernel(p: Polytope) -> Tuple[List[int], List[List[int]]]:
     """The integer core of the decomposing space: the column of each of
-    g's edges in the contracted cycle system (`triangle_classes`) and
+    p's edges in the contracted cycle system (`triangle_classes`) and
     that system's integer kernel basis (`linalg.int_kernel_basis`), over
     the tree `skeleton` walked.  The space has dimension d plus the
     number of kernel vectors.
@@ -446,13 +419,12 @@ def _cycle_kernel(g: GeometricGraph) -> Tuple[List[int], List[List[int]]]:
     basis is the unique one the row space determines, the same as that
     of Kallay's system over the fundamental cycles, which has the same
     solutions."""
-    xs = g.points
-    col_of, k = triangle_classes(g)
+    col_of, k = triangle_classes(p)
     if k == 1:
         kernel = [[1]]
     else:
-        _, kernel = int_kernel_basis(cycle_rows(xs, g._tree, col_of, k), k)
-    return [col_of[e] for e in g.edges], kernel
+        _, kernel = int_kernel_basis(cycle_rows(p, col_of, k), k)
+    return [col_of[e] for e in p.edges()], kernel
 
 
 def _edge_rows(
@@ -479,14 +451,13 @@ def _edge_rows(
     return [(row[::-1], row[p]) for p, row in reversed(list(zip(pivots, reduced)))]
 
 
-def _tree_sums(
-    xs: Sequence[Sequence[int]], tree: Tree, lam: Sequence[int]
-) -> List[Tuple[int, ...]]:
-    """Images under the edge scalars lam (in edge order), times their
-    common denominator, by vertex index, summed in integers along the
-    BFS tree from the root, which maps to the origin."""
-    parent, order, edges = tree
-    lam_of = dict(zip(edges, lam))
+def _tree_sums(p: Polytope, lam: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Images under the edge scalars lam (in p's edge order), times their
+    common denominator, by vertex index, summed in integers along p's BFS
+    tree (`skeleton`) from vertex 0, which maps to the origin."""
+    xs, _ = p.int_coords()
+    parent, order = skeleton(p)
+    lam_of = dict(zip(p.edges(), lam))
     # The tree spans the graph, so every entry is overwritten but the root's.
     sums = [(0,) * len(xs[order[0]])] * len(xs)
     for v in order[1:]:
@@ -496,9 +467,9 @@ def _tree_sums(
     return sums
 
 
-def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]]:
-    """Dimension and a basis of the space of decomposing functions on the
-    skeleton g.
+def decomposing_space(p: Polytope) -> Tuple[int, List[DecomposingFunction]]:
+    """Dimension and a basis of the space of decomposing functions on p's
+    edge graph, which must be connected (`skeleton`).
 
     d translations, then one function per kernel vector of the integer
     cycle system (`cycle_rows`).  The system is built over the triangle
@@ -515,33 +486,35 @@ def decomposing_space(g: GeometricGraph) -> Tuple[int, List[DecomposingFunction]
     along the BFS tree from vertex 0, which maps to the origin, over
     D = den * mult, with ratio (lam_e, 1), the scalar lam_e / den, on edge e.
     """
-    d = g.dim
-    cols, kernel = _cycle_kernel(g)
-    xs, mult = g.points, g.mult
-    zero = dict.fromkeys(g.edges, (0, 1))
+    skeleton(p)
+    d = p.dim
+    cols, kernel = _cycle_kernel(p)
+    xs, mult = p.int_coords()
+    edges = p.edges()
+    zero = dict.fromkeys(edges, (0, 1))
     basis = []
     for j in range(d):
         shift = tuple(int(k == j) for k in range(d))
         basis.append(_slide_witness(mult, (dict.fromkeys(range(len(xs)), shift), 1, zero)))
     for lam, den in _edge_rows(cols, kernel):
-        sums = _tree_sums(xs, g._tree, lam)
-        ratios = {e: (x, 1) for e, x in zip(g.edges, lam)}
+        sums = _tree_sums(p, lam)
+        ratios = {e: (x, 1) for e, x in zip(edges, lam)}
         basis.append(_slide_witness(mult, (dict(enumerate(sums)), den * mult, ratios)))
     return d + len(kernel), basis
 
 
-def homothety_residue(g: GeometricGraph, f: DecomposingFunction) -> DecomposingFunction:
+def homothety_residue(p: Polytope, f: DecomposingFunction) -> DecomposingFunction:
     """Subtract the least-squares homothety fit; zero residue iff f is one
-    (`_residue` over the skeleton's integer points and f's integer
-    images: a slide's own images and denominator, read as they are, or
-    the `Fraction` images cleared)."""
-    vids = range(len(g.points))
+    (`_residue` over p's integer points and f's integer images: a
+    slide's own images and denominator, read as they are, or the
+    `Fraction` images cleared)."""
+    vids = range(len(p))
     if f._slide is None:
         fs, den = as_int_coords(f.images[v] for v in vids)
     else:
         _, (images, den, _) = f._slide
         fs = [images[v] for v in vids]
-    return _slide_witness(g.mult, _residue(g, fs, den))
+    return _slide_witness(p.int_coords()[1], _residue(p, fs, den))
 
 
 def _homothety_fit(
@@ -568,8 +541,8 @@ def _homothety_fit(
     return n * q, n * num, [num * a - q * b for a, b in zip(sum_x, sum_f)]
 
 
-def _residue(g: GeometricGraph, fs: Sequence[Sequence[int]], den: int) -> Slide:
-    """The homothety residue of the images fs/den over g's vertices, both
+def _residue(p: Polytope, fs: Sequence[Sequence[int]], den: int) -> Slide:
+    """The homothety residue of the images fs/den over p's vertices, both
     listed by vertex index, as an integer slide.
 
     With the vertices cleared to X = mult*x and the images to F = den*f,
@@ -577,13 +550,13 @@ def _residue(g: GeometricGraph, fs: Sequence[Sequence[int]], den: int) -> Slide:
     is the integer nq*F - m*X + offset, a slide over nq*den whose edges
     `_edge_ratios` verifies.  The residue is linear in F, so any common
     scaling of fs and den gives the same rationals."""
-    xs = g.points
+    xs, _ = p.int_coords()
     nq, m, offset = _homothety_fit(xs, fs)
     res = {
         v: tuple(nq * b - m * a + c for a, b, c in zip(x, y, offset))
         for v, (x, y) in enumerate(zip(xs, fs))
     }
-    return res, nq * den, _edge_ratios(g.edges, xs, res)
+    return res, nq * den, _edge_ratios(p.edges(), xs, res)
 
 
 class _PendingWitness:
@@ -649,21 +622,22 @@ def oracle_verdict(p: Polytope) -> OracleResult:
     fails an edge (`_edge_ratios`) or whose edge scalars are all equal
     (`_equal_ratios`) raises EngineInconsistencyError.
     """
-    g = skeleton(p)
-    cols, kernel = _cycle_kernel(g)
+    skeleton(p)
+    cols, kernel = _cycle_kernel(p)
     dim = p.dim + len(kernel)
     if len(kernel) == 1:
         return OracleResult("Indecomposable", dim, None)
     lam, den = _edge_rows(cols, kernel)[0]
 
     def fit() -> DecomposingFunction:
+        _, mult = p.int_coords()
         try:
-            slide = _residue(g, _tree_sums(g.points, g._tree, lam), den * g.mult)
+            slide = _residue(p, _tree_sums(p, lam), den * mult)
         except InvalidInputError as exc:
             raise EngineInconsistencyError(f"{_WITNESS_FAULT}: {exc}") from exc
         if _equal_ratios(slide[2]):
             raise EngineInconsistencyError(f"{_WITNESS_FAULT}: it is a homothety")
-        return _slide_witness(g.mult, slide)
+        return _slide_witness(mult, slide)
 
     return OracleResult("Decomposable", dim, _PendingWitness(fit))
 

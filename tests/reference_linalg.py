@@ -87,9 +87,7 @@ incidence isomorphism by backtracking), `simple_vertex_spectrum_below_3d`
 (the vertex counts of simple d-polytopes below 3d vertices), `is_simple`
 (every vertex has degree d),
 `is_homothety` (the homothety residue of `graphs.homothety_residue` is
-zero), `is_zero`, `vertex_degree`, `translate` and `graph_vertices` (a
-skeleton's rational vertices, which the library's skeleton does not
-keep).
+zero), `is_zero`, `vertex_degree` and `translate`.
 """
 
 from fractions import Fraction
@@ -102,7 +100,6 @@ from minkdecomp.counts import count_rules
 from minkdecomp.errors import EngineInconsistencyError, InvalidInputError, RuleNotApplicableError
 from minkdecomp.graphs import (
     DecomposingFunction,
-    GeometricGraph,
     edge_key,
     homothety_residue,
     skeleton,
@@ -515,10 +512,9 @@ def reference_int_collinear(p: Sequence[int], q: Sequence[int], r: Sequence[int]
 def reference_shephard_facet(p: Polytope):
     """`certificates.shephard_facet` trying `_shephard_rule` on every
     facet, with no degree pretest."""
-    skel = skeleton(p)
     for fi in range(len(p.facets)):
         try:
-            step, slide = certificates._shephard_rule(p, skel, fi)
+            step, slide = certificates._shephard_rule(p, fi)
         except RuleNotApplicableError:
             continue
         why = f"facet {fi} slides to a proper summand"
@@ -526,14 +522,16 @@ def reference_shephard_facet(p: Polytope):
     return None
 
 
-def reference_cycle_rows(xs, tree, col_of, ncols):
+def reference_cycle_rows(p: Polytope, col_of, ncols):
     """`graphs.cycle_rows` as it was before it wrote one block per
     (vertex, class) incidence and dropped repeated rows: d rows per
-    non-tree edge, the scalar-weighted edge directions summed around its
-    fundamental cycle (path(u) - path(v) + x_v - x_u over the BFS tree,
-    whose edges it reads off the parent map), all-zero rows dropped and
-    every other row kept, repeats included."""
-    parent, order, comp_edges = tree
+    non-tree edge of p, the scalar-weighted edge directions summed around
+    its fundamental cycle (path(u) - path(v) + x_v - x_u over p's BFS
+    tree, whose edges it reads off the parent map) on p's integer
+    coordinates, all-zero rows dropped and every other row kept, repeats
+    included."""
+    xs, _ = p.int_coords()
+    parent, order = skeleton(p)
     tree_edges = {edge_key(v, parent[v]) for v in order[1:]}
     d = len(xs[order[0]])
     path = {order[0]: [[0] * ncols for _ in range(d)]}
@@ -544,7 +542,7 @@ def reference_cycle_rows(xs, tree, col_of, ncols):
         for row, xu, xv in zip(block, xs[u], xs[v]):
             row[k] += xv - xu
     rows = []
-    for e in comp_edges:
+    for e in p.edges():
         if e in tree_edges:
             continue
         u, v = e
@@ -561,9 +559,8 @@ def reference_independent_cycles(p: Polytope, max_len: int):
     """Skeleton cycles with affinely independent vertices, emitted in
     depth-first lexicographic order; each extension re-tests the whole
     prefix's `Fraction` coordinates."""
-    skel = skeleton(p)
     n = len(p.vertices)
-    adj = {v: set(skel.neighbors(v)) for v in range(n)}
+    adj = {v: set(p.neighbors(v)) for v in range(n)}
     coords = p.vertices
 
     def extend(path: List[int], pts: List):
@@ -625,8 +622,8 @@ def _reference_replay_checked(trace, p: Polytope) -> None:
     if not trace.steps:
         raise _ReplayFailure("empty trace")
     current = p
-    skel = skeleton(current)
-    skel_edges = set(skel.edges)
+    skeleton(current)
+    skel_edges = set(current.edges())
     known = {}
 
     def resolve(k, step, x):
@@ -717,7 +714,7 @@ def _reference_replay_checked(trace, p: Polytope) -> None:
             fi, members = step.inputs
             if not 0 <= fi < len(current.facets) or tuple(current.facets[fi]) != tuple(members):
                 fail(k, step, "facet does not exist as recorded")
-            if certificates._shephard_slide(current, skel, fi) is None:
+            if certificates._shephard_slide(current, fi) is None:
                 fail(k, step, "facet does not meet the slide condition")
         elif step.rule == "PyramidApex":
             u, base_fi = step.inputs
@@ -766,8 +763,8 @@ def _reference_replay_checked(trace, p: Polytope) -> None:
                 fail(k, step, f"base facet certificate fails: {why}")
             # Later steps speak about the reduced polytope.
             current = reduced
-            skel = skeleton(current)
-            skel_edges = set(skel.edges)
+            skeleton(current)
+            skel_edges = set(current.edges())
             known = {}
             continue
         else:
@@ -898,26 +895,21 @@ def naive_dimension(vertices, edges):
     return len(basis)
 
 
-def graph_vertices(g: GeometricGraph) -> Tuple[Vec, ...]:
-    """The rational vertices x = X / mult of a skeleton's integer points."""
-    return tuple(fraction_vec(x, g.mult) for x in g.points)
-
-
-def reference_from_images(g: GeometricGraph, images) -> DecomposingFunction:
+def reference_from_images(p: Polytope, images) -> DecomposingFunction:
     """The decomposing function with the given images, each edge's scalar
     derived in `Fraction`s from its first nonzero coordinate and checked
     on every other; InvalidInputError when an image is missing or of the
     wrong length, or an edge does not decompose."""
-    for v in range(len(g.points)):
+    for v in range(len(p)):
         if v not in images:
             raise InvalidInputError(f"no image for vertex {v}")
-        if len(images[v]) != g.dim:
+        if len(images[v]) != p.dim:
             raise InvalidInputError(
-                f"image of vertex {v} has {len(images[v])} coordinates, not {g.dim}"
+                f"image of vertex {v} has {len(images[v])} coordinates, not {p.dim}"
             )
     scalars = {}
-    for u, v in g.edges:
-        dx = [a - b for a, b in zip(*(graph_vertices(g)[i] for i in (u, v)))]
+    for u, v in p.edges():
+        dx = [a - b for a, b in zip(p.vertices[u], p.vertices[v])]
         df = [Fraction(a) - b for a, b in zip(images[u], images[v])]
         j = next(k for k, c in enumerate(dx) if c)
         s = df[j] / dx[j]
@@ -927,13 +919,13 @@ def reference_from_images(g: GeometricGraph, images) -> DecomposingFunction:
     return DecomposingFunction(images, scalars)
 
 
-def reference_check(f: DecomposingFunction, g: GeometricGraph) -> bool:
-    """Whether f decomposes g with its recorded edge scalars, by deriving
+def reference_check(f: DecomposingFunction, p: Polytope) -> bool:
+    """Whether f decomposes p's edge graph with its recorded edge scalars, by deriving
     the scalars afresh (`reference_from_images`) and comparing the two
     dicts; `DecomposingFunction.check`, which decides the same in
     integers by cross-multiplication, must give the same answer."""
     try:
-        derived = reference_from_images(g, f.images)
+        derived = reference_from_images(p, f.images)
     except InvalidInputError:
         return False
     return derived.edge_scalars == f.edge_scalars
@@ -975,13 +967,13 @@ def reference_lift_witness(w: DecomposingFunction, red, outer: Polytope) -> Deco
     images = {i + (1 if i >= apex else 0): img for i, img in w.images.items()}
     images[apex] = outer.vertices[apex] * alpha + c
     try:
-        return reference_from_images(skeleton(outer), images)
+        return reference_from_images(outer, images)
     except InvalidInputError as exc:
         raise EngineInconsistencyError(f"witness lift failed: {exc}") from exc
 
 
-def is_homothety(g: GeometricGraph, f: DecomposingFunction) -> bool:
-    residue = homothety_residue(g, f)
+def is_homothety(p: Polytope, f: DecomposingFunction) -> bool:
+    residue = homothety_residue(p, f)
     return all(is_zero(img) for img in residue.images.values())
 
 

@@ -27,7 +27,6 @@ from minkdecomp.graphs import (
     _slide_witness,
     decomposing_space,
     oracle_verdict,
-    skeleton,
 )
 from minkdecomp.linalg import Vec
 from minkdecomp.polytope import (
@@ -36,7 +35,6 @@ from minkdecomp.polytope import (
 )
 
 from reference_linalg import (
-    graph_vertices,
     incidence_isomorphic,
     is_homothety,
     is_simple,
@@ -181,9 +179,8 @@ def test_criterion_07_facet_slide_witnesses(entries):
         fired += 1
         _, slide = out
         witness = _slide_witness(p.int_coords()[1], slide)
-        g = skeleton(p)
-        assert witness.check(g), e.name
-        assert not is_homothety(g, witness), e.name
+        assert witness.check(p), e.name
+        assert not is_homothety(p, witness), e.name
     assert fired >= 10
     ok(7, f"facet slide fired on {fired} decomposable entries, never on indecomposable")
 
@@ -225,16 +222,16 @@ def test_criterion_09a_oracle_affine_invariance(entries):
 
 def test_criterion_09b_edge_monotone_dimension(entries):
     rng = random.Random(SEED + 1)
-    skels = [(e.name, skeleton(p)) for e, p in entries]
     checked = 0
     while checked < 100:
-        name, g = skels[rng.randrange(len(skels))]
-        sub = tuple(e for e in g.edges if rng.random() < 0.6)
+        e, p = entries[rng.randrange(len(entries))]
+        name = e.name
+        sub = tuple(edge for edge in p.edges() if rng.random() < 0.6)
         if not sub:
             continue
         # A random subgraph is no skeleton: the naive system gives its
         # dimension, which counts d per connected component.
-        assert naive_dimension(graph_vertices(g), sub) >= decomposing_space(g)[0], name
+        assert naive_dimension(p.vertices, sub) >= decomposing_space(p)[0], name
         checked += 1
     ok("9b", "decomposing-space dimension grew or held on 100 random subgraphs")
 

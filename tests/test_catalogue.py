@@ -1,17 +1,18 @@
 """The worked-example catalogue: builds, expected counts, verdicts."""
 
 import dataclasses
+import re
 
 import pytest
 
-from minkdecomp import catalogue
+from minkdecomp import catalogue, hull
 from minkdecomp.catalogue import (
     catalogue_entry,
     catalogue_list,
     catalogue_verify,
 )
 from minkdecomp.certificates import analyze
-from minkdecomp.graphs import skeleton
+from minkdecomp.errors import InvalidInputError
 
 from reference_linalg import incidence_isomorphic
 
@@ -46,6 +47,35 @@ def test_catalogue_verify_render_lines():
 def test_dims_filter():
     report = catalogue_verify(dims={2})
     assert {r.name for r in report.results} == {"triangle", "square"}
+
+
+def test_dims_that_select_no_entry_are_refused():
+    """A selection of no entry would verify nothing and pass; it is
+    refused, naming the dimensions the catalogue has."""
+    refusal = (
+        "no catalogue entry has a dimension in [8, 9]; "
+        "the catalogue has dimensions 2, 3, 4, 5, 6, 7"
+    )
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(refusal)}$"):
+        catalogue_verify(dims={9, 8})
+    with pytest.raises(InvalidInputError, match="^no catalogue entry has a dimension in \\[\\]; "):
+        catalogue_verify(dims=set())
+
+
+def test_verify_builds_no_hull_beyond_the_entries_own(monkeypatch):
+    """Every entry is checked against its hull when it is made, so
+    verify builds no second hull of it: its `hull.facet_data` calls are
+    the ones building every entry makes, 49 for the 34 entries (83 when
+    verify also ran `validate`, which fits each entry's hull again)."""
+    real = hull.facet_data
+    calls = []
+    monkeypatch.setattr(hull, "facet_data", lambda *args: calls.append(1) or real(*args))
+    for e in catalogue_list():
+        e.build()
+    built = len(calls)
+    report = catalogue_verify()
+    assert report.ok, report.render()
+    assert len(calls) - built == built == 49
 
 
 def test_expected_override_flips_exactly_one_entry(monkeypatch):
@@ -106,7 +136,7 @@ def test_every_decomposable_report_has_a_witness_that_checks():
         if r.verdict != "Decomposable":
             assert r.witness is None, e.name
             continue
-        assert r.witness is not None and r.witness.check(skeleton(p)), e.name
+        assert r.witness is not None and r.witness.check(p), e.name
         if r.method == "count-rule":
             count_ruled.add(e.name)
             assert r.witness == analyze(p, "oracle-only").witness, e.name

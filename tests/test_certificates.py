@@ -51,9 +51,7 @@ from minkdecomp.errors import (
 )
 from minkdecomp.graphs import (
     DecomposingFunction,
-    GeometricGraph,
     edge_key,
-    skeleton,
     touches_every_facet,
 )
 from minkdecomp.linalg import Vec, int_hyperplane, int_side
@@ -68,7 +66,6 @@ from minkdecomp.polytope import (
 )
 
 from reference_linalg import (
-    graph_vertices,
     is_homothety,
     reference_independent_cycles,
     reference_check,
@@ -84,7 +81,6 @@ from reference_linalg import (
 
 
 OCTA = octahedron()
-OCTA_SKEL = skeleton(OCTA)
 
 
 # ---------------------------------------------------------------------------
@@ -92,24 +88,24 @@ OCTA_SKEL = skeleton(OCTA)
 
 
 def test_seed_edge():
-    cg = seed_edge(OCTA_SKEL, 0, 1)
+    cg = seed_edge(OCTA, 0, 1)
     assert cg.vertices == frozenset({0, 1})
     assert cg.edges == frozenset({(0, 1)})
     with pytest.raises(RuleNotApplicableError):
-        seed_edge(OCTA_SKEL, 0, 3)  # antipodal pair, no edge
+        seed_edge(OCTA, 0, 3)  # antipodal pair, no edge
 
 
 def test_simple_extension_growth_and_guards():
-    base = seed_edge(OCTA_SKEL, 0, 1)
-    cg = simple_extension(OCTA_SKEL, base, 2)
+    base = seed_edge(OCTA, 0, 1)
+    cg = simple_extension(OCTA, base, 2)
     assert cg.vertices == frozenset({0, 1, 2})
     assert (0, 2) in cg.edges and (1, 2) in cg.edges
     with pytest.raises(RuleNotApplicableError):
-        simple_extension(OCTA_SKEL, cg, 2)  # already covered
+        simple_extension(OCTA, cg, 2)  # already covered
     with pytest.raises(RuleNotApplicableError):
-        simple_extension(OCTA_SKEL, base, 3)  # 3 is adjacent to neither 0 nor 1
+        simple_extension(OCTA, base, 3)  # 3 is adjacent to neither 0 nor 1
     with pytest.raises(RuleNotApplicableError):
-        simple_extension(OCTA_SKEL, cg, 4, witnesses=(0, 0))
+        simple_extension(OCTA, cg, 4, witnesses=(0, 0))
 
 
 def test_collinear_triple_is_refused_at_construction():
@@ -124,78 +120,78 @@ def test_collinear_triple_is_refused_at_construction():
     stray = "not vertices of the convex hull of the input: point 2 (1, 0)"
     with pytest.raises(InvalidInputError, match=f"^{re.escape(stray)}$"):
         Polytope(2, vertices, facets)
-    g = skeleton(Polytope(2, [(0, 0), (2, 0), (1, 1)], ((0, 1), (0, 2), (1, 2))))
-    cg = simple_extension(g, seed_edge(g, 0, 1), 2)
+    p = Polytope(2, [(0, 0), (2, 0), (1, 1)], ((0, 1), (0, 2), (1, 2)))
+    cg = simple_extension(p, seed_edge(p, 0, 1), 2)
     assert 2 in cg.vertices
 
 
 def test_simple_extension_closure_covers_octahedron():
-    cg = simple_extension_closure(OCTA_SKEL, (0, 1))
+    cg = simple_extension_closure(OCTA, (0, 1))
     assert cg.vertices == frozenset(range(6))
     assert touches_every_facet(cg.vertices, OCTA)
 
 
 def test_union_shared_pair_needs_two_shared():
-    t1 = independent_cycle(OCTA_SKEL, (0, 1, 2))
-    t2 = independent_cycle(OCTA_SKEL, (0, 1, 5))
+    t1 = independent_cycle(OCTA, (0, 1, 2))
+    t2 = independent_cycle(OCTA, (0, 1, 5))
     u = union_shared_pair(t1, t2)
     assert u.vertices == frozenset({0, 1, 2, 5})
-    t3 = independent_cycle(OCTA_SKEL, (2, 3, 4))
+    t3 = independent_cycle(OCTA, (2, 3, 4))
     with pytest.raises(RuleNotApplicableError):
         union_shared_pair(t1, t3)  # only vertex 2 shared
 
 
 def test_edge_replacement():
-    t1 = independent_cycle(OCTA_SKEL, (0, 1, 2))
-    t2 = independent_cycle(OCTA_SKEL, (1, 2, 3))
+    t1 = independent_cycle(OCTA, (0, 1, 2))
+    t2 = independent_cycle(OCTA, (1, 2, 3))
     out = edge_replacement(t1, (1, 2), t2)
     assert (1, 2) in out.edges  # removed from t1 but restored by t2's cycle
     assert out.vertices == frozenset({0, 1, 2, 3})
     with pytest.raises(RuleNotApplicableError):
         edge_replacement(t1, (0, 3), t2)  # not an edge of t1
-    t4 = independent_cycle(OCTA_SKEL, (3, 4, 5))
+    t4 = independent_cycle(OCTA, (3, 4, 5))
     with pytest.raises(RuleNotApplicableError):
         edge_replacement(t1, (0, 1), t4)  # replacement misses both endpoints
 
 
 def test_independent_cycle_guards():
     with pytest.raises(RuleNotApplicableError):
-        independent_cycle(OCTA_SKEL, (0, 1))
+        independent_cycle(OCTA, (0, 1))
     with pytest.raises(RuleNotApplicableError):
-        independent_cycle(OCTA_SKEL, (0, 1, 1))
+        independent_cycle(OCTA, (0, 1, 1))
     with pytest.raises(RuleNotApplicableError):
-        independent_cycle(OCTA_SKEL, (0, 1, 3, 4))  # 4 points, rank 2: coplanar
+        independent_cycle(OCTA, (0, 1, 3, 4))  # 4 points, rank 2: coplanar
 
 
 def test_cycle_gluing():
-    t1 = independent_cycle(OCTA_SKEL, (0, 1, 2))
-    t2 = independent_cycle(OCTA_SKEL, (1, 2, 3))
-    assert cycle_gluing(OCTA_SKEL, (t1, t2), (1, 2)).vertices == frozenset(
+    t1 = independent_cycle(OCTA, (0, 1, 2))
+    t2 = independent_cycle(OCTA, (1, 2, 3))
+    assert cycle_gluing(OCTA, (t1, t2), (1, 2)).vertices == frozenset(
         {0, 1, 2, 3}
     )
-    t3 = independent_cycle(OCTA_SKEL, (2, 3, 4))
-    t4 = independent_cycle(OCTA_SKEL, (0, 2, 4))
+    t3 = independent_cycle(OCTA, (2, 3, 4))
+    t4 = independent_cycle(OCTA, (0, 2, 4))
     # vs[i] joins gs[i] to gs[i-1]: 0 in t1 and t4, 2 in t3 and t1, 4 in t4 and t3.
-    glued = cycle_gluing(OCTA_SKEL, (t1, t3, t4), (0, 2, 4))
+    glued = cycle_gluing(OCTA, (t1, t3, t4), (0, 2, 4))
     assert glued.vertices == frozenset({0, 1, 2, 3, 4})
     with pytest.raises(RuleNotApplicableError):
-        cycle_gluing(OCTA_SKEL, (t1, t3), (0,))
+        cycle_gluing(OCTA, (t1, t3), (0,))
     with pytest.raises(RuleNotApplicableError):
-        cycle_gluing(OCTA_SKEL, (t1, t3, t4), (5, 4, 0))  # 5 not in t1 or t3
+        cycle_gluing(OCTA, (t1, t3, t4), (5, 4, 0))  # 5 not in t1 or t3
 
 
 def test_a_graph_rule_returns_its_step_and_takes_steps():
     """A graph step is the subgraph it certifies: each graph rule returns
     a `CertificateStep` whose vertex and edge sets are frozensets, and a
     rule built on certified graphs lists those very steps as inputs."""
-    seed = seed_edge(OCTA_SKEL, 0, 1)
-    grown = simple_extension(OCTA_SKEL, seed, 2)
-    t1 = independent_cycle(OCTA_SKEL, (0, 1, 5))
-    t2 = independent_cycle(OCTA_SKEL, (2, 3, 4))
+    seed = seed_edge(OCTA, 0, 1)
+    grown = simple_extension(OCTA, seed, 2)
+    t1 = independent_cycle(OCTA, (0, 1, 5))
+    t2 = independent_cycle(OCTA, (2, 3, 4))
     union = union_shared_pair(grown, t1)
     replaced = edge_replacement(t1, (0, 1), grown)
-    closure = simple_extension_closure(OCTA_SKEL, (0, 1))
-    glued = cycle_gluing(OCTA_SKEL, (grown, t1), (0, 1))
+    closure = simple_extension_closure(OCTA, (0, 1))
+    glued = cycle_gluing(OCTA, (grown, t1), (0, 1))
     cover = two_graph_cover(OCTA, union, t2).steps[-1]
     for step in (seed, grown, t1, union, replaced, closure, glued, cover):
         assert type(step) is CertificateStep, step
@@ -218,11 +214,10 @@ def _cube_non_covering_steps():
     crosses the facet's diagonal and misses the opposite facet too, so
     the skeleton test, made first, refuses it."""
     p = cube(3)
-    skel = skeleton(p)
-    closure = simple_extension_closure(skel, skel.edges[0])
+    closure = simple_extension_closure(p, p.edges()[0])
     assert len(closure.vertices) == 2
-    cycle = independent_cycle(skel, p.facets[0][:3])
-    assert not cycle.edges <= set(skel.edges)
+    cycle = independent_cycle(p, p.facets[0][:3])
+    assert not cycle.edges <= set(p.edges())
     return p, [(closure, "certified graph misses a facet"),
                (cycle, "certified graph is not a skeleton subgraph")]
 
@@ -234,7 +229,7 @@ def test_coverage_rule_and_replay_refuse_a_non_covering_step_alike():
     p, cases = _cube_non_covering_steps()
     for step, message in cases:
         with pytest.raises(RuleNotApplicableError) as refused:
-            certificates._covered(p, skeleton(p), step, "touches every facet")
+            certificates._covered(p, step, "touches every facet")
         assert str(refused.value) == message
         forged = assemble_trace(
             dataclasses.replace(step, conclusion="polytope-indecomposable"), "Indecomposable", ""
@@ -244,13 +239,13 @@ def test_coverage_rule_and_replay_refuse_a_non_covering_step_alike():
 
 def _covering_trace(p, step, why):
     """The trace that closes p by the coverage rule on a graph step."""
-    return assemble_trace(certificates._covered(p, skeleton(p), step, why), "Indecomposable", why)
+    return assemble_trace(certificates._covered(p, step, why), "Indecomposable", why)
 
 
 def test_independent_cycles_give_a_covering_cycle_that_replays():
     p = simplex(3)
     vs = next(vs for vs in certificates._independent_cycles(p, 4) if touches_every_facet(vs, p))
-    trace = _covering_trace(p, independent_cycle(skeleton(p), vs), "cycle touches every facet")
+    trace = _covering_trace(p, independent_cycle(p, vs), "cycle touches every facet")
     assert trace.verdict == "Indecomposable"
     assert trace.steps[-1].rule == "IndependentCycle"
     assert replay(trace, p)
@@ -274,10 +269,10 @@ def test_independent_cycles_run_on_the_cached_integers(monkeypatch):
 
 def test_two_graph_cover_single_shared_vertex():
     c1 = union_shared_pair(
-        independent_cycle(OCTA_SKEL, (0, 1, 2)),
-        independent_cycle(OCTA_SKEL, (0, 1, 5)),
+        independent_cycle(OCTA, (0, 1, 2)),
+        independent_cycle(OCTA, (0, 1, 5)),
     )
-    c2 = independent_cycle(OCTA_SKEL, (2, 3, 4))
+    c2 = independent_cycle(OCTA, (2, 3, 4))
     trace = two_graph_cover(OCTA, c1, c2)
     assert trace.verdict == "Indecomposable"
     assert trace.steps[-1].rule == "TwoGraphCover"
@@ -285,14 +280,14 @@ def test_two_graph_cover_single_shared_vertex():
 
 
 def test_two_graph_cover_guards():
-    t1 = independent_cycle(OCTA_SKEL, (0, 1, 2))
-    t2 = independent_cycle(OCTA_SKEL, (3, 4, 5))
+    t1 = independent_cycle(OCTA, (0, 1, 2))
+    t2 = independent_cycle(OCTA, (3, 4, 5))
     with pytest.raises(RuleNotApplicableError):
         two_graph_cover(OCTA, t1, t2)  # no shared vertex
-    t3 = independent_cycle(OCTA_SKEL, (0, 1, 5))
+    t3 = independent_cycle(OCTA, (0, 1, 5))
     with pytest.raises(RuleNotApplicableError):
         two_graph_cover(OCTA, t1, t3)  # misses {3,4}, more than d-2 = 1
-    bad = independent_cycle(OCTA_SKEL, (0, 1, 3))  # (0,3) is not an edge
+    bad = independent_cycle(OCTA, (0, 1, 3))  # (0,3) is not an edge
     with pytest.raises(RuleNotApplicableError):
         two_graph_cover(OCTA, bad, t1)
 
@@ -308,10 +303,10 @@ def test_shephard_facet_direct():
     assert out is not None
     trace, slide = out
     assert trace.verdict == "Decomposable"
-    g = skeleton(delta(1, 2))
-    witness = _handed_out(delta(1, 2), slide)
-    assert witness.check(g)
-    assert not is_homothety(g, witness)
+    p = delta(1, 2)
+    witness = _handed_out(p, slide)
+    assert witness.check(p)
+    assert not is_homothety(p, witness)
     assert shephard_facet(simplex(3)) is None
     assert shephard_facet(OCTA) is None
 
@@ -349,9 +344,9 @@ def test_degree_pretest_refuses_every_neighborly_facet(monkeypatch):
     calls = []
     rule = certificates._shephard_rule
 
-    def counted(*args):
-        calls.append(args[2])
-        return rule(*args)
+    def counted(p, fi):
+        calls.append(fi)
+        return rule(p, fi)
 
     monkeypatch.setattr(certificates, "_shephard_rule", counted)
     assert shephard_facet(p) is None
@@ -360,7 +355,7 @@ def test_degree_pretest_refuses_every_neighborly_facet(monkeypatch):
     assert calls == list(range(len(p.facets)))
 
 
-def reference_shephard_witness(p, skel, fi):
+def reference_shephard_witness(p, fi):
     """The facet slide in `Vec` and `Fraction` arithmetic, its scalars
     derived by `reference_from_images` and its homothety test by
     the least-squares fit: the reference for `_shephard_slide` and
@@ -372,7 +367,7 @@ def reference_shephard_witness(p, skel, fi):
         return None
     out_nbr = {}
     for v in members:
-        others = [x for x in skel.neighbors(v) if x not in fset]
+        others = [x for x in p.neighbors(v) if x not in fset]
         if len(others) != 1:
             return None
         out_nbr[v] = others[0]
@@ -383,8 +378,8 @@ def reference_shephard_witness(p, skel, fi):
         w = out_nbr[v]
         t = (b - alpha) / (b - a.dot(p.vertices[w]))
         images[v] = p.vertices[v] + (p.vertices[w] - p.vertices[v]) * t
-    witness = reference_from_images(skel, images)
-    if is_homothety(skel, witness):
+    witness = reference_from_images(p, images)
+    if is_homothety(p, witness):
         raise EngineInconsistencyError("facet-slide witness degenerated to a homothety")
     return witness
 
@@ -427,10 +422,9 @@ def _slide_cases():
 def test_integer_slide_matches_rational_reference():
     fired = 0
     for name, p in _slide_cases():
-        skel = skeleton(p)
         for fi in range(len(p.facets)):
-            slide = certificates._shephard_slide(p, skel, fi)
-            want = reference_shephard_witness(p, skel, fi)
+            slide = certificates._shephard_slide(p, fi)
+            want = reference_shephard_witness(p, fi)
             if want is None:
                 assert slide is None, (name, fi)
                 continue
@@ -447,19 +441,15 @@ def test_slide_that_moves_nothing_is_refused():
     # Not a polytope, so built with no check: point 6 lies on the bottom
     # facet's plane but in no facet, so the bottom slides down by nothing
     # and the witness is the identity, a homothety.  Point 6 has no edge,
-    # so `skeleton` refuses the graph as disconnected; the slide gets it
-    # built by hand.
+    # so `skeleton` would refuse the graph as disconnected; the slide reads
+    # the polytope's edges and is called with no skeleton walked.
     vertices = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1),
                 (Fraction(1, 4), Fraction(1, 4), 0)]
     facets = ((0, 1, 2), (3, 4, 5), (0, 1, 3, 4), (1, 2, 4, 5), (0, 2, 3, 5))
     p = unchecked(3, vertices, facets)
-    adjacency, edges = p._adjacency(), p.edges()
-    skel = GeometricGraph(
-        3, *p.int_coords(), edges, adjacency, graphs._bfs_tree(adjacency, edges)
-    )
     for slide in (certificates._shephard_slide, reference_shephard_witness):
         with pytest.raises(EngineInconsistencyError, match="degenerated to a homothety"):
-            slide(p, skel, 0)
+            slide(p, 0)
 
 
 @pytest.mark.parametrize("name", ["delta-3-4", "capped-prism", "bd198"])
@@ -525,7 +515,7 @@ def test_integer_lift_matches_the_fraction_reference():
         slide_trace, _ = shephard_facet(outers[-1])
         assert slide_trace.steps[-1].inputs == r.trace.steps[-1].inputs, name
         fi = slide_trace.steps[-1].inputs[0]
-        want = reference_shephard_witness(outers[-1], skeleton(outers[-1]), fi)
+        want = reference_shephard_witness(outers[-1], fi)
         for red, outer in reversed(list(zip(reductions, outers))):
             want = reference_lift_witness(want, red, outer)
         assert list(r.witness.images.items()) == list(want.images.items()), name
@@ -550,7 +540,7 @@ def _shifted_input(lift, reduced, slide, v):
     facet slide, for `reference_lift_witness`."""
     if lift is reference_lift_witness:
         fi = shephard_facet(reduced)[0].steps[-1].inputs[0]
-        w = reference_shephard_witness(reduced, skeleton(reduced), fi)
+        w = reference_shephard_witness(reduced, fi)
         images = dict(w.images)
         images[v] = Vec(c + (k == 0) for k, c in enumerate(images[v]))
         return DecomposingFunction(images, w.edge_scalars)
@@ -611,7 +601,7 @@ def test_a_lifted_witness_is_handed_out_once_and_never_recleared(monkeypatch):
         monkeypatch.setattr(module, "as_int_coords", clear, raising=False)
     r = analyze(p)
     assert events == ["hand-out"]
-    assert r.witness is not None and r.witness.check(skeleton(p))
+    assert r.witness is not None and r.witness.check(p)
     assert events == ["hand-out"]
 
 
@@ -696,9 +686,9 @@ def test_analyze_certificate_closures():
         bd198(), "Decomposable", "certificate", ["PyramidReduction", "ShephardFacet"]
     )
     # The witness is expressed on the input, not on the reduced polytope.
-    g = skeleton(bd198())
-    assert r.witness is not None and r.witness.check(g)
-    assert not is_homothety(g, r.witness)
+    p = bd198()
+    assert r.witness is not None and r.witness.check(p)
+    assert not is_homothety(p, r.witness)
     moved = sorted(
         i for i, img in r.witness.images.items() if img != bd198().vertices[i]
     )
@@ -763,13 +753,12 @@ def _hand_back(monkeypatch, trace, slide):
 def test_analyze_rejects_a_homothety_witness(monkeypatch):
     p = capped_prism()
     trace, _ = shephard_facet(p)
-    g = skeleton(p)
-    xs, mult = g.points, g.mult
-    identity = (dict(enumerate(xs)), mult, graphs._edge_ratios(g.edges, xs, xs))
+    xs, mult = p.int_coords()
+    identity = (dict(enumerate(xs)), mult, graphs._edge_ratios(p.edges(), xs, xs))
     assert _handed_out(p, identity) == DecomposingFunction(
-        dict(enumerate(graph_vertices(g))), {e: Fraction(1) for e in g.edges}
+        dict(enumerate(p.vertices)), {e: Fraction(1) for e in p.edges()}
     )
-    assert _handed_out(p, identity).check(g)
+    assert _handed_out(p, identity).check(p)
     _hand_back(monkeypatch, trace, identity)
     with pytest.raises(EngineInconsistencyError, match="witness does not decompose the input"):
         analyze(p)
@@ -895,6 +884,33 @@ def test_replay_rejects_wrong_apex_in_reduction():
     assert not ok and "apex" in why
 
 
+def test_replay_checks_the_steps_after_a_reduction_on_the_reduced_polytope():
+    """Steps after a PyramidReduction index the reduced polytope, and
+    replay re-derives them on it.  On a pyramid stacked on cyclic(8,4),
+    apex 8, the trace is the reduction and then an extension closure, and
+    it replays.  The same trace seeded at an edge (0, 8) of p, an edge
+    that the reduced polytope, which has no vertex 8, lacks, is refused
+    at that step, by replay and by the reference alike."""
+    p = stack_pyramid(cyclic(8, 4), 0)
+    trace = analyze(p).trace
+    rules = [s.rule for s in trace.steps]
+    assert rules == ["PyramidReduction"] + ["SimpleExtension"] * 7
+    assert trace.steps[0].inputs[0] == 8 == len(p) - 1
+    assert replay_report(trace, p) == (True, "all steps check")
+    seed = trace.steps[1]
+    assert seed.inputs[0] == "seed" and (0, 8) in p.edges()
+    moved = dataclasses.replace(
+        seed, inputs=("seed", (0, 8)), vertices=frozenset({0, 8}), edges=frozenset({(0, 8)})
+    )
+    tampered = CertificateTrace(
+        (trace.steps[0], moved) + trace.steps[2:], trace.verdict, trace.coverage_note
+    )
+    refusal = "step_2 (SimpleExtension): seed (0,8) is not a skeleton edge"
+    assert replay_report(tampered, p) == (False, refusal)
+    assert reference_replay(tampered, p) == (False, "step_2 (SimpleExtension): "
+                                             "seed (0, 8) is not a skeleton edge")
+
+
 def test_replay_rejects_tampered_counts():
     p = cube(3)
     trace = analyze(p).trace
@@ -940,7 +956,7 @@ def test_replay_refuses_a_cycle_on_a_negative_vertex():
     an IndependentCycle on "vertex -1", which Python's wrap-around would
     read as vertex 5: `independent_cycle` refuses that cycle, so replay
     must too."""
-    closure = simple_extension_closure(OCTA_SKEL, (0, 1))
+    closure = simple_extension_closure(OCTA, (0, 1))
     assert closure.vertices == frozenset(range(6))
     cycle = CertificateStep(
         rule="IndependentCycle",
@@ -958,7 +974,7 @@ def test_replay_refuses_a_cycle_on_a_negative_vertex():
     )
     trace = assemble_trace(final, "Indecomposable", "")
     with pytest.raises(RuleNotApplicableError):
-        independent_cycle(OCTA_SKEL, (-1, 0, 1))
+        independent_cycle(OCTA, (-1, 0, 1))
     ok, why = replay_report(trace, OCTA)
     assert not ok and "IndependentCycle" in why and "missing from the graph" in why, why
 
@@ -997,8 +1013,7 @@ def test_replay_refuses_a_graph_rule_over_a_facet_slide():
     p = delta(2, 2)
     slide = analyze(p).trace.steps[-1]
     assert slide.rule == "ShephardFacet"
-    skel = skeleton(p)
-    closure = simple_extension_closure(skel, (0, 1))
+    closure = simple_extension_closure(p, (0, 1))
     covered = slide.vertices | closure.vertices
     assert touches_every_facet(covered, p)
     forged = CertificateStep(
@@ -1021,12 +1036,12 @@ def _hand_built_traces():
     octahedron glued through a 3-cycle, and a covering independent cycle
     of the tetrahedron."""
     c1 = union_shared_pair(
-        independent_cycle(OCTA_SKEL, (0, 1, 2)), independent_cycle(OCTA_SKEL, (0, 1, 5))
+        independent_cycle(OCTA, (0, 1, 2)), independent_cycle(OCTA, (0, 1, 5))
     )
-    cover = two_graph_cover(OCTA, c1, independent_cycle(OCTA_SKEL, (2, 3, 4)))
+    cover = two_graph_cover(OCTA, c1, independent_cycle(OCTA, (2, 3, 4)))
     p = simplex(3)
     vs = next(vs for vs in certificates._independent_cycles(p, 4) if touches_every_facet(vs, p))
-    cycle = _covering_trace(p, independent_cycle(skeleton(p), vs), "cycle touches every facet")
+    cycle = _covering_trace(p, independent_cycle(p, vs), "cycle touches every facet")
     return [(OCTA, cover), (p, cycle)]
 
 
@@ -1553,15 +1568,15 @@ def test_analyze_fits_the_oracle_witness_only_when_it_hands_it_out(monkeypatch):
     # handed out.
     r = analyze(cube(3))
     assert (r.verdict, r.method, len(fits)) == ("Decomposable", "count-rule", 1)
-    assert r.witness.check(skeleton(cube(3)))
+    assert r.witness.check(cube(3))
     # Closed by the oracle, and oracle-only: one fit each, handed out.
     p = catalogue_entry("sum-25-edges").build()
     r = analyze(p)
     assert (r.verdict, r.method, len(fits)) == ("Decomposable", "oracle", 2)
-    assert r.witness.check(skeleton(p))
+    assert r.witness.check(p)
     r = analyze(capped_prism(), "oracle-only")
     assert len(fits) == 3
-    assert r.witness.check(skeleton(capped_prism()))
+    assert r.witness.check(capped_prism())
     # The deferred witness is fitted once, on first read.
     o = graphs.oracle_verdict(p)
     assert len(fits) == 3
@@ -1606,7 +1621,7 @@ def test_a_decision_builds_no_fraction(monkeypatch):
         assert built > before
         assert report.witness.images is images and report.witness.edge_scalars
         assert len(made) == built
-        assert report.witness.check(skeleton(p))
+        assert report.witness.check(p)
     assert views == []
 
 
@@ -1619,11 +1634,11 @@ def test_the_oracle_witness_fails_as_the_facet_slide_does(monkeypatch, images):
     residue is zero."""
     rng = random.Random(7)
 
-    def off_edge(xs, tree, lam):
-        return [tuple(rng.randint(-9, 9) for _ in x) for x in xs]
+    def off_edge(p, lam):
+        return [tuple(rng.randint(-9, 9) for _ in x) for x in p.int_coords()[0]]
 
-    def identity(xs, tree, lam):
-        return [tuple(x) for x in xs]
+    def identity(p, lam):
+        return [tuple(x) for x in p.int_coords()[0]]
 
     monkeypatch.setattr(graphs, "_tree_sums", off_edge if images == "off-edge" else identity)
     cases = [
@@ -1650,7 +1665,6 @@ def test_a_slide_witness_checks_as_its_fraction_copy_does():
         if closed is None or closed[1] is None:
             continue
         slides += 1
-        g = skeleton(p)
         fs, den, ratios = closed[1]
         v = rng.randrange(len(fs))
         edge = rng.choice(list(ratios))
@@ -1667,11 +1681,11 @@ def test_a_slide_witness_checks_as_its_fraction_copy_does():
             "edge added": (fs, den, {**ratios, (0, len(fs)): (1, 1)}),
         }
         for label, slide in tampered.items():
-            lazy = graphs._slide_witness(g.mult, slide)
-            got = lazy.check(g)
+            lazy = graphs._slide_witness(p.int_coords()[1], slide)
+            got = lazy.check(p)
             copy = DecomposingFunction(dict(lazy.images), dict(lazy.edge_scalars))
-            want = reference_check(copy, g)
-            assert got == want == copy.check(g), (e.name, label)
+            want = reference_check(copy, p)
+            assert got == want == copy.check(p), (e.name, label)
             if label in ("as handed out", "denominator doubled", "ratio scaled"):
                 assert want, (e.name, label)
             refused += not want
@@ -1715,10 +1729,9 @@ def _triangle_chains(p):
     Yields the start triangle's first edge, the chain and its number of
     triangles."""
     tris = [i for i, f in enumerate(p.facets) if len(f) == 3]
-    skel = skeleton(p)
     for start in tris:
         a, b, c = sorted(p.facets[start])
-        cg = simple_extension(skel, seed_edge(skel, a, b), c, witnesses=(a, b))
+        cg = simple_extension(p, seed_edge(p, a, b), c, witnesses=(a, b))
         used = {start}
         grown = True
         while grown:
@@ -1734,12 +1747,12 @@ def _triangle_chains(p):
                     continue
                 third = next(x for x in fv if x not in shared)
                 if third not in cg.vertices:
-                    cg = simple_extension(skel, cg, third, witnesses=shared)
+                    cg = simple_extension(p, cg, third, witnesses=shared)
                 else:
                     missing = {edge_key(third, shared[0]), edge_key(third, shared[1])} - cg.edges
                     if missing:
                         tri = simple_extension(
-                            skel, seed_edge(skel, *shared), third, witnesses=shared
+                            p, seed_edge(p, *shared), third, witnesses=shared
                         )
                         cg = union_shared_pair(cg, tri)
                 used.add(j)
@@ -1770,9 +1783,8 @@ def test_extension_closure_contains_every_triangle_chain():
     first, since every skeleton edge seeds a closure."""
     chains = 0
     for name, p in _three_polytopes():
-        skel = skeleton(p)
         for edge, chain, triangles in _triangle_chains(p):
-            closure = simple_extension_closure(skel, edge)
+            closure = simple_extension_closure(p, edge)
             assert chain.vertices <= closure.vertices, (name, edge)
             chains += triangles >= 2
     assert chains

@@ -396,7 +396,7 @@ def test_analyze_inconsistency_exit_code(tmp_path, capsys, monkeypatch):
 def test_analyze_exits_4_when_the_oracle_witness_fails(tmp_path, capsys, monkeypatch):
     # The oracle's tree sums are made the identity map, whose homothety
     # residue is zero: the witness it hands out would be a homothety.
-    monkeypatch.setattr(graphs, "_tree_sums", lambda xs, tree, lam: [tuple(x) for x in xs])
+    monkeypatch.setattr(graphs, "_tree_sums", lambda p, lam: [tuple(x) for x in p.int_coords()[0]])
     path = tmp_path / "sum.json"
     write_polytope(catalogue_entry("sum-25-edges").build(), str(path))
     for flags in ([], ["--oracle-only"]):
@@ -440,6 +440,16 @@ def test_catalogue_verify_dims(capsys):
 def test_catalogue_verify_bad_dims_exit_code(capsys):
     code, _, err = run(capsys, "catalogue", "verify", "--dims", "x")
     assert code == 2 and "error:" in err
+
+
+def test_catalogue_verify_dims_that_select_no_entry_exit_2(capsys):
+    # Verifying no entry would print "0/0 entries pass" and exit 0.
+    code, out, err = run(capsys, "catalogue", "verify", "--dims", "9")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: no catalogue entry has a dimension in [9]; "
+        "the catalogue has dimensions 2, 3, 4, 5, 6, 7\n"
+    )
 
 
 def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, octa_file):

@@ -1,4 +1,4 @@
-"""Decomposing-function spaces on geometric graphs.
+"""Decomposing-function spaces on polytope edge graphs.
 
 The cycle-space route is cross-checked against the naive full system
 (one block of equations per edge over all vertex images), which has the
@@ -26,9 +26,9 @@ also on arbitrary graphs on points placed on lines through earlier
 ones (`edge_polytope`).  Every polytope is checked when it is made, so
 its skeleton has no collinear 3-cycle, and neither has any graph here.
 
-Every graph the library builds is a polytope's skeleton.  Graphs that
-are not, such as the random subgraphs of acceptance criterion 9b, get
-their dimension from the naive system
+Every graph the library reads is a polytope's skeleton, read off the
+polytope itself.  Graphs that are not, such as the random subgraphs of
+acceptance criterion 9b, get their dimension from the naive system
 (`reference_linalg.naive_dimension`).
 
 Every reference kernel here, and the naive system's rank, is read off
@@ -72,7 +72,6 @@ from minkdecomp.linalg import (
 from minkdecomp.polytope import Polytope, minkowski_sum, stack_pyramid
 
 from reference_linalg import (
-    graph_vertices,
     is_homothety,
     naive_dimension,
     is_zero,
@@ -87,15 +86,15 @@ from reference_linalg import (
 from test_certificates import _derived_stack_cases
 
 
-def dfs_tree(g):
-    """A depth-first spanning tree of the skeleton g, rooted at vertex 0
+def dfs_tree(p):
+    """A depth-first spanning tree of p's skeleton, rooted at vertex 0
     as the library's BFS tree is: parent and depth maps, and the vertices
     in discovery order."""
     parent, depth, order = {0: None}, {0: 0}, [0]
     stack = [0]
     while stack:
         x = stack[-1]
-        y = next((y for y in g.neighbors(x) if y not in parent), None)
+        y = next((y for y in p.neighbors(x) if y not in parent), None)
         if y is None:
             stack.pop()
             continue
@@ -124,29 +123,30 @@ def path_steps(parent, depth, u, v):
     return up_from_u + [(b, a) for a, b in reversed(up_from_v)]
 
 
-def reference_decomposing_space(g):
+def reference_decomposing_space(p):
     """The rational cycle-space construction: Vec rows cleared row by row,
     over the fundamental cycles of a depth-first tree (`dfs_tree`), so no
     tree walk is shared with the library.  The basis is the kernel's
     reduced row echelon form, with vertex 0's image fixed at 0, which
     does not depend on the tree."""
-    d = g.dim
-    pts = graph_vertices(g)
+    d = p.dim
+    pts = p.vertices
+    edges = p.edges()
     vids = range(len(pts))
     basis = []
     for j in range(d):
         shift = Vec(int(k == j) for k in range(d))
-        zero_scalars = {e: Fraction(0) for e in g.edges}
+        zero_scalars = {e: Fraction(0) for e in edges}
         basis.append(DecomposingFunction({v: shift for v in vids}, zero_scalars))
-    parent, depth, order = dfs_tree(g)
+    parent, depth, order = dfs_tree(p)
     tree_edges = {edge_key(v, parent[v]) for v in order[1:]}
-    col_of = {e: i for i, e in enumerate(g.edges)}
+    col_of = {e: i for i, e in enumerate(edges)}
     rows = []
-    for e in g.edges:
+    for e in edges:
         if e in tree_edges:
             continue
         u, v = e
-        coeffs = [zero_vec(d)] * len(g.edges)
+        coeffs = [zero_vec(d)] * len(edges)
         for a, b in path_steps(parent, depth, v, u):
             k = col_of[edge_key(a, b)]
             coeffs[k] = coeffs[k] + (pts[b] - pts[a])
@@ -154,9 +154,9 @@ def reference_decomposing_space(g):
         coeffs[k] = coeffs[k] + (pts[v] - pts[u])
         for j in range(d):
             rows.append([c[j] for c in coeffs])
-    _, lam_basis = reference_rank_and_kernel(rows, len(g.edges))
+    _, lam_basis = reference_rank_and_kernel(rows, len(edges))
     for lam in lam_basis:
-        scalars = dict(zip(g.edges, lam))
+        scalars = dict(zip(edges, lam))
         images = {0: zero_vec(d)}
         for v in order[1:]:
             u = parent[v]
@@ -165,10 +165,10 @@ def reference_decomposing_space(g):
     return d + len(lam_basis), basis
 
 
-def reference_homothety_residue(g, f):
+def reference_homothety_residue(p, f):
     """Least-squares homothety fit by solving the rational normal equations."""
-    d = g.dim
-    pts = graph_vertices(g)
+    d = p.dim
+    pts = p.vertices
     vids = range(len(pts))
     rows = [[sum(p.dot(p) for p in pts)] + [sum(p[j] for p in pts) for j in range(d)]]
     rhs = [sum(p.dot(f.images[v]) for p, v in zip(pts, vids))]
@@ -181,7 +181,7 @@ def reference_homothety_residue(g, f):
     alpha, shift = fit[0], Vec(fit[1:])
     images = {v: f.images[v] - (pts[v] * alpha + shift) for v in vids}
     scalars = {}
-    for u, v in g.edges:
+    for u, v in p.edges():
         diff_f = images[u] - images[v]
         diff_x = pts[u] - pts[v]
         j = next(i for i, c in enumerate(diff_x) if c)
@@ -191,10 +191,10 @@ def reference_homothety_residue(g, f):
     return DecomposingFunction(images, scalars)
 
 
-def reference_oracle_witness(g, basis):
+def reference_oracle_witness(p, basis):
     """The first nonzero homothety residue after the d translations."""
-    for f in basis[g.dim:]:
-        residue = reference_homothety_residue(g, f)
+    for f in basis[p.dim:]:
+        residue = reference_homothety_residue(p, f)
         if not all(is_zero(img) for img in residue.images.values()):
             return residue
     return None
@@ -204,66 +204,64 @@ def basis_oracle_verdict(p):
     """`oracle_verdict` read off the basis of `decomposing_space`: the
     homothety residue of the first basis element whose edge scalars are
     not all equal."""
-    g = skeleton(p)
-    dim, basis = decomposing_space(g)
+    dim, basis = decomposing_space(p)
     if dim == p.dim + 1:
         return OracleResult("Indecomposable", dim, None)
     f = next(f for f in basis if len(set(f.edge_scalars.values())) > 1)
-    return OracleResult("Decomposable", dim, homothety_residue(g, f))
+    return OracleResult("Decomposable", dim, homothety_residue(p, f))
 
 
-def identity_kernel(g):
+def identity_kernel(p):
     """The rational kernel basis of Kallay's uncontracted system, one
     column per edge and one block per fundamental cycle of the BFS tree
     (`reference_cycle_rows` under the identity map), read off by the
     test-side elimination (`reference_rank_and_kernel`): one vector per
     free column, 1 there and 0 at the other free columns."""
-    xs = g.points
-    identity = {e: i for i, e in enumerate(g.edges)}
-    ncols = len(g.edges)
-    rows = reference_cycle_rows(xs, g._tree, identity, ncols)
+    identity = {e: i for i, e in enumerate(p.edges())}
+    ncols = len(identity)
+    rows = reference_cycle_rows(p, identity, ncols)
     return reference_rank_and_kernel(rows, ncols)[1]
 
 
-def identity_decomposing_space(g):
+def identity_decomposing_space(p):
     """The uncontracted integer system (`identity_kernel`), with images
     summed along the BFS tree."""
-    d = g.dim
-    vids = range(len(g.points))
-    xs, mult = g.points, g.mult
+    d = p.dim
+    vids = range(len(p))
+    xs, mult = p.int_coords()
+    edges = p.edges()
     basis = []
     for j in range(d):
         shift = Vec(int(k == j) for k in range(d))
-        zero_scalars = {e: Fraction(0) for e in g.edges}
+        zero_scalars = {e: Fraction(0) for e in edges}
         basis.append(DecomposingFunction({v: shift for v in vids}, zero_scalars))
-    parent, order, _ = g._tree
-    lam_basis = identity_kernel(g)
+    parent, order = skeleton(p)
+    lam_basis = identity_kernel(p)
     for lam in lam_basis:
         (lam_ints,), den = as_int_coords([lam])
-        lam_of = dict(zip(g.edges, lam_ints))
+        lam_of = dict(zip(edges, lam_ints))
         sums = {0: (0,) * d}
         for v in order[1:]:
             u = parent[v]
             s = lam_of[edge_key(u, v)]
             sums[v] = tuple(a + (xv - xu) * s for a, xv, xu in zip(sums[u], xs[v], xs[u]))
         images = {v: fraction_vec(sums[v], den * mult) for v in vids}
-        basis.append(DecomposingFunction(images, dict(zip(g.edges, lam))))
+        basis.append(DecomposingFunction(images, dict(zip(edges, lam))))
     return d + len(lam_basis), basis
 
 
 def identity_oracle_verdict(p):
     """`oracle_verdict` over the uncontracted system."""
-    g = skeleton(p)
-    dim, basis = identity_decomposing_space(g)
+    dim, basis = identity_decomposing_space(p)
     if dim == p.dim + 1:
         return OracleResult("Indecomposable", dim, None)
     f = next(f for f in basis if len(set(f.edge_scalars.values())) > 1)
-    return OracleResult("Decomposable", dim, homothety_residue(g, f))
+    return OracleResult("Decomposable", dim, homothety_residue(p, f))
 
 
-def assert_same_space(g):
-    dim, basis = decomposing_space(g)
-    ref_dim, ref_basis = identity_decomposing_space(g)
+def assert_same_space(p):
+    dim, basis = decomposing_space(p)
+    ref_dim, ref_basis = identity_decomposing_space(p)
     assert dim == ref_dim
     assert [f.edge_scalars for f in basis] == [f.edge_scalars for f in ref_basis]
     assert [f.images for f in basis] == [f.images for f in ref_basis]
@@ -281,8 +279,8 @@ def assert_same_oracle(p):
         assert res.witness.edge_scalars == ref.witness.edge_scalars
 
 
-def class_count(g):
-    return triangle_classes(g)[1]
+def class_count(p):
+    return triangle_classes(p)[1]
 
 
 def edge_polytope(points, edges):
@@ -305,28 +303,28 @@ def edge_polytope(points, edges):
     return unchecked(d, points, tuple(e for e in edges for _ in range(d - 1)))
 
 
-TRIANGLE = skeleton(simplex(2))
-SQUARE = skeleton(cube(2))
+TRIANGLE = simplex(2)
+SQUARE = cube(2)
 
 
 def test_single_edge_dimension():
-    g = skeleton(segment(0, 1))
-    dim, basis = decomposing_space(g)
+    p = segment(0, 1)
+    dim, basis = decomposing_space(p)
     assert dim == 2 == len(basis)
-    assert naive_dimension(graph_vertices(g), g.edges) == 2
+    assert naive_dimension(p.vertices, p.edges()) == 2
 
 
 def test_triangle_is_rigid():
     dim, basis = decomposing_space(TRIANGLE)
     assert dim == 3
-    assert naive_dimension(graph_vertices(TRIANGLE), TRIANGLE.edges) == 3
+    assert naive_dimension(TRIANGLE.vertices, TRIANGLE.edges()) == 3
     assert oracle_verdict(simplex(2)).verdict == "Indecomposable"
 
 
 def test_square_cycle_is_flexible():
     dim, _ = decomposing_space(SQUARE)
     assert dim == 4
-    assert naive_dimension(graph_vertices(SQUARE), SQUARE.edges) == 4
+    assert naive_dimension(SQUARE.vertices, SQUARE.edges()) == 4
     assert oracle_verdict(cube(2)).verdict == "Decomposable"
 
 
@@ -341,10 +339,8 @@ def test_oracle_builds_no_basis(monkeypatch):
 
 
 def test_polytope_skeleta_dimensions():
-    octa = skeleton(octahedron())
-    assert decomposing_space(octa)[0] == 4
-    box = skeleton(cube(3))
-    assert decomposing_space(box)[0] == 6
+    assert decomposing_space(octahedron())[0] == 4
+    assert decomposing_space(cube(3))[0] == 6
 
 
 @pytest.mark.parametrize(
@@ -353,19 +349,18 @@ def test_polytope_skeleta_dimensions():
     ids=["simplex2", "simplex3", "simplex4", "cube2", "cube3", "octahedron"],
 )
 def test_cycle_route_matches_naive_system(p):
-    g = skeleton(p)
-    dim, basis = decomposing_space(g)
-    assert naive_dimension(graph_vertices(g), g.edges) == dim
+    dim, basis = decomposing_space(p)
+    assert naive_dimension(p.vertices, p.edges()) == dim
     for f in basis:
-        assert f.check(g)
+        assert f.check(p)
 
 
 def test_basis_is_independent():
-    g = skeleton(cube(3))
-    dim, basis = decomposing_space(g)
-    vids = range(len(g.points))
+    p = cube(3)
+    dim, basis = decomposing_space(p)
+    vids = range(len(p))
     rows = [[c for v in vids for c in f.images[v]] for f in basis]
-    rank, _ = reference_rank_and_kernel(rows, len(vids) * g.dim)
+    rank, _ = reference_rank_and_kernel(rows, len(vids) * p.dim)
     assert rank == dim
 
 
@@ -391,12 +386,12 @@ def test_non_decomposing_map_does_not_check():
     with pytest.raises(InvalidInputError):
         reference_from_images(TRIANGLE, images)
     for s in (0, 1, Fraction(1, 2), -1):
-        scalars = {e: Fraction(s) for e in TRIANGLE.edges}
+        scalars = {e: Fraction(s) for e in TRIANGLE.edges()}
         assert not DecomposingFunction(images, scalars).check(TRIANGLE)
 
 
 def test_check_detects_wrong_scalars():
-    images = dict(enumerate(v * 2 for v in graph_vertices(TRIANGLE)))
+    images = dict(enumerate(v * 2 for v in TRIANGLE.vertices))
     f = reference_from_images(TRIANGLE, images)
     assert f.check(TRIANGLE)
     bad = DecomposingFunction(f.images, {e: Fraction(7) for e in f.edge_scalars})
@@ -410,18 +405,17 @@ def test_check_refuses_malformed_images():
     from minkdecomp.constructors import delta
 
     p = delta(2, 2)
-    g = graphs.skeleton(p)
     w = analyze(p).witness
-    assert w.check(g)
+    assert w.check(p)
     missing = dict(w.images)
     del missing[0]
     longer = dict(w.images)
     longer[3] = Vec(tuple(longer[3]) + (1,))
     every_longer = {v: Vec(tuple(img) + (1,)) for v, img in w.images.items()}
     for images in (missing, longer, every_longer):
-        assert not DecomposingFunction(images, w.edge_scalars).check(g)
+        assert not DecomposingFunction(images, w.edge_scalars).check(p)
         with pytest.raises(InvalidInputError):
-            reference_from_images(g, images)
+            reference_from_images(p, images)
 
 
 def _tampered(w, rng):
@@ -470,11 +464,10 @@ def test_integer_check_matches_the_fraction_check_on_every_slide_witness():
         if r.trace is None or "ShephardFacet" not in [s.rule for s in r.trace.steps]:
             continue
         witnesses += 1
-        g = skeleton(p)
         for label, images, scalars in _tampered(r.witness, rng):
             f = DecomposingFunction(images, scalars)
-            want = reference_check(f, g)
-            assert f.check(g) == want, (e.name, label)
+            want = reference_check(f, p)
+            assert f.check(p) == want, (e.name, label)
             if label == "as handed out":
                 assert want, e.name
             refused += not want
@@ -485,16 +478,15 @@ def test_integer_check_matches_the_fraction_check_on_every_slide_witness():
 
 def test_homothety_detection():
     shift = Vec((3, -2))
-    images = dict(enumerate(v * Fraction(5, 2) + shift for v in graph_vertices(TRIANGLE)))
+    images = dict(enumerate(v * Fraction(5, 2) + shift for v in TRIANGLE.vertices))
     f = reference_from_images(TRIANGLE, images)
     assert is_homothety(TRIANGLE, f)
     assert all(is_zero(img) for img in homothety_residue(TRIANGLE, f).images.values())
 
     # Collapse the square's vertical edges: decomposing but not a homothety.
-    g = SQUARE
     images = {0: Vec((0, 0)), 1: Vec((1, 0)), 2: Vec((0, 0)), 3: Vec((1, 0))}
-    w = reference_from_images(g, images)
-    assert not is_homothety(g, w)
+    w = reference_from_images(SQUARE, images)
+    assert not is_homothety(SQUARE, w)
 
 
 def test_oracle_on_indecomposable_input():
@@ -509,10 +501,9 @@ def test_oracle_witness_is_valid():
     res = oracle_verdict(p)
     assert res.verdict == "Decomposable"
     assert res.dimension == 6
-    g = skeleton(p)
     assert res.witness is not None
-    assert res.witness.check(g)
-    assert not is_homothety(g, res.witness)
+    assert res.witness.check(p)
+    assert not is_homothety(p, res.witness)
 
 
 def test_touches_every_facet():
@@ -550,20 +541,19 @@ CATALOGUE_IMAGES = list(_catalogue_images())
 
 @pytest.mark.parametrize("name,p", CATALOGUE_IMAGES, ids=[n for n, _ in CATALOGUE_IMAGES])
 def test_integer_space_and_witness_match_rational_reference(name, p):
-    g = skeleton(p)
-    dim, basis = decomposing_space(g)
-    ref_dim, ref_basis = reference_decomposing_space(g)
+    dim, basis = decomposing_space(p)
+    ref_dim, ref_basis = reference_decomposing_space(p)
     assert dim == ref_dim
     assert [f.edge_scalars for f in basis] == [f.edge_scalars for f in ref_basis]
     assert [f.images for f in basis] == [f.images for f in ref_basis]
     res = oracle_verdict(p)
-    ref_witness = None if dim == p.dim + 1 else reference_oracle_witness(g, ref_basis)
+    ref_witness = None if dim == p.dim + 1 else reference_oracle_witness(p, ref_basis)
     assert res.verdict == ("Indecomposable" if ref_witness is None else "Decomposable")
     if ref_witness is not None:
         assert res.witness.images == ref_witness.images
         assert res.witness.edge_scalars == ref_witness.edge_scalars
-        assert res.witness.check(g)
-    assert_same_space(g)
+        assert res.witness.check(p)
+    assert_same_space(p)
     assert_same_oracle(p)
 
 
@@ -571,25 +561,24 @@ def test_integer_space_and_witness_match_rational_reference(name, p):
 def test_equal_scalars_decide_homothety_on_catalogue_skeleta(name, p):
     # `_equal_ratios` decides it over the integer ratios `_edge_ratios`
     # verifies, as the facet slide and `analyze` read them.
-    g = skeleton(p)
-    xs = g.points
-    _, basis = decomposing_space(g)
+    xs, _ = p.int_coords()
+    _, basis = decomposing_space(p)
     for f in basis:
-        homothety = is_homothety(g, f)
+        homothety = is_homothety(p, f)
         assert (len(set(f.edge_scalars.values())) == 1) == homothety
         fs, _ = as_int_coords(f.images[v] for v in range(len(xs)))
-        assert graphs._equal_ratios(graphs._edge_ratios(g.edges, xs, fs)) == homothety
+        assert graphs._equal_ratios(graphs._edge_ratios(p.edges(), xs, fs)) == homothety
 
 
 def test_homothety_residue_matches_reference_on_fractional_images():
     rng = random.Random(11)
-    g = skeleton(_image(cube(3), rng, Fraction(7, 4)))
-    _, basis = decomposing_space(g)
+    p = _image(cube(3), rng, Fraction(7, 4))
+    _, basis = decomposing_space(p)
     for f in basis:
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         images = {v: img * scale + Vec((Fraction(1, 3), 2, -1)) for v, img in f.images.items()}
-        h = reference_from_images(g, images)
-        res, ref = homothety_residue(g, h), reference_homothety_residue(g, h)
+        h = reference_from_images(p, images)
+        res, ref = homothety_residue(p, h), reference_homothety_residue(p, h)
         assert res.images == ref.images
         assert res.edge_scalars == ref.edge_scalars
 
@@ -599,8 +588,8 @@ def test_homothety_residue_reads_a_slide_in_integers(monkeypatch):
     the residue reads the slide's images and denominator as they are: it
     makes no `Fraction`, and its result is the one the `Fraction` images,
     cleared, give."""
-    g = skeleton(cube(3))
-    _, basis = decomposing_space(g)
+    p = cube(3)
+    _, basis = decomposing_space(p)
     made = []
     real_new = Fraction.__new__
 
@@ -609,20 +598,19 @@ def test_homothety_residue_reads_a_slide_in_integers(monkeypatch):
         return real_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    residues = [homothety_residue(g, f) for f in basis]
+    residues = [homothety_residue(p, f) for f in basis]
     assert made == []
     monkeypatch.undo()
     assert len(residues) == 6
     for f, res in zip(basis, residues):
         cleared = DecomposingFunction(f.images, f.edge_scalars)
-        assert res == homothety_residue(g, cleared) == reference_homothety_residue(g, f)
+        assert res == homothety_residue(p, cleared) == reference_homothety_residue(p, f)
 
 
 def test_homothety_residue_of_single_vertex_is_singular():
-    g = skeleton(POINT)
     f = DecomposingFunction({0: Vec((0, 0))}, {})
     with pytest.raises(ValueError):
-        homothety_residue(g, f)
+        homothety_residue(POINT, f)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +620,7 @@ def test_homothety_residue_of_single_vertex_is_singular():
 @pytest.mark.parametrize("n,d", [(n, 4) for n in range(5, 15)] + [(n, 6) for n in range(7, 13)])
 def test_contracted_space_matches_identity_map_on_cyclic_polytopes(n, d):
     p = cyclic(n, d)
-    assert assert_same_space(skeleton(p)) == d + 1
+    assert assert_same_space(p) == d + 1
     assert_same_oracle(p)
 
 
@@ -641,14 +629,14 @@ def test_contracted_space_matches_identity_map_on_cyclic_polytopes(n, d):
     [("delta-3-4", 70, 9), ("sum-25-edges", 25, 7), ("wedge-6", 51, 14)],
 )
 def test_class_counts_on_catalogue_skeleta(name, edges, classes):
-    g = skeleton(next(e for e in catalogue_list() if e.name == name).build())
-    assert (len(g.edges), class_count(g)) == (edges, classes)
+    p = catalogue_entry(name).build()
+    assert (len(p.edges()), class_count(p)) == (edges, classes)
 
 
 def test_complete_skeleton_of_cyclic_24_6_is_one_class():
-    g = skeleton(cyclic(24, 6))
-    assert (len(g.edges), class_count(g)) == (276, 1)
-    assert decomposing_space(g)[0] == 7
+    p = cyclic(24, 6)
+    assert (len(p.edges()), class_count(p)) == (276, 1)
+    assert decomposing_space(p)[0] == 7
 
 
 def test_oracle_skips_the_cycle_system_with_one_class(monkeypatch):
@@ -669,24 +657,25 @@ def test_oracle_skips_the_cycle_system_with_one_class(monkeypatch):
     assert (res.verdict, res.dimension) == ("Indecomposable", 5)
 
 
-def test_skeleton_takes_the_polytope_cached_values_as_they_are():
+def test_skeleton_is_a_bfs_tree_cached_on_the_polytope():
+    """`skeleton` returns one BFS tree from vertex 0, the same object on
+    every call: its parent map and its order, which reaches every vertex
+    once, each after its parent, through one of the polytope's edges."""
     for e in catalogue_list():
         p = e.build()
-        g = skeleton(p)
-        assert g.dim == p.dim and g.edges is p.edges(), e.name
-        assert g._adjacency is p._adjacency(), e.name
-        assert g.points is p.int_coords()[0] and g.mult == p.int_coords()[1], e.name
-        n = len(p)
-        assert [g.neighbors(v) for v in range(-1, n + 1)] == [
-            p.neighbors(v) for v in range(-1, n + 1)
-        ], e.name
-        # The walk that checked connectivity reached every vertex.
-        assert sorted(g._tree[1]) == list(range(n)), e.name
+        tree = parent, order = skeleton(p)
+        assert skeleton(p) is tree, e.name
+        assert order[0] == 0 and parent[0] is None, e.name
+        assert sorted(order) == list(range(len(p))) == sorted(parent), e.name
+        position = {v: k for k, v in enumerate(order)}
+        for v in order[1:]:
+            assert position[parent[v]] < position[v], e.name
+            assert edge_key(parent[v], v) in p.edges(), e.name
 
 
 def test_skeleton_neighbors_of_a_non_vertex_are_none():
     # Replay passes recorded ids: -1 must not read as the last vertex.
-    n = len(SQUARE.points)
+    n = len(SQUARE)
     assert SQUARE.neighbors(-1) == SQUARE.neighbors(n) == SQUARE.neighbors(n + 5) == ()
     assert SQUARE.neighbors(n - 1) == (1, 2)
 
@@ -738,8 +727,8 @@ def test_collinear_polygon_is_refused_at_construction():
 
 
 def _graph_on_collinear_points(rng, d):
-    """The skeleton of a random connected graph on integer points in R^d
-    (`edge_polytope`), some points placed on lines through earlier pairs:
+    """A polytope object whose skeleton is a random connected graph on
+    integer points in R^d (`edge_polytope`), some points placed on lines through earlier pairs:
     random edges plus the two edges from every such point to its pair,
     two parallel edges at one vertex.  An edge that would close a
     collinear 3-cycle is left out, and a disconnected draw is drawn
@@ -770,7 +759,9 @@ def _graph_on_collinear_points(rng, d):
             # Leave out the edge that passes through the third point.
             edges.discard(max((u, v), (u, w), (v, w), key=lambda e: _length2(pts, e)))
     try:
-        return skeleton(edge_polytope(pts, sorted(edges)))
+        p = edge_polytope(pts, sorted(edges))
+        skeleton(p)
+        return p
     except InvalidInputError:
         return _graph_on_collinear_points(rng, d)
 
@@ -784,10 +775,10 @@ def test_contracted_space_matches_identity_map_on_random_graphs_on_collinear_poi
     rng = random.Random(23)
     contracted = 0
     for trial in range(150):
-        g = _graph_on_collinear_points(rng, 2 + trial % 3)
-        dim = assert_same_space(g)
-        assert dim == naive_dimension(graph_vertices(g), g.edges)
-        contracted += class_count(g) < len(g.edges)
+        p = _graph_on_collinear_points(rng, 2 + trial % 3)
+        dim = assert_same_space(p)
+        assert dim == naive_dimension(p.vertices, p.edges())
+        contracted += class_count(p) < len(p.edges())
     assert contracted > 100
 
 
@@ -876,19 +867,16 @@ def test_distinct_cycle_rows_give_the_kernels_of_every_row():
     most d per incidence block."""
     systems = repeats = 0
     for name, p in _derived_stack_cases():
-        g = skeleton(p)
-        xs = g.points
-        tree = g._tree
-        cols, kernel = graphs._cycle_kernel(g)
-        col_of, k = triangle_classes(g)
-        assert cols == [col_of[e] for e in g.edges], name
+        cols, kernel = graphs._cycle_kernel(p)
+        col_of, k = triangle_classes(p)
+        assert cols == [col_of[e] for e in p.edges()], name
         if k == 1:
             assert kernel == [[1]], name
             continue
-        every = reference_cycle_rows(xs, tree, col_of, k)
-        distinct = cycle_rows(xs, tree, col_of, k)
+        every = reference_cycle_rows(p, col_of, k)
+        distinct = cycle_rows(p, col_of, k)
         assert all(distinct) and len(set(map(tuple, distinct))) == len(distinct), name
-        assert len(distinct) <= g.dim * incidence_blocks(g.edges, col_of, len(xs), k), name
+        assert len(distinct) <= p.dim * incidence_blocks(p.edges(), col_of, len(p), k), name
         assert kernel == int_kernel_basis(every, k)[1], name
         systems += 1
         repeats += len(distinct) < len(every)
@@ -897,28 +885,35 @@ def test_distinct_cycle_rows_give_the_kernels_of_every_row():
 
 @pytest.mark.parametrize("mode", ["certificates-first", "oracle-only"])
 def test_analyze_walks_each_skeleton_once(monkeypatch, mode):
-    """The connectivity check's BFS tree is the one the oracle's cycle
-    system is built over: `analyze` walks every skeleton it builds once,
-    the reduced polytopes of pyramid reductions included."""
-    from minkdecomp.certificates import analyze
+    """The connectivity check's BFS tree is cached on the polytope and is
+    the one the oracle's cycle system is built over: over `analyze`, the
+    replay of its trace, `decomposing_space` and `oracle_verdict` on one
+    polytope, its tree is walked once, over its own cached adjacency, and
+    so is that of every other polytope they decide: the facets a pyramid
+    reduction decides, and the reduced polytopes and facets replay
+    re-derives."""
+    from minkdecomp.certificates import analyze, replay
 
-    walks, built = [], []
-    walk, build = graphs._bfs_tree, graphs._build_skeleton
-    monkeypatch.setattr(
-        graphs, "_bfs_tree", lambda adj, edges: walks.append(adj) or walk(adj, edges)
-    )
-    monkeypatch.setattr(graphs, "_build_skeleton", lambda p: built.append(p) or build(p))
+    walks = []
+    walk = graphs._bfs_tree
+    monkeypatch.setattr(graphs, "_bfs_tree", lambda adj: walks.append(adj) or walk(adj))
     analyses = 0
     for e in catalogue_list():
         q = e.build()
         for p in (q, stack_pyramid(q, 0)) if q.dim in (3, 4) else (q,):
-            before = len(built)
-            analyze(p, mode)
+            before = len(walks)
+            r = analyze(p, mode)
+            assert r.trace is None or replay(r.trace, p), e.name
+            decomposing_space(p)
+            oracle_verdict(p)
             analyses += 1
-            assert len(built) > before and len(walks) == len(built), e.name
-    assert all(adj is p._adjacency() for adj, p in zip(walks, built))
+            own = [adj for adj in walks[before:] if adj is p._adjacency()]
+            assert len(own) == 1, e.name
+    # The walks hold their adjacencies alive, so distinct ids are
+    # distinct polytopes: no polytope's tree is walked twice.
+    assert len({id(adj) for adj in walks}) == len(walks)
     if mode == "certificates-first":
-        assert len(built) > analyses
+        assert len(walks) > analyses
 
 
 def test_delta_3_4_cycle_system_drops_repeated_rows(monkeypatch):
@@ -927,21 +922,20 @@ def test_delta_3_4_cycle_system_drops_repeated_rows(monkeypatch):
     tested for zero once (counted through the module's `any`), and keeps
     its 7 distinct nonzero rows, with the kernel of every row of the old
     builder."""
-    g = skeleton(catalogue_entry("delta-3-4").build())
-    xs = g.points
-    tree = g._tree
-    col_of, k = triangle_classes(g)
+    p = catalogue_entry("delta-3-4").build()
+    n = len(p)
+    col_of, k = triangle_classes(p)
     assert k == 9
-    assert g.dim * (len(g.edges) - len(xs) + 1) == 357
+    assert p.dim * (len(p.edges()) - n + 1) == 357
     built = []
     monkeypatch.setattr(
         graphs, "any", lambda row: built.append(row) or builtins.any(row), raising=False
     )
-    distinct = cycle_rows(xs, tree, col_of, k)
+    distinct = cycle_rows(p, col_of, k)
     monkeypatch.undo()
-    assert len(built) == g.dim * incidence_blocks(g.edges, col_of, len(xs), k) <= 84
+    assert len(built) == p.dim * incidence_blocks(p.edges(), col_of, n, k) <= 84
     assert len(distinct) == 7 == len(set(map(tuple, distinct)))
-    every = reference_cycle_rows(xs, tree, col_of, k)
+    every = reference_cycle_rows(p, col_of, k)
     assert len(distinct) < len({tuple(r) for r in every}) < len(every)
     assert int_kernel_basis(distinct, k)[1] == int_kernel_basis(every, k)[1]
 
@@ -953,10 +947,9 @@ def test_cycle_kernel_matches_the_uncontracted_reference_system():
     (`_derived_stack_cases`)."""
     flexible = 0
     for name, p in _derived_stack_cases():
-        g = skeleton(p)
-        cols, kernel = graphs._cycle_kernel(g)
+        cols, kernel = graphs._cycle_kernel(p)
         got = [fraction_vec(lam, den) for lam, den in graphs._edge_rows(cols, kernel)]
-        assert got == identity_kernel(g), name
+        assert got == identity_kernel(p), name
         flexible += len(kernel) > 1
     assert flexible > 100, flexible
 
@@ -967,14 +960,13 @@ def test_triangle_classes_are_connected_edge_sets():
     edges.  Checked on `_derived_stack_cases` and on random graphs on
     collinear points (`_graph_on_collinear_points`)."""
     rng = random.Random(29)
-    skeletons = [skeleton(p) for _, p in _derived_stack_cases()]
-    skeletons += [_graph_on_collinear_points(rng, 2 + t % 3) for t in range(60)]
+    polytopes = [p for _, p in _derived_stack_cases()]
+    polytopes += [_graph_on_collinear_points(rng, 2 + t % 3) for t in range(60)]
     joined = 0
-    for g in skeletons:
-        xs = g.points
-        col_of, k = triangle_classes(g)
+    for p in polytopes:
+        col_of, k = triangle_classes(p)
         classes = {}
-        for e in g.edges:
+        for e in p.edges():
             classes.setdefault(col_of[e], []).append(e)
         assert sorted(classes) == list(range(k))
         for edges in classes.values():

@@ -19,7 +19,7 @@ import random
 
 from minkdecomp import kernels
 from minkdecomp.catalogue import catalogue_list
-from minkdecomp.graphs import cycle_rows, decomposing_space, skeleton, triangle_classes
+from minkdecomp.graphs import cycle_rows, decomposing_space, triangle_classes
 from minkdecomp.linalg import int_kernel_basis
 from minkdecomp.polytope import validate
 
@@ -99,13 +99,11 @@ def test_rref_matches_reference_on_library_systems(monkeypatch):
     for e in catalogue_list():
         p = e.build()
         assert validate(p).ok
-        g = skeleton(p)
-        decomposing_space(g)
-        xs = g.points
-        col_of, k = triangle_classes(g)
-        calls.append((cycle_rows(xs, g._tree, col_of, k), k))
-        identity = {e: i for i, e in enumerate(g.edges)}
-        calls.append((cycle_rows(xs, g._tree, identity, len(identity)), len(identity)))
+        decomposing_space(p)
+        col_of, k = triangle_classes(p)
+        calls.append((cycle_rows(p, col_of, k), k))
+        identity = {e: i for i, e in enumerate(p.edges())}
+        calls.append((cycle_rows(p, identity, len(identity)), len(identity)))
         ints, _ = p.int_coords()
         calls.extend(([list(ints[i]) + [-1] for i in f], p.dim + 1) for f in p.facets)
     monkeypatch.undo()

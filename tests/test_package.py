@@ -12,9 +12,8 @@ belongs in tests/reference_linalg.py.  A `Polytope`'s cache of derived
 data is laid out in polytope.py alone; other modules go through its
 accessors.  Every integer elimination runs through `kernels.Echelon`.
 No module, and no test file, imports a name it never uses.  A
-`GeometricGraph` is built in one place, `graphs._build_skeleton`,
-through its own constructor, and a `DecomposingFunction` in one place,
-`graphs._slide_witness`.  The unchecked `Polytope._of_ints` is read in
+`DecomposingFunction` is built in one place, `graphs._slide_witness`,
+through its own constructor.  The unchecked `Polytope._of_ints` is read in
 the places that make exact faces and copies of checked polytopes only.
 Only the modules at the package's edges import `Fraction`.
 """
@@ -159,19 +158,6 @@ def test_every_elimination_runs_through_the_echelon(monkeypatch):
             call()
 
 
-def test_only_the_skeleton_builder_makes_a_geometric_graph():
-    """The only `GeometricGraph(...)` call in the package is in
-    `graphs._build_skeleton`, and no module sidesteps a constructor with
-    `object.__new__`."""
-    assert _callers_of("GeometricGraph") == ["graphs._build_skeleton"]
-    sidesteps = [
-        where for where, callee in _package_calls()
-        if isinstance(callee, ast.Attribute) and callee.attr == "__new__"
-        and isinstance(callee.value, ast.Name) and callee.value.id == "object"
-    ]
-    assert not sidesteps, sidesteps
-
-
 def test_only_exact_faces_and_copies_skip_the_polytope_check():
     """`Polytope._of_ints`, the one path that builds a polytope without
     checking it against its hull, is read in the places that make exact
@@ -195,8 +181,15 @@ def test_only_exact_faces_and_copies_skip_the_polytope_check():
 def test_only_the_slide_hand_out_makes_a_decomposing_function():
     """The only `DecomposingFunction(...)` call in the package is in
     `graphs._slide_witness`: every witness and every basis element of
-    `decomposing_space` is an integer slide handed out there."""
+    `decomposing_space` is an integer slide handed out there, and no
+    module sidesteps a constructor with `object.__new__`."""
     assert _callers_of("DecomposingFunction") == ["graphs._slide_witness"]
+    sidesteps = [
+        where for where, callee in _package_calls()
+        if isinstance(callee, ast.Attribute) and callee.attr == "__new__"
+        and isinstance(callee.value, ast.Name) and callee.value.id == "object"
+    ]
+    assert not sidesteps, sidesteps
 
 
 def test_only_the_edge_modules_import_fraction():
