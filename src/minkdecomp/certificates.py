@@ -708,7 +708,7 @@ class AnalysisReport:
     verdict: str
     method: str  # certificate | oracle | count-rule
     trace: Optional[CertificateTrace]
-    oracle_dimension: Optional[int]
+    oracle_dimension: int
     fvector: FVector
     rule_notes: Tuple[str, ...]
     witness: Optional[DecomposingFunction] = None

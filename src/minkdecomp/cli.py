@@ -127,7 +127,7 @@ def _render_report(p: Polytope, report: AnalysisReport, show_trace: bool) -> str
         lines.append(f"verdict: {report.verdict} (oracle dimension {rel})")
     fv = report.fvector
     lines.append(f"f-vector: v={fv.v} e={fv.e} f={fv.f}")
-    if report.oracle_dimension is not None and report.trace is not None:
+    if report.trace is not None:
         lines.append(f"oracle dimension: {report.oracle_dimension} (d+1 = {p.dim + 1})")
     if report.rule_notes:
         lines.append("count rules:")

@@ -55,14 +55,16 @@ stay integer, and so do the images summed along the tree and the
 package's only homothety fit (`_homothety_fit`, which the oracle's
 `_residue` and the lift of a slide through a pyramid reduction read),
 solved in closed form from integer sums.  `Fraction` appears only where a handed-out function is read.
-`_slide_witness` is the only builder of a `DecomposingFunction`, each
-basis element of `decomposing_space` and each witness, and every one
-of them keeps its integer slide (images times one denominator, and each
-edge's integer ratio, verified edge by edge for a witness: the residue
-of `oracle_verdict` and the facet slide `certificates.analyze`
-returns).  It makes its `Fraction` images and scalars once, on their
-first read, and `check` runs on the slide, so a caller that only
-decides makes none.
+A `DecomposingFunction` has one representation, its integer slide
+(images times one denominator, and each edge's integer ratio).
+`_slide_witness` is the only place the package makes one, each basis
+element of `decomposing_space` and each witness, verified edge by edge
+(the residue of `oracle_verdict` and the facet slide
+`certificates.analyze` returns); a function built from `Fraction` dicts
+is cleared to a slide when it is made.  It makes its `Fraction` images
+and scalars once, on their first read, and `check` and
+`homothety_residue` read the slide, so a caller that only decides makes
+none.
 
 `oracle_verdict` builds no basis.  It stops at the dimension when that
 is d + 1, and otherwise takes the first edge row, the first element of
@@ -75,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import kernels
 from .errors import EngineInconsistencyError, InvalidInputError
@@ -103,9 +105,13 @@ class DecomposingFunction:
     of `Vec`s by vertex index) and each edge's scalar (`edge_scalars`, a
     dict by sorted edge).
 
-    Built either from those two dicts, or by `_slide_witness` from an
-    integer slide, whose `Fraction`s it makes on the first read of
-    `images` or `edge_scalars`.  Equality and `repr` read both dicts."""
+    Its one representation is an integer slide (mult, (F, D, ratios)):
+    images F / D and, per edge, a ratio (a, b) for the scalar
+    a * mult / (b * D).  `_slide_witness` hands a slide in; the two dicts
+    are cleared to one over mult 1 (`_scalar_ratio`).  The `Fraction`s
+    are made on the first read of `images` or `edge_scalars`, equal to
+    the numbers given; a value that is no number is left out.  Equality
+    and `repr` read both dicts."""
 
     __slots__ = ("_images", "_scalars", "_slide")
 
@@ -116,7 +122,12 @@ class DecomposingFunction:
         *,
         _slide: Optional[Tuple[int, Slide]] = None,
     ):
-        self._images, self._scalars, self._slide = images, edge_scalars, _slide
+        if not _slide:
+            fs, den = as_int_coords(images.values())
+            given = ((e, _scalar_ratio(s, den)) for e, s in edge_scalars.items())
+            _slide = 1, (dict(zip(images, fs)), den, {e: r for e, r in given if r})
+        self._images = self._scalars = None
+        self._slide = _slide
 
     @property
     def images(self) -> Dict[int, Vec]:
@@ -131,11 +142,11 @@ class DecomposingFunction:
         return self._scalars
 
     def _make_fractions(self) -> None:
-        """The slide's `Fraction`s, made once: images fs / D and edge
-        scalars f_j * mult / (x_j * D), one per ratio."""
+        """The slide's `Fraction`s, made once: images F / D and edge
+        scalars a * mult / (b * D), one per ratio."""
         mult, (fs, den, ratios) = self._slide
         self._images = {i: fraction_vec(f, den) for i, f in fs.items()}
-        self._scalars = {e: Fraction(fj * mult, xj * den) for e, (fj, xj) in ratios.items()}
+        self._scalars = {e: Fraction(a * mult, b * den) for e, (a, b) in ratios.items()}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -150,50 +161,43 @@ class DecomposingFunction:
     def check(self, p: Polytope) -> bool:
         """Whether the images decompose p's edge graph with exactly the
         recorded edge scalars: the same answer as deriving each edge's
-        scalar afresh and comparing the two dicts.
+        scalar afresh and comparing it with the value recorded.
 
         Every vertex needs an image with one coordinate per dimension, and
-        the scalars must be keyed by exactly p's edges.  The check runs in
-        integers, on a slide's own images F = D * f, or on the `Fraction`
-        images cleared to them (`linalg.as_int_coords`): every edge is
-        verified by `_edge_ratios`, and each recorded scalar is compared
-        with its edge's ratio (f_j, x_j), the scalar f_j * mult / (x_j * D).
-        A slide's scalar, its ratio's f_j' * mult' / (x_j' * D), an int or
-        a `Fraction` is compared by cross-multiplication; anything else as
-        `Fraction` equality compares it."""
-        slide = self._slide
-        if slide is None:
-            images, scalars = self._images, self._scalars
-        else:
-            slide_mult, (images, den, scalars) = slide
-        vids = range(len(p))
-        edges = p.edges()
-        if len(scalars) != len(edges):
-            return False
-        for v in vids:
+        the ratios must be keyed by exactly p's edges.  `_edge_ratios`
+        verifies every edge in integers and gives its ratio (f_j, x_j),
+        the scalar f_j * mult_p / (x_j * D) over p's X = mult_p * x, which
+        each recorded a * mult / (b * D) must equal: D cancels."""
+        mult, (images, _, ratios) = self._slide
+        for v in range(len(p)):
             if v not in images or len(images[v]) != p.dim:
                 return False
-        if slide is None:
-            images, den = as_int_coords(images[v] for v in vids)
-        xs, mult = p.int_coords()
+        xs, mult_p = p.int_coords()
         try:
-            ratios = _edge_ratios(edges, xs, images)
+            derived = _edge_ratios(p.edges(), xs, images)
         except InvalidInputError:
             return False
-        for e, (fj, xj) in ratios.items():
-            # A missing key reads None, which no ratio equals.
-            s = scalars.get(e)
-            if s is not None and slide is not None:
-                num, dnm = s[0] * slide_mult, s[1] * den
-            elif isinstance(s, (int, Fraction)):
-                num, dnm = s.numerator, s.denominator
-            elif Fraction(fj * mult, xj * den) == s:
-                continue
-            else:
-                return False
-            if num * xj * den != dnm * fj * mult:
+        if ratios.keys() != derived.keys():
+            return False
+        for e, (fj, xj) in derived.items():
+            a, b = ratios[e]
+            if a * mult * xj != b * fj * mult_p:
                 return False
         return True
+
+
+def _scalar_ratio(s, den: int) -> Optional[Tuple[int, int]]:
+    """A given edge scalar s = n / q as a ratio over mult 1 and images
+    over den, (n * den, q).  A complex s with no imaginary part is its
+    real part.  A string, or anything `Fraction` refuses, is no scalar:
+    None, so its edge records no ratio and `check` refuses the function."""
+    if isinstance(s, str):
+        return None
+    try:
+        q = Fraction(s.real if isinstance(s, complex) and not s.imag else s)
+    except (TypeError, ValueError, ArithmeticError):
+        return None
+    return q.numerator * den, q.denominator
 
 
 def _edge_ratios(
@@ -241,10 +245,10 @@ def _slide_witness(mult: int, slide: Slide) -> DecomposingFunction:
     """The function of an integer slide (fs, D, ratios) over vertices
     cleared to X = mult*x: images fs / D and edge scalars
     f_j * mult / (x_j * D), one per ratio, made as `Fraction`s on their
-    first read.  It builds every `DecomposingFunction`: each witness (the
-    facet slide's and the oracle's residue), from ratios `_edge_ratios`
-    verified, and each basis element of `decomposing_space`.  It verifies
-    nothing a second time."""
+    first read.  It builds every `DecomposingFunction` the package makes:
+    each witness (the facet slide's and the oracle's residue), from
+    ratios `_edge_ratios` verified, and each basis element of
+    `decomposing_space`.  It verifies nothing a second time."""
     return DecomposingFunction(None, None, _slide=(mult, slide))
 
 
@@ -505,16 +509,10 @@ def decomposing_space(p: Polytope) -> Tuple[int, List[DecomposingFunction]]:
 
 def homothety_residue(p: Polytope, f: DecomposingFunction) -> DecomposingFunction:
     """Subtract the least-squares homothety fit; zero residue iff f is one
-    (`_residue` over p's integer points and f's integer images: a
-    slide's own images and denominator, read as they are, or the
-    `Fraction` images cleared)."""
-    vids = range(len(p))
-    if f._slide is None:
-        fs, den = as_int_coords(f.images[v] for v in vids)
-    else:
-        _, (images, den, _) = f._slide
-        fs = [images[v] for v in vids]
-    return _slide_witness(p.int_coords()[1], _residue(p, fs, den))
+    (`_residue` over p's integer points and f's slide images and
+    denominator, read as they are)."""
+    _, (images, den, _) = f._slide
+    return _slide_witness(p.int_coords()[1], _residue(p, [images[v] for v in range(len(p))], den))
 
 
 def _homothety_fit(
@@ -559,20 +557,11 @@ def _residue(p: Polytope, fs: Sequence[Sequence[int]], den: int) -> Slide:
     return res, nq * den, _edge_ratios(p.edges(), xs, res)
 
 
-class _PendingWitness:
-    """A witness not fitted yet: `fit()` builds it."""
-
-    __slots__ = ("fit",)
-
-    def __init__(self, fit: Callable[[], DecomposingFunction]):
-        self.fit = fit
-
-
 class _WitnessField:
     """The `witness` field of OracleResult: it holds a witness or None,
-    or a _PendingWitness, which it fits on the first read and keeps.
-    Comparing, copying or printing a result reads the field, so all of
-    them see the fitted witness."""
+    or a function that fits one, which it calls on the first read and
+    keeps the result of.  Comparing, copying or printing a result reads
+    the field, so all of them see the fitted witness."""
 
     def __set_name__(self, owner, name):
         self.key = "_" + name
@@ -582,8 +571,8 @@ class _WitnessField:
             # No class-level value: the field stays a required argument.
             raise AttributeError(self.key)
         value = obj.__dict__[self.key]
-        if isinstance(value, _PendingWitness):
-            value = value.fit()
+        if callable(value):
+            value = value()
             obj.__dict__[self.key] = value
         return value
 
@@ -595,9 +584,10 @@ class _WitnessField:
 class OracleResult:
     """The rank oracle's answer: the verdict, the dimension of the space
     of decomposing functions and, for Decomposable, a witness (None for
-    Indecomposable).  `oracle_verdict` defers the witness's images and
-    homothety fit to the first read of `witness`, so a caller that
-    settles the case another way never builds them."""
+    Indecomposable).  `oracle_verdict` passes the function that fits the
+    witness, which the first read of `witness` calls (`_WitnessField`),
+    so a caller that settles the case another way never builds its
+    images or homothety fit."""
 
     verdict: str  # "Indecomposable" | "Decomposable"
     dimension: int
@@ -639,7 +629,7 @@ def oracle_verdict(p: Polytope) -> OracleResult:
             raise EngineInconsistencyError(f"{_WITNESS_FAULT}: it is a homothety")
         return _slide_witness(mult, slide)
 
-    return OracleResult("Decomposable", dim, _PendingWitness(fit))
+    return OracleResult("Decomposable", dim, fit)
 
 
 def touches_every_facet(s, p: Polytope) -> bool:

@@ -315,8 +315,8 @@ def validate(p: Polytope) -> ValidationReport:
     """Check p against the exact hull of its points; collect all failures.
 
     Every polytope is checked when it is made, so this finds nothing on
-    one; `catalogue verify` runs it on each entry as a self-check.  The
-    hull is built from p's integer points as
+    one, and `catalogue verify`, which builds each entry, does not run
+    it.  The hull is built from p's integer points as
     `Polytope.from_int_coords` builds it, under its guard (a larger
     input raises GuardExceededError), and its refusal
     of the points (a coordinate list of the wrong length, a repeated

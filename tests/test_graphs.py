@@ -38,8 +38,10 @@ than repeat it.
 """
 
 import builtins
+import math
 import random
 import re
+from decimal import Decimal
 from itertools import combinations
 from fractions import Fraction
 
@@ -474,6 +476,88 @@ def test_integer_check_matches_the_fraction_check_on_every_slide_witness():
     # 20 slide witnesses in the catalogue when this was written.
     assert witnesses >= 20
     assert refused >= 8 * witnesses
+
+
+def _retyped(scalars):
+    """A witness's scalars given as other Python values: (label, scalars,
+    whether the values are numbers).  Float, complex and `Decimal` are
+    exact only where the scalar is; the rest are no scalar at all, on one
+    edge or on all of them."""
+    first = min(scalars)
+
+    def each(convert):
+        return {e: convert(s) for e, s in scalars.items()}
+
+    def one(value):
+        return {**scalars, first: value}
+
+    yield "as float", each(float), True
+    yield "as complex(x, 0)", each(lambda s: complex(float(s), 0)), True
+    yield "as Decimal", each(lambda s: Decimal(s.numerator) / Decimal(s.denominator)), True
+    yield "1 as True", each(lambda s: True if s == 1 else s), True
+    yield "one NaN", one(math.nan), False
+    yield "one +inf", one(math.inf), False
+    yield "one None", one(None), False
+    yield "one str", one(str(scalars[first])), False
+    yield "all NaN", each(lambda s: math.nan), False
+    yield "all +inf", each(lambda s: math.inf), False
+    yield "all None", each(lambda s: None), False
+    yield "all str", each(str), False
+
+
+def test_check_compares_scalars_of_any_type_as_given():
+    """`check` on functions built from a dict, over every slide witness
+    of the catalogue and the oracle witness of sum-25-edges, with the
+    scalars retyped (`_retyped`): the answer is that of comparing the
+    freshly derived `Fraction` scalars with the dict as given, which is
+    exact for float, complex and `Decimal` values and never holds for
+    NaN, infinity, None or a string, even one `Fraction` would parse.
+    Numbers read back equal to the values given."""
+    from minkdecomp.certificates import analyze
+
+    cases = []
+    for e in catalogue_list():
+        p = e.build()
+        r = analyze(p)
+        if r.trace is not None and "ShephardFacet" in [s.rule for s in r.trace.steps]:
+            cases.append((e.name, p, r.witness))
+    p = catalogue_entry("sum-25-edges").build()
+    cases.append(("sum-25-edges oracle", p, oracle_verdict(p).witness))
+    names = [name for name, _, _ in cases]
+    assert "wedge-4" in names
+    inexact = 0
+    for name, p, w in cases:
+        images = w.images
+        derived = reference_from_images(p, images).edge_scalars
+        assert derived == w.edge_scalars, name
+        exact = all(float(s) == s for s in derived.values())
+        inexact += not exact
+        for label, scalars, numbers in _retyped(w.edge_scalars):
+            f = DecomposingFunction(images, scalars)
+            want = derived == scalars
+            assert f.check(p) == want, (name, label)
+            if numbers:
+                assert f.images == images, (name, label)
+                assert f.edge_scalars == scalars, (name, label)
+            else:
+                assert not want, (name, label)
+            if label in ("as float", "as complex(x, 0)"):
+                assert want == exact, (name, label)
+    # wedge-4's 1/3 and the oracle witness of sum-25-edges at least.
+    assert inexact >= 2
+
+
+@pytest.mark.parametrize("value", [None, "1", math.nan, math.inf])
+def test_check_refuses_a_value_that_is_no_scalar_beyond_float_range(value):
+    """A scalar that is no number fails `check` with an answer, also on
+    coordinates no float can hold, and exact scalars there still check."""
+    big = 10**400
+    p = Polytope.from_vertices(2, [(0, 0), (big, 0), (0, big)])
+    images = dict(enumerate(p.vertices))
+    assert DecomposingFunction(images, dict.fromkeys(p.edges(), 1)).check(p)
+    first = {**dict.fromkeys(p.edges(), 1), p.edges()[0]: value}
+    assert not DecomposingFunction(images, first).check(p)
+    assert not DecomposingFunction(images, dict.fromkeys(p.edges(), value)).check(p)
 
 
 def test_homothety_detection():
